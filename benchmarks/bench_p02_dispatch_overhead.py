@@ -1,12 +1,16 @@
-"""P2 bench — dispatch overhead: spawn-per-dispatch vs the persistent pool.
+"""P2 bench — dispatch overhead: a fleet per dispatch vs the persistent pool.
 
 The paper's argument for coalescing is that per-dispatch scheduling
 overhead is what kills nested parallel loops; the hybrid Gauss–Jordan
 workload is its worst case, paying one barrier-synchronized DOALL dispatch
-per pivot row.  PR 1's runtime made each of those dispatches a fresh fleet
-of forked processes; the :class:`repro.parallel.pool.WorkerPool` turns
-them into one job message per resident worker.  This bench measures the
-gap on the same program:
+per pivot row.  The runtime once made each of those dispatches a fresh
+fleet of forked processes (the record that retired that engine is
+``BENCH_p02_dispatch.json``); the :class:`repro.parallel.pool.WorkerPool`
+turns them into one job message per resident worker.  The runtime keeps no
+second engine for the comparison: the baseline here is a bench-local pool
+whose every ``dispatch`` spawns, uses, and joins a brand-new
+``WorkerPool`` (:class:`FreshPoolPerDispatch`), the contender is one pool
+for all dispatches.  This bench measures the gap on the same program:
 
 * per-dispatch overhead = (sum of dispatch wall times − in-chunk work)
   / dispatch count, where in-chunk work is the claim-log time spent inside
@@ -32,7 +36,11 @@ import numpy as np
 
 from repro.codegen.pygen import compile_procedure
 from repro.experiments.report import Table
-from repro.parallel import run_parallel_doall, run_parallel_procedure
+from repro.parallel import (
+    WorkerPool,
+    run_parallel_doall,
+    run_parallel_procedure,
+)
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
 
@@ -44,6 +52,22 @@ WORKERS = 2
 #: Per-dispatch overhead floor (seconds): below this, timer granularity and
 #: multi-core overlap dominate; clamping keeps the spawn/pool ratio honest.
 OVERHEAD_FLOOR = 5e-5
+
+
+class FreshPoolPerDispatch(WorkerPool):
+    """Baseline fixture: every dispatch pays for a brand-new fleet.
+
+    The job names this pool's segments, which the fresh workers attach on
+    demand, so results land in ``self.views`` like any other dispatch.
+    The clock starts before the spawn and the caller stops it after the
+    join: fork and reap are the cost being measured.
+    """
+
+    def dispatch(self, job, lo, hi, deadline=None):
+        t_base = time.monotonic()
+        with WorkerPool(self.views, workers=self.workers) as fresh:
+            _, results = fresh.dispatch(job, lo, hi, deadline)
+        return t_base, results
 
 
 def _gauss_case(n: int) -> dict:
@@ -58,11 +82,13 @@ def _gauss_case(n: int) -> dict:
 
     case = {"n": n, "serial_s": round(serial_s, 4), "engines": {}}
     raw = {}
-    for engine, reuse in (("spawn", False), ("pool", True)):
+    engines = (("spawn", FreshPoolPerDispatch), ("pool", WorkerPool))
+    for engine, pool_type in engines:
         env = {k: v.copy() for k, v in arrays.items()}
-        result = run_parallel_procedure(
-            proc, env, sc, workers=WORKERS, policy="gss", reuse_pool=reuse
-        )
+        with pool_type(env, workers=WORKERS) as pool:
+            result = run_parallel_procedure(
+                proc, env, sc, workers=WORKERS, policy="gss", pool=pool
+            )
         for k in env:  # bit-for-bit on both engines, every size
             assert np.array_equal(env[k], baseline[k]), (engine, n, k)
         dispatches = len(result.dispatches)
@@ -104,7 +130,7 @@ def _claim_batch_sweep() -> list[dict]:
         env = {k: v.copy() for k, v in arrays.items()}
         stats = run_parallel_doall(
             proc, env, sc, workers=WORKERS, policy="unit",
-            reuse_pool=True, claim_batch=batch, log_events=False,
+            claim_batch=batch, log_events=False,
         )
         for k in env:
             assert np.array_equal(env[k], baseline[k]), ("sweep", batch, k)
@@ -122,7 +148,7 @@ def _claim_batch_sweep() -> list[dict]:
 def run() -> tuple[Table, dict]:
     cpus = os.cpu_count() or 1
     table = Table(
-        "P2: per-dispatch overhead — spawn-per-dispatch vs persistent pool",
+        "P2: per-dispatch overhead — fresh pool per dispatch vs persistent pool",
         ["n", "dispatches", "engine", "dispatch_wall_s", "work_s",
          "overhead_ms/dispatch"],
         notes=(

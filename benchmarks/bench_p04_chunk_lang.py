@@ -70,7 +70,7 @@ def _lang_case(name: str, scalars: dict, chunk: int) -> dict:
         env = {k: v.copy() for k, v in arrays.items()}
         result = run_parallel_doall(
             proc, env, sc, workers=WORKERS, policy="fixed", chunk=chunk,
-            reuse_pool=True, log_events=False, chunk_lang=lang,
+            log_events=False, chunk_lang=lang,
         )
         for k in env:  # bit-identical across languages, every size
             assert np.array_equal(env[k], baseline[k]), (name, lang, k)
@@ -112,7 +112,7 @@ def _interaction_grid() -> list[dict]:
             env = {k: v.copy() for k, v in arrays.items()}
             stats = run_parallel_doall(
                 proc, env, sc, workers=WORKERS, policy="unit",
-                reuse_pool=True, claim_batch=batch, log_events=False,
+                claim_batch=batch, log_events=False,
                 chunk_lang=lang,
             )
             for k in env:

@@ -95,14 +95,14 @@ def _timed_run(proc, arrays, sc, baseline, name, **options) -> dict:
     """
     warm = {k: v.copy() for k, v in arrays.items()}
     run_parallel_doall(
-        proc, warm, sc, workers=WORKERS, policy="unit", reuse_pool=True,
+        proc, warm, sc, workers=WORKERS, policy="unit",
         log_events=False, **options,
     )
     cal_before = DISPATCH.calibrations + DISPATCH.quick_calibrations
     env = {k: v.copy() for k, v in arrays.items()}
     t0 = time.perf_counter()
     result = run_parallel_doall(
-        proc, env, sc, workers=WORKERS, policy="unit", reuse_pool=True,
+        proc, env, sc, workers=WORKERS, policy="unit",
         log_events=False, **options,
     )
     wall = time.perf_counter() - t0

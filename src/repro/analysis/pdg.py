@@ -28,9 +28,10 @@ with itself must stay serial, and the SCC condensation below treats such
 a singleton as cyclic.
 
 On top of the graph: a self-contained iterative **Tarjan SCC** (the
-strict-typed analysis layer takes no networkx dependency) and a
-condensation in topological order — the legality skeleton for loop
-fission (:mod:`repro.transforms.fission`).
+package takes no graph-library dependency) and a condensation in
+topological order — the legality skeleton for loop distribution and
+fission (:mod:`repro.transforms.distribute`,
+:mod:`repro.transforms.fission`).
 
 This module also hosts **reduction recognition** shared by the safety
 verifier, the transform layer, and the mp runtime: ``s := s ⊕ expr``

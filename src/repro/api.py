@@ -342,12 +342,12 @@ def transform_function(
         **backend_options: forwarded to the ``"mp"`` backend — ``workers``,
             ``policy`` (``"unit"``/``"fixed"``/``"gss"``/``"static"`` or a
             :class:`repro.scheduling.policies.SchedulingPolicy`), ``chunk``,
-            ``timeout``, ``fallback``, ``method``, ``reuse_pool`` (default
-            True: one persistent worker fleet serves every dispatch of a
-            run), ``claim_batch`` (chunks handed out per fetch&add critical
-            section for unit/fixed policies — GSS always claims singly;
-            the default ``"auto"`` sizes the batch from the calibrator's
-            measured per-chunk service time),
+            ``timeout``, ``fallback``, ``method`` (one persistent worker
+            fleet serves every dispatch of a run), ``claim_batch`` (chunks
+            handed out per fetch&add critical section for unit/fixed
+            policies — GSS always claims singly; the default ``"auto"``
+            sizes the batch from the calibrator's measured per-chunk
+            service time),
             ``chunk_lang`` (``"c"``/``"numpy"``/``"py"``/``"auto"``:
             workers execute claimed blocks through a native ctypes kernel
             when a compiler is available — whole-slice numpy on

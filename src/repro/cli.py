@@ -119,14 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--chunk", type=int, default=None)
     parser.add_argument(
-        "--reuse-pool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --backend mp: serve every DOALL dispatch from one "
-        "persistent worker pool (default) instead of spawning a fresh "
-        "fleet per dispatch (--no-reuse-pool)",
-    )
-    parser.add_argument(
         "--claim-batch",
         type=lambda v: v if v == "auto" else int(v),
         default="auto",
@@ -303,7 +295,6 @@ def _run_transformed(args, workload, proc) -> int:
                 workers=args.workers,
                 policy=args.policy,
                 chunk=args.chunk,
-                reuse_pool=args.reuse_pool,
                 claim_batch=args.claim_batch,
                 chunk_lang=args.chunk_lang,
                 safety=args.safety,
@@ -317,7 +308,6 @@ def _run_transformed(args, workload, proc) -> int:
             for f in result.safety.findings:
                 print(f"safety: {f.format()}", file=sys.stderr)
         elapsed = result.wall_time
-        engine = "pool" if result.reused_pool else "spawn"
         blocked = (
             f", {result.blocked_dispatches} blocked"
             if result.blocked_dispatches
@@ -337,7 +327,7 @@ def _run_transformed(args, workload, proc) -> int:
                 f"{result.pinned_decisions} pinned)"
             )
         label = (
-            f"mp[{args.policy}, {args.workers} workers, {engine}, "
+            f"mp[{args.policy}, {args.workers} workers, "
             f"{variant_info}, "
             f"{len(result.dispatches)} dispatches{blocked}, "
             f"{result.claims} claims, {result.lock_ops} lock ops]"

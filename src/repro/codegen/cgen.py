@@ -374,7 +374,6 @@ def _emit_stmt(s: Stmt, lines, depth, emitter, sites, types, omp, suppress=0):
 #: Marker comments the tests key on to tell the two recovery emissions apart.
 SR_MARKER = "/* strength-reduced block recovery */"
 NAIVE_MARKER = "/* per-iteration index recovery */"
-OMP_CHUNK_MARKER = "/* in-chunk omp parallel for */"
 
 
 # De-coalescing recognition lives in :mod:`repro.analysis.recovery` (shared
@@ -392,7 +391,6 @@ def generate_chunk_c(
     name: str | None = None,
     scalar_types: dict[str, str] | None = None,
     check: bool = False,
-    omp: bool = False,
 ) -> str:
     """C translation unit for one DOALL chunk of ``proc``.
 
@@ -421,14 +419,6 @@ def generate_chunk_c(
     (default ``"long"``, the :func:`generate_c` convention) — the runtime
     passes the types of the live environment values so serially computed
     floating scalars cross the boundary intact.
-
-    ``omp=True`` emits the two-level variant: the claimed block itself is
-    split across threads with ``#pragma omp parallel for`` (process × thread
-    scheduling).  This forces the per-iteration recovery path — the
-    strength-reduced odometer carries state across iterations and cannot be
-    thread-parallel — and marks every function-scope body-local ``private``.
-    Only legal for chunks whose iterations are independent at granularity 1
-    (the chunk-safety verifier's DOALL proof); the variant farm gates on it.
     """
     from repro.transforms.strength import odometer_advance
 
@@ -483,20 +473,7 @@ def generate_chunk_c(
     heads, rest = _recovery_prefix(loop, set(proc.scalars))
     shape = _verified_rectangular_recovery(loop, heads, rest)
     no_sites: dict = {}
-    if omp:
-        if heads:
-            lines.append(f"    {NAIVE_MARKER}")
-        lines.append(f"    {OMP_CHUNK_MARKER}")
-        private = f" private({', '.join(locals_)})" if locals_ else ""
-        lines.append(f"    #pragma omp parallel for schedule(static){private}")
-        lines.append(
-            f"    for (long {loop.var} = __lo; {loop.var} <= __hi; "
-            f"{loop.var} += 1) {{"
-        )
-        for s in loop.body.stmts:
-            _emit_stmt(s, lines, 2, emitter, no_sites, types, omp=False)
-        lines.append("    }")
-    elif shape is not None:
+    if shape is not None:
         index_vars, bounds = shape
         lines.append(f"    {SR_MARKER}")
         lines.append(f"    if (__hi < __lo) return;")

@@ -118,7 +118,8 @@ class CProcedure:
 
 
 def _compile_into(
-    tmp: Path, name: str, source: str, cc: str, optimize: str, omp: bool
+    tmp: Path, name: str, source: str, cc: str, optimize: str,
+    omp: bool = False,
 ) -> Path:
     """Run the compiler in ``tmp``; return the ``.so`` path."""
     tmp.mkdir(parents=True, exist_ok=True)
@@ -216,7 +217,6 @@ def compile_chunk_library(
     cc: str = "gcc",
     optimize: str = "-O2",
     cache: object = "default",
-    omp: bool = False,
 ) -> tuple[str, bool]:
     """Compile one chunk-kernel translation unit; return ``(so_path, hit)``.
 
@@ -228,16 +228,15 @@ def compile_chunk_library(
     the same hash (one build per shape per process, nothing leaked).
 
     ``optimize`` may carry several whitespace-separated flags
-    (``"-O3 -march=native"``) — the variant farm sweeps these.  ``omp=True``
-    links ``-fopenmp`` for the two-level in-chunk ``parallel for`` variant;
-    plain chunk kernels stay single-threaded by design (parallelism comes
-    from the worker processes claiming blocks around them).
+    (``"-O3 -march=native"``) — the variant farm sweeps these.  Chunk
+    kernels are single-threaded by design and never link ``-fopenmp``:
+    parallelism comes from the worker processes claiming blocks around
+    them, and a forked worker cannot run a libgomp team inherited from a
+    parent that already started one.
     """
     if not have_compiler(cc):
         raise CCompileError(f"no C compiler {cc!r} on PATH")
-    key = artifact_key(
-        "chunk_clib", source=source, cc=cc, optimize=optimize, omp=omp
-    )
+    key = artifact_key("chunk_clib", source=source, cc=cc, optimize=optimize)
     so_name = f"lib{name}.so"
     store = resolve_cache(cache)
     if store is None:
@@ -245,7 +244,7 @@ def compile_chunk_library(
         if so_path.exists():
             return str(so_path), True
         built = _compile_into(
-            _private_dir() / key[:16], name, source, cc, optimize, omp=omp
+            _private_dir() / key[:16], name, source, cc, optimize
         )
         built.replace(so_path)
         return str(so_path), False
@@ -253,12 +252,12 @@ def compile_chunk_library(
     if entry is not None:
         return str(entry.file_path(so_name)), True
     with tempfile.TemporaryDirectory(prefix="repro_chunk_") as tmp:
-        built = _compile_into(Path(tmp), name, source, cc, optimize, omp=omp)
+        built = _compile_into(Path(tmp), name, source, cc, optimize)
         entry = store.put(
             key,
             {so_name: built.read_bytes(), f"{name}.c": source},
             meta={"kind": "chunk_clib", "name": name, "cc": cc,
-                  "optimize": optimize, "omp": omp},
+                  "optimize": optimize},
         )
     return str(entry.file_path(so_name)), False
 

@@ -12,11 +12,11 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
   ``multiprocessing.Array``: the real fetch&add of the paper's protocol,
   resettable between dispatches, with batched claiming) plus the bridge
   that reuses :mod:`repro.scheduling.policies` chunk rules.
-* :mod:`repro.parallel.worker` — the per-process claim/execute loop, in
-  spawn-per-dispatch and persistent-pool flavors.
-* :mod:`repro.parallel.pool` — the persistent :class:`WorkerPool`: spawn
-  once, dispatch many times; amortizes fork, compile, and claim overhead
-  across every DOALL of a run.
+* :mod:`repro.parallel.worker` — the per-process claim/execute loop of a
+  pool worker.
+* :mod:`repro.parallel.pool` — the persistent :class:`WorkerPool`, the one
+  dispatch engine: spawn once, dispatch many times; amortizes fork,
+  compile, and claim overhead across every DOALL of a run.
 * :mod:`repro.parallel.runtime` — drivers: :func:`run_parallel_doall` for a
   single coalesced loop, :func:`run_parallel_procedure` for whole programs
   (serial segments run in the parent, DOALLs — top-level or nested under

@@ -51,13 +51,13 @@ class MPCompiledProcedure:
     ``run`` mirrors the serial backends; ``source`` shows what workers
     execute (the chunk function per dispatchable DOALL).  ``last`` holds
     the most recent run's measured result, or the fallback reason when the
-    serial path was taken.  ``reuse_pool`` (default True) serves every
-    dispatch of a run from one persistent worker fleet; ``claim_batch``
-    hands workers that many chunks per counter critical section (unit and
-    fixed policies — GSS always claims singly), or — the default
-    ``"auto"`` — sizes the batch from the calibrator's measured per-chunk
-    service time (:mod:`repro.tuning.calibrate`; the decision is pinned
-    in the artifact cache, so only the first run ever measures).
+    serial path was taken.  Each run's dispatches are all served by one
+    persistent worker fleet.  ``claim_batch`` hands workers that many
+    chunks per counter critical section (unit and fixed policies — GSS
+    always claims singly), or — the default ``"auto"`` — sizes the batch
+    from the calibrator's measured per-chunk service time
+    (:mod:`repro.tuning.calibrate`; the decision is pinned in the
+    artifact cache, so only the first run ever measures).
     ``chunk_lang`` selects how workers execute claimed blocks — ``"c"``
     (native ctypes kernel), ``"numpy"`` (whole-slice vectorized), ``"py"``,
     or ``None``/``"auto"`` (C when a compiler is available, numpy
@@ -84,7 +84,6 @@ class MPCompiledProcedure:
     fallback: bool = True
     method: str | None = None
     log_events: bool = True
-    reuse_pool: bool = True
     claim_batch: int | str = "auto"
     chunk_lang: str | None = None
     safety: str | None = None
@@ -141,7 +140,6 @@ class MPCompiledProcedure:
                 timeout=self.timeout,
                 log_events=self.log_events,
                 method=self.method,
-                reuse_pool=self.reuse_pool,
                 claim_batch=self.claim_batch,
                 chunk_lang=self.chunk_lang,
                 safety=self.safety,

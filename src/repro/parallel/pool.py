@@ -1,10 +1,10 @@
 """The persistent worker pool: spawn once, dispatch many times.
 
-The PR-1 runtime paid one fleet of ``fork``/``spawn`` calls, one fresh
-queue, and one chunk-source compile *per dispatched DOALL* — so a hybrid
-program like Gauss–Jordan (one dispatch per pivot row) was dominated by
-process-creation cost, exactly the per-dispatch scheduling overhead the
-paper's coalescing transformation exists to amortize.  A
+Paying one fleet of ``fork``/``spawn`` calls, one fresh queue, and one
+chunk-source compile *per dispatched DOALL* makes a hybrid program like
+Gauss–Jordan (one dispatch per pivot row) process-creation bound —
+exactly the per-dispatch scheduling overhead the paper's coalescing
+transformation exists to amortize (``BENCH_p02`` measured 30–166×).  A
 :class:`WorkerPool` moves all of that to setup time:
 
 * worker processes are spawned **once**, with the shared-memory array
@@ -16,11 +16,11 @@ paper's coalescing transformation exists to amortize.  A
   (:func:`repro.codegen.pygen.compile_chunk_source` is memoized), so a
   loop shape dispatched N times is generated and compiled once.
 
-The robustness contract matches the spawn-per-dispatch path: a worker
-that raises or dies marks the pool *broken*, terminates the fleet, and
-raises :class:`WorkerCrashError`; a deadline overrun kills the fleet and
-raises :class:`ParallelTimeoutError`; and the shared-memory segments the
-pool owns are unlinked on ``close()``/``__exit__`` no matter how the run
+The robustness contract: a worker that raises or dies marks the pool
+*broken*, terminates the fleet, and raises :class:`WorkerCrashError`; a
+deadline overrun kills the fleet and raises
+:class:`ParallelTimeoutError`; and the shared-memory segments the pool
+owns are unlinked on ``close()``/``__exit__`` no matter how the run
 ended.
 """
 
@@ -129,8 +129,8 @@ def gather_results(
 def raise_worker_crashes(results: Mapping[int, tuple], procs: list) -> None:
     """Raise :class:`WorkerCrashError` if any worker errored or died.
 
-    ``results`` holds one normalized message per worker: ``("ok", wid,
-    ...)``, ``("err", wid, traceback)``, or ``("dead", wid, exitcode)``.
+    ``results`` holds one message per worker: ``("ok", wid, ...)``,
+    ``("err", wid, ..., traceback)``, or ``("dead", wid, exitcode)``.
     """
     crashes = []
     for wid in range(len(procs)):
@@ -139,7 +139,7 @@ def raise_worker_crashes(results: Mapping[int, tuple], procs: list) -> None:
             code = msg[2] if msg is not None else procs[wid].exitcode
             crashes.append(f"worker {wid}: died (exitcode {code})")
         elif msg[0] == "err":
-            crashes.append(f"worker {wid}:\n{msg[2]}")
+            crashes.append(f"worker {wid}:\n{msg[-1]}")
     if crashes:
         raise WorkerCrashError(
             "parallel DOALL failed in {} worker(s):\n{}".format(
@@ -231,9 +231,9 @@ class WorkerPool:
         sends ``job`` to every worker, and gathers one result message per
         worker.  Returns ``(t_base, results)`` where ``t_base`` is the
         dispatch start on the shared monotonic clock and ``results`` maps
-        worker id to ``("ok", wid, iterations, claims, lock_ops, events,
-        chunk_lang)``.  A crash or timeout terminates the fleet, marks
-        the pool broken, and raises.
+        worker id to the worker's own ``("ok", wid, seq, iterations,
+        claims, lock_ops, events, chunk_lang, extra)`` message.  A crash
+        or timeout terminates the fleet, marks the pool broken, and raises.
         """
         if self._closed:
             raise ParallelError("worker pool is closed")
@@ -261,19 +261,13 @@ class WorkerPool:
         try:
             for q in self._jobs:
                 q.put(("job", seq, job))
-            raw = gather_results(
+            results = gather_results(
                 self._procs,
                 self._results,
                 deadline,
                 set(range(self.workers)),
                 key=key,
             )
-            # Strip the seq field so both runtime paths see one message
-            # shape: ("ok", wid, ...) / ("err", wid, tb) / ("dead", wid, code).
-            results = {
-                wid: (msg[:2] + msg[3:]) if msg[0] in ("ok", "err") else msg
-                for wid, msg in raw.items()
-            }
             raise_worker_crashes(results, self._procs)
         except BaseException:
             self._broken = True

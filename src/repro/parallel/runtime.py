@@ -13,16 +13,14 @@ program therefore really performs one dispatch per serial-outer iteration
 (one per pivot row), which is exactly the overhead profile the paper's
 coalescing argument is about.
 
-Two dispatch engines serve those drivers:
-
-* ``reuse_pool=True`` (the default for whole procedures) — a persistent
-  :class:`repro.parallel.pool.WorkerPool`: workers spawn once, each
-  dispatch is a job message plus a gather barrier, chunk sources are
-  cached by loop shape on both sides, and the shared claim counter is
-  reset between loops instead of recreated.
-* ``reuse_pool=False`` — the spawn-per-dispatch baseline: a fresh fleet
-  of processes per DOALL (PR-1 behavior, kept as the comparison point —
-  ``benchmarks/bench_p02_dispatch_overhead.py`` measures the gap).
+Both drivers dispatch through one engine, the persistent
+:class:`repro.parallel.pool.WorkerPool`: workers spawn once per run (or
+are borrowed from a caller that keeps a warm fleet — the server's
+per-shape pools), each dispatch is a job message plus a gather barrier,
+chunk sources are cached by loop shape on both sides, and the shared
+claim counter is reset between loops instead of recreated.  (A
+spawn-per-dispatch engine preceded it; ``BENCH_p02`` is the record of
+why it is gone.)
 
 ``claim_batch=k`` lets unit/fixed self-scheduling take ``k`` chunks per
 counter critical section (GSS keeps its one-chunk atomic
@@ -51,7 +49,6 @@ Robustness contract:
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -93,13 +90,7 @@ from repro.parallel.observe import (
     record_safety_block,
     record_speculate,
 )
-from repro.parallel.pool import (
-    WorkerPool,
-    gather_results,
-    mp_context,
-    raise_worker_crashes,
-    terminate_procs,
-)
+from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import SharedArrayPool
 from repro.parallel.speculate import (
     SpecCertificate,
@@ -108,11 +99,9 @@ from repro.parallel.speculate import (
     speculation_plan,
     validate_chunk_logs,
 )
-from repro.parallel.worker import worker_main
 from repro.runtime.inspector import inspect_dispatch
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 from repro.scheduling.policies import SchedulingPolicy
-from repro.tuning.calibrate import make_tuner
 from repro.tuning.variants import default_variant, variant_by_name
 
 __all__ = [
@@ -300,9 +289,6 @@ class ParallelProcedureResult:
     wall_time: float
     dispatches: list[ParallelRunResult] = field(default_factory=list)
     serial_stmts: int = 0
-    #: Whether the run used one persistent worker pool for every dispatch
-    #: (True) or spawned a fresh fleet per dispatch (False).
-    reused_pool: bool = False
     #: Chunk-safety mode the run executed under ("off", "warn", "enforce").
     safety_mode: str = "off"
     #: The verifier's :class:`~repro.analysis.safety.SafetyReport`
@@ -408,7 +394,7 @@ def _check_dispatchable(proc: Procedure) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch preparation (shared by the spawn and pool engines)
+# Dispatch preparation
 # ---------------------------------------------------------------------------
 
 
@@ -499,9 +485,8 @@ class _DispatchCaches:
         feed the same loop integer scalars on one dispatch and serially
         computed floats on the next — those are different kernels) plus
         the farm variant: ``variant`` (a
-        :class:`repro.tuning.variants.Variant`) selects the compiler,
-        flag set, and — for the OpenMP variants — the in-chunk
-        ``parallel for`` body; None means the pre-farm default build.
+        :class:`repro.tuning.variants.Variant`) selects the compiler and
+        flag set; None means the pre-farm default build.
         Any codegen or compile failure is memoized as None, so a shape
         that cannot go native costs one attempt per run, not one per
         dispatch.
@@ -531,14 +516,10 @@ class _DispatchCaches:
                 loop=loop,
                 name=fname,
                 scalar_types=dict(zip(scalar_order, types)),
-                omp=bool(variant and variant.omp),
             )
             build = {}
             if variant is not None:
-                build = dict(
-                    cc=variant.cc, optimize=variant.optimize,
-                    omp=variant.omp,
-                )
+                build = dict(cc=variant.cc, optimize=variant.optimize)
             so_path, _ = compile_chunk_library(
                 source, fname, cache=self._store(), **build
             )
@@ -648,7 +629,7 @@ def _build_job(
     extra_specs: list | None = None,
     extra_views: Mapping[str, np.ndarray] | None = None,
 ) -> dict:
-    """The picklable job descriptor both worker flavors execute.
+    """The picklable job descriptor the pool workers execute.
 
     The Python chunk source is always present (the safety net every
     fallback lands on).  When ``chunk_lang == "c"`` and the shape compiles
@@ -663,7 +644,7 @@ def _build_job(
     A pinned/measured ``decision``
     (:class:`repro.tuning.calibrate.TuningDecision`) overrides the build:
     its variant selects both the chunk language and — for C variants —
-    the compiler, flag set, and in-chunk OpenMP body.
+    the compiler and flag set.
 
     A speculative dispatch instead ships the dispatched ``Loop`` itself
     plus shadow-segment specs and the written→shadow alias map: workers
@@ -793,7 +774,7 @@ def _finalize_result(
     events: list[ClaimEvent] = []
     spec_logs: list = []
     for wid, msg in results.items():
-        _, _, iters, wclaims, wlocks, wevents, wlang, wextra = msg
+        _, _, _, iters, wclaims, wlocks, wevents, wlang, wextra = msg
         langs.add(wlang)
         spec_logs.extend(wextra.get("spec_log", ()))
         if wid < active:
@@ -838,29 +819,8 @@ def _finalize_result(
 
 
 # ---------------------------------------------------------------------------
-# Dispatch engines
+# The dispatch engine
 # ---------------------------------------------------------------------------
-
-
-def _tuned_decision(
-    caches: _DispatchCaches,
-    proc: Procedure,
-    loop: Loop,
-    env: Mapping[str, int | float],
-    views: Mapping[str, np.ndarray],
-    plan,
-    n: int,
-    workers: int,
-    chunk: int | None,
-    batch,
-    speculate: dict | None,
-):
-    """Consult the run's tuner (never for speculative dispatches)."""
-    if speculate is not None or caches.tuner is None:
-        return None
-    return caches.tuner.decision_for(
-        proc, loop, env, views, plan, n, workers, chunk, caches, batch
-    )
 
 
 def _stamp_result(result: ParallelRunResult, job: dict, batch: int):
@@ -881,69 +841,6 @@ def _stamp_result(result: ParallelRunResult, job: dict, batch: int):
     else:
         record_chunk_fallback()  # mixed fleet: some workers degraded
     return result
-
-
-def _dispatch_spawn(
-    proc: Procedure,
-    loop: Loop,
-    pool: SharedArrayPool,
-    env: Mapping[str, int | float],
-    workers: int,
-    policy: SchedulingPolicy | str,
-    chunk: int | None,
-    batch: int,
-    deadline: float | None,
-    log_events: bool,
-    ctx: multiprocessing.context.BaseContext,
-    caches: _DispatchCaches,
-    chunk_lang: str = "py",
-    speculate: dict | None = None,
-    extra_specs: list | None = None,
-    extra_views: Mapping[str, np.ndarray] | None = None,
-) -> ParallelRunResult:
-    """Run one DOALL on a freshly spawned fleet (the PR-1 baseline path)."""
-    lo = eval_bound(loop.lower, env, pool.views, "loop lower bound")
-    hi = eval_bound(loop.upper, env, pool.views, "loop upper bound")
-    n = max(0, hi - lo + 1)
-    if n == 0:
-        return _empty_result(loop, lo, hi, workers, policy)
-    active = max(1, min(workers, n))
-    plan = caches.plan_for(policy, n, active, chunk)
-    decision = _tuned_decision(
-        caches, proc, loop, env, pool.views, plan, n, workers, chunk,
-        batch, speculate,
-    )
-    batch_n = _resolve_claim_batch(batch, decision, plan, n, active)
-    job = _build_job(
-        proc, loop, pool, env, plan, lo, batch_n, log_events, caches,
-        chunk_lang, speculate, decision, extra_specs, extra_views,
-    )
-    counter = (
-        None if plan.static is not None else SharedClaimCounter(lo, hi, ctx)
-    )
-    q = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=worker_main,
-            args=(wid, job, counter, q),
-            name=f"repro-par-{wid}",
-            daemon=True,
-        )
-        for wid in range(active)
-    ]
-    t_base = time.monotonic()
-    for p in procs:
-        p.start()
-    try:
-        results = gather_results(procs, q, deadline, set(range(active)))
-        raise_worker_crashes(results, procs)
-    except BaseException:
-        terminate_procs(procs)
-        raise
-    for p in procs:
-        p.join(timeout=5.0)
-    result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
-    return _stamp_result(result, job, batch_n)
 
 
 def _dispatch_pool(
@@ -972,10 +869,14 @@ def _dispatch_pool(
         return _empty_result(loop, lo, hi, wpool.workers, policy)
     active = max(1, min(wpool.workers, n))
     plan = caches.plan_for(policy, n, active, chunk)
-    decision = _tuned_decision(
-        caches, proc, loop, env, wpool.views, plan, n, wpool.workers,
-        chunk, batch, speculate,
-    )
+    decision = None
+    if speculate is None and caches.tuner is not None:
+        # Speculative dispatches run the recording interpreter: no build
+        # to choose, nothing to measure.
+        decision = caches.tuner.decision_for(
+            proc, loop, env, wpool.views, plan, n, wpool.workers, chunk,
+            caches, batch,
+        )
     batch_n = _resolve_claim_batch(batch, decision, plan, n, active)
     job = _build_job(
         proc, loop, wpool.shared, env, plan, lo, batch_n, log_events,
@@ -1266,16 +1167,25 @@ def _speculation_plans(
     return plans
 
 
-def _inspect_certificate(loop, insp) -> SpecCertificate:
-    return SpecCertificate(
-        loop_var=loop.var,
-        mode="inspector",
-        status="proven-dynamic" if insp.proven else "refuted",
-        iterations=insp.iterations,
-        conflicts=len(insp.conflicts),
-        wall_s=insp.wall_s,
-        detail=insp.describe(),
-    )
+def _inspect(loop: Loop, env, views, report):
+    """Run the inspector on one blocked dispatch; certify its verdict."""
+    record_speculate(inspected=1)
+    insp = inspect_dispatch(loop, env, views)
+    if report is not None:
+        report.dynamic.append(
+            SpecCertificate(
+                loop_var=loop.var,
+                mode="inspector",
+                status="proven-dynamic" if insp.proven else "refuted",
+                iterations=insp.iterations,
+                conflicts=len(insp.conflicts),
+                wall_s=insp.wall_s,
+                detail=insp.describe(),
+            )
+        )
+    if insp.proven:
+        record_speculate(proven_dynamic=1)
+    return insp
 
 
 # ---------------------------------------------------------------------------
@@ -1480,15 +1390,10 @@ def _make_blocked_handler(
             serial(stmt, env)
             return
         if plan.action == "inspect":
-            record_speculate(inspected=1)
             out.inspected += 1
-            insp = inspect_dispatch(stmt, env, views)
-            if report is not None:
-                report.dynamic.append(_inspect_certificate(stmt, insp))
-            if not insp.proven:
+            if not _inspect(stmt, env, views, report).proven:
                 serial(stmt, env)
                 return
-            record_speculate(proven_dynamic=1)
             out.proven_dynamic += 1
             result = dispatch(stmt, env)
             result.speculation = "proven-dynamic"
@@ -1537,6 +1442,96 @@ def _make_blocked_handler(
 # ---------------------------------------------------------------------------
 
 
+def _run(
+    proc: Procedure,
+    arrays: Mapping[str, np.ndarray],
+    scalars: Mapping[str, int | float] | None,
+    mode: str,
+    report,
+    blocked: frozenset[int],
+    plans: Mapping[int, SpecPlan],
+    workers: int,
+    policy: SchedulingPolicy | str,
+    chunk: int | None,
+    timeout: float | None,
+    log_events: bool,
+    method: str | None,
+    claim_batch: int | str,
+    chunk_lang: str | None,
+    variants,
+    calibrate: bool | None,
+    pool: WorkerPool | None = None,
+    preloaded: bool = False,
+) -> ParallelProcedureResult:
+    """The one run driver behind both public entry points.
+
+    The caller has already validated ``proc`` and passed it through the
+    safety gate (``mode``/``report``/``blocked``/``plans``); nothing
+    before this point creates a process or a segment.  A *borrowed*
+    ``pool`` is loaded with ``arrays`` and copied back (both skipped when
+    ``preloaded``) and left running; with no pool given one is created
+    for the run, copied back on success only, and always closed.
+    """
+    # Imported here, not at module level: ``repro.tuning.calibrate`` imports
+    # ``repro.parallel`` (counter, observe), which imports this module.
+    from repro.tuning.calibrate import make_tuner
+
+    if claim_batch != "auto":
+        claim_batch = int(claim_batch)
+    env: dict[str, int | float] = dict(scalars or {})
+    deadline = None if timeout is None else time.monotonic() + timeout
+    t_start = time.monotonic()
+    out = ParallelProcedureResult(0.0, safety_mode=mode, safety=report)
+    interp = Interpreter()
+    caches = _DispatchCaches()
+    lang = resolve_chunk_lang(chunk_lang)
+    caches.tuner = make_tuner(lang, variants, calibrate)
+    # ``preloaded=True`` is the zero-copy serving path: the caller has
+    # already written the request data into ``pool.views`` (e.g. the wire
+    # transport loading ``np.frombuffer`` views straight into the shm
+    # segments) and will read results out of the views itself, so the
+    # load/copy-back round trip through ``arrays`` is skipped.
+    owned = pool is None
+    copies = owned or not preloaded
+    if owned:
+        pool = WorkerPool(arrays, workers=workers, method=method)
+    elif copies:
+        pool.load(arrays)
+    try:
+        views = pool.views
+
+        def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
+            return _dispatch_pool(
+                pool, dproc, dloop, denv, policy, chunk, claim_batch,
+                deadline, log_events, caches, lang, speculate,
+                extra_specs, extra_views,
+            )
+
+        dispatch = _with_reduction(
+            raw, proc, caches, views, pool.workers, policy, out
+        )
+        handler = _make_blocked_handler(
+            mode, plans, report, interp, views, out, dispatch
+        )
+        _exec_hybrid(
+            proc.body, dispatch, interp, env, views, out, deadline,
+            blocked, handler, _make_residue_runner(caches, interp, views),
+        )
+        if copies:
+            pool.copy_back(arrays)
+    finally:
+        if owned:
+            pool.close()
+    out.wall_time = time.monotonic() - t_start
+    if caches.tuner is not None:
+        out.calibrations = (
+            caches.tuner.calibrations + caches.tuner.quick_calibrations
+        )
+        out.pinned_decisions = caches.tuner.pinned_hits
+    record_run(out)
+    return out
+
+
 def run_parallel_doall(
     proc: Procedure,
     arrays: Mapping[str, np.ndarray],
@@ -1547,7 +1542,6 @@ def run_parallel_doall(
     timeout: float | None = None,
     log_events: bool = True,
     method: str | None = None,
-    reuse_pool: bool = False,
     claim_batch: int | str = "auto",
     chunk_lang: str | None = None,
     safety: str | None = None,
@@ -1559,9 +1553,10 @@ def run_parallel_doall(
     The procedure body must be exactly one top-level unit-step DOALL (what
     :func:`repro.transforms.coalesce.coalesce_procedure` produces).  On
     success the caller's ``arrays`` hold the results; on any failure they
-    are untouched (workers mutate only the shared copies).  A single
-    dispatch gains nothing from pool reuse, so ``reuse_pool`` defaults to
-    False here; pass True to exercise the pool engine.
+    are untouched (workers mutate only the shared copies).  The run is
+    :func:`run_parallel_procedure`'s, narrowed to that one loop: the same
+    pool, reduction routing, and speculation machinery, returning the
+    loop's own :class:`ParallelRunResult`.
 
     ``chunk_lang`` selects how workers execute claimed blocks: ``"c"``
     (native kernel via ctypes — the default when a compiler is available),
@@ -1610,137 +1605,47 @@ def run_parallel_doall(
         )
     mode = resolve_safety(safety)
     report, blocked = _safety_gate(proc, mode)
-    env: dict[str, int | float] = dict(scalars or {})
-    spec_plan: SpecPlan | None = None
-    speculation_tag: str | None = None
+    plans: dict[int, SpecPlan] = {}
+    proven_dynamic = False
     if id(loop) in blocked:
+        # Where the whole-procedure driver would run this loop serially,
+        # a single-loop run has nothing left to parallelize: refuse it
+        # here, before any process or segment exists.
+        refusal = None
         if mode == "enforce":
-            record_safety_block()
-            raise SafetyVerificationError(
-                f"safety=enforce refused to dispatch {proc.name!r}: "
-                f"{_unproven_summary(report)}"
+            refusal = f"safety=enforce refused to dispatch {proc.name!r}: " + (
+                _unproven_summary(report)
             )
-        plan = speculation_plan(
-            loop, report.by_id.get(id(loop)) if report is not None else None
-        )
-        if plan.action == "refuse":
-            record_safety_block()
-            raise SafetyVerificationError(
-                f"safety=speculate refused to dispatch {proc.name!r}: "
-                f"{plan.reason}"
-            )
-        if plan.action == "inspect":
-            record_speculate(inspected=1)
-            insp = inspect_dispatch(loop, env, arrays)
-            if report is not None:
-                report.dynamic.append(_inspect_certificate(loop, insp))
-            if not insp.proven:
-                record_safety_block()
-                raise SafetyVerificationError(
-                    f"safety=speculate: runtime inspector refuted dispatch "
-                    f"of {proc.name!r}: {insp.describe()}"
-                )
-            record_speculate(proven_dynamic=1)
-            speculation_tag = "proven-dynamic"
         else:
-            spec_plan = plan
-    if claim_batch != "auto":
-        claim_batch = int(claim_batch)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    caches = _DispatchCaches()
-    lang = resolve_chunk_lang(chunk_lang)
-    caches.tuner = make_tuner(lang, variants, calibrate)
-    validation = None
-    t_spec = time.monotonic()
-    red_plan = _reduction_plan(caches, proc, loop)
-    if reuse_pool:
-        with WorkerPool(arrays, workers=workers, method=method) as wpool:
-            if spec_plan is None:
-                if red_plan is not None:
-                    result = _dispatch_reduction(
-                        red_plan, env, wpool.views, wpool.workers, policy,
-                        lambda env2, specs, pviews: _dispatch_pool(
-                            wpool, red_plan.proc, red_plan.loop, env2,
-                            policy, chunk, claim_batch, deadline,
-                            log_events, caches, lang, extra_specs=specs,
-                            extra_views=pviews,
-                        ),
-                    )
+            plans = _speculation_plans([loop], blocked, report)
+            plan = plans[id(loop)]
+            if plan.action == "refuse":
+                refusal = (
+                    f"safety=speculate refused to dispatch {proc.name!r}: "
+                    f"{plan.reason}"
+                )
+            elif plan.action == "inspect":
+                insp = _inspect(loop, dict(scalars or {}), arrays, report)
+                if insp.proven:
+                    # Certified on the caller's arrays — the state the one
+                    # dispatch will see — so it goes out as a proven loop.
+                    blocked, proven_dynamic = blocked - {id(loop)}, True
                 else:
-                    result = _dispatch_pool(
-                        wpool, proc, loop, env, policy, chunk, claim_batch,
-                        deadline, log_events, caches, lang,
+                    refusal = (
+                        "safety=speculate: runtime inspector refuted "
+                        f"dispatch of {proc.name!r}: {insp.describe()}"
                     )
-                wpool.copy_back(arrays)
-            else:
-                record_speculate(speculated=1)
-                result, validation = _speculative_dispatch(
-                    lambda info: _dispatch_pool(
-                        wpool, proc, loop, env, policy, chunk, claim_batch,
-                        deadline, log_events, caches, lang, speculate=info,
-                    ),
-                    loop, env, wpool.views, spec_plan.written,
-                )
-                if validation.ok:
-                    wpool.copy_back(arrays)
-    else:
-        ctx = mp_context(method)
-        with SharedArrayPool(arrays) as pool:
-            if spec_plan is None:
-                if red_plan is not None:
-                    result = _dispatch_reduction(
-                        red_plan, env, pool.views, workers, policy,
-                        lambda env2, specs, pviews: _dispatch_spawn(
-                            red_plan.proc, red_plan.loop, pool, env2,
-                            workers, policy, chunk, claim_batch, deadline,
-                            log_events, ctx, caches, lang,
-                            extra_specs=specs, extra_views=pviews,
-                        ),
-                    )
-                else:
-                    result = _dispatch_spawn(
-                        proc, loop, pool, env, workers, policy, chunk,
-                        claim_batch, deadline, log_events, ctx, caches, lang,
-                    )
-                pool.copy_back(arrays)
-            else:
-                record_speculate(speculated=1)
-                result, validation = _speculative_dispatch(
-                    lambda info: _dispatch_spawn(
-                        proc, loop, pool, env, workers, policy, chunk,
-                        claim_batch, deadline, log_events, ctx, caches,
-                        lang, speculate=info,
-                    ),
-                    loop, env, pool.views, spec_plan.written,
-                )
-                if validation.ok:
-                    pool.copy_back(arrays)
-    if validation is not None:
-        status = "committed" if validation.ok else "rolled-back"
-        result.speculation = status
-        if report is not None:
-            report.dynamic.append(
-                SpecCertificate(
-                    loop_var=loop.var,
-                    mode="speculative",
-                    status=status,
-                    iterations=result.total_iterations,
-                    chunks=validation.chunks,
-                    conflicts=len(validation.conflicts),
-                    wall_s=time.monotonic() - t_spec,
-                    detail=validation.describe(),
-                )
-            )
-        if validation.ok:
-            record_speculate(committed=1)
-        else:
-            # Misspeculation: the caller's arrays were never touched —
-            # re-run serially for the exact serial result.
-            record_speculate(rolled_back=1)
-            Interpreter()._exec(loop, dict(env), arrays)
-    elif speculation_tag is not None:
-        result.speculation = speculation_tag
-    record_run(result)
+        if refusal is not None:
+            record_safety_block()
+            raise SafetyVerificationError(refusal)
+    out = _run(
+        proc, arrays, scalars, mode, report, blocked, plans, workers, policy,
+        chunk, timeout, log_events, method, claim_batch, chunk_lang,
+        variants, calibrate,
+    )
+    (result,) = out.dispatches
+    if proven_dynamic:
+        result.speculation = "proven-dynamic"
     return result
 
 
@@ -1754,7 +1659,6 @@ def run_parallel_procedure(
     timeout: float | None = None,
     log_events: bool = True,
     method: str | None = None,
-    reuse_pool: bool = True,
     claim_batch: int | str = "auto",
     pool: WorkerPool | None = None,
     chunk_lang: str | None = None,
@@ -1775,16 +1679,15 @@ def run_parallel_procedure(
     purely serial program should use the serial backends instead of
     paying for a pool.
 
-    With ``reuse_pool=True`` (default) one persistent worker fleet serves
-    every dispatch; ``reuse_pool=False`` restores the spawn-per-dispatch
-    baseline.  Passing an already-warm ``pool`` (the server's per-shape
-    fleets) skips even the per-run spawn: the caller's arrays are loaded
-    into the pool's shared views, the run dispatches through the resident
-    workers, results are copied back, and the pool is left running for
-    the next run.  The pool's array environment must match ``arrays`` by
-    name and shape, and the caller must serialize concurrent runs on one
-    pool.  ``preloaded=True`` additionally skips the load/copy-back pair
-    for callers that stage data into ``pool.views`` themselves and read
+    One persistent worker fleet serves every dispatch of the run.
+    Passing an already-warm ``pool`` (the server's per-shape fleets)
+    skips even the per-run spawn: the caller's arrays are loaded into the
+    pool's shared views, the run dispatches through the resident workers,
+    results are copied back, and the pool is left running for the next
+    run.  The pool's array environment must match ``arrays`` by name and
+    shape, and the caller must serialize concurrent runs on one pool.
+    ``preloaded=True`` additionally skips the load/copy-back pair for
+    callers that stage data into ``pool.views`` themselves and read
     results straight out of them (the binary wire transport).
 
     ``chunk_lang``, ``claim_batch`` (default ``"auto"``), ``variants``,
@@ -1835,99 +1738,8 @@ def run_parallel_procedure(
                 f"safety=enforce refused every dispatch in {proc.name!r}: "
                 f"{_unproven_summary(report)}"
             )
-    if claim_batch != "auto":
-        claim_batch = int(claim_batch)
-    env: dict[str, int | float] = dict(scalars or {})
-    deadline = None if timeout is None else time.monotonic() + timeout
-    t_start = time.monotonic()
-    out = ParallelProcedureResult(
-        0.0,
-        reused_pool=reuse_pool or pool is not None,
-        safety_mode=mode,
-        safety=report,
+    return _run(
+        proc, arrays, scalars, mode, report, blocked, plans, workers, policy,
+        chunk, timeout, log_events, method, claim_batch, chunk_lang,
+        variants, calibrate, pool=pool, preloaded=preloaded,
     )
-    interp = Interpreter()
-    caches = _DispatchCaches()
-    lang = resolve_chunk_lang(chunk_lang)
-    caches.tuner = make_tuner(lang, variants, calibrate)
-    if pool is not None:
-        # ``preloaded=True`` is the zero-copy serving path: the caller has
-        # already written the request data into ``pool.views`` (e.g. the
-        # wire transport loading ``np.frombuffer`` views straight into the
-        # shm segments) and will read results out of the views itself, so
-        # the load/copy-back round trip through ``arrays`` is skipped.
-        if not preloaded:
-            pool.load(arrays)
-
-        def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-            return _dispatch_pool(
-                pool, dproc, dloop, denv, policy, chunk, claim_batch,
-                deadline, log_events, caches, lang, speculate,
-                extra_specs, extra_views,
-            )
-
-        dispatch = _with_reduction(
-            raw, proc, caches, pool.views, pool.workers, policy, out
-        )
-        handler = _make_blocked_handler(
-            mode, plans, report, interp, pool.views, out, dispatch
-        )
-        _exec_hybrid(
-            proc.body, dispatch, interp, env, pool.views, out, deadline,
-            blocked, handler, _make_residue_runner(caches, interp, pool.views),
-        )
-        if not preloaded:
-            pool.copy_back(arrays)
-    elif reuse_pool:
-        with WorkerPool(arrays, workers=workers, method=method) as wpool:
-
-            def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-                return _dispatch_pool(
-                    wpool, dproc, dloop, denv, policy, chunk, claim_batch,
-                    deadline, log_events, caches, lang, speculate,
-                    extra_specs, extra_views,
-                )
-
-            dispatch = _with_reduction(
-                raw, proc, caches, wpool.views, wpool.workers, policy, out
-            )
-            handler = _make_blocked_handler(
-                mode, plans, report, interp, wpool.views, out, dispatch
-            )
-            _exec_hybrid(
-                proc.body, dispatch, interp, env, wpool.views, out, deadline,
-                blocked, handler,
-                _make_residue_runner(caches, interp, wpool.views),
-            )
-            wpool.copy_back(arrays)
-    else:
-        ctx = mp_context(method)
-        with SharedArrayPool(arrays) as spool:
-
-            def raw(dproc, dloop, denv, speculate, extra_specs, extra_views):
-                return _dispatch_spawn(
-                    dproc, dloop, spool, denv, workers, policy, chunk,
-                    claim_batch, deadline, log_events, ctx, caches, lang,
-                    speculate, extra_specs, extra_views,
-                )
-
-            dispatch = _with_reduction(
-                raw, proc, caches, spool.views, workers, policy, out
-            )
-            handler = _make_blocked_handler(
-                mode, plans, report, interp, spool.views, out, dispatch
-            )
-            _exec_hybrid(
-                proc.body, dispatch, interp, env, spool.views, out, deadline,
-                blocked, handler,
-                _make_residue_runner(caches, interp, spool.views),
-            )
-            spool.copy_back(arrays)
-    out.wall_time = time.monotonic() - t_start
-    if caches.tuner is not None:
-        out.calibrations = (
-            caches.tuner.calibrations + caches.tuner.quick_calibrations
-        )
-        out.pinned_decisions = caches.tuner.pinned_hits
-    record_run(out)
-    return out

@@ -1,16 +1,12 @@
-"""Worker-process entry points: attach, claim, execute, report.
+"""The worker-process entry point: attach, claim, execute, report.
 
-Two flavors share one claim/execute core (:func:`run_plan`):
-
-* :func:`worker_main` — the spawn-per-dispatch worker: one process per
-  DOALL dispatch, exits after reporting (the PR-1 baseline the dispatch
-  bench measures against).
-* :func:`pool_worker_main` — the persistent-pool worker: attaches the
-  shared arrays once, then serves lightweight job descriptors from its
-  private job queue until told to stop.  Chunk functions are compiled
-  from source text (strings cross process boundaries under both fork and
-  spawn) and cached by source, so a loop shape dispatched many times —
-  one dispatch per pivot row in a hybrid program — is compiled once.
+:func:`pool_worker_main` is the persistent-pool worker: it attaches the
+shared arrays once, then serves lightweight job descriptors from its
+private job queue until told to stop, running each through the
+claim/execute core (:func:`run_plan`).  Chunk functions are compiled from
+source text (strings cross process boundaries under both fork and spawn)
+and cached by source, so a loop shape dispatched many times — one
+dispatch per pivot row in a hybrid program — is compiled once.
 
 Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
 
@@ -30,10 +26,10 @@ Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
   range executes as one ``np.arange`` evaluation — the compiler-less
   fast path.  Same degradation contract as the C kernel.
 
-Both run the paper's protocol: fetch&add a chunk (or a *batch* of chunks,
-amortizing the lock round-trip) from the shared counter, execute the
-claimed flat iterations, repeat until the counter is drained.  Static
-plans skip the counter and walk a precomputed chunk list.
+Every language runs the paper's protocol: fetch&add a chunk (or a *batch*
+of chunks, amortizing the lock round-trip) from the shared counter,
+execute the claimed flat iterations, repeat until the counter is drained.
+Static plans skip the counter and walk a precomputed chunk list.
 
 Every claim is logged as ``(lo, hi, t_claim, t_work, t_end)`` on the shared
 monotonic clock so the parent can reconstruct the measured schedule
@@ -218,42 +214,6 @@ def run_plan(
     if plan.static is not None:
         lock_ops = 0  # static plans never touch the shared counter
     return iterations, claims, lock_ops, events, lang, extra
-
-
-def worker_main(wid: int, job: dict[str, Any], counter, queue) -> None:
-    """Spawn-per-dispatch worker: one process, one dispatch, then exit.
-
-    ``job`` carries everything :func:`run_plan` needs plus ``specs`` (the
-    shared-memory attachment recipes).
-    """
-    segments = []
-    failed = False
-    try:
-        arrays = {}
-        for spec in job["specs"]:
-            view, shm = attach_array(spec)
-            arrays[spec.name] = view
-            segments.append(shm)
-        iterations, claims, lock_ops, events, lang, extra = run_plan(
-            wid, job, counter, arrays
-        )
-        queue.put(
-            ("ok", wid, iterations, claims, lock_ops, events, lang, extra)
-        )
-    except BaseException:
-        failed = True
-        try:
-            queue.put(("err", wid, traceback.format_exc()))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-    if failed:
-        raise SystemExit(1)
 
 
 def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:

@@ -2,21 +2,20 @@
 
 A DOALL tag is a *claim* — iterations are independent.  These drivers make
 the claim testable: :func:`run_doall_shuffled` executes iterations in a
-random order and :func:`run_doall_threads` executes them concurrently from a
-thread pool.  If a transformed program is equivalent to the original under
-both, the DOALL semantics survived the transformation.
+seeded random order, so if a transformed program is equivalent to the
+original under it, the DOALL semantics survived the transformation (the
+order-independence oracle of E10 and the coalescing tests).
 
-Note on performance: CPython's GIL serializes the interpreter, so the thread
-executor demonstrates *correctness under concurrency*, not speedup.  For
-measured wall-clock speedup on real hardware use the process-parallel
-runtime (:mod:`repro.parallel` — worker processes over shared-memory
-arrays); the simulated machine (:mod:`repro.machine`) additionally
-reproduces the paper's own instruction-count methodology.
+These drivers are sequential.  Real concurrency — and measured wall-clock
+speedup — is the process-parallel runtime's job (:mod:`repro.parallel`:
+worker processes claiming chunks over shared-memory arrays, checked chunk
+by chunk by the shadow validator); the simulated machine
+(:mod:`repro.machine`) additionally reproduces the paper's own
+instruction-count methodology.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import random
 from typing import Mapping
 
@@ -84,30 +83,3 @@ def _run_in_order(proc, arrays, scalars, order) -> None:
         local = dict(env)
         local[loop.var] = value
         interp._exec(loop.body, local, arrays)
-
-
-def run_doall_threads(
-    proc: Procedure,
-    arrays: Mapping[str, np.ndarray],
-    scalars: Mapping[str, int | float] | None = None,
-    workers: int = 4,
-) -> None:
-    """Run the outermost DOALL's iterations from a thread pool.
-
-    Each iteration gets a private scalar environment (the moral equivalent of
-    the per-iteration locals a parallel runtime provides); arrays are shared,
-    exactly as on the paper's shared-memory machine.
-    """
-    env: dict[str, int | float] = dict(scalars or {})
-    loop = _outer_doall(proc)
-    values = _iteration_values(loop, env, arrays)
-
-    def one(value: int) -> None:
-        local = dict(env)
-        local[loop.var] = value
-        # A fresh interpreter per task: the op-counting state is not
-        # thread-safe and must not be shared.
-        Interpreter()._exec(loop.body, local, arrays)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(one, values))

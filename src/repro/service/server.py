@@ -909,16 +909,19 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        # Counted before the write: a client that reads ``/metrics`` (or a
+        # test that reads the counters) right after this response must
+        # already see it.
         self.server.bump("bytes_out", len(data))
+        self.wfile.write(data)
 
     def _send_bytes(self, status: int, data: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
+        self.server.bump("bytes_out", len(data))  # before the write, as above
         self.wfile.write(data)
-        self.server.bump("bytes_out", len(data))
 
     def _send_payload(self, payload: dict | bytes) -> None:
         """Send a handler result: wire frames as bytes, dicts as JSON."""

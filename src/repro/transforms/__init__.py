@@ -17,11 +17,7 @@ from repro.transforms.coalesce import (
     recovery_expressions,
 )
 from repro.transforms.collapse import CollapseResult, collapse, pack_linear, unpack_linear
-from repro.transforms.distribute import (
-    distribute,
-    distribute_procedure,
-    statement_dependence_graph,
-)
+from repro.transforms.distribute import distribute, distribute_procedure
 from repro.transforms.fission import (
     FissionOutcome,
     FissionPiece,
@@ -69,7 +65,6 @@ __all__ = [
     "distribute",
     "distribute_procedure",
     "extract_perfect_nest",
-    "statement_dependence_graph",
     "fission_loop",
     "fission_procedure",
     "fresh_name",

@@ -9,141 +9,27 @@ Distribution rewrites::
 whenever the statement-level dependence structure allows, turning imperfect
 nests into sequences of perfect ones that coalescing can then attack.
 
-Legality (classic): build the dependence graph over the body's top-level
-statements — an edge A→B when a value can flow from A's execution to a
-(textually or iteration-wise) later execution of B.  Statements in a cycle
-(an SCC) must remain in one loop; the condensation is emitted in topological
-order.  Conservative rules applied here:
+Legality (classic): statements in a dependence cycle (an SCC of the
+statement-level PDG, :func:`repro.analysis.pdg.build_pdg`) must remain in
+one loop; the condensation is emitted in topological order.  The PDG's
+edges are conservative in the ways that matter here:
 
 * array accesses use the full direction-vector tester
   (:mod:`repro.analysis.dependence`);
 * any two statements sharing a scalar with at least one write are fused
   (scalars are one memory cell: cross-iteration flow is always possible);
 * non-affine subscripts fall back to "assume dependence" inside the tester.
+
+Every piece keeps the original loop's kind;
+:mod:`repro.transforms.fission` is the variant that re-classifies them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
-
-from repro.analysis.dependence import DependenceTester, LoopInfo
-from repro.analysis.doall import AccessInfo, collect_accesses
-from repro.ir.expr import Var
-from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
-from repro.ir.visitor import walk_exprs, walk_stmts
-
-
-def _stmt_scalar_reads(s: Stmt) -> set[str]:
-    """Scalar names read anywhere in a statement (bounds included),
-    excluding induction variables of loops inside it."""
-    bound = {lp.var for lp in walk_stmts(s) if isinstance(lp, Loop)}
-    reads: set[str] = set()
-    for e in walk_exprs(s):
-        if isinstance(e, Var):
-            reads.add(e.name)
-    # Exclude pure write targets (handled separately) is unnecessary: a
-    # scalar Assign target is not an Expr reached by walk_exprs on Assign?
-    # walk_exprs(Assign) includes the target only for ArrayRefs' indices.
-    return reads - bound
-
-
-def _stmt_scalar_writes(s: Stmt) -> set[str]:
-    writes: set[str] = set()
-    for sub in walk_stmts(s):
-        if isinstance(sub, Assign) and isinstance(sub.target, Var):
-            writes.add(sub.target.name)
-    return writes
-
-
-def statement_dependence_graph(
-    loop: Loop, outer: Sequence[Loop] = ()
-) -> nx.DiGraph:
-    """Directed dependence graph over the top-level statements of ``loop``.
-
-    Node k is the k-th statement of the loop body.  Edge a→b means some
-    execution of statement a must precede some execution of statement b.
-    """
-    stmts = list(loop.body.stmts)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(stmts)))
-    level = len(outer)
-
-    accesses = [collect_accesses(Block((s,))) for s in stmts]
-    scalar_reads = [_stmt_scalar_reads(s) for s in stmts]
-    scalar_writes = [_stmt_scalar_writes(s) for s in stmts]
-
-    for a in range(len(stmts)):
-        for b in range(len(stmts)):
-            if a == b:
-                continue
-            if graph.has_edge(a, b):
-                continue
-            if _depends(
-                accesses[a],
-                accesses[b],
-                scalar_reads,
-                scalar_writes,
-                a,
-                b,
-                loop,
-                outer,
-                level,
-            ):
-                graph.add_edge(a, b)
-    # Self-dependences (a statement depending on itself across iterations)
-    # never prevent distribution: the statement stays in one loop anyway.
-    return graph
-
-
-def _depends(
-    acc_a: Sequence[AccessInfo],
-    acc_b: Sequence[AccessInfo],
-    scalar_reads: Sequence[set[str]],
-    scalar_writes: Sequence[set[str]],
-    a: int,
-    b: int,
-    loop: Loop,
-    outer: Sequence[Loop],
-    level: int,
-) -> bool:
-    # Scalars: one write anywhere + any other touch => ordered both ways.
-    shared = (scalar_writes[a] & (scalar_reads[b] | scalar_writes[b])) | (
-        scalar_writes[b] & scalar_reads[a]
-    )
-    if shared:
-        return True
-
-    textual_forward = a < b
-    for src in acc_a:
-        for sink in acc_b:
-            if src.ref.name != sink.ref.name:
-                continue
-            if not (src.is_write or sink.is_write):
-                continue
-            k = 0
-            while (
-                k < len(src.inner_chain)
-                and k < len(sink.inner_chain)
-                and src.inner_chain[k] is sink.inner_chain[k]
-            ):
-                k += 1
-            common = list(outer) + [loop] + list(src.inner_chain[:k])
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in src.inner_chain[k:]],
-                [LoopInfo.of(lp) for lp in sink.inner_chain[k:]],
-            )
-            for directions in tester.feasible_directions(src.ref, sink.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue  # outer iterations pinned equal
-                d = directions[level]
-                if d == "<":
-                    return True  # a in an earlier iteration reaches b
-                if d == "=" and textual_forward:
-                    return True  # same iteration, a textually first
-    return False
+from repro.analysis.pdg import build_pdg
+from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 
 
 def distribute(loop: Loop, outer: Sequence[Loop] = ()) -> list[Loop]:
@@ -153,21 +39,16 @@ def distribute(loop: Loop, outer: Sequence[Loop] = ()) -> list[Loop]:
     cannot be split (single statement, or one big SCC) comes back as
     ``[loop]`` unchanged.
     """
-    stmts = list(loop.body.stmts)
-    if len(stmts) < 2:
+    if len(loop.body.stmts) < 2:
         return [loop]
-    graph = statement_dependence_graph(loop, outer)
-    condensation = nx.condensation(graph)
-    order = list(nx.topological_sort(condensation))
-    if len(order) == 1:
+    pdg = build_pdg(loop, outer)
+    components = pdg.sccs()
+    if len(components) == 1:
         return [loop]
-
-    out: list[Loop] = []
-    for comp in order:
-        members = sorted(condensation.nodes[comp]["members"])
-        body = Block(tuple(stmts[k] for k in members))
-        out.append(loop.with_body(body))
-    return out
+    return [
+        loop.with_body(Block(tuple(pdg.stmts[k] for k in comp)))
+        for comp in components
+    ]
 
 
 def distribute_procedure(proc: Procedure, max_rounds: int = 4) -> Procedure:

@@ -24,11 +24,11 @@ from typing import Sequence
 
 from repro.analysis.dependence import DependenceTester, LoopInfo
 from repro.analysis.doall import collect_accesses
+from repro.analysis.pdg import _scalar_reads, _scalar_writes
 from repro.ir.expr import Expr, Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import transform_exprs
 from repro.transforms.base import TransformError
-from repro.transforms.distribute import _stmt_scalar_reads, _stmt_scalar_writes
 
 
 def _headers_conformable(a: Loop, b: Loop) -> bool:
@@ -70,8 +70,8 @@ def fusion_preventing(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> 
 
     e1, _ = upward_exposed_scalars(first.body)
     e2, _ = upward_exposed_scalars(second.body)
-    w1 = _stmt_scalar_writes(first.body) - {first.var}
-    w2 = _stmt_scalar_writes(second.body) - {second.var}
+    w1 = _scalar_writes(first.body) - {first.var}
+    w2 = _scalar_writes(second.body) - {second.var}
     exposed = (e1 | e2) - {first.var, second.var}
     if (w1 | w2) & exposed:
         return True
@@ -125,7 +125,7 @@ def fuse(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> Loop:
             "shared across the loops)"
         )
     if second.var != first.var and first.var in (
-        _stmt_scalar_writes(second.body) | _stmt_scalar_reads(second.body)
+        _scalar_writes(second.body) | _scalar_reads(second.body)
     ):
         raise TransformError(
             f"cannot fuse: renaming {second.var!r} to {first.var!r} would "

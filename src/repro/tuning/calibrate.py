@@ -234,7 +234,6 @@ class DispatchTuner:
         self.quick_calibrations = 0
         self.pinned_hits = 0
         self._by_loop: dict = {}
-        self._omp_safe_memo: dict[int, bool] = {}
 
     # -- resolution -----------------------------------------------------
 
@@ -294,7 +293,7 @@ class DispatchTuner:
                 self._pin(full_key, decision)
             return decision
         if self.calibrate is False:
-            return self._forced_decision(proc, loop)
+            return self._forced_decision()
         # Auto: measure only when the batch is actually undecided.
         if requested_batch != "auto":
             return None
@@ -326,16 +325,9 @@ class DispatchTuner:
             measurements=found.measurements,
         )
 
-    def _forced_decision(self, proc, loop) -> TuningDecision | None:
-        """``calibrate=False`` + explicit variants: pick without measuring.
-
-        The in-chunk OpenMP builds still require the race-freedom proof —
-        forcing ``variants="gcc-omp"`` on an unproven loop silently drops
-        to the next candidate rather than introducing a data race.
-        """
+    def _forced_decision(self) -> TuningDecision | None:
+        """``calibrate=False`` + explicit variants: pick without measuring."""
         candidates = available_variants(self.lang, self.variants)
-        if any(v.omp for v in candidates) and not self._omp_safe(proc, loop):
-            candidates = [v for v in candidates if not v.omp]
         if not candidates:
             return None
         return TuningDecision(variant=candidates[0].name, claim_batch=0)
@@ -445,21 +437,6 @@ class DispatchTuner:
 
     # -- measurement ----------------------------------------------------
 
-    def _omp_safe(self, proc: Procedure, loop: Loop) -> bool:
-        """In-chunk thread parallelism needs an iteration-level race proof."""
-        key = id(loop)
-        hit = self._omp_safe_memo.get(key)
-        if hit is None:
-            try:
-                from repro.analysis.safety import verify_procedure
-
-                verdict = verify_procedure(proc).by_id.get(id(loop))
-                hit = bool(verdict is not None and verdict.proven)
-            except Exception:
-                hit = False
-            self._omp_safe_memo[key] = hit
-        return hit
-
     def _variant_job(self, variant: Variant, proc, loop, extra, env, caches):
         """A worker-shaped job descriptor binding exactly this variant."""
         source, fname, scalar_order = caches.chunk_source(proc, loop, extra)
@@ -537,11 +514,7 @@ class DispatchTuner:
         lo = self._measure_lo(loop, env, views)
         if lo is None:
             return None
-        omp_ok = any(
-            v.omp for v in available_variants(self.lang, self.variants)
-        ) and self._omp_safe(proc, loop)
-        candidates = available_variants(self.lang, self.variants,
-                                        omp_ok=omp_ok)
+        candidates = available_variants(self.lang, self.variants)
         measurements: dict[str, float] = {}
         built: list[dict] = []
         for v in candidates:
@@ -648,9 +621,8 @@ def variant_grid(
     lo = eval_bound(loop.lower, dict(env), dict(arrays), "loop lower bound")
     hi = eval_bound(loop.upper, dict(env), dict(arrays), "loop upper bound")
     n = max(1, hi - lo + 1)
-    omp_ok = tuner._omp_safe(proc, loop)
     out: dict[str, float] = {}
-    for v in available_variants(lang, names, omp_ok=omp_ok):
+    for v in available_variants(lang, names):
         per_iter = tuner._measure_variant(
             v, proc, loop, extra, env, arrays, lo, n, caches, budget
         )

@@ -2,23 +2,24 @@
 
 ComPar-style (PAPERS.md #4): instead of hard-coding one compiler and one
 flag set, the farm enumerates candidate builds of the *same* chunk shape —
-gcc vs clang, ``-O2``/``-O3``/``-march=native``, an ``-fopenmp`` build with
-an in-chunk ``parallel for`` (two-level process × thread scheduling), the
-whole-slice numpy chunk, and the interpreted chunk — and the calibrator
+gcc vs clang, ``-O2``/``-O3``/``-march=native``, the whole-slice numpy
+chunk, and the interpreted chunk — and the calibrator
 (:mod:`repro.tuning.calibrate`) measures which one wins on this host.
+Every build is single-threaded: the calibrator times kernels in the
+parent, and a libgomp thread team started there deadlocks the next
+forked worker, so there is no in-chunk OpenMP build.
 
 Availability is probed, never assumed: clang variants vanish on gcc-only
-hosts, the OpenMP variant requires a working ``-fopenmp`` toolchain *and*
-an iteration-granularity race-freedom proof for the loop, and the numpy
-variant requires the shape to pass :mod:`repro.codegen.npgen`'s safety
-rules.  A host with no compiler at all still has a farm: numpy + py.
+hosts, and the numpy variant requires the shape to pass
+:mod:`repro.codegen.npgen`'s safety rules.  A host with no compiler at
+all still has a farm: numpy + py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codegen.cload import have_compiler, supports_openmp
+from repro.codegen.cload import have_compiler
 
 __all__ = [
     "Variant",
@@ -37,7 +38,6 @@ class Variant:
     lang: str  # "c" | "numpy" | "py"
     cc: str | None = None
     optimize: str = "-O2"
-    omp: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -45,7 +45,6 @@ class Variant:
             "lang": self.lang,
             "cc": self.cc,
             "optimize": self.optimize,
-            "omp": self.omp,
         }
 
 
@@ -59,14 +58,12 @@ VARIANTS: tuple[Variant, ...] = (
         "gcc-native", "c", cc="gcc",
         optimize="-O3 -march=native -ffp-contract=off",
     ),
-    Variant("gcc-omp", "c", cc="gcc", optimize="-O3", omp=True),
     Variant("clang-O2", "c", cc="clang", optimize="-O2"),
     Variant("clang-O3", "c", cc="clang", optimize="-O3"),
     Variant(
         "clang-native", "c", cc="clang",
         optimize="-O3 -march=native -ffp-contract=off",
     ),
-    Variant("clang-omp", "c", cc="clang", optimize="-O3", omp=True),
     Variant("numpy", "numpy"),
     Variant("py", "py"),
 )
@@ -98,11 +95,7 @@ def _normalize_names(names) -> list[str] | None:
     return names
 
 
-def available_variants(
-    lang: str = "auto",
-    names=None,
-    omp_ok: bool = True,
-) -> list[Variant]:
+def available_variants(lang: str = "auto", names=None) -> list[Variant]:
     """The candidate set on *this* host for a requested chunk language.
 
     ``lang`` restricts by language the way ``chunk_lang`` does: ``"c"`` →
@@ -112,8 +105,7 @@ def available_variants(
     the language restriction (``variants="numpy"`` forces the numpy build
     even where the resolved language is ``"c"``); unknown names raise,
     requested-but-unavailable names are silently dropped (a pinned clang
-    decision must not crash a gcc-only host).  ``omp_ok=False`` removes the
-    in-chunk OpenMP variants (callers pass the loop's race-freedom proof).
+    decision must not crash a gcc-only host).
     """
     wanted = _normalize_names(names)
     out: list[Variant] = []
@@ -127,11 +119,8 @@ def available_variants(
             or (lang == "c" and v.lang != "c")
         ):
             continue
-        if v.lang == "c":
-            if not have_compiler(v.cc):
-                continue
-            if v.omp and (not omp_ok or not supports_openmp(v.cc)):
-                continue
+        if v.lang == "c" and not have_compiler(v.cc):
+            continue
         out.append(v)
     return out
 
@@ -145,7 +134,7 @@ def default_variant(lang: str) -> Variant:
     """
     if lang == "c":
         for v in VARIANTS:
-            if v.lang == "c" and not v.omp and v.optimize == "-O2":
+            if v.lang == "c" and v.optimize == "-O2":
                 if have_compiler(v.cc):
                     return v
     if lang == "numpy":

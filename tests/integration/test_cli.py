@@ -240,3 +240,12 @@ class TestMPBackendCLI:
     def test_no_input_at_all(self, capsys):
         assert main([]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--reuse-pool", "--no-reuse-pool"])
+    def test_reuse_pool_flag_is_gone(self, flag, capsys):
+        # One dispatch engine: the flag that chose between two is an
+        # argparse error, not a silently accepted no-op.
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "saxpy2d", "--run", "--backend", "mp", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

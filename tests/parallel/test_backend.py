@@ -64,20 +64,17 @@ class TestMPBackendThroughAPI:
         with pytest.raises(TypeError, match="takes no options"):
             transform_function(SWEEP, backend="python", workers=4)
 
-    @pytest.mark.parametrize("reuse_pool", (True, False))
-    def test_pool_option_flows_through(self, reuse_pool):
+    def test_claim_batch_option_flows_through(self):
         A, B_mp = _sweep_env(seed=2)
         _, B_serial = _sweep_env(seed=2)
         serial = transform_function(SWEEP)
         parallel = transform_function(
-            SWEEP, backend="mp", workers=2, policy="unit",
-            reuse_pool=reuse_pool, claim_batch=4,
+            SWEEP, backend="mp", workers=2, policy="unit", claim_batch=4,
         )
         serial(A, B_serial, 8, 12)
         parallel(A, B_mp, 8, 12)
         assert np.array_equal(B_serial, B_mp)
         last = parallel.last_parallel
-        assert last.reused_pool is reuse_pool
         # batched unit claims: fewer critical sections than chunks
         assert 0 < last.lock_ops < last.claims
 

@@ -55,10 +55,9 @@ class TestPoolReuse:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=7)
         result = run_parallel_procedure(
-            proc, arrays, sc, workers=2, policy=policy, reuse_pool=True
+            proc, arrays, sc, workers=2, policy=policy
         )
         _assert_bit_for_bit(baseline, arrays)
-        assert result.reused_pool
         # one dispatch per pivot row plus the extraction nest: >= 3 reuses
         assert len(result.dispatches) >= 3
 
@@ -69,7 +68,6 @@ class TestPoolReuse:
         arrays, sc, baseline = _serial_baseline(w, seed=3)
         stats = run_parallel_doall(
             proc, arrays, sc, workers=3, policy=policy, chunk=5,
-            reuse_pool=True,
         )
         _assert_bit_for_bit(baseline, arrays)
         assert stats.total_iterations == sc["n"] ** 2
@@ -96,7 +94,7 @@ class TestPoolReuse:
         compile_procedure(proc).run(baseline, {"n": n})
         run_parallel_doall(
             coalesced, arrays, {"n": n}, workers=3, policy="fixed",
-            chunk=4, reuse_pool=True,
+            chunk=4,
         )
         _assert_bit_for_bit(baseline, arrays)
 
@@ -119,7 +117,7 @@ class TestPoolReuse:
         n = 25
         arrays = {"A": np.zeros(n + 1), "B": np.zeros(n + 1)}
         result = run_parallel_procedure(
-            proc, arrays, {"n": n}, workers=2, reuse_pool=True
+            proc, arrays, {"n": n}, workers=2
         )
         assert len(result.dispatches) == 3
         assert np.array_equal(arrays["A"][1:], 7.0 * np.arange(1, n + 1))
@@ -145,7 +143,7 @@ class TestPoolReuse:
         n = 17
         arrays = {"A": np.zeros(n + 1), "B": np.zeros(n + 1)}
         result = run_parallel_procedure(
-            proc, arrays, {"n": n, "z": 0}, workers=2, reuse_pool=True
+            proc, arrays, {"n": n, "z": 0}, workers=2
         )
         assert len(result.dispatches) == 3
         empty = result.dispatches[1]
@@ -162,7 +160,7 @@ class TestBatchedClaimAccounting:
         arrays, sc = make_env(w, seed=1)
         stats = run_parallel_doall(
             proc, arrays, sc, workers=3, policy=policy, chunk=6,
-            reuse_pool=True, claim_batch=4,
+            claim_batch=4,
         )
         n = sc["n"] * sc["m"]
         claimed = sorted(
@@ -222,7 +220,7 @@ class TestPoolRobustness:
         before = leaked_segments()
         with pytest.raises(WorkerCrashError, match="worker"):
             run_parallel_doall(
-                proc, arrays, {"n": 39}, workers=3, reuse_pool=True
+                proc, arrays, {"n": 39}, workers=3
             )
         assert np.array_equal(arrays["A"], snapshot)
         assert leaked_segments() == before
@@ -237,7 +235,7 @@ class TestPoolRobustness:
         with pytest.raises(ParallelTimeoutError):
             run_parallel_doall(
                 proc, arrays, sc, workers=2, policy="gss", timeout=0.1,
-                reuse_pool=True, chunk_lang="py",
+                chunk_lang="py",
             )
         assert np.array_equal(arrays["C"], snapshot)
         assert leaked_segments() == []

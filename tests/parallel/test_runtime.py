@@ -6,21 +6,26 @@ clean shutdown and no orphaned shared memory, and chunk accounting (every
 iteration claimed exactly once) under unit / fixed / GSS policies.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.analysis.doall import mark_doall
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
+from repro.ir.stmt import Block
 from repro.parallel import (
     ParallelDispatchError,
     ParallelTimeoutError,
+    SafetyVerificationError,
     WorkerCrashError,
+    compile_mp_procedure,
     run_parallel_doall,
     run_parallel_procedure,
 )
 from repro.parallel.shm import leaked_segments
-from repro.transforms import coalesce_procedure
+from repro.transforms import coalesce_procedure, reduction_procedure
 from repro.workloads import get_workload, make_env
 
 POLICIES = ("unit", "fixed", "gss", "static")
@@ -252,3 +257,83 @@ class TestObservability:
         stats = run_parallel_doall(proc, arrays, sc, workers=2)
         chart = stats.gantt(width=30)
         assert "P0" in chart and "P1" in chart and "dispatches" in chart
+
+
+def _single_loop(name):
+    """A one-DOALL procedure plus its ``make_env`` workload, by name."""
+    w = get_workload(name)
+    if name == "saxpy2d":
+        return w, coalesce_procedure(w.proc)[0]
+    if name == "dot_product":
+        # Keep the recognized reduction loop, drop the ``R(1) := s`` witness.
+        tagged = reduction_procedure(w.proc).procedure
+        return w, tagged.with_body(Block(tagged.body.stmts[:1]))
+    return w, w.proc
+
+
+class TestOneDriver:
+    """``run_parallel_doall`` is ``run_parallel_procedure`` on one loop."""
+
+    @pytest.mark.parametrize(
+        "name,safety,policy,tag",
+        [
+            ("saxpy2d", None, "unit", None),
+            ("dot_product", None, "gss", None),
+            ("scatter_perm", "speculate", "gss", "proven-dynamic"),
+            ("histogram_disjoint", "speculate", "gss", "committed"),
+            ("histogram", "speculate", "static", "rolled-back"),
+        ],
+    )
+    def test_doall_equals_procedure_on_a_single_loop(
+        self, name, safety, policy, tag
+    ):
+        w, proc = _single_loop(name)
+        options = dict(
+            workers=2, policy=policy, safety=safety, claim_batch=2,
+            calibrate=False,
+        )
+        a_doall, sc = make_env(w, seed=5)
+        a_proc, _ = make_env(w, seed=5)
+        one = run_parallel_doall(proc, a_doall, sc, **options)
+        whole = run_parallel_procedure(proc, a_proc, sc, **options)
+        (other,) = whole.dispatches
+        _assert_bit_for_bit(a_proc, a_doall)
+        assert one.speculation == other.speculation == tag
+        assert (one.claims, one.lock_ops) == (whole.claims, whole.lock_ops)
+        assert one.total_iterations == whole.total_iterations
+        assert one.reduction_value == other.reduction_value
+        assert (one.reduction_value is not None) == (name == "dot_product")
+
+    def test_reuse_pool_is_not_an_option(self):
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        for run in (run_parallel_doall, run_parallel_procedure):
+            with pytest.raises(TypeError, match="reuse_pool"):
+                run(proc, arrays, sc, workers=2, reuse_pool=True)
+        with pytest.raises(TypeError, match="reuse_pool"):
+            compile_mp_procedure(proc, reuse_pool=False)
+
+    @pytest.mark.parametrize(
+        "name,safety,match",
+        [
+            ("racy_flow", "enforce", "enforce refused"),
+            ("racy_scalar", "speculate", "speculate refused"),
+            ("scatter_perm", "speculate", "inspector refuted"),
+        ],
+    )
+    def test_refused_doall_creates_no_process_and_no_segment(
+        self, monkeypatch, name, safety, match
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a refused run must not lease a pool")
+
+        monkeypatch.setattr("repro.parallel.runtime.WorkerPool", no_pool)
+        w, proc = _single_loop(name)
+        arrays, sc = make_env(w)
+        if name == "scatter_perm":
+            arrays["P"][1 : sc["n"] + 1] = 2.0  # every i scatters to B(2)
+        children = multiprocessing.active_children()
+        with pytest.raises(SafetyVerificationError, match=match):
+            run_parallel_doall(proc, arrays, sc, workers=2, safety=safety)
+        assert leaked_segments() == []
+        assert multiprocessing.active_children() == children

@@ -134,14 +134,12 @@ class TestSpeculationPlan:
 
 
 class TestDoallSpeculate:
-    @pytest.mark.parametrize("reuse_pool", [False, True])
-    def test_inspector_proven_dispatches(self, reuse_pool):
+    def test_inspector_proven_dispatches(self):
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         result = run_parallel_doall(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate",
-            reuse_pool=reuse_pool,
+            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         assert result.speculation == "proven-dynamic"
         assert np.array_equal(arrays["B"], expected["B"])
@@ -158,28 +156,23 @@ class TestDoallSpeculate:
         for k in arrays:  # nothing dispatched, nothing touched
             assert np.array_equal(arrays[k], before[k])
 
-    @pytest.mark.parametrize("reuse_pool", [False, True])
-    def test_disjoint_histogram_commits(self, reuse_pool):
+    def test_disjoint_histogram_commits(self):
         w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         result = run_parallel_doall(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate",
-            reuse_pool=reuse_pool,
+            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         assert result.speculation == "committed"
         assert np.array_equal(arrays["H"], expected["H"])
 
-    @pytest.mark.parametrize("reuse_pool", [False, True])
-    def test_conflicting_histogram_rolls_back_bit_identical(
-        self, reuse_pool
-    ):
+    def test_conflicting_histogram_rolls_back_bit_identical(self):
         w = IRREGULAR_WORKLOADS["histogram"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         result = run_parallel_doall(
             w.proc, arrays, sc, workers=WORKERS, policy="static",
-            safety="speculate", reuse_pool=reuse_pool,
+            safety="speculate",
         )
         assert result.speculation == "rolled-back"
         assert np.array_equal(arrays["H"], expected["H"])

@@ -5,11 +5,7 @@ import pytest
 
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.runtime.equivalence import assert_equivalent, copy_env, random_env
-from repro.runtime.executor import (
-    run_doall_serial,
-    run_doall_shuffled,
-    run_doall_threads,
-)
+from repro.runtime.executor import run_doall_serial, run_doall_shuffled
 from repro.runtime.interp import InterpreterError, run
 
 
@@ -39,12 +35,6 @@ class TestDrivers:
         e1, e2 = _env(), _env()
         run(scale, e1, {"n": 16})
         run_doall_shuffled(scale, e2, {"n": 16}, seed=42)
-        assert np.array_equal(e1["B"], e2["B"])
-
-    def test_threaded_driver_matches(self, scale):
-        e1, e2 = _env(), _env()
-        run(scale, e1, {"n": 16})
-        run_doall_threads(scale, e2, {"n": 16}, workers=4)
         assert np.array_equal(e1["B"], e2["B"])
 
     def test_rejects_serial_outer_loop(self):
@@ -81,20 +71,6 @@ class TestDrivers:
         run(p, e1)
         run_doall_shuffled(p, e2, seed=3)
         assert not np.array_equal(e1["A"], e2["A"])
-
-    def test_scalar_temporaries_are_private_per_iteration(self):
-        # Each iteration writes then reads its own temp; sharing would race.
-        p = proc(
-            "p",
-            doall("i", 1, 64)(
-                assign(v("t"), v("i") * 2),
-                assign(ref("A", v("i")), v("t")),
-            ),
-            arrays={"A": 1},
-        )
-        e = {"A": np.zeros(65)}
-        run_doall_threads(p, e, workers=8)
-        assert np.array_equal(e["A"][1:], np.arange(1, 65) * 2)
 
 
 class TestEquivalenceHarness:

@@ -1,17 +1,14 @@
 """Unit tests for loop distribution (fission)."""
 
 
+from repro.analysis.pdg import build_pdg
 from repro.frontend.dsl import parse
 from repro.ir import validate
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.ir.visitor import collect_loops
 from repro.runtime.equivalence import assert_equivalent
 from repro.transforms.coalesce import coalesce_procedure
-from repro.transforms.distribute import (
-    distribute,
-    distribute_procedure,
-    statement_dependence_graph,
-)
+from repro.transforms.distribute import distribute, distribute_procedure
 
 
 class TestDependenceGraph:
@@ -20,17 +17,16 @@ class TestDependenceGraph:
             assign(ref("A", v("i")), c(1.0)),
             assign(ref("B", v("i")), c(2.0)),
         )
-        g = statement_dependence_graph(lp)
-        assert g.number_of_edges() == 0
+        assert build_pdg(lp).edges == ()
 
     def test_same_iteration_flow_ordered(self):
         lp = doall("i", 1, 9)(
             assign(ref("A", v("i")), c(1.0)),
             assign(ref("B", v("i")), ref("A", v("i"))),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1)
-        assert not g.has_edge(1, 0)
+        g = build_pdg(lp)
+        assert g.edges_between(0, 1)
+        assert not g.edges_between(1, 0)
 
     def test_cross_iteration_backward_creates_cycle(self):
         # S1 reads what S2 wrote in an earlier iteration AND S2 reads S1's
@@ -39,16 +35,16 @@ class TestDependenceGraph:
             assign(ref("A", v("i")), ref("B", v("i") - 1)),
             assign(ref("B", v("i")), ref("A", v("i"))),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        g = build_pdg(lp)
+        assert g.edges_between(0, 1) and g.edges_between(1, 0)
 
     def test_shared_scalar_fuses(self):
         lp = doall("i", 1, 9)(
             assign(v("t"), ref("A", v("i"))),
             assign(ref("B", v("i")), v("t")),
         )
-        g = statement_dependence_graph(lp)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        g = build_pdg(lp)
+        assert g.edges_between(0, 1) and g.edges_between(1, 0)
 
 
 class TestDistribute:

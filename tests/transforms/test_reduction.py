@@ -103,7 +103,7 @@ class TestParallelDispatch:
         res = reduction_procedure(w.proc)
         arrays, _ = make_env(w)
         out = run_parallel_procedure(
-            res.procedure, arrays, sc, workers=3, reuse_pool=False
+            res.procedure, arrays, sc, workers=3
         )
         assert len(out.dispatches) >= 1
         assert out.reductions == 1
@@ -116,7 +116,7 @@ class TestParallelDispatch:
         for workers in (1, 2, 5):
             arrays, sc = make_env(w)
             run_parallel_procedure(
-                res.procedure, arrays, sc, workers=workers, reuse_pool=False
+                res.procedure, arrays, sc, workers=workers
             )
             values.append(arrays["R"][1])
         assert values[0] == values[1] == values[2]
@@ -128,6 +128,6 @@ class TestParallelDispatch:
         w.reference(expect, sc)
         res = reduction_procedure(w.proc)
         run_parallel_procedure(
-            res.procedure, arrays, sc, workers=4, reuse_pool=False
+            res.procedure, arrays, sc, workers=4
         )
         np.testing.assert_array_equal(arrays["R"], expect["R"])

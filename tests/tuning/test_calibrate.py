@@ -26,6 +26,7 @@ from repro.parallel.counter import policy_plan
 from repro.parallel.observe import DISPATCH
 from repro.parallel.runtime import _DispatchCaches, resolve_chunk_lang
 from repro.transforms import coalesce_procedure
+from repro.tuning import default_variant
 from repro.tuning.calibrate import (
     BATCH_CANDIDATES,
     DispatchTuner,
@@ -191,27 +192,40 @@ class TestFullCalibrationManifest:
         assert tuner.quick_calibrations == 0
 
 
-class TestForcedOmpSafety:
-    def test_unproven_loop_drops_omp_candidates(self):
-        from repro.codegen.cload import have_compiler, supports_openmp
-        from repro.frontend.dsl import parse
-
-        if not (have_compiler() and supports_openmp()):
-            pytest.skip("no OpenMP toolchain")
-        # A subscripted-subscript store defeats the race-freedom prover,
-        # so forcing gcc-omp must demote rather than dispatch a racy
-        # in-chunk parallel-for.
-        proc = parse(
-            """
-            procedure scatter(A[1], P[1]; n)
-              doall i = 1, n
-                A(int(P(i))) := float(i)
-              end
-            end
-            """
-        )
+class TestRemovedVariantPin:
+    def test_pinned_blob_naming_a_removed_variant_runs_the_default(
+        self, tmp_path
+    ):
+        """A cache written before the in-chunk OpenMP builds were removed
+        still resolves: the pin's batch is kept, its variant falls to the
+        host default exactly like an unavailable ``clang-*`` pin."""
+        reset_tuning_memo()
+        cache = ArtifactCache(str(tmp_path / "old_cache"))
+        w = get_workload("saxpy2d")
+        proc, _ = coalesce_procedure(w.proc)
         loop = proc.body.stmts[0]
-        tuner = DispatchTuner("c", variants=["gcc-omp", "gcc-O2"],
-                              calibrate=False)
-        d = tuner._forced_decision(proc, loop)
-        assert d is not None and d.variant == "gcc-O2"
+        arrays, sc = make_env(w, seed=0)
+        n = sc["n"] * sc["m"]
+        plan = policy_plan("unit", n, 2, None)
+        lang = resolve_chunk_lang(None)
+        tuner = DispatchTuner(lang, calibrate=True, store=cache)
+        full_key, _ = tuner._decision_keys(proc, loop, (), sc, plan, 2, None)
+        blob = {
+            "schema": "repro.tuning/v1",
+            "variant": "gcc-omp",
+            "claim_batch": 8,
+            "per_iter_s": 1e-8,
+            "counter_s": 1e-6,
+            "full": True,
+            "measurements": {"gcc-omp": 1e-8, "gcc-O2": 2e-8},
+        }
+        cache.put(full_key, {"decision.json": json.dumps(blob)})
+
+        caches = _DispatchCaches()
+        caches.store = cache
+        d = tuner.decision_for(
+            proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
+        )
+        assert tuner.pinned_hits == 1 and tuner.calibrations == 0
+        assert d.variant == default_variant(lang).name
+        assert d.claim_batch == 8

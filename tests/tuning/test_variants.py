@@ -4,8 +4,7 @@ Pins the farm's contract:
 
 * the catalog is well-formed and lookups behave;
 * availability is probed, never assumed — clang variants vanish on
-  gcc-only hosts, every C variant vanishes on compiler-less hosts,
-  ``omp_ok=False`` removes the in-chunk OpenMP builds;
+  gcc-only hosts, every C variant vanishes on compiler-less hosts;
 * **every** variant available on this host produces bit-identical
   results to the serial interpreter when forced
   (``variants=[name], calibrate=False``) — on rectangular, hybrid
@@ -69,10 +68,9 @@ class TestCatalog:
         )
 
     def test_to_dict_carries_build_flags(self):
-        d = variant_by_name("gcc-omp").to_dict()
+        d = variant_by_name("gcc-O3").to_dict()
         assert d == {
-            "name": "gcc-omp", "lang": "c", "cc": "gcc",
-            "optimize": "-O3", "omp": True,
+            "name": "gcc-O3", "lang": "c", "cc": "gcc", "optimize": "-O3",
         }
 
 
@@ -94,11 +92,6 @@ class TestAvailability:
         if not have_compiler("clang"):
             assert "clang-O3" not in AVAILABLE
             assert available_variants("auto", names=["clang-O3"]) == []
-
-    def test_omp_ok_false_removes_omp_builds(self):
-        assert all(
-            not v.omp for v in available_variants("auto", omp_ok=False)
-        )
 
     def test_no_compiler_host_keeps_a_farm(self, monkeypatch):
         monkeypatch.setattr(
@@ -141,10 +134,7 @@ class TestForcedVariantEquivalence:
             variants=[name], calibrate=False,
         )
         _assert_bit_for_bit(baseline, arrays)
-        if not variant_by_name(name).omp:
-            # The forced build must actually dispatch (OMP additionally
-            # needs the race-freedom proof, so it may legally demote).
-            assert result.variant == name
+        assert result.variant == name  # the forced build actually ran
 
     @pytest.mark.parametrize("name", AVAILABLE)
     def test_hybrid_gauss_jordan(self, name):

@@ -330,7 +330,8 @@ def _run_transformed(args, workload, proc) -> int:
             f"mp[{args.policy}, {args.workers} workers, "
             f"{variant_info}, "
             f"{len(result.dispatches)} dispatches{blocked}, "
-            f"{result.claims} claims, {result.lock_ops} lock ops]"
+            f"{result.claims} claims, {result.lock_ops} lock ops, "
+            f"{result.claim_loop} claim loop]"
         )
         if result.safety_mode == "speculate":
             print(

@@ -45,8 +45,13 @@ def _replica_main(
     """Entry point of one replica process (module-level: spawn-picklable)."""
     from repro import wire
     from repro.cache import ArtifactCache
-    from repro.service.server import ReproServer, install_shutdown_handlers
+    from repro.service.server import (
+        ReproServer,
+        install_shutdown_handlers,
+        pin_malloc_thresholds,
+    )
 
+    pin_malloc_thresholds()
     cache = ArtifactCache(cache_dir) if cache_dir else None
     server = ReproServer((host, 0), cache=cache, max_pools=max_pools)
     install_shutdown_handlers(server)

@@ -687,8 +687,12 @@ def cluster_main(argv: list[str] | None = None) -> int:
     import pathlib
     import sys
 
-    from repro.service.server import install_shutdown_handlers
+    from repro.service.server import (
+        install_shutdown_handlers,
+        pin_malloc_thresholds,
+    )
 
+    pin_malloc_thresholds()
     parser = argparse.ArgumentParser(
         prog="repro cluster",
         description="Start the N-replica repro cluster (router + fleet)",

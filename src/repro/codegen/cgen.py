@@ -375,6 +375,102 @@ def _emit_stmt(s: Stmt, lines, depth, emitter, sites, types, omp, suppress=0):
 SR_MARKER = "/* strength-reduced block recovery */"
 NAIVE_MARKER = "/* per-iteration index recovery */"
 
+#: ``<kernel symbol> + THUNK_SUFFIX`` is the kernel's uniform-entry thunk.
+THUNK_SUFFIX = "__v"
+
+_ARGD_HELPER = """\
+static double argd_(void *slot) {
+    union { void *p; double d; } u;
+    u.p = slot;
+    return u.d;
+}"""
+
+#: The native claim loop: one fixed translation unit, no per-program
+#: content, built once per process (:func:`repro.codegen.cload.claim_loop_library`).
+#: A worker calls ``repro_claim_loop`` once per dispatch; it claims from
+#: the two int64 words of the shared counter (``ctr[0]`` next unclaimed
+#: value, ``ctr[1]`` inclusive stop) and runs every claimed chunk through
+#: the kernel's thunk, so nothing returns to Python between claims.
+#:
+#: * ``kind`` 0 (unit/fixed): one ``__atomic_fetch_add`` of ``k * batch``,
+#:   then up to ``batch`` chunks of ``k`` — what
+#:   ``SharedClaimCounter.claim_batch(rule, batch)`` hands out in one
+#:   critical section.  ``kind`` 1 (GSS, ``k`` = p): the size
+#:   ⌈remaining/p⌉ is computed from the value the compare-exchange then
+#:   claims from, so remaining is read atomically with the add.
+#: * ``out`` accumulates ``{iterations, claims, lock_ops}`` across calls;
+#:   ``out[3]`` is the number of ring rows this call wrote.
+#: * ``ring`` (``cap`` rows of ``lo, hi, t_claim, t_work, t_end``;
+#:   ``CLOCK_MONOTONIC`` is ``time.monotonic()``'s clock) may be NULL: no
+#:   log, no clock reads.  When the next claim might not fit, the loop
+#:   returns 1 *before* claiming; the caller drains the rows and calls
+#:   again.  Returns 0 once the counter is drained.
+CLAIM_LOOP_C = """\
+#include <stdint.h>
+#include <time.h>
+
+_Static_assert(sizeof(void *) == 8 && sizeof(long) == 8 && sizeof(double) == 8,
+               "argv slots are 8 bytes");
+
+typedef void (*chunk_fn)(long, long, void **);
+
+static double now_(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+long repro_claim_loop(int64_t *ctr, long kind, long k, long batch,
+                      int64_t *out, double *ring, long cap,
+                      chunk_fn fn, void **argv) {
+    const int64_t stop = ctr[1];
+    long rows = 0, full = 0;
+    for (;;) {
+        int64_t lo, end, step;
+        double t0 = 0.0, t1 = 0.0;
+        if (ring) {
+            if (rows + batch > cap) { full = 1; break; }
+            t0 = now_();
+        }
+        if (kind == 1) {
+            lo = __atomic_load_n(&ctr[0], __ATOMIC_SEQ_CST);
+            do {
+                if (lo > stop) break;
+                step = (stop - lo + k) / k;
+            } while (!__atomic_compare_exchange_n(
+                &ctr[0], &lo, lo + step, 0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST));
+            if (lo > stop) break;
+            end = lo + step - 1;
+        } else {
+            lo = __atomic_fetch_add(&ctr[0], k * batch, __ATOMIC_SEQ_CST);
+            if (lo > stop) break;
+            step = k;
+            end = lo + k * batch - 1;
+            if (end > stop) end = stop;
+        }
+        out[2] += 1;
+        if (ring) t1 = now_();
+        for (; lo <= end; lo += step) {
+            int64_t hi = lo + step - 1;
+            if (hi > end) hi = end;
+            fn(lo, hi, argv);
+            if (ring) {
+                double *row = ring + 5 * rows++;
+                row[0] = (double)lo;
+                row[1] = (double)hi;
+                row[2] = t0;
+                row[3] = t1;
+                row[4] = t0 = t1 = now_();
+            }
+            out[0] += hi - lo + 1;
+            out[1] += 1;
+        }
+    }
+    out[3] = rows;
+    return full;
+}
+"""
+
 
 # De-coalescing recognition lives in :mod:`repro.analysis.recovery` (shared
 # with the chunk-safety verifier); these aliases keep this module's internal
@@ -419,6 +515,20 @@ def generate_chunk_c(
     (default ``"long"``, the :func:`generate_c` convention) — the runtime
     passes the types of the live environment values so serially computed
     floating scalars cross the boundary intact.
+
+    The unit closes with a *uniform-entry thunk*::
+
+        void <proc>__chunk__v(long __lo, long __hi, void **__argv);
+
+    which unpacks ``__argv`` and calls the kernel above.  It is what lets
+    one fixed claim-loop library (:data:`CLAIM_LOOP_C`) drive every kernel
+    through a single function-pointer type, whatever the kernel's own
+    parameter list.  ``__argv`` holds one 8-byte slot per parameter after
+    the two bounds, in parameter order: an array's ``double *`` then each
+    of its ``long`` extents by value, then the scalars — a ``long`` by
+    value, a ``double`` bit-cast into its slot (same bytes, no
+    conversion).  The kernel symbol and its parameter order are untouched
+    by the thunk's presence.
     """
     from repro.transforms.strength import odometer_advance
 
@@ -499,5 +609,21 @@ def generate_chunk_c(
         for s in loop.body.stmts:
             _emit_stmt(s, lines, 2, emitter, no_sites, types, omp=False)
         lines.append("    }")
+    lines.append("}")
+
+    casts: list[str] = []
+    for rank in proc.arrays.values():
+        casts += ["(double *)"] + ["(long)"] * rank
+    casts += [
+        "argd_" if types.get(s, "long") == "double" else "(long)"
+        for s in proc.scalars
+    ]
+    slots = [f"{cast}(__argv[{i}])" for i, cast in enumerate(casts)]
+    if "argd_" in casts:
+        lines.append(_ARGD_HELPER)
+    lines.append(
+        f"void {fname}{THUNK_SUFFIX}(long __lo, long __hi, void **__argv) {{"
+    )
+    lines.append(f"    {fname}({', '.join(['__lo', '__hi'] + slots)});")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,13 @@ bypassed, compilation happens in a self-cleaning temporary directory whose
 lifetime is tied to the returned :class:`CProcedure` (nothing is leaked
 per call).  An explicit ``workdir`` keeps the old behavior of compiling in
 a caller-owned directory.
+
+One library is different: the native claim loop
+(:func:`claim_loop_library`) has no per-program content, so it is resolved
+at most once per process and then served from a process-lifetime private
+copy — independent of whichever store is current, because stores are
+swapped and deleted under running processes while forked workers still
+dlopen the path a job names.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import functools
 import shutil
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -29,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cache import artifact_key, resolve_cache
-from repro.codegen.cgen import generate_c
+from repro.codegen.cgen import CLAIM_LOOP_C, generate_c
 from repro.ir.stmt import Procedure
 
 
@@ -289,3 +297,104 @@ def load_chunk_kernel(so_path: str, fname: str, sig: tuple[str, ...]):
     fn.restype = None
     fn.argtypes = [ctypes.c_long, ctypes.c_long] + [_CTYPES[t] for t in sig]
     return fn
+
+
+# ---------------------------------------------------------------------------
+# The native claim loop (one fixed library; see cgen.CLAIM_LOOP_C)
+# ---------------------------------------------------------------------------
+
+#: Process memo of :func:`claim_loop_library`: unset (None), the private
+#: copy's path, or False (the build failed — not retried per dispatch).
+_CLAIM_LIB: str | bool | None = None
+_CLAIM_LIB_LOCK = threading.Lock()
+
+
+def claim_loop_library(cache: object = "default") -> str | None:
+    """Path of this process's copy of the claim-loop library, or None.
+
+    The library has no per-program content, so it is resolved **at most
+    once per process**: the first call looks it up in (or builds it into)
+    the artifact store exactly like a chunk kernel — a later process with
+    a warm store never runs the compiler for it — and every later call is
+    a memo read, whatever store it names.
+
+    What is handed out is always a *process-lifetime private copy* under
+    :func:`_private_dir`, never the store entry itself.  Stores come and
+    go under a running process (``configure(dir=...)`` swaps the default;
+    a cold-start caller deletes its store after each call) while worker
+    processes forked later still have to dlopen the path a job carries:
+    the private copy cannot dangle, and a vanished store can never force
+    a rebuild.  A build failure is memoized too (None on every call), so
+    a host that cannot build it pays one attempt, not one per dispatch.
+    """
+    global _CLAIM_LIB
+    with _CLAIM_LIB_LOCK:
+        if _CLAIM_LIB is None:
+            try:
+                so_path, _ = compile_chunk_library(
+                    CLAIM_LOOP_C, "repro_claim", cache=cache
+                )
+                lib = Path(so_path)
+                if lib.parent != _private_dir():  # a store entry
+                    lib = _private_dir() / lib.name
+                    # Never written in place: renaming gives the path a
+                    # new inode, so a mapping of an earlier copy stays
+                    # intact.
+                    staged = lib.with_suffix(".tmp")
+                    shutil.copyfile(so_path, staged)
+                    staged.replace(lib)
+                load_claim_loop(str(lib))  # unloadable here, so everywhere
+                _CLAIM_LIB = str(lib)
+            except Exception:
+                _CLAIM_LIB = False
+    return _CLAIM_LIB or None
+
+
+def prefetch_claim_loop_library(
+    cache: object = "default",
+) -> threading.Thread | None:
+    """Start :func:`claim_loop_library` on a thread, if it has work to do.
+
+    For a caller about to spend a compiler run of its own (the first
+    kernel build of a process): the library's gcc run then overlaps that
+    one instead of following it.  Returns the thread to ``join`` — or
+    None when the library is already resolved, which is every call but a
+    process's first.
+    """
+    if _CLAIM_LIB is not None:
+        return None
+    thread = threading.Thread(
+        target=claim_loop_library, args=(cache,), name="repro-claim-lib"
+    )
+    thread.start()
+    return thread
+
+
+@functools.lru_cache(maxsize=None)
+def load_claim_loop(so_path: str):
+    """dlopen the claim-loop library; bind ``repro_claim_loop`` (worker-side)."""
+    fn = ctypes.CDLL(so_path).repro_claim_loop
+    fn.restype = ctypes.c_long
+    fn.argtypes = [
+        ctypes.c_void_p,  # int64_t ctr[2]
+        ctypes.c_long,  # kind
+        ctypes.c_long,  # k
+        ctypes.c_long,  # batch
+        ctypes.c_void_p,  # int64_t out[4]
+        ctypes.c_void_p,  # double ring[cap][5] or NULL
+        ctypes.c_long,  # cap
+        ctypes.c_void_p,  # the kernel's thunk
+        ctypes.c_void_p,  # void *argv[]
+    ]
+    return fn
+
+
+@functools.lru_cache(maxsize=256)
+def load_chunk_thunk(so_path: str, thunk: str) -> tuple[ctypes.CDLL, int]:
+    """A chunk kernel's uniform-entry thunk as ``(library, address)``.
+
+    The address is what :func:`load_claim_loop`'s function takes; the
+    library handle rides along so the cache entry keeps it mapped.
+    """
+    lib = ctypes.CDLL(so_path)
+    return lib, ctypes.cast(getattr(lib, thunk), ctypes.c_void_p).value

@@ -1,21 +1,43 @@
 """The shared fetch&add claim counter and the scheduling-policy bridge.
 
 On the paper's machines every worker processor performs an atomic fetch&add
-on one shared iteration index to claim work.  Here the counter is a
-``multiprocessing.Value`` whose built-in lock guards the read-modify-write —
-a faithful (if slower) fetch&add visible to every worker process.
+on one shared iteration index to claim work.  Here the counter is two
+int64 words in shared memory (a ``multiprocessing.Array``: next unclaimed
+value, inclusive stop), and two protocols can claim from them:
+
+* the **native** protocol — hardware ``__atomic_fetch_add`` (unit/fixed
+  rules) or a compare-exchange loop (GSS) issued directly on the words by
+  the C claim loop (:data:`repro.codegen.cgen.CLAIM_LOOP_C`) that workers
+  run for dispatches whose chunks are native kernels.  This *is* the
+  paper's fetch&add: one instruction per claim, no lock;
+* the **lock-guarded** protocol — :meth:`SharedClaimCounter.claim_batch`,
+  a read-modify-write under the array's built-in lock.  Faithful but
+  microseconds per claim; it is the portable floor for everything the
+  native loop cannot run (``py``/``numpy`` chunks, the speculative
+  recorder, hosts without a compiler).
+
+The two never share a dispatch.  An atomic add does not take the lock, so
+a lock holder's read-then-write could interleave with it and hand the same
+iterations out twice: the parent therefore picks one protocol per dispatch
+(the job descriptor says which), and a worker that cannot follow the
+native one sits the dispatch out rather than falling back to the lock (see
+:func:`repro.parallel.worker.run_plan`).  Between dispatches only the
+parent touches the words (:meth:`SharedClaimCounter.reset`, at the
+barrier).  Both protocols hand out identical chunks for identical rules —
+``claims``, ``lock_ops`` and chunk boundaries do not depend on which ran.
 
 Chunk sizes come from :mod:`repro.scheduling.policies`: the same policy
 objects that drive the simulator drive the real runtime.  Dynamic policies
 (self-scheduling, chunked, GSS) are compiled to a picklable *chunk rule*
-evaluated inside the counter's critical section (GSS must read ``remaining``
-atomically with the add, exactly as in Polychronopoulos & Kuck's scheme);
-static policies are compiled to per-worker chunk lists so no shared counter
-is needed at all.
+evaluated atomically with the claim (GSS must read ``remaining`` atomically
+with the add, exactly as in Polychronopoulos & Kuck's scheme); static
+policies are compiled to per-worker chunk lists so no shared counter is
+needed at all.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 from dataclasses import dataclass
 
@@ -139,6 +161,16 @@ class SharedClaimCounter:
     @property
     def stop(self) -> int:
         return self._state[1]
+
+    @property
+    def address(self) -> int:
+        """Where the two int64 words live *in the calling process*.
+
+        What the native claim loop's atomics operate on — no second
+        segment, no copy.  Never mix with :meth:`claim_batch` inside one
+        dispatch (module docstring).
+        """
+        return ctypes.addressof(self._state.get_obj())
 
     def reset(self, start: int, stop: int) -> None:
         """Re-arm the counter for a new loop range.

@@ -54,6 +54,15 @@ class DispatchCounters:
     #: Python (no compiler, codegen failure, compile failure, or a
     #: worker-side dlopen failure).
     chunk_fallbacks: int = 0
+    #: Per-claim-protocol dispatch counts: "native" (the C fetch&add
+    #: loop), "py" (the Python loop over the lock-guarded counter),
+    #: "static" (no counter) — and how often the native protocol was
+    #: chosen but not followed: once per worker that sat a dispatch out,
+    #: once more per dispatch re-issued on the Python protocol.
+    claim_native: int = 0
+    claim_py: int = 0
+    claim_static: int = 0
+    claim_fallbacks: int = 0
     #: Chunk-safety verifier activity: procedures checked, per-loop
     #: verdicts, dispatches refused under ``safety="enforce"`` (executed
     #: serially instead), and finding counts keyed by stable rule code.
@@ -106,6 +115,12 @@ class DispatchCounters:
                 "py": self.chunk_py,
                 "mixed": self.chunk_mixed,
                 "fallbacks": self.chunk_fallbacks,
+            },
+            "claim_loop": {
+                "native": self.claim_native,
+                "py": self.claim_py,
+                "static": self.claim_static,
+                "fallbacks": self.claim_fallbacks,
             },
             "variants": {
                 "wins": dict(self.variant_wins or {}),
@@ -220,6 +235,13 @@ def record_run(result) -> None:
                 DISPATCH.chunk_mixed += 1
             else:
                 DISPATCH.chunk_py += 1
+            loop = getattr(d, "claim_loop", "py")
+            if loop == "native":
+                DISPATCH.claim_native += 1
+            elif loop == "static":
+                DISPATCH.claim_static += 1
+            else:
+                DISPATCH.claim_py += 1
             variant = getattr(d, "variant", None)
             if variant:
                 if DISPATCH.variant_wins is None:
@@ -239,6 +261,12 @@ def record_chunk_fallback(count: int = 1) -> None:
     """Count dispatches that wanted C chunks but degraded to Python."""
     with _DISPATCH_LOCK:
         DISPATCH.chunk_fallbacks += count
+
+
+def record_claim_fallback(count: int = 1) -> None:
+    """Count native-claim-loop degradations (sit-outs and re-dispatches)."""
+    with _DISPATCH_LOCK:
+        DISPATCH.claim_fallbacks += count
 
 
 def record_safety(report) -> None:

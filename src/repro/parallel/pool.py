@@ -179,6 +179,7 @@ class WorkerPool:
         self._broken = False
         self._seq = 0
         self.shared = SharedArrayPool(arrays)
+        started: list = []
         try:
             # Created drained; dispatch() re-arms it per loop range.
             # (Synchronized objects only cross the process boundary at
@@ -199,7 +200,12 @@ class WorkerPool:
             ]
             for p in self._procs:
                 p.start()
+                started.append(p)
         except BaseException:
+            # A worker that did start is attached to the segments and
+            # blocked on its job queue: reap it before they are unlinked,
+            # or it outlives this failed constructor until the parent exits.
+            terminate_procs(started)
             self.shared.close()
             raise
 

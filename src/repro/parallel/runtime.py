@@ -23,13 +23,26 @@ spawn-per-dispatch engine preceded it; ``BENCH_p02`` is the record of
 why it is gone.)
 
 ``claim_batch=k`` lets unit/fixed self-scheduling take ``k`` chunks per
-counter critical section (GSS keeps its one-chunk atomic
-read-of-remaining semantics — see
+claim (GSS keeps its one-chunk atomic read-of-remaining semantics — see
 :meth:`repro.parallel.counter.SharedClaimCounter.claim_batch`).  The
 default ``claim_batch="auto"`` sizes the batch from the measured
 per-chunk service time via the variant farm's micro-calibration
 (:mod:`repro.tuning.calibrate`), pinning the decision in the artifact
 cache so warm runs dispatch with zero re-measurement.
+
+Each dispatch drives the shared counter through exactly one claim
+protocol, decided here in the parent (:func:`_build_job`) and reported as
+``ParallelRunResult.claim_loop``: ``"native"`` — dynamic plans whose
+chunks are C kernels; workers enter C once and claim with hardware
+atomics (:data:`repro.codegen.cgen.CLAIM_LOOP_C`) — ``"py"`` — the
+Python loop around the lock-guarded counter, for everything else — or
+``"static"`` (no counter).  The choice follows from what could be bound,
+never from a setting.  Workers that cannot follow the native protocol sit
+the dispatch out rather than mix protocols on one counter; if the whole
+fleet did, nothing ran, and :func:`_dispatch_pool` re-issues the dispatch
+once on the Python protocol.  Claim logs come back raw and become
+:class:`ClaimEvent` objects only when ``ParallelRunResult.events`` is
+read.
 
 Robustness contract:
 
@@ -48,6 +61,7 @@ Robustness contract:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -57,8 +71,13 @@ import numpy as np
 
 from repro.analysis.pdg import Reduction, recognize_reduction
 from repro.cache import artifact_key, resolve_cache
-from repro.codegen.cgen import generate_chunk_c
-from repro.codegen.cload import compile_chunk_library, have_compiler
+from repro.codegen.cgen import THUNK_SUFFIX, generate_chunk_c
+from repro.codegen.cload import (
+    claim_loop_library,
+    compile_chunk_library,
+    have_compiler,
+    prefetch_claim_loop_library,
+)
 from repro.codegen.npgen import generate_chunk_numpy
 from repro.codegen.pygen import generate_chunk_source, generate_source
 from repro.ir.expr import (
@@ -84,6 +103,7 @@ from repro.parallel.errors import (
 )
 from repro.parallel.observe import (
     record_chunk_fallback,
+    record_claim_fallback,
     record_reduction_dispatch,
     record_run,
     record_safety,
@@ -237,9 +257,18 @@ class ParallelRunResult:
     wall_time: float
     iterations_per_worker: list[int]
     claims: int
-    events: list[ClaimEvent] = field(default_factory=list)
-    #: Counter critical sections entered; < ``claims`` when claims were
-    #: batched, 0 for static plans (no shared counter at all).
+    #: The workers' claim logs as shipped: ``(worker, rows)`` pairs, rows
+    #: being 5-tuples ``lo, hi, t_claim, t_work, t_end`` on the monotonic
+    #: clock, or (native loop) the bytes of an ``(n, 5)`` float64 array of
+    #: the same.  Kept raw — :attr:`events` is the readable form, built
+    #: only if someone asks.
+    event_log: list = field(default_factory=list, repr=False, compare=False)
+    #: The monotonic-clock instant the dispatch started (``event_log``
+    #: times are absolute; :attr:`events` reports them relative to this).
+    t_base: float = field(default=0.0, repr=False, compare=False)
+    #: Counter critical sections (or, on the native protocol, atomic
+    #: claims) that granted work; < ``claims`` when claims were batched,
+    #: 0 for static plans (no shared counter at all).
     lock_ops: int = 0
     #: Chunk language the workers actually executed: ``"c"`` (every worker
     #: ran the native kernel), ``"numpy"`` (whole-slice vectorized),
@@ -263,6 +292,37 @@ class ParallelRunResult:
     #: value (also written back into the caller's scalar environment).
     reduction_scalar: str | None = None
     reduction_value: float | None = None
+    #: Which claim protocol drove the shared counter: ``"native"`` (the C
+    #: claim loop — hardware atomics, one crossing into C per worker),
+    #: ``"py"`` (the Python loop around the lock-guarded counter), or
+    #: ``"static"`` (precomputed chunk lists, no counter).  One per
+    #: dispatch, never two (:mod:`repro.parallel.counter`).
+    claim_loop: str = "py"
+
+    @functools.cached_property
+    def events(self) -> list[ClaimEvent]:
+        """Every executed chunk as a :class:`ClaimEvent`, sorted by
+        ``(worker, t_claim)``, times relative to the dispatch start.
+
+        Materialized from :attr:`event_log` on first access and cached: a
+        fine-grained dispatch logs tens of thousands of claims, and a
+        caller that never reads them should not pay for as many objects.
+        Empty when the run was made with ``log_events=False``.
+        """
+        t_base = self.t_base
+        events = []
+        for wid, rows in self.event_log:
+            if isinstance(rows, bytes):
+                rows = np.frombuffer(rows).reshape(-1, 5).tolist()
+            for lo, hi, t0, t1, t2 in rows:
+                events.append(
+                    ClaimEvent(
+                        wid, int(lo), int(hi),
+                        t0 - t_base, t1 - t_base, t2 - t_base,
+                    )
+                )
+        events.sort(key=lambda e: (e.worker, e.t_claim))
+        return events
 
     @property
     def total_iterations(self) -> int:
@@ -341,12 +401,22 @@ class ParallelProcedureResult:
     def chunk_lang(self) -> str:
         """Aggregate chunk language across dispatches
         (``c``/``numpy``/``py``/``mixed``)."""
-        langs = {d.chunk_lang for d in self.dispatches}
-        if not langs:
-            return "py"
-        if len(langs) == 1:
-            return langs.pop()
-        return "mixed"
+        return _aggregate({d.chunk_lang for d in self.dispatches})
+
+    @property
+    def claim_loop(self) -> str:
+        """Aggregate claim protocol across dispatches
+        (``native``/``py``/``static``/``mixed``)."""
+        return _aggregate({d.claim_loop for d in self.dispatches})
+
+
+def _aggregate(values: set[str]) -> str:
+    """One label for a set of per-worker / per-dispatch labels."""
+    if not values:
+        return "py"
+    if len(values) == 1:
+        return next(iter(values))
+    return "mixed"
 
 
 def _dispatchable(loop: Loop) -> bool:
@@ -520,9 +590,17 @@ class _DispatchCaches:
             build = {}
             if variant is not None:
                 build = dict(cc=variant.cc, optimize=variant.optimize)
-            so_path, _ = compile_chunk_library(
-                source, fname, cache=self._store(), **build
-            )
+            # The dispatch this kernel is for will want the claim-loop
+            # library too; where that is still unresolved (a process's
+            # first native build) its compiler run shares this one's wait.
+            warming = prefetch_claim_loop_library(self._store())
+            try:
+                so_path, _ = compile_chunk_library(
+                    source, fname, cache=self._store(), **build
+                )
+            finally:
+                if warming is not None:
+                    warming.join()
             sig: list[str] = []
             for rank in proc.arrays.values():
                 sig.append("ptr")
@@ -641,6 +719,13 @@ def _build_job(
     otherwise the dispatch degrades to Python and the fallback is counted
     in metrics.  ``job["variant"]`` names the farm build attached.
 
+    This is also where the dispatch's one claim protocol is decided.  A
+    dynamic plan whose native kernel was attached — every precondition of
+    the C chunk path holds — additionally carries the claim-loop library
+    (``claim_so``, plus ``c_thunk``, the kernel's uniform entry): its
+    workers run the native fetch&add loop.  Any job without ``claim_so``
+    runs the Python loop over the lock-guarded counter.
+
     A pinned/measured ``decision``
     (:class:`repro.tuning.calibrate.TuningDecision`) overrides the build:
     its variant selects both the chunk language and — for C variants —
@@ -717,6 +802,14 @@ def _build_job(
             job["c_sig"] = sig
             job["c_scalar_types"] = scalar_types
             job["variant"] = (variant or default_variant("c")).name
+            claim_so = (
+                claim_loop_library(caches._store())
+                if plan.rule is not None
+                else None
+            )
+            if claim_so is not None:
+                job["claim_so"] = claim_so
+                job["c_thunk"] = c_fname + THUNK_SUFFIX
         else:
             record_chunk_fallback()
     elif lang == "numpy":
@@ -771,7 +864,7 @@ def _finalize_result(
     claims = 0
     lock_ops = 0
     langs: set[str] = set()
-    events: list[ClaimEvent] = []
+    event_log: list = []
     spec_logs: list = []
     for wid, msg in results.items():
         _, _, _, iters, wclaims, wlocks, wevents, wlang, wextra = msg
@@ -785,22 +878,13 @@ def _finalize_result(
             )
         claims += wclaims
         lock_ops += wlocks
-        for (clo, chi, t0, t1, t2) in wevents:
-            events.append(
-                ClaimEvent(wid, clo, chi, t0 - t_base, t1 - t_base, t2 - t_base)
-            )
+        if len(wevents):
+            event_log.append((wid, wevents))
     if sum(per_worker) != n:
         raise ParallelError(
             f"claim accounting violated: {sum(per_worker)} iterations "
             f"executed for a range of {n}"
         )
-    events.sort(key=lambda e: (e.worker, e.t_claim))
-    if not langs:
-        chunk_lang = "py"
-    elif len(langs) == 1:
-        chunk_lang = next(iter(langs))
-    else:
-        chunk_lang = "mixed"
     spec_logs.sort(key=lambda log: (log[0], log[1]))
     return ParallelRunResult(
         loop.var,
@@ -811,9 +895,10 @@ def _finalize_result(
         wall,
         per_worker,
         claims,
-        events,
+        event_log,
+        t_base,
         lock_ops=lock_ops,
-        chunk_lang=chunk_lang,
+        chunk_lang=_aggregate(langs),
         spec_logs=spec_logs,
     )
 
@@ -883,7 +968,28 @@ def _dispatch_pool(
         caches, chunk_lang, speculate, decision, extra_specs, extra_views,
     )
     t_base, results = wpool.dispatch(job, lo, hi, deadline)
+    claim_loop = "static" if plan.rule is None else "py"
+    if "claim_so" in job:
+        claim_loop = "native"
+        # A worker that could not bind the native loop sat the dispatch
+        # out (lang "py", no work) and its peers drained the range.  Only
+        # when *nobody* could bind has nothing run at all — then, and only
+        # then, the same dispatch goes out again on the lock-guarded
+        # protocol: one protocol per counter per dispatch, always.
+        sat_out = sum(1 for msg in results.values() if msg[7] != "c")
+        if sat_out:
+            record_claim_fallback(sat_out)
+            if not any(msg[3] for msg in results.values()):
+                record_claim_fallback()
+                claim_loop = "py"
+                job = {
+                    k: v
+                    for k, v in job.items()
+                    if k not in ("claim_so", "c_thunk")
+                }
+                t_base, results = wpool.dispatch(job, lo, hi, deadline)
     result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
+    result.claim_loop = claim_loop
     return _stamp_result(result, job, batch_n)
 
 

@@ -15,32 +15,47 @@ Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
   the job as the safety net;
 * ``"c"`` — a native kernel: the job carries a content-addressed ``.so``
   path, symbol name, and argument signature; the worker dlopens it once
-  per shape (:func:`repro.codegen.cload.load_chunk_kernel` is memoized on
-  ``(so_path, fname, sig)``) and calls it directly on its shared-memory
-  array views (``ndarray.ctypes`` pointers — zero copies), so a claimed
-  block runs entirely in native code between two fetch&adds.  Any failure
-  to load or bind the kernel degrades this worker to the Python chunk for
-  the dispatch; the language actually used is reported back to the parent;
+  per shape and runs it directly on its shared-memory array views
+  (``ndarray.ctypes`` pointers — zero copies);
 * ``"numpy"`` — the whole-slice vectorized chunk
   (:func:`repro.codegen.npgen.compile_numpy_chunk`): the claimed flat
   range executes as one ``np.arange`` evaluation — the compiler-less
-  fast path.  Same degradation contract as the C kernel.
+  fast path.
 
-Every language runs the paper's protocol: fetch&add a chunk (or a *batch*
-of chunks, amortizing the lock round-trip) from the shared counter,
-execute the claimed flat iterations, repeat until the counter is drained.
+Every language runs the paper's protocol — fetch&add a chunk (or a
+*batch* of chunks) from the shared counter, execute the claimed flat
+iterations, repeat until the counter is drained — through one of two
+**claim loops**, chosen by the parent per dispatch and never mixed within
+one (:mod:`repro.parallel.counter` says why):
+
+* **native** (``job["claim_so"]`` present; dynamic plans with C chunks):
+  the whole loop is :data:`repro.codegen.cgen.CLAIM_LOOP_C`.  The worker
+  crosses into C once per dispatch; claims are hardware atomics on the
+  counter words, chunks run through the kernel's uniform-entry thunk, and
+  the claim log is written natively into a reusable per-worker ring.  A
+  worker that cannot bind the library or the thunk *sits the dispatch
+  out* (reports ``lang="py"`` and zero work) — it must not take the lock
+  on a counter its peers are fetch&adding;
+* **Python** (everything else: ``py``/``numpy`` chunks, the speculative
+  recorder, compiler-less hosts): a ``while`` loop around the lock-guarded
+  :meth:`~repro.parallel.counter.SharedClaimCounter.claim_batch`.  Here a
+  failure to load the C or numpy chunk degrades this worker to the Python
+  chunk for the dispatch, reported back as ``lang="py"``.
+
 Static plans skip the counter and walk a precomputed chunk list.
 
 Every claim is logged as ``(lo, hi, t_claim, t_work, t_end)`` on the shared
 monotonic clock so the parent can reconstruct the measured schedule
-(:mod:`repro.parallel.observe`).  Failures are reported over the result
-queue *and* via a nonzero exit code, so the parent detects crashes even if
-the message is lost.
+(:mod:`repro.parallel.observe`); the native loop ships its rows as one
+raw float64 array per worker.  Failures are reported over the result queue
+*and* via a nonzero exit code, so the parent detects crashes even if the
+message is lost.
 """
 
 from __future__ import annotations
 
 import ctypes
+import struct
 import time
 import traceback
 from typing import Any, Callable
@@ -49,6 +64,26 @@ import numpy as np
 
 from repro.codegen.pygen import compile_chunk_source
 from repro.parallel.shm import attach_array
+
+
+def _c_arguments(job: dict[str, Any], arrays: dict):
+    """A native kernel's arguments after the two bounds, in order.
+
+    Yields ``(kind, value)`` with the kinds of the job's ``c_sig``:
+    ``("ptr", view)`` for an array — raising unless it qualifies for the
+    zero-copy convention — then ``("long", extent)`` per dimension, then
+    each scalar as ``("long", int)`` or ``("double", float)``.
+    """
+    for name in job["array_order"]:
+        view = arrays[name]
+        if view.dtype != np.float64 or not view.flags["C_CONTIGUOUS"]:
+            raise TypeError(f"array {name!r} not C-contiguous float64")
+        yield "ptr", view
+        for d in view.shape:
+            yield "long", int(d)
+    for name, ty in zip(job["scalar_order"], job["c_scalar_types"]):
+        value = job["scalars"][name]
+        yield ty, float(value) if ty == "double" else int(value)
 
 
 def _make_invoker(
@@ -99,20 +134,11 @@ def _make_invoker(
             fn = load_chunk_kernel(
                 job["c_so"], job["c_fname"], tuple(job["c_sig"])
             )
-            args: list = []
-            for name in job["array_order"]:
-                view = arrays[name]
-                if view.dtype != np.float64 or not view.flags["C_CONTIGUOUS"]:
-                    raise TypeError(
-                        f"array {name!r} not C-contiguous float64"
-                    )
-                args.append(
-                    view.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-                )
-                args.extend(int(d) for d in view.shape)
-            for name, ty in zip(job["scalar_order"], job["c_scalar_types"]):
-                value = job["scalars"][name]
-                args.append(float(value) if ty == "double" else int(value))
+            pointer = ctypes.POINTER(ctypes.c_double)
+            args = [
+                value.ctypes.data_as(pointer) if kind == "ptr" else value
+                for kind, value in _c_arguments(job, arrays)
+            ]
 
             def invoke(lo: int, hi: int, _fn=fn, _args=tuple(args)) -> None:
                 _fn(lo, hi, *_args)
@@ -146,27 +172,116 @@ def _make_invoker(
     return invoke, "py", {}
 
 
+#: Rows of the per-worker claim-log ring the native loop writes (5 float64
+#: each, 640 KiB).  A dispatch that logs more rows than fit is not an
+#: error: the loop returns "full", the rows are copied out, it re-enters.
+RING_ROWS = 1 << 14
+
+_ring: np.ndarray | None = None
+
+
+def _claim_ring(rows: int) -> np.ndarray:
+    """This worker's reusable ring, at least ``rows`` rows long."""
+    global _ring
+    if _ring is None or len(_ring) < rows:
+        _ring = np.empty((rows, 5), dtype=np.float64)
+    return _ring
+
+
+def _run_native(
+    wid: int, job: dict[str, Any], counter, arrays: dict
+) -> tuple[int, int, int, Any, str, dict[str, Any]]:
+    """One worker's share of a dispatch on the native claim protocol.
+
+    Binds the claim-loop library and the kernel's thunk, packs the
+    kernel's arguments into 8-byte ``argv`` slots
+    (:func:`repro.codegen.cgen.generate_chunk_c` documents the layout) and
+    calls ``repro_claim_loop`` until it reports the counter drained.  Any
+    failure *before* the first claim — dlopen, a missing symbol, an array
+    the zero-copy convention cannot take — makes this worker sit the
+    dispatch out: zero work, ``lang="py"``.  It may not fall back to
+    lock-guarded claims, because its peers are claiming with atomics that
+    do not honor the lock; they drain the range without it.
+    """
+    try:
+        from repro.codegen.cload import load_chunk_thunk, load_claim_loop
+
+        claim_loop = load_claim_loop(job["claim_so"])
+        _, thunk = load_chunk_thunk(job["c_so"], job["c_thunk"])
+        slots: list[int] = []
+        for kind, value in _c_arguments(job, arrays):
+            if kind == "ptr":
+                value = value.ctypes.data
+            elif kind == "double":  # same bits, read as the slot's integer
+                (value,) = struct.unpack("=q", struct.pack("=d", value))
+            slots.append(value)
+        argv = (ctypes.c_int64 * len(slots))(*slots)
+        ctr = counter.address
+    except Exception:
+        return 0, 0, 0, b"", "py", {}
+    plan = job["plan"]
+    if wid >= plan.workers:
+        return 0, 0, 0, b"", "c", {}
+
+    n = counter.stop - job["lo"] + 1
+    if plan.rule[0] == "gss":
+        kind, k, batch = 1, plan.rule[1], 1
+    else:
+        # Clamped to the range so k * batch cannot overflow the counter
+        # word; the chunks handed out are the same (a chunk never extends
+        # past stop, a claim never holds more chunks than exist).
+        kind = 0
+        k = min(1 if plan.rule[0] == "unit" else plan.rule[1], n)
+        batch = max(1, min(job.get("batch", 1), -(-n // k)))
+    out = (ctypes.c_int64 * 4)()
+    ring, ring_at, cap = None, None, 0  # log_events off: NULL ring
+    if job["log_events"]:
+        ring = _claim_ring(max(RING_ROWS, batch))
+        ring_at, cap = ring.ctypes.data, len(ring)
+    logged: list[bytes] = []
+    while True:
+        full = claim_loop(
+            ctr, kind, k, batch, out, ring_at, cap, thunk, argv
+        )
+        if out[3]:
+            logged.append(ring[: out[3]].tobytes())
+        if not full:
+            break
+    return out[0], out[1], out[2], b"".join(logged), "c", {}
+
+
 def run_plan(
     wid: int, job: dict[str, Any], counter, arrays: dict
-) -> tuple[int, int, int, list, str, dict[str, Any]]:
+) -> tuple[int, int, int, Any, str, dict[str, Any]]:
     """Execute one worker's share of a dispatch.
 
     Returns ``(iterations, claims, lock_ops, events, lang, extra)`` where
     ``claims`` counts executed chunks, ``lock_ops`` counts counter critical
-    sections (``claims == lock_ops`` unless claims were batched), ``lang``
-    is the chunk language actually executed (``"c"``/``"py"``), and
-    ``extra`` carries any per-job payload (the recorded ``spec_log`` of a
-    speculative dispatch; empty otherwise).
+    sections — or, on the native protocol, atomic claims — that granted
+    work (``claims == lock_ops`` unless claims were batched), ``events``
+    is this worker's claim log (a list of 5-tuples, or from the native
+    loop the bytes of one ``(rows, 5)`` float64 array — they pickle in
+    a fraction of an ndarray's time), ``lang`` is the chunk language
+    actually executed (``"c"``/``"numpy"``/``"py"``), and ``extra`` carries
+    any per-job payload (the recorded ``spec_log`` of a speculative
+    dispatch; empty otherwise).
+
+    The claim loop is picked by what the parent attached, not by a
+    setting: a job carrying ``claim_so`` runs the native loop
+    (:func:`_run_native`) and nothing else; every other job runs the
+    Python loop below — the portable floor.
 
     ``job`` keys: ``source``/``fname`` (Python chunk function),
     ``chunk_lang`` plus ``c_so``/``c_fname``/``c_sig``/``c_scalar_types``
-    (native kernel, optional), ``speculate`` (speculative dispatch
-    descriptor, optional), ``array_order``/``scalar_order``/``scalars``
-    (call convention), ``plan``
-    (:class:`repro.parallel.counter.PolicyPlan`), ``lo`` (loop lower
-    bound, for static chunk lists), ``batch`` (chunks per claim),
-    ``log_events``.
+    (native kernel, optional), ``claim_so``/``c_thunk`` (native claim
+    loop: library path and the kernel's thunk symbol, optional),
+    ``speculate`` (speculative dispatch descriptor, optional),
+    ``array_order``/``scalar_order``/``scalars`` (call convention),
+    ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo`` (loop
+    lower bound), ``batch`` (chunks per claim), ``log_events``.
     """
+    if "claim_so" in job:
+        return _run_native(wid, job, counter, arrays)
     func, lang, extra = _make_invoker(job, arrays)
     plan = job["plan"]
     log_events = job["log_events"]

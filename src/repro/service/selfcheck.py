@@ -110,6 +110,7 @@ def main() -> int:
                     chunk_lang="c",
                 )
                 assert native["chunk_lang"] == "c", native
+                assert native["claim_loop"] == "native", native
                 assert np.array_equal(native["arrays"]["B"], expected_B), (
                     "served native-chunk result diverged from local serial"
                 )
@@ -205,6 +206,9 @@ def main() -> int:
             assert "chunk_lang" in metrics["dispatch"], metrics["dispatch"]
             if have_compiler():
                 assert metrics["dispatch"]["chunk_lang"]["c"] >= 1, (
+                    metrics["dispatch"]
+                )
+                assert metrics["dispatch"]["claim_loop"]["native"] >= 1, (
                     metrics["dispatch"]
                 )
             assert metrics["dispatch"]["speculate"]["rolled_back"] >= 1, (

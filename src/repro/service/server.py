@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import signal
 import sys
@@ -625,6 +626,7 @@ class ReproServer(ThreadingHTTPServer):
             "lock_ops": result.lock_ops,
             "iterations": result.total_iterations,
             "chunk_lang": result.chunk_lang,
+            "claim_loop": result.claim_loop,
             "variants": result.variants,
             "calibrations": result.calibrations,
             "pinned_decisions": result.pinned_decisions,
@@ -675,8 +677,9 @@ def _prewarm_chunk_kernels(proc, cache) -> int:
     with the integer-scalar type signature (what JSON-decoded scalar
     payloads resolve to), content-addressed into the artifact cache — so
     the first /run's kernel resolution is a cache hit, never a compile,
-    whichever variant calibration later picks.  Returns the number of
-    builds warmed; failures (no compiler, ineligible shape) warm nothing
+    whichever variant calibration later picks (the claim-loop library,
+    which has no per-program content, is resolved alongside the first
+    kernel).  Returns the number of builds warmed; failures (no compiler, ineligible shape) warm nothing
     and cost one attempt each.
     """
     from repro.analysis.pdg import recognize_reduction
@@ -1110,8 +1113,44 @@ def install_shutdown_handlers(server: ReproServer) -> threading.Event:
     return stopping
 
 
+def pin_malloc_thresholds() -> None:
+    """Fix glibc's ``mmap``/trim thresholds for a serving process.
+
+    Every bulk ``/run`` allocates a few transient whole-frame buffers
+    (request body, decoded arrays, response frame — 16 MiB each for two
+    1Mi-element float64 arrays).  glibc adjusts ``M_MMAP_THRESHOLD`` and
+    the trim threshold *dynamically* from the sizes it happens to see
+    freed, so depending on where start-up allocations landed a server
+    either recycles those buffers from its heap (a couple of minor page
+    faults per request) or ``mmap``s and ``munmap``s them on every
+    request (≈12 000 faults, ≈30 ms of system time) — an allocator
+    lottery decided by unrelated code, worth 2× on bulk request latency.
+    Setting either threshold switches the dynamic adjustment off; 32 MiB
+    is the largest ``M_MMAP_THRESHOLD`` glibc accepts, and a 1 GiB trim
+    threshold keeps the recycled pages mapped.
+
+    Called first thing in the three serving-process mains only — never on
+    import, never for an in-process ``serve_background`` server, whose
+    host application owns its allocator policy.  Silently a no-op where
+    ``mallopt`` does not exist (non-glibc libc, non-POSIX).
+
+    This pins the symptom.  The real fix is not to allocate transient
+    whole-frame buffers at all (decode wire payloads straight into the
+    pool's segments, stream the response) — ROADMAP, serving-path item.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def serve_main(argv: list[str] | None = None) -> int:
     """``python -m repro serve`` entry point."""
+    pin_malloc_thresholds()
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Start the repro compile-and-run HTTP server",

@@ -1,5 +1,7 @@
 """Tests for the command-line compiler driver."""
 
+import re
+
 import pytest
 
 from repro.cli import main, run_pipeline
@@ -160,6 +162,7 @@ class TestMPBackendCLI:
         out = capsys.readouterr().out
         assert "results match serial: True" in out
         assert "mp[gss" in out
+        assert re.search(r"lock ops, (native|py) claim loop\]", out)
 
     def test_run_workload_serial_backend(self, capsys):
         assert main(["--workload", "saxpy2d", "--run"]) == 0

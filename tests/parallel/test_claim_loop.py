@@ -1,0 +1,478 @@
+"""The native fetch&add claim loop (``claim_loop == "native"``).
+
+For dispatches with C chunks the worker's whole claim loop runs in C:
+hardware atomics on the shared counter words, chunks through the kernel's
+uniform-entry thunk, claim logs written natively into a per-worker ring.
+These tests pin what must not change with the protocol — chunk boundaries,
+``claims``/``lock_ops``, one event per chunk, bit-identical arrays — and
+the one rule the protocol adds: a counter is driven by the lock *or* by
+atomics within a dispatch, never both.
+"""
+
+import multiprocessing
+import shutil
+from dataclasses import astuple
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.api import transform_function
+from repro.cache import ArtifactCache, configure
+from repro.codegen import cload
+from repro.codegen.cload import have_compiler
+from repro.frontend.dsl import parse
+from repro.parallel import WorkerPool, run_parallel_doall, run_parallel_procedure
+from repro.parallel import runtime, worker
+from repro.parallel.counter import SharedClaimCounter, policy_plan
+from repro.parallel.observe import DISPATCH
+from repro.parallel.shm import leaked_segments
+from repro.runtime.interp import Interpreter
+from repro.transforms import coalesce_procedure, reduction_procedure
+from repro.tuning import reset_tuning_memo
+from repro.workloads import dot_product, get_workload, make_env
+from repro.workloads.shapes import IRREGULAR_WORKLOADS
+
+needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
+
+#: ``A(i) := A(i) + 1`` over zeros: afterwards every element says how many
+#: times its iteration ran — a lost update or a double claim is a 0 or a 2.
+INCREMENT = parse(
+    """
+    procedure incr(A[1]; lo, hi)
+      doall i = lo, hi
+        A(i) := A(i) + 1.0
+      end
+    end
+    """
+)
+
+
+def chunks_of(dispatch) -> list[tuple[int, int]]:
+    return sorted((e.lo, e.hi) for e in dispatch.events)
+
+
+def assert_partition(chunks, lo, hi) -> None:
+    """``chunks`` (sorted) cover ``[lo, hi]`` exactly once, no gaps."""
+    assert chunks[0][0] == lo and chunks[-1][1] == hi
+    assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+def replay(lo, hi, rule, batch) -> tuple[list[tuple[int, int]], int]:
+    """One process draining the lock-guarded counter: the reference."""
+    counter = SharedClaimCounter(lo, hi, multiprocessing.get_context())
+    chunks: list[tuple[int, int]] = []
+    lock_ops = 0
+    while claimed := counter.claim_batch(rule, batch):
+        chunks += claimed
+        lock_ops += 1
+    return chunks, lock_ops
+
+
+# ---------------------------------------------------------------------------
+# (i) the native loop hands out exactly the chunks claim_batch would
+# ---------------------------------------------------------------------------
+
+SPAN = 6000  # array length: lo <= 900 plus n <= 5000
+
+
+@pytest.fixture(scope="module")
+def pools():
+    made = {
+        w: WorkerPool({"A": np.zeros(SPAN)}, workers=w) for w in (1, 2, 3)
+    }
+    yield made
+    for pool in made.values():
+        pool.close()
+
+
+@st.composite
+def dynamic_dispatches(draw):
+    lo = draw(st.integers(0, 900))
+    n = draw(st.integers(1, 5000))
+    policy = draw(st.sampled_from(("unit", "fixed", "gss")))
+    chunk = draw(st.integers(1, 40)) if policy == "fixed" else None
+    batch = draw(st.integers(1, 70))
+    workers = draw(st.integers(1, 3))
+    return lo, n, policy, chunk, batch, workers
+
+
+@needs_gcc
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=dynamic_dispatches())
+def test_native_claims_equal_lock_guarded_replay(pools, case):
+    lo, n, policy, chunk, batch, workers = case
+    hi = lo + n - 1
+    arrays = {"A": np.zeros(SPAN)}
+    result = run_parallel_procedure(
+        INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
+        policy=policy, chunk=chunk, claim_batch=batch, safety="off",
+        calibrate=False,
+    )
+    (d,) = result.dispatches
+    assert d.claim_loop == "native" and d.chunk_lang == "c"
+
+    chunks = chunks_of(d)
+    assert_partition(chunks, lo, hi)
+    active = min(workers, n)
+    rule = policy_plan(policy, n, active, chunk).rule
+    want, want_locks = replay(lo, hi, rule, batch)
+    assert chunks == want
+    assert (d.claims, d.lock_ops) == (len(want), want_locks)
+    assert sum(d.iterations_per_worker) == n
+
+    assert np.all(arrays["A"][lo : hi + 1] == 1.0)
+    assert arrays["A"].sum() == n
+    if policy == "gss":
+        sizes = [c_hi - c_lo + 1 for c_lo, c_hi in chunks]
+        assert sizes == sorted(sizes, reverse=True)
+        for (c_lo, _), size in zip(chunks, sizes):
+            assert size == max(1, -(-(hi - c_lo + 1) // active))
+
+
+# ---------------------------------------------------------------------------
+# (ii) two real workers racing for single chunks: nothing lost, nothing twice
+# ---------------------------------------------------------------------------
+
+
+@needs_gcc
+@pytest.mark.parametrize("policy,chunk", [("unit", None), ("fixed", 3)])
+def test_contended_increment_is_exact(policy, chunk):
+    claims = 200_000
+    n = claims * (chunk or 1)
+    both_worked = False
+    with WorkerPool({"A": np.zeros(n + 1)}, workers=2) as pool:
+        # A fast host lets one worker drain the range before its peer
+        # wakes; five runs must all be exact, a few more may be spent
+        # waiting for one in which the two really raced.
+        for attempt in range(15):
+            arrays = {"A": np.zeros(n + 1)}
+            result = run_parallel_procedure(
+                INCREMENT, arrays, {"lo": 1, "hi": n}, pool=pool,
+                policy=policy, chunk=chunk, claim_batch=1, log_events=False,
+                safety="off", calibrate=False,
+            )
+            (d,) = result.dispatches
+            assert d.claim_loop == "native"
+            assert d.claims == d.lock_ops == claims
+            assert np.all(arrays["A"][1:] == 1.0) and arrays["A"][0] == 0.0
+            both_worked |= all(d.iterations_per_worker)
+            if both_worked and attempt >= 4:
+                break
+    assert both_worked, "one worker drained every run: no contention tested"
+
+
+# ---------------------------------------------------------------------------
+# (iii) native == Python protocol == interpreter, bit for bit
+# ---------------------------------------------------------------------------
+
+POLICIES = (("unit", None), ("fixed", 5), ("gss", None))
+
+
+def _program(name):
+    if name == "dot_product":
+        w = dot_product()
+        return w, reduction_procedure(w.proc).procedure
+    w = get_workload(name)
+    return w, coalesce_procedure(w.proc)[0]
+
+
+@needs_gcc
+@pytest.mark.parametrize("method", ("fork", "spawn"))
+@pytest.mark.parametrize(
+    "name", ("matmul", "gauss_jordan", "saxpy2d", "dot_product")
+)
+def test_native_equals_python_protocol_equals_interpreter(name, method):
+    w, proc = _program(name)
+    arrays, sc = make_env(w, seed=4)
+    want = {k: v.copy() for k, v in arrays.items()}
+    Interpreter().run(w.proc, want, sc)
+    before = leaked_segments()
+    with WorkerPool(arrays, workers=2, method=method) as pool:
+        for policy, chunk in POLICIES:
+            runs = {}
+            for lang in ("c", "py"):
+                got = {k: v.copy() for k, v in arrays.items()}
+                runs[lang] = run_parallel_procedure(
+                    proc, got, sc, pool=pool, policy=policy, chunk=chunk,
+                    claim_batch=4, chunk_lang=lang, calibrate=False,
+                )
+                for k in want:
+                    assert np.array_equal(got[k], want[k]), (lang, policy, k)
+            native, py = runs["c"], runs["py"]
+            assert {d.claim_loop for d in native.dispatches} == {"native"}
+            assert {d.chunk_lang for d in native.dispatches} == {"c"}
+            assert py.claim_loop == "py" and py.chunk_lang == "py"
+            assert [d.claims for d in native.dispatches] == [
+                d.claims for d in py.dispatches
+            ]
+            assert [d.lock_ops for d in native.dispatches] == [
+                d.lock_ops for d in py.dispatches
+            ]
+            assert native.reductions == py.reductions
+    assert leaked_segments() == before
+
+
+@needs_gcc
+def test_proven_dynamic_dispatch_is_native():
+    w = IRREGULAR_WORKLOADS["scatter_perm"]()
+    arrays, sc = make_env(w)
+    result = run_parallel_doall(
+        w.proc, arrays, sc, workers=2, safety="speculate"
+    )
+    assert result.speculation == "proven-dynamic"
+    assert (result.claim_loop, result.chunk_lang) == ("native", "c")
+
+
+@needs_gcc
+def test_other_paths_keep_the_python_loop():
+    w = get_workload("saxpy2d")
+    proc, _ = coalesce_procedure(w.proc)
+    want = make_env(w, seed=1)[0]
+    Interpreter().run(w.proc, want, make_env(w, seed=1)[1])
+
+    def run(**kwargs):
+        arrays, sc = make_env(w, seed=1)
+        result = run_parallel_doall(proc, arrays, sc, workers=2, **kwargs)
+        assert all(np.array_equal(arrays[k], want[k]) for k in want)
+        return result
+
+    assert run(chunk_lang="numpy").claim_loop == "py"
+    assert run(chunk_lang="py").claim_loop == "py"
+    static = run(policy="static")
+    assert (static.claim_loop, static.chunk_lang) == ("static", "c")
+    assert static.lock_ops == 0
+
+    hist = IRREGULAR_WORKLOADS["histogram_disjoint"]()
+    arrays, sc = make_env(hist)
+    spec = run_parallel_doall(
+        hist.proc, arrays, sc, workers=2, safety="speculate"
+    )
+    assert spec.speculation == "committed" and spec.claim_loop == "py"
+
+
+# ---------------------------------------------------------------------------
+# (iv) a log longer than the ring: drained and re-entered, nothing dropped
+# ---------------------------------------------------------------------------
+
+
+@needs_gcc
+@pytest.mark.parametrize("batch", (48, 100))  # below and above the ring
+def test_ring_overflow_keeps_every_event(monkeypatch, batch):
+    monkeypatch.setattr(worker, "RING_ROWS", 64)  # forked workers inherit it
+    monkeypatch.setattr(worker, "_ring", None)
+    w = get_workload("saxpy2d")
+    proc, _ = coalesce_procedure(w.proc)
+    arrays, sc = make_env(w, scalars={"n": 150, "m": 150}, seed=0)
+    want = {k: v.copy() for k, v in arrays.items()}
+    Interpreter().run(w.proc, want, sc)
+    d = run_parallel_doall(
+        proc, arrays, sc, workers=2, policy="unit", claim_batch=batch
+    )
+    assert d.claim_loop == "native"
+    assert d.lock_ops == -(-22_500 // batch)
+    assert d.claims == 22_500 == len(d.events)
+    assert_partition(chunks_of(d), 1, 22_500)
+    assert all(np.array_equal(arrays[k], want[k]) for k in want)
+
+
+# ---------------------------------------------------------------------------
+# (v) a worker that cannot bind sits out; nobody mixes protocols
+# ---------------------------------------------------------------------------
+
+
+def _saxpy_case(seed=2):
+    w = get_workload("saxpy2d")
+    proc, _ = coalesce_procedure(w.proc)
+    arrays, sc = make_env(w, seed=seed)
+    want = {k: v.copy() for k, v in arrays.items()}
+    Interpreter().run(w.proc, want, sc)
+    return proc, arrays, sc, want
+
+
+@needs_gcc
+@pytest.mark.parametrize("broken", ("library", "thunk"))
+def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
+    monkeypatch, broken
+):
+    if broken == "library":
+        monkeypatch.setattr(
+            runtime, "claim_loop_library",
+            lambda cache="default": "/nonexistent/librepro_claim.so",
+        )
+    else:
+        monkeypatch.setattr(runtime, "THUNK_SUFFIX", "__no_such_thunk")
+    proc, arrays, sc, want = _saxpy_case()
+    fallbacks = DISPATCH.claim_fallbacks
+    d = run_parallel_doall(
+        proc, arrays, sc, workers=2, policy="unit", claim_batch=4
+    )
+    # Every worker sat the first dispatch out, so nothing had run: the
+    # second one went out whole on the lock-guarded protocol.
+    assert d.claim_loop == "py" and d.chunk_lang == "c"
+    assert d.total_iterations == sc["n"] * sc["m"] == len(d.events)
+    assert all(np.array_equal(arrays[k], want[k]) for k in want)
+    assert DISPATCH.claim_fallbacks == fallbacks + 2 + 1  # 2 sit-outs, 1 redo
+
+
+@needs_gcc
+def test_one_worker_that_cannot_bind_sits_out(monkeypatch):
+    real = cload.load_claim_loop
+
+    def flaky(so_path):
+        if multiprocessing.current_process().name.endswith("-1"):
+            raise OSError("injected: worker 1 cannot dlopen")
+        return real(so_path)
+
+    monkeypatch.setattr(cload, "load_claim_loop", flaky)  # inherited by fork
+    proc, arrays, sc, want = _saxpy_case()
+    fallbacks = DISPATCH.claim_fallbacks
+    d = run_parallel_doall(
+        proc, arrays, sc, workers=2, policy="unit", claim_batch=4
+    )
+    # Worker 0 drained the range with atomics; worker 1 never touched the
+    # counter — in particular not through the lock.
+    assert d.claim_loop == "native" and d.chunk_lang == "mixed"
+    assert d.iterations_per_worker == [sc["n"] * sc["m"], 0]
+    assert {e.worker for e in d.events} == {0}
+    assert all(np.array_equal(arrays[k], want[k]) for k in want)
+    assert DISPATCH.claim_fallbacks == fallbacks + 1
+
+
+# ---------------------------------------------------------------------------
+# (vi) events are materialized on first access, identically to before
+# ---------------------------------------------------------------------------
+
+
+def _eager_events(d):
+    """The list ``_finalize_result`` used to build for every dispatch."""
+    events = [
+        runtime.ClaimEvent(
+            wid, lo, hi, t0 - d.t_base, t1 - d.t_base, t2 - d.t_base
+        )
+        for wid, rows in d.event_log
+        for lo, hi, t0, t1, t2 in (
+            np.frombuffer(rows).reshape(-1, 5)
+            if isinstance(rows, bytes)
+            else rows
+        )
+    ]
+    events.sort(key=lambda e: (e.worker, e.t_claim))
+    return events
+
+
+@needs_gcc
+@pytest.mark.parametrize("lang", ("c", "py"))
+def test_lazy_events(monkeypatch, lang):
+    built = []
+
+    class CountingEvent(runtime.ClaimEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "ClaimEvent", CountingEvent)
+    proc, arrays, sc, _ = _saxpy_case()
+    d = run_parallel_doall(
+        proc, arrays, sc, workers=2, policy="fixed", chunk=7, claim_batch=3,
+        chunk_lang=lang,
+    )
+    assert d.claim_loop == ("native" if lang == "c" else "py")
+    assert not built, "ClaimEvents were built before anyone read them"
+
+    events = d.events
+    assert len(built) == len(events) == d.claims
+    assert d.events is events  # cached, not rebuilt
+    assert [astuple(e) for e in events] == [
+        astuple(e) for e in _eager_events(d)
+    ]
+    assert [(e.worker, e.t_claim) for e in events] == sorted(
+        (e.worker, e.t_claim) for e in events
+    )
+    for e in events:
+        assert 0.0 <= e.t_claim <= e.t_work <= e.t_end <= d.wall_time
+    no_log = run_parallel_doall(
+        proc, arrays, sc, workers=2, chunk_lang=lang, log_events=False
+    )
+    assert no_log.events == [] and no_log.claims > 0
+
+
+# ---------------------------------------------------------------------------
+# (viii) no compiler: the Python loop, and nobody calls gcc to find out
+# ---------------------------------------------------------------------------
+
+
+def test_no_compiler_means_python_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(runtime, "have_compiler", lambda cc="gcc": False)
+    monkeypatch.setattr(
+        cload, "_compile_into", lambda *a, **k: calls.append(a) or 1 / 0
+    )
+    proc, arrays, sc, want = _saxpy_case()
+    d = run_parallel_doall(proc, arrays, sc, workers=2)
+    assert d.claim_loop == "py" and d.chunk_lang == "numpy"
+    assert not calls
+    assert all(np.array_equal(arrays[k], want[k]) for k in want)
+
+
+# ---------------------------------------------------------------------------
+# the claim library is built at most once per process
+# ---------------------------------------------------------------------------
+
+COLD_KERNEL = """
+def cold{tag}(A, B, n, m):
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            B[i, j] = {c!r} * A[i, j] + B[i, j]
+"""
+
+
+@needs_gcc
+def test_claim_library_builds_once_across_vanishing_stores(
+    monkeypatch, tmp_path
+):
+    """What ``cold_start`` does: a fresh store per call, deleted after it."""
+    built = []
+    real = cload._compile_into
+
+    def counting(tmp, name, *args, **kwargs):
+        built.append(name)
+        return real(tmp, name, *args, **kwargs)
+
+    monkeypatch.setattr(cload, "_compile_into", counting)
+    monkeypatch.setattr(cload, "_CLAIM_LIB", None)  # as in a new process
+    n = 24
+    rng = np.random.default_rng(0)
+    try:
+        for tag, c in ((1, 2.5), (2, 3.5)):
+            reset_tuning_memo()
+            store = configure(dir=tmp_path / f"cold-{tag}")
+            fn = transform_function(
+                COLD_KERNEL.format(tag=tag, c=c), backend="mp", workers=2,
+                cache=store,
+            )
+            A = rng.random((n + 1, n + 1))
+            B = rng.random((n + 1, n + 1))
+            want = B.copy()
+            want[1:, 1:] = c * A[1:, 1:] + want[1:, 1:]
+            fn(A, B, n, n)
+            shutil.rmtree(store.root)
+            assert np.array_equal(B, want)
+            assert fn.last_parallel.claim_loop == "native"
+    finally:
+        configure()  # back to the session's store
+    assert sorted(built) == ["cold1__chunk", "cold2__chunk", "repro_claim"]
+
+
+@needs_gcc
+def test_claim_library_is_a_private_copy_of_the_store_entry(
+    monkeypatch, tmp_path
+):
+    monkeypatch.setattr(cload, "_CLAIM_LIB", None)
+    store = ArtifactCache(tmp_path / "store")
+    path = cload.claim_loop_library(store)
+    assert path is not None and str(tmp_path) not in path
+    shutil.rmtree(store.root)
+    assert cload.claim_loop_library(ArtifactCache(tmp_path / "other")) == path
+    assert cload.load_claim_loop(path) is not None  # still loadable

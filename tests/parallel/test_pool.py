@@ -9,6 +9,8 @@ cleanly right after posting its result must be counted from the message
 log, never misclassified by its exit code).
 """
 
+import errno
+import multiprocessing
 import queue as queue_mod
 import time
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.doall import mark_doall
+from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
 from repro.parallel import (
@@ -202,27 +205,62 @@ class TestBatchedClaimAccounting:
         assert stats.lock_ops == 0
 
 
+BOOM = """
+procedure boom(A[1]; n, d)
+  doall i = 1, n
+    A(i) := float(i div (n - d))
+  end
+end
+"""
+
+
 class TestPoolRobustness:
     def test_crash_on_pool_path_is_clean(self):
-        proc = mark_doall(
-            parse(
-                """
-                procedure boom(A[1]; n)
-                  doall i = 1, n
-                    A(i) := float(i div (n - n))
-                  end
-                end
-                """
-            )
-        )
+        """A crash on dispatch two of a warm pool (dispatch one is the
+        healthy twin: same kernel on the native claim loop, no crash)."""
+        proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
-        snapshot = arrays["A"].copy()
         before = leaked_segments()
-        with pytest.raises(WorkerCrashError, match="worker"):
-            run_parallel_doall(
-                proc, arrays, {"n": 39}, workers=3
+        pool = WorkerPool(arrays, workers=3)
+        try:
+            healthy = run_parallel_procedure(
+                proc, arrays, {"n": 39, "d": 38}, pool=pool
             )
+            if have_compiler():
+                assert healthy.claim_loop == "native"
+            assert np.array_equal(arrays["A"][1:], np.arange(1.0, 40.0))
+            snapshot = arrays["A"].copy()
+            with pytest.raises(WorkerCrashError, match="worker"):
+                run_parallel_procedure(
+                    proc, arrays, {"n": 39, "d": 39}, pool=pool
+                )
+            assert pool.broken
+        finally:
+            pool.close()
         assert np.array_equal(arrays["A"], snapshot)
+        assert leaked_segments() == before
+
+    def test_failed_start_leaves_no_worker_and_no_segment(self, monkeypatch):
+        """If the second worker cannot start, the first must not survive
+        the constructor attached to segments that were just unlinked."""
+        ctx = multiprocessing.get_context("fork")
+        real_start = ctx.Process.start
+        starts = []
+
+        def start(proc):
+            starts.append(proc)
+            if len(starts) == 2:
+                raise OSError(errno.EAGAIN, "injected: cannot fork")
+            real_start(proc)
+
+        monkeypatch.setattr(ctx.Process, "start", start)
+        children = multiprocessing.active_children()
+        before = leaked_segments()
+        with pytest.raises(OSError, match="injected"):
+            WorkerPool({"A": np.zeros(8)}, workers=3, ctx=ctx)
+        assert len(starts) == 2
+        assert multiprocessing.active_children() == children
+        assert not starts[0].is_alive()
         assert leaked_segments() == before
 
     def test_timeout_on_pool_path_is_clean(self):

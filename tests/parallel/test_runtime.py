@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.doall import mark_doall
+from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
 from repro.ir.stmt import Block
@@ -151,26 +152,39 @@ class TestChunkAccounting:
         assert claimed == list(range(stats.lo, stats.hi + 1))
 
 
+BOOM = """
+procedure boom(A[1]; n, d)
+  doall i = 1, n
+    A(i) := float(i div (n - d))
+  end
+end
+"""
+
+
 class TestRobustness:
     def test_worker_crash_is_clean(self):
-        proc = mark_doall(
-            parse(
-                """
-                procedure boom(A[1]; n)
-                  doall i = 1, n
-                    A(i) := float(i div (n - n))
-                  end
-                end
-                """
-            )
-        )
+        proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
         snapshot = arrays["A"].copy()
         before = leaked_segments()
         with pytest.raises(WorkerCrashError, match="worker"):
-            run_parallel_doall(proc, arrays, {"n": 39}, workers=3)
+            run_parallel_doall(proc, arrays, {"n": 39, "d": 39}, workers=3)
         # clean shutdown: caller arrays untouched, no orphaned shared memory
         assert np.array_equal(arrays["A"], snapshot)
+        assert leaked_segments() == before
+
+    @pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
+    def test_crash_injection_runs_on_the_native_claim_loop(self):
+        """The crash above, minus the crash: same kernel, same options —
+        it is the native claim loop whose death the test above survives."""
+        proc = mark_doall(parse(BOOM))
+        arrays = {"A": np.zeros(40)}
+        before = leaked_segments()
+        stats = run_parallel_doall(
+            proc, arrays, {"n": 39, "d": 38}, workers=3
+        )
+        assert (stats.claim_loop, stats.chunk_lang) == ("native", "c")
+        assert np.array_equal(arrays["A"][1:], np.arange(1.0, 40.0))
         assert leaked_segments() == before
 
     def test_timeout_kills_workers_and_preserves_arrays(self):

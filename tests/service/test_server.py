@@ -107,6 +107,22 @@ class TestEndpoints:
         assert out["engine"] in ("mp-pool", "serial-fallback")
         assert np.array_equal(out["arrays"]["B"], expected_from(A))
 
+    def test_run_mp_says_which_claim_loop_ran(self, service):
+        client, _ = service
+        key = client.compile(PY_KERNEL, backend="mp")["key"]
+        A, B = env()
+        counted = client.metrics()["dispatch"]["claim_loop"]
+        assert set(counted) == {"native", "py", "static", "fallbacks"}
+        out = client.run(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, workers=2, backend="mp"
+        )
+        assert out["engine"] == "mp-pool"
+        loop = out["claim_loop"]
+        assert loop == ("native" if out["chunk_lang"] == "c" else "py")
+        after = client.metrics()["dispatch"]["claim_loop"]
+        assert after[loop] == counted[loop] + out["dispatches"]
+        assert after["fallbacks"] == counted["fallbacks"]
+
     def test_lint_clean_source(self, service):
         client, _ = service
         out = client.lint(DSL_KERNEL)

@@ -2,10 +2,17 @@
 
 The paper assumes a restructuring compiler (Parafrase) has already classified
 loops as parallel.  This package supplies that classification for this
-library: affine subscript extraction, the classic ZIV/SIV/GCD/Banerjee
-dependence tests with direction vectors, scalar privatization analysis, a
-DOALL classifier/auto-tagger, and the chunk-safety verifier that proves
-each mp dispatch race-free (:mod:`repro.analysis.safety`).
+library, as one pipeline every client reads::
+
+    accesses → feasibility → edge set → {DOALL tags, interchange/fusion
+    legality, PDG/SCC fission, RACE/PRIV findings, --analyze}
+
+:mod:`~repro.analysis.dependence` walks the accesses (with loop chains and
+guards) and decides feasibility (ZIV/GCD/Banerjee, then exact rational
+refutation under guards and bounds); :mod:`~repro.analysis.pdg` turns that
+into the one edge set and the statement PDG; :mod:`~repro.analysis.doall`,
+:mod:`~repro.analysis.safety` and :mod:`~repro.analysis.summary` are filters
+over those edges plus one scalar-privacy test.
 """
 
 from repro.analysis.subscripts import AffineForm, affine_of
@@ -13,11 +20,9 @@ from repro.analysis.space import IterationSpace
 from repro.analysis.dependence import (
     Dependence,
     DependenceTester,
-    direction_vectors,
-    has_dependence,
+    GuardedAccess,
 )
 from repro.analysis.doall import (
-    AccessInfo,
     classify_loop,
     interchange_legal,
     loop_carried_dependences,
@@ -28,6 +33,7 @@ from repro.analysis.pdg import (
     PDGEdge,
     Reduction,
     build_pdg,
+    dependences,
     recognize_reduction,
 )
 from repro.analysis.recovery import RecoveredNest, recognize_recovered_nest
@@ -45,10 +51,10 @@ from repro.analysis.summary import (
 )
 
 __all__ = [
-    "AccessInfo",
     "AffineForm",
     "Dependence",
     "DependenceTester",
+    "GuardedAccess",
     "IterationSpace",
     "LoopSafety",
     "LoopVerdict",
@@ -64,8 +70,7 @@ __all__ = [
     "analyze_procedure",
     "build_pdg",
     "classify_loop",
-    "direction_vectors",
-    "has_dependence",
+    "dependences",
     "interchange_legal",
     "loop_carried_dependences",
     "mark_doall",

@@ -1,122 +1,33 @@
 """DOALL classification: which loops may legally run in parallel?
 
-A loop is DOALL when no dependence is *carried* by it: for every pair of
-references to the same array (at least one a write) in its body, no
-dependence exists whose direction at this loop's level is ``<`` or ``>``
-(outer loops held at ``=``), and every scalar written in the body is
-*private* — defined before any use on every path through one iteration.
+A loop is DOALL when no dependence is *carried* by it — the edge set of
+:func:`repro.analysis.pdg.dependences`, ranged over this loop with the
+outer loops held at ``=``, is empty — and every scalar written in the
+body is *private*: defined before any use on every path through one
+iteration (:func:`repro.analysis.dependence.exposed_written_scalars`).
 
-The classifier is conservative: non-affine subscripts, symbolic coefficients,
-or scalar flow it cannot prove private all demote the loop to serial.
-Reductions (``s := s + …``) are likewise serial *here*; recognizing and
-re-tagging them for the partial-accumulator dispatch mode is the job of
+The verdict is exactly as precise as the chunk-safety verifier's, because
+both read the same edges: equality/disequality guards and affine symbolic
+bounds refute direction vectors here too (the pivot-guarded Gauss–Jordan
+row update is tagged DOALL).  What stays conservative: non-affine
+subscripts, symbolic coefficients, and scalar flow that cannot be proven
+private all demote the loop to serial.  Reductions (``s := s + …``) are
+likewise serial *here*; recognizing and re-tagging them for the
+partial-accumulator dispatch mode is the job of
 :mod:`repro.analysis.pdg` and :mod:`repro.transforms.reduction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.dependence import Dependence, DependenceTester, LoopInfo
-from repro.ir.expr import ArrayRef, Expr, Var
-from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
-from repro.ir.visitor import walk_exprs
-
-
-@dataclass(frozen=True)
-class AccessInfo:
-    """One array access and the loops (inside the tested loop) enclosing it."""
-
-    ref: ArrayRef
-    is_write: bool
-    inner_chain: tuple[Loop, ...]
-
-
-def collect_accesses(body: Block, chain: tuple[Loop, ...] = ()) -> list[AccessInfo]:
-    """All array accesses in ``body`` with their inner-loop chains."""
-    out: list[AccessInfo] = []
-
-    def exprs_reads(e: Expr) -> None:
-        for sub in walk_exprs(e):
-            if isinstance(sub, ArrayRef):
-                out.append(AccessInfo(sub, False, chain))
-
-    for s in body.stmts:
-        if isinstance(s, Assign):
-            if isinstance(s.target, ArrayRef):
-                out.append(AccessInfo(s.target, True, chain))
-                for idx in s.target.indices:
-                    exprs_reads(idx)
-            exprs_reads(s.value)
-        elif isinstance(s, If):
-            exprs_reads(s.cond)
-            out.extend(collect_accesses(s.then, chain))
-            out.extend(collect_accesses(s.orelse, chain))
-        elif isinstance(s, Loop):
-            exprs_reads(s.lower)
-            exprs_reads(s.upper)
-            exprs_reads(s.step)
-            out.extend(collect_accesses(s.body, chain + (s,)))
-    return out
-
-
-def _scalar_reads(e: Expr) -> set[str]:
-    return {sub.name for sub in walk_exprs(e) if isinstance(sub, Var)}
-
-
-def upward_exposed_scalars(body: Block, written: set[str] | None = None) -> tuple[set[str], set[str]]:
-    """Scalars read before any same-iteration write, plus definite writes.
-
-    Returns ``(exposed, written_after)``.  Conditional writes only count as
-    definite when they occur on both branches; loop bodies may execute zero
-    times, so their writes never count as definite.
-    """
-    written = set(written or ())
-    exposed: set[str] = set()
-    for s in body.stmts:
-        if isinstance(s, Assign):
-            reads = _scalar_reads(s.value)
-            if isinstance(s.target, ArrayRef):
-                for idx in s.target.indices:
-                    reads |= _scalar_reads(idx)
-            exposed |= reads - written
-            if isinstance(s.target, Var):
-                written.add(s.target.name)
-        elif isinstance(s, If):
-            exposed |= _scalar_reads(s.cond) - written
-            e1, w1 = upward_exposed_scalars(s.then, written)
-            e2, w2 = upward_exposed_scalars(s.orelse, written)
-            exposed |= e1 | e2
-            written = w1 & w2
-        elif isinstance(s, Loop):
-            for bound in (s.lower, s.upper, s.step):
-                exposed |= _scalar_reads(bound) - written
-            inner_written = set(written) | {s.var}
-            e1, _ = upward_exposed_scalars(s.body, inner_written)
-            exposed |= e1
-            # zero-trip possibility: writes inside do not become definite
-    return exposed, written
-
-
-def _scalar_writes(body: Block) -> set[str]:
-    out: set[str] = set()
-    for s in body.stmts:
-        if isinstance(s, Assign) and isinstance(s.target, Var):
-            out.add(s.target.name)
-        elif isinstance(s, If):
-            out |= _scalar_writes(s.then)
-            out |= _scalar_writes(s.orelse)
-        elif isinstance(s, Loop):
-            out |= _scalar_writes(s.body)
-    return out
-
-
-def _common_prefix(a: tuple[Loop, ...], b: tuple[Loop, ...]) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] is b[k]:
-        k += 1
-    return k
+from repro.analysis.dependence import (
+    Dependence,
+    LoopInfo,
+    exposed_written_scalars,
+)
+from repro.analysis.pdg import dependences
+from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure, Stmt
 
 
 def loop_carried_dependences(
@@ -127,90 +38,40 @@ def loop_carried_dependences(
     ``outer`` is the chain of loops enclosing ``loop``; their indices are
     held equal on both sides of every tested pair.
     """
-    accesses = collect_accesses(loop.body)
-    found: list[Dependence] = []
-    seen: set[tuple] = set()
+    return list(dependences(loop, outer))
 
-    for src in accesses:
-        if not src.is_write:
-            continue
-        for sink in accesses:
-            if src.ref.name != sink.ref.name:
-                continue
-            if not (src.is_write or sink.is_write):
-                continue
-            k = _common_prefix(src.inner_chain, sink.inner_chain)
-            common = list(outer) + [loop] + list(src.inner_chain[:k])
-            extra_src = src.inner_chain[k:]
-            extra_sink = sink.inner_chain[k:]
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in extra_src],
-                [LoopInfo.of(lp) for lp in extra_sink],
-            )
-            level = len(outer)  # position of `loop` in the common vector
-            for directions in tester.feasible_directions(src.ref, sink.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue  # outer iterations differ: not carried here
-                if directions[level] == "=":
-                    continue  # loop-independent or carried deeper
-                kind = "output" if sink.is_write else "flow"
-                key = (src.ref, sink.ref, directions)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append(
-                    Dependence(src.ref.name, kind, directions, exact=True)
-                )
-    return found
+
+def blocking_scalars(loop: Loop, outer: Sequence[Loop] = ()) -> set[str]:
+    """Scalars written in ``loop``'s body that are not private per iteration."""
+    bound = {loop.var} | {lp.var for lp in outer}
+    return exposed_written_scalars(loop.body, bound)
 
 
 def classify_loop(loop: Loop, outer: Sequence[Loop] = ()) -> bool:
     """True when ``loop`` is provably parallel (DOALL)."""
-    # Scalar criterion: every scalar written in the body must be private.
-    exposed, _ = upward_exposed_scalars(loop.body)
-    bound_here = {loop.var} | {lp.var for lp in outer}
-    problematic = (exposed - bound_here) & _scalar_writes(loop.body)
-    if problematic:
-        return False
-    # Array criterion: no carried dependence.
-    return not loop_carried_dependences(loop, outer)
+    return (
+        not blocking_scalars(loop, outer)
+        and next(dependences(loop, outer), None) is None
+    )
 
 
 def interchange_legal(outer_loop: Loop, outer: Sequence[Loop] = ()) -> bool:
     """May ``outer_loop`` be interchanged with its (perfectly nested) inner?
 
     Interchange is illegal only for dependences with direction ``(<, >)``
-    over the pair — swapping would reverse their source and sink.
+    over the pair in execution order — swapping would reverse their
+    source and sink.
     """
     body = outer_loop.body
     if len(body) != 1 or not isinstance(body.stmts[0], Loop):
         return False
     inner = body.stmts[0]
-    accesses = collect_accesses(inner.body)
-    level = len(outer)
-    for src in accesses:
-        if not src.is_write:
-            continue
-        for sink in accesses:
-            if src.ref.name != sink.ref.name:
-                continue
-            if not (src.is_write or sink.is_write):
-                continue
-            k = _common_prefix(src.inner_chain, sink.inner_chain)
-            common = list(outer) + [outer_loop, inner] + list(src.inner_chain[:k])
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in src.inner_chain[k:]],
-                [LoopInfo.of(lp) for lp in sink.inner_chain[k:]],
-            )
-            for directions in tester.feasible_directions(src.ref, sink.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue
-                pair = directions[level : level + 2]
-                if pair == ("<", ">"):
-                    return False
-    return True
+    pair = slice(len(outer), len(outer) + 2)
+    levels = [LoopInfo.of(outer_loop), LoopInfo.of(inner)]
+    return not any(
+        dep.oriented()[2][pair] == ("<", ">")
+        for dep in dependences(outer_loop, outer, levels, inner.body.stmts)
+    )
 
 
 def mark_doall(proc: Procedure) -> Procedure:

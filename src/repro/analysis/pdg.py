@@ -1,31 +1,50 @@
-"""Statement-level program dependence graph (PDG) with SCC condensation.
+"""The one dependence edge set, and the statement PDG built from it.
 
-The verifier (:mod:`repro.analysis.safety`) judges a dispatch as a whole;
-this module looks *inside* a loop body, one top-level statement at a
-time, so the transform layer can stop treating partially-parallel loops
-as all-or-nothing:
+:func:`dependences` is the only place in the package that pairs array
+accesses and asks :class:`~repro.analysis.dependence.DependenceTester`
+for direction vectors.  It takes the statements to scan, the enclosing
+loops pinned at ``=``, and the levels to range over — the loop itself,
+the ``(outer, inner)`` pair for interchange, the fused candidate for
+fusion, or the verifier's de-coalesced virtual levels — and yields one
+typed :class:`~repro.analysis.dependence.Dependence` per feasible
+direction vector.  Every client is a filter over that stream:
+
+=========================================  ================================
+``classify_loop`` / ``mark_doall``         any carried edge ⇒ serial
+``interchange_legal``                      an edge with ``(<, >)``
+``fusion_preventing``                      an edge running second → first
+``build_pdg`` (here)                       all of them, oriented, per
+                                           statement pair
+``verify_procedure``                       carried edges over the virtual
+                                           span ⇒ ``RACE001/2/3``
+=========================================  ================================
+
+so a verdict and the edge that blocks it cannot disagree.
+
+The PDG looks *inside* one loop body, one top-level statement at a time,
+so the transform layer can stop treating partially-parallel loops as
+all-or-nothing:
 
 * **nodes** are the top-level statements of one loop body (index = the
   statement's position in ``loop.body.stmts``);
-* **edges** are typed dependences — ``flow`` (write then read), ``anti``
-  (read then overwrite), ``output`` (write then write) from the
-  Banerjee/direction-vector machinery of
-  :mod:`repro.analysis.dependence`, plus conservative ``scalar`` def-use
-  edges (a scalar is one memory cell, so any shared touch with a write
-  orders two statements both ways);
+* **edges** are the array dependences above, oriented
+  source-executes-before-sink (``flow``: write then read, ``anti``: read
+  then overwrite, ``output``: write then write), plus ``scalar`` edges:
+  a statement that is not private in a scalar it writes
+  (:func:`~repro.analysis.dependence.exposed_written_scalars`) carries a
+  value into its own next iteration (self edge), and any scalar shared
+  between two statements with a write on either side orders them both
+  ways — a conservative *distribution* constraint, since splitting a def
+  from its use would need scalar expansion;
 * each array edge carries its **direction vector** (outer loops first,
-  the analyzed loop last, then any shared inner loops) and a
-  ``carried`` bit: carried edges cross iterations of the analyzed loop,
+  the analyzed loop last, then any shared inner loops) and a ``carried``
+  bit: carried edges cross iterations of the analyzed loop,
   loop-independent edges order statements within one iteration.
 
-Edges are oriented source-executes-before-sink.  For a statement pair
-``(a, b)`` a dependence exists a→b when the direction at the analyzed
-loop's level is ``<`` (an earlier iteration of *a* reaches a later
-iteration of *b*) or ``=`` with *a* textually before *b*; ``>``
-directions are covered by enumerating the reversed ordered pair.  Self
-edges (``a == b``, carried) are kept: a statement in a dependence cycle
-with itself must stay serial, and the SCC condensation below treats such
-a singleton as cyclic.
+Self edges (carried) are kept: a statement in a dependence cycle with
+itself must stay serial, and the SCC condensation below treats such a
+singleton as cyclic.  A singleton that is *not* cyclic is, by
+construction, a loop :func:`~repro.analysis.doall.classify_loop` accepts.
 
 On top of the graph: a self-contained iterative **Tarjan SCC** (the
 package takes no graph-library dependency) and a condensation in
@@ -45,11 +64,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.analysis.dependence import DependenceTester, LoopInfo
-from repro.analysis.doall import AccessInfo, collect_accesses
+from repro.analysis.dependence import (
+    Dependence,
+    DependenceTester,
+    LoopInfo,
+    collect_guarded_accesses,
+    edge_label,
+    exposed_written_scalars,
+    written_scalars,
+)
 from repro.ir.expr import BinOp, Const, Expr, Var
 from repro.ir.stmt import Assign, Block, If, Loop, Stmt
-from repro.ir.visitor import walk_exprs, walk_stmts
+from repro.ir.visitor import free_vars, walk_stmts
 
 __all__ = [
     "PDG",
@@ -57,8 +83,102 @@ __all__ = [
     "REDUCTION_IDENTITY",
     "Reduction",
     "build_pdg",
+    "dependences",
     "recognize_reduction",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the edge set
+# ---------------------------------------------------------------------------
+
+
+def _common_prefix(a: tuple[Loop, ...], b: tuple[Loop, ...]) -> int:
+    k = 0
+    while k < len(a) and k < len(b) and a[k] is b[k]:
+        k += 1
+    return k
+
+
+def dependences(
+    loop: Loop,
+    outer: Sequence[Loop] = (),
+    levels: Sequence[LoopInfo] | None = None,
+    stmts: Sequence[Stmt] | None = None,
+    carried_only: bool = True,
+) -> Iterator[Dependence]:
+    """Every array dependence among ``stmts`` within one run of ``loop``.
+
+    ``outer`` is the chain of loops enclosing ``loop``; their indices
+    are held equal on both sides of every pair (one iteration of each).
+    ``levels`` are the levels ranged over (default: ``loop`` itself) and
+    ``stmts`` the statements scanned (default: ``loop``'s body); a
+    dependence is *carried* when its two instances differ in one of
+    ``levels``.  With ``carried_only`` the loop-independent ones (same
+    iteration of every level) are not even tested.  Statement indices
+    refer to ``stmts``.
+
+    Symbols that are neither written nor bound inside ``loop`` hold one
+    value throughout the run, so the rational refutation may use them in
+    subscripts, bounds and guards on both sides; only the others are
+    handed to the tester as ``mutated``.
+    """
+    if stmts is None:
+        stmts = loop.body.stmts
+    ranged = [LoopInfo.of(loop)] if levels is None else list(levels)
+    pinned = [LoopInfo.of(lp) for lp in outer]
+    mutated = written_scalars(loop.body.stmts) | {
+        s.var for s in walk_stmts(loop) if isinstance(s, Loop)
+    }
+    accesses = [
+        (si, acc)
+        for si, s in enumerate(stmts)
+        for acc in collect_guarded_accesses(Block((s,)))
+    ]
+    span = slice(len(pinned), len(pinned) + len(ranged))
+    for src_i, src in accesses:
+        if not src.is_write:
+            continue
+        for sink_i, sink in accesses:
+            if src.ref.name != sink.ref.name:
+                continue
+            k = _common_prefix(src.inner_chain, sink.inner_chain)
+            tester = DependenceTester(
+                pinned + ranged + [LoopInfo.of(lp) for lp in src.inner_chain[:k]],
+                [LoopInfo.of(lp) for lp in src.inner_chain[k:]],
+                [LoopInfo.of(lp) for lp in sink.inner_chain[k:]],
+                mutated,
+                pinned=len(pinned),
+            )
+            exact: bool | None = None
+            for directions in tester.feasible_directions(
+                src.ref,
+                sink.ref,
+                src.guards,
+                sink.guards,
+                carried=len(ranged) if carried_only else 0,
+            ):
+                if exact is None:
+                    exact = tester.is_affine(src.ref, sink.ref)
+                first = next((d for d in directions[span] if d != "="), None)
+                # Which instance runs first: the earlier iteration, or
+                # within one iteration the textually earlier statement.
+                src_first = first == "<" if first else src_i < sink_i
+                if sink.is_write:
+                    kind = "output"
+                else:
+                    kind = "flow" if src_first else "anti"
+                yield Dependence(
+                    kind=kind,
+                    directions=directions,
+                    exact=exact,
+                    carried=first is not None,
+                    src_stmt=src_i,
+                    dst_stmt=sink_i,
+                    src_ref=src.ref,
+                    dst_ref=sink.ref,
+                    src_first=src_first,
+                )
 
 
 @dataclass(frozen=True)
@@ -82,15 +202,12 @@ class PDGEdge:
     carried: bool
 
     def describe(self) -> str:
-        span = (
-            f" at directions ({', '.join(self.directions)})"
-            if self.directions
-            else ""
-        )
         flavor = "carried" if self.carried else "loop-independent"
-        return (
-            f"S{self.src} -> S{self.dst}: {flavor} {self.kind} "
-            f"dependence on '{self.var}'{span}"
+        return edge_label(
+            self.src,
+            self.dst,
+            self.directions,
+            f": {flavor} {self.kind} dependence on '{self.var}'",
         )
 
 
@@ -101,9 +218,6 @@ class PDG:
     loop: Loop
     stmts: tuple[Stmt, ...]
     edges: tuple[PDGEdge, ...]
-
-    def successors(self, node: int) -> list[int]:
-        return sorted({e.dst for e in self.edges if e.src == node})
 
     def edges_between(self, src: int, dst: int) -> list[PDGEdge]:
         return [e for e in self.edges if e.src == src and e.dst == dst]
@@ -223,90 +337,6 @@ class PDG:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_reads(s: Stmt) -> set[str]:
-    """Scalar names read in ``s``, excluding loops' own induction vars."""
-    bound = {lp.var for lp in walk_stmts(s) if isinstance(lp, Loop)}
-    return {
-        e.name for e in walk_exprs(s) if isinstance(e, Var)
-    } - bound
-
-
-def _scalar_writes(s: Stmt) -> set[str]:
-    return {
-        sub.target.name
-        for sub in walk_stmts(s)
-        if isinstance(sub, Assign) and isinstance(sub.target, Var)
-    }
-
-
-def _dep_kind(src_write: bool, sink_write: bool) -> str:
-    if src_write and sink_write:
-        return "output"
-    return "flow" if src_write else "anti"
-
-
-def _common_prefix(a: tuple[Loop, ...], b: tuple[Loop, ...]) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] is b[k]:
-        k += 1
-    return k
-
-
-def _array_edges(
-    a: int,
-    b: int,
-    acc_a: Sequence[AccessInfo],
-    acc_b: Sequence[AccessInfo],
-    loop: Loop,
-    outer: Sequence[Loop],
-) -> list[PDGEdge]:
-    """Typed dependence edges a→b via array elements.
-
-    Keeps a vector when statement *a*'s access can precede statement
-    *b*'s: direction ``<`` at the analyzed loop's level (carried), or
-    ``=`` with *a* textually before *b* (loop independent).  Outer
-    serial loops are pinned ``=`` — a dispatch happens within one outer
-    iteration.
-    """
-    level = len(outer)
-    edges: list[PDGEdge] = []
-    seen: set[tuple[str, str, tuple[str, ...], bool]] = set()
-    textual_forward = a < b
-    for src in acc_a:
-        for sink in acc_b:
-            if src.ref.name != sink.ref.name:
-                continue
-            if not (src.is_write or sink.is_write):
-                continue
-            k = _common_prefix(src.inner_chain, sink.inner_chain)
-            common = list(outer) + [loop] + list(src.inner_chain[:k])
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in src.inner_chain[k:]],
-                [LoopInfo.of(lp) for lp in sink.inner_chain[k:]],
-            )
-            for directions in tester.feasible_directions(src.ref, sink.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue  # a different outer iteration
-                d = directions[level]
-                if d == ">":
-                    continue  # covered by the reversed ordered pair
-                carried = d == "<"
-                if not carried and not textual_forward:
-                    continue  # same iteration, b executes first
-                if not carried and a == b:
-                    continue  # one statement instance: no ordering
-                kind = _dep_kind(src.is_write, sink.is_write)
-                key = (kind, src.ref.name, directions, carried)
-                if key in seen:
-                    continue
-                seen.add(key)
-                edges.append(
-                    PDGEdge(a, b, kind, src.ref.name, directions, carried)
-                )
-    return edges
-
-
 def build_pdg(loop: Loop, outer: Sequence[Loop] = ()) -> PDG:
     """The PDG over ``loop``'s top-level body statements.
 
@@ -315,17 +345,24 @@ def build_pdg(loop: Loop, outer: Sequence[Loop] = ()) -> PDG:
     layer splits one loop at a time, in place).
     """
     stmts = tuple(loop.body.stmts)
-    accesses = [collect_accesses(Block((s,))) for s in stmts]
-    reads = [_scalar_reads(s) for s in stmts]
-    writes = [_scalar_writes(s) for s in stmts]
-    bound = {loop.var} | {lp.var for lp in outer}
+    # Array edges, oriented source-executes-before-sink and grouped per
+    # statement pair (a dict as an ordered set: one edge per distinct
+    # kind, array and direction vector).
+    array: dict[tuple[int, int], dict[PDGEdge, None]] = {}
+    for dep in dependences(loop, outer, carried_only=False):
+        a, b, directions = dep.oriented()
+        if a == b and not dep.carried:
+            continue  # one statement instance: no ordering
+        edge = PDGEdge(a, b, dep.kind, dep.array, directions, dep.carried)
+        array.setdefault((a, b), {})[edge] = None
 
+    reads = [free_vars(s) for s in stmts]
+    writes = [written_scalars([s]) for s in stmts]
+    bound = {loop.var} | {lp.var for lp in outer}
     edges: list[PDGEdge] = []
     for a in range(len(stmts)):
         for b in range(len(stmts)):
-            edges.extend(
-                _array_edges(a, b, accesses[a], accesses[b], loop, outer)
-            )
+            edges.extend(array.get((a, b), ()))
             # Scalars: one memory cell — any shared touch with at least
             # one write orders the statements both ways across
             # iterations (conservative; induction variables excluded).
@@ -337,10 +374,11 @@ def build_pdg(loop: Loop, outer: Sequence[Loop] = ()) -> PDG:
             )
             for name in sorted(shared):
                 edges.append(PDGEdge(a, b, "scalar", name, (), True))
-    # Scalar self edges: a statement that reads a scalar it also writes
-    # (``s := s + …``) carries a value into its own next iteration.
-    for k in range(len(stmts)):
-        for name in sorted((writes[k] & reads[k]) - bound):
+    # Scalar self edges: a statement that reads a scalar before it
+    # writes it (``s := s + …``) carries a value into its own next
+    # iteration; a temp it defines before every use is private.
+    for k, s in enumerate(stmts):
+        for name in sorted(exposed_written_scalars(Block((s,)), bound)):
             edges.append(PDGEdge(k, k, "scalar", name, (), True))
     return PDG(loop, stmts, tuple(edges))
 
@@ -382,12 +420,6 @@ class Reduction:
         return REDUCTION_IDENTITY[self.op]
 
 
-def _reads_scalar(e: Expr, name: str) -> bool:
-    return any(
-        isinstance(sub, Var) and sub.name == name for sub in walk_exprs(e)
-    )
-
-
 def recognize_reduction(loop: Loop) -> Reduction | None:
     """Match ``loop`` against the reduction idiom, or return ``None``.
 
@@ -423,9 +455,9 @@ def recognize_reduction(loop: Loop) -> Reduction | None:
     if lhs_is_s == rhs_is_s:  # neither side, or s ⊕ s
         return None
     update = value.rhs if lhs_is_s else value.lhs
-    if _reads_scalar(update, name):
+    if name in free_vars(update):
         return None
-    if guard is not None and _reads_scalar(guard, name):
+    if guard is not None and name in free_vars(guard):
         return None
     # The loop's step must be the unit constant the runtime strip-mines.
     if not (isinstance(loop.step, Const) and loop.step.value == 1):

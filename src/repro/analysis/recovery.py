@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.dependence import written_scalars
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Expr, Var, floor_div, mul, sub
 from repro.ir.simplify import simplify
 from repro.ir.stmt import Assign, Loop, Stmt
-from repro.ir.visitor import free_vars, walk_exprs, walk_stmts
+from repro.ir.visitor import free_vars, walk_exprs
 
 __all__ = [
     "RecoveredNest",
@@ -94,15 +95,6 @@ def candidate_wrap_bound(expr: Expr) -> Expr | None:
     return unique[0] if len(unique) == 1 else None
 
 
-def _mutated_scalars(rest: list[Stmt]) -> set[str]:
-    return {
-        s.target.name
-        for r in rest
-        for s in walk_stmts(r)
-        if isinstance(s, Assign) and isinstance(s.target, Var)
-    }
-
-
 def verified_rectangular_recovery(
     loop: Loop, heads: list[Assign], rest: list[Stmt]
 ) -> tuple[tuple[str, ...], tuple[Expr, ...]] | None:
@@ -129,7 +121,7 @@ def verified_rectangular_recovery(
     if len(index_vars) != m or len(set(index_vars)) != m:
         return None
     # The loop tail must not write the flat index or any recovered index.
-    if _mutated_scalars(rest) & (set(index_vars) | {loop.var}):
+    if written_scalars(rest) & (set(index_vars) | {loop.var}):
         return None
     bounds: list[Expr] = [Const(1)]  # outermost bound never wraps: unused
     for s in heads[1:]:
@@ -173,7 +165,7 @@ def verified_triangular_recovery(
     i_var, j_var = i_head.target.name, j_head.target.name
     if i_var == j_var:
         return None
-    if _mutated_scalars(rest) & {i_var, j_var, loop.var}:
+    if written_scalars(rest) & {i_var, j_var, loop.var}:
         return None
     flat_v = Var(loop.var)
     i_expr = simplify(

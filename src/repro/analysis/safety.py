@@ -16,15 +16,16 @@ itself back to the level the paper reasons at:
    recovery forms.  Distinct flat iterations are exactly distinct
    virtual index tuples, so a dependence carried by any virtual level
    (enclosing serial levels held ``=``) is a cross-chunk race.
-2. A **Banerjee/GCD scan** (:mod:`repro.analysis.dependence`)
-   enumerates the feasible direction vectors per array reference pair.
-3. **Guard-aware refutation**: vectors that survive Banerjee are
-   re-checked against an exact rational linear system — the subscript
-   equalities, the ``=``-direction merges, the affine loop bounds, and
-   the equality/disequality guards dominating each access.  An
-   infeasible system refutes the vector; this is what proves the
-   pivot-guarded Gauss–Jordan update (``if i != j``, ``k = j+1..``)
-   race-free where the interval tests alone cannot.
+2. The **one edge set** (:func:`repro.analysis.pdg.dependences`) is
+   ranged over those virtual levels: Banerjee/GCD, then the exact
+   rational refutation under guards and bounds, both in
+   :mod:`repro.analysis.dependence` — the same oracle that tags DOALL
+   loops and builds the PDG, so ``mark_doall``, ``--analyze``, fission
+   and this verifier cannot disagree about an edge.
+3. Every **carried edge** over the virtual span is a cross-chunk race;
+   its kind picks the rule code (``flow``/``output``/``anti`` →
+   ``RACE001``/``RACE002``/``RACE003``) and the finding is that edge,
+   rendered.
 4. A **scalar capture check**: every scalar the chunk kernel receives
    must be read-only or provably private per iteration (defined before
    any use on every path).
@@ -46,25 +47,30 @@ RED001    recognized reduction: the carried accumulator dispatches as
 ========  ============================================================
 
 Everything here is conservative in the safe direction: recognition
-failures fall back to testing the flat loop directly, non-affine
-subscripts assume dependence, and refutation only ever *removes* a
-vector when the rational system is provably infeasible.
+failures fall back to testing the flat loop directly and non-affine
+subscripts assume dependence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.dependence import DependenceTester, LoopInfo
-from repro.analysis.doall import upward_exposed_scalars
-from repro.analysis.pdg import recognize_reduction
+from repro.analysis.dependence import (
+    GuardedAccess,
+    LoopInfo,
+    array_access_sets,
+    collect_guarded_accesses,
+    edge_label,
+    exposed_written_scalars,
+    upward_exposed_scalars,
+    written_scalars,
+)
+from repro.analysis.pdg import dependences, recognize_reduction
 from repro.analysis.recovery import RecoveredNest, recognize_recovered_nest
-from repro.analysis.subscripts import affine_of
-from repro.ir.expr import ArrayRef, BinOp, Const, Expr, Unary, Var
+from repro.ir.expr import Const, Var
 from repro.ir.printer import expr_to_source
-from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
+from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 
 __all__ = [
     "GuardedAccess",
@@ -113,14 +119,6 @@ _HINTS: dict[str, str] = {
         "no array is both written and read and every scalar is provably "
         "private, so a subscript-only runtime inspector decides this "
         "dispatch exactly; run with safety=speculate"
-    ),
-    "FISS001": (
-        "the loop was split along its dependence SCCs; the clean pieces "
-        "dispatch in parallel while the cyclic residue stays serial"
-    ),
-    "FISS002": (
-        "every statement sits in one dependence cycle, so no sub-loop "
-        "can be separated; break the cycle to expose parallelism"
     ),
     "RED001": (
         "the accumulator loop dispatches as per-chunk partials combined "
@@ -173,12 +171,7 @@ class SafetyFinding:
         """The dependence edge behind this finding, human-readable."""
         if self.src_stmt is None or self.dst_stmt is None:
             return None
-        span = (
-            f" at directions ({', '.join(self.directions)})"
-            if self.directions
-            else ""
-        )
-        return f"S{self.src_stmt} -> S{self.dst_stmt}{span}"
+        return edge_label(self.src_stmt, self.dst_stmt, self.directions)
 
     def to_dict(self) -> dict:
         return {
@@ -273,86 +266,11 @@ class SafetyReport:
 
 
 # ---------------------------------------------------------------------------
-# guarded access collection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GuardedAccess:
-    """An array access, its inner loop chain, and its dominating guards.
-
-    ``guards`` is the path condition: each entry is ``(cond, polarity)``
-    for an enclosing ``If`` — polarity False for the else branch.
-    """
-
-    ref: ArrayRef
-    is_write: bool
-    inner_chain: tuple[Loop, ...]
-    guards: tuple[tuple[Expr, bool], ...]
-
-
-def collect_guarded_accesses(
-    body: Block,
-    chain: tuple[Loop, ...] = (),
-    guards: tuple[tuple[Expr, bool], ...] = (),
-) -> list[GuardedAccess]:
-    """All array accesses in ``body`` with chains and path conditions."""
-    out: list[GuardedAccess] = []
-
-    def reads_of(e: Expr) -> None:
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, ArrayRef):
-                out.append(GuardedAccess(cur, False, chain, guards))
-            stack.extend(cur.children())
-
-    for s in body.stmts:
-        if isinstance(s, Assign):
-            if isinstance(s.target, ArrayRef):
-                out.append(GuardedAccess(s.target, True, chain, guards))
-                for idx in s.target.indices:
-                    reads_of(idx)
-            reads_of(s.value)
-        elif isinstance(s, If):
-            reads_of(s.cond)
-            out.extend(
-                collect_guarded_accesses(
-                    s.then, chain, guards + ((s.cond, True),)
-                )
-            )
-            out.extend(
-                collect_guarded_accesses(
-                    s.orelse, chain, guards + ((s.cond, False),)
-                )
-            )
-        elif isinstance(s, Loop):
-            for e in (s.lower, s.upper, s.step):
-                reads_of(e)
-            out.extend(collect_guarded_accesses(s.body, chain + (s,), guards))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the virtual nest: levels the dependence test ranges over
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One loop level: tester info plus symbolic bounds for refutation."""
-
-    var: str
-    info: LoopInfo
-    lower: Expr | None
-    upper: Expr | None
-
-    @staticmethod
-    def of_loop(loop: Loop) -> "_Level":
-        return _Level(loop.var, LoopInfo.of(loop), loop.lower, loop.upper)
-
-
-def _virtual_levels(loop: Loop, nest: RecoveredNest) -> list[_Level]:
+def _virtual_levels(loop: Loop, nest: RecoveredNest) -> list[LoopInfo]:
     """The levels a dispatched loop's flat index enumerates."""
     if nest.shape == "rectangular":
         bounds = list(nest.bounds)
@@ -370,345 +288,24 @@ def _virtual_levels(loop: Loop, nest: RecoveredNest) -> list[_Level]:
                 total = loop.upper.value
                 if isinstance(total, int) and total % prod == 0:
                     bounds[0] = Const(total // prod)
-        out = []
-        for var, bound in zip(nest.index_vars, bounds):
-            hi = bound.value if isinstance(bound, Const) else None
-            out.append(_Level(var, LoopInfo(var, 1, hi), Const(1), bound))
-        return out
+        return [
+            LoopInfo(var, Const(1), bound)
+            for var, bound in zip(nest.index_vars, bounds)
+        ]
     if nest.shape == "triangular-exact":
         i_var, j_var = nest.index_vars
         return [
-            _Level(i_var, LoopInfo(i_var, 1, None), Const(1), None),
+            LoopInfo(i_var, Const(1), None),
             # The triangle itself: 1 <= j <= i, exact by construction.
-            _Level(j_var, LoopInfo(j_var, 1, None), Const(1), Var(i_var)),
+            LoopInfo(j_var, Const(1), Var(i_var)),
         ]
     # direct: the loop is its own single virtual level
-    return [_Level.of_loop(loop)]
-
-
-# ---------------------------------------------------------------------------
-# exact rational refutation of a direction vector
-# ---------------------------------------------------------------------------
-
-#: A column of the linear system: ("s"|"t"|"g", variable name) - source
-#: side, sink side, or shared (loop-invariant parameter).
-_Col = tuple[str, str]
-
-
-class _Eliminator:
-    """Incremental Gaussian elimination over exact rationals.
-
-    Rows are linear equalities ``Σ c_v·x_v = const`` kept in reduced row
-    echelon form, so a query form reduces in one pass.  ``infeasible``
-    flips when a contradictory row (0 = nonzero) is added.
-    """
-
-    def __init__(self) -> None:
-        self.rows: dict[_Col, tuple[dict[_Col, Fraction], Fraction]] = {}
-        self.infeasible = False
-
-    def _reduce(
-        self, form: dict[_Col, Fraction], const: Fraction
-    ) -> tuple[dict[_Col, Fraction], Fraction]:
-        form = dict(form)
-        for col in sorted(form):
-            coeff = form.get(col)
-            if not coeff:
-                continue
-            pivot = self.rows.get(col)
-            if pivot is None:
-                continue
-            p_form, p_const = pivot
-            for v, c in p_form.items():
-                form[v] = form.get(v, Fraction(0)) - coeff * c
-            const -= coeff * p_const
-            form.pop(col, None)
-        return {v: c for v, c in form.items() if c}, const
-
-    def add(self, form: dict[_Col, Fraction], const: Fraction) -> None:
-        form, const = self._reduce(form, const)
-        if not form:
-            if const != 0:
-                self.infeasible = True
-            return
-        pivot_col = sorted(form)[0]
-        pivot_coeff = form.pop(pivot_col)
-        new_form = {v: c / pivot_coeff for v, c in form.items()}
-        new_const = const / pivot_coeff
-        # Keep RREF: eliminate the new pivot from every existing row.
-        for col, (r_form, r_const) in list(self.rows.items()):
-            c = r_form.get(pivot_col)
-            if not c:
-                continue
-            merged = dict(r_form)
-            merged.pop(pivot_col)
-            for v, cv in new_form.items():
-                merged[v] = merged.get(v, Fraction(0)) - c * cv
-            self.rows[col] = (
-                {v: cv for v, cv in merged.items() if cv},
-                r_const - c * new_const,
-            )
-        self.rows[pivot_col] = (new_form, new_const)
-
-    def implied_constant(
-        self, form: dict[_Col, Fraction], const: Fraction
-    ) -> Fraction | None:
-        """The constant the system forces ``form + const`` to, or None."""
-        r_form, r_const = self._reduce(form, const)
-        return r_const if not r_form else None
-
-
-class _PairSystem:
-    """Refutes one direction vector for one access pair, exactly.
-
-    Builds the equality system implied by "both references touch the
-    same element under these directions", then checks every strict
-    constraint (disequality guards, strict directions, loop bounds) for
-    a forced violation.  Only a *provable* contradiction refutes.
-    """
-
-    def __init__(
-        self,
-        common: Sequence[_Level],
-        extra_src: Sequence[_Level],
-        extra_sink: Sequence[_Level],
-        shared_ok: set[str],
-    ) -> None:
-        self.common = list(common)
-        self.extra_src = list(extra_src)
-        self.extra_sink = list(extra_sink)
-        self.common_vars = {lv.var for lv in common}
-        self.src_vars = {lv.var for lv in extra_src}
-        self.sink_vars = {lv.var for lv in extra_sink}
-        self.shared_ok = shared_ok
-
-    def _column(self, side: str, var: str) -> _Col | None:
-        if var in self.common_vars:
-            return (side, var)
-        if side == "s":
-            if var in self.src_vars:
-                return ("s", var)
-            if var in self.sink_vars:
-                return None  # other side's private index: no valid column
-        else:
-            if var in self.sink_vars:
-                return ("t", var)
-            if var in self.src_vars:
-                return None
-        if var in self.shared_ok:
-            return ("g", var)
-        return None  # unknown / possibly mutated symbol: bail out
-
-    def _linear(
-        self, e: Expr, side: str
-    ) -> tuple[dict[_Col, Fraction], Fraction] | None:
-        """``e`` as an exact linear form over tagged columns, or None."""
-        if isinstance(e, Const):
-            if isinstance(e.value, int):
-                return {}, Fraction(e.value)
-            return None
-        if isinstance(e, Var):
-            col = self._column(side, e.name)
-            if col is None:
-                return None
-            return {col: Fraction(1)}, Fraction(0)
-        if isinstance(e, Unary) and e.op == "-":
-            inner = self._linear(e.operand, side)
-            if inner is None:
-                return None
-            form, const = inner
-            return {v: -c for v, c in form.items()}, -const
-        if isinstance(e, BinOp) and e.op in ("+", "-"):
-            a = self._linear(e.lhs, side)
-            b = self._linear(e.rhs, side)
-            if a is None or b is None:
-                return None
-            sign = Fraction(1 if e.op == "+" else -1)
-            form = dict(a[0])
-            for v, c in b[0].items():
-                form[v] = form.get(v, Fraction(0)) + sign * c
-            return {v: c for v, c in form.items() if c}, a[1] + sign * b[1]
-        if isinstance(e, BinOp) and e.op == "*":
-            a = self._linear(e.lhs, side)
-            b = self._linear(e.rhs, side)
-            if a is None or b is None:
-                return None
-            if not a[0]:
-                k = a[1]
-                return {v: k * c for v, c in b[0].items()}, k * b[1]
-            if not b[0]:
-                k = b[1]
-                return {v: k * c for v, c in a[0].items()}, k * a[1]
-            return None
-        return None
-
-    @staticmethod
-    def _difference(
-        a: tuple[dict[_Col, Fraction], Fraction],
-        b: tuple[dict[_Col, Fraction], Fraction],
-    ) -> tuple[dict[_Col, Fraction], Fraction]:
-        form = dict(a[0])
-        for v, c in b[0].items():
-            form[v] = form.get(v, Fraction(0)) - c
-        return {v: c for v, c in form.items() if c}, a[1] - b[1]
-
-    def _guard_form(
-        self, cond: Expr, polarity: bool, side: str
-    ) -> tuple[str, dict[_Col, Fraction], Fraction] | None:
-        """Classify a guard as ("eq"|"ne", form, const) over one side."""
-        if not isinstance(cond, BinOp) or cond.op not in ("==", "!="):
-            return None
-        a = self._linear(cond.lhs, side)
-        b = self._linear(cond.rhs, side)
-        if a is None or b is None:
-            return None
-        kind = cond.op == "=="
-        if not polarity:
-            kind = not kind
-        form, const = self._difference(a, b)
-        return ("eq" if kind else "ne", form, const)
-
-    def refutes(
-        self,
-        src: GuardedAccess,
-        sink: GuardedAccess,
-        directions: Sequence[str],
-    ) -> bool:
-        elim = _Eliminator()
-
-        # 1. subscript equalities, dimension by dimension
-        for se, te in zip(src.ref.indices, sink.ref.indices):
-            a = self._linear(se, "s")
-            b = self._linear(te, "t")
-            if a is None or b is None:
-                continue  # non-linear dimension contributes no equation
-            form, const = self._difference(a, b)
-            elim.add(form, const)
-
-        # 2. "=" direction merges
-        for lv, d in zip(self.common, directions):
-            if d == "=":
-                elim.add(
-                    {("s", lv.var): Fraction(1), ("t", lv.var): Fraction(-1)},
-                    Fraction(0),
-                )
-
-        # 3. equality guards join the system; disequalities are checks
-        checks_ne: list[tuple[dict[_Col, Fraction], Fraction]] = []
-        for access, side in ((src, "s"), (sink, "t")):
-            for cond, polarity in access.guards:
-                classified = self._guard_form(cond, polarity, side)
-                if classified is None:
-                    continue
-                kind, form, const = classified
-                if kind == "eq":
-                    elim.add(form, const)
-                else:
-                    checks_ne.append((form, const))
-
-        if elim.infeasible:
-            return True
-
-        # 4a. disequality guards: forced to 0 => contradiction
-        for form, const in checks_ne:
-            if elim.implied_constant(form, const) == 0:
-                return True
-
-        # 4b. strict directions: "<" forces sink index - src index >= 1
-        for lv, d in zip(self.common, directions):
-            if d == "=":
-                continue
-            sign = Fraction(1 if d == "<" else -1)
-            form = {
-                ("t", lv.var): sign,
-                ("s", lv.var): -sign,
-            }
-            c = elim.implied_constant(form, Fraction(0))
-            if c is not None and c < 1:
-                return True
-
-        # 4c. affine loop bounds: lower <= index <= upper on each side
-        sides_of: list[tuple[_Level, tuple[str, ...]]] = [
-            (lv, ("s", "t")) for lv in self.common
-        ]
-        sides_of += [(lv, ("s",)) for lv in self.extra_src]
-        sides_of += [(lv, ("t",)) for lv in self.extra_sink]
-        for lv, sides in sides_of:
-            for side in sides:
-                col = self._column(side, lv.var)
-                if col is None:  # pragma: no cover - levels always resolve
-                    continue
-                idx = ({col: Fraction(1)}, Fraction(0))
-                for bound, flip in ((lv.lower, 1), (lv.upper, -1)):
-                    if bound is None:
-                        continue
-                    be = self._linear(bound, side)
-                    if be is None:
-                        continue
-                    # flip=1: index - lower >= 0; flip=-1: upper - index >= 0
-                    if flip == 1:
-                        form, const = self._difference(idx, be)
-                    else:
-                        form, const = self._difference(be, idx)
-                    c = elim.implied_constant(form, const)
-                    if c is not None and c < 0:
-                        return True
-        return False
+    return [LoopInfo.of(loop)]
 
 
 # ---------------------------------------------------------------------------
 # the scans
 # ---------------------------------------------------------------------------
-
-
-def _common_prefix(a: tuple[Loop, ...], b: tuple[Loop, ...]) -> int:
-    k = 0
-    while k < len(a) and k < len(b) and a[k] is b[k]:
-        k += 1
-    return k
-
-
-def array_access_sets(stmts: Iterable[Stmt]) -> tuple[set[str], set[str]]:
-    """``(written, read)`` array *names* touched anywhere in ``stmts``.
-
-    Reads include subscript expressions, guard conditions, loop bounds
-    and assignment right-hand sides — everything except the written
-    reference itself.  Name-level (not element-level): this is the
-    eligibility test for the runtime inspector, which is exact only when
-    ``written & read`` is empty (then every value an iteration consumes
-    is loop-invariant, so subscript-only inspection sees the same
-    addresses any interleaving would produce).
-    """
-    written: set[str] = set()
-    read: set[str] = set()
-
-    def reads_of(e: Expr) -> None:
-        stack = [e]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, ArrayRef):
-                read.add(cur.name)
-            stack.extend(cur.children())
-
-    stack = list(stmts)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Assign):
-            if isinstance(s.target, ArrayRef):
-                written.add(s.target.name)
-                for idx in s.target.indices:
-                    reads_of(idx)
-            reads_of(s.value)
-        elif isinstance(s, Block):
-            stack.extend(s.stmts)
-        elif isinstance(s, If):
-            reads_of(s.cond)
-            stack.extend((s.then, s.orelse))
-        elif isinstance(s, Loop):
-            for e in (s.lower, s.upper, s.step):
-                reads_of(e)
-            stack.append(s.body)
-    return written, read
 
 
 def inspector_eligible(loop: Loop) -> tuple[bool, str]:
@@ -732,109 +329,43 @@ def inspector_eligible(loop: Loop) -> tuple[bool, str]:
     return True, "no array is both written and read"
 
 
-def _written_scalars(stmts: Iterable[Stmt]) -> set[str]:
-    out: set[str] = set()
-    stack = list(stmts)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Assign) and isinstance(s.target, Var):
-            out.add(s.target.name)
-        elif isinstance(s, Block):
-            stack.extend(s.stmts)
-        elif isinstance(s, If):
-            stack.extend((s.then, s.orelse))
-        elif isinstance(s, Loop):
-            stack.append(s.body)
-    return out
-
-
-def _ref_source(ref: ArrayRef) -> str:
-    inner = ", ".join(expr_to_source(e) for e in ref.indices)
-    return f"{ref.name}({inner})"
+#: A carried edge over the dispatched span is a race; its kind is the rule.
+_RACE_RULE = {"flow": "RACE001", "output": "RACE002", "anti": "RACE003"}
 
 
 def _scan_races(
     loop: Loop,
     outer: Sequence[Loop],
     nest: RecoveredNest,
-    levels: Sequence[_Level],
-    shared_ok: set[str],
+    levels: Sequence[LoopInfo],
 ) -> list[SafetyFinding]:
-    """Cross-chunk races among the virtual body's array accesses."""
-    accesses = [
-        (si, acc)
-        for si, s in enumerate(nest.body)
-        for acc in collect_guarded_accesses(Block((s,)))
-    ]
-    outer_levels = [_Level.of_loop(lp) for lp in outer]
-    n_outer = len(outer_levels)
-    n_virtual = len(levels)
+    """Cross-chunk races: the carried edges among the virtual body."""
     findings: list[SafetyFinding] = []
-    seen: set[tuple] = set()
-
-    for src_i, src in accesses:
-        if not src.is_write:
-            continue
-        for sink_i, sink in accesses:
-            if src.ref.name != sink.ref.name:
-                continue
-            k = _common_prefix(src.inner_chain, sink.inner_chain)
-            shared = [_Level.of_loop(lp) for lp in src.inner_chain[:k]]
-            common = outer_levels + list(levels) + shared
-            extra_src = [_Level.of_loop(lp) for lp in src.inner_chain[k:]]
-            extra_sink = [_Level.of_loop(lp) for lp in sink.inner_chain[k:]]
-            tester = DependenceTester(
-                [lv.info for lv in common],
-                [lv.info for lv in extra_src],
-                [lv.info for lv in extra_sink],
+    # dict.fromkeys: one finding per distinct edge, in scan order
+    for dep in dict.fromkeys(dependences(loop, outer, levels, nest.body)):
+        rule = _RACE_RULE[dep.kind]
+        sink_what = "write" if dep.kind == "output" else "read"
+        qualifier = "" if dep.exact else " (assumed: non-affine subscript)"
+        message = (
+            f"{RULES[rule]} on {dep.array}: write "
+            f"{expr_to_source(dep.src_ref)} vs {sink_what} "
+            f"{expr_to_source(dep.dst_ref)} at directions "
+            f"({', '.join(dep.directions)}){qualifier}"
+        )
+        findings.append(
+            SafetyFinding(
+                rule=rule,
+                severity="error",
+                loop_var=loop.var,
+                message=message,
+                hint=_HINTS[rule],
+                array=dep.array,
+                directions=dep.directions,
+                exact=dep.exact,
+                src_stmt=dep.src_stmt,
+                dst_stmt=dep.dst_stmt,
             )
-            system = _PairSystem(common, extra_src, extra_sink, shared_ok)
-            all_vars = [lv.var for lv in common + extra_src + extra_sink]
-            exact = all(
-                affine_of(e, all_vars) is not None
-                for e in (*src.ref.indices, *sink.ref.indices)
-            )
-            for directions in tester.feasible_directions(src.ref, sink.ref):
-                if any(d != "=" for d in directions[:n_outer]):
-                    continue  # different serial-outer iteration
-                vspan = directions[n_outer : n_outer + n_virtual]
-                if all(d == "=" for d in vspan):
-                    continue  # same flat iteration: serial inside the chunk
-                if system.refutes(src, sink, directions):
-                    continue
-                first = next(d for d in vspan if d != "=")
-                if sink.is_write:
-                    rule = "RACE002"
-                elif first == "<":
-                    rule = "RACE001"
-                else:
-                    rule = "RACE003"
-                key = (rule, src.ref, sink.ref, directions, src_i, sink_i)
-                if key in seen:
-                    continue
-                seen.add(key)
-                sink_what = "write" if sink.is_write else "read"
-                qualifier = "" if exact else " (assumed: non-affine subscript)"
-                message = (
-                    f"{RULES[rule]} on {src.ref.name}: write "
-                    f"{_ref_source(src.ref)} vs {sink_what} "
-                    f"{_ref_source(sink.ref)} at directions "
-                    f"({', '.join(directions)}){qualifier}"
-                )
-                findings.append(
-                    SafetyFinding(
-                        rule=rule,
-                        severity="error",
-                        loop_var=loop.var,
-                        message=message,
-                        hint=_HINTS[rule],
-                        array=src.ref.name,
-                        directions=directions,
-                        exact=exact,
-                        src_stmt=src_i,
-                        dst_stmt=sink_i,
-                    )
-                )
+        )
     return findings
 
 
@@ -844,17 +375,14 @@ def _scan_scalars(
     nest: RecoveredNest,
 ) -> list[SafetyFinding]:
     """Scalars the chunk kernel receives that are not provably private."""
-    body = Block(nest.body)
-    exposed, _ = upward_exposed_scalars(body)
-    written = _written_scalars(body.stmts)
     bound = set(nest.index_vars) | {loop.var} | {lp.var for lp in outer}
     findings: list[SafetyFinding] = []
-    for name in sorted((exposed & written) - bound):
+    for name in sorted(exposed_written_scalars(Block(nest.body), bound)):
         src_stmt = next(
             (
                 si
                 for si, s in enumerate(nest.body)
-                if name in _written_scalars([s])
+                if name in written_scalars([s])
             ),
             None,
         )
@@ -896,11 +424,7 @@ def _verify_dispatch(
     params = set(proc.scalars) | {lp.var for lp in outer}
     nest = recognize_recovered_nest(loop, params)
     levels = _virtual_levels(loop, nest)
-    # Shared symbolic columns are only sound for symbols that provably
-    # hold one value on both sides of a dependence: never-written
-    # procedure parameters.
-    shared_ok = set(proc.scalars) - _written_scalars(proc.body.stmts)
-    findings = _scan_races(loop, outer, nest, levels, shared_ok)
+    findings = _scan_races(loop, outer, nest, levels)
     findings += _scan_scalars(loop, outer, nest)
     # Recognized reductions: the accumulator is genuinely carried
     # (PRIV002 is *correct*), but the runtime executes the loop as

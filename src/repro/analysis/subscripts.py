@@ -11,7 +11,7 @@ conservatively (dependence assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container
 
 from repro.ir.expr import BinOp, Const, Expr, Unary, Var
 
@@ -60,14 +60,13 @@ class AffineForm:
         return self.const + sum(c * env[v] for v, c in self.coeffs)
 
 
-def affine_of(expr: Expr, loop_vars: Iterable[str]) -> AffineForm | None:
+def affine_of(expr: Expr, loop_vars: Container[str]) -> AffineForm | None:
     """Extract an affine form over ``loop_vars``, or None if not affine.
 
     Variables outside ``loop_vars`` (symbolic problem sizes etc.) make the
     subscript non-affine *for dependence purposes* — their runtime value is
     unknown, so no exact test applies.
     """
-    allowed = set(loop_vars)
 
     def go(e: Expr) -> AffineForm | None:
         if isinstance(e, Const):
@@ -75,7 +74,7 @@ def affine_of(expr: Expr, loop_vars: Iterable[str]) -> AffineForm | None:
                 return AffineForm((), e.value)
             return None
         if isinstance(e, Var):
-            if e.name in allowed:
+            if e.name in loop_vars:
                 return AffineForm(((e.name, 1),), 0)
             return None
         if isinstance(e, Unary) and e.op == "-":

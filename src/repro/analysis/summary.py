@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.doall import (
-    _scalar_writes,
-    classify_loop,
+    blocking_scalars,
     loop_carried_dependences,
-    upward_exposed_scalars,
+    mark_doall,
 )
 from repro.ir.printer import to_source
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
@@ -98,29 +97,20 @@ class ProcedureSummary:
 
 
 def _verdict_for(loop: Loop, outer: tuple[Loop, ...]) -> LoopVerdict:
-    parallel = classify_loop(loop, outer)
-    carried: tuple[str, ...] = ()
-    scalars: tuple[str, ...] = ()
-    if not parallel:
-        deps = loop_carried_dependences(loop, outer)
-        carried = tuple(sorted({d.array for d in deps}))
-        exposed, _ = upward_exposed_scalars(loop.body)
-        bound = {loop.var} | {lp.var for lp in outer}
-        scalars = tuple(sorted((exposed - bound) & _scalar_writes(loop.body)))
+    deps = loop_carried_dependences(loop, outer)
+    scalars = blocking_scalars(loop, outer)
     return LoopVerdict(
         var=loop.var,
         level=len(outer),
         source_kind=str(loop.kind),
-        parallel=parallel,
-        carried_arrays=carried,
-        blocking_scalars=scalars,
+        parallel=not deps and not scalars,
+        carried_arrays=tuple(sorted({d.array for d in deps})),
+        blocking_scalars=tuple(sorted(scalars)),
     )
 
 
 def analyze_procedure(proc: Procedure) -> ProcedureSummary:
     """Analyse every loop and plan coalescing (without transforming)."""
-    from repro.analysis.doall import mark_doall
-
     summary = ProcedureSummary(proc.name)
 
     def walk(s: Stmt, outer: tuple[Loop, ...]) -> None:

@@ -50,15 +50,18 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from http.server import ThreadingHTTPServer
 
 from repro import wire
 from repro.cluster.jobs import AdmissionError, Job, JobQueue
 from repro.cluster.quotas import TenantQuotas
 from repro.cluster.replica import ReplicaHandle, ReplicaSupervisor
-from repro.parallel.observe import TransportCounters, metrics_snapshot
+from repro.parallel.observe import metrics_snapshot
 from repro.service.client import TRANSIENT_ERRORS, ServiceError
-from repro.service.server import JsonRequestHandler, RequestError
+from repro.service.server import (
+    AccountingHTTPServer,
+    JsonRequestHandler,
+    RequestError,
+)
 
 #: Seconds a synchronous endpoint waits for its job before giving up (504).
 DEFAULT_SYNC_TIMEOUT_S = 300.0
@@ -70,10 +73,8 @@ JOB_KINDS = ("compile", "run", "lint")
 STICKY_CAPACITY = 1024
 
 
-class ClusterRouter(ThreadingHTTPServer):
+class ClusterRouter(AccountingHTTPServer):
     """HTTP front door over a :class:`ReplicaSupervisor` fleet."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -84,31 +85,23 @@ class ClusterRouter(ThreadingHTTPServer):
         sync_timeout_s: float = DEFAULT_SYNC_TIMEOUT_S,
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, _RouterHandler)
+        super().__init__(
+            address,
+            _RouterHandler,
+            (
+                "requests", "errors", "routed_compile", "routed_run",
+                "routed_lint", "repairs", "sticky_hits", "bytes_in",
+                "bytes_out",
+            ),
+            verbose,
+        )
         self.supervisor = supervisor
         self.queue = queue or JobQueue()
         self.sync_timeout_s = sync_timeout_s
-        self.verbose = verbose
         #: key -> the /compile body that produced it (404-repair replays).
         self._compiles: dict[str, dict] = {}
         #: key -> replica index that last served it (sticky routing, LRU).
         self._sticky: OrderedDict[str, int] = OrderedDict()
-        self.counters = {
-            "requests": 0,
-            "errors": 0,
-            "routed_compile": 0,
-            "routed_run": 0,
-            "routed_lint": 0,
-            "repairs": 0,
-            "sticky_hits": 0,
-            "bytes_in": 0,
-            "bytes_out": 0,
-        }
-        #: Run requests by transport (json / wire / shm).
-        self.transport = TransportCounters()
-        self._state_lock = threading.Lock()
-        self._inflight = 0
-        self._started = time.monotonic()
         self._stopping = threading.Event()
         self._paused = threading.Event()
         n_dispatchers = (
@@ -126,38 +119,6 @@ class ClusterRouter(ThreadingHTTPServer):
         ]
         for t in self._dispatchers:
             t.start()
-
-    # -- bookkeeping shared with JsonRequestHandler ------------------------
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._state_lock:
-            self.counters[name] += by
-
-    def bump_transport(self, transport: str) -> None:
-        with self._state_lock:
-            self.transport.bump(transport)
-
-    def begin_request(self) -> None:
-        with self._state_lock:
-            self._inflight += 1
-
-    def end_request(self) -> None:
-        with self._state_lock:
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        with self._state_lock:
-            return self._inflight
-
-    def drain(self, deadline_s: float = 5.0) -> bool:
-        t0 = time.monotonic()
-        while self.inflight > 0 and time.monotonic() - t0 < deadline_s:
-            time.sleep(0.02)
-        return self.inflight == 0
 
     # -- maintenance hooks -------------------------------------------------
     def pause(self) -> None:

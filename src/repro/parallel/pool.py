@@ -4,8 +4,9 @@ Paying one fleet of ``fork``/``spawn`` calls, one fresh queue, and one
 chunk-source compile *per dispatched DOALL* makes a hybrid program like
 Gauss–Jordan (one dispatch per pivot row) process-creation bound —
 exactly the per-dispatch scheduling overhead the paper's coalescing
-transformation exists to amortize (``BENCH_p02`` measured 30–166×).  A
-:class:`WorkerPool` moves all of that to setup time:
+transformation exists to amortize (the ruler's ``nest_dispatch``
+workload measures what is left of it).  A :class:`WorkerPool` moves all
+of that to setup time:
 
 * worker processes are spawned **once**, with the shared-memory array
   views and the (resettable) shared claim counter already attached;

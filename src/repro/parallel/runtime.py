@@ -19,8 +19,8 @@ are borrowed from a caller that keeps a warm fleet — the server's
 per-shape pools), each dispatch is a job message plus a gather barrier,
 chunk sources are cached by loop shape on both sides, and the shared
 claim counter is reset between loops instead of recreated.  (A
-spawn-per-dispatch engine preceded it; ``BENCH_p02`` is the record of
-why it is gone.)
+spawn-per-dispatch engine preceded it; DESIGN.md keeps the reason it
+is gone.)
 
 ``claim_batch=k`` lets unit/fixed self-scheduling take ``k`` chunks per
 claim (GSS keeps its one-chunk atomic read-of-remaining semantics — see

@@ -34,10 +34,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.doall import upward_exposed_scalars
+from repro.analysis.dependence import exposed_written_scalars
 from repro.analysis.safety import inspector_eligible
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Unary, Var
-from repro.ir.stmt import Assign, Block, If, Loop, Stmt
+from repro.ir.stmt import Assign, Block, Loop
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
 __all__ = [
@@ -59,20 +59,7 @@ def scalar_hazards(loop: Loop) -> set[str]:
     value across iterations, which neither inspection nor speculation can
     recover (workers never ship scalar state back).
     """
-    exposed, _ = upward_exposed_scalars(loop.body)
-    written: set[str] = set()
-    stack: list[Stmt] = [loop.body]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Assign) and isinstance(s.target, Var):
-            written.add(s.target.name)
-        elif isinstance(s, Block):
-            stack.extend(s.stmts)
-        elif isinstance(s, If):
-            stack.extend((s.then, s.orelse))
-        elif isinstance(s, Loop):
-            stack.append(s.body)
-    return (exposed & written) - {loop.var}
+    return exposed_written_scalars(loop.body, {loop.var})
 
 
 @dataclass

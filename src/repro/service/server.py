@@ -241,39 +241,34 @@ class PoolRegistry:
                     wp.lock.release()
 
 
-class ReproServer(ThreadingHTTPServer):
-    """The resident compile-and-run service."""
+class AccountingHTTPServer(ThreadingHTTPServer):
+    """The server side of :class:`JsonRequestHandler`'s contract.
+
+    The handler counts requests, errors and bytes, and brackets every
+    request with ``begin_request``/``end_request``; this base owns those
+    counters and the in-flight tally (what :meth:`drain` waits on during
+    graceful shutdown) for both HTTP front doors — :class:`ReproServer`
+    and :class:`repro.cluster.router.ClusterRouter`.
+    """
 
     daemon_threads = True
 
     def __init__(
         self,
-        address: tuple[str, int] = ("127.0.0.1", 0),
-        cache: object = "default",
-        max_pools: int = 4,
+        address: tuple[str, int],
+        handler: type[BaseHTTPRequestHandler],
+        counters: tuple[str, ...],
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, _Handler)
-        self.cache = resolve_cache(cache)
+        super().__init__(address, handler)
         self.verbose = verbose
-        self.programs: dict[str, CompiledProgram] = {}
-        self.pools = PoolRegistry(max_pools)
-        self.counters = {
-            "requests": 0,
-            "compiles": 0,
-            "compile_cache_hits": 0,
-            "runs": 0,
-            "lints": 0,
-            "errors": 0,
-            "bytes_in": 0,
-            "bytes_out": 0,
-        }
+        self.counters = dict.fromkeys(counters, 0)
+        #: Run requests by transport (json / wire / shm).
         self.transport = TransportCounters()
         self._state_lock = threading.Lock()
         self._started = time.monotonic()
         self._inflight = 0
 
-    # -- state ------------------------------------------------------------
     @property
     def port(self) -> int:
         return self.server_address[1]
@@ -310,6 +305,30 @@ class ReproServer(ThreadingHTTPServer):
         while self.inflight > 0 and time.monotonic() - t0 < deadline_s:
             time.sleep(0.02)
         return self.inflight == 0
+
+
+class ReproServer(AccountingHTTPServer):
+    """The resident compile-and-run service."""
+
+    def __init__(
+        self,
+        address: tuple[str, int] = ("127.0.0.1", 0),
+        cache: object = "default",
+        max_pools: int = 4,
+        verbose: bool = False,
+    ) -> None:
+        super().__init__(
+            address,
+            _Handler,
+            (
+                "requests", "compiles", "compile_cache_hits", "runs",
+                "lints", "errors", "bytes_in", "bytes_out",
+            ),
+            verbose,
+        )
+        self.cache = resolve_cache(cache)
+        self.programs: dict[str, CompiledProgram] = {}
+        self.pools = PoolRegistry(max_pools)
 
     def server_metrics(self) -> dict:
         with self._state_lock:

@@ -12,9 +12,11 @@ pieces that the mp runtime never dispatches.  Fission closes that gap:
    dependence cycle must stay in one loop; acyclic components may be
    separated and the topological order preserves every cross-component
    dependence);
-3. re-classify each acyclic piece with the DOALL analyser
-   (:func:`repro.analysis.doall.classify_loop`) — clean pieces become
-   dispatchable DOALL loops, cyclic residues stay serial.
+3. tag each piece from the same graph: an acyclic component has no
+   carried array edge and no unprivate scalar — exactly
+   :func:`repro.analysis.doall.classify_loop`'s criterion, read off the
+   edge set it shares with the PDG — so it becomes a dispatchable DOALL
+   loop; cyclic residues stay serial.
 
 The verifier remains the oracle: every fissioned procedure re-enters
 the normal coalesce→verify→dispatch pipeline and
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.doall import classify_loop
 from repro.analysis.pdg import PDG, PDGEdge, build_pdg
 from repro.analysis.safety import SafetyFinding
 from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure, Stmt
@@ -138,14 +139,11 @@ class FissionResult:
 
 def _pick_blocking_edge(pdg: PDG, component: tuple[int, ...]) -> PDGEdge | None:
     """A representative edge of the cycle: prefer carried array edges."""
-    edges = pdg.blocking_edges(component)
-    for e in edges:
-        if e.kind != "scalar" and e.carried:
-            return e
-    for e in edges:
-        if e.carried:
-            return e
-    return edges[0] if edges else None
+    return min(
+        pdg.blocking_edges(component),
+        key=lambda e: (not e.carried, e.kind == "scalar"),
+        default=None,
+    )
 
 
 def fission_loop(
@@ -174,7 +172,7 @@ def fission_loop(
     for comp in components:
         body = Block(tuple(stmts[k] for k in comp))
         piece = loop.with_body(body)
-        doall = not pdg.cyclic(comp) and classify_loop(piece, outer)
+        doall = not pdg.cyclic(comp)
         kind = LoopKind.DOALL if doall else LoopKind.SERIAL
         out.append(piece.with_kind(kind))
         pieces.append(FissionPiece(comp, "doall" if doall else "serial"))

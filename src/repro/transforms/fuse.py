@@ -22,37 +22,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.dependence import DependenceTester, LoopInfo
-from repro.analysis.doall import collect_accesses
-from repro.analysis.pdg import _scalar_reads, _scalar_writes
-from repro.ir.expr import Expr, Var
+from repro.analysis.dependence import upward_exposed_scalars, written_scalars
+from repro.analysis.pdg import dependences
+from repro.ir.expr import Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
-from repro.ir.visitor import transform_exprs
+from repro.ir.visitor import free_vars
 from repro.transforms.base import TransformError
+from repro.transforms.normalize import substitute_induction
 
 
-def _headers_conformable(a: Loop, b: Loop) -> bool:
-    return (
-        a.lower == b.lower
-        and a.upper == b.upper
-        and a.step == b.step
-        and a.kind == b.kind
-    )
-
-
-def _rename_induction(body: Block, old: str, new: str) -> Block:
-    """Rename the induction variable uses in a loop body."""
-    if old == new:
-        return body
-
-    def fn(e: Expr) -> Expr:
-        if isinstance(e, Var) and e.name == old:
-            return Var(new)
-        return e
-
-    out = transform_exprs(body, fn)
-    assert isinstance(out, Block)
-    return out
+def _fused(first: Loop, second: Loop) -> Loop:
+    """``first`` running both bodies, ``second``'s index renamed to its own."""
+    aligned = substitute_induction(second.body, second.var, Var(first.var))
+    return first.with_body(Block(first.body.stmts + aligned.stmts))
 
 
 def fusion_preventing(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> bool:
@@ -62,50 +44,26 @@ def fusion_preventing(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> 
     ``first``'s for the test.
     """
     # Scalars: a written scalar vetoes fusion only when some use of it is
-    # *upward-exposed* (read before any same-iteration write) — then its
-    # value flows between loop instances with no per-iteration alignment.
-    # Private temporaries (defined before use in their own body, like the
-    # index-recovery scalars coalescing emits) are harmless.
-    from repro.analysis.doall import upward_exposed_scalars
-
+    # *upward-exposed* (read before any same-iteration write) in either
+    # loop — then its value flows between loop instances with no
+    # per-iteration alignment.  Private temporaries (defined before use
+    # in their own body, like the index-recovery scalars coalescing
+    # emits) are harmless.
     e1, _ = upward_exposed_scalars(first.body)
     e2, _ = upward_exposed_scalars(second.body)
-    w1 = _scalar_writes(first.body) - {first.var}
-    w2 = _scalar_writes(second.body) - {second.var}
-    exposed = (e1 | e2) - {first.var, second.var}
-    if (w1 | w2) & exposed:
+    written = written_scalars((first.body, second.body))
+    if written & ((e1 | e2) - {first.var, second.var}):
         return True
 
-    second_aligned = second.with_body(
-        _rename_induction(second.body, second.var, first.var)
-    )
-    acc1 = collect_accesses(first.body)
-    acc2 = collect_accesses(second_aligned.body)
-    level = len(outer)
-    for x in acc1:
-        for y in acc2:
-            if x.ref.name != y.ref.name:
-                continue
-            if not (x.is_write or y.is_write):
-                continue
-            k = 0
-            while (
-                k < len(x.inner_chain)
-                and k < len(y.inner_chain)
-                and x.inner_chain[k] == y.inner_chain[k]
-            ):
-                k += 1
-            common = list(outer) + [first] + list(x.inner_chain[:k])
-            tester = DependenceTester(
-                [LoopInfo.of(lp) for lp in common],
-                [LoopInfo.of(lp) for lp in x.inner_chain[k:]],
-                [LoopInfo.of(lp) for lp in y.inner_chain[k:]],
-            )
-            for directions in tester.feasible_directions(x.ref, y.ref):
-                if any(d != "=" for d in directions[:level]):
-                    continue
-                if directions[level] == ">":
-                    return True
+    # Arrays: in the fused candidate, an edge whose earlier instance sits
+    # in the second body and whose later one sits in the first is a
+    # dependence the unfused order (all of first, then all of second)
+    # ran the other way round.
+    split = len(first.body.stmts)
+    for dep in dependences(_fused(first, second), outer):
+        before, after, _ = dep.oriented()
+        if after < split <= before:
+            return True
     return False
 
 
@@ -115,7 +73,9 @@ def fuse(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> Loop:
     The fused loop keeps ``first``'s induction variable; ``second``'s body
     is renamed accordingly and appended.
     """
-    if not _headers_conformable(first, second):
+    if (first.lower, first.upper, first.step, first.kind) != (
+        second.lower, second.upper, second.step, second.kind
+    ):
         raise TransformError(
             "cannot fuse: loop headers differ (bounds, step, or kind)"
         )
@@ -125,14 +85,13 @@ def fuse(first: Loop, second: Loop, outer: Sequence[Loop] = ()) -> Loop:
             "shared across the loops)"
         )
     if second.var != first.var and first.var in (
-        _scalar_writes(second.body) | _scalar_reads(second.body)
+        written_scalars([second.body]) | free_vars(second.body)
     ):
         raise TransformError(
             f"cannot fuse: renaming {second.var!r} to {first.var!r} would "
             f"capture an existing use of {first.var!r} in the second body"
         )
-    renamed = _rename_induction(second.body, second.var, first.var)
-    return first.with_body(Block(first.body.stmts + renamed.stmts))
+    return _fused(first, second)
 
 
 def fuse_procedure(proc: Procedure, max_rounds: int = 4) -> Procedure:
@@ -142,16 +101,13 @@ def fuse_procedure(proc: Procedure, max_rounds: int = 4) -> Procedure:
         out: list[Stmt] = []
         for s in stmts:
             s = descend(s, outer)
-            if (
-                out
-                and isinstance(out[-1], Loop)
-                and isinstance(s, Loop)
-                and _headers_conformable(out[-1], s)
-                and not fusion_preventing(out[-1], s, outer)
-            ):
-                out[-1] = fuse(out[-1], s, outer)
-            else:
-                out.append(s)
+            if out and isinstance(out[-1], Loop) and isinstance(s, Loop):
+                try:
+                    out[-1] = fuse(out[-1], s, outer)
+                    continue
+                except TransformError:
+                    pass  # not fusable: keep both
+            out.append(s)
         return tuple(out)
 
     def descend(s: Stmt, outer: tuple[Loop, ...]) -> Stmt:

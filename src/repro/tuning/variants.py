@@ -1,18 +1,20 @@
 """The variant catalog: every way this repo can build one chunk kernel.
 
-ComPar-style (PAPERS.md #4): instead of hard-coding one compiler and one
-flag set, the farm enumerates candidate builds of the *same* chunk shape —
-gcc vs clang, ``-O2``/``-O3``/``-march=native``, the whole-slice numpy
-chunk, and the interpreted chunk — and the calibrator
-(:mod:`repro.tuning.calibrate`) measures which one wins on this host.
+ComPar-style (PAPERS.md #4): instead of hard-coding one flag set, the farm
+enumerates candidate builds of the *same* chunk shape — gcc ``-O2`` and
+``-O3``, the whole-slice numpy chunk, and the interpreted chunk — and the
+calibrator (:mod:`repro.tuning.calibrate`) measures which one wins on this
+host.  The catalog holds only what a supported host can build and what
+has ever won a calibration: measure candidates, don't keep losers.
 Every build is single-threaded: the calibrator times kernels in the
 parent, and a libgomp thread team started there deadlocks the next
 forked worker, so there is no in-chunk OpenMP build.
 
-Availability is probed, never assumed: clang variants vanish on gcc-only
-hosts, and the numpy variant requires the shape to pass
+Availability is probed, never assumed: the compiled variants vanish on
+compiler-less hosts, and the numpy variant requires the shape to pass
 :mod:`repro.codegen.npgen`'s safety rules.  A host with no compiler at
-all still has a farm: numpy + py.
+all still has a farm: numpy + py.  A pinned decision naming a variant
+that has since left the catalog resolves to the host default.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ class Variant:
 VARIANTS: tuple[Variant, ...] = (
     Variant("gcc-O2", "c", cc="gcc", optimize="-O2"),
     Variant("gcc-O3", "c", cc="gcc", optimize="-O3"),
-    # -ffp-contract=off: -march=native would otherwise fuse multiply-adds
-    # (FMA), breaking the farm's bit-for-bit-equals-serial contract.
-    Variant(
-        "gcc-native", "c", cc="gcc",
-        optimize="-O3 -march=native -ffp-contract=off",
-    ),
-    Variant("clang-O2", "c", cc="clang", optimize="-O2"),
-    Variant("clang-O3", "c", cc="clang", optimize="-O3"),
-    Variant(
-        "clang-native", "c", cc="clang",
-        optimize="-O3 -march=native -ffp-contract=off",
-    ),
     Variant("numpy", "numpy"),
     Variant("py", "py"),
 )
@@ -104,8 +94,8 @@ def available_variants(lang: str = "auto", names=None) -> list[Variant]:
     string) instead selects an explicit subset — explicit names override
     the language restriction (``variants="numpy"`` forces the numpy build
     even where the resolved language is ``"c"``); unknown names raise,
-    requested-but-unavailable names are silently dropped (a pinned clang
-    decision must not crash a gcc-only host).
+    requested-but-unavailable names are silently dropped (a pinned gcc
+    decision must not crash a compiler-less host).
     """
     wanted = _normalize_names(names)
     out: list[Variant] = []

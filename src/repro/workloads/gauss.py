@@ -6,10 +6,11 @@ inherently serial; inside it the row-update loop is parallel (guarded by
 ``i ≠ j``); the final solution extraction is a perfectly nested DOALL pair —
 the nest the coalescing pass targets (E8).
 
-The update ``i`` loop is tagged DOALL by hand: the ``i ≠ j`` guard makes the
-write AB(i, k) and the read AB(j, k) disjoint, which the dependence tester
-(guard-blind by design) cannot prove.  This mirrors the paper's setting,
-where the restructurer or the programmer supplies the parallel tag.
+The update ``i`` loop carries its DOALL tag in the source, as in the paper's
+setting where the restructurer supplies it; ``mark_doall`` re-derives the
+same tag, because the ``i ≠ j`` guard makes the write AB(i, k) and the read
+AB(j, k) disjoint and the dependence tester's rational refutation sees
+guards.
 """
 
 from __future__ import annotations

@@ -4,12 +4,7 @@ import itertools
 
 import pytest
 
-from repro.analysis.dependence import (
-    DependenceTester,
-    LoopInfo,
-    direction_vectors,
-    has_dependence,
-)
+from repro.analysis.dependence import DependenceTester, LoopInfo
 from repro.frontend.dsl import parse_expr
 from repro.ir.builder import assign, c, ref, serial, v
 from repro.ir.expr import ArrayRef
@@ -144,12 +139,13 @@ class TestConservatism:
 class TestHelpers:
     def test_direction_vectors_from_loops(self):
         lp = serial("i", 1, 10)(assign(ref("A", v("i")), c(0.0)))
-        dirs = direction_vectors(aref("A(i)"), aref("A(i - 2)"), [lp])
-        assert dirs == [("<",)]
+        t = DependenceTester([LoopInfo.of(lp)])
+        assert t.feasible_directions(aref("A(i)"), aref("A(i - 2)")) == [("<",)]
 
     def test_has_dependence_false_for_distinct_arrays(self):
         lp = serial("i", 1, 10)(assign(ref("A", v("i")), c(0.0)))
-        assert not has_dependence(aref("A(i)"), aref("B(i)"), [lp])
+        t = DependenceTester([LoopInfo.of(lp)])
+        assert t.feasible_directions(aref("A(i)"), aref("B(i)")) == []
 
     def test_single_iteration_loop_no_cross(self):
         loops = [LoopInfo("i", 3, 3)]

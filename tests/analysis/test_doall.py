@@ -1,13 +1,15 @@
 """Unit tests for DOALL classification and auto-tagging."""
 
 
+from repro.analysis.dependence import (
+    collect_guarded_accesses,
+    upward_exposed_scalars,
+)
 from repro.analysis.doall import (
     classify_loop,
-    collect_accesses,
     interchange_legal,
     loop_carried_dependences,
     mark_doall,
-    upward_exposed_scalars,
 )
 from repro.frontend.dsl import parse
 from repro.ir.builder import assign, c, doall, if_, proc, ref, serial, v
@@ -193,6 +195,19 @@ class TestInterchangeLegal:
         )
         assert not interchange_legal(lp)
 
+    def test_anti_dependence_with_less_greater_illegal(self):
+        # A(i, j) = A(i+1, j-1): iteration (i, j) reads what (i+1, j-1)
+        # overwrites — an anti dependence with direction (<, >).
+        lp = serial("i", 1, 8)(
+            serial("j", 2, 9)(
+                assign(
+                    ref("A", v("i"), v("j")),
+                    ref("A", v("i") + 1, v("j") - 1),
+                )
+            )
+        )
+        assert not interchange_legal(lp)
+
     def test_less_equal_dependence_legal(self):
         # A(i, j) = A(i-1, j): direction (<, =) survives interchange.
         lp = serial("i", 2, 9)(
@@ -212,7 +227,7 @@ class TestCollectAccesses:
         lp = serial("i", 1, 5)(
             assign(ref("A", v("i")), ref("B", v("i")) + ref("A", v("i") - 1))
         )
-        acc = collect_accesses(lp.body)
+        acc = collect_guarded_accesses(lp.body)
         writes = [a for a in acc if a.is_write]
         reads = [a for a in acc if not a.is_write]
         assert len(writes) == 1 and writes[0].ref.name == "A"
@@ -221,5 +236,5 @@ class TestCollectAccesses:
     def test_inner_chain_recorded(self):
         lp = serial("j", 1, 5)(assign(ref("A", v("j")), c(0.0)))
         outer_body = serial("i", 1, 5)(lp).body
-        acc = collect_accesses(outer_body)
+        acc = collect_guarded_accesses(outer_body)
         assert all(len(a.inner_chain) == 1 for a in acc)

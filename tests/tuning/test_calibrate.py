@@ -196,11 +196,10 @@ class TestRemovedVariantPin:
     def test_pinned_blob_naming_a_removed_variant_runs_the_default(
         self, tmp_path
     ):
-        """A cache written before the in-chunk OpenMP builds were removed
-        still resolves: the pin's batch is kept, its variant falls to the
-        host default exactly like an unavailable ``clang-*`` pin."""
-        reset_tuning_memo()
-        cache = ArtifactCache(str(tmp_path / "old_cache"))
+        """A cache written before a variant left the catalog (the in-chunk
+        OpenMP builds, then ``*-native`` and ``clang-*``) still resolves:
+        the pin's batch is kept, its variant falls to the host default
+        exactly like a pin the host cannot build."""
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         loop = proc.body.stmts[0]
@@ -208,24 +207,29 @@ class TestRemovedVariantPin:
         n = sc["n"] * sc["m"]
         plan = policy_plan("unit", n, 2, None)
         lang = resolve_chunk_lang(None)
-        tuner = DispatchTuner(lang, calibrate=True, store=cache)
-        full_key, _ = tuner._decision_keys(proc, loop, (), sc, plan, 2, None)
-        blob = {
-            "schema": "repro.tuning/v1",
-            "variant": "gcc-omp",
-            "claim_batch": 8,
-            "per_iter_s": 1e-8,
-            "counter_s": 1e-6,
-            "full": True,
-            "measurements": {"gcc-omp": 1e-8, "gcc-O2": 2e-8},
-        }
-        cache.put(full_key, {"decision.json": json.dumps(blob)})
+        for removed in ("gcc-omp", "gcc-native", "clang-O3"):
+            reset_tuning_memo()
+            cache = ArtifactCache(str(tmp_path / f"old_cache_{removed}"))
+            tuner = DispatchTuner(lang, calibrate=True, store=cache)
+            full_key, _ = tuner._decision_keys(
+                proc, loop, (), sc, plan, 2, None
+            )
+            blob = {
+                "schema": "repro.tuning/v1",
+                "variant": removed,
+                "claim_batch": 8,
+                "per_iter_s": 1e-8,
+                "counter_s": 1e-6,
+                "full": True,
+                "measurements": {removed: 1e-8, "gcc-O2": 2e-8},
+            }
+            cache.put(full_key, {"decision.json": json.dumps(blob)})
 
-        caches = _DispatchCaches()
-        caches.store = cache
-        d = tuner.decision_for(
-            proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
-        )
-        assert tuner.pinned_hits == 1 and tuner.calibrations == 0
-        assert d.variant == default_variant(lang).name
-        assert d.claim_batch == 8
+            caches = _DispatchCaches()
+            caches.store = cache
+            d = tuner.decision_for(
+                proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
+            )
+            assert tuner.pinned_hits == 1 and tuner.calibrations == 0
+            assert d.variant == default_variant(lang).name, removed
+            assert d.claim_batch == 8

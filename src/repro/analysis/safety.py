@@ -95,6 +95,12 @@ RULES: dict[str, str] = {
     "FISS001": "fission applied",
     "FISS002": "fission refused",
     "RED001": "recognized reduction",
+    "SPMD001": "region refused: reduction",
+    "SPMD002": "region refused: blocked loop",
+    "SPMD003": "region refused: run-time safety decision",
+    "SPMD004": "region refused: skeleton is not pure control",
+    "SPMD005": "region refused: static policy",
+    "SPMD006": "region refused: no native kernel or region unit",
 }
 
 _HINTS: dict[str, str] = {

@@ -329,10 +329,14 @@ def _run_transformed(args, workload, proc) -> int:
         label = (
             f"mp[{args.policy}, {args.workers} workers, "
             f"{variant_info}, "
-            f"{len(result.dispatches)} dispatches{blocked}, "
+            f"{len(result.dispatches)} dispatches in "
+            f"{result.fork_joins} fork/join"
+            f"{'' if result.fork_joins == 1 else 's'}{blocked}, "
             f"{result.claims} claims, {result.lock_ops} lock ops, "
             f"{result.claim_loop} claim loop]"
         )
+        if result.region not in (None, "native"):
+            print(f"region: not used ({result.region})")
         if result.safety_mode == "speculate":
             print(
                 f"speculate: inspected={result.inspected} "

@@ -627,3 +627,269 @@ def generate_chunk_c(
     lines.append(f"    {fname}({', '.join(['__lo', '__hi'] + slots)});")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The SPMD region: one native fork/join for a serial-outer nest
+# ---------------------------------------------------------------------------
+
+#: ``<procedure name> + REGION_SUFFIX`` is the program's region driver.
+REGION_SUFFIX = "__region"
+
+#: The fixed half of a region unit (the generated half is the program's
+#: serial skeleton, :func:`generate_region_c`).  Every worker of the fleet
+#: runs the whole skeleton (SPMD); at each non-empty DOALL *instance* they
+#: meet at ``barrier_``, whose last arriver arms the two counter words with
+#: that instance's range, and then drain it through the claim loop
+#: (:data:`CLAIM_LOOP_C`, reached through a function pointer — that
+#: library is not rebuilt).  An empty instance is no dispatch: no barrier,
+#: nothing armed, exactly as the per-dispatch path sends no job for one.
+#:
+#: * ``bar`` is three int64 words beside the counter: arrived count,
+#:   generation (the sense), stop.  A waiter spins at most ``spin`` times
+#:   (0 when workers outnumber CPUs), then sleeps on the generation word's
+#:   futex, waking every 50 ms to poll the stop word — set by the parent
+#:   when a peer died, or by a peer that could not enter the region.  A
+#:   stopped barrier returns -1 and the driver unwinds.
+#: * ``rules`` holds ``kind, k, asked, pinned`` per loop; the batch of one
+#:   instance is resolved here exactly as
+#:   ``repro.parallel.runtime._resolve_claim_batch`` and the native claim
+#:   path resolve it per dispatch, so both paths hand out the same chunks.
+#: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
+#:   iterations, claims, lock_ops, log rows, batch`` — and ``tim`` its
+#:   arrival and finish instants; the parent rebuilds one result per
+#:   instance from them.  With ``run`` 0 the skeleton only counts
+#:   instances (and the largest batch, which sizes the log ring).
+#: * claim-log rows of successive instances share one ring; when the claim
+#:   loop reports it full, ``drain(rows)`` hands the rows to the caller
+#:   and the ring starts over — no row is ever dropped.
+_REGION_RUNTIME = """\
+#include <limits.h>
+#include <stdint.h>
+#include <time.h>
+#include <unistd.h>
+#include <sys/syscall.h>
+#include <linux/futex.h>
+
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the barrier's futex word is the low half of an int64"
+#endif
+
+typedef void (*chunk_fn)(long, long, void **);
+typedef long (*claim_fn)(int64_t *, long, long, long, int64_t *, double *,
+                         long, chunk_fn, void **);
+typedef void (*drain_fn)(long);
+
+struct region_ {
+    int64_t *ctr, *bar;
+    long wid, workers, spin, run;
+    claim_fn claim;
+    chunk_fn *fns;
+    void ***argvs;
+    const int64_t *rules;
+    int64_t *rec;
+    double *tim;
+    double *ring;
+    long cap, used;
+    drain_fn drain;
+    long phases, max_batch, serial;
+};
+
+static double rnow_(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+static long barrier_(struct region_ *r, int64_t lo, int64_t hi) {
+    int64_t *bar = r->bar;
+    const struct timespec tick = {0, 50 * 1000 * 1000};
+    const int64_t gen = __atomic_load_n(&bar[1], __ATOMIC_SEQ_CST);
+    if (__atomic_add_fetch(&bar[0], 1, __ATOMIC_SEQ_CST) == r->workers) {
+        /* Last to arrive: every peer has left the previous claim loop. */
+        __atomic_store_n(&r->ctr[1], hi, __ATOMIC_RELAXED);
+        __atomic_store_n(&r->ctr[0], lo, __ATOMIC_RELAXED);
+        __atomic_store_n(&bar[0], 0, __ATOMIC_RELAXED);
+        __atomic_store_n(&bar[1], gen + 1, __ATOMIC_SEQ_CST);
+        syscall(SYS_futex, (uint32_t *)&bar[1], FUTEX_WAKE, INT_MAX,
+                NULL, NULL, 0);
+        return 0;
+    }
+    for (long i = 0; i < r->spin; i++) {
+        if (__atomic_load_n(&bar[1], __ATOMIC_SEQ_CST) != gen) return 0;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    }
+    while (__atomic_load_n(&bar[1], __ATOMIC_SEQ_CST) == gen) {
+        if (__atomic_load_n(&bar[2], __ATOMIC_SEQ_CST)) return -1;
+        syscall(SYS_futex, (uint32_t *)&bar[1], FUTEX_WAIT, (uint32_t)gen,
+                &tick, NULL, 0);
+    }
+    return 0;
+}
+
+static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
+    const long ph = r->phases++;
+    const int64_t n = hi >= lo ? hi - lo + 1 : 0;
+    const int64_t *rule = r->rules + 4 * loop;
+    const long active = n < r->workers ? (long)n : r->workers;
+    long kind = rule[0], k = 1, batch = 1, asked = 1;
+    if (n > 0) {
+        const int64_t chunks = (n + rule[1] - 1) / rule[1];
+        const int64_t cap = chunks / active > 1 ? chunks / active : 1;
+        int64_t b = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
+        if (rule[3] > 0) b = rule[3];
+        if (b > cap) b = cap;
+        if (kind == 1 || b < 1) b = 1;
+        asked = rule[2] > 0 ? rule[2] : b;
+        if (kind == 1) {
+            k = active;
+        } else {
+            k = rule[1] < n ? rule[1] : n;
+            batch = asked < (n + k - 1) / k ? asked : (n + k - 1) / k;
+        }
+    }
+    if (!r->run) {
+        if (batch > r->max_batch) r->max_batch = batch;
+        return 0;
+    }
+    int64_t *rec = r->rec + 8 * ph;
+    double *tim = r->tim + 2 * ph;
+    rec[0] = loop;
+    rec[1] = lo;
+    rec[2] = hi;
+    rec[7] = asked;
+    if (n == 0) return 0;
+    tim[0] = rnow_();
+    if (barrier_(r, lo, hi)) return -1;
+    if (r->wid < active) {
+        int64_t out[4] = {0, 0, 0, 0};
+        for (;;) {
+            long full = r->claim(
+                r->ctr, kind, k, batch, out,
+                r->ring ? r->ring + 5 * r->used : 0, r->cap - r->used,
+                r->fns[loop], r->argvs[loop]);
+            r->used += out[3];
+            rec[6] += out[3];
+            if (!full) break;
+            r->drain(r->used);
+            r->used = 0;
+        }
+        rec[3] = out[0];
+        rec[4] = out[1];
+        rec[5] = out[2];
+    }
+    tim[1] = rnow_();
+    return 0;
+}
+"""
+
+
+def generate_region_c(
+    proc: Procedure,
+    loops: list[Loop],
+    scalar_orders: list[list[str]],
+    name: str | None = None,
+) -> str:
+    """C translation unit of ``proc``'s SPMD region driver.
+
+    The driver is the procedure's serial skeleton — serial loops and
+    ``if``s lowered exactly as :func:`generate_c` lowers them — with each
+    loop of ``loops`` (the dispatchable DOALLs, in program order) replaced
+    by one ``phase_`` call on its bounds; before it, the enclosing serial
+    induction variables are written into that loop's kernel ``argv``
+    (``scalar_orders[i]`` is the kernel's scalar parameter order, which
+    fixes their slots — see :func:`generate_chunk_c`).  The skeleton may
+    hold nothing else: a statement that is neither control around a
+    listed loop nor such a loop raises :class:`CGenError`, as does a
+    serial step that is not a positive constant.  Scalars the control
+    reads arrive as ``params`` (``proc.scalars`` order, all ``long``).
+
+    ``long <name>(ctr, bar, wid, workers, spin, run, claim, fns, argvs,
+    rules, rec, tim, ring, cap, drain, params, info)`` returns 0, or -1
+    when a barrier was stopped; ``info`` receives the instance count, the
+    largest resolved batch, the rows left in the ring and the number of
+    serial statements executed (counted as the per-dispatch executor
+    counts them: a loop once it completes, an ``if`` once evaluated).
+    """
+    fname = name or proc.name + REGION_SUFFIX
+    index = {id(lp): i for i, lp in enumerate(loops)}
+    base = sum(1 + rank for rank in proc.arrays.values())
+    emitter = _CEmitter(proc, {})
+    lines: list[str] = [_PRELUDE, _REGION_RUNTIME]
+    lines.append(
+        f"long {fname}(int64_t *__ctr, int64_t *__bar, long __wid, "
+        "long __workers,\n"
+        "        long __spin, long __run, claim_fn __claim, chunk_fn *__fns,\n"
+        "        void ***__argvs, const int64_t *__rules, int64_t *__rec,\n"
+        "        double *__tim, double *__ring, long __cap, drain_fn __drain,\n"
+        "        const int64_t *__params, int64_t *__info) {"
+    )
+    lines.append(
+        "    struct region_ __r = {__ctr, __bar, __wid, __workers, __spin, "
+        "__run,\n"
+        "        __claim, __fns, __argvs, __rules, __rec, __tim, __ring, "
+        "__cap, 0,\n"
+        "        __drain, 0, 1, 0};"
+    )
+    lines.append("    long __status = -1;")
+    for slot, sname in enumerate(proc.scalars):
+        lines.append(f"    const long {sname} = (long)__params[{slot}];")
+
+    def emit(s: Stmt, depth: int, ivs: tuple[str, ...]) -> None:
+        pad = "    " * depth
+        if isinstance(s, Block):
+            for child in s.stmts:
+                emit(child, depth, ivs)
+        elif isinstance(s, Loop) and id(s) in index:
+            i = index[id(s)]
+            order = scalar_orders[i]
+            writes = " ".join(
+                f"__argvs[{i}][{base + order.index(iv)}] = (void *){iv};"
+                for iv in ivs
+            )
+            if writes:
+                lines.append(f"{pad}if (__run) {{ {writes} }}")
+            lines.append(
+                f"{pad}if (phase_(&__r, {i}, {emitter.emit(s.lower)}, "
+                f"{emitter.emit(s.upper)})) goto __out;"
+            )
+        elif isinstance(s, Loop):
+            if not isinstance(s.step, Const) or s.step.value < 1:
+                raise CGenError(
+                    f"serial loop {s.var!r}: step is not a positive constant"
+                )
+            lines.append(
+                f"{pad}for (long {s.var} = {emitter.emit(s.lower)}; "
+                f"{s.var} <= {emitter.emit(s.upper)}; "
+                f"{s.var} += {emitter.emit(s.step)}) {{"
+            )
+            emit(s.body, depth + 1, ivs + (s.var,))
+            lines.append(f"{pad}}}")
+            lines.append(f"{pad}__r.serial += 1;")
+        elif isinstance(s, If):
+            lines.append(f"{pad}__r.serial += 1;")
+            lines.append(f"{pad}if ({emitter.emit(s.cond)}) {{")
+            emit(s.then, depth + 1, ivs)
+            if len(s.orelse):
+                lines.append(f"{pad}}} else {{")
+                emit(s.orelse, depth + 1, ivs)
+            lines.append(f"{pad}}}")
+        else:
+            raise CGenError(
+                f"region skeleton cannot hold a {type(s).__name__}"
+            )
+
+    emit(proc.body, 1, ())
+    # Nobody reports before everybody is done; leaves the counter drained.
+    lines.append("    if (__run && barrier_(&__r, 0, -1)) goto __out;")
+    lines.append("    __status = 0;")
+    lines.append("__out:")
+    lines.append("    __info[0] = __r.phases;")
+    lines.append("    __info[1] = __r.max_batch;")
+    lines.append("    __info[2] = __r.used;")
+    lines.append("    __info[3] = __r.serial;")
+    lines.append("    return __status;")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

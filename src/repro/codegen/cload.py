@@ -398,3 +398,25 @@ def load_chunk_thunk(so_path: str, thunk: str) -> tuple[ctypes.CDLL, int]:
     """
     lib = ctypes.CDLL(so_path)
     return lib, ctypes.cast(getattr(lib, thunk), ctypes.c_void_p).value
+
+
+#: ``void drain(long rows)`` — how a region driver hands a full claim-log
+#: ring back to its caller (:data:`repro.codegen.cgen._REGION_RUNTIME`).
+REGION_DRAIN = ctypes.CFUNCTYPE(None, ctypes.c_long)
+
+
+@functools.lru_cache(maxsize=64)
+def load_region_driver(so_path: str, fname: str):
+    """dlopen a program's region unit; bind its driver (worker-side)."""
+    fn = getattr(ctypes.CDLL(so_path), fname)
+    fn.restype = ctypes.c_long
+    pointer, word = ctypes.c_void_p, ctypes.c_long
+    fn.argtypes = [
+        pointer, pointer,  # int64_t ctr[2], bar[3]
+        word, word, word, word,  # wid, workers, spin, run
+        pointer, pointer, pointer, pointer,  # claim, fns, argvs, rules
+        pointer, pointer,  # rec, tim
+        pointer, word, REGION_DRAIN,  # ring, cap, drain
+        pointer, pointer,  # params, info
+    ]
+    return fn

@@ -111,6 +111,63 @@ RULE_DOCS: dict[str, RuleDoc] = {
         "bit-identical to serial whenever ⊕ is exact on the data "
         "(min/max always; float +/* on integer-valued data).",
     ),
+    "SPMD001": RuleDoc(
+        "SPMD001",
+        RULES["SPMD001"],
+        "info",
+        "A program with a DOALL under a serial loop normally runs as one "
+        "native SPMD region: the workers run the serial loops themselves "
+        "and meet at a barrier per DOALL instance, one fork/join for the "
+        "whole run.  This program keeps one dispatch per instance because "
+        "one of its DOALLs is a recognized reduction, whose partial "
+        "accumulators are folded by the parent between dispatches.",
+    ),
+    "SPMD002": RuleDoc(
+        "SPMD002",
+        RULES["SPMD002"],
+        "info",
+        "The region was not used because safety=enforce blocks one of the "
+        "program's DOALLs: it runs serially in the parent, between the "
+        "dispatches of the others, which a region has no place for.",
+    ),
+    "SPMD003": RuleDoc(
+        "SPMD003",
+        RULES["SPMD003"],
+        "info",
+        "The region was not used because safety=speculate must decide one "
+        "of the program's DOALLs at run time, per instance — by the "
+        "inspector or by speculative execution with commit/rollback — "
+        "and both run in the parent between dispatches.",
+    ),
+    "SPMD004": RuleDoc(
+        "SPMD004",
+        RULES["SPMD004"],
+        "info",
+        "Every worker runs the region's serial skeleton redundantly, so "
+        "it may hold only control — serial loops and ifs whose bounds and "
+        "conditions are integer arithmetic over parameters and enclosing "
+        "serial induction variables — around the DOALLs.  This program's "
+        "skeleton reads an array, does non-integer arithmetic, has a "
+        "computed step, or holds serial statements between its DOALLs.",
+    ),
+    "SPMD005": RuleDoc(
+        "SPMD005",
+        RULES["SPMD005"],
+        "info",
+        "The region drains each DOALL instance through the shared "
+        "fetch&add counter; a static policy has no claim rule to drive "
+        "it, so the run keeps one dispatch per instance.",
+    ),
+    "SPMD006": RuleDoc(
+        "SPMD006",
+        RULES["SPMD006"],
+        "info",
+        "The region calls every DOALL's C kernel through the native claim "
+        "loop.  One of them could not be bound that way — chunk_lang is "
+        "py or numpy, there is no compiler, an array is not C-contiguous "
+        "float64 — or the region unit itself failed to build or load, so "
+        "the run keeps one dispatch per instance.",
+    ),
 }
 
 

@@ -23,8 +23,14 @@ iterations out twice: the parent therefore picks one protocol per dispatch
 native one sits the dispatch out rather than falling back to the lock (see
 :func:`repro.parallel.worker.run_plan`).  Between dispatches only the
 parent touches the words (:meth:`SharedClaimCounter.reset`, at the
-barrier).  Both protocols hand out identical chunks for identical rules —
-``claims``, ``lock_ops`` and chunk boundaries do not depend on which ran.
+barrier) — with one exception, the SPMD region
+(:mod:`repro.parallel.region`): there the whole run is one dispatch, the
+workers meet at a barrier of their own between DOALL instances, and its
+last arriver re-arms the two words in place of the parent.  The barrier's
+three words (arrived, generation, stop) live in the same shared block, one
+cache line away (:attr:`SharedClaimCounter.barrier_address`).  Both
+protocols hand out identical chunks for identical rules — ``claims``,
+``lock_ops`` and chunk boundaries do not depend on which ran.
 
 Chunk sizes come from :mod:`repro.scheduling.policies`: the same policy
 objects that drive the simulator drive the real runtime.  Dynamic policies
@@ -128,6 +134,10 @@ def chunk_size(rule: ChunkRule, remaining: int) -> int:
     raise ValueError(f"unknown chunk rule {rule!r}")
 
 
+#: Word offset of the region barrier inside the counter's shared block.
+_BARRIER = 8
+
+
 class SharedClaimCounter:
     """Shared iteration counter over the inclusive loop range [start, stop].
 
@@ -154,8 +164,10 @@ class SharedClaimCounter:
     def __init__(
         self, start: int, stop: int, ctx: multiprocessing.context.BaseContext
     ) -> None:
-        # state[0] = next unclaimed value, state[1] = inclusive stop
-        self._state = ctx.Array("q", [start, stop])
+        # state[0] = next unclaimed value, state[1] = inclusive stop;
+        # state[8:11] = the region barrier (arrived, generation, stop), a
+        # cache line away from the words every claim hits.
+        self._state = ctx.Array("q", [start, stop] + [0] * (_BARRIER + 1))
         self.start = start
 
     @property
@@ -171,6 +183,24 @@ class SharedClaimCounter:
         dispatch (module docstring).
         """
         return ctypes.addressof(self._state.get_obj())
+
+    @property
+    def barrier_address(self) -> int:
+        """Where the region barrier's three words live (this process)."""
+        return self.address + 8 * _BARRIER
+
+    def reset_barrier(self) -> None:
+        """Zero the barrier's arrived and stop words (parent, fleet idle)."""
+        words = self._state.get_obj()
+        words[_BARRIER] = words[_BARRIER + 2] = 0
+
+    def stop_barrier(self) -> None:
+        """Tell every worker waiting at the region barrier to give up.
+
+        Lock-free on purpose: the caller may be cleaning up after a worker
+        that died holding the array's lock.
+        """
+        self._state.get_obj()[_BARRIER + 2] = 1
 
     def reset(self, start: int, stop: int) -> None:
         """Re-arm the counter for a new loop range.

@@ -37,6 +37,13 @@ class DispatchCounters:
 
     runs: int = 0
     dispatches: int = 0
+    #: Times a fleet was forked and joined: ``dispatches`` counts DOALL
+    #: instances, and a run inside the native SPMD region
+    #: (:mod:`repro.parallel.region`) serves all of its instances with one.
+    fork_joins: int = 0
+    #: Runs with a DOALL under a serial loop, by how they ran: ``"native"``
+    #: (the region) or the rule code that kept them on the per-dispatch path.
+    regions: dict[str, int] | None = None
     claims: int = 0
     lock_ops: int = 0
     iterations: int = 0
@@ -104,6 +111,8 @@ class DispatchCounters:
         return {
             "runs": self.runs,
             "dispatches": self.dispatches,
+            "fork_joins": self.fork_joins,
+            "regions": dict(self.regions or {}),
             "claims": self.claims,
             "lock_ops": self.lock_ops,
             "iterations": self.iterations,
@@ -221,6 +230,13 @@ def record_run(result) -> None:
     with _DISPATCH_LOCK:
         DISPATCH.runs += 1
         DISPATCH.dispatches += len(dispatches)
+        DISPATCH.fork_joins += getattr(result, "fork_joins", 1)
+        region = getattr(result, "region", None)
+        if region is not None:
+            if DISPATCH.regions is None:
+                DISPATCH.regions = {}
+            code = region.partition(":")[0]
+            DISPATCH.regions[code] = DISPATCH.regions.get(code, 0) + 1
         DISPATCH.claims += result.claims
         DISPATCH.lock_ops += result.lock_ops
         DISPATCH.iterations += result.total_iterations

@@ -17,8 +17,14 @@ of that to setup time:
   (:func:`repro.codegen.pygen.compile_chunk_source` is memoized), so a
   loop shape dispatched N times is generated and compiled once.
 
+A program that qualifies for the SPMD region
+(:mod:`repro.parallel.region`) goes one step further: its whole run is
+*one* dispatch, during which the workers synchronise among themselves at
+a native barrier and the parent only waits.
+
 The robustness contract: a worker that raises or dies marks the pool
-*broken*, terminates the fleet, and raises :class:`WorkerCrashError`; a
+*broken*, stops the region barrier (a survivor parked there would never
+report), terminates the fleet, and raises :class:`WorkerCrashError`; a
 deadline overrun kills the fleet and raises
 :class:`ParallelTimeoutError`; and the shared-memory segments the pool
 owns are unlinked on ``close()``/``__exit__`` no matter how the run
@@ -81,12 +87,15 @@ def gather_results(
     """Collect one result message per worker id in ``want``.
 
     ``key`` maps a queue message to the worker id it accounts for (return
-    None to discard stale traffic).  Watches for crashes: once every
-    still-pending worker has exited, a short grace period lets the queue
-    feeders flush, the queue is drained one final time — a worker that
-    exited cleanly right after posting its result is counted from the
-    message log, never misclassified by its exit code — and only then are
-    the messageless workers marked ``("dead", wid, exitcode)``.
+    None to discard stale traffic).  Watches for crashes: once *any*
+    pending worker has exited (or any worker has reported an error, after
+    which it exits), a short grace period lets the queue feeders flush,
+    the queue is drained one final time — a worker that exited cleanly
+    right after posting its result is counted from the message log, never
+    misclassified by its exit code — and only then are the messageless
+    dead marked ``("dead", wid, exitcode)`` and the gather ends,
+    survivors or not: a peer waiting for the lost worker at a region
+    barrier would never report (the caller terminates the fleet).
     """
     results: dict[int, tuple] = {}
     pending = set(want)
@@ -98,6 +107,11 @@ def gather_results(
             results[wid] = msg
             pending.discard(wid)
 
+    def lost() -> bool:
+        return any(not procs[w].is_alive() for w in pending) or any(
+            m[0] == "err" for m in results.values()
+        )
+
     while pending:
         now = time.monotonic()
         if deadline is not None and now > deadline:
@@ -108,7 +122,7 @@ def gather_results(
         try:
             msg = q.get(timeout=0.05)
         except queue_mod.Empty:
-            if all(not procs[w].is_alive() for w in pending):
+            if lost():
                 if grace_until is None:
                     grace_until = now + GATHER_GRACE
                 elif now > grace_until:
@@ -119,9 +133,12 @@ def gather_results(
                             take(q.get_nowait())
                         except queue_mod.Empty:
                             break
-                    for w in pending:
-                        results[w] = ("dead", w, procs[w].exitcode)
-                    pending.clear()
+                    if lost():
+                        for w in pending:
+                            if not procs[w].is_alive():
+                                results[w] = ("dead", w, procs[w].exitcode)
+                        break
+                    grace_until = None
             continue
         take(msg)
     return results
@@ -131,14 +148,17 @@ def raise_worker_crashes(results: Mapping[int, tuple], procs: list) -> None:
     """Raise :class:`WorkerCrashError` if any worker errored or died.
 
     ``results`` holds one message per worker: ``("ok", wid, ...)``,
-    ``("err", wid, ..., traceback)``, or ``("dead", wid, exitcode)``.
+    ``("err", wid, ..., traceback)``, or ``("dead", wid, exitcode)`` — or
+    none at all for a worker that was still running when a peer's death
+    ended the gather.
     """
     crashes = []
     for wid in range(len(procs)):
         msg = results.get(wid)
-        if msg is None or msg[0] == "dead":
-            code = msg[2] if msg is not None else procs[wid].exitcode
-            crashes.append(f"worker {wid}: died (exitcode {code})")
+        if msg is None:
+            continue
+        if msg[0] == "dead":
+            crashes.append(f"worker {wid}: died (exitcode {msg[2]})")
         elif msg[0] == "err":
             crashes.append(f"worker {wid}:\n{msg[-1]}")
     if crashes:
@@ -163,7 +183,9 @@ class WorkerPool:
     ``dispatch`` is a barrier: it returns only once every worker has
     reported on the current job, so the shared counter can be safely
     reset for the next loop range and the parent may run serial program
-    segments over ``views`` between dispatches.
+    segments over ``views`` between dispatches.  (A region job is a
+    whole run: between *its* DOALL instances the workers re-arm the
+    counter themselves.)
     """
 
     def __init__(
@@ -249,7 +271,11 @@ class WorkerPool:
                 "worker pool is broken (a previous dispatch crashed or "
                 "timed out)"
             )
-        if job["plan"].rule is not None:
+        if "region" in job:
+            # One job for the whole run: the workers arm the counter
+            # themselves, at their barrier (repro.parallel.region).
+            self.counter.reset_barrier()
+        elif job["plan"].rule is not None:
             self.counter.reset(lo, hi)
         self._seq += 1
         seq = self._seq
@@ -278,6 +304,7 @@ class WorkerPool:
             raise_worker_crashes(results, self._procs)
         except BaseException:
             self._broken = True
+            self.counter.stop_barrier()
             terminate_procs(self._procs)
             raise
         return t_base, results

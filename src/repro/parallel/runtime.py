@@ -9,9 +9,10 @@ counter, and the parent copies results back on success.
 *hybrid* case, e.g. Gauss–Jordan): every dispatchable DOALL — top-level or
 nested under serial control flow — is handed to workers, everything else
 runs serially in the parent over the same shared-memory views.  A hybrid
-program therefore really performs one dispatch per serial-outer iteration
-(one per pivot row), which is exactly the overhead profile the paper's
-coalescing argument is about.
+program therefore performs one dispatch per serial-outer iteration (one
+per pivot row) — unless it qualifies for the native SPMD region
+(:mod:`repro.parallel.region`), where the workers run the serial loops
+themselves and the whole run is a single fork/join.
 
 Both drivers dispatch through one engine, the persistent
 :class:`repro.parallel.pool.WorkerPool`: workers spawn once per run (or
@@ -111,7 +112,7 @@ from repro.parallel.observe import (
     record_speculate,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import SharedArrayPool
+from repro.parallel.shm import SharedArrayPool, native_layout
 from repro.parallel.speculate import (
     SpecCertificate,
     SpecPlan,
@@ -373,6 +374,15 @@ class ParallelProcedureResult:
     #: with zero re-measurement.
     calibrations: int = 0
     pinned_decisions: int = 0
+    #: How a program with a DOALL under a serial loop ran: ``"native"``
+    #: (one SPMD region, :mod:`repro.parallel.region`) or the rule-coded
+    #: reason it ran per dispatch; None for programs with no such nest.
+    region: str | None = None
+
+    @property
+    def fork_joins(self) -> int:
+        """Fork/joins of the fleet: one for a region, else one per dispatch."""
+        return 1 if self.region == "native" else len(self.dispatches)
 
     @property
     def variants(self) -> list[str]:
@@ -435,6 +445,15 @@ def _contains_dispatchable(stmt: Stmt) -> bool:
             stmt.orelse
         )
     return False
+
+
+def _serial_outer(stmt: Stmt) -> bool:
+    """Does some dispatchable DOALL sit under a serial loop?"""
+    if isinstance(stmt, Loop):
+        return not _dispatchable(stmt) and _contains_dispatchable(stmt.body)
+    if isinstance(stmt, If):
+        return _serial_outer(stmt.then) or _serial_outer(stmt.orelse)
+    return isinstance(stmt, Block) and any(map(_serial_outer, stmt.stmts))
 
 
 def _dispatchable_loops(stmt: Stmt) -> list[Loop]:
@@ -782,16 +801,9 @@ def _build_job(
         views = dict(pool.views)
         if extra_views:
             views.update(extra_views)
-        eligible = all(
-            a in views
-            and views[a].dtype == np.float64
-            and views[a].flags["C_CONTIGUOUS"]
-            and views[a].ndim == rank
-            for a, rank in proc.arrays.items()
-        )
         kernel = (
             caches.chunk_kernel(proc, loop, extra, env, variant=variant)
-            if eligible
+            if native_layout(views, proc.arrays)
             else None
         )
         if kernel is not None:
@@ -1619,10 +1631,21 @@ def _run(
         handler = _make_blocked_handler(
             mode, plans, report, interp, views, out, dispatch
         )
-        _exec_hybrid(
-            proc.body, dispatch, interp, env, views, out, deadline,
-            blocked, handler, _make_residue_runner(caches, interp, views),
-        )
+        in_region = False
+        if _serial_outer(proc.body):
+            # Imported here so that no other program's run ever loads it.
+            from repro.parallel.region import try_region
+
+            in_region = try_region(
+                proc, env, pool, policy, chunk, claim_batch, deadline,
+                log_events, caches, lang, mode, blocked, out,
+            )
+        if not in_region:
+            _exec_hybrid(
+                proc.body, dispatch, interp, env, views, out, deadline,
+                blocked, handler,
+                _make_residue_runner(caches, interp, views),
+            )
         if copies:
             pool.copy_back(arrays)
     finally:

@@ -51,6 +51,20 @@ def attach_array(spec: ArraySpec) -> tuple[np.ndarray, shared_memory.SharedMemor
     return view, shm
 
 
+def native_layout(
+    views: Mapping[str, np.ndarray], ranks: Mapping[str, int]
+) -> bool:
+    """Can native kernels take every array of ``ranks`` (name → rank)
+    zero-copy: present in ``views``, float64, C-contiguous, that rank?"""
+    return all(
+        a in views
+        and views[a].dtype == np.float64
+        and views[a].flags["C_CONTIGUOUS"]
+        and views[a].ndim == rank
+        for a, rank in ranks.items()
+    )
+
+
 class SharedArrayPool:
     """Owns one shared-memory segment per numpy array.
 

@@ -44,6 +44,13 @@ one (:mod:`repro.parallel.counter` says why):
 
 Static plans skip the counter and walk a precomputed chunk list.
 
+One kind of job is not a dispatch but a whole run (``job["region"]``, from
+:mod:`repro.parallel.region`): the worker enters the program's native
+*region driver* once (:func:`_run_region`), runs the serial loops itself,
+meets its peers at a barrier before each DOALL instance and drains it with
+the same native claim loop — coming back to Python only when the run is
+over, or when the claim-log ring is full.
+
 Every claim is logged as ``(lo, hi, t_claim, t_work, t_end)`` on the shared
 monotonic clock so the parent can reconstruct the measured schedule
 (:mod:`repro.parallel.observe`); the native loop ships its rows as one
@@ -188,14 +195,26 @@ def _claim_ring(rows: int) -> np.ndarray:
     return _ring
 
 
+def _argv_slots(job: dict[str, Any], arrays: dict):
+    """A kernel's arguments packed into the thunk's 8-byte ``argv`` slots
+    (:func:`repro.codegen.cgen.generate_chunk_c` documents the layout)."""
+    slots: list[int] = []
+    for kind, value in _c_arguments(job, arrays):
+        if kind == "ptr":
+            value = value.ctypes.data
+        elif kind == "double":  # same bits, read as the slot's integer
+            (value,) = struct.unpack("=q", struct.pack("=d", value))
+        slots.append(value)
+    return (ctypes.c_int64 * len(slots))(*slots)
+
+
 def _run_native(
     wid: int, job: dict[str, Any], counter, arrays: dict
 ) -> tuple[int, int, int, Any, str, dict[str, Any]]:
     """One worker's share of a dispatch on the native claim protocol.
 
     Binds the claim-loop library and the kernel's thunk, packs the
-    kernel's arguments into 8-byte ``argv`` slots
-    (:func:`repro.codegen.cgen.generate_chunk_c` documents the layout) and
+    kernel's arguments into 8-byte ``argv`` slots (:func:`_argv_slots`) and
     calls ``repro_claim_loop`` until it reports the counter drained.  Any
     failure *before* the first claim — dlopen, a missing symbol, an array
     the zero-copy convention cannot take — makes this worker sit the
@@ -208,14 +227,7 @@ def _run_native(
 
         claim_loop = load_claim_loop(job["claim_so"])
         _, thunk = load_chunk_thunk(job["c_so"], job["c_thunk"])
-        slots: list[int] = []
-        for kind, value in _c_arguments(job, arrays):
-            if kind == "ptr":
-                value = value.ctypes.data
-            elif kind == "double":  # same bits, read as the slot's integer
-                (value,) = struct.unpack("=q", struct.pack("=d", value))
-            slots.append(value)
-        argv = (ctypes.c_int64 * len(slots))(*slots)
+        argv = _argv_slots(job, arrays)
         ctr = counter.address
     except Exception:
         return 0, 0, 0, b"", "py", {}
@@ -250,6 +262,82 @@ def _run_native(
     return out[0], out[1], out[2], b"".join(logged), "c", {}
 
 
+def _run_region(
+    wid: int, job: dict[str, Any], counter, arrays: dict
+) -> tuple[int, int, int, Any, str, dict[str, Any]]:
+    """One worker's share of a whole run inside the native SPMD region.
+
+    ``job["region"]`` names the program's region unit and, per DOALL, the
+    kernel to bind (:mod:`repro.parallel.region` builds it).  The worker
+    binds everything, asks the driver how many DOALL instances the run
+    has, and enters it once; it comes back when the last instance is
+    done.  ``extra["region"]`` carries the driver's status and the raw
+    per-instance ``rec``/``tim`` tables; the claim log of the whole run is
+    one byte string in instance order.
+
+    A worker that cannot bind sets the barrier's stop word instead of
+    entering — its peers give up at their first barrier, before any
+    iteration has run — and reports ``extra["region"] = None``.
+    """
+    reg = job["region"]
+    try:
+        from repro.codegen.cload import (
+            REGION_DRAIN,
+            load_chunk_thunk,
+            load_claim_loop,
+            load_region_driver,
+        )
+
+        driver = load_region_driver(reg["so"], reg["fname"])
+        claim = ctypes.cast(load_claim_loop(reg["claim_so"]), ctypes.c_void_p)
+        argvs = [_argv_slots(lp, arrays) for lp in reg["loops"]]
+        thunks = [
+            load_chunk_thunk(lp["c_so"], lp["c_thunk"])[1]
+            for lp in reg["loops"]
+        ]
+    except Exception:
+        counter.stop_barrier()
+        return 0, 0, 0, b"", "py", {"region": None}
+    count = len(argvs)
+    fns = (ctypes.c_void_p * count)(*thunks)
+    argv_table = (ctypes.c_void_p * count)(
+        *[ctypes.addressof(a) for a in argvs]
+    )
+    rules = (ctypes.c_int64 * (4 * count))(*reg["rules"])
+    params = (ctypes.c_int64 * max(1, len(reg["params"])))(*reg["params"])
+    info = (ctypes.c_int64 * 4)()
+    logged: list[bytes] = []
+    ring: np.ndarray | None = None
+
+    def enter(run: int, rec=None, tim=None, cap: int = 0):
+        return driver(
+            counter.address, counter.barrier_address, wid, reg["workers"],
+            reg["spin"], run, claim, fns, argv_table, rules, rec, tim,
+            ring.ctypes.data if ring is not None else None, cap,
+            REGION_DRAIN(lambda rows: logged.append(ring[:rows].tobytes())),
+            params, info,
+        )
+
+    enter(0)  # count the instances; nothing runs, nobody waits
+    rec = np.zeros((info[0], 8), dtype=np.int64)
+    tim = np.zeros((info[0], 2), dtype=np.float64)
+    if job["log_events"]:
+        ring = _claim_ring(max(RING_ROWS, info[1]))
+    status = enter(
+        1, rec.ctypes.data, tim.ctypes.data, 0 if ring is None else len(ring)
+    )
+    if info[2]:
+        logged.append(ring[: info[2]].tobytes())
+    done = rec[:, 3:6].sum(axis=0).tolist()
+    table = {
+        "status": status,
+        "serial_stmts": info[3],
+        "rec": rec.tobytes(),
+        "tim": tim.tobytes(),
+    }
+    return *done, b"".join(logged), "c", {"region": table}
+
+
 def run_plan(
     wid: int, job: dict[str, Any], counter, arrays: dict
 ) -> tuple[int, int, int, Any, str, dict[str, Any]]:
@@ -280,6 +368,8 @@ def run_plan(
     ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo`` (loop
     lower bound), ``batch`` (chunks per claim), ``log_events``.
     """
+    if "region" in job:
+        return _run_region(wid, job, counter, arrays)
     if "claim_so" in job:
         return _run_native(wid, job, counter, arrays)
     func, lang, extra = _make_invoker(job, arrays)

@@ -641,6 +641,8 @@ class ReproServer(AccountingHTTPServer):
             )
         stats = {
             "dispatches": len(result.dispatches),
+            "fork_joins": result.fork_joins,
+            "region": result.region,
             "claims": result.claims,
             "lock_ops": result.lock_ops,
             "iterations": result.total_iterations,

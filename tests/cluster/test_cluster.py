@@ -92,6 +92,20 @@ class TestFrontDoor:
         assert out["cluster"]["replica"] in (0, 1)
         assert out["cluster"]["retries"] == 0
 
+    def test_run_stats_pass_through_the_router(self, cluster):
+        """What a replica says about how the run went — which path ran,
+        how many fork/joins — reaches the client unchanged."""
+        client, _, _ = cluster
+        key = client.compile(PY_KERNEL, backend="mp")["key"]
+        A, B = env()
+        out = client.run(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp", workers=2
+        )
+        assert np.array_equal(out["arrays"]["B"], expected_from(A))
+        assert out["engine"] == "mp-pool"
+        assert out["fork_joins"] == out["dispatches"] == 1
+        assert out["region"] is None  # no DOALL under a serial loop here
+
     def test_sync_lint(self, cluster):
         client, _, _ = cluster
         out = client.lint(DSL_KERNEL, tenant="linty")

@@ -164,6 +164,21 @@ class TestMPBackendCLI:
         assert "mp[gss" in out
         assert re.search(r"lock ops, (native|py) claim loop\]", out)
 
+    def test_run_hybrid_workload_says_how_many_fork_joins(self, capsys):
+        args = [
+            "--workload", "gauss_jordan", "--run", "--backend", "mp",
+            "--workers", "2", "--passes", "normalize,coalesce",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "results match serial: True" in out
+        if "native claim loop" in out:
+            assert "11 dispatches in 1 fork/join," in out
+        assert main(args + ["--policy", "static"]) == 0
+        out = capsys.readouterr().out
+        assert "11 dispatches in 11 fork/joins," in out
+        assert "region: not used (SPMD005: " in out
+
     def test_run_workload_serial_backend(self, capsys):
         assert main(["--workload", "saxpy2d", "--run"]) == 0
         out = capsys.readouterr().out
@@ -211,11 +226,15 @@ class TestMPBackendCLI:
         assert "safety=enforce refused" in err and "RACE001" in err
 
     def test_run_warn_racy_workload_reports_but_runs(self, capsys):
+        """warn *reports* the race and does *not* refuse the run.  One
+        worker, so the genuinely racy loop still computes the serial
+        answer: with two, exit code 0 held only while worker 0 finished
+        its chunk before worker 1 woke."""
         assert (
             main(
                 [
                     "--workload", "racy_flow", "--run", "--backend", "mp",
-                    "--workers", "2", "--safety", "warn",
+                    "--workers", "1", "--safety", "warn",
                     "--passes", "normalize,distribute,coalesce",
                 ]
             )
@@ -223,6 +242,8 @@ class TestMPBackendCLI:
         )
         captured = capsys.readouterr()
         assert "safety: " in captured.err and "RACE001" in captured.err
+        assert "mp[gss, 1 workers" in captured.out
+        assert "results match serial: True" in captured.out
 
     def test_workload_without_run_emits_transform(self, capsys):
         assert main(["--workload", "saxpy2d"]) == 0

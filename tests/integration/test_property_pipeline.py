@@ -152,3 +152,102 @@ def test_property_codegen_matches_interpreter(data, seed):
     compile_procedure(p).run(e2)
     for name in p.arrays:
         assert np.array_equal(e1[name], e2[name])
+
+
+# ---------------------------------------------------------------------------
+# Hybrid nests: a serial loop over DOALLs, through every execution path
+# ---------------------------------------------------------------------------
+
+HYBRID_SPAN = 6  # largest loop value; arrays are padded past every offset
+
+
+@st.composite
+def hybrid_nests(draw) -> tuple[Procedure, dict[str, int]]:
+    """A serial outer loop over one or two DOALLs, maybe one more after it.
+
+    The outer bound is a constant or the parameter ``n``; an inner DOALL is
+    rectangular or triangular in the serial variable (so instances shrink
+    to nothing and below the fleet size), may sit under a ``t != c`` guard,
+    and updates its own elements of one array from an array nobody writes
+    — race-free by construction, so every path must agree bit for bit.
+    """
+    from repro.ir.builder import doall, if_, proc, serial, v
+
+    trips = draw(st.integers(1, HYBRID_SPAN))
+    symbolic = draw(st.booleans())
+    top = v("n") if symbolic else Const(trips)
+
+    def one_doall(index: str, target: str, inside: bool) -> Loop:
+        shape = draw(st.sampled_from(["full", "from_t", "upto_t"])) if inside else "full"
+        lo = v("t") if shape == "from_t" else Const(draw(st.integers(1, 2)))
+        hi = v("t") if shape == "upto_t" else Const(draw(st.integers(2, HYBRID_SPAN)))
+        off = draw(st.integers(0, 2))
+        where = ref(target, BinOp("+", v(index), Const(off)) if off else v(index))
+        value = BinOp("+", where, BinOp("*", Const(draw(st.integers(1, 5))), v(index)))
+        if inside and draw(st.booleans()):
+            value = BinOp("+", value, v("t"))
+        if draw(st.booleans()):
+            value = BinOp("+", value, ref("U", BinOp("+", v(index), Const(draw(st.integers(0, 2))))))
+        return doall(index, lo, hi)(assign(where, value))
+
+    inner: list = []
+    for index, target in zip("ij", "AB"):
+        if index == "j" and not draw(st.booleans()):
+            break
+        loop = one_doall(index, target, inside=True)
+        if draw(st.booleans()):
+            guard = BinOp("!=", v("t"), Const(draw(st.integers(1, HYBRID_SPAN))))
+            inner.append(if_(guard, loop))
+        else:
+            inner.append(loop)
+    stmts: list = [serial("t", 1, top)(*inner)]
+    if draw(st.booleans()):
+        stmts.append(one_doall("k", "A", inside=False))
+    p = proc("hybrid", *stmts, arrays={"A": 1, "B": 1, "U": 1}, scalars=("n",))
+    validate(p)
+    return p, {"n": trips}
+
+
+@given(data=hybrid_nests(), seed=st.integers(0, 10**6))
+@settings(max_examples=20, deadline=60_000, derandomize=True)
+def test_property_hybrid_nest_every_path_agrees(data, seed):
+    """interpreter ≡ serial C ≡ mp per dispatch ≡ mp SPMD region."""
+    import pytest
+
+    from repro.codegen.cload import compile_c_procedure, have_compiler
+    from repro.parallel import run_parallel_procedure
+    from repro.runtime.equivalence import copy_env, random_env
+    from repro.runtime.interp import run
+
+    if not have_compiler():
+        pytest.skip("no gcc on PATH")
+    p, scalars = data
+    size = (HYBRID_SPAN + 5,)
+    env = random_env(p, {"A": size, "B": size, "U": size}, seed=seed, integer=True)
+    want = copy_env(env)
+    run(p, want, scalars)
+
+    def agrees(arrays) -> bool:
+        return all(np.array_equal(arrays[k], want[k]) for k in want)
+
+    compiled = copy_env(env)
+    compile_c_procedure(p, omp=False).run(compiled, scalars)
+    assert agrees(compiled)
+    for safety in ("warn", "enforce"):
+        for workers in (2, 3):
+            counts = {}
+            for lang in ("py", "c"):
+                got = copy_env(env)
+                result = run_parallel_procedure(
+                    p, got, scalars, workers=workers, chunk_lang=lang,
+                    safety=safety, timeout=60.0, calibrate=False,
+                )
+                assert agrees(got), (safety, workers, lang)
+                counts[lang] = [
+                    (d.loop_var, d.lo, d.hi, d.claims, d.lock_ops)
+                    for d in result.dispatches
+                ]
+                assert result.region.startswith(
+                    "native" if lang == "c" else "SPMD006"
+                )
+            assert counts["py"] == counts["c"]

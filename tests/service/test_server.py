@@ -123,6 +123,29 @@ class TestEndpoints:
         assert after[loop] == counted[loop] + out["dispatches"]
         assert after["fallbacks"] == counted["fallbacks"]
 
+    def test_run_mp_says_how_many_fork_joins(self, service):
+        from repro.ir.printer import to_source
+        from repro.workloads import get_workload, make_env
+
+        client, _ = service
+        w = get_workload("gauss_jordan")
+        key = client.compile(to_source(w.proc), backend="mp", analyze=False)["key"]
+        arrays, scalars = make_env(w, seed=2)
+        before = client.metrics()["dispatch"]
+        out = client.run(key, arrays, scalars, workers=2, backend="mp")
+        assert out["engine"] == "mp-pool" and out["dispatches"] == 11
+        after = client.metrics()["dispatch"]
+        assert after["dispatches"] == before["dispatches"] + 11
+        assert after["fork_joins"] == before["fork_joins"] + out["fork_joins"]
+        if out["claim_loop"] == "native":
+            assert (out["region"], out["fork_joins"]) == ("native", 1)
+            assert after["regions"]["native"] == (
+                before["regions"].get("native", 0) + 1
+            )
+        else:
+            assert out["region"].startswith("SPMD006")
+            assert out["fork_joins"] == 11
+
     def test_lint_clean_source(self, service):
         client, _ = service
         out = client.lint(DSL_KERNEL)

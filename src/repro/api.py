@@ -33,7 +33,7 @@ import functools
 import inspect
 import pickle
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.doall import mark_doall
@@ -97,7 +97,6 @@ class TransformedFunction:
     #: True when the lower→analyse→transform half was served from the
     #: artifact cache instead of recomputed.
     from_cache: bool = False
-    _safety_report: object | None = field(default=None, repr=False)
 
     def __call__(self, *args, **kwargs):
         names = list(self.transformed.arrays) + list(self.transformed.scalars)
@@ -146,16 +145,12 @@ class TransformedFunction:
         A :class:`repro.analysis.safety.SafetyReport` over every loop the
         mp runtime would dispatch — the same verdicts ``safety="warn"``
         attaches to each run and ``safety="enforce"`` gates dispatch on.
-        Computed once and cached (shared with the mp backend's copy).
+        Verified once per procedure, and the same verdict the mp runtime's
+        plans are built on.
         """
-        if self._safety_report is None:
-            if hasattr(self._backend, "safety_report"):
-                self._safety_report = self._backend.safety_report
-            else:
-                from repro.analysis.safety import verify_procedure
+        from repro.parallel.plan import verdict
 
-                self._safety_report = verify_procedure(self.transformed)
-        return self._safety_report
+        return verdict(self.transformed)
 
     def report(self) -> str:
         """Human-readable summary of what the pipeline did."""

@@ -653,7 +653,7 @@ REGION_SUFFIX = "__region"
 #:   stopped barrier returns -1 and the driver unwinds.
 #: * ``rules`` holds ``kind, k, asked, pinned`` per loop; the batch of one
 #:   instance is resolved here exactly as
-#:   ``repro.parallel.runtime._resolve_claim_batch`` and the native claim
+#:   ``repro.parallel.dispatch._resolve_claim_batch`` and the native claim
 #:   path resolve it per dispatch, so both paths hand out the same chunks.
 #: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
 #:   iterations, claims, lock_ops, log rows, batch`` — and ``tim`` its

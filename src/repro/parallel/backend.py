@@ -90,7 +90,6 @@ class MPCompiledProcedure:
     variants: object = None
     calibrate: bool | None = None
     _serial: CompiledProcedure = field(init=False, repr=False)
-    _safety_report: object | None = field(init=False, default=None, repr=False)
     last: ParallelProcedureResult | None = field(init=False, default=None)
     fallback_reason: str | None = field(init=False, default=None)
 
@@ -99,12 +98,11 @@ class MPCompiledProcedure:
 
     @property
     def safety_report(self):
-        """Static chunk-safety verdicts for this procedure (cached)."""
-        if self._safety_report is None:
-            from repro.analysis.safety import verify_procedure
+        """Static chunk-safety verdicts for this procedure — the verdict
+        its runs' plans are built on, verified once."""
+        from repro.parallel.plan import verdict
 
-            self._safety_report = verify_procedure(self.proc)
-        return self._safety_report
+        return verdict(self.proc)
 
     @property
     def source(self) -> str:

@@ -1,0 +1,590 @@
+"""Running a prepared plan: fill in, dispatch, combine — nothing else.
+
+:func:`execute` runs one :class:`~repro.parallel.plan.Plan` on one pool.
+Everything compile-time is already in the plan (or, on a plan's first
+run, goes into it the first time it is reached); what happens here per
+call is what the paper leaves dynamic: evaluate the bounds, fill the
+job's scalars, trip count, batch clamp and the pool's ``specs``,
+dispatch, fold the workers' messages into a
+:class:`~repro.parallel.runtime.ParallelRunResult`, and — for the
+loops the plan says so — inspect, speculate or combine partials.
+
+Each dispatchable loop runs under the strategy the plan picked for it:
+
+``dispatch``  one job on the pool (:func:`_dispatch_pool`);
+``reduce``    partial accumulators in a side segment, folded in order;
+``serial``    refused by the verdict: the parent interprets it;
+``inspect``   the runtime inspector, then a normal dispatch if it proves
+              the loop, else serial;
+``speculate`` a dispatch into shadow segments, committed or rolled back.
+
+A program with a DOALL under a serial loop first tries the SPMD region
+(:mod:`repro.parallel.region`); the rest of the statement tree is walked
+by :func:`_exec`, which drives serial loops around their DOALLs in the
+parent and hands dispatch-free serial loops to the plan's compiled
+residues.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from typing import Mapping
+
+import numpy as np
+
+from repro.ir.expr import apply_binop
+from repro.ir.stmt import Block, If, Loop, Stmt
+from repro.parallel import runtime
+from repro.parallel.counter import policy_plan
+from repro.parallel.errors import (
+    ParallelDispatchError,
+    ParallelError,
+    ParallelTimeoutError,
+)
+from repro.parallel.observe import (
+    record_chunk_fallback,
+    record_claim_fallback,
+    record_pinned_hit,
+    record_reduction_dispatch,
+    record_safety_block,
+    record_speculate,
+)
+from repro.parallel.plan import RED_IDENTITY, RED_MAX_CHUNKS, compile_residue
+from repro.parallel.runtime import (
+    ParallelRunResult,
+    _aggregate,
+    _contains_dispatchable,
+    _dispatchable,
+)
+from repro.parallel.shm import SharedArrayPool
+from repro.parallel.speculate import (
+    SpecCertificate,
+    shadow_alias,
+    validate_chunk_logs,
+)
+from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
+
+_UNSET = object()
+
+
+class Run:
+    """One call's state — never kept in the plan.
+
+    ``seen`` holds the plan slots this run has used; :meth:`serve` turns
+    the first use of a slot an earlier run built into pinned hits.
+    ``stale`` is set when workers could not bind the plan's artifacts.
+    """
+
+    def __init__(
+        self, plan, pool, env, out, policy, chunk, claim_batch, deadline,
+        log_events, strategies,
+    ) -> None:
+        self.plan = plan
+        self.pool = pool
+        self.views = pool.views
+        self.env = env
+        self.out = out
+        self.policy = policy
+        self.chunk = chunk
+        self.claim_batch = claim_batch
+        self.deadline = deadline
+        self.log_events = log_events
+        self.strategies = strategies
+        self.interp = Interpreter()
+        self.seen: set = set()
+        self.pinned = 0
+        self.stale = False
+        self._policy_plans: dict = {}
+        self._tuner = _UNSET
+
+    @property
+    def tuner(self):
+        """This run's :class:`~repro.tuning.calibrate.DispatchTuner` (or
+        None), made only if a plan slot has to be built."""
+        if self._tuner is _UNSET:
+            from repro.tuning.calibrate import make_tuner
+
+            plan = self.plan
+            self._tuner = make_tuner(plan.lang, *plan.tuning, store=plan.store)
+        return self._tuner
+
+    def policy_plan(self, n: int, active: int):
+        key = (n, active)
+        hit = self._policy_plans.get(key)
+        if hit is None:
+            hit = self._policy_plans[key] = policy_plan(
+                self.policy, n, active, self.chunk
+            )
+        return hit
+
+    def serve(self, key, decisions: int) -> None:
+        """Count a slot's tuning decisions as pinned hits, once per run."""
+        if key not in self.seen:
+            self.seen.add(key)
+            if decisions:
+                self.pinned += decisions
+                record_pinned_hit(decisions)
+
+    def finish(self) -> None:
+        """Fold the tuning counts into the result; forget a stale plan."""
+        tuner = None if self._tuner is _UNSET else self._tuner
+        if tuner is not None:
+            self.out.calibrations = tuner.calibrations + tuner.quick_calibrations
+            self.pinned += tuner.pinned_hits
+        self.out.pinned_decisions = self.pinned
+        if self.stale:
+            from repro.parallel.plan import drop
+
+            drop(self.plan)
+
+
+def execute(run: Run) -> None:
+    """Run the whole procedure of ``run.plan``."""
+    if run.plan.serial_outer:
+        # Imported here so that no other program's run ever loads it.
+        from repro.parallel.region import try_region
+
+        if try_region(run):
+            return
+    _exec(run, run.plan.proc.body, run.env)
+
+
+# ---------------------------------------------------------------------------
+# One dispatch
+# ---------------------------------------------------------------------------
+
+
+def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
+    name = policy if isinstance(policy, str) else policy.name
+    return ParallelRunResult(
+        loop.var, lo, hi, workers, name, 0.0, [0] * workers, 0
+    )
+
+
+def _resolve_claim_batch(
+    requested, decision, plan, n: int, active: int
+) -> int:
+    """Resolve ``claim_batch`` (int or ``"auto"``) to the value workers use.
+
+    Explicit integers pass through (floored at 1).  ``"auto"`` takes the
+    calibrated batch when a decision carries one — clamped so this
+    dispatch still gives every worker at least one claim round — and
+    otherwise a conservative load-balance heuristic.  GSS and static
+    plans never batch.
+    """
+    if requested != "auto":
+        return max(1, int(requested))
+    if plan.rule is None or plan.rule[0] == "gss":
+        return 1
+    per_claim = 1 if plan.rule[0] == "unit" else max(1, plan.rule[1])
+    chunks = max(1, -(-n // per_claim))
+    cap = max(1, chunks // max(1, active))
+    if decision is not None and decision.claim_batch:
+        return max(1, min(decision.claim_batch, cap))
+    return max(1, min(64, chunks // (max(1, active) * 8), cap))
+
+
+def _finalize_result(
+    results: Mapping[int, tuple],
+    loop: Loop,
+    lo: int,
+    hi: int,
+    n: int,
+    active: int,
+    plan,
+    t_base: float,
+) -> ParallelRunResult:
+    """Fold per-worker result messages into one :class:`ParallelRunResult`."""
+    wall = time.monotonic() - t_base
+    per_worker = [0] * active
+    claims = 0
+    lock_ops = 0
+    langs: set[str] = set()
+    event_log: list = []
+    spec_logs: list = []
+    for wid, msg in results.items():
+        _, _, _, iters, wclaims, wlocks, wevents, wlang, wextra = msg
+        langs.add(wlang)
+        spec_logs.extend(wextra.get("spec_log", ()))
+        if wid < active:
+            per_worker[wid] = iters
+        elif iters:  # pragma: no cover - plan contract violated
+            raise ParallelError(
+                f"idle worker {wid} executed {iters} iterations"
+            )
+        claims += wclaims
+        lock_ops += wlocks
+        if len(wevents):
+            event_log.append((wid, wevents))
+    if sum(per_worker) != n:
+        raise ParallelError(
+            f"claim accounting violated: {sum(per_worker)} iterations "
+            f"executed for a range of {n}"
+        )
+    spec_logs.sort(key=lambda log: (log[0], log[1]))
+    return ParallelRunResult(
+        loop.var,
+        lo,
+        hi,
+        active,
+        plan.name,
+        wall,
+        per_worker,
+        claims,
+        event_log,
+        t_base,
+        lock_ops=lock_ops,
+        chunk_lang=_aggregate(langs),
+        spec_logs=spec_logs,
+    )
+
+
+def _stamp_result(run: Run, result: ParallelRunResult, job: dict, batch: int):
+    """Record the dispatch's resolved batch and variant on its result.
+
+    The variant reflects what workers *actually executed*: a fleet that
+    degraded from the attached build (dlopen/bind failure) reports
+    ``"py"`` and counts a chunk fallback, exactly like a parent-side
+    degradation — and the plan that carried the build is stale.
+    """
+    result.claim_batch = batch
+    wanted = job.get("chunk_lang", "py")
+    if result.chunk_lang == wanted:
+        result.variant = job.get("variant", "py")
+        return result
+    if result.chunk_lang == "py":
+        result.variant = "py"
+    record_chunk_fallback()  # worker-side dlopen/bind degradation
+    run.stale = True
+    return result
+
+
+def _dispatch_pool(
+    run: Run,
+    proc,
+    loop: Loop,
+    env: Mapping[str, int | float],
+    speculate: dict | None = None,
+    extra_specs: list | None = None,
+    extra_views: Mapping[str, np.ndarray] | None = None,
+) -> ParallelRunResult:
+    """Run one DOALL on the persistent pool: a message, not a fork.
+
+    The job is the plan's template for this loop shape plus what this
+    dispatch fills in.  ``extra_specs``/``extra_views`` ship side-channel
+    arrays outside the main pool (the reduction engine's partials); a
+    ``speculate`` descriptor ships the shadow segments and the
+    written→shadow alias map, and workers run the recording interpreter.
+    """
+    wpool = run.pool
+    lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
+    hi = eval_bound(loop.upper, env, run.views, "loop upper bound")
+    n = max(0, hi - lo + 1)
+    if n == 0:
+        # Nothing to do — and nothing sent: the pool idles through empty
+        # ranges and stays usable for the next dispatch.
+        return _empty_result(loop, lo, hi, wpool.workers, run.policy)
+    active = max(1, min(wpool.workers, n))
+    plan = run.policy_plan(n, active)
+    key, prep = run.plan.prep(
+        run, proc, loop, env, plan, n, extra_views, speculate is not None
+    )
+    run.serve(key, prep.decision is not None)
+    if prep.fallback:
+        record_chunk_fallback()
+    batch = _resolve_claim_batch(run.claim_batch, prep.decision, plan, n, active)
+    job = dict(prep.job)
+    job.update(
+        specs=wpool.shared.specs() + list(extra_specs or ()),
+        scalars={name: env[name] for name in job["scalar_order"]},
+        plan=plan,
+        lo=lo,
+        batch=batch,
+        log_events=run.log_events,
+    )
+    if speculate is not None:
+        job["specs"] += speculate["specs"]
+        job["speculate"] = {
+            "loop": speculate["loop"],
+            "written": tuple(speculate["written"]),
+            "aliases": dict(speculate["aliases"]),
+        }
+    t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
+    claim_loop = "static" if plan.rule is None else "py"
+    if "claim_so" in job:
+        claim_loop = "native"
+        # A worker that could not bind the native loop sat the dispatch
+        # out (lang "py", no work) and its peers drained the range.  Only
+        # when *nobody* could bind has nothing run at all — then, and only
+        # then, the same dispatch goes out again on the lock-guarded
+        # protocol: one protocol per counter per dispatch, always.
+        sat_out = sum(1 for msg in results.values() if msg[7] != "c")
+        if sat_out:
+            run.stale = True
+            record_claim_fallback(sat_out)
+            if not any(msg[3] for msg in results.values()):
+                record_claim_fallback()
+                claim_loop = "py"
+                del job["claim_so"], job["c_thunk"]
+                t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
+    result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
+    result.claim_loop = claim_loop
+    return _stamp_result(run, result, job, batch)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+
+def _dispatched(run: Run, loop: Loop, env: dict) -> None:
+    run.out.dispatches.append(_dispatch_pool(run, run.plan.proc, loop, env))
+
+
+def _reduced(run: Run, loop: Loop, env: dict) -> None:
+    """A recognized reduction, through partial accumulators + ordered fold.
+
+    The derived strip-mined loop dispatches with the partial array
+    attached as a side-channel segment; the parent then folds the
+    partials in ascending chunk order, seeded with the incoming
+    accumulator value, and writes the result back into ``env`` — exactly
+    the serial association ``((s ⊕ p₁) ⊕ p₂) …`` with ``p_c = ((id ⊕
+    u_{c,1}) ⊕ …)``, bit-identical to serial execution whenever ⊕ is
+    exact on the data (min/max always; float +/* on integer-valued data).
+    A correctness matter, not an optimization: dispatched plainly, each
+    worker would hold a private copy of the accumulator.  The chunk grid
+    is a pure function of the trip count, never the worker count.
+    """
+    red_plan = run.plan.reductions[id(loop)]
+    red = red_plan.reduction
+    if red.scalar not in env:
+        raise ParallelDispatchError(
+            f"reduction scalar {red.scalar!r} has no incoming value"
+        )
+    lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
+    hi = eval_bound(loop.upper, env, run.views, "loop upper bound")
+    n = max(0, hi - lo + 1)
+    result = _empty_result(loop, lo, hi, run.pool.workers, run.policy)
+    if n > 0:
+        n_chunks = max(1, min(RED_MAX_CHUNKS, n))
+        seed = np.full(n_chunks, RED_IDENTITY[red.op], dtype=np.float64)
+        env2 = dict(env)
+        env2[red_plan.chunks] = n_chunks
+        env2[red_plan.stride] = -(-n // n_chunks)
+        with SharedArrayPool({red_plan.partial: seed}) as ppool:
+            result = _dispatch_pool(
+                run, red_plan.proc, red_plan.loop, env2, None,
+                ppool.specs(), ppool.views,
+            )
+            parts = ppool.views[red_plan.partial][:n_chunks].tolist()
+        acc = env[red.scalar]
+        for part in parts:
+            acc = apply_binop(red.op, acc, part)
+        env[red.scalar] = acc
+    result.reduction_scalar = red.scalar
+    result.reduction_value = float(env[red.scalar])
+    record_reduction_dispatch()
+    run.out.reductions += 1
+    run.out.dispatches.append(result)
+
+
+def _serial(run: Run, loop: Loop, env: dict) -> None:
+    """A loop the verdict refuses to dispatch: serial, in the parent."""
+    record_safety_block()
+    run.out.blocked_dispatches += 1
+    run.interp._exec(loop, env, run.views)
+    run.out.serial_stmts += 1
+
+
+def inspect_blocked(loop: Loop, env, views, report):
+    """Run the inspector on one blocked dispatch; certify its verdict."""
+    record_speculate(inspected=1)
+    insp = runtime.inspect_dispatch(loop, env, views)
+    if report is not None:
+        report.dynamic.append(
+            SpecCertificate(
+                loop_var=loop.var,
+                mode="inspector",
+                status="proven-dynamic" if insp.proven else "refuted",
+                iterations=insp.iterations,
+                conflicts=len(insp.conflicts),
+                wall_s=insp.wall_s,
+                detail=insp.describe(),
+            )
+        )
+    if insp.proven:
+        record_speculate(proven_dynamic=1)
+    return insp
+
+
+def _inspected(run: Run, loop: Loop, env: dict) -> None:
+    out = run.out
+    out.inspected += 1
+    if not inspect_blocked(loop, env, run.views, out.safety).proven:
+        _serial(run, loop, env)
+        return
+    out.proven_dynamic += 1
+    result = _dispatch_pool(run, run.plan.proc, loop, env)
+    result.speculation = "proven-dynamic"
+    out.dispatches.append(result)
+
+
+#: Process-global counter making shadow alias names unique per dispatch
+#: occurrence, so a persistent worker never mistakes a stale shadow
+#: attachment for the current one.
+_SPEC_TOKEN = itertools.count()
+
+
+def _speculated(run: Run, loop: Loop, env: dict) -> None:
+    """Dispatch into shadow copies of the written arrays, then validate.
+
+    Workers run the recording interpreter against the shadows; the
+    gathered chunk logs are checked for cross-chunk conflicts.  Conflict
+    free: the shadows are committed into the views.  Otherwise the views
+    are exactly as before the dispatch and the loop re-runs serially.
+    Either way a certificate lands on the run's report, and the shadow
+    segments are unlinked on every exit path.
+    """
+    out, views = run.out, run.views
+    written = run.plan.spec_plans[id(loop)].written
+    record_speculate(speculated=1)
+    out.speculated += 1
+    t0 = time.monotonic()
+    token = next(_SPEC_TOKEN)
+    aliases = {name: shadow_alias(name, token) for name in written}
+    with SharedArrayPool(
+        {aliases[name]: views[name] for name in written}
+    ) as shadow:
+        info = {
+            "loop": loop,
+            "written": tuple(written),
+            "aliases": aliases,
+            "specs": shadow.specs(),
+        }
+        result = _dispatch_pool(run, run.plan.proc, loop, env, info)
+        validation = validate_chunk_logs(result.spec_logs)
+        if validation.ok:
+            for name in written:
+                np.copyto(views[name], shadow.views[aliases[name]])
+    status = "committed" if validation.ok else "rolled-back"
+    result.speculation = status
+    out.dispatches.append(result)
+    if out.safety is not None:
+        out.safety.dynamic.append(
+            SpecCertificate(
+                loop_var=loop.var,
+                mode="speculative",
+                status=status,
+                iterations=result.total_iterations,
+                chunks=validation.chunks,
+                conflicts=len(validation.conflicts),
+                wall_s=time.monotonic() - t0,
+                detail=validation.describe(),
+            )
+        )
+    if validation.ok:
+        record_speculate(committed=1)
+        out.committed += 1
+    else:
+        # Misspeculation: the shadows are gone, the primaries untouched —
+        # retry serially for the exact serial result.
+        record_speculate(rolled_back=1)
+        out.rolled_back += 1
+        run.interp._exec(loop, env, views)
+        out.serial_stmts += 1
+
+
+_STRATEGIES = {
+    "dispatch": _dispatched,
+    "reduce": _reduced,
+    "serial": _serial,
+    "inspect": _inspected,
+    "speculate": _speculated,
+}
+
+
+# ---------------------------------------------------------------------------
+# The statement walk (serial segments + nested dispatch)
+# ---------------------------------------------------------------------------
+
+
+_MISSING = object()
+
+
+def _residue(run: Run, stmt: Loop, env: dict) -> None:
+    """A dispatch-free serial loop, through the plan's compiled residue.
+
+    The serial residue of a fissioned program (the cyclic-SCC sub-loops)
+    runs in the parent; the tree interpreter would dominate the wall
+    clock.  Each residue compiles once per plan (generated Python, the
+    backend the suite holds bit-identical to the interpreter) and falls
+    back to the interpreter on any failure — compile or call.  (Two runs
+    racing here compile the same residue twice, harmlessly.)
+    """
+    residues = run.plan.residues
+    entry = residues.get(id(stmt))
+    if entry is None:
+        entry = residues[id(stmt)] = compile_residue(stmt, env)
+    if entry is not False:
+        fn, array_order, params, returns = entry
+        try:
+            out_vals = fn(
+                *[run.views[a] for a in array_order],
+                *[env[p] for p in params],
+            )
+        except Exception:
+            residues[id(stmt)] = False
+        else:
+            for name, val in zip(returns, out_vals):
+                env[name] = val
+            return
+    run.interp._exec(stmt, env, run.views)
+
+
+def _exec(run: Run, stmt: Stmt, env: dict[str, int | float]) -> None:
+    """Execute a statement tree, running every reachable DOALL under its
+    strategy.
+
+    Serial loops *containing* dispatchable DOALLs are driven by the
+    parent (their control flow must interleave with dispatches — the
+    pivot loop of Gauss–Jordan); dispatch-free serial loops go to the
+    compiled residue; everything else falls through to the interpreter
+    over the shared views.
+    """
+    out, views = run.out, run.views
+    if isinstance(stmt, Block):
+        for s in stmt.stmts:
+            _exec(run, s, env)
+        return
+    if run.deadline is not None and time.monotonic() > run.deadline:
+        raise ParallelTimeoutError(
+            "parallel run exceeded its deadline in a serial segment"
+        )
+    if isinstance(stmt, Loop) and _dispatchable(stmt):
+        _STRATEGIES[run.strategies[id(stmt)]](run, stmt, env)
+        return
+    if isinstance(stmt, Loop) and _contains_dispatchable(stmt.body):
+        lo = eval_bound(stmt.lower, env, views, "loop lower bound")
+        hi = eval_bound(stmt.upper, env, views, "loop upper bound")
+        st = eval_bound(stmt.step, env, views, "loop step")
+        if st <= 0:
+            raise InterpreterError(
+                f"loop {stmt.var!r}: non-positive step {st}"
+            )
+        saved = env.get(stmt.var, _MISSING)
+        for value in range(lo, hi + 1, st):
+            env[stmt.var] = value
+            _exec(run, stmt.body, env)
+        if saved is _MISSING:
+            env.pop(stmt.var, None)
+        else:
+            env[stmt.var] = saved
+    elif isinstance(stmt, If) and _contains_dispatchable(stmt):
+        cond = run.interp._eval(stmt.cond, env, views)
+        _exec(run, stmt.then if cond else stmt.orelse, env)
+    elif isinstance(stmt, Loop):
+        _residue(run, stmt, env)
+    else:
+        run.interp._exec(stmt, env, views)
+    out.serial_stmts += 1

@@ -1,0 +1,686 @@
+"""The prepared plan: what a run decides once, kept for every later run.
+
+The paper's bargain is to decide at compile time whatever can be decided
+there and to pay only the claims at run time.  A :class:`Plan` is that
+decision for one procedure and one *run shape*, built by the first
+:func:`~repro.parallel.runtime.run_parallel_procedure` call that needs it
+and reused by every later one — the ruler's warm pools,
+``MPCompiledProcedure`` and the server's registered programs gain it
+without a new argument.  The key (:func:`prepare`):
+
+* the procedure, by identity (IR nodes are frozen; the memo entry holds
+  the procedure, so its ``id`` cannot be reused while the plan lives);
+* the safety mode, the resolved chunk language, the scalar C types and
+  the array dtypes and ranks;
+* the policy (name, or name and rule), ``chunk``, the worker count, the
+  requested ``claim_batch``, ``variants`` and ``calibrate``;
+* the identity of the resolved artifact store.
+
+What a plan holds: the procedure, validated and checked for something
+dispatchable; the safety verdict, its blocked set, the speculation plans
+and the strategy each dispatchable loop runs under (``dispatch``,
+``reduce``, ``serial``, ``inspect``, ``speculate``); the reduction plans;
+and — filled by the first run that reaches them, then never changed —
+each loop shape's job template (chunk source, bound kernel and thunk,
+claim library) with its tuning decision, the compiled serial residues,
+and the region verdict with its job template.  What never lives in a
+plan: the report's certificates (each run works on its own copy),
+counters, results, scalar values, trip counts, batch clamps, region
+``params`` and the pool's ``specs``.
+
+Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
+it (:func:`repro.tuning.reset_tuning_memo` calls it), and a run whose
+workers could not bind a plan's artifacts drops that plan, so the next
+run builds it again.  :mod:`repro.parallel.dispatch` runs plans.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
+
+import numpy as np
+
+from repro.analysis.pdg import Reduction, recognize_reduction
+from repro.cache import artifact_key
+from repro.codegen.cload import prefetch_claim_loop_library
+from repro.codegen.npgen import generate_chunk_numpy
+from repro.codegen.pygen import generate_chunk_source, generate_source
+from repro.ir.expr import INTRINSICS, ArrayRef, BinOp, Const, Var, min_
+from repro.ir.printer import to_source
+from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
+from repro.ir.validate import validate
+from repro.ir.visitor import walk_exprs, walk_stmts
+from repro.parallel import runtime
+from repro.parallel.counter import policy_plan
+from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
+from repro.parallel.shm import native_layout
+from repro.parallel.speculate import speculation_plan
+from repro.tuning.variants import default_variant, variant_by_name
+
+#: Plans (and verdicts) kept per process.  A plan is a few job templates
+#: and references to IR the caller holds anyway.
+MEMO_BOUND = 128
+
+_PLANS: OrderedDict = OrderedDict()
+_VERDICTS: OrderedDict = OrderedDict()
+_LOCK = threading.Lock()
+
+
+def _recall(memo: OrderedDict, key):
+    with _LOCK:
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+        return hit
+
+
+def _remember(memo: OrderedDict, key, value):
+    with _LOCK:
+        memo[key] = value
+        memo.move_to_end(key)
+        while len(memo) > MEMO_BOUND:
+            memo.popitem(last=False)
+    return value
+
+
+def drop_plans() -> None:
+    """Forget every plan and verdict (the next run of anything rebuilds)."""
+    with _LOCK:
+        _PLANS.clear()
+        _VERDICTS.clear()
+
+
+def verdict(proc: Procedure):
+    """The chunk-safety report of ``proc``, verified once per procedure.
+
+    The one verdict path: plans read it, and so do
+    ``MPCompiledProcedure.safety_report`` and the API's.
+    """
+    hit = _recall(_VERDICTS, id(proc))
+    if hit is None:
+        from repro.analysis.safety import verify_procedure
+
+        hit = _remember(_VERDICTS, id(proc), (proc, verify_procedure(proc)))
+    return hit[1]
+
+
+def _kind(value) -> str:
+    """What a scalar is to a kernel and to the region's skeleton."""
+    if isinstance(value, (float, np.floating)):
+        return "double"
+    if isinstance(value, (int, np.integer)):
+        return "long"
+    return type(value).__name__
+
+
+def _unproven_summary(report) -> str:
+    """One-line refusal reason: each unproven loop with its rule codes."""
+    parts = []
+    for v in report.loops:
+        if not v.proven:
+            rules = sorted({f.rule for f in v.findings}) or ["unproven"]
+            parts.append(f"loop {v.loop_var} ({', '.join(rules)})")
+    return "; ".join(parts)
+
+
+def prepare(
+    proc: Procedure,
+    arrays: Mapping[str, np.ndarray],
+    scalars: Mapping[str, int | float],
+    mode: str,
+    lang: str,
+    policy,
+    chunk: int | None,
+    workers: int,
+    claim_batch: int | str,
+    variants,
+    calibrate: bool | None,
+) -> "Plan":
+    """The plan for this call: a memo hit, or built now (before any pool).
+
+    Building validates the procedure, checks it has something to
+    dispatch and runs the safety verdict — any of which raises here.
+    Records the verdict in the metrics once per call, as every run did.
+    """
+    from repro.cache import resolve_cache
+    from repro.parallel.observe import record_safety
+
+    store = resolve_cache("default")
+    key = (
+        id(proc), mode, lang,
+        tuple(sorted((k, _kind(v)) for k, v in scalars.items())),
+        tuple((k, a.dtype.str, a.ndim) for k, a in arrays.items()),
+        policy if isinstance(policy, str) else (
+            type(policy).__name__, policy.name,
+            policy_plan(policy, 1, 1, chunk).rule,
+        ),
+        chunk, workers, claim_batch,
+        variants if variants is None or isinstance(variants, str)
+        else tuple(variants),
+        calibrate, id(store),
+    )
+    plan = _recall(_PLANS, key)
+    if plan is None:
+        plan = _remember(
+            _PLANS, key,
+            Plan(key, proc, mode, lang, store, (variants, calibrate)),
+        )
+    if plan.report is not None:
+        record_safety(plan.report)
+    return plan
+
+
+def drop(plan: "Plan") -> None:
+    """Forget ``plan`` (a run found its artifacts unbindable)."""
+    with _LOCK:
+        if _PLANS.get(plan.key) is plan:
+            del _PLANS[plan.key]
+
+
+@dataclass(frozen=True)
+class _Prep:
+    """One loop shape's dispatch, less what each dispatch fills in."""
+
+    job: dict
+    decision: object = None
+    #: The wanted chunk language could not be built: a chunk fallback,
+    #: counted per dispatch.
+    fallback: bool = False
+
+
+class Plan:
+    """One procedure prepared for one run shape (see the module docstring)."""
+
+    def __init__(self, key, proc, mode, lang, store, tuning) -> None:
+        from repro.tuning.calibrate import make_tuner
+
+        validate(proc)
+        loops = runtime._dispatchable_loops(proc.body)
+        if not loops:
+            raise ParallelDispatchError(
+                f"procedure {proc.name!r} has no dispatchable unit-step DOALL "
+                "(coalesce it first, or run the serial backend)"
+            )
+        self.key = key
+        self.proc = proc
+        self.mode = mode
+        self.lang = lang
+        self.store = store
+        self.tuning = tuning
+        self.loops = loops
+        self.serial_outer = runtime._serial_outer(proc.body)
+        self.report, self.blocked = self._safety(proc, mode)
+        make_tuner(lang, *tuning)  # unknown variant names raise here
+        self.spec_plans = {
+            id(lp): speculation_plan(lp, self.report.by_id.get(id(lp)))
+            for lp in loops
+            if mode == "speculate" and id(lp) in self.blocked
+        }
+        self.reductions: dict[int, _ReductionPlan] = {}
+        self.strategies: dict[int, str] = {}
+        for lp in loops:
+            if id(lp) in self.blocked:
+                action = self.spec_plans.get(id(lp))
+                action = "refuse" if action is None else action.action
+                self.strategies[id(lp)] = (
+                    "serial" if action == "refuse" else action
+                )
+                continue
+            red = _reduction_plan(proc, lp)
+            if red is not None:
+                self.reductions[id(lp)] = red
+            self.strategies[id(lp)] = "dispatch" if red is None else "reduce"
+        #: Why the whole run is refused — nothing left but serial loops —
+        #: or None.
+        self.refusal = None
+        if all(s == "serial" for s in self.strategies.values()):
+            self.refusal = (
+                f"safety={mode} refused every dispatch in {proc.name!r}: "
+                f"{_unproven_summary(self.report)}"
+            )
+        self.kernels = KernelBuilder(store)
+        #: Compiled serial residues by ``id(stmt)`` (False: interpret).
+        self.residues: dict[int, object] = {}
+        self._slots: dict = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _safety(proc: Procedure, mode: str):
+        """``(report, blocked-loop ids)``.  Under enforce and speculate a
+        verifier crash fails closed; under warn it is an unchecked run."""
+        if mode == "off":
+            return None, frozenset()
+        try:
+            report = verdict(proc)
+        except Exception as exc:
+            if mode in ("enforce", "speculate"):
+                raise SafetyVerificationError(
+                    f"safety={mode}: chunk-safety verification of "
+                    f"{proc.name!r} failed: {exc}"
+                ) from exc
+            return None, frozenset()
+        if mode not in ("enforce", "speculate"):
+            return report, frozenset()
+        return report, frozenset(
+            loop_id for loop_id, v in report.by_id.items() if not v.proven
+        )
+
+    def run_report(self):
+        """This run's own copy of the verdict (certificates are per run)."""
+        return None if self.report is None else replace(self.report, dynamic=[])
+
+    def once(self, key, run, build: Callable[[], object]):
+        """Slot ``key``, built by ``build()`` on first use and then fixed.
+
+        A slot built now is marked seen by ``run`` — its tuner already
+        counted the decisions in it (:meth:`Run.serve`).
+        """
+        hit = self._slots.get(key)
+        if hit is None:
+            with self._lock:
+                hit = self._slots.get(key)
+                if hit is None:
+                    hit = self._slots[key] = build()
+                    run.seen.add(key)
+        return hit
+
+    def prep(self, run, proc, loop, env, pplan, n, extra_views, speculative):
+        """``(slot key, _Prep)`` for one dispatch of ``loop`` under ``env``.
+
+        Keyed by loop identity, the env-local scalar names, every scalar's
+        C type (a hybrid program can feed one loop integers on one
+        dispatch and serially computed floats on the next) and whether
+        the dispatch is speculative.
+        """
+        extra = tuple(
+            sorted(k for k in env if k not in proc.scalars and k != loop.var)
+        )
+        types = tuple(_kind(env[s]) for s in tuple(proc.scalars) + extra)
+        key = (id(loop), extra, types, speculative)
+        return key, self.once(
+            key, run,
+            lambda: self._prep(
+                run, proc, loop, extra, env, pplan, n, extra_views, speculative
+            ),
+        )
+
+    def _prep(self, run, proc, loop, extra, env, pplan, n, extra_views,
+              speculative) -> _Prep:
+        """The job template: the Python chunk always (the net every
+        fallback lands on); the native kernel — plus the claim library
+        for a dynamic plan — or the numpy chunk when the wanted language
+        builds.  A tuning decision overrides the build: its variant picks
+        the chunk language and, for C, the compiler and flags.  A
+        speculative dispatch runs the recording interpreter: no build, no
+        decision."""
+        source, fname, order = self.kernels.chunk_source(proc, loop, extra)
+        job = {
+            "source": source,
+            "fname": fname,
+            "array_order": list(proc.arrays),
+            "scalar_order": order,
+            "variant": "py",
+        }
+        if speculative:
+            return _Prep(job)
+        decision = None
+        if run.tuner is not None:
+            decision = run.tuner.decision_for(
+                proc, loop, env, run.views, pplan, n, run.pool.workers,
+                run.chunk, self.kernels, run.claim_batch,
+            )
+        variant, lang = None, self.lang
+        if decision is not None:
+            try:
+                variant = variant_by_name(decision.variant)
+                lang = variant.lang
+            except ValueError:
+                variant = None
+        if lang == "c":
+            kernel = (
+                self.kernels.chunk_kernel(proc, loop, extra, env, variant)
+                if native_layout({**run.views, **(extra_views or {})}, proc.arrays)
+                else None
+            )
+            if kernel is None:
+                return _Prep(job, decision, fallback=True)
+            so_path, c_fname, sig, scalar_types = kernel
+            job.update(
+                chunk_lang="c", c_so=so_path, c_fname=c_fname, c_sig=sig,
+                c_scalar_types=scalar_types,
+                variant=(variant or default_variant("c")).name,
+            )
+            claim_so = (
+                runtime.claim_loop_library(self.store)
+                if pplan.rule is not None
+                else None
+            )
+            if claim_so is not None:
+                job.update(
+                    claim_so=claim_so, c_thunk=c_fname + runtime.THUNK_SUFFIX
+                )
+        elif lang == "numpy":
+            npk = self.kernels.numpy_chunk(proc, loop, extra)
+            if npk is None:
+                return _Prep(job, decision, fallback=True)
+            job.update(
+                chunk_lang="numpy", np_source=npk[0], np_fname=npk[1],
+                variant="numpy",
+            )
+        return _Prep(job, decision)
+
+
+# ---------------------------------------------------------------------------
+# The kernel path
+# ---------------------------------------------------------------------------
+
+
+def _widened(proc: Procedure, extra: tuple[str, ...]) -> Procedure:
+    """``proc`` whose parameter list also carries env-local scalars."""
+    return Procedure(
+        proc.name, proc.body, proc.arrays, tuple(proc.scalars) + extra
+    )
+
+
+class KernelBuilder:
+    """The plan builder's kernel path: chunk sources and builds per shape.
+
+    Memoized by loop identity for the builder's lifetime (a plan's, or one
+    server ``/compile``'s) and content-addressed in the artifact store
+    behind that — kinds ``chunk`` and ``chunk_numpy`` keyed by the printed
+    loop (variable, bounds *and* body) plus the calling convention, and
+    :func:`~repro.codegen.cload.compile_chunk_library`'s ``chunk_clib`` —
+    so a shape is generated and compiled once across runs, processes and
+    the server.  A codegen or compile failure is memoized as None: a shape
+    that cannot go native costs one attempt.
+    """
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self._memo: dict = {}
+
+    def _text(self, kind, blob, proc, loop, fname, scalars, generate) -> str:
+        if self.store is None:
+            return generate()
+        key = artifact_key(
+            kind, loop=to_source(loop), name=fname, arrays=list(proc.arrays),
+            scalars=list(scalars),
+        )
+        return self.store.memo_text(key, blob, generate)
+
+    def chunk_source(
+        self, proc: Procedure, loop: Loop, extra: tuple[str, ...]
+    ) -> tuple[str, str, list[str]]:
+        """``(source, fname, scalar order)`` of the Python chunk."""
+        key = ("py", id(loop), extra)
+        hit = self._memo.get(key)
+        if hit is None:
+            widened = _widened(proc, extra)
+            fname = f"{proc.name}__chunk"
+            source = self._text(
+                "chunk", "chunk.py", proc, loop, fname, widened.scalars,
+                lambda: generate_chunk_source(widened, loop=loop),
+            )
+            hit = self._memo[key] = (source, fname, list(widened.scalars))
+        return hit
+
+    def chunk_kernel(self, proc, loop, extra, env, variant=None):
+        """``(so_path, fname, sig, scalar_types)`` of the C kernel, or None.
+
+        Keyed by loop identity plus the C types of the live scalar values
+        plus the farm variant (a :class:`repro.tuning.variants.Variant`
+        picking compiler and flags; None is the default build).
+        """
+        widened = _widened(proc, extra)
+        types = tuple(
+            "double" if _kind(env[s]) == "double" else "long"
+            for s in widened.scalars
+        )
+        key = ("c", id(loop), extra, types, variant.name if variant else None)
+        if key not in self._memo:
+            try:
+                self._memo[key] = self._build_kernel(
+                    widened, loop, types, variant
+                )
+            except Exception:
+                self._memo[key] = None
+        return self._memo[key]
+
+    def _build_kernel(self, widened, loop, types, variant):
+        fname = f"{widened.name}__chunk"
+        source = runtime.generate_chunk_c(
+            widened, loop=loop, name=fname,
+            scalar_types=dict(zip(widened.scalars, types)),
+        )
+        build = {}
+        if variant is not None:
+            build = dict(cc=variant.cc, optimize=variant.optimize)
+        # The dispatch this kernel is for will want the claim-loop library
+        # too; where that is still unresolved (a process's first native
+        # build) its compiler run shares this one's wait.
+        warming = prefetch_claim_loop_library(self.store)
+        try:
+            so_path, _ = runtime.compile_chunk_library(
+                source, fname, cache=self.store, **build
+            )
+        finally:
+            if warming is not None:
+                warming.join()
+        sig: list[str] = []
+        for rank in widened.arrays.values():
+            sig.append("ptr")
+            sig.extend(["long"] * rank)
+        sig.extend(types)
+        return so_path, fname, tuple(sig), types
+
+    def numpy_chunk(self, proc, loop, extra) -> tuple[str, str] | None:
+        """``(np_source, np_fname)`` of the whole-slice numpy chunk, or
+        None (a shape :mod:`repro.codegen.npgen` refuses)."""
+        key = ("numpy", id(loop), extra)
+        if key not in self._memo:
+            widened = _widened(proc, extra)
+            fname = f"{proc.name}__chunk_np"
+            try:
+                self._memo[key] = self._text(
+                    "chunk_numpy", "chunk_np.py", proc, loop, fname,
+                    widened.scalars,
+                    lambda: generate_chunk_numpy(widened, loop=loop, name=fname),
+                ), fname
+            except Exception:
+                self._memo[key] = None
+        return self._memo[key]
+
+
+def prewarm(proc: Procedure, store) -> int:
+    """Build every available variant of every loop shape of ``proc``.
+
+    What the server does at ``/compile``: each C variant compiled (and the
+    numpy chunk generated) with the integer-scalar signature JSON scalars
+    decode to — for a recognized reduction, the derived strip-mined loop
+    the run dispatches — so the first ``/run``'s plan finds every build in
+    the store.  Returns the number of builds warmed; a shape that fails
+    warms nothing.
+    """
+    from repro.tuning.variants import available_variants
+
+    kernels = KernelBuilder(store)
+    warmed = 0
+    for lp in runtime._dispatchable_loops(proc.body):
+        red = _reduction_plan(proc, lp)
+        kproc, kloop = (proc, lp) if red is None else (red.proc, red.loop)
+        env = {name: 1 for name in kproc.scalars}
+        for variant in available_variants("auto"):
+            if variant.lang == "c":
+                built = kernels.chunk_kernel(kproc, kloop, (), env, variant)
+            elif variant.lang == "numpy":
+                built = kernels.numpy_chunk(kproc, kloop, ())
+            else:
+                continue  # the py chunk needs no warming
+            warmed += built is not None
+    return warmed
+
+
+# ---------------------------------------------------------------------------
+# Reduction plans (recognized ``s := s ⊕ expr`` loops)
+# ---------------------------------------------------------------------------
+
+#: Upper bound on partial accumulators per reduction dispatch.  The chunk
+#: grid is a pure function of the trip count (never the worker count), so
+#: the folded result is deterministic across fleet sizes.
+RED_MAX_CHUNKS = 64
+
+#: Finite identity constants for the derived init statement.  ``min`` and
+#: ``max`` use ±float-max instead of ±inf — generated Python and C sources
+#: cannot spell infinity as a literal — which folds exactly like the true
+#: identity for any representable finite data.
+RED_IDENTITY: dict[str, float] = {
+    "+": 0.0,
+    "*": 1.0,
+    "min": float(np.finfo(np.float64).max),
+    "max": float(-np.finfo(np.float64).max),
+}
+
+
+@dataclass(frozen=True)
+class _ReductionPlan:
+    """Everything one recognized reduction loop needs to dispatch.
+
+    ``origin`` is the loop as written (``s := s ⊕ expr``); ``proc`` /
+    ``loop`` are the derived strip-mined form the workers actually
+    execute; ``partial``/``chunks``/``stride`` name the partial array and
+    the two symbolic grid scalars, so one cached chunk kernel serves
+    every trip count.
+    """
+
+    reduction: Reduction
+    origin: Loop
+    proc: Procedure
+    loop: Loop
+    partial: str
+    chunks: str
+    stride: str
+
+
+def _fresh_red_name(base: str, used: set[str]) -> str:
+    name = base
+    while name in used:
+        name += "_"
+    used.add(name)
+    return name
+
+
+def derive_reduction_dispatch(
+    proc: Procedure, loop: Loop, red: Reduction
+) -> _ReductionPlan:
+    """Build the strip-mined partial-accumulator form of a reduction loop.
+
+    The original ``for i = lo, hi: s := s ⊕ u(i)`` becomes::
+
+        doall __rc = 0, __red_c - 1:
+            __red_p(__rc) := identity
+            for i = lo + __rc*__red_k, min(hi, lo + (__rc+1)*__red_k - 1):
+                [if guard then] __red_p(__rc) := __red_p(__rc) ⊕ u(i)
+
+    ``__red_c`` (chunk count) and ``__red_k`` (chunk stride) stay
+    *symbolic* — shipped as env scalars per dispatch — so the generated
+    chunk source, and therefore the compiled kernel, is one per loop
+    shape rather than one per trip count.  The inner loop keeps the
+    original induction variable, so ``u(i)`` and the guard need no
+    renaming.  Each ``__rc`` owns exactly one partial element and a
+    disjoint slice of the original range: the derived loop is race-free
+    by construction (and the safety verifier can re-prove it).
+    """
+    used = set(proc.arrays) | set(proc.scalars)
+    for s in walk_stmts(proc.body):
+        if isinstance(s, Loop):
+            used.add(s.var)
+    for e in walk_exprs(proc.body):
+        if isinstance(e, Var):
+            used.add(e.name)
+    partial = _fresh_red_name("__red_p", used)
+    chunks = _fresh_red_name("__red_c", used)
+    stride = _fresh_red_name("__red_k", used)
+    rc = _fresh_red_name("__rc", used)
+
+    pref = ArrayRef(partial, (Var(rc),))
+    update = Assign(pref, BinOp(red.op, pref, red.update))
+    body: Stmt = (
+        update if red.guard is None else If(red.guard, Block((update,)))
+    )
+    inner_lo = loop.lower + Var(rc) * Var(stride)
+    inner_hi = min_(loop.upper, loop.lower + (Var(rc) + 1) * Var(stride) - 1)
+    inner = Loop(
+        loop.var, inner_lo, inner_hi, Block((body,)), Const(1),
+        LoopKind.SERIAL,
+    )
+    outer = Loop(
+        rc, Const(0), Var(chunks) - 1,
+        Block((Assign(pref, Const(RED_IDENTITY[red.op])), inner)),
+        Const(1), LoopKind.DOALL,
+    )
+    arrays = dict(proc.arrays)
+    arrays[partial] = 1
+    derived = Procedure(
+        f"{proc.name}__red", Block((outer,)), arrays,
+        tuple(proc.scalars) + (chunks, stride),
+    )
+    validate(derived)
+    return _ReductionPlan(red, loop, derived, outer, partial, chunks, stride)
+
+
+def _reduction_plan(proc: Procedure, loop: Loop) -> _ReductionPlan | None:
+    """The reduction plan for ``loop``, or None (it dispatches normally)."""
+    red = recognize_reduction(loop)
+    if red is None or red.scalar in proc.arrays:
+        return None
+    try:
+        return derive_reduction_dispatch(proc, loop, red)
+    except Exception:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Serial residues (dispatch-free serial loops the parent runs)
+# ---------------------------------------------------------------------------
+
+#: Namespace for compiled serial-residue functions (mirrors the chunk
+#: compiler's: the IR intrinsics plus the builtins codegen emits).
+_RESIDUE_NAMESPACE = {**INTRINSICS, "min": min, "max": max, "range": range}
+
+
+def compile_residue(stmt: Loop, env: Mapping[str, int | float]):
+    """Compile one dispatch-free serial loop into a callable, or ``False``.
+
+    Wraps the subtree in a throwaway procedure, generates Python with
+    :func:`repro.codegen.pygen.generate_source` (the backend the test
+    suite holds bit-identical to the interpreter), and appends a return
+    of every scalar the subtree writes so the parent can fold the
+    results back into ``env``.  Returns ``(fn, array_order, params,
+    returns)`` or ``False`` when the shape cannot be compiled (the
+    caller interprets instead).
+    """
+    try:
+        refs: dict[str, int] = {}
+        for e in walk_exprs(stmt):
+            if isinstance(e, ArrayRef):
+                refs.setdefault(e.name, len(e.indices))
+        bound = {s.var for s in walk_stmts(stmt) if isinstance(s, Loop)}
+        names = {e.name for e in walk_exprs(stmt) if isinstance(e, Var)}
+        writes = {
+            s.target.name
+            for s in walk_stmts(stmt)
+            if isinstance(s, Assign) and isinstance(s.target, Var)
+        } - bound
+        params = tuple(sorted((names - bound - set(refs)) & set(env)))
+        returns = tuple(sorted(writes))
+        wrapper = Procedure("__residue", Block((stmt,)), refs, params)
+        source = generate_source(wrapper, name="__residue")
+        source += "    return (" + "".join(f"{r}, " for r in returns) + ")\n"
+        namespace = dict(_RESIDUE_NAMESPACE)
+        exec(compile(source, filename="<residue>", mode="exec"), namespace)
+        return namespace["__residue"], tuple(refs), params, returns
+    except Exception:
+        return False

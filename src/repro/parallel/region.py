@@ -1,6 +1,6 @@
 """The SPMD region: one fork/join for a whole serial-outer nest.
 
-The per-dispatch path (:func:`repro.parallel.runtime._exec_hybrid`) pays
+The per-dispatch path (:func:`repro.parallel.dispatch.execute`) pays
 one job message, one pickle and one gather per DOALL *instance* — 257 of
 them for Gauss–Jordan at n = 256 — with the serial loops between them
 interpreted in the parent.  Here the whole run is one
@@ -30,26 +30,27 @@ induction variables;
 ``SPMD005`` the policy is static (no claim rule);
 ``SPMD006`` a DOALL has no C kernel under the native claim loop, or the
 region unit could not be built or bound.
+
+The verdict — a job template or the refusal — is a slot of the run's
+:class:`~repro.parallel.plan.Plan`: the plan's first run decides it, and
+every later run only fills in the parameters and the pool's specs.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from repro.codegen.cgen import (
-    REGION_SUFFIX,
-    THUNK_SUFFIX,
-    _CEmitter,
-    generate_region_c,
-)
-from repro.codegen.cload import claim_loop_library, compile_chunk_library
+from repro.codegen.cgen import REGION_SUFFIX, _CEmitter, generate_region_c
 from repro.ir.expr import ArrayRef, Const, Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import walk_exprs
+from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
+from repro.parallel.dispatch import _empty_result
 from repro.parallel.errors import ParallelError
 from repro.parallel.observe import record_claim_fallback
 from repro.parallel.runtime import (
@@ -57,8 +58,6 @@ from repro.parallel.runtime import (
     _contains_dispatchable,
     _dispatchable,
     _dispatchable_loops,
-    _empty_result,
-    _reduction_plan,
 )
 from repro.parallel.shm import native_layout
 from repro.runtime.interp import Interpreter, eval_bound
@@ -167,17 +166,39 @@ def _first_instances(
         )
 
 
-def _plan(
-    proc, env, wpool, policy, chunk, claim_batch, caches, lang, mode, blocked
-) -> tuple[dict, list[Loop], list[str], str]:
-    """``(job, loops, variant per loop, policy name)`` for this run, or
-    :class:`_Refused`.  Everything decided once per loop shape — kernel,
-    variant, pinned batch — is decided here, before any worker enters."""
+@dataclass(frozen=True)
+class _Template:
+    """A plan's region: the job, less what each run fills in."""
+
+    job: dict
+    loops: list[Loop]
+    variants: list[str]
+    policy_name: str
+    #: Tuning decisions baked in (pinned hits when a later run serves it).
+    decisions: int
+
+
+def _template(run) -> _Template | str:
+    """The region for ``run.plan``, or the coded reason there is none.
+
+    Everything decided once per loop shape — kernel, variant, pinned
+    batch — is decided here, before any worker enters, from the
+    environment of each DOALL's first non-empty instance; this is a plan
+    slot, built by the plan's first run and kept."""
+    try:
+        return _build(run)
+    except _Refused as refusal:
+        return str(refusal)
+
+
+def _build(run) -> _Template:
+    plan, env, wpool = run.plan, run.env, run.pool
+    proc = plan.proc
     loops = _skeleton(proc, env)
     doalls = [lp for lp, _ in loops]
     for loop in doalls:
-        if id(loop) in blocked:
-            if mode == "speculate":
+        if id(loop) in plan.blocked:
+            if plan.mode == "speculate":
                 raise _Refused(
                     "SPMD003",
                     f"DOALL {loop.var!r} is decided at run time "
@@ -186,12 +207,12 @@ def _plan(
             raise _Refused(
                 "SPMD002", f"DOALL {loop.var!r} is blocked (runs serially)"
             )
-        if _reduction_plan(caches, proc, loop) is not None:
+        if id(loop) in plan.reductions:
             raise _Refused("SPMD001", f"DOALL {loop.var!r} is a reduction")
-    shape = policy_plan(policy, 1, 1, chunk)
+    shape = policy_plan(run.policy, 1, 1, run.chunk)
     if shape.rule is None:
         raise _Refused("SPMD005", f"policy {shape.name!r} is static")
-    views = wpool.views
+    views = run.views
     if not native_layout(views, proc.arrays):
         raise _Refused("SPMD006", "an array is not C-contiguous float64")
 
@@ -199,26 +220,27 @@ def _plan(
     _first_instances(proc.body, dict(env), views, set(map(id, doalls)), first)
     kind = 1 if shape.rule[0] == "gss" else 0
     per_claim = shape.rule[1] if shape.rule[0] == "fixed" else 1
-    asked = 0 if claim_batch == "auto" else max(1, claim_batch)
+    asked = 0 if run.claim_batch == "auto" else max(1, run.claim_batch)
     rules: list[int] = []
     kernels: list[dict] = []
     variants: list[str] = []
     orders: list[list[str]] = []
+    decisions = 0
     for loop, ivs in loops:
         # An instance's environment is the caller's scalars plus the
         # enclosing induction variables, whatever their values.
         denv, n = first.get(id(loop), ({**env, **dict.fromkeys(ivs, 0)}, 0))
         decision = None
-        if n and caches.tuner is not None:
-            active = min(wpool.workers, n)
-            decision = caches.tuner.decision_for(
+        if n and run.tuner is not None:
+            decision = run.tuner.decision_for(
                 proc, loop, denv, views,
-                caches.plan_for(policy, n, active, chunk), n, wpool.workers,
-                chunk, caches, claim_batch,
+                run.policy_plan(n, min(wpool.workers, n)), n, wpool.workers,
+                run.chunk, plan.kernels, run.claim_batch,
             )
         variant = None
-        klang = lang
+        klang = plan.lang
         if decision is not None:
+            decisions += 1
             try:
                 variant = variant_by_name(decision.variant)
                 klang = variant.lang
@@ -228,7 +250,7 @@ def _plan(
             sorted(k for k in denv if k not in proc.scalars and k != loop.var)
         )
         kernel = (
-            caches.chunk_kernel(proc, loop, extra, denv, variant=variant)
+            plan.kernels.chunk_kernel(proc, loop, extra, denv, variant)
             if klang == "c"
             else None
         )
@@ -241,50 +263,38 @@ def _plan(
         kernels.append(
             {
                 "c_so": so_path,
-                "c_thunk": c_fname + THUNK_SUFFIX,
+                "c_thunk": c_fname + runtime.THUNK_SUFFIX,
                 "array_order": list(proc.arrays),
                 "scalar_order": order,
                 "c_scalar_types": scalar_types,
-                "scalars": {name: denv[name] for name in order},
             }
         )
         orders.append(order)
         variants.append((variant or default_variant("c")).name)
         pinned = decision.claim_batch if decision is not None else 0
         rules += [kind, max(1, per_claim), asked, pinned or 0]
-    store = caches._store()
-    claim_so = claim_loop_library(store)
+    claim_so = runtime.claim_loop_library(plan.store)
     if claim_so is None:
         raise _Refused("SPMD006", "the native claim loop is unavailable")
     fname = proc.name + REGION_SUFFIX
     try:
         source = generate_region_c(proc, doalls, orders, name=fname)
-        region_so, _ = compile_chunk_library(source, fname, cache=store)
+        region_so, _ = runtime.compile_chunk_library(
+            source, fname, cache=plan.store
+        )
     except Exception as exc:
         raise _Refused(
             "SPMD006", f"the region unit did not build ({type(exc).__name__})"
         ) from exc
-    # A parameter that is not an integer is one the skeleton never reads
-    # (_skeleton checked); its slot is never looked at.
-    params = [
-        int(env[s]) if isinstance(env.get(s), (int, np.integer)) else 0
-        for s in proc.scalars
-    ]
-    cpus = len(os.sched_getaffinity(0))
     job = {
-        "region": {
-            "so": region_so,
-            "fname": fname,
-            "claim_so": claim_so,
-            "loops": kernels,
-            "rules": rules,
-            "params": params,
-            "workers": wpool.workers,
-            "spin": BARRIER_SPIN if wpool.workers <= cpus else 0,
-        },
-        "specs": wpool.shared.specs(),
+        "so": region_so,
+        "fname": fname,
+        "claim_so": claim_so,
+        "loops": kernels,
+        "rules": rules,
+        "workers": wpool.workers,
     }
-    return job, doalls, variants, shape.name
+    return _Template(job, doalls, variants, shape.name, decisions)
 
 
 def _assemble(
@@ -342,51 +352,58 @@ def _assemble(
     return out
 
 
-def try_region(
-    proc: Procedure,
-    env: Mapping[str, int | float],
-    wpool,
-    policy,
-    chunk: int | None,
-    claim_batch: int | str,
-    deadline: float | None,
-    log_events: bool,
-    caches,
-    lang: str,
-    mode: str,
-    blocked: frozenset[int],
-    out,
-) -> bool:
-    """Run ``proc`` as one SPMD region on ``wpool`` if it qualifies.
+def try_region(run) -> bool:
+    """Run ``run.plan``'s procedure as one SPMD region if it qualifies.
 
     Returns True when the region ran — ``out.dispatches`` then holds one
     result per DOALL instance and ``out.region == "native"``.  Otherwise
     nothing has run, ``out.region`` says why (``"SPMD00x: reason"``) and
-    the caller proceeds per dispatch.  Crashes and timeouts inside the
-    region surface as the pool's own errors.
+    the caller proceeds per dispatch.  Per call only the parameters, each
+    kernel's scalars, the barrier's spin and the pool's specs are filled
+    in.  Crashes and timeouts inside the region surface as the pool's own
+    errors.
     """
-    try:
-        job, loops, variants, plan_name = _plan(
-            proc, env, wpool, policy, chunk, claim_batch, caches, lang, mode,
-            blocked,
-        )
-    except _Refused as refusal:
-        out.region = str(refusal)
+    out, env, wpool = run.out, run.env, run.pool
+    tpl = run.plan.once("region", run, lambda: _template(run))
+    if isinstance(tpl, str):
+        out.region = tpl
         return False
-    job["log_events"] = log_events
-    _, results = wpool.dispatch(job, 0, -1, deadline)
+    run.serve("region", tpl.decisions)
+    # A parameter that is not an integer is one the skeleton never reads
+    # (_skeleton checked); its slot is never looked at.  The same holds
+    # for an induction variable's kernel slot: the driver writes it.
+    params = [
+        int(env[s]) if isinstance(env.get(s), (int, np.integer)) else 0
+        for s in run.plan.proc.scalars
+    ]
+    loops = [
+        {**lp, "scalars": {s: env.get(s, 0) for s in lp["scalar_order"]}}
+        for lp in tpl.job["loops"]
+    ]
+    spin = BARRIER_SPIN if wpool.workers <= len(os.sched_getaffinity(0)) else 0
+    job = {
+        "region": {**tpl.job, "loops": loops, "params": params, "spin": spin},
+        "specs": wpool.shared.specs(),
+        "log_events": run.log_events,
+    }
+    _, results = wpool.dispatch(job, 0, -1, run.deadline)
     entered = [
         msg[8]["region"] is not None and msg[8]["region"]["status"] == 0
         for msg in results.values()
     ]
     if not all(entered):
         # A worker could not bind the unit and stopped the barrier before
-        # any instance started: nothing has run, the pool is intact.
+        # any instance started: nothing has run, the pool is intact — and
+        # the plan's artifacts are suspect.
         record_claim_fallback(entered.count(False))
         out.region = "SPMD006: a worker could not enter the region"
+        run.stale = True
         return False
     out.dispatches.extend(
-        _assemble(results, loops, variants, policy, plan_name, wpool.workers)
+        _assemble(
+            results, tpl.loops, tpl.variants, run.policy, tpl.policy_name,
+            wpool.workers,
+        )
     )
     out.serial_stmts += results[0][8]["region"]["serial_stmts"]
     out.region = "native"

@@ -78,6 +78,7 @@ from repro.parallel.observe import (
     metrics_snapshot,
     record_fallback,
 )
+from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool
 from repro.parallel.runtime import run_parallel_procedure
 from repro.parallel.shm import SEGMENT_PREFIX, ArraySpec, attach_array
@@ -403,7 +404,9 @@ class ReproServer(AccountingHTTPServer):
             from_cache = from_cache and cbackend.from_cache
         warm_kernels = 0
         if backend == "mp":
-            warm_kernels = _prewarm_chunk_kernels(proc, self.cache)
+            # Every build the first /run's plan can pick, through the plan
+            # builder's kernel path: that run finds them in the store.
+            warm_kernels = prewarm(proc, self.cache)
         program = CompiledProgram(
             key=key,
             proc=proc,
@@ -689,56 +692,6 @@ class ReproServer(AccountingHTTPServer):
         }
         base["array_dtypes"] = wire.dtype_tags(arrays)
         return base
-
-
-def _prewarm_chunk_kernels(proc, cache) -> int:
-    """Build the variant farm for every dispatchable loop at /compile time.
-
-    Compiles every available C variant (and generates the numpy chunk)
-    with the integer-scalar type signature (what JSON-decoded scalar
-    payloads resolve to), content-addressed into the artifact cache — so
-    the first /run's kernel resolution is a cache hit, never a compile,
-    whichever variant calibration later picks (the claim-loop library,
-    which has no per-program content, is resolved alongside the first
-    kernel).  Returns the number of builds warmed; failures (no compiler, ineligible shape) warm nothing
-    and cost one attempt each.
-    """
-    from repro.analysis.pdg import recognize_reduction
-    from repro.parallel.runtime import (
-        _dispatchable_loops,
-        _DispatchCaches,
-        derive_reduction_dispatch,
-    )
-    from repro.tuning.variants import available_variants
-
-    caches = _DispatchCaches()
-    caches.store = cache
-    warmed = 0
-    for lp in _dispatchable_loops(proc.body):
-        # A recognized reduction dispatches the *derived* strip-mined
-        # procedure (partial accumulators), so warm that kernel instead.
-        kproc, kloop = proc, lp
-        red = recognize_reduction(lp)
-        if red is not None and red.scalar not in proc.arrays:
-            try:
-                plan = derive_reduction_dispatch(proc, lp, red)
-            except Exception:
-                plan = None
-            if plan is not None:
-                kproc, kloop = plan.proc, plan.loop
-        env = {name: 1 for name in kproc.scalars}
-        for variant in available_variants("auto"):
-            if variant.lang == "c":
-                built = caches.chunk_kernel(
-                    kproc, kloop, (), env, variant=variant
-                )
-            elif variant.lang == "numpy":
-                built = caches.numpy_chunk(kproc, kloop, ())
-            else:
-                continue  # the py chunk needs no warming
-            if built is not None:
-                warmed += 1
-    return warmed
 
 
 def _decode_arrays(raw, proc, dtypes=None) -> dict[str, np.ndarray]:

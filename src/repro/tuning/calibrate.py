@@ -130,10 +130,14 @@ _MEMO_LOCK = threading.Lock()
 
 
 def reset_tuning_memo() -> None:
-    """Forget every in-process decision (tests)."""
+    """Forget every in-process decision — and the prepared plans that
+    carry them (:mod:`repro.parallel.plan`)."""
+    from repro.parallel.plan import drop_plans
+
     with _MEMO_LOCK:
         _MEMO.clear()
     measure_counter_cost.cache_clear()
+    drop_plans()
 
 
 @functools.lru_cache(maxsize=1)
@@ -211,7 +215,12 @@ def make_tuner(lang, variants=None, calibrate=None, store="default"):
 
 
 class DispatchTuner:
-    """Per-run decision resolver the dispatch engines consult.
+    """Per-run decision resolver the plan builder consults.
+
+    A run makes one only when it builds a plan slot (a loop shape's job
+    template, or the region); the decision then lives in the plan.
+    ``caches`` in the methods below is the plan's
+    :class:`repro.parallel.plan.KernelBuilder`.
 
     ``lang`` is the resolved chunk language; ``variants`` an optional
     explicit subset (names list or comma string); ``calibrate`` is

@@ -21,3 +21,14 @@ def _isolated_artifact_cache(tmp_path_factory):
     configure(dir=root)
     yield
     configure()  # re-resolve from the environment for any late users
+
+
+@pytest.fixture(autouse=True)
+def _fresh_plans():
+    """Each test builds its own prepared plans: a test that patches a
+    plan-time name (``generate_chunk_c``, ``THUNK_SUFFIX``,
+    ``have_compiler``, ...) must reach its failure path, not a plan an
+    earlier test built."""
+    from repro.parallel.plan import drop_plans
+
+    drop_plans()

@@ -139,7 +139,9 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
 @needs_gcc
 @pytest.mark.parametrize("policy,chunk", [("unit", None), ("fixed", 3)])
 def test_contended_increment_is_exact(policy, chunk):
-    claims = 200_000
+    # Enough claims that draining them outlasts a peer's wake-up, which
+    # on a 2-vCPU host can take several milliseconds after a warm call.
+    claims = 1_000_000
     n = claims * (chunk or 1)
     both_worked = False
     with WorkerPool({"A": np.zeros(n + 1)}, workers=2) as pool:

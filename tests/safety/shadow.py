@@ -7,7 +7,7 @@ program: an instrumented interpreter executes each iteration of every
 loop the runtime would dispatch and records exactly which elements it
 reads and writes (plus upward-exposed scalar reads), then the recorded
 sets are intersected across iterations.  Because the recording walks the
-program the way :func:`repro.parallel.runtime._exec_hybrid` does —
+program the way :func:`repro.parallel.dispatch._exec` does —
 serial segments driven in order, state flowing through — the shadow
 verdict is the oracle the static verdict must agree with on every tested
 workload.
@@ -142,7 +142,7 @@ class DispatchShadow:
 def shadow_procedure(proc: Procedure, arrays, scalars) -> list[DispatchShadow]:
     """Run ``proc`` serially, shadow-recording every dispatchable loop.
 
-    Mirrors ``_exec_hybrid``'s traversal: one :class:`DispatchShadow` per
+    Mirrors ``dispatch._exec``'s traversal: one :class:`DispatchShadow` per
     dispatch *occurrence* (a loop under a serial pivot is recorded once
     per pivot iteration, exactly as often as the runtime dispatches it).
     Mutates ``arrays`` with the serial result as a side effect.

@@ -19,12 +19,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.cache import ArtifactCache
+from repro.cache import ArtifactCache, default_cache
 from repro.codegen.pygen import compile_procedure
 from repro.parallel import run_parallel_doall
 from repro.parallel.counter import policy_plan
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import _DispatchCaches, resolve_chunk_lang
+from repro.parallel.plan import KernelBuilder
+from repro.parallel.runtime import resolve_chunk_lang
 from repro.transforms import coalesce_procedure
 from repro.tuning import default_variant
 from repro.tuning.calibrate import (
@@ -129,8 +130,7 @@ class TestFullCalibrationManifest:
         plan = policy_plan("unit", n, 2, None)
         lang = resolve_chunk_lang(None)
 
-        caches = _DispatchCaches()
-        caches.store = cache
+        caches = KernelBuilder(cache)
         t1 = DispatchTuner(lang, calibrate=True, store=cache)
         d1 = t1.decision_for(
             proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
@@ -182,8 +182,8 @@ class TestFullCalibrationManifest:
         n = sc["n"] * sc["m"]
         plan = policy_plan("unit", n, 2, None)
         d = tuner.decision_for(
-            proc, loop, sc, arrays, plan, n, 2, None, _DispatchCaches(),
-            "auto",
+            proc, loop, sc, arrays, plan, n, 2, None,
+            KernelBuilder(default_cache()), "auto",
         )
         assert d is not None
         assert d.variant == "py"
@@ -225,8 +225,7 @@ class TestRemovedVariantPin:
             }
             cache.put(full_key, {"decision.json": json.dumps(blob)})
 
-            caches = _DispatchCaches()
-            caches.store = cache
+            caches = KernelBuilder(cache)
             d = tuner.decision_for(
                 proc, loop, sc, arrays, plan, n, 2, None, caches, "auto"
             )

@@ -259,6 +259,15 @@ class _CEmitter:
         token = {"and": "&&", "or": "||"}.get(e.op, e.op)
         return f"({lhs} {token} {rhs})"
 
+    def assign(self, s: Assign) -> str:
+        t = s.target
+        lhs = t.name if isinstance(t, Var) else self._emit_array(t)
+        return f"{lhs} = {self.emit(s.value)};"
+
+    def loop_head(self, s: Loop) -> str:
+        lo, hi, step = (self.emit(b) for b in (s.lower, s.upper, s.step))
+        return f"for (long {s.var} = {lo}; {s.var} <= {hi}; {s.var} += {step}) {{"
+
     def _emit_array(self, ref: ArrayRef) -> str:
         dims = [f"{ref.name}_d{k}" for k in range(ref.rank)]
         index = self.emit(ref.indices[0])
@@ -326,12 +335,7 @@ def _emit_block(
 def _emit_stmt(s: Stmt, lines, depth, emitter, sites, types, omp, suppress=0):
     pad = "    " * depth
     if isinstance(s, Assign):
-        if isinstance(s.target, Var):
-            lines.append(f"{pad}{s.target.name} = {emitter.emit(s.value)};")
-        else:
-            lines.append(
-                f"{pad}{emitter._emit_array(s.target)} = {emitter.emit(s.value)};"
-            )
+        lines.append(pad + emitter.assign(s))
         return
     if isinstance(s, If):
         lines.append(f"{pad}if ({emitter.emit(s.cond)}) {{")
@@ -349,12 +353,7 @@ def _emit_stmt(s: Stmt, lines, depth, emitter, sites, types, omp, suppress=0):
             lines.append(f"{pad}#pragma omp parallel for{clause}")
             # Loops folded into this collapse region must not get pragmas.
             inner_suppress = collapse - 1
-        lo, hi = emitter.emit(s.lower), emitter.emit(s.upper)
-        step = emitter.emit(s.step)
-        lines.append(
-            f"{pad}for (long {s.var} = {lo}; {s.var} <= {hi}; "
-            f"{s.var} += {step}) {{"
-        )
+        lines.append(pad + emitter.loop_head(s))
         _emit_block(
             s.body, lines, depth + 1, emitter, sites, types, omp,
             suppress=inner_suppress,
@@ -487,6 +486,7 @@ def generate_chunk_c(
     name: str | None = None,
     scalar_types: dict[str, str] | None = None,
     check: bool = False,
+    inspect: bool = False,
 ) -> str:
     """C translation unit for one DOALL chunk of ``proc``.
 
@@ -529,6 +529,9 @@ def generate_chunk_c(
     value, a ``double`` bit-cast into its slot (same bytes, no
     conversion).  The kernel symbol and its parameter order are untouched
     by the thunk's presence.
+
+    ``inspect=True`` adds the loop's native inspector
+    (:func:`_inspect_function`), unless the loop is one it cannot check.
     """
     from repro.transforms.strength import odometer_advance
 
@@ -626,7 +629,163 @@ def generate_chunk_c(
     )
     lines.append(f"    {fname}({', '.join(['__lo', '__hi'] + slots)});")
     lines.append("}")
+    try:
+        if inspect:
+            lines.append(_inspect_function(proc, loop, fname, params, locals_, types))
+    except CGenError:
+        pass  # a loop the inspector cannot check: the kernel alone
     return "\n".join(lines) + "\n"
+
+
+#: ``<kernel symbol> + INSPECT_SUFFIX`` is the kernel's native inspector.
+INSPECT_SUFFIX = "__inspect"
+
+#: Checked forms of what the inspector evaluates (GNU statement
+#: expressions): a failed check leaves the pass at once, result still 2.
+_INSPECT_HELPERS = """\
+#include <limits.h>
+#include <stdint.h>
+#include <stdlib.h>
+#define FAIL_IF_(c) if (c) goto __done
+#define CHECKED_(op, a, b) ({ long __r; FAIL_IF_(op((a), (b), &__r)); __r; })
+#define DIVIDED_(fn, a, b) \\
+    ({ long __a = (a), __b = (b); FAIL_IF_(__b == 0 || __a == LONG_MIN); fn(__a, __b); })
+#define IX_(s, n) ({ long __s = (s); FAIL_IF_(__s < 0 || __s >= (n)); __s; })
+#define CAST_(x) /* NaN fails both; |x| >= 2^53 too */ \\
+    ({ double __x = (x); FAIL_IF_(!(__x > -0x1p53 && __x < 0x1p53)); (long)__x; })
+#define FIN_(x) ({ double __x = (x); FAIL_IF_(!isfinite(__x)); __x; })
+#define DIV_(a, b) ({ double __a = (a), __b = (b); FAIL_IF_(__b == 0.0); __a / __b; })
+/* A store to element g of array a: the first store (by any iteration)
+   sets g's bit and joins this iteration's log; a set bit outside the log
+   is another iteration's store (1), or unknown once the log overflowed. */
+#define LOG_ 32
+#define STAMP_(a, f) do { \\
+    long __g = (f), __k = 0, __top = __nlog_##a < LOG_ ? __nlog_##a : LOG_; \\
+    uint64_t __m = 1UL << (__g & 63); \\
+    if (!(__own_##a[__g >> 6] & __m)) { \\
+        __own_##a[__g >> 6] |= __m; __elems++; \\
+        if (__nlog_##a < LOG_) __log_##a[__nlog_##a] = __g; \\
+        __nlog_##a++; \\
+    } else { \\
+        while (__k < __top && __log_##a[__k] != __g) __k++; \\
+        if (__k == __top) { __status = __nlog_##a > LOG_ ? 2 : 1; goto __done; } \\
+    } } while (0)
+"""
+
+_INSPECT_FUNCTION = """\
+long {name}({params}, long *__out) {{
+{decls}
+    long __status = 2, __elems = 0;
+{alloc}
+    for (long {var} = __lo; {var} <= __hi; {var} += 1) {{
+{reset}
+{body}
+    }}
+    *__out = __elems;
+    __status = 0;
+__done:
+{free}
+    return __status;
+}}"""
+
+_CHECKED_LONG = {
+    "+": "CHECKED_(__builtin_add_overflow, {}, {})",
+    "-": "CHECKED_(__builtin_sub_overflow, {}, {})",
+    "*": "CHECKED_(__builtin_mul_overflow, {}, {})",
+    **{op: f"DIVIDED_({op}_, {{}}, {{}})" for op in ("floordiv", "ceildiv", "mod")},
+}
+
+
+class _InspectEmitter(_CEmitter):
+    """The kernel's emitter (same types, so the same addresses), every
+    evaluation checked, ``and``/``or`` evaluating both sides as the
+    interpreter does, each store a mark; refuses what it cannot check."""
+
+    def emit(self, e: Expr) -> str:
+        if isinstance(e, ArrayRef):
+            return f"{e.name}[{self.flat(e)}]"
+        if isinstance(e, Call):
+            (arg,) = e.args
+            inner = self.emit(arg)
+            if e.func == "int":
+                return inner if self.is_long(arg) else f"CAST_({inner})"
+            if e.func in ("abs", "isqrt"):  # is_long() says long, even of a double
+                raise CGenError(f"the inspector does not check {e.func!r}")
+            return f"FIN_({_INTRINSIC_C[e.func]}({inner}))"
+        if isinstance(e, Unary) and e.op == "-" and self.is_long(e.operand):
+            return _CHECKED_LONG["-"].format("0L", self.emit(e.operand))
+        return super().emit(e)
+
+    def _emit_binop(self, e: BinOp) -> str:
+        lhs, rhs = self.emit(e.lhs), self.emit(e.rhs)
+        if e.op in _CHECKED_LONG and self.is_long(e.lhs) and self.is_long(e.rhs):
+            return _CHECKED_LONG[e.op].format(lhs, rhs)
+        if e.op in ("floordiv", "ceildiv", "mod"):
+            raise CGenError(f"{e.op!r} on a double")
+        if e.op == "/":
+            return f"DIV_((double)({lhs}), (double)({rhs}))"
+        if e.op in ("and", "or"):
+            return f"(!!({lhs}) {'&' if e.op == 'and' else '|'} !!({rhs}))"
+        return super()._emit_binop(e)
+
+    def flat(self, ref: ArrayRef) -> str:
+        """Row-major element number of ``ref``, every subscript checked
+        against its extent (so the element is in the array)."""
+        index = ""
+        if not all(map(self.is_long, ref.indices)):
+            raise CGenError(f"a subscript of {ref.name!r} is not an integer")
+        for k, ix in enumerate(ref.indices):
+            checked = f"IX_({self.emit(ix)}, {ref.name}_d{k})"
+            index = f"({index}) * {ref.name}_d{k} + {checked}" if k else checked
+        return index
+
+    def assign(self, s: Assign) -> str:
+        if isinstance(s.target, Var):
+            return super().assign(s)
+        return f"STAMP_({s.target.name}, {self.flat(s.target)});"
+
+    def loop_head(self, s: Loop) -> str:
+        # C re-reads the upper bound per trip, range() once: nothing the
+        # loop assigns may feed the bounds; the step is a positive int.
+        moved = {s.var} | {a.target.name for a in walk_stmts(s.body)
+                           if isinstance(a, Assign)}
+        fed = {getattr(v, "name", None) for b in (s.lower, s.upper)
+               for v in walk_exprs(b)}
+        step = s.step.value if isinstance(s.step, Const) else 0
+        longs = self.is_long(s.lower) and self.is_long(s.upper)
+        if moved & fed or not (longs and isinstance(step, int) and step > 0):
+            raise CGenError(f"the inspector cannot bound loop {s.var!r}")
+        lo, hi = self.emit(s.lower), self.emit(s.upper)
+        return (
+            f"for (long {s.var} = {lo}; {s.var} <= {hi}; {s.var} += {step}L) {{"
+        )
+
+
+def _inspect_function(proc, loop, fname, params, locals_, types) -> str:
+    """``long <fname>__inspect(<kernel params>, long *__out)``: the kernel's
+    loop, but a store only marks its element in the array's (zeroed)
+    owner bitmap (:data:`_INSPECT_HELPERS`' ``STAMP_``); another
+    iteration's element is a collision (1), a failed check gives 2, and 0
+    proves the writes disjoint with the distinct elements in ``*__out``.
+    A bitmap keeps a 400 000-element target's owners in 50 KB."""
+    em = _InspectEmitter(proc, types)
+    written = sorted({s.target.name for s in walk_stmts(loop.body)
+                      if isinstance(s, Assign) and isinstance(s.target, ArrayRef)})
+    body: list[str] = []
+    for s in loop.body.stmts:
+        _emit_stmt(s, body, 2, em, {}, types, omp=False)
+    decls = [f"    {types[name]} {name};" for name in locals_]
+    decls += [f"    uint64_t *__own_{a} = NULL; long __log_{a}[LOG_], __nlog_{a};"
+              for a in written]
+    alloc = [f"    if (!(__own_{a} = calloc(" + " * ".join(
+        f"{a}_d{k}" for k in range(proc.arrays[a])) + " / 64 + 1, 8))) goto __done;"
+        for a in written]
+    return _INSPECT_HELPERS + _INSPECT_FUNCTION.format(
+        name=fname + INSPECT_SUFFIX, params=", ".join(params), var=loop.var,
+        decls="\n".join(decls), alloc="\n".join(alloc), body="\n".join(body),
+        reset="\n".join(f"        __nlog_{a} = 0;" for a in written),
+        free="\n".join(f"    free(__own_{name});" for name in written),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Each dispatchable loop runs under the strategy the plan picked for it:
 ``dispatch``  one job on the pool (:func:`_dispatch_pool`);
 ``reduce``    partial accumulators in a side segment, folded in order;
 ``serial``    refused by the verdict: the parent interprets it;
-``inspect``   the runtime inspector, then a normal dispatch if it proves
+``inspect``   the runtime inspector (native when the plan has a C
+              kernel), then a normal dispatch if it proves
               the loop, else serial;
 ``speculate`` a dispatch into shadow segments, committed or rolled back.
 
@@ -397,10 +398,11 @@ def _serial(run: Run, loop: Loop, env: dict) -> None:
     run.out.serial_stmts += 1
 
 
-def inspect_blocked(loop: Loop, env, views, report):
+def inspect_blocked(plan, loop: Loop, env, views, report, run=None):
     """Run the inspector on one blocked dispatch; certify its verdict."""
     record_speculate(inspected=1)
-    insp = runtime.inspect_dispatch(loop, env, views)
+    native = plan.inspector(run, loop, env)
+    insp = runtime.inspect_dispatch(loop, env, views, native)
     if report is not None:
         report.dynamic.append(
             SpecCertificate(
@@ -411,6 +413,7 @@ def inspect_blocked(loop: Loop, env, views, report):
                 conflicts=len(insp.conflicts),
                 wall_s=insp.wall_s,
                 detail=insp.describe(),
+                inspector=insp.inspector,
             )
         )
     if insp.proven:
@@ -421,7 +424,8 @@ def inspect_blocked(loop: Loop, env, views, report):
 def _inspected(run: Run, loop: Loop, env: dict) -> None:
     out = run.out
     out.inspected += 1
-    if not inspect_blocked(loop, env, run.views, out.safety).proven:
+    insp = inspect_blocked(run.plan, loop, env, run.views, out.safety, run)
+    if not insp.proven:
         _serial(run, loop, env)
         return
     out.proven_dynamic += 1

@@ -20,13 +20,14 @@ What a plan holds: the procedure, validated and checked for something
 dispatchable; the safety verdict, its blocked set, the speculation plans
 and the strategy each dispatchable loop runs under (``dispatch``,
 ``reduce``, ``serial``, ``inspect``, ``speculate``); the reduction plans;
-and — filled by the first run that reaches them, then never changed —
-each loop shape's job template (chunk source, bound kernel and thunk,
-claim library) with its tuning decision, the compiled serial residues,
-and the region verdict with its job template.  What never lives in a
-plan: the report's certificates (each run works on its own copy),
-counters, results, scalar values, trip counts, batch clamps, region
-``params`` and the pool's ``specs``.
+the arrays it writes (all a run copies back); and — filled by the first
+run that reaches them, then never changed — each loop shape's job
+template (chunk source, bound kernel and thunk, claim library) with its
+tuning decision, each inspected loop's native inspector, the compiled
+serial residues, and the region verdict with its job template.  Never in
+a plan: the report's certificates (each run works on its own copy),
+counters, results, scalar values, trip counts, batch clamps, ``params``
+of a region and the pool's ``specs``.
 
 Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
 it (:func:`repro.tuning.reset_tuning_memo` calls it), and a run whose
@@ -36,7 +37,9 @@ run builds it again.  :mod:`repro.parallel.dispatch` runs plans.
 
 from __future__ import annotations
 
+import ctypes
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -45,7 +48,8 @@ import numpy as np
 
 from repro.analysis.pdg import Reduction, recognize_reduction
 from repro.cache import artifact_key
-from repro.codegen.cload import prefetch_claim_loop_library
+from repro.codegen.cgen import INSPECT_SUFFIX
+from repro.codegen.cload import _CTYPES, prefetch_claim_loop_library
 from repro.codegen.npgen import generate_chunk_numpy
 from repro.codegen.pygen import generate_chunk_source, generate_source
 from repro.ir.expr import INTRINSICS, ArrayRef, BinOp, Const, Var, min_
@@ -58,6 +62,8 @@ from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
 from repro.parallel.shm import native_layout
 from repro.parallel.speculate import speculation_plan
+from repro.runtime.inspector import InspectionResult
+from repro.runtime.interp import InterpreterError, eval_bound
 from repro.tuning.variants import default_variant, variant_by_name
 
 #: Plans (and verdicts) kept per process.  A plan is a few job templates
@@ -114,6 +120,12 @@ def _kind(value) -> str:
     if isinstance(value, (int, np.integer)):
         return "long"
     return type(value).__name__
+
+
+def _shape(proc: Procedure, loop: Loop, env) -> tuple[tuple, tuple]:
+    """``(env-local scalar names, every scalar's kind)`` of a dispatch."""
+    extra = tuple(sorted(k for k in env if k not in proc.scalars and k != loop.var))
+    return extra, tuple(_kind(env[s]) for s in tuple(proc.scalars) + extra)
 
 
 def _unproven_summary(report) -> str:
@@ -241,6 +253,10 @@ class Plan:
                 f"safety={mode} refused every dispatch in {proc.name!r}: "
                 f"{_unproven_summary(self.report)}"
             )
+        #: The arrays the procedure stores to: all a run copies back.
+        self.written = tuple(sorted({
+            s.target.name for s in walk_stmts(proc.body)
+            if isinstance(s, Assign) and isinstance(s.target, ArrayRef)}))
         self.kernels = KernelBuilder(store)
         #: Compiled serial residues by ``id(stmt)`` (False: interpret).
         self.residues: dict[int, object] = {}
@@ -284,8 +300,54 @@ class Plan:
                 hit = self._slots.get(key)
                 if hit is None:
                     hit = self._slots[key] = build()
-                    run.seen.add(key)
+                    if run is not None:
+                        run.seen.add(key)
         return hit
+
+    def inspector(self, run, loop, env):
+        """An inspected ``loop``'s native inspector, or None.  It is in the
+        kernel unit the loop dispatches with: no compiler run of its own."""
+        if self.lang != "c" or self.strategies.get(id(loop)) != "inspect":
+            return None
+        extra, types = _shape(self.proc, loop, env)
+        key = ("inspect", id(loop), extra, types)
+        return self.once(key, run, lambda: self._inspector(loop, extra, env)) or None
+
+    def _inspector(self, loop, extra, env):
+        kernel = self.kernels.chunk_kernel(self.proc, loop, extra, env, inspect=True)
+        lib = kernel and ctypes.CDLL(kernel[0])
+        fn = lib and getattr(lib, kernel[1] + INSPECT_SUFFIX, None)
+        if not fn:  # no kernel, or a loop the C pass cannot check
+            return False
+        fn.restype = ctypes.c_long
+        fn.argtypes = [ctypes.c_long, ctypes.c_long] + [
+            ctypes.c_void_p if t == "ptr" else _CTYPES[t] for t in kernel[2]
+        ] + [ctypes.c_void_p]
+        ranks, reason = self.proc.arrays, self.spec_plans[id(loop)].reason
+        order = tuple(self.proc.scalars) + extra
+
+        def native(loop, env, arrays) -> InspectionResult | None:
+            """A proof, or None (eligibility is the plan's: no IR walk)."""
+            t0 = time.perf_counter()
+            if not native_layout(arrays, ranks):
+                return None
+            try:
+                lo = eval_bound(loop.lower, env, arrays)
+                hi = eval_bound(loop.upper, env, arrays)
+                scalars = [env[s] for s in order]
+            except (InterpreterError, KeyError):
+                return None
+            args = [x for a in map(arrays.get, ranks) for x in (a.ctypes.data, *a.shape)]
+            out = ctypes.c_long()
+            if fn(lo, hi, *args, *scalars, ctypes.byref(out)):
+                return None
+            return InspectionResult(
+                True, reason, proven=True, iterations=max(hi - lo + 1, 0),
+                elements=out.value, wall_s=time.perf_counter() - t0,
+                inspector="native",
+            )
+
+        return native
 
     def prep(self, run, proc, loop, env, pplan, n, extra_views, speculative):
         """``(slot key, _Prep)`` for one dispatch of ``loop`` under ``env``.
@@ -295,10 +357,7 @@ class Plan:
         dispatch and serially computed floats on the next) and whether
         the dispatch is speculative.
         """
-        extra = tuple(
-            sorted(k for k in env if k not in proc.scalars and k != loop.var)
-        )
-        types = tuple(_kind(env[s]) for s in tuple(proc.scalars) + extra)
+        extra, types = _shape(proc, loop, env)
         key = (id(loop), extra, types, speculative)
         return key, self.once(
             key, run,
@@ -340,8 +399,9 @@ class Plan:
             except ValueError:
                 variant = None
         if lang == "c":
+            inspect = self.strategies.get(id(loop)) == "inspect"
             kernel = (
-                self.kernels.chunk_kernel(proc, loop, extra, env, variant)
+                self.kernels.chunk_kernel(proc, loop, extra, env, variant, inspect)
                 if native_layout({**run.views, **(extra_views or {})}, proc.arrays)
                 else None
             )
@@ -427,33 +487,34 @@ class KernelBuilder:
             hit = self._memo[key] = (source, fname, list(widened.scalars))
         return hit
 
-    def chunk_kernel(self, proc, loop, extra, env, variant=None):
+    def chunk_kernel(self, proc, loop, extra, env, variant=None, inspect=False):
         """``(so_path, fname, sig, scalar_types)`` of the C kernel, or None.
 
         Keyed by loop identity plus the C types of the live scalar values
         plus the farm variant (a :class:`repro.tuning.variants.Variant`
-        picking compiler and flags; None is the default build).
+        picking compiler and flags; None is the default build) plus
+        whether the unit also carries the loop's native inspector.
         """
         widened = _widened(proc, extra)
         types = tuple(
             "double" if _kind(env[s]) == "double" else "long"
             for s in widened.scalars
         )
-        key = ("c", id(loop), extra, types, variant.name if variant else None)
+        key = ("c", id(loop), extra, types, variant and variant.name, inspect)
         if key not in self._memo:
             try:
                 self._memo[key] = self._build_kernel(
-                    widened, loop, types, variant
+                    widened, loop, types, variant, inspect
                 )
             except Exception:
                 self._memo[key] = None
         return self._memo[key]
 
-    def _build_kernel(self, widened, loop, types, variant):
+    def _build_kernel(self, widened, loop, types, variant, inspect):
         fname = f"{widened.name}__chunk"
         source = runtime.generate_chunk_c(
             widened, loop=loop, name=fname,
-            scalar_types=dict(zip(widened.scalars, types)),
+            scalar_types=dict(zip(widened.scalars, types)), inspect=inspect,
         )
         build = {}
         if variant is not None:

@@ -102,7 +102,7 @@ from repro.parallel.observe import (
     record_safety_block,
 )
 from repro.parallel.pool import WorkerPool
-from repro.runtime.inspector import inspect_dispatch  # noqa: F401
+from repro.runtime import inspector
 from repro.scheduling.policies import SchedulingPolicy
 
 __all__ = [
@@ -413,6 +413,13 @@ def _dispatchable_loops(stmt: Stmt) -> list[Loop]:
     return []
 
 
+def inspect_dispatch(loop: Loop, env, arrays, native=None):
+    """Inspect one blocked dispatch: the plan's ``native`` pass first (if
+    any); all but its proof goes to :mod:`repro.runtime.inspector`."""
+    proof = native and native(loop, env, arrays)
+    return proof or inspector.inspect_dispatch(loop, env, arrays)
+
+
 # ---------------------------------------------------------------------------
 # Public drivers
 # ---------------------------------------------------------------------------
@@ -487,7 +494,7 @@ def _run(
         )
         execute(run)
         if copies:
-            pool.copy_back(arrays)
+            pool.copy_back({name: arrays[name] for name in plan.written})
     finally:
         if owned:
             pool.close()
@@ -594,7 +601,8 @@ def run_parallel_doall(
                     f"{spec.reason}"
                 )
             elif spec.action == "inspect":
-                insp = inspect_blocked(loop, dict(scalars or {}), arrays, report)
+                env = dict(scalars or {})
+                insp = inspect_blocked(plan, loop, env, arrays, report)
                 if insp.proven:
                     # Certified on the caller's arrays — the state the one
                     # dispatch will see — so it goes out as a proven loop.

@@ -107,9 +107,10 @@ class SharedArrayPool:
         return list(self._specs.values())
 
     def copy_back(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Copy shared results back into the caller's arrays."""
-        for name, view in self.views.items():
-            np.copyto(arrays[name], view)
+        """Copy shared results back into the caller's arrays (each one
+        ``arrays`` names: a run passes only those it can have written)."""
+        for name, dest in arrays.items():
+            np.copyto(dest, self.views[name])
 
     def load(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Copy caller arrays *into* the shared views (copy_back's inverse).

@@ -5,8 +5,9 @@ path beyond ``warn``/``enforce``:
 
 1. **Inspector mode** — when :func:`repro.analysis.safety.inspector_eligible`
    holds (no array both written and read), a subscript-only pass over the
-   flat index space (:func:`repro.runtime.inspector.inspect_dispatch`)
-   decides the dispatch exactly before any worker runs.  Proven → normal
+   flat index space (native beside a C kernel, else and for every
+   refutation :func:`repro.runtime.inspector.inspect_dispatch`) decides
+   the dispatch exactly before any worker runs.  Proven → normal
    executor with a :class:`SpecCertificate`; refuted → serial.
 
 2. **Speculative mode** — when values flow through a written array
@@ -123,6 +124,8 @@ class SpecCertificate:
     conflicts: int = 0
     wall_s: float = 0.0
     detail: str = ""
+    #: ``"native"``, ``"numpy"`` or ``"walk"`` (None: speculative).
+    inspector: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -134,12 +137,14 @@ class SpecCertificate:
             "conflicts": self.conflicts,
             "wall_s": self.wall_s,
             "detail": self.detail,
+            "inspector": self.inspector,
         }
 
     def __str__(self) -> str:
         extra = f": {self.detail}" if self.detail else ""
+        by = f"/{self.inspector}" if self.inspector else ""
         return (
-            f"dynamic[{self.mode}] loop {self.loop_var}: {self.status} "
+            f"dynamic[{self.mode}{by}] loop {self.loop_var}: {self.status} "
             f"({self.iterations} iterations, {self.chunks} chunks, "
             f"{self.conflicts} conflict(s)){extra}"
         )

@@ -21,6 +21,10 @@ are still loop-invariant here, but *values* flow between iterations, so
 disjointness of writes is no longer the whole story; those loops go to the
 speculative path (:mod:`repro.parallel.speculate`) instead.
 
+With C kernels a plan first runs the same pass natively, beside the
+kernel, and takes only its proofs: refutations and errors are this
+module's alone.
+
 This module also carries :func:`record_chunk`, the worker-side recording
 executor for speculation: it executes a chunk for real (against shadow
 array views) while logging the element read/write sets the validator needs.
@@ -75,6 +79,9 @@ class InspectionResult:
     #: Sample of observed write collisions: (element, iteration, iteration).
     conflicts: tuple[tuple[Element, int, int], ...] = ()
     error: str | None = None
+    #: Which pass decided: ``"native"`` (C, beside the kernel), ``"numpy"``
+    #: (vectorized) or ``"walk"`` (every refutation and error).
+    inspector: str = "walk"
 
     def describe(self) -> str:
         if not self.eligible:
@@ -317,6 +324,7 @@ def inspect_dispatch(
                 iterations=max(hi - lo + 1, 0),
                 elements=elements,
                 wall_s=time.perf_counter() - t0,
+                inspector="numpy",
             )
         for value in range(lo, hi + 1):
             scratch[loop.var] = value

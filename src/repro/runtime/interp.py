@@ -185,7 +185,10 @@ class Interpreter:
             args = [self._eval(a, env, arrays) for a in e.args]
             if self.count_ops:
                 self.counts.ops[e.func] += 1
-            return INTRINSICS[e.func](*args)
+            try:
+                return INTRINSICS[e.func](*args)
+            except (ValueError, OverflowError) as exc:  # int(nan), sqrt(-1)
+                raise InterpreterError(f"{e.func}{tuple(args)}: {exc}") from None
         raise InterpreterError(f"cannot evaluate {type(e).__name__}")
 
     def _eval_int(

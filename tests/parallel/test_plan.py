@@ -3,9 +3,11 @@
 A warm ``run_parallel_procedure`` call must fill in, dispatch, combine and
 copy back — and nothing else.  These tests put counting shims on every
 compile-time entry point (verify, validate, chunk and region codegen, the
-compiler, the artifact store, the tuner) and require zero calls on runs
-2–5 of every execution path: the region, GSS, unit with an auto batch,
-speculation, a reduction, a fission residue and an enforce-blocked loop —
+compiler, the artifact store, the tuner — and, for an inspected loop, the
+Python inspector's eligibility test, vectorized pass and walk) and require
+zero calls on runs 2–5 of every execution path: the region, GSS, unit with
+an auto batch, inspection, a reduction, a fission residue and an
+enforce-blocked loop —
 each run bit-identical to the interpreter, run 2 dispatching exactly like
 run 1.  The rest pins what invalidates a plan, what keeps plans apart,
 and that per-run state (certificates) never leaks between runs.
@@ -89,12 +91,15 @@ def case(name):
             {"policy": "unit", "claim_batch": "auto"},
         ),
         "scatter_perm": ("scatter_perm", {"n": 300}, {"safety": "speculate"}),
+        "ragged_update": (
+            "ragged_update", {"n": 40, "m": 6}, {"safety": "speculate"},
+        ),
         "dot_product": ("dot_product", {"n": 500}, {}),
         "mixed_update": ("mixed_update", {"n": 60}, {}),
     }[name]
     w = get_workload(kernel)
     arrays, scalars = make_env(w, scalars=sizes, seed=3)
-    if name == "scatter_perm":
+    if name in ("scatter_perm", "ragged_update"):
         proc = w.proc
     elif name == "dot_product":
         proc = reduction_procedure(w.proc).procedure
@@ -148,6 +153,10 @@ def calls(monkeypatch):
         ("repro.parallel.runtime", "generate_chunk_c"),
         ("repro.parallel.region", "generate_region_c"),
         ("repro.parallel.runtime", "compile_chunk_library"),
+        ("repro.codegen.cload", "_compile_into"),  # the gcc run itself
+        ("repro.runtime.inspector", "inspector_eligible"),
+        ("repro.runtime.inspector", "_vectorized_inspect"),
+        ("repro.runtime.inspector", "_SubscriptInspector"),
     ):
         shim(importlib.import_module(module), attr)
     shim(Store, "get")
@@ -168,7 +177,7 @@ def plans_of(proc):
     "name",
     [
         "gauss_jordan", "floyd", "matmul", "saxpy2d", "scatter_perm",
-        "dot_product", "mixed_update", "enforce_blocked",
+        "ragged_update", "dot_product", "mixed_update", "enforce_blocked",
     ],
 )
 def test_warm_runs_do_nothing_compile_time(name, calls):
@@ -196,6 +205,11 @@ def test_warm_runs_do_nothing_compile_time(name, calls):
         assert result.reductions == 1
     if name == "enforce_blocked":
         assert result.blocked_dispatches == 3 and len(result.dispatches) == 3
+    if name in ("scatter_perm", "ragged_update"):
+        # The kernel unit's own inspector proved every run: no Python
+        # inspection at all once the plan is warm.
+        (cert,) = result.certificates
+        assert (cert.status, cert.inspector) == ("proven-dynamic", "native")
 
 
 def test_a_served_decision_is_a_pinned_hit():

@@ -15,7 +15,9 @@ from repro.analysis.doall import mark_doall
 from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
-from repro.ir.stmt import Block
+from repro.ir.expr import ArrayRef
+from repro.ir.stmt import Assign, Block
+from repro.ir.visitor import walk_stmts
 from repro.parallel import (
     ParallelDispatchError,
     ParallelTimeoutError,
@@ -351,3 +353,28 @@ class TestOneDriver:
             run_parallel_doall(proc, arrays, sc, workers=2, safety=safety)
         assert leaked_segments() == []
         assert multiprocessing.active_children() == children
+
+
+class TestCopyBack:
+    """A run copies back only the arrays the procedure stores to."""
+
+    @pytest.mark.parametrize(
+        "name,safety",
+        [("scatter_perm", "speculate"), ("saxpy2d", None),
+         ("matmul", None)],
+    )
+    def test_read_only_inputs_may_be_read_only_arrays(self, name, safety):
+        w = get_workload(name)
+        proc = w.proc if safety else coalesce_procedure(w.proc)[0]
+        arrays, sc, baseline = _serial_baseline(w, seed=2)
+        written = {
+            s.target.name for s in walk_stmts(proc.body)
+            if isinstance(s, Assign) and isinstance(s.target, ArrayRef)
+        }
+        assert written and written != set(arrays)
+        for name_ in set(arrays) - written:
+            arrays[name_].flags.writeable = False
+        run_parallel_procedure(
+            proc, arrays, sc, workers=2, safety=safety, timeout=60.0
+        )
+        _assert_bit_for_bit(baseline, arrays)

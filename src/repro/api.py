@@ -341,16 +341,13 @@ def transform_function(
             fleet serves every dispatch of a run), ``claim_batch`` (chunks
             handed out per fetch&add critical section for unit/fixed
             policies — GSS always claims singly; the default ``"auto"``
-            sizes the batch from the calibrator's measured per-chunk
-            service time),
+            takes ``min(64, chunks // (8·active))``
+            chunks per claim, at least 1),
             ``chunk_lang`` (``"c"``/``"numpy"``/``"py"``/``"auto"``:
             workers execute claimed blocks through a native ctypes kernel
             when a compiler is available — whole-slice numpy on
             compiler-less hosts — degrading automatically;
-            ``.last.chunk_lang`` reports what ran), ``variants`` and
-            ``calibrate`` (the kernel variant farm: restrict the candidate
-            builds and/or measure them all on first use, dispatching the
-            winner — see :mod:`repro.tuning`),
+            ``.last.chunk_lang`` reports what ran),
             ``safety`` (``"off"``/``"warn"``/``"enforce"``/``"speculate"``,
             default warn: every run is verified by the chunk-safety
             analyser and the report attached to ``.last.safety``; enforce

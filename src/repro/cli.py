@@ -70,6 +70,20 @@ from repro.transforms.normalize import normalize_procedure
 DEFAULT_PASSES = "normalize,analyze,distribute,coalesce"
 
 
+def _claim_batch(text: str) -> int | str:
+    """``--claim-batch``: ``auto`` or an integer >= 1."""
+    from repro.parallel.runtime import resolve_claim_batch
+
+    try:
+        value: int | str = int(text)
+    except ValueError:
+        value = text
+    try:
+        return resolve_claim_batch(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -120,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chunk", type=int, default=None)
     parser.add_argument(
         "--claim-batch",
-        type=lambda v: v if v == "auto" else int(v),
+        type=_claim_batch,
         default="auto",
         metavar="K",
         help="chunks handed out per fetch&add critical section for the "
-        "unit/fixed policies (GSS always claims singly); the default "
-        "'auto' sizes the batch from the calibrator's measured per-chunk "
-        "service time",
+        "unit/fixed policies, an integer >= 1 (GSS always claims singly); "
+        "the default 'auto' takes min(64, chunks // (8 * active workers)) "
+        "chunks per claim, at least 1",
     )
     parser.add_argument(
         "--chunk-lang",
@@ -137,23 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on PATH), numpy (whole-slice vectorized, the compiler-less "
         "default), or py (generated Python); faster paths fall back "
         "automatically",
-    )
-    parser.add_argument(
-        "--variants",
-        default=None,
-        metavar="NAMES",
-        help="with --backend mp: restrict the kernel variant farm to a "
-        "comma-separated subset (e.g. gcc-O3,numpy; see "
-        "repro.tuning.variants.VARIANTS)",
-    )
-    parser.add_argument(
-        "--calibrate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="with --backend mp --run: measure every available kernel "
-        "variant of each chunk shape and dispatch the winner (the "
-        "decision is pinned in the artifact cache); --no-calibrate "
-        "disables all measurement",
     )
     parser.add_argument(
         "--safety",
@@ -298,8 +295,6 @@ def _run_transformed(args, workload, proc) -> int:
                 claim_batch=args.claim_batch,
                 chunk_lang=args.chunk_lang,
                 safety=args.safety,
-                variants=args.variants,
-                calibrate=args.calibrate,
             )
         except (ParallelError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -315,20 +310,9 @@ def _run_transformed(args, workload, proc) -> int:
         )
         if result.reductions:
             blocked += f", {result.reductions} reduction(s)"
-        variant_names = result.variants
-        variant_info = (
-            f"variants {'+'.join(variant_names)}"
-            if variant_names
-            else f"{result.chunk_lang} chunks"
-        )
-        if result.calibrations or result.pinned_decisions:
-            variant_info += (
-                f" ({result.calibrations} calibrated, "
-                f"{result.pinned_decisions} pinned)"
-            )
         label = (
             f"mp[{args.policy}, {args.workers} workers, "
-            f"{variant_info}, "
+            f"{result.chunk_lang} chunks, "
             f"{len(result.dispatches)} dispatches in "
             f"{result.fork_joins} fork/join"
             f"{'' if result.fork_joins == 1 else 's'}{blocked}, "

@@ -4,8 +4,8 @@ service.
 One :class:`~repro.cluster.replica.ReplicaSupervisor` keeps a fleet of
 :class:`~repro.service.server.ReproServer` processes alive (spawned, health
 -monitored, restarted on crash), all sharing one content-addressed
-:class:`~repro.cache.ArtifactCache` directory so a shape compiled or
-calibrated on any replica dispatches pinned-warm on all of them.  A
+:class:`~repro.cache.ArtifactCache` directory so a shape compiled on any
+replica is a warm cache hit on all of them.  A
 :class:`~repro.cluster.router.ClusterRouter` front door load-balances the
 synchronous ``/compile``/``/run``/``/lint`` endpoints and the async job
 protocol (``/submit`` → job ID → ``/poll``/``/result``/``/cancel``) over

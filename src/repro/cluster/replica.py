@@ -4,9 +4,8 @@ Each replica is a full :class:`~repro.service.server.ReproServer` in its
 own OS process (``spawn`` start method: a clean interpreter, no inherited
 locks or threads), bound to an ephemeral port it reports back over a pipe.
 Every replica opens the *same* artifact-cache directory — the store's
-atomic-rename publication makes that safe — so compiles, native kernels,
-farm manifests, and pinned ``repro.tuning/v1`` decisions published by one
-replica are warm cache hits on all the others.
+atomic-rename publication makes that safe — so compiles and native
+kernels published by one replica are warm cache hits on all the others.
 
 The supervisor's monitor thread restarts replicas that die (crash
 injection in the tests SIGKILLs one mid-job and watches the router retry

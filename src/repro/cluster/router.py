@@ -11,7 +11,7 @@ block reporting which replica served it and whether it had to be retried.
 Dispatcher threads claim jobs and forward them over pooled keep-alive
 connections.  Runs route *sticky*: the replica that last compiled or ran
 a program key gets that key's next run (warm kernel registrations, warm
-pools — no recalibration), falling back to the least-loaded alive
+plans and pools), falling back to the least-loaded alive
 replica when the sticky target is dead or unknown.  Replica crashes and
 timeouts surface as transient transport errors; the dispatcher re-queues
 the job (``jobs.retried``) until its retry budget runs out, nudges the
@@ -145,8 +145,8 @@ class ClusterRouter(AccountingHTTPServer):
         """Routing policy: sticky by program key, else least-loaded.
 
         A key that was compiled or last run on a still-alive replica goes
-        back there — its kernel registrations, chunk variants, and pools
-        are warm, so the run skips recalibration entirely.  Unknown keys
+        back there — its kernel registrations, prepared plans and pools
+        are warm, so the run builds nothing.  Unknown keys
         (and dead sticky targets) fall back to the least-loaded alive
         replica; the 404-repair path covers any stale registration.
         """

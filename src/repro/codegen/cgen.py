@@ -810,8 +810,8 @@ REGION_SUFFIX = "__region"
 #:   futex, waking every 50 ms to poll the stop word — set by the parent
 #:   when a peer died, or by a peer that could not enter the region.  A
 #:   stopped barrier returns -1 and the driver unwinds.
-#: * ``rules`` holds ``kind, k, asked, pinned`` per loop; the batch of one
-#:   instance is resolved here exactly as
+#: * ``rules`` holds ``kind, k, asked`` per loop (``asked`` 0 is
+#:   ``"auto"``); the batch of one instance is resolved here exactly as
 #:   ``repro.parallel.dispatch._resolve_claim_batch`` and the native claim
 #:   path resolve it per dispatch, so both paths hand out the same chunks.
 #: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
@@ -891,15 +891,12 @@ static long barrier_(struct region_ *r, int64_t lo, int64_t hi) {
 static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
     const long ph = r->phases++;
     const int64_t n = hi >= lo ? hi - lo + 1 : 0;
-    const int64_t *rule = r->rules + 4 * loop;
+    const int64_t *rule = r->rules + 3 * loop;
     const long active = n < r->workers ? (long)n : r->workers;
     long kind = rule[0], k = 1, batch = 1, asked = 1;
     if (n > 0) {
         const int64_t chunks = (n + rule[1] - 1) / rule[1];
-        const int64_t cap = chunks / active > 1 ? chunks / active : 1;
         int64_t b = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
-        if (rule[3] > 0) b = rule[3];
-        if (b > cap) b = cap;
         if (kind == 1 || b < 1) b = 1;
         asked = rule[2] > 0 ? rule[2] : b;
         if (kind == 1) {

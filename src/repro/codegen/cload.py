@@ -220,11 +220,7 @@ def _private_dir() -> Path:
 
 
 def compile_chunk_library(
-    source: str,
-    name: str,
-    cc: str = "gcc",
-    optimize: str = "-O2",
-    cache: object = "default",
+    source: str, name: str, cache: object = "default"
 ) -> tuple[str, bool]:
     """Compile one chunk-kernel translation unit; return ``(so_path, hit)``.
 
@@ -235,13 +231,13 @@ def compile_chunk_library(
     bypassed, builds go to a private process-lifetime directory keyed by
     the same hash (one build per shape per process, nothing leaked).
 
-    ``optimize`` may carry several whitespace-separated flags
-    (``"-O3 -march=native"``) — the variant farm sweeps these.  Chunk
-    kernels are single-threaded by design and never link ``-fopenmp``:
-    parallelism comes from the worker processes claiming blocks around
-    them, and a forked worker cannot run a libgomp team inherited from a
-    parent that already started one.
+    Every unit builds with gcc ``-O2``: ``-O3`` never won on a measured
+    kernel (DESIGN.md §4g).  Chunk kernels are single-threaded by design
+    and never link ``-fopenmp``: parallelism comes from the worker
+    processes claiming blocks around them, and a forked worker cannot run
+    a libgomp team inherited from a parent that already started one.
     """
+    cc, optimize = "gcc", "-O2"
     if not have_compiler(cc):
         raise CCompileError(f"no C compiler {cc!r} on PATH")
     key = artifact_key("chunk_clib", source=source, cc=cc, optimize=optimize)

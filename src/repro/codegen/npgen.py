@@ -1,6 +1,6 @@
 """Whole-slice numpy chunk codegen (``chunk_lang="numpy"``).
 
-The third chunk language of the variant farm: instead of iterating the
+The third chunk language: instead of iterating the
 claimed flat range ``[__lo, __hi]`` one index at a time (the interpreted
 ``py`` chunk) or compiling it (the native ``c`` chunk), the numpy chunk
 evaluates the *whole slice at once* — the flat loop variable becomes

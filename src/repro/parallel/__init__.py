@@ -22,7 +22,7 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
   (serial segments run in the parent, DOALLs — top-level or nested under
   serial control — are dispatched).  A call is plan → dispatch → combine:
   :mod:`repro.parallel.plan` holds what a procedure and run shape decide
-  once (verdict, strategies, kernels, tuning, the region), built by the
+  once (verdict, strategies, kernels, the region), built by the
   first call and reused; :mod:`repro.parallel.dispatch` runs it.
 * :mod:`repro.parallel.observe` — measured claim logs rendered as
   :class:`repro.machine.trace.SimResult` / Gantt charts, so real schedules

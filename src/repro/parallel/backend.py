@@ -54,18 +54,14 @@ class MPCompiledProcedure:
     serial path was taken.  Each run's dispatches are all served by one
     persistent worker fleet.  ``claim_batch`` hands workers that many
     chunks per counter critical section (unit and fixed policies — GSS
-    always claims singly), or — the default ``"auto"`` — sizes the batch
-    from the calibrator's measured per-chunk service time
-    (:mod:`repro.tuning.calibrate`; the decision is pinned in the
-    artifact cache, so only the first run ever measures).
+    always claims singly), or — the default ``"auto"`` — takes
+    ``min(64, chunks // (8·active))`` chunks per claim,
+    at least 1.
     ``chunk_lang`` selects how workers execute claimed blocks — ``"c"``
     (native ctypes kernel), ``"numpy"`` (whole-slice vectorized), ``"py"``,
     or ``None``/``"auto"`` (C when a compiler is available, numpy
     otherwise); faster paths degrade automatically and
-    ``last.chunk_lang`` reports what actually ran.  ``variants`` restricts
-    the kernel farm to named builds and ``calibrate=True`` selects the
-    dispatched build by measuring every available variant
-    (``last.variants`` reports what dispatched).  ``safety`` selects
+    ``last.chunk_lang`` reports what actually ran.  ``safety`` selects
     the chunk-safety mode (``None`` → ``"warn"``): ``"enforce"`` refuses
     unproven dispatches — they run serially, and a fully-refused run
     falls back to the serial backend with the rule codes recorded in
@@ -87,8 +83,6 @@ class MPCompiledProcedure:
     claim_batch: int | str = "auto"
     chunk_lang: str | None = None
     safety: str | None = None
-    variants: object = None
-    calibrate: bool | None = None
     _serial: CompiledProcedure = field(init=False, repr=False)
     last: ParallelProcedureResult | None = field(init=False, default=None)
     fallback_reason: str | None = field(init=False, default=None)
@@ -141,8 +135,6 @@ class MPCompiledProcedure:
                 claim_batch=self.claim_batch,
                 chunk_lang=self.chunk_lang,
                 safety=self.safety,
-                variants=self.variants,
-                calibrate=self.calibrate,
             )
         except (ParallelDispatchError, ParallelTimeoutError) as exc:
             if not self.fallback:

@@ -46,7 +46,6 @@ from repro.parallel.errors import (
 from repro.parallel.observe import (
     record_chunk_fallback,
     record_claim_fallback,
-    record_pinned_hit,
     record_reduction_dispatch,
     record_safety_block,
     record_speculate,
@@ -66,14 +65,9 @@ from repro.parallel.speculate import (
 )
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
-_UNSET = object()
-
-
 class Run:
     """One call's state — never kept in the plan.
 
-    ``seen`` holds the plan slots this run has used; :meth:`serve` turns
-    the first use of a slot an earlier run built into pinned hits.
     ``stale`` is set when workers could not bind the plan's artifacts.
     """
 
@@ -93,22 +87,8 @@ class Run:
         self.log_events = log_events
         self.strategies = strategies
         self.interp = Interpreter()
-        self.seen: set = set()
-        self.pinned = 0
         self.stale = False
         self._policy_plans: dict = {}
-        self._tuner = _UNSET
-
-    @property
-    def tuner(self):
-        """This run's :class:`~repro.tuning.calibrate.DispatchTuner` (or
-        None), made only if a plan slot has to be built."""
-        if self._tuner is _UNSET:
-            from repro.tuning.calibrate import make_tuner
-
-            plan = self.plan
-            self._tuner = make_tuner(plan.lang, *plan.tuning, store=plan.store)
-        return self._tuner
 
     def policy_plan(self, n: int, active: int):
         key = (n, active)
@@ -119,21 +99,8 @@ class Run:
             )
         return hit
 
-    def serve(self, key, decisions: int) -> None:
-        """Count a slot's tuning decisions as pinned hits, once per run."""
-        if key not in self.seen:
-            self.seen.add(key)
-            if decisions:
-                self.pinned += decisions
-                record_pinned_hit(decisions)
-
     def finish(self) -> None:
-        """Fold the tuning counts into the result; forget a stale plan."""
-        tuner = None if self._tuner is _UNSET else self._tuner
-        if tuner is not None:
-            self.out.calibrations = tuner.calibrations + tuner.quick_calibrations
-            self.pinned += tuner.pinned_hits
-        self.out.pinned_decisions = self.pinned
+        """Forget a plan whose artifacts did not bind."""
         if self.stale:
             from repro.parallel.plan import drop
 
@@ -163,27 +130,23 @@ def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
     )
 
 
-def _resolve_claim_batch(
-    requested, decision, plan, n: int, active: int
-) -> int:
-    """Resolve ``claim_batch`` (int or ``"auto"``) to the value workers use.
+def _resolve_claim_batch(requested, plan, n: int, active: int) -> int:
+    """Resolve ``claim_batch`` (an int >= 1 or ``"auto"``) to the value
+    workers use.
 
-    Explicit integers pass through (floored at 1).  ``"auto"`` takes the
-    calibrated batch when a decision carries one — clamped so this
-    dispatch still gives every worker at least one claim round — and
-    otherwise a conservative load-balance heuristic.  GSS and static
-    plans never batch.
+    Explicit integers pass through.  ``"auto"`` is one fixed rule: at
+    most 64 chunks per claim, and at least eight claim rounds per active
+    worker (DESIGN.md §4g).  GSS and static plans never batch.  The
+    region driver's ``phase_`` computes the same value in C
+    (:data:`repro.codegen.cgen._REGION_RUNTIME`).
     """
     if requested != "auto":
-        return max(1, int(requested))
+        return requested
     if plan.rule is None or plan.rule[0] == "gss":
         return 1
     per_claim = 1 if plan.rule[0] == "unit" else max(1, plan.rule[1])
     chunks = max(1, -(-n // per_claim))
-    cap = max(1, chunks // max(1, active))
-    if decision is not None and decision.claim_batch:
-        return max(1, min(decision.claim_batch, cap))
-    return max(1, min(64, chunks // (max(1, active) * 8), cap))
+    return max(1, min(64, chunks // (8 * max(1, active))))
 
 
 def _finalize_result(
@@ -242,22 +205,16 @@ def _finalize_result(
 
 
 def _stamp_result(run: Run, result: ParallelRunResult, job: dict, batch: int):
-    """Record the dispatch's resolved batch and variant on its result.
+    """Record the dispatch's resolved batch on its result.
 
-    The variant reflects what workers *actually executed*: a fleet that
-    degraded from the attached build (dlopen/bind failure) reports
-    ``"py"`` and counts a chunk fallback, exactly like a parent-side
-    degradation — and the plan that carried the build is stale.
+    A fleet that degraded from the attached build (dlopen/bind failure)
+    counts a chunk fallback, exactly like a parent-side degradation — and
+    the plan that carried the build is stale.
     """
     result.claim_batch = batch
-    wanted = job.get("chunk_lang", "py")
-    if result.chunk_lang == wanted:
-        result.variant = job.get("variant", "py")
-        return result
-    if result.chunk_lang == "py":
-        result.variant = "py"
-    record_chunk_fallback()  # worker-side dlopen/bind degradation
-    run.stale = True
+    if result.chunk_lang != job.get("chunk_lang", "py"):
+        record_chunk_fallback()  # worker-side dlopen/bind degradation
+        run.stale = True
     return result
 
 
@@ -288,13 +245,12 @@ def _dispatch_pool(
         return _empty_result(loop, lo, hi, wpool.workers, run.policy)
     active = max(1, min(wpool.workers, n))
     plan = run.policy_plan(n, active)
-    key, prep = run.plan.prep(
-        run, proc, loop, env, plan, n, extra_views, speculate is not None
+    prep = run.plan.prep(
+        run, proc, loop, env, plan, extra_views, speculate is not None
     )
-    run.serve(key, prep.decision is not None)
     if prep.fallback:
         record_chunk_fallback()
-    batch = _resolve_claim_batch(run.claim_batch, prep.decision, plan, n, active)
+    batch = _resolve_claim_batch(run.claim_batch, plan, n, active)
     job = dict(prep.job)
     job.update(
         specs=wpool.shared.specs() + list(extra_specs or ()),
@@ -398,10 +354,10 @@ def _serial(run: Run, loop: Loop, env: dict) -> None:
     run.out.serial_stmts += 1
 
 
-def inspect_blocked(plan, loop: Loop, env, views, report, run=None):
+def inspect_blocked(plan, loop: Loop, env, views, report):
     """Run the inspector on one blocked dispatch; certify its verdict."""
     record_speculate(inspected=1)
-    native = plan.inspector(run, loop, env)
+    native = plan.inspector(loop, env)
     insp = runtime.inspect_dispatch(loop, env, views, native)
     if report is not None:
         report.dynamic.append(
@@ -424,7 +380,7 @@ def inspect_blocked(plan, loop: Loop, env, views, report, run=None):
 def _inspected(run: Run, loop: Loop, env: dict) -> None:
     out = run.out
     out.inspected += 1
-    insp = inspect_blocked(run.plan, loop, env, run.views, out.safety, run)
+    insp = inspect_blocked(run.plan, loop, env, run.views, out.safety)
     if not insp.proven:
         _serial(run, loop, env)
         return

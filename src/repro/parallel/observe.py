@@ -97,15 +97,6 @@ class DispatchCounters:
     fission_refused: int = 0
     reductions_recognized: int = 0
     reduction_dispatches: int = 0
-    #: Variant-farm activity (:mod:`repro.tuning`): dispatches won per
-    #: variant name, full calibrations run (variant sweep + claim-batch
-    #: sweep), quick calibrations (claim-batch only, the
-    #: ``claim_batch="auto"`` path), and decisions served from a pinned
-    #: cache-manifest entry with zero re-measurement.
-    variant_wins: dict[str, int] | None = None
-    calibrations: int = 0
-    quick_calibrations: int = 0
-    pinned_hits: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -130,12 +121,6 @@ class DispatchCounters:
                 "py": self.claim_py,
                 "static": self.claim_static,
                 "fallbacks": self.claim_fallbacks,
-            },
-            "variants": {
-                "wins": dict(self.variant_wins or {}),
-                "calibrations": self.calibrations,
-                "quick_calibrations": self.quick_calibrations,
-                "pinned_hits": self.pinned_hits,
             },
             "safety": {
                 "checked": self.safety_checked,
@@ -258,13 +243,6 @@ def record_run(result) -> None:
                 DISPATCH.claim_static += 1
             else:
                 DISPATCH.claim_py += 1
-            variant = getattr(d, "variant", None)
-            if variant:
-                if DISPATCH.variant_wins is None:
-                    DISPATCH.variant_wins = {}
-                DISPATCH.variant_wins[variant] = (
-                    DISPATCH.variant_wins.get(variant, 0) + 1
-                )
 
 
 def record_fallback() -> None:
@@ -307,21 +285,6 @@ def record_safety_block(count: int = 1) -> None:
     """Count dispatches refused under ``safety="enforce"`` (ran serially)."""
     with _DISPATCH_LOCK:
         DISPATCH.safety_blocked += count
-
-
-def record_calibration(full: bool = True) -> None:
-    """Count one micro-calibration (``full``: variant sweep included)."""
-    with _DISPATCH_LOCK:
-        if full:
-            DISPATCH.calibrations += 1
-        else:
-            DISPATCH.quick_calibrations += 1
-
-
-def record_pinned_hit(count: int = 1) -> None:
-    """Count decisions served from a pinned cache manifest (no measuring)."""
-    with _DISPATCH_LOCK:
-        DISPATCH.pinned_hits += count
 
 
 def record_reduction_dispatch(count: int = 1) -> None:

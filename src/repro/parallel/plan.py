@@ -12,8 +12,8 @@ without a new argument.  The key (:func:`prepare`):
   the procedure, so its ``id`` cannot be reused while the plan lives);
 * the safety mode, the resolved chunk language, the scalar C types and
   the array dtypes and ranks;
-* the policy (name, or name and rule), ``chunk``, the worker count, the
-  requested ``claim_batch``, ``variants`` and ``calibrate``;
+* the policy (name, or name and rule), ``chunk``, the worker count and
+  the requested ``claim_batch``;
 * the identity of the resolved artifact store.
 
 What a plan holds: the procedure, validated and checked for something
@@ -22,8 +22,8 @@ and the strategy each dispatchable loop runs under (``dispatch``,
 ``reduce``, ``serial``, ``inspect``, ``speculate``); the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
-template (chunk source, bound kernel and thunk, claim library) with its
-tuning decision, each inspected loop's native inspector, the compiled
+template (chunk source, bound kernel and thunk, claim library), each
+inspected loop's native inspector, the compiled
 serial residues, and the region verdict with its job template.  Never in
 a plan: the report's certificates (each run works on its own copy),
 counters, results, scalar values, trip counts, batch clamps, ``params``
@@ -64,7 +64,6 @@ from repro.parallel.shm import native_layout
 from repro.parallel.speculate import speculation_plan
 from repro.runtime.inspector import InspectionResult
 from repro.runtime.interp import InterpreterError, eval_bound
-from repro.tuning.variants import default_variant, variant_by_name
 
 #: Plans (and verdicts) kept per process.  A plan is a few job templates
 #: and references to IR the caller holds anyway.
@@ -148,8 +147,6 @@ def prepare(
     chunk: int | None,
     workers: int,
     claim_batch: int | str,
-    variants,
-    calibrate: bool | None,
 ) -> "Plan":
     """The plan for this call: a memo hit, or built now (before any pool).
 
@@ -169,17 +166,11 @@ def prepare(
             type(policy).__name__, policy.name,
             policy_plan(policy, 1, 1, chunk).rule,
         ),
-        chunk, workers, claim_batch,
-        variants if variants is None or isinstance(variants, str)
-        else tuple(variants),
-        calibrate, id(store),
+        chunk, workers, claim_batch, id(store),
     )
     plan = _recall(_PLANS, key)
     if plan is None:
-        plan = _remember(
-            _PLANS, key,
-            Plan(key, proc, mode, lang, store, (variants, calibrate)),
-        )
+        plan = _remember(_PLANS, key, Plan(key, proc, mode, lang, store))
     if plan.report is not None:
         record_safety(plan.report)
     return plan
@@ -197,7 +188,6 @@ class _Prep:
     """One loop shape's dispatch, less what each dispatch fills in."""
 
     job: dict
-    decision: object = None
     #: The wanted chunk language could not be built: a chunk fallback,
     #: counted per dispatch.
     fallback: bool = False
@@ -206,9 +196,7 @@ class _Prep:
 class Plan:
     """One procedure prepared for one run shape (see the module docstring)."""
 
-    def __init__(self, key, proc, mode, lang, store, tuning) -> None:
-        from repro.tuning.calibrate import make_tuner
-
+    def __init__(self, key, proc, mode, lang, store) -> None:
         validate(proc)
         loops = runtime._dispatchable_loops(proc.body)
         if not loops:
@@ -221,11 +209,9 @@ class Plan:
         self.mode = mode
         self.lang = lang
         self.store = store
-        self.tuning = tuning
         self.loops = loops
         self.serial_outer = runtime._serial_outer(proc.body)
         self.report, self.blocked = self._safety(proc, mode)
-        make_tuner(lang, *tuning)  # unknown variant names raise here
         self.spec_plans = {
             id(lp): speculation_plan(lp, self.report.by_id.get(id(lp)))
             for lp in loops
@@ -288,30 +274,24 @@ class Plan:
         """This run's own copy of the verdict (certificates are per run)."""
         return None if self.report is None else replace(self.report, dynamic=[])
 
-    def once(self, key, run, build: Callable[[], object]):
-        """Slot ``key``, built by ``build()`` on first use and then fixed.
-
-        A slot built now is marked seen by ``run`` — its tuner already
-        counted the decisions in it (:meth:`Run.serve`).
-        """
+    def once(self, key, build: Callable[[], object]):
+        """Slot ``key``, built by ``build()`` on first use and then fixed."""
         hit = self._slots.get(key)
         if hit is None:
             with self._lock:
                 hit = self._slots.get(key)
                 if hit is None:
                     hit = self._slots[key] = build()
-                    if run is not None:
-                        run.seen.add(key)
         return hit
 
-    def inspector(self, run, loop, env):
+    def inspector(self, loop, env):
         """An inspected ``loop``'s native inspector, or None.  It is in the
         kernel unit the loop dispatches with: no compiler run of its own."""
         if self.lang != "c" or self.strategies.get(id(loop)) != "inspect":
             return None
         extra, types = _shape(self.proc, loop, env)
         key = ("inspect", id(loop), extra, types)
-        return self.once(key, run, lambda: self._inspector(loop, extra, env)) or None
+        return self.once(key, lambda: self._inspector(loop, extra, env)) or None
 
     def _inspector(self, loop, extra, env):
         kernel = self.kernels.chunk_kernel(self.proc, loop, extra, env, inspect=True)
@@ -349,8 +329,8 @@ class Plan:
 
         return native
 
-    def prep(self, run, proc, loop, env, pplan, n, extra_views, speculative):
-        """``(slot key, _Prep)`` for one dispatch of ``loop`` under ``env``.
+    def prep(self, run, proc, loop, env, pplan, extra_views, speculative):
+        """The :class:`_Prep` of one dispatch of ``loop`` under ``env``.
 
         Keyed by loop identity, the env-local scalar names, every scalar's
         C type (a hybrid program can feed one loop integers on one
@@ -358,60 +338,42 @@ class Plan:
         the dispatch is speculative.
         """
         extra, types = _shape(proc, loop, env)
-        key = (id(loop), extra, types, speculative)
-        return key, self.once(
-            key, run,
+        return self.once(
+            (id(loop), extra, types, speculative),
             lambda: self._prep(
-                run, proc, loop, extra, env, pplan, n, extra_views, speculative
+                run, proc, loop, extra, env, pplan, extra_views, speculative
             ),
         )
 
-    def _prep(self, run, proc, loop, extra, env, pplan, n, extra_views,
+    def _prep(self, run, proc, loop, extra, env, pplan, extra_views,
               speculative) -> _Prep:
         """The job template: the Python chunk always (the net every
         fallback lands on); the native kernel — plus the claim library
-        for a dynamic plan — or the numpy chunk when the wanted language
-        builds.  A tuning decision overrides the build: its variant picks
-        the chunk language and, for C, the compiler and flags.  A
-        speculative dispatch runs the recording interpreter: no build, no
-        decision."""
+        for a dynamic plan — or the numpy chunk when the plan's language
+        builds.  A speculative dispatch runs the recording interpreter:
+        no build."""
         source, fname, order = self.kernels.chunk_source(proc, loop, extra)
         job = {
             "source": source,
             "fname": fname,
             "array_order": list(proc.arrays),
             "scalar_order": order,
-            "variant": "py",
         }
         if speculative:
             return _Prep(job)
-        decision = None
-        if run.tuner is not None:
-            decision = run.tuner.decision_for(
-                proc, loop, env, run.views, pplan, n, run.pool.workers,
-                run.chunk, self.kernels, run.claim_batch,
-            )
-        variant, lang = None, self.lang
-        if decision is not None:
-            try:
-                variant = variant_by_name(decision.variant)
-                lang = variant.lang
-            except ValueError:
-                variant = None
-        if lang == "c":
+        if self.lang == "c":
             inspect = self.strategies.get(id(loop)) == "inspect"
             kernel = (
-                self.kernels.chunk_kernel(proc, loop, extra, env, variant, inspect)
+                self.kernels.chunk_kernel(proc, loop, extra, env, inspect)
                 if native_layout({**run.views, **(extra_views or {})}, proc.arrays)
                 else None
             )
             if kernel is None:
-                return _Prep(job, decision, fallback=True)
+                return _Prep(job, fallback=True)
             so_path, c_fname, sig, scalar_types = kernel
             job.update(
                 chunk_lang="c", c_so=so_path, c_fname=c_fname, c_sig=sig,
                 c_scalar_types=scalar_types,
-                variant=(variant or default_variant("c")).name,
             )
             claim_so = (
                 runtime.claim_loop_library(self.store)
@@ -422,15 +384,12 @@ class Plan:
                 job.update(
                     claim_so=claim_so, c_thunk=c_fname + runtime.THUNK_SUFFIX
                 )
-        elif lang == "numpy":
+        elif self.lang == "numpy":
             npk = self.kernels.numpy_chunk(proc, loop, extra)
             if npk is None:
-                return _Prep(job, decision, fallback=True)
-            job.update(
-                chunk_lang="numpy", np_source=npk[0], np_fname=npk[1],
-                variant="numpy",
-            )
-        return _Prep(job, decision)
+                return _Prep(job, fallback=True)
+            job.update(chunk_lang="numpy", np_source=npk[0], np_fname=npk[1])
+        return _Prep(job)
 
 
 # ---------------------------------------------------------------------------
@@ -487,45 +446,40 @@ class KernelBuilder:
             hit = self._memo[key] = (source, fname, list(widened.scalars))
         return hit
 
-    def chunk_kernel(self, proc, loop, extra, env, variant=None, inspect=False):
+    def chunk_kernel(self, proc, loop, extra, env, inspect=False):
         """``(so_path, fname, sig, scalar_types)`` of the C kernel, or None.
 
         Keyed by loop identity plus the C types of the live scalar values
-        plus the farm variant (a :class:`repro.tuning.variants.Variant`
-        picking compiler and flags; None is the default build) plus
-        whether the unit also carries the loop's native inspector.
+        plus whether the unit also carries the loop's native inspector.
         """
         widened = _widened(proc, extra)
         types = tuple(
             "double" if _kind(env[s]) == "double" else "long"
             for s in widened.scalars
         )
-        key = ("c", id(loop), extra, types, variant and variant.name, inspect)
+        key = ("c", id(loop), extra, types, inspect)
         if key not in self._memo:
             try:
                 self._memo[key] = self._build_kernel(
-                    widened, loop, types, variant, inspect
+                    widened, loop, types, inspect
                 )
             except Exception:
                 self._memo[key] = None
         return self._memo[key]
 
-    def _build_kernel(self, widened, loop, types, variant, inspect):
+    def _build_kernel(self, widened, loop, types, inspect):
         fname = f"{widened.name}__chunk"
         source = runtime.generate_chunk_c(
             widened, loop=loop, name=fname,
             scalar_types=dict(zip(widened.scalars, types)), inspect=inspect,
         )
-        build = {}
-        if variant is not None:
-            build = dict(cc=variant.cc, optimize=variant.optimize)
         # The dispatch this kernel is for will want the claim-loop library
         # too; where that is still unresolved (a process's first native
         # build) its compiler run shares this one's wait.
         warming = prefetch_claim_loop_library(self.store)
         try:
             so_path, _ = runtime.compile_chunk_library(
-                source, fname, cache=self.store, **build
+                source, fname, cache=self.store
             )
         finally:
             if warming is not None:
@@ -556,31 +510,25 @@ class KernelBuilder:
 
 
 def prewarm(proc: Procedure, store) -> int:
-    """Build every available variant of every loop shape of ``proc``.
+    """Build the C kernel and the numpy chunk of every loop shape of ``proc``.
 
-    What the server does at ``/compile``: each C variant compiled (and the
-    numpy chunk generated) with the integer-scalar signature JSON scalars
-    decode to — for a recognized reduction, the derived strip-mined loop
-    the run dispatches — so the first ``/run``'s plan finds every build in
-    the store.  Returns the number of builds warmed; a shape that fails
-    warms nothing.
+    What the server does at ``/compile``: the C kernel compiled (where a
+    compiler is on PATH) and the numpy chunk generated, with the
+    integer-scalar signature JSON scalars decode to — for a recognized
+    reduction, the derived strip-mined loop the run dispatches — so the
+    first ``/run``'s plan finds both in the store.  Returns the number of
+    builds warmed; a shape that fails warms nothing.
     """
-    from repro.tuning.variants import available_variants
-
     kernels = KernelBuilder(store)
+    native = runtime.have_compiler()
     warmed = 0
     for lp in runtime._dispatchable_loops(proc.body):
         red = _reduction_plan(proc, lp)
         kproc, kloop = (proc, lp) if red is None else (red.proc, red.loop)
         env = {name: 1 for name in kproc.scalars}
-        for variant in available_variants("auto"):
-            if variant.lang == "c":
-                built = kernels.chunk_kernel(kproc, kloop, (), env, variant)
-            elif variant.lang == "numpy":
-                built = kernels.numpy_chunk(kproc, kloop, ())
-            else:
-                continue  # the py chunk needs no warming
-            warmed += built is not None
+        if native:
+            warmed += kernels.chunk_kernel(kproc, kloop, (), env) is not None
+        warmed += kernels.numpy_chunk(kproc, kloop, ()) is not None
     return warmed
 
 

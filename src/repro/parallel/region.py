@@ -57,11 +57,8 @@ from repro.parallel.runtime import (
     ParallelRunResult,
     _contains_dispatchable,
     _dispatchable,
-    _dispatchable_loops,
 )
 from repro.parallel.shm import native_layout
-from repro.runtime.interp import Interpreter, eval_bound
-from repro.tuning.variants import default_variant, variant_by_name
 
 #: Barrier spins before the futex sleep when every worker has a CPU of its
 #: own (DESIGN §4b has the measurements); 0 when workers outnumber CPUs —
@@ -130,61 +127,21 @@ def _skeleton(proc: Procedure, env: Mapping) -> list[tuple[Loop, tuple]]:
     return found
 
 
-def _first_instances(
-    stmt: Stmt, env: dict, views, want: set[int], found: dict
-) -> None:
-    """Environment and trip count of each DOALL's first non-empty instance.
-
-    What the per-dispatch path would have had in hand when it resolved
-    that loop's tuning decision.  Leaves a serial loop as soon as nothing
-    under it is still wanted, so the walk is a few iterations, not the
-    run.
-    """
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            _first_instances(s, env, views, want, found)
-    elif isinstance(stmt, Loop) and id(stmt) in want:
-        lo = eval_bound(stmt.lower, env, views, "loop lower bound")
-        hi = eval_bound(stmt.upper, env, views, "loop upper bound")
-        if hi >= lo:
-            want.discard(id(stmt))
-            found[id(stmt)] = (dict(env), hi - lo + 1)
-    elif isinstance(stmt, Loop):
-        lo = eval_bound(stmt.lower, env, views, "loop lower bound")
-        hi = eval_bound(stmt.upper, env, views, "loop upper bound")
-        inner = {id(lp) for lp in _dispatchable_loops(stmt.body)}
-        for value in range(lo, hi + 1, stmt.step.value):
-            if not inner & want:
-                break
-            _first_instances(
-                stmt.body, {**env, stmt.var: value}, views, want, found
-            )
-    elif isinstance(stmt, If):
-        taken = Interpreter()._eval(stmt.cond, env, views)
-        _first_instances(
-            stmt.then if taken else stmt.orelse, env, views, want, found
-        )
-
-
 @dataclass(frozen=True)
 class _Template:
     """A plan's region: the job, less what each run fills in."""
 
     job: dict
     loops: list[Loop]
-    variants: list[str]
     policy_name: str
-    #: Tuning decisions baked in (pinned hits when a later run serves it).
-    decisions: int
 
 
 def _template(run) -> _Template | str:
     """The region for ``run.plan``, or the coded reason there is none.
 
-    Everything decided once per loop shape — kernel, variant, pinned
-    batch — is decided here, before any worker enters, from the
-    environment of each DOALL's first non-empty instance; this is a plan
-    slot, built by the plan's first run and kept."""
+    Everything decided once per loop shape — its kernel and claim rule —
+    is decided here, before any worker enters; this is a plan slot, built
+    by the plan's first run and kept."""
     try:
         return _build(run)
     except _Refused as refusal:
@@ -212,51 +169,30 @@ def _build(run) -> _Template:
     shape = policy_plan(run.policy, 1, 1, run.chunk)
     if shape.rule is None:
         raise _Refused("SPMD005", f"policy {shape.name!r} is static")
-    views = run.views
-    if not native_layout(views, proc.arrays):
+    if not native_layout(run.views, proc.arrays):
         raise _Refused("SPMD006", "an array is not C-contiguous float64")
 
-    first: dict = {}
-    _first_instances(proc.body, dict(env), views, set(map(id, doalls)), first)
     kind = 1 if shape.rule[0] == "gss" else 0
     per_claim = shape.rule[1] if shape.rule[0] == "fixed" else 1
-    asked = 0 if run.claim_batch == "auto" else max(1, run.claim_batch)
+    asked = 0 if run.claim_batch == "auto" else run.claim_batch
     rules: list[int] = []
     kernels: list[dict] = []
-    variants: list[str] = []
     orders: list[list[str]] = []
-    decisions = 0
     for loop, ivs in loops:
         # An instance's environment is the caller's scalars plus the
         # enclosing induction variables, whatever their values.
-        denv, n = first.get(id(loop), ({**env, **dict.fromkeys(ivs, 0)}, 0))
-        decision = None
-        if n and run.tuner is not None:
-            decision = run.tuner.decision_for(
-                proc, loop, denv, views,
-                run.policy_plan(n, min(wpool.workers, n)), n, wpool.workers,
-                run.chunk, plan.kernels, run.claim_batch,
-            )
-        variant = None
-        klang = plan.lang
-        if decision is not None:
-            decisions += 1
-            try:
-                variant = variant_by_name(decision.variant)
-                klang = variant.lang
-            except ValueError:
-                variant = None
+        denv = {**env, **dict.fromkeys(ivs, 0)}
         extra = tuple(
             sorted(k for k in denv if k not in proc.scalars and k != loop.var)
         )
         kernel = (
-            plan.kernels.chunk_kernel(proc, loop, extra, denv, variant)
-            if klang == "c"
+            plan.kernels.chunk_kernel(proc, loop, extra, denv)
+            if plan.lang == "c"
             else None
         )
         if kernel is None:
             raise _Refused(
-                "SPMD006", f"DOALL {loop.var!r} has no C kernel ({klang})"
+                "SPMD006", f"DOALL {loop.var!r} has no C kernel ({plan.lang})"
             )
         so_path, c_fname, _, scalar_types = kernel
         order = list(proc.scalars) + list(extra)
@@ -270,9 +206,7 @@ def _build(run) -> _Template:
             }
         )
         orders.append(order)
-        variants.append((variant or default_variant("c")).name)
-        pinned = decision.claim_batch if decision is not None else 0
-        rules += [kind, max(1, per_claim), asked, pinned or 0]
+        rules += [kind, max(1, per_claim), asked]
     claim_so = runtime.claim_loop_library(plan.store)
     if claim_so is None:
         raise _Refused("SPMD006", "the native claim loop is unavailable")
@@ -294,11 +228,11 @@ def _build(run) -> _Template:
         "rules": rules,
         "workers": wpool.workers,
     }
-    return _Template(job, doalls, variants, shape.name, decisions)
+    return _Template(job, doalls, shape.name)
 
 
 def _assemble(
-    results: Mapping[int, tuple], loops, variants, policy, plan_name, workers
+    results: Mapping[int, tuple], loops, policy, plan_name, workers
 ) -> list[ParallelRunResult]:
     """One :class:`ParallelRunResult` per DOALL instance, in program order,
     from the workers' per-instance tables — the accounting (and its
@@ -345,8 +279,8 @@ def _assemble(
             ParallelRunResult(
                 loops[li].var, lo, hi, active, plan_name, wall[ph],
                 iters[ph][:active], claims[ph], event_log, t_base[ph],
-                lock_ops=lock_ops[ph], chunk_lang="c", variant=variants[li],
-                claim_batch=batch, claim_loop="native",
+                lock_ops=lock_ops[ph], chunk_lang="c", claim_batch=batch,
+                claim_loop="native",
             )
         )
     return out
@@ -364,11 +298,10 @@ def try_region(run) -> bool:
     errors.
     """
     out, env, wpool = run.out, run.env, run.pool
-    tpl = run.plan.once("region", run, lambda: _template(run))
+    tpl = run.plan.once("region", lambda: _template(run))
     if isinstance(tpl, str):
         out.region = tpl
         return False
-    run.serve("region", tpl.decisions)
     # A parameter that is not an integer is one the skeleton never reads
     # (_skeleton checked); its slot is never looked at.  The same holds
     # for an induction variable's kernel slot: the driver writes it.
@@ -401,8 +334,7 @@ def try_region(run) -> bool:
         return False
     out.dispatches.extend(
         _assemble(
-            results, tpl.loops, tpl.variants, run.policy, tpl.policy_name,
-            wpool.workers,
+            results, tpl.loops, run.policy, tpl.policy_name, wpool.workers,
         )
     )
     out.serial_stmts += results[0][8]["region"]["serial_stmts"]

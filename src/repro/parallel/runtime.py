@@ -16,7 +16,7 @@ themselves and the whole run is a single fork/join.
 
 A call is plan → dispatch → combine.  Everything decidable before the
 data arrives — validation, the safety verdict, each loop's strategy,
-chunk sources, kernel builds, tuning decisions, the region — lives in a
+chunk sources, kernel builds, the region — lives in a
 prepared :class:`~repro.parallel.plan.Plan`, built by the first call of
 a procedure and run shape and reused by every later one; a warm call only
 fills in scalars, trip counts, batch clamps and the pool's specs,
@@ -35,10 +35,9 @@ the reason it is gone.)
 ``claim_batch=k`` lets unit/fixed self-scheduling take ``k`` chunks per
 claim (GSS keeps its one-chunk atomic read-of-remaining semantics — see
 :meth:`repro.parallel.counter.SharedClaimCounter.claim_batch`).  The
-default ``claim_batch="auto"`` sizes the batch from the measured
-per-chunk service time via the variant farm's micro-calibration
-(:mod:`repro.tuning.calibrate`), pinning the decision in the artifact
-cache and in the plan, so warm runs dispatch with zero re-measurement.
+default ``claim_batch="auto"`` is one fixed rule: ``min(64, chunks //
+(8·active))`` chunks per claim, at least 1
+(:func:`repro.parallel.dispatch._resolve_claim_batch`).
 
 Each dispatch drives the shared counter through exactly one claim
 protocol, decided when the plan is built and reported as
@@ -115,6 +114,7 @@ __all__ = [
     "SafetyVerificationError",
     "WorkerCrashError",
     "resolve_chunk_lang",
+    "resolve_claim_batch",
     "resolve_safety",
     "run_parallel_doall",
     "run_parallel_procedure",
@@ -143,6 +143,26 @@ def resolve_chunk_lang(requested: str | None) -> str:
         record_chunk_fallback()
         return "numpy"
     return requested
+
+
+def resolve_claim_batch(requested) -> int | str:
+    """``"auto"``, or an explicit claim batch: an integer >= 1.
+
+    A bool, a float, a string other than ``"auto"`` or a value below 1
+    raises :class:`ValueError` — never a silent floor to 1.
+    """
+    if requested == "auto":
+        return requested
+    if (
+        isinstance(requested, bool)
+        or not isinstance(requested, (int, np.integer))
+        or requested < 1
+    ):
+        raise ValueError(
+            "claim_batch must be 'auto' or an integer >= 1 "
+            f"(got {requested!r})"
+        )
+    return int(requested)
 
 
 def resolve_safety(requested: str | None) -> str:
@@ -214,11 +234,8 @@ class ParallelRunResult:
     #: ran the native kernel), ``"numpy"`` (whole-slice vectorized),
     #: ``"py"``, or ``"mixed"`` (some workers degraded mid-fleet).
     chunk_lang: str = "py"
-    #: Variant-farm build the dispatch executed (``"gcc-O3"``,
-    #: ``"numpy"``, ``"py"``, ...) or None when workers disagreed.
-    variant: str | None = None
     #: Chunks claimed per counter critical section, as actually resolved
-    #: (the calibrated/heuristic value behind ``claim_batch="auto"``).
+    #: (for ``claim_batch="auto"``, the value of its fixed rule).
     claim_batch: int = 1
     #: How ``safety=speculate`` handled this dispatch: ``"proven-dynamic"``
     #: (inspector certified, normal execution), ``"committed"`` /
@@ -308,11 +325,6 @@ class ParallelProcedureResult:
     #: Dispatches executed through the partial-accumulator reduction
     #: engine (recognized ``s := s ⊕ expr`` loops).
     reductions: int = 0
-    #: Variant-farm accounting: micro-calibrations this run performed
-    #: (full + quick) and decisions served from a pinned manifest entry
-    #: with zero re-measurement.
-    calibrations: int = 0
-    pinned_decisions: int = 0
     #: How a program with a DOALL under a serial loop ran: ``"native"``
     #: (one SPMD region, :mod:`repro.parallel.region`) or the rule-coded
     #: reason it ran per dispatch; None for programs with no such nest.
@@ -322,11 +334,6 @@ class ParallelProcedureResult:
     def fork_joins(self) -> int:
         """Fork/joins of the fleet: one for a region, else one per dispatch."""
         return 1 if self.region == "native" else len(self.dispatches)
-
-    @property
-    def variants(self) -> list[str]:
-        """Distinct variant-farm builds the run's dispatches executed."""
-        return sorted({d.variant for d in self.dispatches if d.variant})
 
     @property
     def certificates(self) -> list:
@@ -427,7 +434,7 @@ def inspect_dispatch(loop: Loop, env, arrays, native=None):
 
 def _prepare(
     proc, arrays, scalars, pool, workers, policy, chunk, claim_batch,
-    chunk_lang, safety, variants, calibrate,
+    chunk_lang, safety,
 ):
     """``(plan, claim_batch)`` for one call: options resolved, and the
     plan found in the memo or built — before any process or segment."""
@@ -435,12 +442,11 @@ def _prepare(
 
     mode = resolve_safety(safety)
     lang = resolve_chunk_lang(chunk_lang)
-    if claim_batch != "auto":
-        claim_batch = int(claim_batch)
+    claim_batch = resolve_claim_batch(claim_batch)
     plan = prepare(
         proc, arrays if pool is None else pool.views, scalars or {}, mode,
         lang, policy, chunk, max(1, workers) if pool is None else pool.workers,
-        claim_batch, variants, calibrate,
+        claim_batch,
     )
     return plan, claim_batch
 
@@ -517,8 +523,6 @@ def run_parallel_doall(
     claim_batch: int | str = "auto",
     chunk_lang: str | None = None,
     safety: str | None = None,
-    variants=None,
-    calibrate: bool | None = None,
 ) -> ParallelRunResult:
     """Execute a single-DOALL procedure across worker processes.
 
@@ -537,17 +541,11 @@ def run_parallel_doall(
     degrade automatically on any codegen, compile, or load failure; the
     language actually used is reported in ``result.chunk_lang``.
 
-    ``claim_batch`` is an explicit chunks-per-critical-section count or
-    ``"auto"`` (default): unit/fixed dispatches size the batch from the
-    measured per-chunk service time — a bounded first-use
-    micro-calibration whose decision is pinned in the artifact cache, so
-    warm runs re-measure nothing (see :mod:`repro.tuning.calibrate`).
-    ``variants`` restricts the farm to named builds
-    (:data:`repro.tuning.variants.VARIANTS`; comma string or list), and
-    ``calibrate=True`` runs a full variant sweep — measure every
-    available build of the chunk shape, dispatch the winner — while
-    ``calibrate=False`` disables measurement entirely.  The build
-    executed is reported in ``result.variant`` and the resolved batch in
+    ``claim_batch`` is an explicit chunks-per-critical-section count (an
+    integer >= 1) or ``"auto"`` (default): unit/fixed dispatches take
+    ``min(64, chunks // (8·active))`` chunks per claim,
+    at least 1, where ``active`` is the number of workers with work.  GSS
+    and static plans never batch.  The resolved batch is reported in
     ``result.claim_batch``.
 
     ``safety`` selects the chunk-safety mode (see :func:`resolve_safety`;
@@ -579,7 +577,7 @@ def run_parallel_doall(
         )
     plan, claim_batch = _prepare(
         proc, arrays, scalars, None, workers, policy, chunk, claim_batch,
-        chunk_lang, safety, variants, calibrate,
+        chunk_lang, safety,
     )
     report = plan.run_report()
     strategies = plan.strategies
@@ -640,8 +638,6 @@ def run_parallel_procedure(
     pool: WorkerPool | None = None,
     chunk_lang: str | None = None,
     safety: str | None = None,
-    variants=None,
-    calibrate: bool | None = None,
     preloaded: bool = False,
 ) -> ParallelProcedureResult:
     """Execute a whole procedure, dispatching every reachable DOALL.
@@ -667,12 +663,9 @@ def run_parallel_procedure(
     callers that stage data into ``pool.views`` themselves and read
     results straight out of them (the binary wire transport).
 
-    ``chunk_lang``, ``claim_batch`` (default ``"auto"``), ``variants``,
-    and ``calibrate`` behave exactly as in :func:`run_parallel_doall`;
-    decisions are resolved per dispatched loop shape, once per plan, so a
-    hybrid program calibrates each of its DOALLs at most once and every
-    later dispatch of the same shape reuses the decision
-    (``result.calibrations`` / ``result.pinned_decisions`` count both).
+    ``chunk_lang`` and ``claim_batch`` (default ``"auto"``) behave
+    exactly as in :func:`run_parallel_doall`; ``"auto"`` is resolved per
+    dispatch, from that dispatch's own trip count.
 
     ``safety`` selects the chunk-safety mode (default ``"warn"``: verify
     and report, dispatch everything).  Under ``"enforce"``, unproven
@@ -690,7 +683,7 @@ def run_parallel_procedure(
     """
     plan, claim_batch = _prepare(
         proc, arrays, scalars, pool, workers, policy, chunk, claim_batch,
-        chunk_lang, safety, variants, calibrate,
+        chunk_lang, safety,
     )
     if plan.refusal is not None:
         record_safety_block(len(plan.loops))

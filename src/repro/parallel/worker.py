@@ -303,7 +303,7 @@ def _run_region(
     argv_table = (ctypes.c_void_p * count)(
         *[ctypes.addressof(a) for a in argvs]
     )
-    rules = (ctypes.c_int64 * (4 * count))(*reg["rules"])
+    rules = (ctypes.c_int64 * len(reg["rules"]))(*reg["rules"])
     params = (ctypes.c_int64 * max(1, len(reg["params"])))(*reg["params"])
     info = (ctypes.c_int64 * 4)()
     logged: list[bytes] = []

@@ -81,7 +81,7 @@ from repro.parallel.observe import (
 )
 from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool
-from repro.parallel.runtime import run_parallel_procedure
+from repro.parallel.runtime import resolve_claim_batch, run_parallel_procedure
 from repro.parallel.shm import SEGMENT_PREFIX, ArraySpec, attach_array
 
 DEFAULT_PORT = 8923
@@ -592,9 +592,6 @@ class ReproServer(AccountingHTTPServer):
             "iterations": result.total_iterations,
             "chunk_lang": result.chunk_lang,
             "claim_loop": result.claim_loop,
-            "variants": result.variants,
-            "calibrations": result.calibrations,
-            "pinned_decisions": result.pinned_decisions,
             "safety": result.safety_mode,
             "blocked_dispatches": result.blocked_dispatches,
             "reductions": result.reductions,
@@ -621,26 +618,19 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         raise RequestError(
             400, f"workers must be an integer >= 1 (got {workers!r})"
         )
-    claim_batch = body.get("claim_batch", "auto")
-    if claim_batch != "auto":
-        try:
-            claim_batch = int(claim_batch)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(
-                400,
-                f"claim_batch must be an int or 'auto' (got {claim_batch!r})",
-            ) from exc
+    for retired in ("variants", "calibrate"):
+        if retired in body:
+            raise RequestError(400, f"{retired!r} is not a /run option")
+    try:
+        claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
+    except ValueError as exc:
+        raise RequestError(400, str(exc)) from exc
     chunk_lang = body.get("chunk_lang", "auto")
     if chunk_lang not in ("auto", "py", "c", "numpy"):
         raise RequestError(
             400,
             "chunk_lang must be 'auto', 'py', 'c', or 'numpy' "
             f"(got {chunk_lang!r})",
-        )
-    calibrate = body.get("calibrate")
-    if calibrate is not None and not isinstance(calibrate, bool):
-        raise RequestError(
-            400, f"calibrate must be a boolean (got {calibrate!r})"
         )
     safety = body.get("safety")
     if safety is not None and safety not in (
@@ -654,7 +644,7 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     if chunk_lang in ("auto", "c", "numpy") and any(
         a.dtype != np.float64 for a in arrays.values()
     ):
-        # The compiled chunk variants (C kernels, numpy slice chunks)
+        # The compiled chunks (C kernels, numpy slice chunks)
         # are built for float64; any other served dtype takes the
         # interpreted chunk floor, which is dtype-generic.
         chunk_lang = "py"
@@ -667,8 +657,6 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         timeout=body.get("timeout"),
         log_events=bool(body.get("log_events", False)),
         safety=safety,
-        variants=body.get("variants"),
-        calibrate=calibrate,
     )
 
 

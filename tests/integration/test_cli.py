@@ -273,3 +273,25 @@ class TestMPBackendCLI:
             main(["--workload", "saxpy2d", "--run", "--backend", "mp", flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--variants", "gcc-O3"], ["--calibrate"], ["--no-calibrate"]],
+    )
+    def test_tuner_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "saxpy2d", "--run", "--backend", "mp", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "2.7", "true"])
+    def test_claim_batch_must_be_auto_or_a_positive_integer(
+        self, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--workload", "saxpy2d", "--run", "--backend", "mp",
+                f"--claim-batch={value}",
+            ])
+        assert exc.value.code == 2
+        assert "--claim-batch" in capsys.readouterr().err

@@ -240,7 +240,7 @@ def test_property_hybrid_nest_every_path_agrees(data, seed):
                 got = copy_env(env)
                 result = run_parallel_procedure(
                     p, got, scalars, workers=workers, chunk_lang=lang,
-                    safety=safety, timeout=60.0, calibrate=False,
+                    safety=safety, timeout=60.0,
                 )
                 assert agrees(got), (safety, workers, lang)
                 counts[lang] = [

@@ -108,7 +108,6 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
     result = run_parallel_procedure(
         INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
         policy=policy, chunk=chunk, claim_batch=batch, safety="off",
-        calibrate=False,
     )
     (d,) = result.dispatches
     assert d.claim_loop == "native" and d.chunk_lang == "c"
@@ -153,7 +152,7 @@ def test_contended_increment_is_exact(policy, chunk):
             result = run_parallel_procedure(
                 INCREMENT, arrays, {"lo": 1, "hi": n}, pool=pool,
                 policy=policy, chunk=chunk, claim_batch=1, log_events=False,
-                safety="off", calibrate=False,
+                safety="off",
             )
             (d,) = result.dispatches
             assert d.claim_loop == "native"
@@ -198,7 +197,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
                 got = {k: v.copy() for k, v in arrays.items()}
                 runs[lang] = run_parallel_procedure(
                     proc, got, sc, pool=pool, policy=policy, chunk=chunk,
-                    claim_batch=4, chunk_lang=lang, calibrate=False,
+                    claim_batch=4, chunk_lang=lang,
                 )
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (lang, policy, k)

@@ -150,3 +150,15 @@ class TestBatchedClaims:
         counter = SharedClaimCounter(1, 10, _ctx())
         assert counter.claim(("unit",)) == (1, 1)
         assert counter.claim_batch(("unit",), batch=1) == [(2, 2)]
+
+
+class TestCounterCost:
+    def test_counter_cost_is_positive_and_measured_once(self):
+        from repro.tuning import measure_counter_cost, reset_tuning_memo
+
+        reset_tuning_memo()
+        first = measure_counter_cost()
+        assert first > 0.0
+        assert measure_counter_cost() == first  # one probe per process
+        reset_tuning_memo()
+        assert measure_counter_cost.cache_info().currsize == 0

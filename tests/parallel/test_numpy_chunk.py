@@ -1,12 +1,12 @@
 """Whole-slice numpy chunk kernels (``chunk_lang="numpy"``).
 
-The compiler-less-host variant: workers execute claimed flat-index blocks
+The compiler-less-host chunk language: workers execute claimed flat-index blocks
 as vectorized numpy slice assignments instead of interpreted per-iteration
 chunks.  These tests pin the contract:
 
 * bit-for-bit equivalence with the serial interpreter on every shape the
   generator accepts (rectangular recoveries, stencils with nested affine
-  subscripts), with ``result.variant == "numpy"`` proving the vectorized
+  subscripts), with ``result.chunk_lang == "numpy"`` proving the vectorized
   path actually ran;
 * hybrid programs degrade per-dispatch: Gauss–Jordan's pivot-row shapes
   refuse vectorization (loop-carried reads), fall back to ``py``, count a
@@ -54,7 +54,6 @@ class TestEquivalence:
         )
         _assert_bit_for_bit(baseline, arrays)
         assert result.chunk_lang == "numpy"
-        assert result.variant == "numpy"
 
     def test_hybrid_gauss_degrades_per_dispatch(self):
         # Pivot-row elimination reads the pivot row while writing others:

@@ -3,7 +3,7 @@
 A warm ``run_parallel_procedure`` call must fill in, dispatch, combine and
 copy back — and nothing else.  These tests put counting shims on every
 compile-time entry point (verify, validate, chunk and region codegen, the
-compiler, the artifact store, the tuner — and, for an inspected loop, the
+compiler, the artifact store — and, for an inspected loop, the
 Python inspector's eligibility test, vectorized pass and walk) and require
 zero calls on runs 2–5 of every execution path: the region, GSS, unit with
 an auto batch, inspection, a reduction, a fission residue and an
@@ -34,7 +34,7 @@ from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.transforms.fission import fission_procedure
 from repro.transforms.reduction import reduction_procedure
-from repro.tuning.calibrate import DispatchTuner, reset_tuning_memo
+from repro.tuning import reset_tuning_memo
 from repro.workloads import get_workload, make_env
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -115,15 +115,14 @@ def shape(result):
     return (
         len(result.dispatches), result.fork_joins, result.region,
         result.claims, result.lock_ops, result.chunk_lang,
-        [d.variant for d in result.dispatches],
         [d.claim_batch for d in result.dispatches],
     )
 
 
 @pytest.fixture(autouse=True)
 def private_store(tmp_path):
-    """A store of this test's own: no decision pinned by another test, and
-    no kernel path some earlier run already has mapped."""
+    """A store of this test's own: no kernel path some earlier run already
+    has mapped."""
     session = default_cache()
     store = configure(dir=tmp_path / "store")
     yield store
@@ -160,7 +159,6 @@ def calls(monkeypatch):
     ):
         shim(importlib.import_module(module), attr)
     shim(Store, "get")
-    shim(DispatchTuner, "_resolve")
     return counts
 
 
@@ -210,19 +208,6 @@ def test_warm_runs_do_nothing_compile_time(name, calls):
         # inspection at all once the plan is warm.
         (cert,) = result.certificates
         assert (cert.status, cert.inspector) == ("proven-dynamic", "native")
-
-
-def test_a_served_decision_is_a_pinned_hit():
-    proc, original, arrays, scalars, options = case("saxpy2d")
-    with WorkerPool(arrays, workers=2) as pool:
-        first, second = (
-            run_parallel_procedure(
-                proc, copies(arrays), scalars, workers=2, pool=pool, **options
-            )
-            for _ in range(2)
-        )
-    assert first.calibrations + first.pinned_decisions == 1
-    assert (second.calibrations, second.pinned_decisions) == (0, 1)
 
 
 def test_a_plan_is_reused_across_scalar_values_and_array_shapes(calls):
@@ -405,7 +390,6 @@ def test_a_thousand_procedures_leave_the_memo_at_its_bound():
         )
         plan_mod.prepare(
             proc, arrays, {"n": 4}, "warn", "py", "gss", None, 2, "auto",
-            None, False,
         )
         assert len(plan_mod._PLANS) <= plan_mod.MEMO_BOUND
         assert len(plan_mod._VERDICTS) <= plan_mod.MEMO_BOUND
@@ -437,4 +421,4 @@ def test_the_server_prewarm_builds_through_the_plan_kernel_path(
     proc, original, arrays, scalars, options = case("dot_product")
     store = ArtifactCache(tmp_path / "prewarmed")
     assert plan_mod.prewarm(proc, store) >= 1
-    assert calls["generate_chunk_c"] >= 1
+    assert calls["generate_chunk_c"] == 1  # one C build per loop shape

@@ -32,6 +32,8 @@ from repro.parallel import (
     run_parallel_procedure,
 )
 from repro.parallel import worker
+from repro.parallel.counter import policy_plan
+from repro.parallel.dispatch import _resolve_claim_batch
 from repro.parallel.observe import DISPATCH
 from repro.parallel.runtime import _dispatchable_loops
 from repro.parallel.shm import leaked_segments
@@ -103,7 +105,6 @@ def test_region_is_the_per_dispatch_run_in_one_fork_join(name, workers, policy):
             options = dict(
                 workers=workers, policy=policy, chunk=chunk,
                 claim_batch=batch, log_events=log_events, timeout=60.0,
-                calibrate=False,
             )
             got = copies(arrays)
             result = run_parallel_procedure(
@@ -132,16 +133,59 @@ def test_region_is_the_per_dispatch_run_in_one_fork_join(name, workers, policy):
     assert time.monotonic() - t0 < 60.0
 
 
-def test_calibrated_auto_batch_is_resolved_before_entry():
-    proc, original, arrays, scalars = program("floyd")
-    want = interpreted(original, arrays, scalars)
-    got = copies(arrays)
-    result = run_parallel_procedure(
-        proc, got, scalars, workers=2, policy="unit", timeout=60.0
-    )
-    assert result.region == "native" and same(got, want)
-    assert result.calibrations + result.pinned_decisions >= 1
-    assert {d.variant for d in result.dispatches} == set(result.variants)
+PARITY = parse(
+    """
+    procedure parity(A[1]; n1, n2, n3, n4)
+      for t = 1, 1
+        doall i = 1, n1
+          A(i) := A(i) + 1.0
+        end
+        doall i = 1, n2
+          A(i) := A(i) + 2.0
+        end
+        doall i = 1, n3
+          A(i) := A(i) + 3.0
+        end
+        doall i = 1, n4
+          A(i) := A(i) + 4.0
+        end
+      end
+    end
+    """
+)
+PARITY_N = (1, 7, 100, 22500)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_region_batch_column_equals_the_python_rule(workers):
+    """The batch rule lives in Python (``_resolve_claim_batch``, per
+    dispatch) and in C (the driver's ``phase_``, per instance).  The
+    region's ``rec`` batch column — what ``d.claim_batch`` reports — must
+    equal the Python value on every cell of the table."""
+    scalars = {f"n{k}": n for k, n in enumerate(PARITY_N, 1)}
+    arrays = {"A": np.zeros(max(PARITY_N) + 1)}
+    want_arrays = interpreted(PARITY, arrays, scalars)
+    rules = [("unit", None), ("fixed", 1), ("fixed", 3), ("fixed", 16),
+             ("gss", None)]
+    with WorkerPool(arrays, workers=workers) as pool:
+        for policy, chunk in rules:
+            for asked in ("auto", 1, 5):
+                got = copies(arrays)
+                result = run_parallel_procedure(
+                    PARITY, got, scalars, workers=workers, pool=pool,
+                    policy=policy, chunk=chunk, claim_batch=asked,
+                    log_events=False, timeout=60.0,
+                )
+                assert result.region == "native" and same(got, want_arrays)
+                want = []
+                for n in PARITY_N:
+                    active = min(workers, n)
+                    rule = policy_plan(policy, n, active, chunk)
+                    want.append(_resolve_claim_batch(asked, rule, n, active))
+                cell = (policy, chunk, asked)
+                assert [d.claim_batch for d in result.dispatches] == want, cell
+    # nest_claims' shape: saxpy2d 150x150 under unit, two workers.
+    assert _resolve_claim_batch("auto", policy_plan("unit", 22500, 2), 22500, 2) == 64
 
 
 def test_same_pool_serves_region_then_dispatch_then_region():
@@ -241,7 +285,6 @@ def test_empty_instances_guards_and_fleets_wider_than_the_range():
         got = copies(arrays)
         results[lang] = run_parallel_procedure(
             TRIANGLE, got, {"n": 6}, workers=3, chunk_lang=lang, timeout=60.0,
-            calibrate=False,
         )
         assert same(got, want)
     assert results["c"].region == "native"

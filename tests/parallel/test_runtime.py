@@ -306,7 +306,6 @@ class TestOneDriver:
         w, proc = _single_loop(name)
         options = dict(
             workers=2, policy=policy, safety=safety, claim_batch=2,
-            calibrate=False,
         )
         a_doall, sc = make_env(w, seed=5)
         a_proc, _ = make_env(w, seed=5)
@@ -328,6 +327,29 @@ class TestOneDriver:
                 run(proc, arrays, sc, workers=2, reuse_pool=True)
         with pytest.raises(TypeError, match="reuse_pool"):
             compile_mp_procedure(proc, reuse_pool=False)
+
+    @pytest.mark.parametrize(
+        "option", [{"calibrate": True}, {"variants": "gcc-O3"}]
+    )
+    def test_tuner_options_are_gone(self, option):
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        (name,) = option
+        for run in (run_parallel_doall, run_parallel_procedure):
+            with pytest.raises(TypeError, match=name):
+                run(proc, arrays, sc, workers=2, **option)
+        with pytest.raises(TypeError, match=name):
+            compile_mp_procedure(proc, **option)
+
+    @pytest.mark.parametrize("batch", [True, 2.7, 0, -5, "8", None])
+    def test_claim_batch_is_auto_or_a_positive_integer(self, batch):
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        before = {k: v.copy() for k, v in arrays.items()}
+        for run in (run_parallel_doall, run_parallel_procedure):
+            with pytest.raises(ValueError, match="claim_batch"):
+                run(proc, arrays, sc, workers=2, claim_batch=batch)
+        _assert_bit_for_bit(before, arrays)
 
     @pytest.mark.parametrize(
         "name,safety,match",

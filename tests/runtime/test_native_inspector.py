@@ -35,7 +35,6 @@ needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 def plan_for(proc, arrays, scalars, lang="c"):
     return plan_mod.prepare(
         proc, arrays, scalars, "speculate", lang, "gss", None, 2, "auto",
-        None, None,
     )
 
 
@@ -52,7 +51,7 @@ def both(proc, arrays, scalars):
     """``(through the plan's native pass, Python inspector alone)``."""
     plan = plan_for(proc, arrays, scalars)
     (loop,) = plan.loops
-    native = plan.inspector(None, loop, scalars)
+    native = plan.inspector(loop, scalars)
     assert native is not None
     return (
         runtime.inspect_dispatch(loop, scalars, arrays, native),
@@ -69,7 +68,7 @@ def test_native_verdict_is_the_python_verdict_on_every_workload(name):
     arrays, sc = make_env(w)
     plan = plan_for(w.proc, arrays, sc)
     (loop,) = plan.loops
-    native = plan.inspector(None, loop, sc)
+    native = plan.inspector(loop, sc)
     if plan.strategies[id(loop)] != "inspect":
         # Values flow through the loop: speculation's, never inspected.
         assert native is None
@@ -301,7 +300,7 @@ def test_a_non_finite_or_huge_subscript_is_an_error_not_a_crash(host, bad):
     plan = plan_for(w.proc, arrays, sc, runtime.resolve_chunk_lang(None))
     with np.errstate(invalid="ignore"):
         insp = runtime.inspect_dispatch(
-            loop, sc, arrays, plan.inspector(None, loop, sc)
+            loop, sc, arrays, plan.inspector(loop, sc)
         )
     assert insp.eligible and not insp.proven and insp.error is not None
     before = {k: v.copy() for k, v in arrays.items()}

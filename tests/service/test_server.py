@@ -304,6 +304,34 @@ class TestErrors:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("batch", [True, 2.7, -5, 0, "8"])
+    def test_run_rejects_a_bad_claim_batch(self, service, batch):
+        client, _ = service
+        key = client.compile(PY_KERNEL)["key"]
+        A, B = env()
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
+                claim_batch=batch,
+            )
+        assert err.value.status == 400
+        assert "claim_batch" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field,value", [("variants", "gcc-O3"), ("calibrate", True)]
+    )
+    def test_run_rejects_tuner_fields(self, service, field, value):
+        client, _ = service
+        key = client.compile(PY_KERNEL)["key"]
+        A, B = env()
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
+                **{field: value},
+            )
+        assert err.value.status == 400
+        assert repr(field) in str(err.value)
+
     def test_lint_requires_source(self, service):
         client, _ = service
         with pytest.raises(ServiceError) as err:

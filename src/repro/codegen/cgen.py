@@ -384,9 +384,10 @@ static double argd_(void *slot) {
     return u.d;
 }"""
 
-#: The native claim loop: one fixed translation unit, no per-program
-#: content, built once per process (:func:`repro.codegen.cload.claim_loop_library`).
-#: A worker calls ``repro_claim_loop`` once per dispatch; it claims from
+#: The native claim loop: part of one fixed translation unit with no
+#: per-program content (:data:`CLAIM_LIBRARY_C`), built once per process
+#: (:func:`repro.codegen.cload.claim_loop_library`).  A region driver
+#: calls ``repro_claim_loop`` once per DOALL instance; it claims from
 #: the two int64 words of the shared counter (``ctr[0]`` next unclaimed
 #: value, ``ctr[1]`` inclusive stop) and runs every claimed chunk through
 #: the kernel's thunk, so nothing returns to Python between claims.
@@ -521,7 +522,7 @@ def generate_chunk_c(
         void <proc>__chunk__v(long __lo, long __hi, void **__argv);
 
     which unpacks ``__argv`` and calls the kernel above.  It is what lets
-    one fixed claim-loop library (:data:`CLAIM_LOOP_C`) drive every kernel
+    one fixed claim library (:data:`CLAIM_LOOP_C`) drive every kernel
     through a single function-pointer type, whatever the kernel's own
     parameter list.  ``__argv`` holds one 8-byte slot per parameter after
     the two bounds, in parameter order: an array's ``double *`` then each
@@ -795,14 +796,15 @@ def _inspect_function(proc, loop, fname, params, locals_, types) -> str:
 #: ``<procedure name> + REGION_SUFFIX`` is the program's region driver.
 REGION_SUFFIX = "__region"
 
-#: The fixed half of a region unit (the generated half is the program's
-#: serial skeleton, :func:`generate_region_c`).  Every worker of the fleet
-#: runs the whole skeleton (SPMD); at each non-empty DOALL *instance* they
-#: meet at ``barrier_``, whose last arriver arms the two counter words with
-#: that instance's range, and then drain it through the claim loop
-#: (:data:`CLAIM_LOOP_C`, reached through a function pointer — that
-#: library is not rebuilt).  An empty instance is no dispatch: no barrier,
-#: nothing armed, exactly as the per-dispatch path sends no job for one.
+#: The fixed half of every region driver (the other half is a program's
+#: serial skeleton, :func:`generate_region_c`, or :data:`ONE_INSTANCE`'s
+#: one instance).  Every worker of the fleet runs the whole skeleton
+#: (SPMD); at each non-empty DOALL *instance* they meet at ``barrier_``,
+#: whose last arriver arms the two counter words with that instance's
+#: range, and then drain it through the claim loop (:data:`CLAIM_LOOP_C`,
+#: reached through a function pointer).  An empty instance is no
+#: dispatch: no barrier, nothing armed, exactly as the per-dispatch path
+#: sends no job for one.
 #:
 #: * ``bar`` is three int64 words beside the counter: arrived count,
 #:   generation (the sense), stop.  A waiter spins at most ``spin`` times
@@ -812,8 +814,8 @@ REGION_SUFFIX = "__region"
 #:   stopped barrier returns -1 and the driver unwinds.
 #: * ``rules`` holds ``kind, k, asked`` per loop (``asked`` 0 is
 #:   ``"auto"``); the batch of one instance is resolved here exactly as
-#:   ``repro.parallel.dispatch._resolve_claim_batch`` and the native claim
-#:   path resolve it per dispatch, so both paths hand out the same chunks.
+#:   ``repro.parallel.dispatch._resolve_claim_batch`` resolves it for the
+#:   lock-guarded loop, so both protocols hand out the same chunks.
 #: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
 #:   iterations, claims, lock_ops, log rows, batch`` — and ``tim`` its
 #:   arrival and finish instants; the parent rebuilds one result per
@@ -942,6 +944,41 @@ static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
 """
 
 
+#: A region driver: the fixed signature, state and epilogue around a
+#: ``body`` of C lines that may ``goto __out`` on a stopped barrier.
+_DRIVER = """\
+long {fname}(int64_t *__ctr, int64_t *__bar, long __wid, long __workers,
+        long __spin, long __run, claim_fn __claim, chunk_fn *__fns,
+        void ***__argvs, const int64_t *__rules, int64_t *__rec,
+        double *__tim, double *__ring, long __cap, drain_fn __drain,
+        const int64_t *__params, int64_t *__info) {{
+    struct region_ __r = {{__ctr, __bar, __wid, __workers, __spin, __run,
+        __claim, __fns, __argvs, __rules, __rec, __tim, __ring, __cap, 0,
+        __drain, 0, 1, 0}};
+    long __status = -1;
+{body}
+    __status = 0;
+__out:
+    __info[0] = __r.phases, __info[1] = __r.max_batch;
+    __info[2] = __r.used, __info[3] = __r.serial;
+    return __status;
+}}
+"""
+
+
+#: The claim library's fixed driver entry, which every dynamic dispatch
+#: with a C kernel enters: one instance of loop 0, bounds in ``params[0]``
+#: and ``params[1]``, no closing barrier (the parent's gather joins).
+ONE_INSTANCE = "repro_one_instance"
+
+#: The claim library (:func:`repro.codegen.cload.claim_loop_library`):
+#: claim loop, region runtime and fixed entry, no per-program content.
+CLAIM_LIBRARY_C = CLAIM_LOOP_C + _REGION_RUNTIME + _DRIVER.format(
+    fname=ONE_INSTANCE,
+    body="    if (phase_(&__r, 0, __params[0], __params[1])) goto __out;",
+)
+
+
 def generate_region_c(
     proc: Procedure,
     loops: list[Loop],
@@ -969,27 +1006,10 @@ def generate_region_c(
     serial statements executed (counted as the per-dispatch executor
     counts them: a loop once it completes, an ``if`` once evaluated).
     """
-    fname = name or proc.name + REGION_SUFFIX
     index = {id(lp): i for i, lp in enumerate(loops)}
     base = sum(1 + rank for rank in proc.arrays.values())
     emitter = _CEmitter(proc, {})
-    lines: list[str] = [_PRELUDE, _REGION_RUNTIME]
-    lines.append(
-        f"long {fname}(int64_t *__ctr, int64_t *__bar, long __wid, "
-        "long __workers,\n"
-        "        long __spin, long __run, claim_fn __claim, chunk_fn *__fns,\n"
-        "        void ***__argvs, const int64_t *__rules, int64_t *__rec,\n"
-        "        double *__tim, double *__ring, long __cap, drain_fn __drain,\n"
-        "        const int64_t *__params, int64_t *__info) {"
-    )
-    lines.append(
-        "    struct region_ __r = {__ctr, __bar, __wid, __workers, __spin, "
-        "__run,\n"
-        "        __claim, __fns, __argvs, __rules, __rec, __tim, __ring, "
-        "__cap, 0,\n"
-        "        __drain, 0, 1, 0};"
-    )
-    lines.append("    long __status = -1;")
+    lines: list[str] = []
     for slot, sname in enumerate(proc.scalars):
         lines.append(f"    const long {sname} = (long)__params[{slot}];")
 
@@ -1040,12 +1060,7 @@ def generate_region_c(
     emit(proc.body, 1, ())
     # Nobody reports before everybody is done; leaves the counter drained.
     lines.append("    if (__run && barrier_(&__r, 0, -1)) goto __out;")
-    lines.append("    __status = 0;")
-    lines.append("__out:")
-    lines.append("    __info[0] = __r.phases;")
-    lines.append("    __info[1] = __r.max_batch;")
-    lines.append("    __info[2] = __r.used;")
-    lines.append("    __info[3] = __r.serial;")
-    lines.append("    return __status;")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    driver = _DRIVER.format(
+        fname=name or proc.name + REGION_SUFFIX, body="\n".join(lines)
+    )
+    return "\n".join([_PRELUDE, _REGION_RUNTIME, driver])

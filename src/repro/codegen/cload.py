@@ -14,8 +14,9 @@ lifetime is tied to the returned :class:`CProcedure` (nothing is leaked
 per call).  An explicit ``workdir`` keeps the old behavior of compiling in
 a caller-owned directory.
 
-One library is different: the native claim loop
-(:func:`claim_loop_library`) has no per-program content, so it is resolved
+One library is different: the claim library (:func:`claim_loop_library`
+— the native claim loop, the region runtime and its fixed one-instance
+driver entry) has no per-program content, so it is resolved
 at most once per process and then served from a process-lifetime private
 copy — independent of whichever store is current, because stores are
 swapped and deleted under running processes while forked workers still
@@ -37,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cache import artifact_key, resolve_cache
-from repro.codegen.cgen import CLAIM_LOOP_C, generate_c
+from repro.codegen.cgen import CLAIM_LIBRARY_C, generate_c
 from repro.ir.stmt import Procedure
 
 
@@ -296,7 +297,7 @@ def load_chunk_kernel(so_path: str, fname: str, sig: tuple[str, ...]):
 
 
 # ---------------------------------------------------------------------------
-# The native claim loop (one fixed library; see cgen.CLAIM_LOOP_C)
+# The claim library (one fixed unit; see cgen.CLAIM_LIBRARY_C)
 # ---------------------------------------------------------------------------
 
 #: Process memo of :func:`claim_loop_library`: unset (None), the private
@@ -306,7 +307,7 @@ _CLAIM_LIB_LOCK = threading.Lock()
 
 
 def claim_loop_library(cache: object = "default") -> str | None:
-    """Path of this process's copy of the claim-loop library, or None.
+    """Path of this process's copy of the claim library, or None.
 
     The library has no per-program content, so it is resolved **at most
     once per process**: the first call looks it up in (or builds it into)
@@ -328,7 +329,7 @@ def claim_loop_library(cache: object = "default") -> str | None:
         if _CLAIM_LIB is None:
             try:
                 so_path, _ = compile_chunk_library(
-                    CLAIM_LOOP_C, "repro_claim", cache=cache
+                    CLAIM_LIBRARY_C, "repro_claim", cache=cache
                 )
                 lib = Path(so_path)
                 if lib.parent != _private_dir():  # a store entry
@@ -366,31 +367,18 @@ def prefetch_claim_loop_library(
     return thread
 
 
-@functools.lru_cache(maxsize=None)
-def load_claim_loop(so_path: str):
-    """dlopen the claim-loop library; bind ``repro_claim_loop`` (worker-side)."""
-    fn = ctypes.CDLL(so_path).repro_claim_loop
-    fn.restype = ctypes.c_long
-    fn.argtypes = [
-        ctypes.c_void_p,  # int64_t ctr[2]
-        ctypes.c_long,  # kind
-        ctypes.c_long,  # k
-        ctypes.c_long,  # batch
-        ctypes.c_void_p,  # int64_t out[4]
-        ctypes.c_void_p,  # double ring[cap][5] or NULL
-        ctypes.c_long,  # cap
-        ctypes.c_void_p,  # the kernel's thunk
-        ctypes.c_void_p,  # void *argv[]
-    ]
-    return fn
+def load_claim_loop(so_path: str) -> tuple[ctypes.CDLL, int]:
+    """The claim library's ``repro_claim_loop`` as ``(library, address)``:
+    what a region driver calls through a pointer (worker-side)."""
+    return load_chunk_thunk(so_path, "repro_claim_loop")
 
 
 @functools.lru_cache(maxsize=256)
 def load_chunk_thunk(so_path: str, thunk: str) -> tuple[ctypes.CDLL, int]:
     """A chunk kernel's uniform-entry thunk as ``(library, address)``.
 
-    The address is what :func:`load_claim_loop`'s function takes; the
-    library handle rides along so the cache entry keeps it mapped.
+    The address is what a region driver calls; the library handle rides
+    along so the cache entry keeps it mapped.
     """
     lib = ctypes.CDLL(so_path)
     return lib, ctypes.cast(getattr(lib, thunk), ctypes.c_void_p).value
@@ -403,7 +391,8 @@ REGION_DRAIN = ctypes.CFUNCTYPE(None, ctypes.c_long)
 
 @functools.lru_cache(maxsize=64)
 def load_region_driver(so_path: str, fname: str):
-    """dlopen a program's region unit; bind its driver (worker-side)."""
+    """dlopen a region unit — a program's, or the claim library with its
+    fixed one-instance entry — and bind its driver (worker-side)."""
     fn = getattr(ctypes.CDLL(so_path), fname)
     fn.restype = ctypes.c_long
     pointer, word = ctypes.c_void_p, ctypes.c_long

@@ -7,30 +7,33 @@ value, inclusive stop), and two protocols can claim from them:
 
 * the **native** protocol — hardware ``__atomic_fetch_add`` (unit/fixed
   rules) or a compare-exchange loop (GSS) issued directly on the words by
-  the C claim loop (:data:`repro.codegen.cgen.CLAIM_LOOP_C`) that workers
-  run for dispatches whose chunks are native kernels.  This *is* the
-  paper's fetch&add: one instruction per claim, no lock;
+  the C claim loop (:data:`repro.codegen.cgen.CLAIM_LOOP_C`), which
+  workers reach through a region driver (:mod:`repro.parallel.region`)
+  for every dynamic dispatch whose chunks are native kernels.  This *is*
+  the paper's fetch&add: one instruction per claim, no lock;
 * the **lock-guarded** protocol — :meth:`SharedClaimCounter.claim_batch`,
   a read-modify-write under the array's built-in lock.  Faithful but
   microseconds per claim; it is the portable floor for everything the
   native loop cannot run (``py``/``numpy`` chunks, the speculative
   recorder, hosts without a compiler).
 
-The two never share a dispatch.  An atomic add does not take the lock, so
-a lock holder's read-then-write could interleave with it and hand the same
-iterations out twice: the parent therefore picks one protocol per dispatch
-(the job descriptor says which), and a worker that cannot follow the
-native one sits the dispatch out rather than falling back to the lock (see
-:func:`repro.parallel.worker.run_plan`).  Between dispatches only the
-parent touches the words (:meth:`SharedClaimCounter.reset`, at the
-barrier) — with one exception, the SPMD region
-(:mod:`repro.parallel.region`): there the whole run is one dispatch, the
-workers meet at a barrier of their own between DOALL instances, and its
-last arriver re-arms the two words in place of the parent.  The barrier's
-three words (arrived, generation, stop) live in the same shared block, one
-cache line away (:attr:`SharedClaimCounter.barrier_address`).  Both
-protocols hand out identical chunks for identical rules — ``claims``,
-``lock_ops`` and chunk boundaries do not depend on which ran.
+The two never share a job.  An atomic add does not take the lock, so a
+lock holder's read-then-write could interleave with it and hand the same
+iterations out twice: the parent therefore picks one protocol per job
+(a ``region`` job is native, every other job lock-guarded).  On the
+native protocol the counter is armed by the workers themselves: they
+meet at a barrier before each DOALL instance and its last arriver writes
+the two words — once for a single dispatch, once per instance for a
+program's whole serial-outer run.  A worker that cannot bind its driver
+stops that barrier before anything has claimed, and the parent sends the
+work again as a lock-guarded job (:func:`repro.parallel.region.enter`).
+On the lock-guarded protocol only the parent touches the words between
+jobs (:meth:`SharedClaimCounter.reset`, at the dispatch barrier).  The
+barrier's three words (arrived, generation, stop) live in the same
+shared block, one cache line away
+(:attr:`SharedClaimCounter.barrier_address`).  Both protocols hand out
+identical chunks for identical rules — ``claims``, ``lock_ops`` and
+chunk boundaries do not depend on which ran.
 
 Chunk sizes come from :mod:`repro.scheduling.policies`: the same policy
 objects that drive the simulator drive the real runtime.  Dynamic policies

@@ -11,7 +11,9 @@ loops the plan says so — inspect, speculate or combine partials.
 
 Each dispatchable loop runs under the strategy the plan picked for it:
 
-``dispatch``  one job on the pool (:func:`_dispatch_pool`);
+``dispatch``  one job on the pool (:func:`_dispatch_pool`): a region of
+              one instance when the chunks are C kernels and the policy
+              is dynamic, else the lock-guarded or static Python loop;
 ``reduce``    partial accumulators in a side segment, folded in order;
 ``serial``    refused by the verdict: the parent interprets it;
 ``inspect``   the runtime inspector (native when the plan has a C
@@ -19,7 +21,7 @@ Each dispatchable loop runs under the strategy the plan picked for it:
               the loop, else serial;
 ``speculate`` a dispatch into shadow segments, committed or rolled back.
 
-A program with a DOALL under a serial loop first tries the SPMD region
+A program with a DOALL under a serial loop first tries its SPMD region
 (:mod:`repro.parallel.region`); the rest of the statement tree is walked
 by :func:`_exec`, which drives serial loops around their DOALLs in the
 parent and hands dispatch-free serial loops to the plan's compiled
@@ -45,17 +47,23 @@ from repro.parallel.errors import (
 )
 from repro.parallel.observe import (
     record_chunk_fallback,
-    record_claim_fallback,
     record_reduction_dispatch,
     record_safety_block,
     record_speculate,
 )
-from repro.parallel.plan import RED_IDENTITY, RED_MAX_CHUNKS, compile_residue
+from repro.parallel.plan import (
+    RED_IDENTITY,
+    RED_MAX_CHUNKS,
+    compile_residue,
+    drop,
+)
+from repro.parallel.region import _assemble, enter, try_region
 from repro.parallel.runtime import (
     ParallelRunResult,
     _aggregate,
     _contains_dispatchable,
     _dispatchable,
+    _empty_result,
 )
 from repro.parallel.shm import SharedArrayPool
 from repro.parallel.speculate import (
@@ -68,7 +76,9 @@ from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 class Run:
     """One call's state — never kept in the plan.
 
-    ``stale`` is set when workers could not bind the plan's artifacts.
+    ``stale`` is set when workers could not bind the plan's artifacts:
+    the plan is dropped after the run, and the rest of the run claims on
+    the lock-guarded protocol.
     """
 
     def __init__(
@@ -102,19 +112,13 @@ class Run:
     def finish(self) -> None:
         """Forget a plan whose artifacts did not bind."""
         if self.stale:
-            from repro.parallel.plan import drop
-
             drop(self.plan)
 
 
 def execute(run: Run) -> None:
     """Run the whole procedure of ``run.plan``."""
-    if run.plan.serial_outer:
-        # Imported here so that no other program's run ever loads it.
-        from repro.parallel.region import try_region
-
-        if try_region(run):
-            return
+    if run.plan.serial_outer and try_region(run):
+        return
     _exec(run, run.plan.proc.body, run.env)
 
 
@@ -123,16 +127,9 @@ def execute(run: Run) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
-    name = policy if isinstance(policy, str) else policy.name
-    return ParallelRunResult(
-        loop.var, lo, hi, workers, name, 0.0, [0] * workers, 0
-    )
-
-
 def _resolve_claim_batch(requested, plan, n: int, active: int) -> int:
     """Resolve ``claim_batch`` (an int >= 1 or ``"auto"``) to the value
-    workers use.
+    the lock-guarded loop uses.
 
     Explicit integers pass through.  ``"auto"`` is one fixed rule: at
     most 64 chunks per claim, and at least eight claim rounds per active
@@ -204,20 +201,6 @@ def _finalize_result(
     )
 
 
-def _stamp_result(run: Run, result: ParallelRunResult, job: dict, batch: int):
-    """Record the dispatch's resolved batch on its result.
-
-    A fleet that degraded from the attached build (dlopen/bind failure)
-    counts a chunk fallback, exactly like a parent-side degradation — and
-    the plan that carried the build is stale.
-    """
-    result.claim_batch = batch
-    if result.chunk_lang != job.get("chunk_lang", "py"):
-        record_chunk_fallback()  # worker-side dlopen/bind degradation
-        run.stale = True
-    return result
-
-
 def _dispatch_pool(
     run: Run,
     proc,
@@ -230,7 +213,9 @@ def _dispatch_pool(
     """Run one DOALL on the persistent pool: a message, not a fork.
 
     The job is the plan's template for this loop shape plus what this
-    dispatch fills in.  ``extra_specs``/``extra_views`` ship side-channel
+    dispatch fills in: its one-instance region when it has one and the
+    run's workers have bound everything so far, else the lock-guarded
+    loop's job.  ``extra_specs``/``extra_views`` ship side-channel
     arrays outside the main pool (the reduction engine's partials); a
     ``speculate`` descriptor ships the shadow segments and the
     written→shadow alias map, and workers run the recording interpreter.
@@ -243,17 +228,22 @@ def _dispatch_pool(
         # Nothing to do — and nothing sent: the pool idles through empty
         # ranges and stays usable for the next dispatch.
         return _empty_result(loop, lo, hi, wpool.workers, run.policy)
-    active = max(1, min(wpool.workers, n))
-    plan = run.policy_plan(n, active)
     prep = run.plan.prep(
-        run, proc, loop, env, plan, extra_views, speculate is not None
+        run, proc, loop, env, extra_views, speculate is not None
     )
     if prep.fallback:
         record_chunk_fallback()
+    specs = wpool.shared.specs() + list(extra_specs or ())
+    if prep.native is not None and not run.stale:
+        results = enter(run, prep.native, [lo, hi], env, specs)
+        if results is not None:
+            return _assemble(results, prep.native, run.policy)[0]
+    active = max(1, min(wpool.workers, n))
+    plan = run.policy_plan(n, active)
     batch = _resolve_claim_batch(run.claim_batch, plan, n, active)
     job = dict(prep.job)
     job.update(
-        specs=wpool.shared.specs() + list(extra_specs or ()),
+        specs=specs,
         scalars={name: env[name] for name in job["scalar_order"]},
         plan=plan,
         lo=lo,
@@ -268,26 +258,15 @@ def _dispatch_pool(
             "aliases": dict(speculate["aliases"]),
         }
     t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
-    claim_loop = "static" if plan.rule is None else "py"
-    if "claim_so" in job:
-        claim_loop = "native"
-        # A worker that could not bind the native loop sat the dispatch
-        # out (lang "py", no work) and its peers drained the range.  Only
-        # when *nobody* could bind has nothing run at all — then, and only
-        # then, the same dispatch goes out again on the lock-guarded
-        # protocol: one protocol per counter per dispatch, always.
-        sat_out = sum(1 for msg in results.values() if msg[7] != "c")
-        if sat_out:
-            run.stale = True
-            record_claim_fallback(sat_out)
-            if not any(msg[3] for msg in results.values()):
-                record_claim_fallback()
-                claim_loop = "py"
-                del job["claim_so"], job["c_thunk"]
-                t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
     result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
-    result.claim_loop = claim_loop
-    return _stamp_result(run, result, job, batch)
+    result.claim_loop = "static" if plan.rule is None else "py"
+    result.claim_batch = batch
+    if result.chunk_lang != job.get("chunk_lang", "py"):
+        # A worker degraded from the build (dlopen/bind failure): a chunk
+        # fallback, like a parent-side one, and the plan is stale.
+        record_chunk_fallback()
+        run.stale = True
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ class DispatchCounters:
     #: Per-claim-protocol dispatch counts: "native" (the C fetch&add
     #: loop), "py" (the Python loop over the lock-guarded counter),
     #: "static" (no counter) — and how often the native protocol was
-    #: chosen but not followed: once per worker that sat a dispatch out,
-    #: once more per dispatch re-issued on the Python protocol.
+    #: chosen but not followed: once per dispatch or region run that a
+    #: worker could not bind, and that went out again on the Python
+    #: protocol.
     claim_native: int = 0
     claim_py: int = 0
     claim_static: int = 0
@@ -258,7 +259,8 @@ def record_chunk_fallback(count: int = 1) -> None:
 
 
 def record_claim_fallback(count: int = 1) -> None:
-    """Count native-claim-loop degradations (sit-outs and re-dispatches)."""
+    """Count native jobs a worker could not bind, each then re-sent on the
+    lock-guarded protocol."""
     with _DISPATCH_LOCK:
         DISPATCH.claim_fallbacks += count
 

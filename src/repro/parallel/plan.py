@@ -22,12 +22,12 @@ and the strategy each dispatchable loop runs under (``dispatch``,
 ``reduce``, ``serial``, ``inspect``, ``speculate``); the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
-template (chunk source, bound kernel and thunk, claim library), each
-inspected loop's native inspector, the compiled
-serial residues, and the region verdict with its job template.  Never in
-a plan: the report's certificates (each run works on its own copy),
-counters, results, scalar values, trip counts, batch clamps, ``params``
-of a region and the pool's ``specs``.
+template (chunk source, built kernel) with its one-instance region, each
+inspected loop's native inspector, the compiled serial residues, and the
+region verdict with its job template.  Never in a plan: the report's
+certificates (each run works on its own copy), counters, results, scalar
+values, trip counts, batch clamps, ``params`` of a region and the pool's
+``specs``.
 
 Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
 it (:func:`repro.tuning.reset_tuning_memo` calls it), and a run whose
@@ -60,6 +60,7 @@ from repro.ir.visitor import walk_exprs, walk_stmts
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
+from repro.parallel.region import instance_template
 from repro.parallel.shm import native_layout
 from repro.parallel.speculate import speculation_plan
 from repro.runtime.inspector import InspectionResult
@@ -187,10 +188,14 @@ def drop(plan: "Plan") -> None:
 class _Prep:
     """One loop shape's dispatch, less what each dispatch fills in."""
 
+    #: The lock-guarded loop's job.
     job: dict
     #: The wanted chunk language could not be built: a chunk fallback,
     #: counted per dispatch.
     fallback: bool = False
+    #: The one-instance region (:func:`repro.parallel.region.instance_template`)
+    #: a dynamic dispatch with a C kernel runs on, or None.
+    native: object = None
 
 
 class Plan:
@@ -295,13 +300,13 @@ class Plan:
 
     def _inspector(self, loop, extra, env):
         kernel = self.kernels.chunk_kernel(self.proc, loop, extra, env, inspect=True)
-        lib = kernel and ctypes.CDLL(kernel[0])
-        fn = lib and getattr(lib, kernel[1] + INSPECT_SUFFIX, None)
+        lib = kernel and ctypes.CDLL(kernel["c_so"])
+        fn = lib and getattr(lib, kernel["c_fname"] + INSPECT_SUFFIX, None)
         if not fn:  # no kernel, or a loop the C pass cannot check
             return False
         fn.restype = ctypes.c_long
         fn.argtypes = [ctypes.c_long, ctypes.c_long] + [
-            ctypes.c_void_p if t == "ptr" else _CTYPES[t] for t in kernel[2]
+            ctypes.c_void_p if t == "ptr" else _CTYPES[t] for t in kernel["c_sig"]
         ] + [ctypes.c_void_p]
         ranks, reason = self.proc.arrays, self.spec_plans[id(loop)].reason
         order = tuple(self.proc.scalars) + extra
@@ -329,7 +334,7 @@ class Plan:
 
         return native
 
-    def prep(self, run, proc, loop, env, pplan, extra_views, speculative):
+    def prep(self, run, proc, loop, env, extra_views, speculative):
         """The :class:`_Prep` of one dispatch of ``loop`` under ``env``.
 
         Keyed by loop identity, the env-local scalar names, every scalar's
@@ -341,17 +346,16 @@ class Plan:
         return self.once(
             (id(loop), extra, types, speculative),
             lambda: self._prep(
-                run, proc, loop, extra, env, pplan, extra_views, speculative
+                run, proc, loop, extra, env, extra_views, speculative
             ),
         )
 
-    def _prep(self, run, proc, loop, extra, env, pplan, extra_views,
+    def _prep(self, run, proc, loop, extra, env, extra_views,
               speculative) -> _Prep:
         """The job template: the Python chunk always (the net every
-        fallback lands on); the native kernel — plus the claim library
-        for a dynamic plan — or the numpy chunk when the plan's language
-        builds.  A speculative dispatch runs the recording interpreter:
-        no build."""
+        fallback lands on); the native kernel — with its one-instance
+        region — or the numpy chunk when the plan's language builds.  A
+        speculative dispatch runs the recording interpreter: no build."""
         source, fname, order = self.kernels.chunk_source(proc, loop, extra)
         job = {
             "source": source,
@@ -370,20 +374,8 @@ class Plan:
             )
             if kernel is None:
                 return _Prep(job, fallback=True)
-            so_path, c_fname, sig, scalar_types = kernel
-            job.update(
-                chunk_lang="c", c_so=so_path, c_fname=c_fname, c_sig=sig,
-                c_scalar_types=scalar_types,
-            )
-            claim_so = (
-                runtime.claim_loop_library(self.store)
-                if pplan.rule is not None
-                else None
-            )
-            if claim_so is not None:
-                job.update(
-                    claim_so=claim_so, c_thunk=c_fname + runtime.THUNK_SUFFIX
-                )
+            job.update(kernel, chunk_lang="c")
+            return _Prep(job, native=instance_template(run, loop, kernel))
         elif self.lang == "numpy":
             npk = self.kernels.numpy_chunk(proc, loop, extra)
             if npk is None:
@@ -447,10 +439,13 @@ class KernelBuilder:
         return hit
 
     def chunk_kernel(self, proc, loop, extra, env, inspect=False):
-        """``(so_path, fname, sig, scalar_types)`` of the C kernel, or None.
+        """The C kernel as the job keys of every job that runs it, or None.
 
-        Keyed by loop identity plus the C types of the live scalar values
-        plus whether the unit also carries the loop's native inspector.
+        ``c_so``, ``c_thunk``, ``array_order``, ``scalar_order`` and
+        ``c_scalar_types`` are what a region driver binds; ``c_fname`` and
+        ``c_sig`` are the lock-guarded loop's direct call.  Keyed by loop
+        identity plus the C types of the live scalar values plus whether
+        the unit also carries the loop's native inspector.
         """
         widened = _widened(proc, extra)
         types = tuple(
@@ -473,7 +468,7 @@ class KernelBuilder:
             widened, loop=loop, name=fname,
             scalar_types=dict(zip(widened.scalars, types)), inspect=inspect,
         )
-        # The dispatch this kernel is for will want the claim-loop library
+        # The dispatch this kernel is for will want the claim library
         # too; where that is still unresolved (a process's first native
         # build) its compiler run shares this one's wait.
         warming = prefetch_claim_loop_library(self.store)
@@ -488,8 +483,12 @@ class KernelBuilder:
         for rank in widened.arrays.values():
             sig.append("ptr")
             sig.extend(["long"] * rank)
-        sig.extend(types)
-        return so_path, fname, tuple(sig), types
+        return {
+            "c_so": so_path, "c_fname": fname, "c_sig": (*sig, *types),
+            "c_thunk": fname + runtime.THUNK_SUFFIX,
+            "array_order": list(widened.arrays),
+            "scalar_order": list(widened.scalars), "c_scalar_types": types,
+        }
 
     def numpy_chunk(self, proc, loop, extra) -> tuple[str, str] | None:
         """``(np_source, np_fname)`` of the whole-slice numpy chunk, or

@@ -1,26 +1,28 @@
-"""The SPMD region: one fork/join for a whole serial-outer nest.
+"""The SPMD region: the one native claim protocol.
 
-The per-dispatch path (:func:`repro.parallel.dispatch.execute`) pays
-one job message, one pickle and one gather per DOALL *instance* — 257 of
-them for Gauss–Jordan at n = 256 — with the serial loops between them
-interpreted in the parent.  Here the whole run is one
-:meth:`~repro.parallel.pool.WorkerPool.dispatch`: every worker enters the
-program's *region driver* (:func:`repro.codegen.cgen.generate_region_c`)
-once, runs the serial skeleton redundantly (SPMD), and at each DOALL
-instance meets its peers at a native barrier whose last arriver arms the
-shared counter; the instance is then drained by the same native claim loop
-and kernel thunks the per-dispatch path uses.  One result message per
-worker comes back, carrying per-instance tables from which
-:func:`_assemble` rebuilds exactly the ``ParallelRunResult`` list the
-per-dispatch path would have produced — one entry per instance, same
-chunks, same ``claims``/``lock_ops`` — so ``result.dispatches`` keeps its
-meaning and the new fact is ``result.fork_joins == 1``.
+Every claim made with hardware atomics goes through a *region driver*,
+entered once per worker per :meth:`~repro.parallel.pool.WorkerPool.dispatch`.
+At each DOALL instance the workers meet at a native barrier whose last
+arriver arms the shared counter, then drain the instance with the native
+claim loop and the kernel's thunk.  One result message per worker comes
+back with per-instance tables, and :func:`_assemble` — the one fold of
+native results — turns them into one ``ParallelRunResult`` per instance.
+A driver is one of two kinds:
 
-Whether a run takes the region is a function of the program, the safety
-verdict, the kernels that could be bound and the policy — never of a
-setting.  :func:`try_region` either runs it (``result.region ==
-"native"``) or records why not, with a rule code, and the caller falls
-through to the per-dispatch path unchanged:
+* a program with a DOALL under a serial loop gets its own, generated
+  (:func:`repro.codegen.cgen.generate_region_c`): every worker runs the
+  serial skeleton redundantly (SPMD), so the whole run is one fork/join
+  (``result.fork_joins == 1``) with the per-dispatch path's chunks and
+  ``claims``/``lock_ops`` per instance;
+* any other dynamic-policy dispatch with a C kernel is a region of one
+  instance (:func:`instance_template`): the claim library's fixed entry,
+  no compiler run of its own.
+
+Whether a serial-outer run takes its region is a function of the
+program, the safety verdict, the kernels that could be bound and the
+policy — never of a setting.  :func:`try_region` either runs it
+(``result.region == "native"``) or records why not, with a rule code,
+and the caller falls through to the per-dispatch path:
 
 ``SPMD001`` a DOALL of the program is a recognized reduction;
 ``SPMD002`` a DOALL is blocked under ``safety="enforce"``;
@@ -31,9 +33,9 @@ induction variables;
 ``SPMD006`` a DOALL has no C kernel under the native claim loop, or the
 region unit could not be built or bound.
 
-The verdict — a job template or the refusal — is a slot of the run's
-:class:`~repro.parallel.plan.Plan`: the plan's first run decides it, and
-every later run only fills in the parameters and the pool's specs.
+A worker that cannot bind a driver stops its peers before anything has
+run (:func:`enter`).  Both templates are :class:`~repro.parallel.plan.Plan`
+slots, decided by the plan's first run.
 """
 
 from __future__ import annotations
@@ -44,19 +46,24 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.codegen.cgen import REGION_SUFFIX, _CEmitter, generate_region_c
+from repro.codegen.cgen import (
+    ONE_INSTANCE,
+    REGION_SUFFIX,
+    _CEmitter,
+    generate_region_c,
+)
 from repro.ir.expr import ArrayRef, Const, Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import walk_exprs
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
-from repro.parallel.dispatch import _empty_result
 from repro.parallel.errors import ParallelError
 from repro.parallel.observe import record_claim_fallback
 from repro.parallel.runtime import (
     ParallelRunResult,
     _contains_dispatchable,
     _dispatchable,
+    _empty_result,
 )
 from repro.parallel.shm import native_layout
 
@@ -129,11 +136,37 @@ def _skeleton(proc: Procedure, env: Mapping) -> list[tuple[Loop, tuple]]:
 
 @dataclass(frozen=True)
 class _Template:
-    """A plan's region: the job, less what each run fills in."""
+    """A region's job, less what each run fills in."""
 
     job: dict
     loops: list[Loop]
     policy_name: str
+
+
+def _claim_rule(run) -> tuple[str, list[int] | None]:
+    """``(policy name, [kind, k, asked])`` — the second item one loop's
+    row of the driver's ``rules`` table, None under a static policy."""
+    shape = policy_plan(run.policy, 1, 1, run.chunk)
+    if shape.rule is None:
+        return shape.name, None
+    per_claim = shape.rule[1] if shape.rule[0] == "fixed" else 1
+    asked = 0 if run.claim_batch == "auto" else run.claim_batch
+    return shape.name, [int(shape.rule[0] == "gss"), max(1, per_claim), asked]
+
+
+def instance_template(run, loop: Loop, kernel: dict) -> _Template | None:
+    """A dispatch of ``loop`` as a region of one instance: the claim
+    library's fixed entry driving ``kernel``.  None under a static policy
+    or without the claim library (the dispatch is then lock-guarded)."""
+    name, rule = _claim_rule(run)
+    lib = runtime.claim_loop_library(run.plan.store)
+    if rule is None or lib is None:
+        return None
+    job = dict(
+        so=lib, fname=ONE_INSTANCE, claim_so=lib, loops=[kernel], rules=rule,
+        workers=run.pool.workers,
+    )
+    return _Template(job, [loop], name)
 
 
 def _template(run) -> _Template | str:
@@ -149,7 +182,7 @@ def _template(run) -> _Template | str:
 
 
 def _build(run) -> _Template:
-    plan, env, wpool = run.plan, run.env, run.pool
+    plan, env = run.plan, run.env
     proc = plan.proc
     loops = _skeleton(proc, env)
     doalls = [lp for lp, _ in loops]
@@ -166,18 +199,13 @@ def _build(run) -> _Template:
             )
         if id(loop) in plan.reductions:
             raise _Refused("SPMD001", f"DOALL {loop.var!r} is a reduction")
-    shape = policy_plan(run.policy, 1, 1, run.chunk)
-    if shape.rule is None:
-        raise _Refused("SPMD005", f"policy {shape.name!r} is static")
+    name, rule = _claim_rule(run)
+    if rule is None:
+        raise _Refused("SPMD005", f"policy {name!r} is static")
     if not native_layout(run.views, proc.arrays):
         raise _Refused("SPMD006", "an array is not C-contiguous float64")
 
-    kind = 1 if shape.rule[0] == "gss" else 0
-    per_claim = shape.rule[1] if shape.rule[0] == "fixed" else 1
-    asked = 0 if run.claim_batch == "auto" else run.claim_batch
-    rules: list[int] = []
     kernels: list[dict] = []
-    orders: list[list[str]] = []
     for loop, ivs in loops:
         # An instance's environment is the caller's scalars plus the
         # enclosing induction variables, whatever their values.
@@ -194,25 +222,15 @@ def _build(run) -> _Template:
             raise _Refused(
                 "SPMD006", f"DOALL {loop.var!r} has no C kernel ({plan.lang})"
             )
-        so_path, c_fname, _, scalar_types = kernel
-        order = list(proc.scalars) + list(extra)
-        kernels.append(
-            {
-                "c_so": so_path,
-                "c_thunk": c_fname + runtime.THUNK_SUFFIX,
-                "array_order": list(proc.arrays),
-                "scalar_order": order,
-                "c_scalar_types": scalar_types,
-            }
-        )
-        orders.append(order)
-        rules += [kind, max(1, per_claim), asked]
+        kernels.append(kernel)
     claim_so = runtime.claim_loop_library(plan.store)
     if claim_so is None:
         raise _Refused("SPMD006", "the native claim loop is unavailable")
     fname = proc.name + REGION_SUFFIX
     try:
-        source = generate_region_c(proc, doalls, orders, name=fname)
+        source = generate_region_c(
+            proc, doalls, [k["scalar_order"] for k in kernels], name=fname
+        )
         region_so, _ = runtime.compile_chunk_library(
             source, fname, cache=plan.store
         )
@@ -225,62 +243,94 @@ def _build(run) -> _Template:
         "fname": fname,
         "claim_so": claim_so,
         "loops": kernels,
-        "rules": rules,
-        "workers": wpool.workers,
+        "rules": rule * len(kernels),
+        "workers": run.pool.workers,
     }
-    return _Template(job, doalls, shape.name)
+    return _Template(job, doalls, name)
 
 
-def _assemble(
-    results: Mapping[int, tuple], loops, policy, plan_name, workers
-) -> list[ParallelRunResult]:
+def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
+    """Run ``tpl`` once on ``run.pool``, filling in only ``params``, the
+    kernels' scalars, the barrier's spin and ``specs``.
+
+    Returns the workers' result messages — or None when a worker could
+    not bind: it stopped the barrier before anything ran, so the pool is
+    intact.  The fallback is counted and the run marked stale, which
+    drops the plan after it and keeps the rest of the run lock-guarded.
+    Crashes and timeouts surface as the pool's own errors.
+    """
+    wpool = run.pool
+    loops = [
+        {**lp, "scalars": {s: env.get(s, 0) for s in lp["scalar_order"]}}
+        for lp in tpl.job["loops"]
+    ]
+    spin = BARRIER_SPIN if wpool.workers <= len(os.sched_getaffinity(0)) else 0
+    job = {
+        "region": {**tpl.job, "loops": loops, "params": params, "spin": spin},
+        "specs": specs,
+        "log_events": run.log_events,
+    }
+    _, results = wpool.dispatch(job, 0, -1, run.deadline)
+    for msg in results.values():
+        table = msg[8]["region"]
+        if table is None or table["status"]:
+            record_claim_fallback()
+            run.stale = True
+            return None
+    return results
+
+
+def _assemble(results: Mapping[int, tuple], tpl: _Template, policy):
     """One :class:`ParallelRunResult` per DOALL instance, in program order,
-    from the workers' per-instance tables — the accounting (and its
-    checks) of ``_finalize_result``, instance by instance."""
+    from the workers' per-instance tables — the one fold of native
+    results.  Checked on every run: the workers agree on the instances,
+    and per instance the iterations sum to the range with idle workers
+    reporting none."""
     wids = sorted(results)
     tables = [results[w][8]["region"] for w in wids]
-    rec = np.stack(
-        [np.frombuffer(t["rec"], dtype=np.int64).reshape(-1, 8) for t in tables]
-    )
-    tim = np.stack([np.frombuffer(t["tim"]).reshape(-1, 2) for t in tables])
-    shared = rec[:, :, [0, 1, 2, 7]]  # loop, lo, hi, batch: SPMD-identical
-    if (shared != shared[0]).any():
-        raise ParallelError("workers disagree on the region's instances")
-    size = np.maximum(0, rec[0, :, 2] - rec[0, :, 1] + 1)
-    idle = np.arange(len(wids))[:, None] >= np.minimum(workers, size)
-    bad = (rec[:, :, 3].sum(axis=0) != size) | (rec[:, :, 3] * idle).any(axis=0)
-    if bad.any():
-        ph = int(bad.argmax())
-        raise ParallelError(
-            f"claim accounting violated: {rec[:, ph, 3].tolist()} iterations "
-            f"executed for a range of {int(size[ph])}"
-        )
+    recs = [memoryview(t["rec"]).cast("q").tolist() for t in tables]
+    tims = [memoryview(t["tim"]).cast("d").tolist() for t in tables]
+    first = recs[0]
+    for col in (0, 1, 2, 7):  # loop, lo, hi, batch: SPMD-identical
+        if any(rec[col::8] != first[col::8] for rec in recs):
+            raise ParallelError("workers disagree on the region's instances")
+    workers = tpl.job["workers"]
+    los, his = first[1::8], first[2::8]
+    sizes = [hi - lo + 1 if hi >= lo else 0 for lo, hi in zip(los, his)]
+    iters = list(map(list, zip(*[rec[3::8] for rec in recs])))
+    if list(map(sum, iters)) != sizes or min(sizes, default=0) < workers:
+        for size, done in zip(sizes, iters):
+            if sum(done) != size or any(done[size:]):  # idle workers: none
+                raise ParallelError(
+                    f"claim accounting violated: {done} iterations "
+                    f"executed for a range of {size}"
+                )
+    claims = map(sum, zip(*[rec[4::8] for rec in recs]))
+    lock_ops = map(sum, zip(*[rec[5::8] for rec in recs]))
+    t_base = list(map(min, zip(*[tim[0::2] for tim in tims])))
+    t_end = map(max, zip(*[tim[1::2] for tim in tims]))
     logs = [results[w][6] for w in wids]
-    log_end = rec[:, :, 6].cumsum(axis=1) * 40  # 40 bytes per log row
-    ends = log_end.T.tolist()
-    starts = (log_end - rec[:, :, 6] * 40).T.tolist()
-    iters = rec[:, :, 3].T.tolist()
-    claims = rec[:, :, 4].sum(axis=0).tolist()
-    lock_ops = rec[:, :, 5].sum(axis=0).tolist()
-    t_base = tim[:, :, 0].min(axis=0).tolist()
-    wall = (tim[:, :, 1].max(axis=0) - tim[:, :, 0].min(axis=0)).tolist()
+    event_logs = [[] for _ in sizes]  # per instance: (worker, log rows)
+    for wid, log, rec in zip(wids, logs, recs if any(logs) else ()):
+        at = 0
+        for ph, rows in enumerate(rec[6::8]):
+            if rows:  # 40 bytes per row
+                event_logs[ph].append((wid, log[at : at + 40 * rows]))
+                at += 40 * rows
+    loops, name = tpl.loops, tpl.policy_name
     out: list[ParallelRunResult] = []
-    for ph, (li, lo, hi, batch) in enumerate(shared[0].tolist()):
-        if hi < lo:
+    for li, lo, hi, batch, size, done, c, ops, t0, t1, log in zip(
+        first[0::8], los, his, first[7::8], sizes, iters, claims, lock_ops,
+        t_base, t_end, event_logs,
+    ):
+        if not size:
             out.append(_empty_result(loops[li], lo, hi, workers, policy))
             continue
-        active = min(workers, hi - lo + 1)
-        event_log = [
-            (w, log[a:b])
-            for w, log, a, b in zip(wids, logs, starts[ph], ends[ph])
-            if b > a
-        ]
+        active = size if size < workers else workers
         out.append(
             ParallelRunResult(
-                loops[li].var, lo, hi, active, plan_name, wall[ph],
-                iters[ph][:active], claims[ph], event_log, t_base[ph],
-                lock_ops=lock_ops[ph], chunk_lang="c", claim_batch=batch,
-                claim_loop="native",
+                loops[li].var, lo, hi, active, name, t1 - t0, done[:active],
+                c, log, t0, ops, "c", batch, claim_loop="native",
             )
         )
     return out
@@ -292,12 +342,9 @@ def try_region(run) -> bool:
     Returns True when the region ran — ``out.dispatches`` then holds one
     result per DOALL instance and ``out.region == "native"``.  Otherwise
     nothing has run, ``out.region`` says why (``"SPMD00x: reason"``) and
-    the caller proceeds per dispatch.  Per call only the parameters, each
-    kernel's scalars, the barrier's spin and the pool's specs are filled
-    in.  Crashes and timeouts inside the region surface as the pool's own
-    errors.
+    the caller proceeds per dispatch.
     """
-    out, env, wpool = run.out, run.env, run.pool
+    out, env = run.out, run.env
     tpl = run.plan.once("region", lambda: _template(run))
     if isinstance(tpl, str):
         out.region = tpl
@@ -309,34 +356,11 @@ def try_region(run) -> bool:
         int(env[s]) if isinstance(env.get(s), (int, np.integer)) else 0
         for s in run.plan.proc.scalars
     ]
-    loops = [
-        {**lp, "scalars": {s: env.get(s, 0) for s in lp["scalar_order"]}}
-        for lp in tpl.job["loops"]
-    ]
-    spin = BARRIER_SPIN if wpool.workers <= len(os.sched_getaffinity(0)) else 0
-    job = {
-        "region": {**tpl.job, "loops": loops, "params": params, "spin": spin},
-        "specs": wpool.shared.specs(),
-        "log_events": run.log_events,
-    }
-    _, results = wpool.dispatch(job, 0, -1, run.deadline)
-    entered = [
-        msg[8]["region"] is not None and msg[8]["region"]["status"] == 0
-        for msg in results.values()
-    ]
-    if not all(entered):
-        # A worker could not bind the unit and stopped the barrier before
-        # any instance started: nothing has run, the pool is intact — and
-        # the plan's artifacts are suspect.
-        record_claim_fallback(entered.count(False))
+    results = enter(run, tpl, params, env, run.pool.shared.specs())
+    if results is None:
         out.region = "SPMD006: a worker could not enter the region"
-        run.stale = True
         return False
-    out.dispatches.extend(
-        _assemble(
-            results, tpl.loops, run.policy, tpl.policy_name, wpool.workers,
-        )
-    )
+    out.dispatches.extend(_assemble(results, tpl, run.policy))
     out.serial_stmts += results[0][8]["region"]["serial_stmts"]
     out.region = "native"
     return True

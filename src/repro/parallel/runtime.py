@@ -40,18 +40,16 @@ default ``claim_batch="auto"`` is one fixed rule: ``min(64, chunks //
 (:func:`repro.parallel.dispatch._resolve_claim_batch`).
 
 Each dispatch drives the shared counter through exactly one claim
-protocol, decided when the plan is built and reported as
-``ParallelRunResult.claim_loop``: ``"native"`` — dynamic plans whose
-chunks are C kernels; workers enter C once and claim with hardware
-atomics (:data:`repro.codegen.cgen.CLAIM_LOOP_C`) — ``"py"`` — the
-Python loop around the lock-guarded counter, for everything else — or
-``"static"`` (no counter).  The choice follows from what could be bound,
-never from a setting.  Workers that cannot follow the native protocol sit
-the dispatch out rather than mix protocols on one counter; if the whole
-fleet did, nothing ran, and the dispatch is re-issued once on the Python
-protocol (and the plan, whose artifacts did not bind, is dropped).  Claim
-logs come back raw and become :class:`ClaimEvent` objects only when
-``ParallelRunResult.events`` is read.
+protocol, reported as ``ParallelRunResult.claim_loop``: ``"native"`` —
+dynamic plans with C kernels; every worker enters a region driver once
+(:mod:`repro.parallel.region`) and claims with hardware atomics — ``"py"``
+— the Python loop around the lock-guarded counter, for everything else —
+or ``"static"`` (no counter).  The choice follows from what could be
+bound, never from a setting: if a worker cannot bind the driver, nothing
+has run, the work goes out once on the Python protocol, the rest of the
+run stays there, and the plan is dropped.  Claim logs come back raw and
+become :class:`ClaimEvent` objects only when ``ParallelRunResult.events``
+is read.
 
 Robustness contract:
 
@@ -250,7 +248,8 @@ class ParallelRunResult:
     reduction_scalar: str | None = None
     reduction_value: float | None = None
     #: Which claim protocol drove the shared counter: ``"native"`` (the C
-    #: claim loop — hardware atomics, one crossing into C per worker),
+    #: claim loop under a region driver — hardware atomics, one crossing
+    #: into C per worker per job),
     #: ``"py"`` (the Python loop around the lock-guarded counter), or
     #: ``"static"`` (precomputed chunk lists, no counter).  One per
     #: dispatch, never two (:mod:`repro.parallel.counter`).
@@ -364,6 +363,14 @@ class ParallelProcedureResult:
         """Aggregate claim protocol across dispatches
         (``native``/``py``/``static``/``mixed``)."""
         return _aggregate({d.claim_loop for d in self.dispatches})
+
+
+def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
+    """The result of a DOALL whose range is empty: nothing was sent."""
+    name = policy if isinstance(policy, str) else policy.name
+    return ParallelRunResult(
+        loop.var, lo, hi, workers, name, 0.0, [0] * workers, 0
+    )
 
 
 def _aggregate(values: set[str]) -> str:

@@ -25,31 +25,27 @@ Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
 Every language runs the paper's protocol — fetch&add a chunk (or a
 *batch* of chunks) from the shared counter, execute the claimed flat
 iterations, repeat until the counter is drained — through one of two
-**claim loops**, chosen by the parent per dispatch and never mixed within
-one (:mod:`repro.parallel.counter` says why):
+**claim protocols**, chosen by the parent per job and never mixed on one
+counter (:mod:`repro.parallel.counter` says why):
 
-* **native** (``job["claim_so"]`` present; dynamic plans with C chunks):
-  the whole loop is :data:`repro.codegen.cgen.CLAIM_LOOP_C`.  The worker
-  crosses into C once per dispatch; claims are hardware atomics on the
-  counter words, chunks run through the kernel's uniform-entry thunk, and
-  the claim log is written natively into a reusable per-worker ring.  A
-  worker that cannot bind the library or the thunk *sits the dispatch
-  out* (reports ``lang="py"`` and zero work) — it must not take the lock
-  on a counter its peers are fetch&adding;
-* **Python** (everything else: ``py``/``numpy`` chunks, the speculative
-  recorder, compiler-less hosts): a ``while`` loop around the lock-guarded
+* **native** (``job["region"]``; dynamic plans with C chunks): the worker
+  enters a *region driver* once (:func:`_run_region`) — the program's
+  own, which runs its serial loops, or the claim library's one-instance
+  entry for a single dispatch — meets its peers at a barrier before each
+  DOALL instance and drains it with
+  :data:`repro.codegen.cgen.CLAIM_LOOP_C`: hardware atomics on the
+  counter words, chunks through the kernel's uniform-entry thunk, the
+  claim log written natively into a reusable per-worker ring.  It comes
+  back to Python only when the job is over, or when the ring is full.  A
+  worker that cannot bind stops the barrier instead of entering, before
+  anything has run;
+* **Python** (everything else: ``py``/``numpy`` chunks, static plans,
+  the speculative recorder, compiler-less hosts, and a job the native
+  protocol sent back): a ``while`` loop around the lock-guarded
   :meth:`~repro.parallel.counter.SharedClaimCounter.claim_batch`.  Here a
   failure to load the C or numpy chunk degrades this worker to the Python
-  chunk for the dispatch, reported back as ``lang="py"``.
-
-Static plans skip the counter and walk a precomputed chunk list.
-
-One kind of job is not a dispatch but a whole run (``job["region"]``, from
-:mod:`repro.parallel.region`): the worker enters the program's native
-*region driver* once (:func:`_run_region`), runs the serial loops itself,
-meets its peers at a barrier before each DOALL instance and drains it with
-the same native claim loop — coming back to Python only when the run is
-over, or when the claim-log ring is full.
+  chunk for the dispatch, reported back as ``lang="py"``.  Static plans
+  skip the counter and walk a precomputed chunk list.
 
 Every claim is logged as ``(lo, hi, t_claim, t_work, t_end)`` on the shared
 monotonic clock so the parent can reconstruct the measured schedule
@@ -69,6 +65,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.codegen import cload
 from repro.codegen.pygen import compile_chunk_source
 from repro.parallel.shm import attach_array
 
@@ -208,71 +205,19 @@ def _argv_slots(job: dict[str, Any], arrays: dict):
     return (ctypes.c_int64 * len(slots))(*slots)
 
 
-def _run_native(
-    wid: int, job: dict[str, Any], counter, arrays: dict
-) -> tuple[int, int, int, Any, str, dict[str, Any]]:
-    """One worker's share of a dispatch on the native claim protocol.
-
-    Binds the claim-loop library and the kernel's thunk, packs the
-    kernel's arguments into 8-byte ``argv`` slots (:func:`_argv_slots`) and
-    calls ``repro_claim_loop`` until it reports the counter drained.  Any
-    failure *before* the first claim — dlopen, a missing symbol, an array
-    the zero-copy convention cannot take — makes this worker sit the
-    dispatch out: zero work, ``lang="py"``.  It may not fall back to
-    lock-guarded claims, because its peers are claiming with atomics that
-    do not honor the lock; they drain the range without it.
-    """
-    try:
-        from repro.codegen.cload import load_chunk_thunk, load_claim_loop
-
-        claim_loop = load_claim_loop(job["claim_so"])
-        _, thunk = load_chunk_thunk(job["c_so"], job["c_thunk"])
-        argv = _argv_slots(job, arrays)
-        ctr = counter.address
-    except Exception:
-        return 0, 0, 0, b"", "py", {}
-    plan = job["plan"]
-    if wid >= plan.workers:
-        return 0, 0, 0, b"", "c", {}
-
-    n = counter.stop - job["lo"] + 1
-    if plan.rule[0] == "gss":
-        kind, k, batch = 1, plan.rule[1], 1
-    else:
-        # Clamped to the range so k * batch cannot overflow the counter
-        # word; the chunks handed out are the same (a chunk never extends
-        # past stop, a claim never holds more chunks than exist).
-        kind = 0
-        k = min(1 if plan.rule[0] == "unit" else plan.rule[1], n)
-        batch = max(1, min(job.get("batch", 1), -(-n // k)))
-    out = (ctypes.c_int64 * 4)()
-    ring, ring_at, cap = None, None, 0  # log_events off: NULL ring
-    if job["log_events"]:
-        ring = _claim_ring(max(RING_ROWS, batch))
-        ring_at, cap = ring.ctypes.data, len(ring)
-    logged: list[bytes] = []
-    while True:
-        full = claim_loop(
-            ctr, kind, k, batch, out, ring_at, cap, thunk, argv
-        )
-        if out[3]:
-            logged.append(ring[: out[3]].tobytes())
-        if not full:
-            break
-    return out[0], out[1], out[2], b"".join(logged), "c", {}
-
-
 def _run_region(
     wid: int, job: dict[str, Any], counter, arrays: dict
 ) -> tuple[int, int, int, Any, str, dict[str, Any]]:
-    """One worker's share of a whole run inside the native SPMD region.
+    """One worker's share of a native job: a region of one DOALL instance,
+    or a whole serial-outer run.
 
-    ``job["region"]`` names the program's region unit and, per DOALL, the
-    kernel to bind (:mod:`repro.parallel.region` builds it).  The worker
-    binds everything, asks the driver how many DOALL instances the run
-    has, and enters it once; it comes back when the last instance is
-    done.  ``extra["region"]`` carries the driver's status and the raw
-    per-instance ``rec``/``tim`` tables; the claim log of the whole run is
+    ``job["region"]`` names the driver — a program's region unit, or the
+    claim library's one-instance entry — and, per DOALL, the kernel to
+    bind (:mod:`repro.parallel.region` builds it).  The worker binds
+    everything, asks the driver how many DOALL instances the job has, and
+    enters it once; it comes back when the last instance is done.
+    ``extra["region"]`` carries the driver's status and the raw
+    per-instance ``rec``/``tim`` tables; the claim log of the whole job is
     one byte string in instance order.
 
     A worker that cannot bind sets the barrier's stop word instead of
@@ -281,18 +226,11 @@ def _run_region(
     """
     reg = job["region"]
     try:
-        from repro.codegen.cload import (
-            REGION_DRAIN,
-            load_chunk_thunk,
-            load_claim_loop,
-            load_region_driver,
-        )
-
-        driver = load_region_driver(reg["so"], reg["fname"])
-        claim = ctypes.cast(load_claim_loop(reg["claim_so"]), ctypes.c_void_p)
+        driver = cload.load_region_driver(reg["so"], reg["fname"])
+        claim = cload.load_claim_loop(reg["claim_so"])[1]
         argvs = [_argv_slots(lp, arrays) for lp in reg["loops"]]
         thunks = [
-            load_chunk_thunk(lp["c_so"], lp["c_thunk"])[1]
+            cload.load_chunk_thunk(lp["c_so"], lp["c_thunk"])[1]
             for lp in reg["loops"]
         ]
     except Exception:
@@ -308,32 +246,32 @@ def _run_region(
     info = (ctypes.c_int64 * 4)()
     logged: list[bytes] = []
     ring: np.ndarray | None = None
+    drain = cload.REGION_DRAIN(
+        lambda rows: logged.append(ring[:rows].tobytes())
+    )
 
     def enter(run: int, rec=None, tim=None, cap: int = 0):
         return driver(
             counter.address, counter.barrier_address, wid, reg["workers"],
             reg["spin"], run, claim, fns, argv_table, rules, rec, tim,
-            ring.ctypes.data if ring is not None else None, cap,
-            REGION_DRAIN(lambda rows: logged.append(ring[:rows].tobytes())),
+            ring.ctypes.data if ring is not None else None, cap, drain,
             params, info,
         )
 
     enter(0)  # count the instances; nothing runs, nobody waits
-    rec = np.zeros((info[0], 8), dtype=np.int64)
-    tim = np.zeros((info[0], 2), dtype=np.float64)
+    rec = (ctypes.c_int64 * (8 * info[0]))()
+    tim = (ctypes.c_double * (2 * info[0]))()
     if job["log_events"]:
         ring = _claim_ring(max(RING_ROWS, info[1]))
-    status = enter(
-        1, rec.ctypes.data, tim.ctypes.data, 0 if ring is None else len(ring)
-    )
+    status = enter(1, rec, tim, 0 if ring is None else len(ring))
     if info[2]:
         logged.append(ring[: info[2]].tobytes())
-    done = rec[:, 3:6].sum(axis=0).tolist()
+    done = [sum(rec[col::8]) for col in (3, 4, 5)]
     table = {
         "status": status,
         "serial_stmts": info[3],
-        "rec": rec.tobytes(),
-        "tim": tim.tobytes(),
+        "rec": bytes(rec),
+        "tim": bytes(tim),
     }
     return *done, b"".join(logged), "c", {"region": table}
 
@@ -341,7 +279,7 @@ def _run_region(
 def run_plan(
     wid: int, job: dict[str, Any], counter, arrays: dict
 ) -> tuple[int, int, int, Any, str, dict[str, Any]]:
-    """Execute one worker's share of a dispatch.
+    """Execute one worker's share of a job.
 
     Returns ``(iterations, claims, lock_ops, events, lang, extra)`` where
     ``claims`` counts executed chunks, ``lock_ops`` counts counter critical
@@ -354,15 +292,14 @@ def run_plan(
     any per-job payload (the recorded ``spec_log`` of a speculative
     dispatch; empty otherwise).
 
-    The claim loop is picked by what the parent attached, not by a
-    setting: a job carrying ``claim_so`` runs the native loop
-    (:func:`_run_native`) and nothing else; every other job runs the
-    Python loop below — the portable floor.
+    The protocol is picked by what the parent sent, not by a setting: a
+    ``region`` job runs the native protocol (:func:`_run_region`) and
+    nothing else; every other job runs the Python loop below — the
+    portable floor.
 
     ``job`` keys: ``source``/``fname`` (Python chunk function),
     ``chunk_lang`` plus ``c_so``/``c_fname``/``c_sig``/``c_scalar_types``
-    (native kernel, optional), ``claim_so``/``c_thunk`` (native claim
-    loop: library path and the kernel's thunk symbol, optional),
+    (native kernel, optional), ``np_source``/``np_fname`` (numpy chunk, optional),
     ``speculate`` (speculative dispatch descriptor, optional),
     ``array_order``/``scalar_order``/``scalars`` (call convention),
     ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo`` (loop
@@ -370,8 +307,6 @@ def run_plan(
     """
     if "region" in job:
         return _run_region(wid, job, counter, arrays)
-    if "claim_so" in job:
-        return _run_native(wid, job, counter, arrays)
     func, lang, extra = _make_invoker(job, arrays)
     plan = job["plan"]
     log_events = job["log_events"]
@@ -381,8 +316,8 @@ def run_plan(
     lock_ops = 0
 
     if wid >= plan.workers:
-        # Pool larger than the iteration space: this worker sits the
-        # dispatch out (the plan was built for plan.workers processes).
+        # Pool larger than the iteration space: the plan was built for
+        # plan.workers processes, so this one idles.
         return 0, 0, 0, events, lang, extra
 
     if plan.static is not None:

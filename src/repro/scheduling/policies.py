@@ -18,6 +18,7 @@ A policy answers: given N iterations and p processors, who executes what?
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 
 Chunk = tuple[int, int]  # (start, size), start is 0-based
@@ -165,6 +166,10 @@ class ChunkSelfScheduled(SchedulingPolicy):
     name: str = "chunk-self-sched"
 
     def __post_init__(self) -> None:
+        if isinstance(self.chunk, bool) or not isinstance(
+            self.chunk, numbers.Integral
+        ):
+            raise ValueError(f"chunk must be an integer (got {self.chunk!r})")
         if self.chunk < 1:
             raise ValueError("chunk must be ≥ 1")
 

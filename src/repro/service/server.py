@@ -73,6 +73,7 @@ from repro.api import lower_and_coalesce
 from repro.cache import artifact_key, resolve_cache
 from repro.codegen.pygen import CompiledProcedure, compile_procedure
 from repro.ir.printer import to_source
+from repro.parallel.counter import resolve_policy
 from repro.parallel.errors import ParallelDispatchError, ParallelError
 from repro.parallel.observe import (
     TransportCounters,
@@ -83,6 +84,7 @@ from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool
 from repro.parallel.runtime import resolve_claim_batch, run_parallel_procedure
 from repro.parallel.shm import SEGMENT_PREFIX, ArraySpec, attach_array
+from repro.scheduling.policies import ChunkSelfScheduled
 
 DEFAULT_PORT = 8923
 
@@ -621,6 +623,18 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     for retired in ("variants", "calibrate"):
         if retired in body:
             raise RequestError(400, f"{retired!r} is not a /run option")
+    policy, chunk = body.get("policy", "gss"), body.get("chunk")
+    try:  # each message names its field
+        if chunk is not None:
+            ChunkSelfScheduled(chunk=chunk)
+        resolve_policy(policy if isinstance(policy, str) else repr(policy))
+    except ValueError as exc:
+        raise RequestError(400, str(exc)) from exc
+    timeout = body.get("timeout")
+    if timeout is not None and not (
+        type(timeout) in (int, float) and timeout > 0
+    ):
+        raise RequestError(400, f"timeout must be a number > 0 (got {timeout!r})")
     try:
         claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
     except ValueError as exc:
@@ -650,11 +664,11 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         chunk_lang = "py"
     return backend, workers, dict(
         workers=workers,
-        policy=body.get("policy", "gss"),
-        chunk=body.get("chunk"),
+        policy=policy,
+        chunk=chunk,
         claim_batch=claim_batch,
         chunk_lang=chunk_lang,
-        timeout=body.get("timeout"),
+        timeout=timeout,
         log_events=bool(body.get("log_events", False)),
         safety=safety,
     )

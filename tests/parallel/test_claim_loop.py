@@ -24,6 +24,7 @@ from repro.codegen import cload
 from repro.codegen.cload import have_compiler
 from repro.frontend.dsl import parse
 from repro.parallel import WorkerPool, run_parallel_doall, run_parallel_procedure
+from repro.parallel import plan as plan_mod
 from repro.parallel import runtime, worker
 from repro.parallel.counter import SharedClaimCounter, policy_plan
 from repro.parallel.observe import DISPATCH
@@ -182,7 +183,11 @@ def _program(name):
 @needs_gcc
 @pytest.mark.parametrize("method", ("fork", "spawn"))
 @pytest.mark.parametrize(
-    "name", ("matmul", "gauss_jordan", "saxpy2d", "dot_product")
+    "name",
+    (
+        "matmul", "gauss_jordan", "saxpy2d", "dot_product", "jacobi2d",
+        "stencil3d", "floyd",
+    ),
 )
 def test_native_equals_python_protocol_equals_interpreter(name, method):
     w, proc = _program(name)
@@ -279,7 +284,8 @@ def test_ring_overflow_keeps_every_event(monkeypatch, batch):
 
 
 # ---------------------------------------------------------------------------
-# (v) a worker that cannot bind sits out; nobody mixes protocols
+# (v) a worker that cannot bind stops its peers before anything has run;
+# the dispatch goes out once on the lock-guarded protocol
 # ---------------------------------------------------------------------------
 
 
@@ -292,8 +298,60 @@ def _saxpy_case(seed=2):
     return proc, arrays, sc, want
 
 
+#: Two top-level DOALLs: two dispatches in one run, no serial loop.
+PAIR = parse(
+    """
+    procedure pair(A[1], B[1]; n)
+      doall i = 1, n
+        A(i) := A(i) * 2.0 + 1.0
+      end
+      doall j = 1, n
+        B(j) := B(j) + A(j)
+      end
+    end
+    """
+)
+
+
+def jobs_sent(monkeypatch) -> list[str]:
+    """Record the protocol of every job the parent sends a pool."""
+    sent: list[str] = []
+    real = WorkerPool.dispatch
+
+    def recording(self, job, lo, hi, deadline=None):
+        sent.append("native" if "region" in job else "py")
+        return real(self, job, lo, hi, deadline)
+
+    monkeypatch.setattr(WorkerPool, "dispatch", recording)
+    return sent
+
+
+def plans_of(proc) -> list:
+    return [p for p in plan_mod._PLANS.values() if p.proc is proc]
+
+
+def assert_sent_back(monkeypatch, proc, arrays, scalars, want, **options):
+    """One native job, refused by a worker that could not bind: the
+    dispatch runs once on the lock-guarded protocol with the same result,
+    one fallback is counted, the plan is dropped, the pool stays healthy
+    and no later dispatch of the run tries the driver again."""
+    sent = jobs_sent(monkeypatch)
+    fallbacks = DISPATCH.claim_fallbacks
+    with WorkerPool(arrays, workers=2) as pool:  # forked after the patch
+        result = run_parallel_procedure(
+            proc, arrays, scalars, pool=pool, timeout=60.0, **options
+        )
+        assert not pool.broken
+    assert all(np.array_equal(arrays[k], want[k]) for k in want)
+    assert result.claim_loop == "py" and result.chunk_lang == "c"
+    assert sent == ["native"] + ["py"] * len(result.dispatches)
+    assert DISPATCH.claim_fallbacks == fallbacks + 1
+    assert not plans_of(proc)
+    return result
+
+
 @needs_gcc
-@pytest.mark.parametrize("broken", ("library", "thunk"))
+@pytest.mark.parametrize("broken", ("library", "thunk", "worker 1"))
 def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
     monkeypatch, broken
 ):
@@ -302,43 +360,28 @@ def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
             runtime, "claim_loop_library",
             lambda cache="default": "/nonexistent/librepro_claim.so",
         )
-    else:
+    elif broken == "thunk":
         monkeypatch.setattr(runtime, "THUNK_SUFFIX", "__no_such_thunk")
-    proc, arrays, sc, want = _saxpy_case()
-    fallbacks = DISPATCH.claim_fallbacks
-    d = run_parallel_doall(
-        proc, arrays, sc, workers=2, policy="unit", claim_batch=4
+    else:
+        real = cload.load_claim_loop
+
+        def flaky(so_path):
+            if multiprocessing.current_process().name.endswith("-1"):
+                raise OSError("injected: worker 1 cannot dlopen")
+            return real(so_path)
+
+        monkeypatch.setattr(cload, "load_claim_loop", flaky)
+    n = 5000
+    arrays = {"A": np.arange(n + 1.0), "B": np.ones(n + 1)}
+    want = {k: v.copy() for k, v in arrays.items()}
+    Interpreter().run(PAIR, want, {"n": n})
+    result = assert_sent_back(
+        monkeypatch, PAIR, arrays, {"n": n}, want, policy="unit",
+        claim_batch=4,
     )
-    # Every worker sat the first dispatch out, so nothing had run: the
-    # second one went out whole on the lock-guarded protocol.
-    assert d.claim_loop == "py" and d.chunk_lang == "c"
-    assert d.total_iterations == sc["n"] * sc["m"] == len(d.events)
-    assert all(np.array_equal(arrays[k], want[k]) for k in want)
-    assert DISPATCH.claim_fallbacks == fallbacks + 2 + 1  # 2 sit-outs, 1 redo
-
-
-@needs_gcc
-def test_one_worker_that_cannot_bind_sits_out(monkeypatch):
-    real = cload.load_claim_loop
-
-    def flaky(so_path):
-        if multiprocessing.current_process().name.endswith("-1"):
-            raise OSError("injected: worker 1 cannot dlopen")
-        return real(so_path)
-
-    monkeypatch.setattr(cload, "load_claim_loop", flaky)  # inherited by fork
-    proc, arrays, sc, want = _saxpy_case()
-    fallbacks = DISPATCH.claim_fallbacks
-    d = run_parallel_doall(
-        proc, arrays, sc, workers=2, policy="unit", claim_batch=4
-    )
-    # Worker 0 drained the range with atomics; worker 1 never touched the
-    # counter — in particular not through the lock.
-    assert d.claim_loop == "native" and d.chunk_lang == "mixed"
-    assert d.iterations_per_worker == [sc["n"] * sc["m"], 0]
-    assert {e.worker for e in d.events} == {0}
-    assert all(np.array_equal(arrays[k], want[k]) for k in want)
-    assert DISPATCH.claim_fallbacks == fallbacks + 1
+    assert result.region is None and len(result.dispatches) == 2
+    for d in result.dispatches:
+        assert d.total_iterations == n == len(d.events)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +507,36 @@ def test_claim_library_builds_once_across_vanishing_stores(
     finally:
         configure()  # back to the session's store
     assert sorted(built) == ["cold1__chunk", "cold2__chunk", "repro_claim"]
+
+
+@needs_gcc
+def test_first_run_of_a_single_doall_builds_only_its_kernel(
+    monkeypatch, tmp_path
+):
+    """``cold_start``'s guard: a coalesced single-DOALL program on a fresh
+    store compiles its kernel unit and nothing else of its own — its
+    dispatch enters the claim library's fixed driver, which is resolved
+    once per process."""
+    built = []
+    real = cload._compile_into
+
+    def counting(tmp, name, *args, **kwargs):
+        built.append(name)
+        return real(tmp, name, *args, **kwargs)
+
+    monkeypatch.setattr(cload, "_compile_into", counting)
+    monkeypatch.setattr(cload, "_CLAIM_LIB", None)  # as in a new process
+    try:
+        for seed in (1, 2):
+            store = configure(dir=tmp_path / f"fresh-{seed}")
+            proc, arrays, sc, want = _saxpy_case(seed)
+            d = run_parallel_doall(proc, arrays, sc, workers=2)
+            assert (d.claim_loop, d.chunk_lang) == ("native", "c")
+            assert all(np.array_equal(arrays[k], want[k]) for k in want)
+            shutil.rmtree(store.root)
+    finally:
+        configure()  # back to the session's store
+    assert sorted(built) == ["repro_claim"] + [f"{proc.name}__chunk"] * 2
 
 
 @needs_gcc

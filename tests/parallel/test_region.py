@@ -26,12 +26,13 @@ from repro.frontend.dsl import parse
 from repro.ir.printer import to_source
 from repro.lint import RULE_DOCS
 from repro.parallel import (
+    ParallelError,
     ParallelTimeoutError,
     WorkerCrashError,
     WorkerPool,
     run_parallel_procedure,
 )
-from repro.parallel import worker
+from repro.parallel import region, worker
 from repro.parallel.counter import policy_plan
 from repro.parallel.dispatch import _resolve_claim_batch
 from repro.parallel.observe import DISPATCH
@@ -40,6 +41,7 @@ from repro.parallel.shm import leaked_segments
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel.test_claim_loop import assert_sent_back
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -444,8 +446,9 @@ def test_refused_numpy_chunks():
 
 @pytest.mark.parametrize("who", ["every worker", "worker 1"])
 def test_a_worker_that_cannot_bind_sends_the_run_back(monkeypatch, who):
-    """Before any instance has run: the per-dispatch path takes over on
-    the same, still healthy, pool."""
+    """Before any instance has run: the run goes out once more, per
+    dispatch on the lock-guarded protocol, on the same healthy pool — and
+    none of its dispatches tries a driver again."""
     real = cload.load_region_driver
 
     def cannot_bind(so_path, fname):
@@ -459,17 +462,51 @@ def test_a_worker_that_cannot_bind_sends_the_run_back(monkeypatch, who):
     monkeypatch.setattr(cload, "load_region_driver", cannot_bind)
     proc, original, arrays, scalars = program("floyd")
     want = interpreted(original, arrays, scalars)
-    before = DISPATCH.claim_fallbacks
-    with WorkerPool(arrays, workers=2) as pool:  # forked after the patch
-        got = copies(arrays)
-        result = run_parallel_procedure(
-            proc, got, scalars, workers=2, pool=pool, timeout=60.0
-        )
-        assert not pool.broken
+    result = assert_sent_back(
+        monkeypatch, proc, arrays, scalars, want, workers=2
+    )
     assert result.region.startswith("SPMD006: a worker could not enter")
-    assert same(got, want) and len(result.dispatches) == 9
-    assert result.claim_loop == "native"  # dispatch by dispatch
-    assert DISPATCH.claim_fallbacks > before
+    assert len(result.dispatches) == 9
+
+
+def _fold(rows_per_worker, workers=2):
+    """``region._assemble`` over hand-made per-instance tables (rows of
+    ``loop, lo, hi, iterations, claims, lock_ops, log rows, batch``)."""
+    loop = _dispatchable_loops(LONG.body)[0]
+    tpl = region._Template({"workers": workers}, [loop], "self-sched")
+    results = {}
+    for wid, rows in enumerate(rows_per_worker):
+        table = {
+            "status": 0,
+            "serial_stmts": 0,
+            "rec": np.array(rows, dtype=np.int64).tobytes(),
+            "tim": np.ones((len(rows), 2)).tobytes(),
+        }
+        results[wid] = ("ok", wid, 1, 0, 0, 0, b"", "c", {"region": table})
+    return region._assemble(results, tpl, "unit")
+
+
+def test_the_fold_checks_every_instance():
+    """The workers agree on the instances; per instance the iterations
+    sum to the range and idle workers report none — in any instance."""
+    good = [[0, 1, 4, 3, 3, 3, 0, 1], [0, 5, 4, 0, 0, 0, 0, 1]]
+    (d, empty) = _fold([good, [[0, 1, 4, 1, 1, 1, 0, 1], good[1]]])
+    assert (d.iterations_per_worker, d.claims, d.lock_ops) == ([3, 1], 4, 4)
+    assert empty.total_iterations == 0
+    bad = {
+        "disagree": [good, [[0, 2, 4, 1, 1, 1, 0, 1], good[1]]],
+        "short": [good, [[0, 1, 4, 0, 0, 0, 0, 1], good[1]]],
+        "idle worked": [
+            [good[0], [0, 7, 7, 0, 0, 0, 0, 1]],
+            [[0, 1, 4, 1, 1, 1, 0, 1], [0, 7, 7, 1, 1, 1, 0, 1]],
+        ],
+        "empty worked": [
+            good, [[0, 1, 4, 1, 1, 1, 0, 1], [0, 5, 4, 1, 1, 1, 0, 1]],
+        ],
+    }
+    for tables in bad.values():
+        with pytest.raises(ParallelError, match="disagree|accounting"):
+            _fold(tables)
 
 
 def test_the_emitted_driver_never_spins_unbounded():
@@ -526,8 +563,32 @@ def test_healthy_twin_of_the_crash_runs_in_the_region():
     assert result.region == "native" and same(arrays, want)
 
 
-def test_sigfpe_in_one_worker_mid_region_is_a_clean_crash():
-    arrays = {"A": np.zeros(41)}
+#: Coalesced saxpy2d that divides by zero at ``i == j == d``: the fault
+#: tests' single-DOALL program, a region of one instance per run.
+BOOM2D = coalesce_procedure(
+    parse(
+        """
+        procedure boom2d(X[2], Y[2]; n, m, d)
+          doall i = 1, n
+            doall j = 1, m
+              Y(i, j) := Y(i, j) + 2.5 * X(i, j)
+                         + float(i div ((i - d) * (i - d) + (j - d) * (j - d)))
+            end
+          end
+        end
+        """
+    )
+)[0]
+
+
+def saxpy_case(n=40):
+    """Coalesced saxpy2d (a single DOALL) and its arrays."""
+    w = get_workload("saxpy2d")
+    arrays, scalars = make_env(w, scalars={"n": n, "m": n}, seed=3)
+    return coalesce_procedure(w.proc)[0], arrays, scalars
+
+
+def assert_clean_crash(proc, arrays, scalars):
     snapshot = copies(arrays)
     before = leaked_segments()
     pool = WorkerPool(arrays, workers=2)
@@ -535,8 +596,7 @@ def test_sigfpe_in_one_worker_mid_region_is_a_clean_crash():
         t0 = time.monotonic()
         with pytest.raises(WorkerCrashError, match="worker"):
             run_parallel_procedure(
-                BOOM, arrays, {"n": 40, "d": 17}, workers=2, pool=pool,
-                timeout=30.0,
+                proc, arrays, scalars, workers=2, pool=pool, timeout=30.0,
             )
         assert time.monotonic() - t0 < 10.0
         assert pool.broken
@@ -544,6 +604,20 @@ def test_sigfpe_in_one_worker_mid_region_is_a_clean_crash():
         pool.close()
     assert same(arrays, snapshot)
     assert leaked_segments() == before
+
+
+def test_sigfpe_in_one_worker_mid_region_is_a_clean_crash():
+    assert_clean_crash(BOOM, {"A": np.zeros(41)}, {"n": 40, "d": 17})
+
+
+def test_sigfpe_in_one_worker_of_a_single_doall_is_a_clean_crash():
+    _, arrays, scalars = saxpy_case()
+    healthy = copies(arrays)
+    result = run_parallel_procedure(
+        BOOM2D, healthy, {**scalars, "d": 41}, workers=2, timeout=60.0
+    )
+    assert result.claim_loop == "native" and result.region is None
+    assert_clean_crash(BOOM2D, arrays, {**scalars, "d": 17})
 
 
 def _kill_once_inside(pool, wid):
@@ -587,6 +661,57 @@ def test_killed_worker_does_not_strand_its_peer_at_the_barrier():
     assert leaked_segments() == before
 
 
+def slow_to_bind(monkeypatch):
+    """Worker 1 (forked after this) takes a minute to bind any driver."""
+    real = cload.load_region_driver
+
+    def slow(so_path, fname):
+        import multiprocessing
+
+        if multiprocessing.current_process().name.endswith("-1"):
+            time.sleep(60.0)
+        return real(so_path, fname)
+
+    monkeypatch.setattr(cload, "load_region_driver", slow)
+
+
+def test_killed_worker_of_a_single_doall_does_not_strand_its_peer(
+    monkeypatch,
+):
+    """Worker 0 is parked at the one-instance driver's entry barrier when
+    its peer, still binding, is killed."""
+    slow_to_bind(monkeypatch)
+    proc, arrays, scalars = saxpy_case()
+    snapshot = copies(arrays)
+    before = leaked_segments()
+    pool = WorkerPool(arrays, workers=2)
+    words = pool.counter._state.get_obj()
+
+    def kill_when_parked():
+        give_up = time.monotonic() + 20.0
+        while words[8] < 1 and time.monotonic() < give_up:  # arrived
+            time.sleep(0.0005)
+        os.kill(pool._procs[1].pid, signal.SIGKILL)
+
+    killer = threading.Thread(target=kill_when_parked)
+    try:
+        killer.start()
+        t0 = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="worker 1: died"):
+            run_parallel_procedure(
+                proc, arrays, scalars, workers=2, pool=pool, timeout=60.0,
+            )
+        killer.join(timeout=30.0)
+        assert not killer.is_alive()
+        assert time.monotonic() - t0 < 15.0
+        assert pool.broken
+        assert not any(p.is_alive() for p in pool._procs)
+    finally:
+        pool.close()
+    assert same(arrays, snapshot)
+    assert leaked_segments() == before
+
+
 def test_deadline_shorter_than_the_region_is_a_timeout_not_a_hang():
     arrays = {"A": np.zeros(65)}
     before = leaked_segments()
@@ -598,6 +723,25 @@ def test_deadline_shorter_than_the_region_is_a_timeout_not_a_hang():
         )
     assert time.monotonic() - t0 < 15.0
     assert not arrays["A"].any()
+    assert leaked_segments() == before
+
+
+def test_deadline_shorter_than_a_single_doall_is_a_timeout_not_a_hang(
+    monkeypatch,
+):
+    """Worker 0 waits at the entry barrier for a peer that is still
+    binding when the deadline passes."""
+    slow_to_bind(monkeypatch)
+    proc, arrays, scalars = saxpy_case()
+    snapshot = copies(arrays)
+    before = leaked_segments()
+    t0 = time.monotonic()
+    with pytest.raises(ParallelTimeoutError):
+        run_parallel_procedure(
+            proc, arrays, scalars, workers=2, timeout=0.5, log_events=False,
+        )
+    assert time.monotonic() - t0 < 15.0
+    assert same(arrays, snapshot)
     assert leaked_segments() == before
 
 

@@ -1,5 +1,6 @@
 """Unit tests for scheduling policies."""
 
+import numpy as np
 import pytest
 
 from repro.scheduling.policies import (
@@ -115,6 +116,12 @@ class TestDynamicPolicies:
     def test_chunk_validation(self):
         with pytest.raises(ValueError):
             ChunkSelfScheduled(chunk=0)
+
+    @pytest.mark.parametrize("chunk", [True, 2.5, 3.0, "3", None])
+    def test_chunk_must_be_an_integer(self, chunk):
+        with pytest.raises(ValueError, match="integer"):
+            ChunkSelfScheduled(chunk=chunk)
+        assert ChunkSelfScheduled(chunk=np.int64(3)).chunk == 3
 
     def test_gss_decreasing_chunks(self):
         chunks = drain(GuidedSelfScheduled().claimer(100, 4))

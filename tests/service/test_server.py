@@ -318,6 +318,36 @@ class TestErrors:
         assert "claim_batch" in str(err.value)
 
     @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("chunk", 2.5), ("chunk", "3"), ("chunk", True), ("chunk", 0),
+            ("policy", "bogus"), ("policy", 3),
+            ("timeout", "soon"), ("timeout", True), ("timeout", 0),
+            ("timeout", -1.5),
+        ],
+    )
+    def test_run_rejects_a_bad_scheduling_option(self, service, field, value):
+        """Named and refused before a pool is leased: no worker traceback
+        in the reply, and the next run is served as usual."""
+        client, _ = service
+        key = client.compile(PY_KERNEL)["key"]
+        A, B = env()
+        options = {"policy": "fixed", "chunk": 2, field: value}
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
+                workers=2, **options,
+            )
+        assert err.value.status == 400
+        assert field in str(err.value)
+        assert "Traceback" not in str(err.value)
+        out = client.run(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
+            workers=2, policy="fixed", chunk=2,
+        )
+        assert out["engine"] == "mp-pool" and out["iterations"] == N * M
+
+    @pytest.mark.parametrize(
         "field,value", [("variants", "gcc-O3"), ("calibrate", True)]
     )
     def test_run_rejects_tuner_fields(self, service, field, value):

@@ -126,10 +126,8 @@ class LoadTest:
         seed: int = 7,
         transport: str = "json",
     ) -> None:
-        if transport not in ("json", "wire", "shm"):
-            raise ValueError(
-                f"unknown transport {transport!r} (json|wire|shm)"
-            )
+        if transport not in ("json", "wire"):
+            raise ValueError(f"unknown transport {transport!r} (json|wire)")
         self.transport = transport
         self.client = ServiceClient(
             host=host,
@@ -184,16 +182,13 @@ class LoadTest:
         return LoadResult("run", ok, latency)
 
     def _op_submit_poll(self) -> LoadResult:
-        # The shm transport is synchronous-only: async submissions fall
-        # back to the wire frame (still binary, still zero-copy routed).
-        transport = "wire" if self.transport == "shm" else self.transport
         t0 = time.perf_counter()
         job = self.client.submit_run(
             self.run_key,
             {"A": self.A, "B": self.B0},
             {"n": self.run_n, "m": self.run_n},
             tenant=self.tenant,
-            transport=transport,
+            transport=self.transport,
         )
         doc = self.client.wait(job["job_id"], timeout=self.client.timeout)
         latency = time.perf_counter() - t0
@@ -474,10 +469,10 @@ def loadtest_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--run-n", type=int, default=32)
     parser.add_argument(
         "--transport",
-        choices=("json", "wire", "shm"),
+        choices=("json", "wire"),
         default="json",
-        help="array transport for run ops: json lists, repro.wire/v1 "
-        "binary frames, or same-host shared-memory handoff",
+        help="array transport for run ops: json lists or repro.wire/v1 "
+        "binary frames",
     )
     parser.add_argument("--tenant", default="loadtest")
     parser.add_argument("--seed", type=int, default=7)

@@ -42,14 +42,13 @@ def _replica_main(
     drain_s: float,
 ) -> None:
     """Entry point of one replica process (module-level: spawn-picklable)."""
-    from repro import wire
     from repro.cache import ArtifactCache
     from repro.service.server import ReproServer, install_shutdown_handlers
 
     cache = ArtifactCache(cache_dir) if cache_dir else None
     server = ReproServer((host, 0), cache=cache, max_pools=max_pools)
     install_shutdown_handlers(server)
-    conn.send({"port": server.port, "host_token": wire.host_token()})
+    conn.send(server.port)
     conn.close()
     server.serve_forever()
     drained = server.drain(drain_s)
@@ -64,9 +63,6 @@ class ReplicaHandle:
     proc: multiprocessing.process.BaseProcess | None = None
     port: int | None = None
     client: ServiceClient | None = None
-    #: ``wire.host_token()`` of the replica process — same-host shm
-    #: handoffs are only offered when it matches the caller's token.
-    host_token: str | None = None
     #: Bumped on every (re)start — stale failure reports from a previous
     #: incarnation must not trigger another restart.
     generation: int = 0
@@ -98,7 +94,6 @@ class ReplicaHandle:
             "alive": self.alive,
             "pid": self.proc.pid if self.proc is not None else None,
             "generation": self.generation,
-            "host_token": self.host_token,
             "inflight": self.inflight,
             "uptime_s": (
                 round(time.monotonic() - self.started_at, 3)
@@ -171,15 +166,11 @@ class ReplicaSupervisor:
                 f"replica {handle.index} did not report a port within "
                 f"{SPAWN_TIMEOUT_S}s"
             )
-        hello = parent_conn.recv()
+        port = parent_conn.recv()
         parent_conn.close()
-        if isinstance(hello, int):  # older replica build: bare port
-            hello = {"port": hello, "host_token": None}
-        port = hello["port"]
         with self._lock:
             handle.proc = proc
             handle.port = port
-            handle.host_token = hello.get("host_token")
             handle.client = ServiceClient(
                 host=self.host, port=port, timeout=self.request_timeout_s
             )

@@ -252,12 +252,11 @@ class ClusterRouter(AccountingHTTPServer):
                 self._record_sticky(key, handle.index)
             self.bump("routed_compile")
         elif job.kind == "run":
-            try:
-                result = client._request("POST", "/run", body)
-            except ServiceError as exc:
-                if exc.status != 404:
-                    raise
-                result = self._repair_and_rerun(client, body, exc)
+            result = self._with_repair(
+                client,
+                body.get("key"),
+                lambda: client._request("POST", "/run", body),
+            )
             self._record_sticky(body.get("key"), handle.index)
             self.bump("routed_run")
         elif job.kind == "lint":
@@ -281,23 +280,11 @@ class ClusterRouter(AccountingHTTPServer):
             "Content-Type": wire.CONTENT_TYPE,
             "Accept": wire.CONTENT_TYPE,
         }
-        try:
-            rheaders, raw = client._request_raw(
-                "POST", "/run", job.raw_body, headers
-            )
-        except ServiceError as exc:
-            if exc.status != 404:
-                raise
-            key = job.body.get("key")
-            with self._state_lock:
-                compile_body = self._compiles.get(key)
-            if compile_body is None:
-                raise
-            client._request("POST", "/compile", compile_body)
-            self.bump("repairs")
-            rheaders, raw = client._request_raw(
-                "POST", "/run", job.raw_body, headers
-            )
+        rheaders, raw = self._with_repair(
+            client,
+            job.body.get("key"),
+            lambda: client._request_raw("POST", "/run", job.raw_body, headers),
+        )
         self._record_sticky(job.body.get("key"), handle.index)
         self.bump("routed_run")
         ctype = (rheaders.get("Content-Type") or "").split(";")[0].strip()
@@ -307,18 +294,23 @@ class ClusterRouter(AccountingHTTPServer):
         result["cluster"] = _cluster_block(job)
         return result
 
-    def _repair_and_rerun(self, client, body: dict, exc: ServiceError) -> dict:
-        """Replica lost the program registration (fresh process after a
-        restart): replay the remembered compile — a shared-cache hit —
-        and retry the run once."""
-        key = body.get("key")
-        with self._state_lock:
-            compile_body = self._compiles.get(key)
-        if compile_body is None:
-            raise exc
-        client._request("POST", "/compile", compile_body)
-        self.bump("repairs")
-        return client._request("POST", "/run", body)
+    def _with_repair(self, client, key, send):
+        """Return ``send()``.  On a 404 the replica lost the program
+        registration (fresh process after a restart, or a run diverted
+        from the compiling replica): replay the remembered compile — a
+        shared-cache hit — and send once more."""
+        try:
+            return send()
+        except ServiceError as exc:
+            if exc.status != 404:
+                raise
+            with self._state_lock:
+                compile_body = self._compiles.get(key)
+            if compile_body is None:
+                raise
+            client._request("POST", "/compile", compile_body)
+            self.bump("repairs")
+            return send()
 
     # -- request handling --------------------------------------------------
     def submit_job(
@@ -388,7 +380,6 @@ class ClusterRouter(AccountingHTTPServer):
             "status": "ok" if fleet["alive"] > 0 else "degraded",
             "role": "router",
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "host_token": wire.host_token(),
             "inflight": inflight,
             "queue_depth": self.queue.depth(),
             **counters,
@@ -436,9 +427,7 @@ class _RouterHandler(JsonRequestHandler):
             body = self._body()
             tenant = body.pop("tenant", "anon")
             if path == "/run":
-                router.bump_transport(
-                    "shm" if body.get("transport") == "shm" else "json"
-                )
+                router.bump_transport("json")
             self._send(200, router.run_sync(path[1:], body, tenant=tenant))
             return
         if method == "POST" and path == "/submit":
@@ -448,11 +437,7 @@ class _RouterHandler(JsonRequestHandler):
             payload = self._body()
             job = router.submit_job(payload)
             if job.kind == "run":
-                router.bump_transport(
-                    "shm"
-                    if job.body.get("transport") == "shm"
-                    else "json"
-                )
+                router.bump_transport("json")
             self._send(202, job.describe())
             return
         parts = path.lstrip("/").split("/")

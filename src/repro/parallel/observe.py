@@ -188,15 +188,14 @@ class TransportCounters:
 
     json: int = 0
     wire: int = 0
-    shm: int = 0
 
     def bump(self, transport: str) -> None:
-        if transport not in ("json", "wire", "shm"):
+        if transport not in ("json", "wire"):
             raise ValueError(f"unknown transport {transport!r}")
         setattr(self, transport, getattr(self, transport) + 1)
 
     def as_dict(self) -> dict:
-        return {"json": self.json, "wire": self.wire, "shm": self.shm}
+        return {"json": self.json, "wire": self.wire}
 
 
 #: The counters :func:`record_run` / :func:`record_fallback` feed.

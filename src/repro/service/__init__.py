@@ -20,9 +20,8 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` only):
 * ``POST /run`` — program key + arrays/scalars → result arrays + measured
   dispatch statistics (accepts a ``safety`` mode; an enforce run whose
   every dispatch is refused degrades to the serial build with the reason).
-  Arrays travel over one of three transports: JSON lists (default,
-  dtype-tagged), the :mod:`repro.wire` binary frame, or a same-host
-  shared-memory handoff;
+  Arrays travel over one of two transports: JSON lists (default,
+  dtype-tagged) or the :mod:`repro.wire` binary frame;
 * ``POST /lint`` — source → chunk-safety verdicts and findings
   (:mod:`repro.lint`, schema ``repro.lint/v1``);
 * ``GET /healthz`` — liveness + resident-state summary;

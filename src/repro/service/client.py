@@ -16,9 +16,9 @@ calling thread (HTTP/1.1 persistent connections — no per-request TCP
 handshake); a stale pooled socket (server restarted between requests) is
 re-opened transparently.
 
-Three array transports are supported, selected per client
+Two array transports are supported, selected per client
 (``ServiceClient(..., transport="wire")``) or per call
-(``client.run(..., transport="shm")``):
+(``client.run(..., transport="json")``):
 
 - ``"json"`` (default) — nested lists with ``array_dtypes`` tags, so the
   caller's dtype survives the round trip; NaN/Inf are sentinel-encoded.
@@ -27,10 +27,6 @@ Three array transports are supported, selected per client
   The request is sent straight from the caller's arrays (no frame is
   assembled in memory); result arrays come back as zero-copy read-only
   views over the response buffer — copy before mutating.
-- ``"shm"`` — same-host fast path: arrays are staged into shared-memory
-  segments the server attaches directly, and the response carries only
-  segment names — zero array bytes on the socket.  Gated on the server's
-  ``host_token`` matching this machine.
 
 Against a cluster front door the same client also speaks the async job
 protocol::
@@ -154,7 +150,7 @@ class ServiceClient:
     (or the attempts run out, whichever is first).
 
     ``transport`` sets the default array transport for :meth:`run` /
-    :meth:`submit_run` (``"json"``/``"wire"``/``"shm"``); every call can
+    :meth:`submit_run` (``"json"``/``"wire"``); every call can
     override it.
     """
 
@@ -169,7 +165,7 @@ class ServiceClient:
         retry_deadline_s: float | None = None,
         transport: str = "json",
     ) -> None:
-        if transport not in ("json", "wire", "shm"):
+        if transport not in ("json", "wire"):
             raise ValueError(f"unknown transport {transport!r}")
         self.host = host
         self.port = port
@@ -181,7 +177,6 @@ class ServiceClient:
         self.retry_deadline_s = retry_deadline_s
         self.transport = transport
         self._local = threading.local()
-        self._host_ok: bool | None = None
 
     # -- pooled transport --------------------------------------------------
     def _conn(self) -> http.client.HTTPConnection:
@@ -351,17 +346,6 @@ class ServiceClient:
     def metrics(self) -> dict:
         return self._request("GET", "/metrics")
 
-    def host_compatible(self) -> bool:
-        """True when the server runs on this machine (shm handoff viable).
-
-        Compares the server's ``/healthz`` ``host_token`` against our
-        own; the answer is cached for the client's lifetime.
-        """
-        if self._host_ok is None:
-            remote = self.healthz().get("host_token")
-            self._host_ok = bool(remote) and remote == wire.host_token()
-        return self._host_ok
-
     def compile(
         self,
         source: str,
@@ -412,8 +396,6 @@ class ServiceClient:
         transport = self.transport if transport is None else transport
         if transport == "wire":
             return self._run_wire(key, arrays, scalars, **options)
-        if transport == "shm":
-            return self._run_shm(key, arrays, scalars, **options)
         if transport != "json":
             raise ValueError(f"unknown transport {transport!r}")
         body = self.run_body(key, arrays, scalars, **options)
@@ -441,48 +423,6 @@ class ServiceClient:
             out["arrays"] = dict(views)
             return out
         return decode_run_result(json.loads(raw))
-
-    def _run_shm(
-        self,
-        key: str,
-        arrays: Mapping[str, np.ndarray],
-        scalars: Mapping[str, int | float] | None = None,
-        **options,
-    ) -> dict:
-        if not self.host_compatible():
-            raise RuntimeError(
-                "shm transport requires client and server on the same host "
-                "(the server's host_token does not match; use "
-                "transport='wire' instead)"
-            )
-        from repro.parallel.shm import SharedArrayPool
-
-        pool = SharedArrayPool(_coerce_arrays(arrays))
-        try:
-            body = {
-                "key": key,
-                "transport": "shm",
-                "shm_arrays": [
-                    {
-                        "name": s.name,
-                        "segment": s.segment,
-                        "shape": list(s.shape),
-                        "dtype": s.dtype,
-                    }
-                    for s in pool.specs()
-                ],
-                "scalars": dict(scalars or {}),
-                **options,
-            }
-            out = self._request("POST", "/run", body)
-            # The server ran in place on our segments; copy results out
-            # before the pool unlinks them.
-            out["arrays"] = {
-                name: np.array(view) for name, view in pool.views.items()
-            }
-            return out
-        finally:
-            pool.close()
 
     # -- async job protocol (cluster front door) ---------------------------
     @staticmethod
@@ -538,16 +478,9 @@ class ServiceClient:
 
         Wire submissions ship one binary frame whose header carries the
         job envelope (kind/tenant) — the router peeks the header and
-        forwards the payload bytes opaquely.  The shm transport is
-        synchronous-only (segment lifetime is scoped to one call); ask
-        for ``run(transport="shm")`` instead.
+        forwards the payload bytes opaquely.
         """
         transport = self.transport if transport is None else transport
-        if transport == "shm":
-            raise ValueError(
-                "the shm transport is synchronous-only; use "
-                "run(transport='shm')"
-            )
         if transport == "wire":
             envelope = {
                 "kind": "run",

@@ -148,19 +148,6 @@ def main() -> int:
                 "served wire result diverged from local serial"
             )
 
-            # Same-host shm handoff: the server computes in place inside
-            # the client's segments; the response carries no array bytes.
-            assert client.host_compatible(), "lone server must share host"
-            shm_out = client.run(
-                first["key"], {"A": A, "B": np.zeros_like(A)},
-                {"n": N, "m": M}, workers=2, backend="mp",
-                transport="shm",
-            )
-            assert shm_out["transport"] == "shm", shm_out
-            assert np.array_equal(shm_out["arrays"]["B"], expected_B), (
-                "served shm result diverged from local serial"
-            )
-
             clean = client.lint(KERNEL)
             assert clean["schema"] == "repro.lint/v1", clean
             assert clean["ok"] and not clean["findings"], clean
@@ -190,7 +177,6 @@ def main() -> int:
             tcounts = srv["transport"]
             assert tcounts["json"] >= 1, tcounts
             assert tcounts["wire"] >= 1, tcounts
-            assert tcounts["shm"] >= 1, tcounts
             print(
                 "service selfcheck OK: "
                 f"compile_s={first['compile_s']:.4f} -> "
@@ -200,8 +186,7 @@ def main() -> int:
                 f"chunk_lang={lang}, "
                 f"speculate rolled_back={sblock['rolled_back']}, "
                 f"lint verdicts ok={clean['ok']}/dirty={not dirty['ok']}, "
-                f"transports json={tcounts['json']} wire={tcounts['wire']} "
-                f"shm={tcounts['shm']}, "
+                f"transports json={tcounts['json']} wire={tcounts['wire']}, "
                 f"cache hits={metrics['cache']['hits']}"
             )
         finally:

@@ -32,7 +32,7 @@ kernels for every dispatchable loop of the program — gcc runs at compile
 time, content-addressed into the artifact cache, so the first ``/run``
 resolves each kernel as a cache hit instead of paying compile latency.
 
-``POST /run`` speaks three transports, negotiated per request (JSON stays
+``POST /run`` speaks two transports, negotiated per request (JSON stays
 the compatibility default):
 
 - **json** — arrays as nested lists, now with ``array_dtypes`` tags (the
@@ -44,11 +44,6 @@ the compatibility default):
   pool's shm segment directly from the socket, and the response frame
   (when the client accepts one) is written from those segments
   with one ``sendall`` per payload.
-- **shm** — a JSON body with ``"transport": "shm"`` names the *client's*
-  shared-memory segments; the server attaches them, runs in place, and
-  responds with segment names only — zero array bytes on the socket in
-  either direction.  Same-host only (the client gates on the
-  ``host_token`` published by ``/healthz``; a failed attach is a 400).
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ import argparse
 import contextlib
 import ctypes
 import json
+import math
 import signal
 import sys
 import threading
@@ -83,7 +79,6 @@ from repro.parallel.observe import (
 from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool
 from repro.parallel.runtime import resolve_claim_batch, run_parallel_procedure
-from repro.parallel.shm import SEGMENT_PREFIX, ArraySpec, attach_array
 from repro.scheduling.policies import ChunkSelfScheduled
 
 DEFAULT_PORT = 8923
@@ -267,7 +262,7 @@ class AccountingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, handler)
         self.verbose = verbose
         self.counters = dict.fromkeys(counters, 0)
-        #: Run requests by transport (json / wire / shm).
+        #: Run requests by transport (json / wire).
         self.transport = TransportCounters()
         self._state_lock = threading.Lock()
         self._started = time.monotonic()
@@ -344,7 +339,6 @@ class ReproServer(AccountingHTTPServer):
             "programs": len(self.programs),
             "warm_pools": len(self.pools),
             "inflight": inflight,
-            "host_token": wire.host_token(),
             "transport": transport,
             **counters,
         }
@@ -464,7 +458,7 @@ class ReproServer(AccountingHTTPServer):
 
     @contextlib.contextmanager
     def serve_run(self, body: dict, frame: wire.FrameReader | None = None):
-        """Serve one run over any of the three transports.
+        """Serve one run over either transport.
 
         Yields ``(stats, arrays)``: the response body without its arrays,
         and the result arrays, for the caller to encode in the transport
@@ -474,9 +468,7 @@ class ReproServer(AccountingHTTPServer):
         segments, the run executes there, and the yield happens with the
         lease still held, so the response is written from those same
         segments — no request or response frame ever exists as one
-        buffer.  A JSON body with ``"transport": "shm"`` instead names
-        client-owned segments to attach and run in place; its response
-        carries segment names only (``arrays`` is empty).
+        buffer.
         """
         key = body.get("key")
         program = self.programs.get(key) if isinstance(key, str) else None
@@ -490,12 +482,6 @@ class ReproServer(AccountingHTTPServer):
                 transport = "wire"
                 # Shapes and dtypes only: the payload bytes are unread.
                 arrays = _check_wire_arrays(frame.placeholders(), proc)
-            elif body.get("transport") == "shm":
-                transport = "shm"
-                arrays, handles = _attach_shm_arrays(
-                    body.get("shm_arrays"), proc
-                )
-                stack.callback(_release_segments, arrays, handles)
             elif body.get("transport") in (None, "json"):
                 transport = "json"
                 arrays = _decode_arrays(
@@ -504,9 +490,9 @@ class ReproServer(AccountingHTTPServer):
             else:
                 raise RequestError(
                     400,
-                    f"unknown transport {body.get('transport')!r} "
-                    "(json and shm are the JSON-body transports; binary "
-                    f"uses Content-Type: {wire.CONTENT_TYPE})",
+                    f"unknown 'transport' {body.get('transport')!r}: json "
+                    "is the only JSON-body transport; binary uses "
+                    f"Content-Type: {wire.CONTENT_TYPE}",
                 )
             scalars = _decode_scalars(body.get("scalars"), proc)
             backend, workers, run_kwargs = _run_options(body, program, arrays)
@@ -544,7 +530,8 @@ class ReproServer(AccountingHTTPServer):
                 raise
             except wire.WireFormatError as exc:
                 raise RequestError(400, f"bad wire frame: {exc}") from exc
-            except (ParallelError, ValueError) as exc:
+            except (ParallelError, ValueError, IndexError) as exc:
+                # IndexError: the serial engine's subscript past an extent.
                 raise RequestError(400, f"run failed: {exc}") from exc
             self.bump("runs")
             self.bump_transport(transport)
@@ -555,11 +542,6 @@ class ReproServer(AccountingHTTPServer):
                 "wall_s": round(time.perf_counter() - t0, 6),
                 **stats,
             }
-            if transport == "shm":
-                # Results already live in the client's segments; ship
-                # names only — zero array bytes on the socket.
-                stats["shm"] = {"arrays": sorted(arrays)}
-                arrays = {}
             yield stats, arrays
 
     def _exec_mp(
@@ -620,7 +602,7 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         raise RequestError(
             400, f"workers must be an integer >= 1 (got {workers!r})"
         )
-    for retired in ("variants", "calibrate"):
+    for retired in ("variants", "calibrate", "shm_arrays"):
         if retired in body:
             raise RequestError(400, f"{retired!r} is not a /run option")
     policy, chunk = body.get("policy", "gss"), body.get("chunk")
@@ -740,83 +722,6 @@ def _check_wire_arrays(views, proc) -> dict[str, np.ndarray]:
     return dict(views)
 
 
-def _attach_shm_arrays(raw, proc) -> tuple[dict[str, np.ndarray], list]:
-    """Attach the client's shared-memory segments (shm fast path).
-
-    Returns ``(writable views, segment handles to close after the run)``.
-    Every failure is a 400 — a bad handoff must never crash a replica —
-    and any segments attached before the failure are released.
-    """
-    if not isinstance(raw, list) or not raw:
-        raise RequestError(
-            400, "'shm_arrays' must be a non-empty list of segment specs"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    handles: list = []
-    try:
-        for item in raw:
-            if not isinstance(item, dict):
-                raise RequestError(400, "each shm_arrays entry must be an object")
-            name = item.get("name")
-            if not isinstance(name, str) or name not in proc.arrays:
-                raise RequestError(400, f"unknown shm array {name!r}")
-            if name in arrays:
-                raise RequestError(400, f"duplicate shm array {name!r}")
-            segment = item.get("segment")
-            if not isinstance(segment, str) or not segment.startswith(
-                SEGMENT_PREFIX
-            ):
-                raise RequestError(
-                    400,
-                    f"array {name!r}: segment must carry the "
-                    f"{SEGMENT_PREFIX!r} prefix",
-                )
-            shape = item.get("shape")
-            if not isinstance(shape, list) or not all(
-                isinstance(d, int) and d >= 0 for d in shape
-            ):
-                raise RequestError(400, f"array {name!r}: bad shape {shape!r}")
-            try:
-                spec = ArraySpec(
-                    name, segment, tuple(shape), str(item.get("dtype"))
-                )
-                view, handle = attach_array(spec)
-            except RequestError:
-                raise
-            except Exception as exc:
-                raise RequestError(
-                    400,
-                    f"cannot attach segment {segment!r} for array {name!r}: "
-                    f"{exc} (the shm transport requires client and server "
-                    "on the same host)",
-                ) from exc
-            handles.append(handle)
-            if view.ndim != proc.arrays[name]:
-                raise RequestError(
-                    400,
-                    f"array {name!r}: rank {proc.arrays[name]} expected, "
-                    f"got {view.ndim}",
-                )
-            arrays[name] = view
-        missing = set(proc.arrays) - set(arrays)
-        if missing:
-            raise RequestError(400, f"missing arrays: {sorted(missing)}")
-    except BaseException:
-        _release_segments(arrays, handles)
-        raise
-    return arrays, handles
-
-
-def _release_segments(arrays: dict, handles: list) -> None:
-    """Drop the views of attached client segments, then unmap them."""
-    arrays.clear()
-    for handle in handles:
-        try:
-            handle.close()
-        except BufferError:  # pragma: no cover - a view outlived the run
-            pass
-
-
 def _decode_scalars(raw, proc) -> dict[str, int | float]:
     raw = raw or {}
     if not isinstance(raw, dict):
@@ -825,11 +730,24 @@ def _decode_scalars(raw, proc) -> dict[str, int | float]:
     for name in proc.scalars:
         if name not in raw:
             raise RequestError(400, f"missing scalar {name!r}")
-        value = raw[name]
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if not isinstance(value, (int, float)):
-            raise RequestError(400, f"scalar {name!r} must be a number")
+        given = value = raw[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RequestError(
+                400, f"scalar {name!r} must be a number (got {given!r})"
+            )
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise RequestError(
+                    400, f"scalar {name!r} must be finite (got {given!r})"
+                )
+            if value.is_integer():
+                value = int(value)
+        if isinstance(value, int) and not -(2**63) <= value < 2**63:
+            # Kernels take integer scalars as int64.
+            raise RequestError(
+                400,
+                f"scalar {name!r} is outside the int64 range (got {given!r})",
+            )
         out[name] = value
     return out
 
@@ -1078,9 +996,7 @@ class _Handler(JsonRequestHandler):
 
     def _send_run(self, stats: dict, arrays: dict, want_wire: bool) -> None:
         """Encode a run result for the transport the client negotiated."""
-        if stats["transport"] == "shm":
-            self._send(200, stats)
-        elif want_wire:
+        if want_wire:
             self._send_parts(
                 200, wire.frame_parts(stats, arrays), wire.CONTENT_TYPE
             )

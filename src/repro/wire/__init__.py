@@ -26,8 +26,8 @@ Design properties the serving stack relies on:
 - **Zero-copy decode** — :func:`decode_frame` returns read-only
   ``np.frombuffer`` views over a frame already in memory.
 - **Opaque routability** — :func:`peek_header` parses only the JSON
-  header (key/tenant peek); :func:`rewrap_parts` (and its joined forms
-  :func:`rewrap_frame` / :func:`patch_frame_body`) rewrite the header
+  header (key/tenant peek); :func:`rewrap_parts` (and its joined form
+  :func:`rewrap_frame`) rewrite the header
   while the payload bytes pass through untouched, so a router never
   materializes an ndarray.
 - **Streaming** — :func:`frame_parts` is a frame as header bytes plus
@@ -47,7 +47,6 @@ never take a replica down.
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -417,39 +416,6 @@ def rewrap_frame(data: bytes, new_body: Mapping[str, Any]) -> bytes:
     return b"".join(rewrap_parts(data, new_body))
 
 
-def patch_frame_body(data: bytes, update: Mapping[str, Any]) -> bytes:
-    """Merge ``update`` into the frame's body without touching array bytes
-    (one header re-encode, payload spliced through)."""
-    body, _, _ = peek_header(data)
-    body.update(update)
-    return rewrap_frame(data, body)
-
-
-# ---------------------------------------------------------------------------
-# Same-host detection for the shm handoff fast path.
-
-_HOST_TOKEN: str | None = None
-
-
-def host_token() -> str:
-    """Opaque token equal between two processes iff they share this boot.
-
-    Combines the hostname with the kernel's per-boot UUID, so a client
-    only attempts the shm fast path against a server on its own machine
-    (the server still 400s a failed attach — this is an optimization
-    gate, not the safety check).
-    """
-    global _HOST_TOKEN
-    if _HOST_TOKEN is None:
-        try:
-            with open("/proc/sys/kernel/random/boot_id") as fh:
-                boot = fh.read().strip()
-        except OSError:  # pragma: no cover - non-Linux
-            boot = "no-boot-id"
-        _HOST_TOKEN = f"{socket.gethostname()}:{boot}"
-    return _HOST_TOKEN
-
-
 # ---------------------------------------------------------------------------
 # JSON compatibility path: dtype tags + RFC-safe non-finite encoding.
 #
@@ -538,10 +504,8 @@ __all__ = [
     "decode_frame",
     "FrameReader",
     "peek_header",
-    "patch_frame_body",
     "rewrap_frame",
     "rewrap_parts",
-    "host_token",
     "jsonable_array",
     "array_from_json",
     "dtype_tags",

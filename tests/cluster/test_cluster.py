@@ -24,9 +24,13 @@ def scale2d(A, B, n, m):
             B[i, j] = 2.0 * A[i, j] + 1.0
 """
 
-# Same shape, different constant: a distinct cache key/program so the
-# 404-repair test controls exactly which replica saw the compile.
-REPAIR_KERNEL = PY_KERNEL.replace("2.0 *", "3.0 *")
+# Same shape, different constant: a distinct cache key/program per
+# transport, so the 404-repair test controls exactly which replica saw
+# the compile.
+REPAIR_KERNELS = {
+    "json": PY_KERNEL.replace("2.0 *", "3.0 *"),
+    "wire": PY_KERNEL.replace("2.0 *", "5.0 *"),
+}
 
 # A distinct program again for the cross-replica warm-hit test.
 WARM_KERNEL = PY_KERNEL.replace("1.0", "4.0")
@@ -220,10 +224,14 @@ class TestAdmissionControl:
 
 
 class TestFleet:
-    def test_404_repair_replays_compile_on_other_replica(self, cluster):
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    def test_404_repair_replays_compile_on_other_replica(
+        self, cluster, transport
+    ):
         client, router, supervisor = cluster
+        kernel = REPAIR_KERNELS[transport]
         # Lands on the least-loaded replica: replica 0 registers it.
-        key = client.compile(REPAIR_KERNEL)["key"]
+        key = client.compile(kernel)["key"]
         repairs_before = router.counters["repairs"]
         # Forget the sticky route (as if LRU-evicted) so the run falls
         # back to least-loaded, then divert that to replica 1 — which
@@ -233,12 +241,12 @@ class TestFleet:
         handle0.begin()  # divert the next run to replica 1
         try:
             A, B = env(seed=31)
-            out = client.run(key, {"A": A, "B": B}, {"n": N, "m": M})
+            out = client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M}, transport=transport
+            )
         finally:
             handle0.end()
-        assert np.array_equal(
-            out["arrays"]["B"], expected_from(A, REPAIR_KERNEL)
-        )
+        assert np.array_equal(out["arrays"]["B"], expected_from(A, kernel))
         assert out["cluster"]["replica"] == 1
         assert router.counters["repairs"] == repairs_before + 1
 

@@ -65,7 +65,7 @@ def big_env():
 
 
 class TestLargeBitIdentity:
-    @pytest.mark.parametrize("transport", ["json", "wire", "shm"])
+    @pytest.mark.parametrize("transport", ["json", "wire"])
     def test_front_door(self, cluster, big_env, transport):
         client, _, _ = cluster
         X, Y0, expected = big_env
@@ -78,10 +78,9 @@ class TestLargeBitIdentity:
         assert got.tobytes() == expected.tobytes(), (
             f"{transport} served result is not bit-identical to serial"
         )
-        if transport != "shm":
-            assert out["cluster"]["replica"] in (0, 1)
+        assert out["cluster"]["replica"] in (0, 1)
 
-    @pytest.mark.parametrize("transport", ["json", "wire", "shm"])
+    @pytest.mark.parametrize("transport", ["json", "wire"])
     def test_direct_replica(self, cluster, big_env, transport):
         _, _, supervisor = cluster
         X, Y0, expected = big_env
@@ -236,4 +235,23 @@ class TestFrontDoorSafety:
                 {"Content-Type": wire.CONTENT_TYPE, "Accept": wire.CONTENT_TYPE},
             )
         assert err.value.status == 400
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("field,extra", [
+        ("transport", {"transport": "shm"}),
+        ("shm_arrays", {"shm_arrays": [{"name": "X", "segment": "repro-x"}]}),
+    ])
+    def test_retired_shm_fields_are_a_400(self, cluster, field, extra):
+        client, _, supervisor = cluster
+        key = client.compile(KERNEL, backend="mp")["key"]
+        rng = np.random.default_rng(19)
+        body = ServiceClient.run_body(
+            key, {"X": rng.random(17), "Y": rng.random(17)}, {"n": 16},
+            **RUN, **extra,
+        )
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/run", body)
+        assert err.value.status == 400
+        assert repr(field) in str(err.value)
+        assert len(supervisor.alive_handles()) == 2
         assert client.healthz()["status"] == "ok"

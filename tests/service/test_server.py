@@ -36,6 +36,7 @@ end
 """
 
 N = M = 12
+SAXPY_N = 8
 
 
 @pytest.fixture()
@@ -53,6 +54,20 @@ def env():
     rng = np.random.default_rng(11)
     A = rng.random((N + 1, M + 1))
     return A, np.zeros_like(A)
+
+
+def saxpy_env():
+    rng = np.random.default_rng(5)
+    return rng.random(SAXPY_N + 1), rng.random(SAXPY_N + 1)
+
+
+def assert_saxpy_served(client, key, backend, transport):
+    X, Y = saxpy_env()
+    out = client.run(
+        key, {"X": X, "Y": Y}, {"n": SAXPY_N}, transport=transport,
+        backend=backend, workers=2,
+    )
+    assert np.array_equal(out["arrays"]["Y"][1:], Y[1:] + 2.0 * X[1:])
 
 
 def expected_from(A):
@@ -348,19 +363,76 @@ class TestErrors:
         assert out["engine"] == "mp-pool" and out["iterations"] == N * M
 
     @pytest.mark.parametrize(
-        "field,value", [("variants", "gcc-O3"), ("calibrate", True)]
+        "field,value",
+        [
+            ("variants", "gcc-O3"),
+            ("calibrate", True),
+            ("shm_arrays", [{"name": "A", "segment": "repro-par-1-x-0"}]),
+            ("transport", "shm"),
+        ],
     )
-    def test_run_rejects_tuner_fields(self, service, field, value):
+    def test_run_rejects_retired_fields(self, service, field, value):
         client, _ = service
         key = client.compile(PY_KERNEL)["key"]
         A, B = env()
+        body = ServiceClient.run_body(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
+            **{field: value},
+        )
         with pytest.raises(ServiceError) as err:
-            client.run(
-                key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
-                **{field: value},
-            )
+            client._request("POST", "/run", body)
         assert err.value.status == 400
         assert repr(field) in str(err.value)
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    @pytest.mark.parametrize("backend", ["python", "mp"])
+    @pytest.mark.parametrize("n", [True, 1e300, 2**70, -(2**63) - 1])
+    def test_run_rejects_a_bad_scalar(self, service, backend, transport, n):
+        """A bool, or an integral value past int64, is named and refused
+        before it reaches an engine; the next good run is served."""
+        client, _ = service
+        key = client.compile(DSL_KERNEL, backend=backend)["key"]
+        X, Y = saxpy_env()
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"X": X, "Y": Y}, {"n": n}, transport=transport,
+                backend=backend, workers=2,
+            )
+        assert err.value.status == 400
+        assert "scalar 'n'" in str(err.value)
+        assert_saxpy_served(client, key, backend, transport)
+
+    @pytest.mark.parametrize("backend", ["python", "mp"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_run_rejects_a_nonfinite_scalar(self, service, backend, token):
+        # json.loads accepts the bare tokens; wire headers are strict JSON.
+        client, _ = service
+        key = client.compile(DSL_KERNEL, backend=backend)["key"]
+        X, Y = saxpy_env()
+        body = ServiceClient.run_body(
+            key, {"X": X, "Y": Y}, {"n": 0}, backend=backend, workers=2
+        )
+        raw = json.dumps(body).replace('"n": 0', f'"n": {token}')
+        with pytest.raises(ServiceError) as err:
+            client.request_bytes(
+                "POST", "/run", raw.encode(),
+                {"Content-Type": "application/json"},
+            )
+        assert err.value.status == 400
+        assert "scalar 'n'" in str(err.value)
+        assert_saxpy_served(client, key, backend, "json")
+
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    def test_run_past_an_array_extent_is_a_400(self, service, transport):
+        client, _ = service
+        key = client.compile(DSL_KERNEL)["key"]
+        X, Y = saxpy_env()
+        with pytest.raises(ServiceError) as err:
+            client.run(key, {"X": X, "Y": Y}, {"n": 100}, transport=transport)
+        assert err.value.status == 400
+        assert "run failed" in str(err.value)
+        assert_saxpy_served(client, key, "python", transport)
 
     def test_lint_requires_source(self, service):
         client, _ = service

@@ -1,9 +1,9 @@
-"""The three /run array transports against a lone server.
+"""The two /run array transports against a lone server.
 
 ``tests/wire/test_wire.py`` pins the frame codec; these tests pin the
 HTTP layer on top of it: negotiation, dtype preservation end to end,
-non-finite round trips, the shm handoff, byte/transport accounting, and
-the promise that a hostile frame gets a 400 — never a dead server.
+non-finite round trips, byte/transport accounting, and the promise that
+a hostile frame gets a 400 — never a dead server.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 from repro import wire
 from repro.api import transform_function
 from repro.cache import ArtifactCache
+from repro.cluster.loadtest import LoadTest, loadtest_main
 from repro.service import ServiceClient, ServiceError, serve_background
 
 PY_KERNEL = """
@@ -137,50 +138,6 @@ class TestWireTransport:
         assert np.array_equal(back, expected_from(A))
 
 
-class TestShmTransport:
-    def test_same_host_run(self, service):
-        client, _ = service
-        assert client.host_compatible()
-        key = client.compile(PY_KERNEL, backend="mp")["key"]
-        A, B = env()
-        out = client.run(
-            key, {"A": A, "B": B}, {"n": N, "m": M},
-            transport="shm", workers=2, backend="mp",
-        )
-        assert out["transport"] == "shm"
-        assert np.array_equal(out["arrays"]["B"], expected_from(A))
-        # The caller's own arrays are untouched (results come back via
-        # the segment copy, not in-place mutation of B).
-        assert np.array_equal(B, np.zeros_like(B))
-
-    def test_int64_dtype_preserved(self, service):
-        client, _ = service
-        key = client.compile(INT_KERNEL)["key"]
-        A = np.arange(N + 1, dtype=np.int64)
-        B = np.zeros(N + 1, dtype=np.int64)
-        out = client.run(key, {"A": A, "B": B}, {"n": N}, transport="shm")
-        assert out["arrays"]["B"].dtype == np.int64
-        assert np.array_equal(out["arrays"]["B"][1:], A[1:] + 1)
-
-    def test_unknown_segment_is_a_400(self, service):
-        client, _ = service
-        key = client.compile(PY_KERNEL)["key"]
-        with pytest.raises(ServiceError) as err:
-            client._request("POST", "/run", {
-                "key": key,
-                "transport": "shm",
-                "shm_arrays": [{
-                    "name": "A",
-                    "segment": "repro_no_such_segment",
-                    "shape": [4],
-                    "dtype": "<f8",
-                }],
-                "scalars": {"n": 3, "m": 3},
-            })
-        assert err.value.status == 400
-        assert client.healthz()["status"] == "ok"
-
-
 class TestMalformedFrames:
     @pytest.mark.parametrize("mangle", [
         lambda frame: b"garbage-not-a-frame",
@@ -217,13 +174,63 @@ class TestMalformedFrames:
             })
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("field", ["transport", "shm_arrays"])
+    def test_naming_the_servers_own_segments_is_a_400(self, service, field):
+        """A body naming the warm pool's segments must not run in place
+        over the server's own memory; the pool keeps serving."""
+        client, server = service
+        key = client.compile(PY_KERNEL, backend="mp")["key"]
+        A, B = env()
+        run = dict(workers=2, backend="mp")
+        client.run(key, {"A": A, "B": B}, {"n": N, "m": M},
+                   transport="wire", **run)
+        (warm,) = server.pools._pools.values()
+        specs = [
+            {"name": s.name, "segment": s.segment,
+             "shape": list(s.shape), "dtype": s.dtype}
+            for s in warm.pool.shared.specs()
+        ]
+        body = ServiceClient.run_body(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, shm_arrays=specs, **run
+        )
+        if field == "transport":
+            body["transport"] = "shm"
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/run", body)
+        assert err.value.status == 400
+        assert repr(field) in str(err.value)
+        out = client.run(key, {"A": A, "B": B}, {"n": N, "m": M},
+                         transport="wire", **run)
+        assert out["engine"] == "mp-pool"
+        assert np.array_equal(out["arrays"]["B"], expected_from(A))
+        assert list(server.pools._pools.values()) == [warm]
+
+
+def test_shm_transport_is_refused_client_side():
+    """json and wire are the only transports; "shm" is an unknown one."""
+    with pytest.raises(ValueError, match="shm"):
+        ServiceClient(transport="shm")
+    with pytest.raises(ValueError, match="shm"):
+        LoadTest("127.0.0.1", 1, transport="shm")
+    client = ServiceClient(port=1)
+    A, B = env()
+    with pytest.raises(ValueError, match="shm"):
+        client.run("k", {"A": A, "B": B}, {"n": N, "m": M}, transport="shm")
+    with pytest.raises(ValueError, match="shm"):
+        client.submit_run(
+            "k", {"A": A, "B": B}, {"n": N, "m": M}, transport="shm"
+        )
+    with pytest.raises(SystemExit) as exit_:
+        loadtest_main(["--transport", "shm"])
+    assert exit_.value.code == 2
+
 
 class TestAccounting:
     def test_bytes_and_transport_counters(self, service):
         client, server = service
         key = client.compile(PY_KERNEL, backend="mp")["key"]
         A, B = env()
-        for transport in ("json", "wire", "shm"):
+        for transport in ("json", "wire"):
             out = client.run(
                 key, {"A": A, "B": B}, {"n": N, "m": M},
                 transport=transport, workers=2, backend="mp",
@@ -231,8 +238,8 @@ class TestAccounting:
             assert np.array_equal(out["arrays"]["B"], expected_from(A))
         metrics = client.metrics()["server"]
         counts = metrics["transport"]
+        assert set(counts) == {"json", "wire"}, counts
         assert counts["json"] >= 1 and counts["wire"] >= 1, counts
-        assert counts["shm"] >= 1, counts
         assert metrics["bytes_in"] > 0 and metrics["bytes_out"] > 0
         with server._state_lock:
             assert server.counters["bytes_in"] >= metrics["bytes_in"]

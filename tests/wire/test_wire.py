@@ -2,12 +2,11 @@
 
 No sockets here — these pin down the byte format itself: round trips
 across dtypes, bit-exact non-finite payloads, the router's header-only
-peek/patch path, and the full catalogue of malformed frames (every one
+peek/rewrap path, and the full catalogue of malformed frames (every one
 must raise :class:`WireFormatError`, never crash or over-allocate).
 """
 
 import json
-import socket
 import struct
 
 import numpy as np
@@ -131,14 +130,6 @@ class TestHeaderOps:
         assert nbytes == arr.nbytes
         assert frame[offset + 8 : offset + 8 + nbytes] == arr.tobytes()
 
-    def test_patch_frame_body_merges_and_splices(self):
-        arr = np.arange(9, dtype=np.int64)
-        frame = wire.encode_frame({"key": "k"}, {"A": arr})
-        patched = wire.patch_frame_body(frame, {"cluster": {"replica": 1}})
-        body, views = wire.decode_frame(patched)
-        assert body == {"key": "k", "cluster": {"replica": 1}}
-        assert np.array_equal(views["A"], arr)
-
     def test_rewrap_frame_replaces_body(self):
         arr = np.arange(5, dtype=np.float32)
         frame = wire.encode_frame({"kind": "run", "body": {"key": "k"}}, {"A": arr})
@@ -150,7 +141,7 @@ class TestHeaderOps:
     def test_patch_with_nonfinite_update_rejected(self):
         frame = wire.encode_frame({"key": "k"})
         with pytest.raises(WireFormatError):
-            wire.patch_frame_body(frame, {"bad": float("inf")})
+            wire.rewrap_frame(frame, {"bad": float("inf")})
 
 
 class TestMalformedFrames:
@@ -317,12 +308,6 @@ class TestJsonCompat:
             {"A": np.zeros(2, dtype=np.int64), "B": np.zeros(2, dtype=np.float32)}
         )
         assert tags == {"A": "<i8", "B": "<f4"}
-
-
-def test_host_token_is_stable_and_local():
-    tok = wire.host_token()
-    assert tok == wire.host_token()
-    assert tok.startswith(socket.gethostname() + ":")
 
 
 class _Trickle:

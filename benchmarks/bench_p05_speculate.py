@@ -33,7 +33,7 @@ import numpy as np
 from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.experiments.report import Table
-from repro.parallel import run_parallel_doall
+from repro.parallel import run_parallel_procedure
 from repro.parallel.backend import compile_mp_procedure
 from repro.workloads import get_workload, make_env
 
@@ -101,10 +101,10 @@ def _rollback_exactness() -> dict:
     compile_procedure(w.proc).run(expected, sc)
 
     t0 = time.perf_counter()
-    result = run_parallel_doall(
+    (result,) = run_parallel_procedure(
         w.proc, arrays, sc, workers=2, policy="static",
         safety="speculate",
-    )
+    ).dispatches
     wall = time.perf_counter() - t0
     assert result.speculation == "rolled-back", result.speculation
     bit_identical = bool(np.array_equal(arrays["H"], expected["H"]))

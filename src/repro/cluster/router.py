@@ -687,27 +687,29 @@ def cluster_main(argv: list[str] | None = None) -> int:
         )
     cache_dir = str(pathlib.Path(cache_dir).expanduser())
 
-    supervisor = ReplicaSupervisor(
-        replicas=args.replicas,
-        cache_dir=cache_dir,
-        host=args.host,
-        max_pools=args.max_pools,
-        drain_s=args.drain_s,
-    ).start()
-    queue_kwargs: dict = {}
-    if args.max_depth is not None:
-        queue_kwargs["max_depth"] = args.max_depth
-    if args.max_retries is not None:
-        queue_kwargs["max_retries"] = args.max_retries
-    if args.tenant_limit is not None:
-        queue_kwargs["quotas"] = TenantQuotas(default_limit=args.tenant_limit)
-    router = ClusterRouter(
-        supervisor,
-        address=(args.host, args.port),
-        queue=JobQueue(**queue_kwargs),
-        dispatchers=args.dispatchers,
-        verbose=args.verbose,
-    )
+    try:
+        # On a failed bind this has already stopped the replicas it
+        # started: nothing is left for interpreter exit to wait on.
+        router, supervisor, thread = start_cluster(
+            replicas=args.replicas,
+            cache_dir=cache_dir,
+            host=args.host,
+            port=args.port,
+            max_pools=args.max_pools,
+            drain_s=args.drain_s,
+            max_depth=args.max_depth,
+            max_retries=args.max_retries,
+            tenant_limit=args.tenant_limit,
+            dispatchers=args.dispatchers,
+            verbose=args.verbose,
+        )
+    except OSError as exc:
+        print(
+            f"error: repro cluster: cannot listen on "
+            f"{args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     ports = [h.port for h in supervisor.handles]
     print(
         f"repro cluster: router on http://{args.host}:{router.port}, "
@@ -716,7 +718,7 @@ def cluster_main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     install_shutdown_handlers(router)  # type: ignore[arg-type]
-    router.serve_forever()
+    thread.join()  # until a signal handler shuts the router down
     drained = router.drain(args.drain_s)
     router.close()
     supervisor.stop()

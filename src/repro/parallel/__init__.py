@@ -17,10 +17,10 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
 * :mod:`repro.parallel.pool` — the persistent :class:`WorkerPool`, the one
   dispatch engine: spawn once, dispatch many times; amortizes fork,
   compile, and claim overhead across every DOALL of a run.
-* :mod:`repro.parallel.runtime` — drivers: :func:`run_parallel_doall` for a
-  single coalesced loop, :func:`run_parallel_procedure` for whole programs
-  (serial segments run in the parent, DOALLs — top-level or nested under
-  serial control — are dispatched).  A call is plan → dispatch → combine:
+* :mod:`repro.parallel.runtime` — :func:`run_parallel_procedure`, the one
+  driver: serial segments run in the parent, DOALLs — top-level or nested
+  under serial control — are dispatched, and a coalesced single loop is
+  just a run with one dispatch.  A call is plan → dispatch → combine:
   :mod:`repro.parallel.plan` holds what a procedure and run shape decide
   once (verdict, strategies, kernels, the region), built by the
   first call and reused; :mod:`repro.parallel.dispatch` runs it.
@@ -50,7 +50,6 @@ from repro.parallel.runtime import (
     ParallelProcedureResult,
     ParallelRunResult,
     resolve_safety,
-    run_parallel_doall,
     run_parallel_procedure,
 )
 from repro.parallel.shm import SharedArrayPool
@@ -81,7 +80,6 @@ __all__ = [
     "compile_mp_procedure",
     "policy_plan",
     "resolve_safety",
-    "run_parallel_doall",
     "run_parallel_procedure",
     "speculation_plan",
     "to_sim_result",

@@ -1,20 +1,22 @@
 """The ``backend="mp"`` execution adapter for :mod:`repro.api`.
 
-Wraps the process-parallel runtime behind the same ``(arrays, scalars)``
-calling convention as :class:`repro.codegen.pygen.CompiledProcedure`, so
+Wraps :func:`repro.parallel.runtime.run_parallel_procedure` behind the
+same ``(arrays, scalars)`` calling convention as
+:class:`repro.codegen.pygen.CompiledProcedure`, so
 ``coalesce_jit(backend="mp")`` is a drop-in swap for the serial backend.
 
-Degradation policy (all observable via :attr:`MPCompiledProcedure.last`):
+Degradation policy — always on, observable via
+:attr:`MPCompiledProcedure.last` and ``fallback_reason``:
 
-* nothing dispatchable (no top-level DOALL) → serial pygen, recorded;
+* nothing dispatchable (no unit-step DOALL) → serial pygen, recorded;
 * ``safety="enforce"`` and no dispatchable loop proven race-free →
   :class:`repro.parallel.errors.SafetyVerificationError` (a
   ``ParallelDispatchError``) → serial pygen rerun, refusal reason (with
   rule codes) recorded in ``fallback_reason``;
-* ``safety="speculate"`` and every dispatch refused (scalar hazards) or
-  refuted by the runtime inspector → same graceful serial rerun; a
-  *rolled-back* speculation is not a fallback — the runtime already
-  re-ran the loop serially and the result is exact;
+* ``safety="speculate"`` and every dispatch refused (scalar hazards) →
+  same graceful serial rerun; an inspector-refuted or *rolled-back*
+  dispatch is not a fallback — the runtime already ran that loop
+  serially and the result is exact;
 * timeout → workers killed, shared memory unlinked, serial pygen rerun on
   the untouched caller arrays — the graceful-fallback path;
 * worker crash → :class:`repro.parallel.runtime.WorkerCrashError` is
@@ -77,8 +79,6 @@ class MPCompiledProcedure:
     policy: str | object = "gss"
     chunk: int | None = None
     timeout: float | None = None
-    fallback: bool = True
-    method: str | None = None
     log_events: bool = True
     claim_batch: int | str = "auto"
     chunk_lang: str | None = None
@@ -131,14 +131,11 @@ class MPCompiledProcedure:
                 chunk=self.chunk,
                 timeout=self.timeout,
                 log_events=self.log_events,
-                method=self.method,
                 claim_batch=self.claim_batch,
                 chunk_lang=self.chunk_lang,
                 safety=self.safety,
             )
         except (ParallelDispatchError, ParallelTimeoutError) as exc:
-            if not self.fallback:
-                raise
             # Caller arrays are untouched on these paths (workers only ever
             # mutate the shared copies), so the serial rerun is clean.
             from repro.parallel.observe import record_fallback

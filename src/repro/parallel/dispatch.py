@@ -36,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.analysis.safety import dispatchable
 from repro.ir.expr import apply_binop
 from repro.ir.stmt import Block, If, Loop, Stmt
 from repro.parallel import runtime
@@ -62,7 +63,6 @@ from repro.parallel.runtime import (
     ParallelRunResult,
     _aggregate,
     _contains_dispatchable,
-    _dispatchable,
     _empty_result,
 )
 from repro.parallel.shm import SharedArrayPool
@@ -83,7 +83,7 @@ class Run:
 
     def __init__(
         self, plan, pool, env, out, policy, chunk, claim_batch, deadline,
-        log_events, strategies,
+        log_events,
     ) -> None:
         self.plan = plan
         self.pool = pool
@@ -95,7 +95,6 @@ class Run:
         self.claim_batch = claim_batch
         self.deadline = deadline
         self.log_events = log_events
-        self.strategies = strategies
         self.interp = Interpreter()
         self.stale = False
         self._policy_plans: dict = {}
@@ -333,13 +332,16 @@ def _serial(run: Run, loop: Loop, env: dict) -> None:
     run.out.serial_stmts += 1
 
 
-def inspect_blocked(plan, loop: Loop, env, views, report):
-    """Run the inspector on one blocked dispatch; certify its verdict."""
+def _inspected(run: Run, loop: Loop, env: dict) -> None:
+    """Inspect one blocked dispatch and certify the verdict: a proven
+    loop dispatches normally, a refuted one runs serially."""
+    out = run.out
+    out.inspected += 1
     record_speculate(inspected=1)
-    native = plan.inspector(loop, env)
-    insp = runtime.inspect_dispatch(loop, env, views, native)
-    if report is not None:
-        report.dynamic.append(
+    native = run.plan.inspector(loop, env)
+    insp = runtime.inspect_dispatch(loop, env, run.views, native)
+    if out.safety is not None:
+        out.safety.dynamic.append(
             SpecCertificate(
                 loop_var=loop.var,
                 mode="inspector",
@@ -351,18 +353,10 @@ def inspect_blocked(plan, loop: Loop, env, views, report):
                 inspector=insp.inspector,
             )
         )
-    if insp.proven:
-        record_speculate(proven_dynamic=1)
-    return insp
-
-
-def _inspected(run: Run, loop: Loop, env: dict) -> None:
-    out = run.out
-    out.inspected += 1
-    insp = inspect_blocked(run.plan, loop, env, run.views, out.safety)
     if not insp.proven:
         _serial(run, loop, env)
         return
+    record_speculate(proven_dynamic=1)
     out.proven_dynamic += 1
     result = _dispatch_pool(run, run.plan.proc, loop, env)
     result.speculation = "proven-dynamic"
@@ -500,8 +494,8 @@ def _exec(run: Run, stmt: Stmt, env: dict[str, int | float]) -> None:
         raise ParallelTimeoutError(
             "parallel run exceeded its deadline in a serial segment"
         )
-    if isinstance(stmt, Loop) and _dispatchable(stmt):
-        _STRATEGIES[run.strategies[id(stmt)]](run, stmt, env)
+    if isinstance(stmt, Loop) and dispatchable(stmt):
+        _STRATEGIES[run.plan.strategies[id(stmt)]](run, stmt, env)
         return
     if isinstance(stmt, Loop) and _contains_dispatchable(stmt.body):
         lo = eval_bound(stmt.lower, env, views, "loop lower bound")

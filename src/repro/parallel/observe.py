@@ -204,42 +204,33 @@ _DISPATCH_LOCK = threading.Lock()
 
 
 def record_run(result) -> None:
-    """Fold one parallel run into :data:`DISPATCH`.
-
-    Accepts a whole-procedure result (counted as ``len(dispatches)``
-    dispatches) or a single-DOALL :class:`ParallelRunResult` (one).
-    """
-    dispatches = (
-        result.dispatches if hasattr(result, "dispatches") else [result]
-    )
+    """Fold one :class:`~repro.parallel.runtime.ParallelProcedureResult`
+    into :data:`DISPATCH`."""
     with _DISPATCH_LOCK:
         DISPATCH.runs += 1
-        DISPATCH.dispatches += len(dispatches)
-        DISPATCH.fork_joins += getattr(result, "fork_joins", 1)
-        region = getattr(result, "region", None)
-        if region is not None:
+        DISPATCH.dispatches += len(result.dispatches)
+        DISPATCH.fork_joins += result.fork_joins
+        if result.region is not None:
             if DISPATCH.regions is None:
                 DISPATCH.regions = {}
-            code = region.partition(":")[0]
+            code = result.region.partition(":")[0]
             DISPATCH.regions[code] = DISPATCH.regions.get(code, 0) + 1
         DISPATCH.claims += result.claims
         DISPATCH.lock_ops += result.lock_ops
         DISPATCH.iterations += result.total_iterations
         DISPATCH.wall_s += result.wall_time
-        for d in dispatches:
-            lang = getattr(d, "chunk_lang", "py")
-            if lang == "c":
+        for d in result.dispatches:
+            if d.chunk_lang == "c":
                 DISPATCH.chunk_c += 1
-            elif lang == "numpy":
+            elif d.chunk_lang == "numpy":
                 DISPATCH.chunk_numpy += 1
-            elif lang == "mixed":
+            elif d.chunk_lang == "mixed":
                 DISPATCH.chunk_mixed += 1
             else:
                 DISPATCH.chunk_py += 1
-            loop = getattr(d, "claim_loop", "py")
-            if loop == "native":
+            if d.claim_loop == "native":
                 DISPATCH.claim_native += 1
-            elif loop == "static":
+            elif d.claim_loop == "static":
                 DISPATCH.claim_static += 1
             else:
                 DISPATCH.claim_py += 1

@@ -5,8 +5,10 @@ chunk-source compile *per dispatched DOALL* makes a hybrid program like
 Gauss–Jordan (one dispatch per pivot row) process-creation bound —
 exactly the per-dispatch scheduling overhead the paper's coalescing
 transformation exists to amortize (the ruler's ``nest_dispatch``
-workload measures what is left of it).  A :class:`WorkerPool` moves all
-of that to setup time:
+workload measures what is left of it).  A :class:`WorkerPool` — the one
+engine under :func:`repro.parallel.runtime.run_parallel_procedure`,
+created for a run or borrowed warm from its caller — moves all of that
+to setup time:
 
 * worker processes are spawned **once**, with the shared-memory array
   views and the (resettable) shared claim counter already attached;
@@ -54,10 +56,8 @@ from repro.parallel.worker import pool_worker_main
 GATHER_GRACE = 1.0
 
 
-def mp_context(method: str | None = None) -> multiprocessing.context.BaseContext:
+def mp_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context the runtime uses (fork where possible)."""
-    if method is not None:
-        return multiprocessing.get_context(method)
     try:  # fork is fastest and fine for these self-contained workers
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -186,17 +186,20 @@ class WorkerPool:
     segments over ``views`` between dispatches.  (A region job is a
     whole run: between *its* DOALL instances the workers re-arm the
     counter themselves.)
+
+    Workers start from :func:`mp_context` (fork where possible); ``ctx``
+    supplies another multiprocessing context — e.g. ``spawn`` — and is
+    how a caller runs the driver under it (``run_parallel_procedure(...,
+    pool=WorkerPool(arrays, ctx=...))``).
     """
 
     def __init__(
         self,
         arrays: Mapping[str, np.ndarray],
         workers: int = 4,
-        method: str | None = None,
         ctx: multiprocessing.context.BaseContext | None = None,
-        name: str = "repro-pool",
     ) -> None:
-        self.ctx = ctx or mp_context(method)
+        self.ctx = ctx or mp_context()
         self.workers = max(1, workers)
         self._closed = False
         self._broken = False
@@ -216,7 +219,7 @@ class WorkerPool:
                 self.ctx.Process(
                     target=pool_worker_main,
                     args=(wid, specs, self.counter, self._jobs[wid], self._results),
-                    name=f"{name}-{wid}",
+                    name=f"repro-pool-{wid}",
                     daemon=True,
                 )
                 for wid in range(self.workers)

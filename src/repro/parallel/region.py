@@ -46,6 +46,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.analysis.safety import dispatchable
 from repro.codegen.cgen import (
     ONE_INSTANCE,
     REGION_SUFFIX,
@@ -62,7 +63,6 @@ from repro.parallel.observe import record_claim_fallback
 from repro.parallel.runtime import (
     ParallelRunResult,
     _contains_dispatchable,
-    _dispatchable,
     _empty_result,
 )
 from repro.parallel.shm import native_layout
@@ -110,7 +110,7 @@ def _skeleton(proc: Procedure, env: Mapping) -> list[tuple[Loop, tuple]]:
         if isinstance(s, Block):
             for child in s.stmts:
                 visit(child, ivs)
-        elif isinstance(s, Loop) and _dispatchable(s):
+        elif isinstance(s, Loop) and dispatchable(s):
             control(f"DOALL {s.var!r}", s.lower, s.upper, ivs=ivs)
             found.append((s, ivs))
         elif isinstance(s, Loop) and _contains_dispatchable(s.body):

@@ -1,16 +1,15 @@
-"""Process-parallel drivers for coalesced DOALL procedures.
+"""The process-parallel driver for coalesced procedures.
 
-:func:`run_parallel_doall` executes a procedure whose body is one flat DOALL
-(the shape coalescing produces) across worker processes: arrays move into
-shared memory once, workers claim chunks through the shared fetch&add
-counter, and the parent copies results back on success.
-
-:func:`run_parallel_procedure` generalizes to whole programs (the paper's
-*hybrid* case, e.g. Gauss–Jordan): every dispatchable DOALL — top-level or
-nested under serial control flow — is handed to workers, everything else
-runs serially in the parent over the same shared-memory views.  A hybrid
-program therefore performs one dispatch per serial-outer iteration (one
-per pivot row) — unless it qualifies for the native SPMD region
+:func:`run_parallel_procedure` is the one way into the process-parallel
+runtime.  Every dispatchable DOALL — top-level or nested under serial
+control flow — is handed to worker processes, everything else runs
+serially in the parent over the same shared-memory views: arrays move
+into shared memory once, workers claim chunks through the shared
+fetch&add counter, and the parent copies results back on success.
+Coalescing makes a nest one flat DOALL, so a single-loop procedure is
+simply a procedure whose run has one dispatch.  A *hybrid* program
+(e.g. Gauss–Jordan) performs one dispatch per serial-outer iteration
+(one per pivot row) — unless it qualifies for the native SPMD region
 (:mod:`repro.parallel.region`), where the workers run the serial loops
 themselves and the whole run is a single fork/join.
 
@@ -21,10 +20,10 @@ prepared :class:`~repro.parallel.plan.Plan`, built by the first call of
 a procedure and run shape and reused by every later one; a warm call only
 fills in scalars, trip counts, batch clamps and the pool's specs,
 dispatches, combines and copies back (:mod:`repro.parallel.dispatch`).
-This module keeps the public drivers, the ``resolve_*`` helpers and the
+This module keeps the public driver, the ``resolve_*`` helpers and the
 result types.
 
-Both drivers dispatch through one engine, the persistent
+Every dispatch goes through one engine, the persistent
 :class:`repro.parallel.pool.WorkerPool`: workers spawn once per run (or
 are borrowed from a caller that keeps a warm fleet — the server's
 per-shape pools), each dispatch is a job message plus a gather barrier,
@@ -55,7 +54,9 @@ Robustness contract:
 
 * the procedure is validated and checked for a dispatchable (DOALL,
   unit-step) loop *before* any process or segment is created —
-  :class:`ParallelDispatchError` otherwise;
+  :class:`ParallelDispatchError` otherwise — and a run the safety
+  verdict refuses outright raises :class:`SafetyVerificationError` at
+  the same point;
 * a worker that raises (or dies) triggers termination of its peers and a
   :class:`WorkerCrashError` carrying the worker traceback;
 * a per-run ``timeout`` kills the fleet and raises
@@ -75,6 +76,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.analysis.safety import dispatchable
+
 # The plan builder and the dispatcher resolve these through this module's
 # namespace at call time: it is where the ruler's tracer
 # (benchmarks/e2e/trace.py) wraps them and where tests patch them.
@@ -84,7 +87,6 @@ from repro.codegen.cload import (  # noqa: F401
     compile_chunk_library,
     have_compiler,
 )
-from repro.ir.expr import Const
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.parallel.errors import (
     ParallelDispatchError,
@@ -114,7 +116,6 @@ __all__ = [
     "resolve_chunk_lang",
     "resolve_claim_batch",
     "resolve_safety",
-    "run_parallel_doall",
     "run_parallel_procedure",
 ]
 
@@ -382,15 +383,10 @@ def _aggregate(values: set[str]) -> str:
     return "mixed"
 
 
-def _dispatchable(loop: Loop) -> bool:
-    """A loop we can hand to workers: DOALL with unit step."""
-    return loop.is_doall and isinstance(loop.step, Const) and loop.step.value == 1
-
-
 def _contains_dispatchable(stmt: Stmt) -> bool:
     """Does this statement tree contain any dispatchable DOALL?"""
     if isinstance(stmt, Loop):
-        return _dispatchable(stmt) or _contains_dispatchable(stmt.body)
+        return dispatchable(stmt) or _contains_dispatchable(stmt.body)
     if isinstance(stmt, Block):
         return any(_contains_dispatchable(s) for s in stmt.stmts)
     if isinstance(stmt, If):
@@ -403,7 +399,7 @@ def _contains_dispatchable(stmt: Stmt) -> bool:
 def _serial_outer(stmt: Stmt) -> bool:
     """Does some dispatchable DOALL sit under a serial loop?"""
     if isinstance(stmt, Loop):
-        return not _dispatchable(stmt) and _contains_dispatchable(stmt.body)
+        return not dispatchable(stmt) and _contains_dispatchable(stmt.body)
     if isinstance(stmt, If):
         return _serial_outer(stmt.then) or _serial_outer(stmt.orelse)
     return isinstance(stmt, Block) and any(map(_serial_outer, stmt.stmts))
@@ -417,7 +413,7 @@ def _dispatchable_loops(stmt: Stmt) -> list[Loop]:
     body is never searched — workers own it), everything else recurses.
     """
     if isinstance(stmt, Loop):
-        if _dispatchable(stmt):
+        if dispatchable(stmt):
             return [stmt]
         return _dispatchable_loops(stmt.body)
     if isinstance(stmt, Block):
@@ -435,200 +431,8 @@ def inspect_dispatch(loop: Loop, env, arrays, native=None):
 
 
 # ---------------------------------------------------------------------------
-# Public drivers
+# The driver
 # ---------------------------------------------------------------------------
-
-
-def _prepare(
-    proc, arrays, scalars, pool, workers, policy, chunk, claim_batch,
-    chunk_lang, safety,
-):
-    """``(plan, claim_batch)`` for one call: options resolved, and the
-    plan found in the memo or built — before any process or segment."""
-    from repro.parallel.plan import prepare
-
-    mode = resolve_safety(safety)
-    lang = resolve_chunk_lang(chunk_lang)
-    claim_batch = resolve_claim_batch(claim_batch)
-    plan = prepare(
-        proc, arrays if pool is None else pool.views, scalars or {}, mode,
-        lang, policy, chunk, max(1, workers) if pool is None else pool.workers,
-        claim_batch,
-    )
-    return plan, claim_batch
-
-
-def _run(
-    plan,
-    arrays: Mapping[str, np.ndarray],
-    scalars: Mapping[str, int | float] | None,
-    report,
-    strategies: Mapping[int, str],
-    workers: int,
-    policy: SchedulingPolicy | str,
-    chunk: int | None,
-    timeout: float | None,
-    log_events: bool,
-    method: str | None,
-    claim_batch: int | str,
-    pool: WorkerPool | None = None,
-    preloaded: bool = False,
-) -> ParallelProcedureResult:
-    """The one run driver behind both public entry points.
-
-    ``report`` is this run's own copy of the plan's verdict and
-    ``strategies`` the per-loop strategies it runs under (the plan's, or
-    a caller's per-call override).  A *borrowed* ``pool`` is loaded with
-    ``arrays`` and copied back (both skipped when ``preloaded``) and left
-    running; with no pool given one is created for the run, copied back
-    on success only, and always closed.
-    """
-    from repro.parallel.dispatch import Run, execute
-
-    env: dict[str, int | float] = dict(scalars or {})
-    deadline = None if timeout is None else time.monotonic() + timeout
-    t_start = time.monotonic()
-    out = ParallelProcedureResult(0.0, safety_mode=plan.mode, safety=report)
-    # ``preloaded=True`` is the zero-copy serving path: the caller has
-    # already written the request data into ``pool.views`` (e.g. the wire
-    # transport loading ``np.frombuffer`` views straight into the shm
-    # segments) and will read results out of the views itself, so the
-    # load/copy-back round trip through ``arrays`` is skipped.
-    owned = pool is None
-    copies = owned or not preloaded
-    if owned:
-        pool = WorkerPool(arrays, workers=workers, method=method)
-    elif copies:
-        pool.load(arrays)
-    try:
-        run = Run(
-            plan, pool, env, out, policy, chunk, claim_batch, deadline,
-            log_events, strategies,
-        )
-        execute(run)
-        if copies:
-            pool.copy_back({name: arrays[name] for name in plan.written})
-    finally:
-        if owned:
-            pool.close()
-    run.finish()
-    out.wall_time = time.monotonic() - t_start
-    record_run(out)
-    return out
-
-
-def run_parallel_doall(
-    proc: Procedure,
-    arrays: Mapping[str, np.ndarray],
-    scalars: Mapping[str, int | float] | None = None,
-    workers: int = 4,
-    policy: SchedulingPolicy | str = "gss",
-    chunk: int | None = None,
-    timeout: float | None = None,
-    log_events: bool = True,
-    method: str | None = None,
-    claim_batch: int | str = "auto",
-    chunk_lang: str | None = None,
-    safety: str | None = None,
-) -> ParallelRunResult:
-    """Execute a single-DOALL procedure across worker processes.
-
-    The procedure body must be exactly one top-level unit-step DOALL (what
-    :func:`repro.transforms.coalesce.coalesce_procedure` produces).  On
-    success the caller's ``arrays`` hold the results; on any failure they
-    are untouched (workers mutate only the shared copies).  The run is
-    :func:`run_parallel_procedure`'s, narrowed to that one loop: the same
-    plan, pool, reduction routing, and speculation machinery, returning
-    the loop's own :class:`ParallelRunResult`.
-
-    ``chunk_lang`` selects how workers execute claimed blocks: ``"c"``
-    (native kernel via ctypes — the default when a compiler is available),
-    ``"numpy"`` (whole-slice vectorized — the compiler-less default),
-    ``"py"`` (generated Python), or ``None``/``"auto"``.  Faster paths
-    degrade automatically on any codegen, compile, or load failure; the
-    language actually used is reported in ``result.chunk_lang``.
-
-    ``claim_batch`` is an explicit chunks-per-critical-section count (an
-    integer >= 1) or ``"auto"`` (default): unit/fixed dispatches take
-    ``min(64, chunks // (8·active))`` chunks per claim,
-    at least 1, where ``active`` is the number of workers with work.  GSS
-    and static plans never batch.  The resolved batch is reported in
-    ``result.claim_batch``.
-
-    ``safety`` selects the chunk-safety mode (see :func:`resolve_safety`;
-    default ``"warn"``).  Under ``"enforce"`` a loop the verifier cannot
-    prove race-free raises :class:`SafetyVerificationError` *before* any
-    worker or shared segment is created.  Under ``"speculate"`` that loop
-    gets a dynamic chance first: the runtime inspector certifies it when
-    it can (normal dispatch, ``result.speculation == "proven-dynamic"``),
-    otherwise the dispatch runs speculatively into shadow segments and is
-    committed or — on a detected cross-chunk conflict — rolled back and
-    re-run serially, leaving the caller's arrays bit-identical to a
-    serial execution (``result.speculation`` is ``"committed"`` or
-    ``"rolled-back"``).  Only a scalar-hazard loop (or an
-    inspector-refuted one) still raises, exactly like enforce.
-    """
-    from repro.parallel.dispatch import inspect_blocked
-    from repro.parallel.plan import _unproven_summary
-
-    body = proc.body
-    if len(body) != 1 or not isinstance(body.stmts[0], Loop):
-        raise ParallelDispatchError(
-            "procedure body must be a single loop (use run_parallel_procedure "
-            "for mixed serial/parallel programs)"
-        )
-    loop = body.stmts[0]
-    if not _dispatchable(loop):
-        raise ParallelDispatchError(
-            f"outer loop {loop.var!r} is not a unit-step DOALL"
-        )
-    plan, claim_batch = _prepare(
-        proc, arrays, scalars, None, workers, policy, chunk, claim_batch,
-        chunk_lang, safety,
-    )
-    report = plan.run_report()
-    strategies = plan.strategies
-    proven_dynamic = False
-    if id(loop) in plan.blocked:
-        # Where the whole-procedure driver would run this loop serially,
-        # a single-loop run has nothing left to parallelize: refuse it
-        # here, before any process or segment exists.
-        refusal = None
-        if plan.mode == "enforce":
-            refusal = f"safety=enforce refused to dispatch {proc.name!r}: " + (
-                _unproven_summary(report)
-            )
-        else:
-            spec = plan.spec_plans[id(loop)]
-            if spec.action == "refuse":
-                refusal = (
-                    f"safety=speculate refused to dispatch {proc.name!r}: "
-                    f"{spec.reason}"
-                )
-            elif spec.action == "inspect":
-                env = dict(scalars or {})
-                insp = inspect_blocked(plan, loop, env, arrays, report)
-                if insp.proven:
-                    # Certified on the caller's arrays — the state the one
-                    # dispatch will see — so it goes out as a proven loop.
-                    strategies = {**strategies, id(loop): "dispatch"}
-                    proven_dynamic = True
-                else:
-                    refusal = (
-                        "safety=speculate: runtime inspector refuted "
-                        f"dispatch of {proc.name!r}: {insp.describe()}"
-                    )
-        if refusal is not None:
-            record_safety_block()
-            raise SafetyVerificationError(refusal)
-    out = _run(
-        plan, arrays, scalars, report, strategies, workers, policy, chunk,
-        timeout, log_events, method, claim_batch,
-    )
-    (result,) = out.dispatches
-    if proven_dynamic:
-        result.speculation = "proven-dynamic"
-    return result
 
 
 def run_parallel_procedure(
@@ -640,7 +444,6 @@ def run_parallel_procedure(
     chunk: int | None = None,
     timeout: float | None = None,
     log_events: bool = True,
-    method: str | None = None,
     claim_batch: int | str = "auto",
     pool: WorkerPool | None = None,
     chunk_lang: str | None = None,
@@ -657,7 +460,9 @@ def run_parallel_procedure(
     paper's hybrid execution model.  Raises
     :class:`ParallelDispatchError` if there is nothing to dispatch — a
     purely serial program should use the serial backends instead of
-    paying for a pool.
+    paying for a pool.  On success the caller's ``arrays`` hold the
+    results; on any failure they are untouched (workers mutate only the
+    shared copies).
 
     One persistent worker fleet serves every dispatch of the run.
     Passing an already-warm ``pool`` (the server's per-shape fleets)
@@ -670,33 +475,81 @@ def run_parallel_procedure(
     callers that stage data into ``pool.views`` themselves and read
     results straight out of them (the binary wire transport).
 
-    ``chunk_lang`` and ``claim_batch`` (default ``"auto"``) behave
-    exactly as in :func:`run_parallel_doall`; ``"auto"`` is resolved per
-    dispatch, from that dispatch's own trip count.
+    ``chunk_lang`` selects how workers execute claimed blocks: ``"c"``
+    (native kernel via ctypes — the default when a compiler is available),
+    ``"numpy"`` (whole-slice vectorized — the compiler-less default),
+    ``"py"`` (generated Python), or ``None``/``"auto"``.  Faster paths
+    degrade automatically on any codegen, compile, or load failure; each
+    dispatch reports the language that actually ran in ``chunk_lang``.
+
+    ``claim_batch`` is an explicit chunks-per-critical-section count (an
+    integer >= 1) or ``"auto"`` (default): unit/fixed dispatches take
+    ``min(64, chunks // (8·active))`` chunks per claim, at least 1, where
+    ``active`` is the number of workers with work — resolved per
+    dispatch, from that dispatch's own trip count.  GSS and static plans
+    never batch; each dispatch reports its resolved ``claim_batch``.
 
     ``safety`` selects the chunk-safety mode (default ``"warn"``: verify
     and report, dispatch everything).  Under ``"enforce"``, unproven
     loops execute serially in the parent instead of being dispatched
     (counted in ``result.blocked_dispatches``); when *no* dispatchable
     loop is proven, the run raises :class:`SafetyVerificationError`
-    before any worker is created — a run that could only ever execute
-    serially should not pay for a pool.  Under ``"speculate"``, unproven
-    loops are inspected (dispatching with a certificate when proven) or
-    run speculatively with commit/rollback; per-dispatch outcomes land in
+    before any worker or shared segment is created — a run that could
+    only ever execute serially should not pay for a pool.  Under
+    ``"speculate"``, unproven loops are inspected (dispatching with a
+    certificate when proven, else running serially) or run speculatively
+    into shadow segments, committed or — on a cross-chunk conflict —
+    rolled back and re-run serially; per-dispatch outcomes land in
     ``result.inspected`` / ``proven_dynamic`` / ``speculated`` /
     ``committed`` / ``rolled_back`` and certificates on the run's copy of
     the safety report.  The refuse-everything raise then only fires when
     every dispatchable loop has a scalar hazard no dynamic mode can fix.
     """
-    plan, claim_batch = _prepare(
-        proc, arrays, scalars, pool, workers, policy, chunk, claim_batch,
-        chunk_lang, safety,
+    from repro.parallel.dispatch import Run, execute
+    from repro.parallel.plan import prepare
+
+    mode = resolve_safety(safety)
+    lang = resolve_chunk_lang(chunk_lang)
+    claim_batch = resolve_claim_batch(claim_batch)
+    owned = pool is None
+    plan = prepare(
+        proc, arrays if owned else pool.views, scalars or {}, mode, lang,
+        policy, chunk, max(1, workers) if owned else pool.workers,
+        claim_batch,
     )
     if plan.refusal is not None:
         record_safety_block(len(plan.loops))
         raise SafetyVerificationError(plan.refusal)
-    return _run(
-        plan, arrays, scalars, plan.run_report(), plan.strategies, workers,
-        policy, chunk, timeout, log_events, method, claim_batch, pool=pool,
-        preloaded=preloaded,
+    env: dict[str, int | float] = dict(scalars or {})
+    deadline = None if timeout is None else time.monotonic() + timeout
+    t_start = time.monotonic()
+    out = ParallelProcedureResult(
+        0.0, safety_mode=plan.mode, safety=plan.run_report()
     )
+    # A pool made here is copied back on success only and always closed;
+    # a borrowed one is loaded, copied back and left running.
+    # ``preloaded=True`` is the zero-copy serving path: the caller has
+    # already written the request data into ``pool.views`` (e.g. the wire
+    # transport loading ``np.frombuffer`` views straight into the shm
+    # segments) and will read results out of the views itself, so the
+    # load/copy-back round trip through ``arrays`` is skipped.
+    copies = owned or not preloaded
+    if owned:
+        pool = WorkerPool(arrays, workers=workers)
+    elif copies:
+        pool.load(arrays)
+    try:
+        run = Run(
+            plan, pool, env, out, policy, chunk, claim_batch, deadline,
+            log_events,
+        )
+        execute(run)
+        if copies:
+            pool.copy_back({name: arrays[name] for name in plan.written})
+    finally:
+        if owned:
+            pool.close()
+    run.finish()
+    out.wall_time = time.monotonic() - t_start
+    record_run(out)
+    return out

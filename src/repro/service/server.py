@@ -83,6 +83,9 @@ from repro.scheduling.policies import ChunkSelfScheduled
 
 DEFAULT_PORT = 8923
 
+#: The engines a /compile or /run may name.
+BACKENDS = ("python", "mp", "c")
+
 #: /compile options forwarded to the pipeline, with their defaults.
 PIPELINE_OPTIONS = {
     "style": "ceiling",
@@ -360,7 +363,7 @@ class ReproServer(AccountingHTTPServer):
         if frontend not in ("python", "dsl"):
             raise RequestError(400, f"unknown frontend {frontend!r}")
         backend = body.get("backend", "python")
-        if backend not in ("python", "mp", "c"):
+        if backend not in BACKENDS:
             raise RequestError(400, f"unknown backend {backend!r}")
         options = dict(PIPELINE_OPTIONS)
         for name, value in (body.get("options") or {}).items():
@@ -595,6 +598,8 @@ class ReproServer(AccountingHTTPServer):
 def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     """``(backend, workers, run_parallel_procedure keywords)`` of a run."""
     backend = body.get("backend", program.backend)
+    if backend not in BACKENDS:
+        raise RequestError(400, f"unknown backend {backend!r}")
     workers = body.get("workers", 4)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         # Checked before any pool is leased: a pool is keyed (and a

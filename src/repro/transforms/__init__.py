@@ -41,7 +41,6 @@ from repro.transforms.triangular import (
 )
 from repro.transforms.stripmine import strip_mine
 from repro.transforms.strength import block_recovered_loop
-from repro.transforms.pipeline import Pipeline
 
 __all__ = [
     "CoalesceResult",
@@ -49,7 +48,6 @@ __all__ = [
     "FissionOutcome",
     "FissionPiece",
     "FissionResult",
-    "Pipeline",
     "ReductionOutcome",
     "ReductionResult",
     "TransformError",

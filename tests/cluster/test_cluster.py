@@ -5,6 +5,11 @@ the expensive part); the crash-injection and shutdown tests build their
 own single-replica fleets so the chaos stays contained.
 """
 
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -412,3 +417,37 @@ class TestGracefulShutdown:
             supervisor.stop()
         leaked = {p.name for p in shm.glob("repro-par*")} - before
         assert not leaked, f"shm segments leaked past shutdown: {leaked}"
+
+    def test_cli_on_a_busy_port_exits_and_leaves_no_process(self, tmp_path):
+        """``repro cluster`` whose router cannot bind stops the replicas it
+        started and exits nonzero, instead of waiting on them forever."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            cli = subprocess.Popen(
+                [sys.executable, "-m", "repro", "cluster", "--replicas", "1",
+                 "--port", str(port), "--cache-dir", str(tmp_path / "cache")],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                start_new_session=True,  # its own process group
+            )
+            try:
+                _, err = cli.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(cli.pid, signal.SIGKILL)
+                cli.communicate()
+                pytest.fail("repro cluster hung on a busy port")
+        assert cli.returncode != 0
+        assert b"cannot listen" in err, err
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(cli.pid, 0)  # anyone left in the group?
+            except ProcessLookupError:
+                break
+            if time.monotonic() > deadline:
+                os.killpg(cli.pid, signal.SIGKILL)
+                pytest.fail("a process outlived repro cluster in its group")
+            time.sleep(0.1)

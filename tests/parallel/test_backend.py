@@ -100,18 +100,3 @@ class TestFallbackPaths:
         assert compiled.fallback_reason.startswith("ParallelTimeoutError")
         for name in arrays:
             assert np.array_equal(arrays[name], baseline[name])
-
-    def test_fallback_disabled_reraises(self, monkeypatch):
-        w = get_workload("saxpy2d")
-        proc, _ = coalesce_procedure(w.proc)
-
-        def fake_run(*args, **kwargs):
-            raise ParallelTimeoutError("deadline exceeded (injected)")
-
-        monkeypatch.setattr(backend_mod, "run_parallel_procedure", fake_run)
-        compiled = MPCompiledProcedure(proc, fallback=False)
-        from repro.workloads import make_env
-
-        arrays, sc = make_env(w, seed=5)
-        with pytest.raises(ParallelTimeoutError):
-            compiled.run(arrays, sc)

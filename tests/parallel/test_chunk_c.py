@@ -38,11 +38,12 @@ from repro.codegen.cload import (
 )
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
-from repro.parallel import run_parallel_doall, run_parallel_procedure
+from repro.parallel import run_parallel_procedure
 from repro.parallel.observe import DISPATCH
 from repro.parallel.runtime import resolve_chunk_lang
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import run_one
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -84,10 +85,10 @@ class TestEquivalence:
         for k in arrays_c:
             np.testing.assert_array_equal(arrays_c[k], arrays_py[k])
 
-        r_c = run_parallel_doall(
+        r_c = run_one(
             proc, arrays_c, sc, workers=3, chunk_lang="c"
         )
-        r_py = run_parallel_doall(
+        r_py = run_one(
             proc, arrays_py, sc, workers=3, chunk_lang="py"
         )
         assert r_c.chunk_lang == "c"
@@ -116,7 +117,7 @@ class TestEquivalence:
         arrays = {"A": np.zeros((n + 1, n + 1))}
         baseline = {"A": np.zeros((n + 1, n + 1))}
         compile_procedure(proc).run(baseline, {"n": n})
-        result = run_parallel_doall(
+        result = run_one(
             coalesced, arrays, {"n": n}, workers=3, chunk_lang="c"
         )
         assert result.chunk_lang == "c"
@@ -127,7 +128,7 @@ class TestEquivalence:
         w = get_workload("matmul")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=2)
-        result = run_parallel_doall(
+        result = run_one(
             proc, arrays, sc, workers=3, policy="unit", claim_batch=4,
             chunk_lang="c",
         )
@@ -160,7 +161,7 @@ class TestFallbackLadder:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
-        result = run_parallel_doall(
+        result = run_one(
             proc, arrays, sc, workers=2, chunk_lang="c"
         )
         # No compiler: the run degrades to the vectorized numpy chunk
@@ -178,7 +179,7 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
         before = DISPATCH.chunk_fallbacks
-        result = run_parallel_doall(
+        result = run_one(
             proc, arrays, sc, workers=2, chunk_lang="c"
         )
         assert result.chunk_lang == "py"
@@ -195,7 +196,7 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=4)
         before = DISPATCH.chunk_fallbacks
-        result = run_parallel_doall(
+        result = run_one(
             proc, arrays, sc, workers=2, chunk_lang="c"
         )
         assert result.chunk_lang == "py"
@@ -229,7 +230,7 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, _ = _serial_baseline(w, seed=9)
         before = DISPATCH.chunk_c
-        run_parallel_doall(proc, arrays, sc, workers=2, chunk_lang="c")
+        run_one(proc, arrays, sc, workers=2, chunk_lang="c")
         assert DISPATCH.chunk_c > before
         assert "chunk_lang" in DISPATCH.as_dict()
 
@@ -266,7 +267,7 @@ class TestKernelCaching:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=3)
         source = generate_chunk_c(proc)
-        run_parallel_doall(proc, arrays, sc, workers=2, chunk_lang="c")
+        run_one(proc, arrays, sc, workers=2, chunk_lang="c")
         # The runtime's compile of the same shape must hit the artifact
         # cache entry the dispatch above published.
         _, hit = compile_chunk_library(source, f"{proc.name}__chunk")

@@ -14,9 +14,10 @@ import pytest
 from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
-from repro.parallel import run_parallel_doall, run_parallel_procedure
+from repro.parallel import run_parallel_procedure
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import run_one
 
 LANGS = ("c", "numpy", "py")
 
@@ -54,7 +55,7 @@ def test_rectangular(workload, lang):
     w = get_workload(workload)
     proc, _ = coalesce_procedure(w.proc)
     arrays, sc, baseline = _serial_baseline(w, seed=11)
-    result = run_parallel_doall(
+    result = run_one(
         proc, arrays, sc, workers=2, policy="unit", chunk_lang=lang,
     )
     _assert_bit_for_bit(baseline, arrays)
@@ -81,7 +82,7 @@ def test_triangular(lang):
     baseline = {"A": np.zeros((n + 1, n + 1))}
     compile_procedure(proc0).run(baseline, {"n": n})
     arrays = {"A": np.zeros((n + 1, n + 1))}
-    result = run_parallel_doall(
+    result = run_one(
         proc, arrays, {"n": n}, workers=2, policy="unit", chunk_lang=lang,
     )
     _assert_bit_for_bit(baseline, arrays)

@@ -23,7 +23,7 @@ from repro.cache import ArtifactCache, configure
 from repro.codegen import cload
 from repro.codegen.cload import have_compiler
 from repro.frontend.dsl import parse
-from repro.parallel import WorkerPool, run_parallel_doall, run_parallel_procedure
+from repro.parallel import WorkerPool, run_parallel_procedure
 from repro.parallel import plan as plan_mod
 from repro.parallel import runtime, worker
 from repro.parallel.counter import SharedClaimCounter, policy_plan
@@ -34,6 +34,7 @@ from repro.transforms import coalesce_procedure, reduction_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import dot_product, get_workload, make_env
 from repro.workloads.shapes import IRREGULAR_WORKLOADS
+from tests.parallel import run_one
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -195,7 +196,8 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(w.proc, want, sc)
     before = leaked_segments()
-    with WorkerPool(arrays, workers=2, method=method) as pool:
+    ctx = multiprocessing.get_context(method)
+    with WorkerPool(arrays, workers=2, ctx=ctx) as pool:
         for policy, chunk in POLICIES:
             runs = {}
             for lang in ("c", "py"):
@@ -224,7 +226,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
 def test_proven_dynamic_dispatch_is_native():
     w = IRREGULAR_WORKLOADS["scatter_perm"]()
     arrays, sc = make_env(w)
-    result = run_parallel_doall(
+    result = run_one(
         w.proc, arrays, sc, workers=2, safety="speculate"
     )
     assert result.speculation == "proven-dynamic"
@@ -240,7 +242,7 @@ def test_other_paths_keep_the_python_loop():
 
     def run(**kwargs):
         arrays, sc = make_env(w, seed=1)
-        result = run_parallel_doall(proc, arrays, sc, workers=2, **kwargs)
+        result = run_one(proc, arrays, sc, workers=2, **kwargs)
         assert all(np.array_equal(arrays[k], want[k]) for k in want)
         return result
 
@@ -252,7 +254,7 @@ def test_other_paths_keep_the_python_loop():
 
     hist = IRREGULAR_WORKLOADS["histogram_disjoint"]()
     arrays, sc = make_env(hist)
-    spec = run_parallel_doall(
+    spec = run_one(
         hist.proc, arrays, sc, workers=2, safety="speculate"
     )
     assert spec.speculation == "committed" and spec.claim_loop == "py"
@@ -273,7 +275,7 @@ def test_ring_overflow_keeps_every_event(monkeypatch, batch):
     arrays, sc = make_env(w, scalars={"n": 150, "m": 150}, seed=0)
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(w.proc, want, sc)
-    d = run_parallel_doall(
+    d = run_one(
         proc, arrays, sc, workers=2, policy="unit", claim_batch=batch
     )
     assert d.claim_loop == "native"
@@ -418,7 +420,7 @@ def test_lazy_events(monkeypatch, lang):
 
     monkeypatch.setattr(runtime, "ClaimEvent", CountingEvent)
     proc, arrays, sc, _ = _saxpy_case()
-    d = run_parallel_doall(
+    d = run_one(
         proc, arrays, sc, workers=2, policy="fixed", chunk=7, claim_batch=3,
         chunk_lang=lang,
     )
@@ -436,7 +438,7 @@ def test_lazy_events(monkeypatch, lang):
     )
     for e in events:
         assert 0.0 <= e.t_claim <= e.t_work <= e.t_end <= d.wall_time
-    no_log = run_parallel_doall(
+    no_log = run_one(
         proc, arrays, sc, workers=2, chunk_lang=lang, log_events=False
     )
     assert no_log.events == [] and no_log.claims > 0
@@ -454,7 +456,7 @@ def test_no_compiler_means_python_loop(monkeypatch):
         cload, "_compile_into", lambda *a, **k: calls.append(a) or 1 / 0
     )
     proc, arrays, sc, want = _saxpy_case()
-    d = run_parallel_doall(proc, arrays, sc, workers=2)
+    d = run_one(proc, arrays, sc, workers=2)
     assert d.claim_loop == "py" and d.chunk_lang == "numpy"
     assert not calls
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
@@ -530,7 +532,7 @@ def test_first_run_of_a_single_doall_builds_only_its_kernel(
         for seed in (1, 2):
             store = configure(dir=tmp_path / f"fresh-{seed}")
             proc, arrays, sc, want = _saxpy_case(seed)
-            d = run_parallel_doall(proc, arrays, sc, workers=2)
+            d = run_one(proc, arrays, sc, workers=2)
             assert (d.claim_loop, d.chunk_lang) == ("native", "c")
             assert all(np.array_equal(arrays[k], want[k]) for k in want)
             shutil.rmtree(store.root)

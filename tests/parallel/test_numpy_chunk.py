@@ -22,11 +22,12 @@ import pytest
 
 from repro.codegen.npgen import NumpyGenError, generate_chunk_numpy
 from repro.codegen.pygen import compile_procedure
-from repro.parallel import run_parallel_doall, run_parallel_procedure
+from repro.parallel import run_parallel_procedure
 from repro.parallel.observe import DISPATCH
 from repro.parallel.runtime import resolve_chunk_lang
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import run_one
 
 
 def _serial_baseline(workload, seed=0):
@@ -49,7 +50,7 @@ class TestEquivalence:
         w = get_workload(name)
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=5)
-        result = run_parallel_doall(
+        result = run_one(
             proc, arrays, sc, workers=2, policy="unit", chunk_lang="numpy",
         )
         _assert_bit_for_bit(baseline, arrays)

@@ -26,7 +26,6 @@ from repro.parallel import (
     ParallelTimeoutError,
     WorkerCrashError,
     WorkerPool,
-    run_parallel_doall,
     run_parallel_procedure,
 )
 from repro.parallel.counter import policy_plan
@@ -34,6 +33,7 @@ from repro.parallel.pool import GATHER_GRACE, gather_results, raise_worker_crash
 from repro.parallel.shm import leaked_segments
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
 
@@ -69,7 +69,7 @@ class TestPoolReuse:
         w = get_workload("matmul")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=3)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy=policy, chunk=5,
         )
         _assert_bit_for_bit(baseline, arrays)
@@ -95,7 +95,7 @@ class TestPoolReuse:
         arrays = {"A": np.zeros((n + 1, n + 1))}
         baseline = {"A": np.zeros((n + 1, n + 1))}
         compile_procedure(proc).run(baseline, {"n": n})
-        run_parallel_doall(
+        run_one(
             coalesced, arrays, {"n": n}, workers=3, policy="fixed",
             chunk=4,
         )
@@ -161,7 +161,7 @@ class TestBatchedClaimAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy=policy, chunk=6,
             claim_batch=4,
         )
@@ -177,7 +177,7 @@ class TestBatchedClaimAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=2, policy="unit", claim_batch=8
         )
         assert stats.claims == sc["n"] * sc["m"]
@@ -189,7 +189,7 @@ class TestBatchedClaimAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=2)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=2, policy="gss", claim_batch=16
         )
         # GSS ignores the batch: one chunk per critical section
@@ -199,7 +199,7 @@ class TestBatchedClaimAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy="static", claim_batch=4
         )
         assert stats.lock_ops == 0
@@ -271,7 +271,7 @@ class TestPoolRobustness:
         # Pin the interpreted chunk language: native kernels finish this
         # workload inside the 0.1s budget, which would defeat the test.
         with pytest.raises(ParallelTimeoutError):
-            run_parallel_doall(
+            run_parallel_procedure(
                 proc, arrays, sc, workers=2, policy="gss", timeout=0.1,
                 chunk_lang="py",
             )

@@ -9,6 +9,7 @@ per instance with the per-dispatch path's chunks and counts — what is new
 path, and that a lost worker never leaves its peers waiting.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -210,9 +211,11 @@ def test_same_pool_serves_region_then_dispatch_then_region():
 def test_spawned_workers_meet_at_the_same_barrier():
     proc, original, arrays, scalars = program("floyd")
     want = interpreted(original, arrays, scalars)
-    result = run_parallel_procedure(
-        proc, arrays, scalars, workers=2, method="spawn", timeout=120.0
-    )
+    spawn = multiprocessing.get_context("spawn")
+    with WorkerPool(arrays, workers=2, ctx=spawn) as pool:
+        result = run_parallel_procedure(
+            proc, arrays, scalars, pool=pool, timeout=120.0
+        )
     assert result.region == "native" and same(arrays, want)
 
 

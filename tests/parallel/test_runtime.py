@@ -16,20 +16,21 @@ from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
 from repro.ir.expr import ArrayRef
-from repro.ir.stmt import Assign, Block
+from repro.ir.stmt import Assign
 from repro.ir.visitor import walk_stmts
 from repro.parallel import (
     ParallelDispatchError,
     ParallelTimeoutError,
     SafetyVerificationError,
     WorkerCrashError,
+    WorkerPool,
     compile_mp_procedure,
-    run_parallel_doall,
     run_parallel_procedure,
 )
 from repro.parallel.shm import leaked_segments
-from repro.transforms import coalesce_procedure, reduction_procedure
+from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
 
@@ -53,7 +54,7 @@ class TestEquivalence:
         proc, results = coalesce_procedure(w.proc)
         assert results, "matmul must coalesce"
         arrays, sc, baseline = _serial_baseline(w, seed=3)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy=policy, chunk=5
         )
         _assert_bit_for_bit(baseline, arrays)
@@ -94,7 +95,7 @@ class TestEquivalence:
         arrays = {"A": np.zeros((n + 1, n + 1))}
         baseline = {"A": np.zeros((n + 1, n + 1))}
         compile_procedure(proc).run(baseline, {"n": n})
-        run_parallel_doall(
+        run_one(
             coalesced, arrays, {"n": n}, workers=3, policy=policy, chunk=4
         )
         _assert_bit_for_bit(baseline, arrays)
@@ -104,7 +105,7 @@ class TestEquivalence:
         proc, _ = coalesce_procedure(w.proc)
         for workers in (1, 2, 5):
             arrays, sc, baseline = _serial_baseline(w, seed=workers)
-            run_parallel_doall(proc, arrays, sc, workers=workers)
+            run_one(proc, arrays, sc, workers=workers)
             _assert_bit_for_bit(baseline, arrays)
 
 
@@ -114,7 +115,7 @@ class TestChunkAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy=policy, chunk=6
         )
         n = sc["n"] * sc["m"]
@@ -132,7 +133,7 @@ class TestChunkAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=2, policy="fixed", chunk=10
         )
         n = sc["n"] * sc["m"]
@@ -143,7 +144,7 @@ class TestChunkAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=3, policy="static"
         )
         # one contiguous block per (non-empty) worker
@@ -170,7 +171,9 @@ class TestRobustness:
         snapshot = arrays["A"].copy()
         before = leaked_segments()
         with pytest.raises(WorkerCrashError, match="worker"):
-            run_parallel_doall(proc, arrays, {"n": 39, "d": 39}, workers=3)
+            run_parallel_procedure(
+                proc, arrays, {"n": 39, "d": 39}, workers=3
+            )
         # clean shutdown: caller arrays untouched, no orphaned shared memory
         assert np.array_equal(arrays["A"], snapshot)
         assert leaked_segments() == before
@@ -182,7 +185,7 @@ class TestRobustness:
         proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
         before = leaked_segments()
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, {"n": 39, "d": 38}, workers=3
         )
         assert (stats.claim_loop, stats.chunk_lang) == ("native", "c")
@@ -197,27 +200,12 @@ class TestRobustness:
         # Pin the interpreted chunk language: native kernels finish this
         # workload inside the 0.1s budget, which would defeat the test.
         with pytest.raises(ParallelTimeoutError):
-            run_parallel_doall(
+            run_parallel_procedure(
                 proc, arrays, sc, workers=2, policy="gss", timeout=0.1,
                 chunk_lang="py",
             )
         assert np.array_equal(arrays["C"], snapshot)
         assert leaked_segments() == []
-
-    def test_serial_outer_loop_is_rejected_before_dispatch(self):
-        proc = parse(
-            """
-            procedure s(A[1]; n)
-              for i = 1, n
-                A(i) := 1.0
-              end
-            end
-            """
-        )
-        before = leaked_segments()
-        with pytest.raises(ParallelDispatchError, match="not a unit-step DOALL"):
-            run_parallel_doall(proc, {"A": np.zeros(5)}, {"n": 4})
-        assert leaked_segments() == before
 
     def test_procedure_without_doall_is_rejected(self):
         proc = parse(
@@ -245,7 +233,7 @@ class TestRobustness:
             )
         )
         arrays = {"A": np.zeros(4)}
-        stats = run_parallel_doall(proc, arrays, {"n": 0}, workers=2)
+        stats = run_one(proc, arrays, {"n": 0}, workers=2)
         assert stats.total_iterations == 0
         assert np.all(arrays["A"] == 0.0)
 
@@ -255,7 +243,7 @@ class TestObservability:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=2)
-        stats = run_parallel_doall(
+        stats = run_one(
             proc, arrays, sc, workers=2, policy="fixed", chunk=8
         )
         sim = stats.to_sim_result()
@@ -270,7 +258,7 @@ class TestObservability:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=2)
-        stats = run_parallel_doall(proc, arrays, sc, workers=2)
+        stats = run_one(proc, arrays, sc, workers=2)
         chart = stats.gantt(width=30)
         assert "P0" in chart and "P1" in chart and "dispatches" in chart
 
@@ -280,75 +268,57 @@ def _single_loop(name):
     w = get_workload(name)
     if name == "saxpy2d":
         return w, coalesce_procedure(w.proc)[0]
-    if name == "dot_product":
-        # Keep the recognized reduction loop, drop the ``R(1) := s`` witness.
-        tagged = reduction_procedure(w.proc).procedure
-        return w, tagged.with_body(Block(tagged.body.stmts[:1]))
     return w, w.proc
 
 
 class TestOneDriver:
-    """``run_parallel_doall`` is ``run_parallel_procedure`` on one loop."""
-
-    @pytest.mark.parametrize(
-        "name,safety,policy,tag",
-        [
-            ("saxpy2d", None, "unit", None),
-            ("dot_product", None, "gss", None),
-            ("scatter_perm", "speculate", "gss", "proven-dynamic"),
-            ("histogram_disjoint", "speculate", "gss", "committed"),
-            ("histogram", "speculate", "static", "rolled-back"),
-        ],
-    )
-    def test_doall_equals_procedure_on_a_single_loop(
-        self, name, safety, policy, tag
-    ):
-        w, proc = _single_loop(name)
-        options = dict(
-            workers=2, policy=policy, safety=safety, claim_batch=2,
-        )
-        a_doall, sc = make_env(w, seed=5)
-        a_proc, _ = make_env(w, seed=5)
-        one = run_parallel_doall(proc, a_doall, sc, **options)
-        whole = run_parallel_procedure(proc, a_proc, sc, **options)
-        (other,) = whole.dispatches
-        _assert_bit_for_bit(a_proc, a_doall)
-        assert one.speculation == other.speculation == tag
-        assert (one.claims, one.lock_ops) == (whole.claims, whole.lock_ops)
-        assert one.total_iterations == whole.total_iterations
-        assert one.reduction_value == other.reduction_value
-        assert (one.reduction_value is not None) == (name == "dot_product")
+    """``run_parallel_procedure`` is the one driver: what it (and the mp
+    backend over it) no longer takes, and what it refuses before any
+    process or segment exists."""
 
     def test_reuse_pool_is_not_an_option(self):
         w, proc = _single_loop("saxpy2d")
         arrays, sc = make_env(w)
-        for run in (run_parallel_doall, run_parallel_procedure):
+        for run in (
+            lambda **o: run_parallel_procedure(proc, arrays, sc, **o),
+            lambda **o: compile_mp_procedure(proc, **o),
+        ):
             with pytest.raises(TypeError, match="reuse_pool"):
-                run(proc, arrays, sc, workers=2, reuse_pool=True)
-        with pytest.raises(TypeError, match="reuse_pool"):
-            compile_mp_procedure(proc, reuse_pool=False)
+                run(workers=2, reuse_pool=True)
 
     @pytest.mark.parametrize(
-        "option", [{"calibrate": True}, {"variants": "gcc-O3"}]
+        "option",
+        [
+            {"calibrate": True}, {"variants": "gcc-O3"},
+            {"method": "spawn"}, {"fallback": False}, {"name": "pool"},
+        ],
     )
     def test_tuner_options_are_gone(self, option):
+        """Retired options — the tuner's, the start method, the backend's
+        fallback switch and the pool's process name — are not keywords."""
         w, proc = _single_loop("saxpy2d")
         arrays, sc = make_env(w)
         (name,) = option
-        for run in (run_parallel_doall, run_parallel_procedure):
+        for run in (
+            lambda: run_parallel_procedure(proc, arrays, sc, **option),
+            lambda: compile_mp_procedure(proc, **option),
+            lambda: WorkerPool(arrays, workers=2, **option),
+        ):
             with pytest.raises(TypeError, match=name):
-                run(proc, arrays, sc, workers=2, **option)
-        with pytest.raises(TypeError, match=name):
-            compile_mp_procedure(proc, **option)
+                run()
+        assert leaked_segments() == []
 
     @pytest.mark.parametrize("batch", [True, 2.7, 0, -5, "8", None])
     def test_claim_batch_is_auto_or_a_positive_integer(self, batch):
         w, proc = _single_loop("saxpy2d")
         arrays, sc = make_env(w)
         before = {k: v.copy() for k, v in arrays.items()}
-        for run in (run_parallel_doall, run_parallel_procedure):
-            with pytest.raises(ValueError, match="claim_batch"):
-                run(proc, arrays, sc, workers=2, claim_batch=batch)
+        with pytest.raises(ValueError, match="claim_batch"):
+            run_parallel_procedure(
+                proc, arrays, sc, workers=2, claim_batch=batch
+            )
+        with pytest.raises(ValueError, match="claim_batch"):
+            compile_mp_procedure(proc, claim_batch=batch).run(arrays, sc)
         _assert_bit_for_bit(before, arrays)
 
     @pytest.mark.parametrize(
@@ -356,7 +326,6 @@ class TestOneDriver:
         [
             ("racy_flow", "enforce", "enforce refused"),
             ("racy_scalar", "speculate", "speculate refused"),
-            ("scatter_perm", "speculate", "inspector refuted"),
         ],
     )
     def test_refused_doall_creates_no_process_and_no_segment(
@@ -368,11 +337,11 @@ class TestOneDriver:
         monkeypatch.setattr("repro.parallel.runtime.WorkerPool", no_pool)
         w, proc = _single_loop(name)
         arrays, sc = make_env(w)
-        if name == "scatter_perm":
-            arrays["P"][1 : sc["n"] + 1] = 2.0  # every i scatters to B(2)
         children = multiprocessing.active_children()
         with pytest.raises(SafetyVerificationError, match=match):
-            run_parallel_doall(proc, arrays, sc, workers=2, safety=safety)
+            run_parallel_procedure(
+                proc, arrays, sc, workers=2, safety=safety
+            )
         assert leaked_segments() == []
         assert multiprocessing.active_children() == children
 

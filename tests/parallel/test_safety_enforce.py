@@ -17,7 +17,6 @@ from repro.ir.printer import to_source
 from repro.parallel import (
     SafetyVerificationError,
     resolve_safety,
-    run_parallel_doall,
     run_parallel_procedure,
 )
 from repro.parallel.backend import compile_mp_procedure
@@ -68,7 +67,7 @@ class TestEnforceRefusesRacy:
         arrays, sc = make_env(w)
         before = {k: a.copy() for k, a in arrays.items()}
         with pytest.raises(SafetyVerificationError):
-            run_parallel_doall(
+            run_parallel_procedure(
                 coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
             )
         # Refused before dispatch: caller arrays untouched.

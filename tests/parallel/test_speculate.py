@@ -15,7 +15,6 @@ from repro.parallel import (
     SafetyVerificationError,
     SpecPlan,
     resolve_safety,
-    run_parallel_doall,
     run_parallel_procedure,
     speculation_plan,
     validate_chunk_logs,
@@ -33,6 +32,7 @@ from repro.workloads import (
     WORKLOADS,
     make_env,
 )
+from tests.parallel import run_one
 
 WORKERS = 2
 
@@ -138,29 +138,43 @@ class TestDoallSpeculate:
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
-        result = run_parallel_doall(
+        result = run_one(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         assert result.speculation == "proven-dynamic"
         assert np.array_equal(arrays["B"], expected["B"])
 
-    def test_inspector_refuted_raises(self):
+    def test_inspector_refuted_runs_serially(self):
+        # A refuted single loop is not refused: it runs in the parent,
+        # through the driver and through the mp backend alike.
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         arrays["P"][1 : sc["n"] + 1] = 2.0
-        before = {k: v.copy() for k, v in arrays.items()}
-        with pytest.raises(SafetyVerificationError, match="inspector"):
-            run_parallel_doall(
-                w.proc, arrays, sc, workers=WORKERS, safety="speculate"
-            )
-        for k in arrays:  # nothing dispatched, nothing touched
-            assert np.array_equal(arrays[k], before[k])
+        serial = {k: v.copy() for k, v in arrays.items()}
+        Interpreter()._exec(w.proc.body, dict(sc), serial)
+        via_backend = {k: v.copy() for k, v in arrays.items()}
+        result = run_parallel_procedure(
+            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+        )
+        assert result.blocked_dispatches == 1
+        assert result.dispatches == []
+        (cert,) = result.certificates
+        assert (cert.mode, cert.status) == ("inspector", "refuted")
+        compiled = compile_mp_procedure(
+            w.proc, workers=WORKERS, safety="speculate"
+        )
+        compiled.run(via_backend, sc)
+        assert compiled.fallback_reason is None
+        assert compiled.last.blocked_dispatches == 1
+        for k in arrays:
+            assert np.array_equal(arrays[k], serial[k]), k
+            assert np.array_equal(via_backend[k], serial[k]), k
 
     def test_disjoint_histogram_commits(self):
         w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
-        result = run_parallel_doall(
+        result = run_one(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         assert result.speculation == "committed"
@@ -170,7 +184,7 @@ class TestDoallSpeculate:
         w = IRREGULAR_WORKLOADS["histogram"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
-        result = run_parallel_doall(
+        result = run_one(
             w.proc, arrays, sc, workers=WORKERS, policy="static",
             safety="speculate",
         )
@@ -181,7 +195,7 @@ class TestDoallSpeculate:
         w = RACY_WORKLOADS["racy_scalar"]()
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError, match="refused"):
-            run_parallel_doall(
+            run_parallel_procedure(
                 w.proc, arrays, sc, workers=WORKERS, safety="speculate"
             )
 
@@ -189,7 +203,7 @@ class TestDoallSpeculate:
         w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError):
-            run_parallel_doall(
+            run_parallel_procedure(
                 w.proc, arrays, sc, workers=WORKERS, safety="enforce"
             )
 
@@ -266,7 +280,7 @@ class TestSpeculateMetrics:
         before = DISPATCH.as_dict()["speculate"]
         w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
         arrays, sc = make_env(w)
-        run_parallel_doall(
+        run_parallel_procedure(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         after = DISPATCH.as_dict()["speculate"]

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.safety import dispatchable
 from repro.ir.expr import ArrayRef, Var
 from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
-from repro.parallel.runtime import _dispatchable
 from repro.runtime.interp import Interpreter, eval_bound
 
 #: An array element: (array name, concrete index tuple).
@@ -156,7 +156,7 @@ def shadow_procedure(proc: Procedure, arrays, scalars) -> list[DispatchShadow]:
             for s in stmt.stmts:
                 walk(s)
             return
-        if isinstance(stmt, Loop) and _dispatchable(stmt):
+        if isinstance(stmt, Loop) and dispatchable(stmt):
             out.append(
                 DispatchShadow(stmt.var, record_dispatch(rec, stmt, env, arrays))
             )

@@ -339,28 +339,31 @@ class TestErrors:
             ("policy", "bogus"), ("policy", 3),
             ("timeout", "soon"), ("timeout", True), ("timeout", 0),
             ("timeout", -1.5),
+            ("backend", "bogus"), ("backend", 3), ("backend", ["mp"]),
         ],
     )
     def test_run_rejects_a_bad_scheduling_option(self, service, field, value):
-        """Named and refused before a pool is leased: no worker traceback
-        in the reply, and the next run is served as usual."""
+        """Named and refused before a pool is leased, over json and wire:
+        no worker traceback in the reply, and the next run is served as
+        usual."""
         client, _ = service
-        key = client.compile(PY_KERNEL)["key"]
+        key = client.compile(PY_KERNEL, backend="mp")["key"]
         A, B = env()
-        options = {"policy": "fixed", "chunk": 2, field: value}
-        with pytest.raises(ServiceError) as err:
-            client.run(
-                key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
-                workers=2, **options,
+        good = {"backend": "mp", "workers": 2, "policy": "fixed", "chunk": 2}
+        for transport in ("json", "wire"):
+            with pytest.raises(ServiceError) as err:
+                client.run(
+                    key, {"A": A, "B": B}, {"n": N, "m": M},
+                    transport=transport, **{**good, field: value},
+                )
+            assert err.value.status == 400
+            assert field in str(err.value)
+            assert "Traceback" not in str(err.value)
+            out = client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M},
+                transport=transport, **good,
             )
-        assert err.value.status == 400
-        assert field in str(err.value)
-        assert "Traceback" not in str(err.value)
-        out = client.run(
-            key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp",
-            workers=2, policy="fixed", chunk=2,
-        )
-        assert out["engine"] == "mp-pool" and out["iterations"] == N * M
+            assert out["engine"] == "mp-pool" and out["iterations"] == N * M
 
     @pytest.mark.parametrize(
         "field,value",

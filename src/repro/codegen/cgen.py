@@ -29,8 +29,18 @@ from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
 from repro.ir.validate import validate
 from repro.ir.visitor import substitute, walk_exprs, walk_stmts
 
+#: Opens every kernel and region unit.  The libm functions
+#: :data:`_INTRINSIC_C` and ``isqrt_`` call are declared here, not taken
+#: from the ``<math.h>`` header, whose parsing was a sixth of a kernel
+#: build; gcc treats a declared ``sqrt`` as the same builtin either way,
+#: so the object code does not change.
 _PRELUDE = """\
-#include <math.h>
+double sqrt(double);
+double sin(double);
+double cos(double);
+double exp(double);
+double log(double);
+double fabs(double);
 
 static long floordiv_(long a, long b) {
     long q = a / b, r = a % b;
@@ -654,7 +664,7 @@ _INSPECT_HELPERS = """\
 #define IX_(s, n) ({ long __s = (s); FAIL_IF_(__s < 0 || __s >= (n)); __s; })
 #define CAST_(x) /* NaN fails both; |x| >= 2^53 too */ \\
     ({ double __x = (x); FAIL_IF_(!(__x > -0x1p53 && __x < 0x1p53)); (long)__x; })
-#define FIN_(x) ({ double __x = (x); FAIL_IF_(!isfinite(__x)); __x; })
+#define FIN_(x) ({ double __x = (x); FAIL_IF_(!__builtin_isfinite(__x)); __x; })
 #define DIV_(a, b) ({ double __a = (a), __b = (b); FAIL_IF_(__b == 0.0); __a / __b; })
 /* A store to element g of array a: the first store (by any iteration)
    sets g's bit and joins this iteration's log; a set bit outside the log

@@ -5,6 +5,11 @@ can execute through the Python interpreter, generated Python, and compiled
 C (optionally with real OpenMP threads), and the test suite checks all three
 agree.  Requires a ``gcc`` on PATH; tests skip gracefully without one.
 
+Every unit is built by one recipe (:func:`_compile_into`): ``gcc -O2
+-pipe -fPIC -c``, then a direct ``ld -shared`` with the libraries gcc's
+link driver would pass (``-lm``, libgcc, ``-lc``, plus libgomp for
+OpenMP units), under ``--as-needed`` and ``-z defs``.
+
 Compiled shared libraries are content-addressed: by default the ``.so``
 lands in the artifact cache under a hash of (generated C, compiler, flags),
 so the second identical compile — in this process, another process, or the
@@ -126,25 +131,70 @@ class CProcedure:
         self._fn(*args)
 
 
+@functools.lru_cache(maxsize=None)
+def _toolchain_file(cc: str, what: str) -> str:
+    """What ``cc -print-<what>`` names (the linker, libgcc, libgomp).
+
+    Asked once per compiler and question per process: each answer is a
+    ~2 ms gcc run.
+    """
+    return subprocess.run(
+        [cc, f"-print-{what}"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def _run_tool(cmd: list[str], source: str) -> None:
+    """Run one build step; any failure is a :class:`CCompileError`."""
+    try:
+        result = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:  # the tool itself is missing or unrunnable
+        raise CCompileError(f"{cmd[0]} did not run: {exc}") from exc
+    if result.returncode != 0:
+        raise CCompileError(
+            f"{Path(cmd[0]).name} failed ({result.returncode}):\n"
+            f"{result.stderr}\n--- source ---\n" + source
+        )
+
+
 def _compile_into(
     tmp: Path, name: str, source: str, cc: str, optimize: str,
     omp: bool = False,
 ) -> Path:
-    """Run the compiler in ``tmp``; return the ``.so`` path."""
+    """Build ``source`` in ``tmp``; return the ``.so`` path.
+
+    Two steps: ``cc -c`` to an object, then one ``ld -shared`` with the
+    flags and libraries ``cc``'s own link driver would pass — minus the
+    crt objects, which only serve constructors generated code never has.
+    Skipping the driver (collect2) saves ≈ 10 ms per build.  An undeclared
+    function fails the compile and an unresolved symbol fails the link
+    (``-z defs``), so nothing that built can fail at ``dlopen`` for a
+    missing symbol.  ``--as-needed`` keeps ``NEEDED`` to the libraries a
+    unit references (``libm`` only where it calls one).
+    """
     tmp.mkdir(parents=True, exist_ok=True)
     c_path = tmp / f"{name}.c"
+    o_path = tmp / f"{name}.o"
     so_path = tmp / f"lib{name}.so"
     c_path.write_text(source)
-    cmd = [cc, *optimize.split(), "-fPIC", "-shared",
-           str(c_path), "-o", str(so_path), "-lm"]
-    if omp:
-        cmd.insert(1, "-fopenmp")
-    result = subprocess.run(cmd, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise CCompileError(
-            f"gcc failed ({result.returncode}):\n{result.stderr}\n--- source ---\n"
-            + source
-        )
+    omp_flag = ["-fopenmp"] if omp else []
+    _run_tool(
+        [cc, *omp_flag, *optimize.split(), "-pipe", "-fPIC",
+         "-Werror=implicit-function-declaration",
+         "-c", str(c_path), "-o", str(o_path)],
+        source,
+    )
+    try:
+        ld = _toolchain_file(cc, "prog-name=ld")
+        libgcc = _toolchain_file(cc, "libgcc-file-name")
+        gomp = [_toolchain_file(cc, "file-name=libgomp.so")] if omp else []
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise CCompileError(f"{cc} did not name its linker: {exc}") from exc
+    _run_tool(
+        [ld, "-shared", "--eh-frame-hdr", "--build-id", "--hash-style=gnu",
+         "-z", "defs", "--as-needed", "-o", str(so_path), str(o_path),
+         *gomp, "-lm", libgcc, "-lc", libgcc],
+        source,
+    )
     return so_path
 
 
@@ -163,7 +213,8 @@ def compile_c_procedure(
     workdir: str | None = None,
     cache: object = "default",
 ) -> CProcedure:
-    """Generate, compile (``cc -shared -fPIC [-fopenmp]``), and load.
+    """Generate, build (:func:`_compile_into`, ``-fopenmp`` when ``omp``),
+    and load.
 
     Resolution order for where the ``.so`` lives:
 
@@ -229,14 +280,16 @@ def compile_chunk_library(
     lands in the artifact cache under a hash of (C source, compiler,
     flags), so every worker process — and every later run, CLI invocation,
     or server — dlopens one shared build per kernel shape.  With caching
-    bypassed, builds go to a private process-lifetime directory keyed by
-    the same hash (one build per shape per process, nothing leaked).
+    bypassed, each build runs in a temporary directory and only its
+    ``.so`` moves to a private process-lifetime directory, named by the
+    same hash (one build per shape per process, nothing else kept).
 
-    Every unit builds with gcc ``-O2``: ``-O3`` never won on a measured
-    kernel (DESIGN.md §4g).  Chunk kernels are single-threaded by design
-    and never link ``-fopenmp``: parallelism comes from the worker
-    processes claiming blocks around them, and a forked worker cannot run
-    a libgomp team inherited from a parent that already started one.
+    Every unit builds with gcc ``-O2`` by :func:`_compile_into`'s recipe:
+    ``-O3`` never won on a measured kernel (DESIGN.md §4g).  Chunk kernels
+    are single-threaded by design and never link ``-fopenmp``:
+    parallelism comes from the worker processes claiming blocks around
+    them, and a forked worker cannot run a libgomp team inherited from a
+    parent that already started one.
     """
     cc, optimize = "gcc", "-O2"
     if not have_compiler(cc):
@@ -248,16 +301,15 @@ def compile_chunk_library(
         so_path = _private_dir() / f"{key[:16]}-{so_name}"
         if so_path.exists():
             return str(so_path), True
-        built = _compile_into(
-            _private_dir() / key[:16], name, source, cc, optimize
-        )
-        built.replace(so_path)
-        return str(so_path), False
-    entry = store.get(key)
-    if entry is not None:
-        return str(entry.file_path(so_name)), True
+    else:
+        entry = store.get(key)
+        if entry is not None:
+            return str(entry.file_path(so_name)), True
     with tempfile.TemporaryDirectory(prefix="repro_chunk_") as tmp:
         built = _compile_into(Path(tmp), name, source, cc, optimize)
+        if store is None:  # only the library outlives the build
+            built.replace(so_path)
+            return str(so_path), False
         entry = store.put(
             key,
             {so_name: built.read_bytes(), f"{name}.c": source},

@@ -4,8 +4,8 @@ The paper assumes a restructuring compiler (Parafrase) has already classified
 loops as parallel.  This package supplies that classification for this
 library, as one pipeline every client reads::
 
-    accesses → feasibility → edge set → {DOALL tags, interchange/fusion
-    legality, PDG/SCC fission, RACE/PRIV findings, --analyze}
+    accesses → feasibility → edge set → {DOALL tags, PDG/SCC fission,
+    RACE/PRIV findings, --analyze}
 
 :mod:`~repro.analysis.dependence` walks the accesses (with loop chains and
 guards) and decides feasibility (ZIV/GCD/Banerjee, then exact rational
@@ -24,7 +24,6 @@ from repro.analysis.dependence import (
 )
 from repro.analysis.doall import (
     classify_loop,
-    interchange_legal,
     loop_carried_dependences,
     mark_doall,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_pdg",
     "classify_loop",
     "dependences",
-    "interchange_legal",
     "loop_carried_dependences",
     "mark_doall",
     "recognize_recovered_nest",

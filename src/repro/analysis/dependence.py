@@ -1,8 +1,8 @@
 """Accesses and feasibility: the two lower layers of the one dependence story.
 
-Every dependence question in this package — DOALL tags, interchange and
-fusion legality, the statement PDG, the chunk-safety verifier — is
-answered from the same three layers::
+Every dependence question in this package — DOALL tags, the statement
+PDG, the chunk-safety verifier — is answered from the same three
+layers::
 
     accesses → feasibility → edge set (:mod:`repro.analysis.pdg`)
 

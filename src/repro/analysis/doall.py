@@ -23,7 +23,6 @@ from typing import Sequence
 
 from repro.analysis.dependence import (
     Dependence,
-    LoopInfo,
     exposed_written_scalars,
 )
 from repro.analysis.pdg import dependences
@@ -52,25 +51,6 @@ def classify_loop(loop: Loop, outer: Sequence[Loop] = ()) -> bool:
     return (
         not blocking_scalars(loop, outer)
         and next(dependences(loop, outer), None) is None
-    )
-
-
-def interchange_legal(outer_loop: Loop, outer: Sequence[Loop] = ()) -> bool:
-    """May ``outer_loop`` be interchanged with its (perfectly nested) inner?
-
-    Interchange is illegal only for dependences with direction ``(<, >)``
-    over the pair in execution order — swapping would reverse their
-    source and sink.
-    """
-    body = outer_loop.body
-    if len(body) != 1 or not isinstance(body.stmts[0], Loop):
-        return False
-    inner = body.stmts[0]
-    pair = slice(len(outer), len(outer) + 2)
-    levels = [LoopInfo.of(outer_loop), LoopInfo.of(inner)]
-    return not any(
-        dep.oriented()[2][pair] == ("<", ">")
-        for dep in dependences(outer_loop, outer, levels, inner.body.stmts)
     )
 
 

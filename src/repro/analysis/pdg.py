@@ -4,15 +4,12 @@
 accesses and asks :class:`~repro.analysis.dependence.DependenceTester`
 for direction vectors.  It takes the statements to scan, the enclosing
 loops pinned at ``=``, and the levels to range over — the loop itself,
-the ``(outer, inner)`` pair for interchange, the fused candidate for
-fusion, or the verifier's de-coalesced virtual levels — and yields one
+or the verifier's de-coalesced virtual levels — and yields one
 typed :class:`~repro.analysis.dependence.Dependence` per feasible
 direction vector.  Every client is a filter over that stream:
 
 =========================================  ================================
 ``classify_loop`` / ``mark_doall``         any carried edge ⇒ serial
-``interchange_legal``                      an edge with ``(<, >)``
-``fusion_preventing``                      an edge running second → first
 ``build_pdg`` (here)                       all of them, oriented, per
                                            statement pair
 ``verify_procedure``                       carried edges over the virtual

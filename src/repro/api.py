@@ -337,8 +337,7 @@ def transform_function(
         **backend_options: forwarded to the ``"mp"`` backend — ``workers``,
             ``policy`` (``"unit"``/``"fixed"``/``"gss"``/``"static"`` or a
             :class:`repro.scheduling.policies.SchedulingPolicy`), ``chunk``,
-            ``timeout``, ``fallback``, ``method`` (one persistent worker
-            fleet serves every dispatch of a run), ``claim_batch`` (chunks
+            ``timeout``, ``claim_batch`` (chunks
             handed out per fetch&add critical section for unit/fixed
             policies — GSS always claims singly; the default ``"auto"``
             takes ``min(64, chunks // (8·active))``

@@ -9,13 +9,15 @@ Reads a procedure in the mini-language, runs a configurable pass pipeline,
 and prints the transformed program (mini-language or generated Python).
 
 Options:
-    --passes LIST   comma-separated subset/order of:
+    --passes LIST   comma-separated passes to run, a subset of
                     normalize,analyze,fission,reduction,distribute,coalesce
+                    kept in that order and naming normalize and coalesce
                     (default: normalize,analyze,distribute,coalesce)
-    --transforms T  opt-in parallelism-recovery passes for the default
-                    pipeline: fission (split mixed serial bodies along
-                    their dependence SCCs) and/or reduction (dispatch
-                    s := s + expr loops as ordered partial accumulators)
+    --transforms T  opt-in parallelism-recovery passes, the same as
+                    naming them in --passes: fission (split mixed serial
+                    bodies along their dependence SCCs) and/or reduction
+                    (dispatch s := s + expr loops as ordered partial
+                    accumulators)
     --style S       index-recovery style: ceiling (paper) or divmod
     --depth N       coalesce at most N levels per nest
     --emit FORM     loop (default) | python | both
@@ -58,15 +60,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.doall import mark_doall
+from repro.api import TRANSFORM_NAMES, lower_and_coalesce, normalize_transforms
 from repro.codegen.pygen import generate_source
 from repro.frontend.dsl import ParseError, parse
 from repro.ir.printer import to_source
 from repro.ir.validate import ValidationError, validate
-from repro.transforms.coalesce import coalesce_procedure
-from repro.transforms.distribute import distribute_procedure
-from repro.transforms.normalize import normalize_procedure
 
+#: Every pass ``--passes`` may name, in the one order they run.
+PASS_ORDER = ("normalize", "analyze", *TRANSFORM_NAMES, "distribute", "coalesce")
 DEFAULT_PASSES = "normalize,analyze,distribute,coalesce"
 
 
@@ -84,6 +85,18 @@ def _claim_batch(text: str) -> int | str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _workers(text: str) -> int:
+    """``--workers``: an integer >= 1."""
+    from repro.parallel.pool import resolve_workers
+
+    try:
+        return resolve_workers(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"workers must be an integer >= 1 (got {text!r})"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -95,13 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="mini-language source file, or '-' for stdin "
         "(omit when using --workload)",
     )
-    parser.add_argument("--passes", default=DEFAULT_PASSES)
+    parser.add_argument(
+        "--passes",
+        default=DEFAULT_PASSES,
+        help="comma-separated passes, a subset of "
+        f"{','.join(PASS_ORDER)} in that order that names normalize and "
+        f"coalesce (default: {DEFAULT_PASSES})",
+    )
     parser.add_argument(
         "--transforms",
         metavar="NAMES",
         default=None,
         help="comma-separated parallelism-recovery passes run between "
-        "analysis and distribution: fission,reduction (default: none)",
+        "analysis and distribution: fission,reduction (default: none); "
+        "the same as naming them in --passes",
     )
     parser.add_argument("--style", choices=("ceiling", "divmod"), default="ceiling")
     parser.add_argument("--depth", type=int, default=None)
@@ -124,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute the transformed program (requires --workload for the "
         "array environment) and report timing + a serial cross-check",
     )
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=_workers, default=4)
     parser.add_argument(
         "--policy",
         default="gss",
@@ -206,63 +226,40 @@ def run_pipeline(
 ):
     """Parse + transform; returns (procedure, coalesce results).
 
-    The default pass order is served through the content-addressed
-    artifact cache (``repro.cache``); custom pass subsets/orders always
-    recompute.  ``transforms`` opts the default pipeline into the
-    fission/reduction parallelism-recovery passes; in a custom
-    ``--passes`` list, name them explicitly instead.
+    ``passes`` names a subset of :data:`PASS_ORDER`, in that order, that
+    includes ``normalize`` and ``coalesce``; ``transforms`` adds
+    fission/reduction as if they were named there.  The names select
+    :func:`repro.api.lower_and_coalesce`'s options, so every pass list
+    runs the one pipeline and is served through the artifact cache.
     """
     names = [p.strip() for p in passes.split(",") if p.strip()]
-    if names == DEFAULT_PASSES.split(","):
-        from repro.api import lower_and_coalesce
-
-        _, proc, results, _ = lower_and_coalesce(
-            source,
-            frontend="dsl",
-            style=style,
-            depth=depth,
-            triangular=triangular,
-            transforms=transforms,
-            cache=cache,
-        )
-        return proc, results
-    if transforms:
-        raise ValueError(
-            "--transforms applies to the default pipeline only; with "
-            "--passes, name fission/reduction in the pass list instead"
-        )
-    proc = parse(source)
-    validate(proc)
-    results: list = []
     for name in names:
-        if name == "normalize":
-            proc = normalize_procedure(proc)
-        elif name == "analyze":
-            proc = mark_doall(proc)
-        elif name == "fission":
-            from repro.transforms.fission import fission_procedure
-
-            fres = fission_procedure(proc)
-            proc = fres.procedure
-            results.append(fres)
-        elif name == "reduction":
-            from repro.transforms.reduction import reduction_procedure
-
-            rres = reduction_procedure(proc)
-            proc = rres.procedure
-            results.append(rres)
-        elif name == "distribute":
-            proc = distribute_procedure(proc)
-        elif name == "coalesce":
-            proc, cres = coalesce_procedure(
-                proc, depth=depth, style=style, triangular=triangular
+        if name not in PASS_ORDER:
+            raise ValueError(
+                f"unknown pass {name!r} (available: {', '.join(PASS_ORDER)})"
             )
-            results = list(cres) + [
-                r for r in results if hasattr(r, "outcomes")
-            ]
-        else:
-            raise ValueError(f"unknown pass {name!r}")
-        validate(proc)
+        if names.count(name) > 1:
+            raise ValueError(f"pass {name!r} is named more than once")
+    if names != sorted(names, key=PASS_ORDER.index):
+        raise ValueError(
+            f"passes {','.join(names)} are out of order; they run as "
+            f"{','.join(PASS_ORDER)}"
+        )
+    for name in ("normalize", "coalesce"):
+        if name not in names:
+            raise ValueError(f"the pass list must include {name!r}")
+    named = set(names) | set(normalize_transforms(transforms))
+    _, proc, results, _ = lower_and_coalesce(
+        source,
+        frontend="dsl",
+        style=style,
+        depth=depth,
+        distribute="distribute" in named,
+        analyze="analyze" in named,
+        triangular=triangular,
+        transforms=[t for t in TRANSFORM_NAMES if t in named],
+        cache=cache,
+    )
     return proc, results
 
 

@@ -149,27 +149,6 @@ def stmt_cost(
     raise CostModelError(f"cannot cost statement {type(s).__name__}")
 
 
-def simulate_ir_loop(
-    loop: Loop,
-    env: Mapping[str, int | float],
-    params,
-    policy=None,
-    weights: CostWeights | None = None,
-):
-    """Simulate a DOALL loop's schedule directly from its IR.
-
-    Glue between the compiler and machine layers: derives the per-iteration
-    cost vector with :func:`doall_iteration_costs` and feeds it to the
-    event-driven simulator.  Returns the usual
-    :class:`~repro.machine.trace.SimResult`.
-    """
-    from repro.machine.simulator import simulate_loop
-    from repro.scheduling.policies import StaticBalanced
-
-    costs = doall_iteration_costs(loop, env, weights)
-    return simulate_loop(costs, params, policy or StaticBalanced())
-
-
 def doall_iteration_costs(
     loop: Loop,
     env: Mapping[str, int | float],

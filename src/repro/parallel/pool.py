@@ -64,6 +64,21 @@ def mp_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
+def resolve_workers(requested) -> int:
+    """A worker count: an integer >= 1.
+
+    A bool, a float or a value below 1 raises :class:`ValueError` —
+    never a silent floor to 1, so a reported count is the one that ran.
+    """
+    if (
+        isinstance(requested, bool)
+        or not isinstance(requested, (int, np.integer))
+        or requested < 1
+    ):
+        raise ValueError(f"workers must be an integer >= 1 (got {requested!r})")
+    return int(requested)
+
+
 def terminate_procs(procs: list) -> None:
     """Terminate (then kill) every still-alive process, reaping them all."""
     for p in procs:
@@ -200,7 +215,7 @@ class WorkerPool:
         ctx: multiprocessing.context.BaseContext | None = None,
     ) -> None:
         self.ctx = ctx or mp_context()
-        self.workers = max(1, workers)
+        self.workers = resolve_workers(workers)
         self._closed = False
         self._broken = False
         self._seq = 0

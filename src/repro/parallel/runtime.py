@@ -100,7 +100,7 @@ from repro.parallel.observe import (
     record_run,
     record_safety_block,
 )
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.runtime import inspector
 from repro.scheduling.policies import SchedulingPolicy
 
@@ -511,11 +511,11 @@ def run_parallel_procedure(
     mode = resolve_safety(safety)
     lang = resolve_chunk_lang(chunk_lang)
     claim_batch = resolve_claim_batch(claim_batch)
+    workers = resolve_workers(workers)
     owned = pool is None
     plan = prepare(
         proc, arrays if owned else pool.views, scalars or {}, mode, lang,
-        policy, chunk, max(1, workers) if owned else pool.workers,
-        claim_batch,
+        policy, chunk, workers if owned else pool.workers, claim_batch,
     )
     if plan.refusal is not None:
         record_safety_block(len(plan.loops))

@@ -1,12 +1,12 @@
 """DOALL executors: run a parallel loop's iterations in arbitrary order.
 
-A DOALL tag is a *claim* — iterations are independent.  These drivers make
+A DOALL tag is a *claim* — iterations are independent.  This driver makes
 the claim testable: :func:`run_doall_shuffled` executes iterations in a
 seeded random order, so if a transformed program is equivalent to the
 original under it, the DOALL semantics survived the transformation (the
 order-independence oracle of E10 and the coalescing tests).
 
-These drivers are sequential.  Real concurrency — and measured wall-clock
+The driver is sequential.  Real concurrency — and measured wall-clock
 speedup — is the process-parallel runtime's job (:mod:`repro.parallel`:
 worker processes claiming chunks over shared-memory arrays, checked chunk
 by chunk by the shadow validator); the simulated machine
@@ -47,15 +47,6 @@ def _iteration_values(
     return list(range(lo, hi + 1, st))
 
 
-def run_doall_serial(
-    proc: Procedure,
-    arrays: Mapping[str, np.ndarray],
-    scalars: Mapping[str, int | float] | None = None,
-) -> None:
-    """Run the outermost DOALL in ascending order (reference driver)."""
-    _run_in_order(proc, arrays, scalars, order=None)
-
-
 def run_doall_shuffled(
     proc: Procedure,
     arrays: Mapping[str, np.ndarray],
@@ -68,17 +59,11 @@ def run_doall_shuffled(
     transformation bug) shows up as a result difference against the serial
     driver.
     """
-    rng = random.Random(seed)
-    _run_in_order(proc, arrays, scalars, order=rng.shuffle)
-
-
-def _run_in_order(proc, arrays, scalars, order) -> None:
     interp = Interpreter()
     env: dict[str, int | float] = dict(scalars or {})
     loop = _outer_doall(proc)
     values = _iteration_values(loop, env, arrays)
-    if order is not None:
-        order(values)
+    random.Random(seed).shuffle(values)
     for value in values:
         local = dict(env)
         local[loop.var] = value

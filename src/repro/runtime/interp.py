@@ -2,8 +2,8 @@
 
 The interpreter defines the *semantics* every transformation must preserve:
 loops run in lexicographic order (DOALL loops included — a valid DOALL must
-give the same result in any order, which the executors in
-:mod:`repro.runtime.executor` exercise separately).
+give the same result in any order, which the shuffled driver in
+:mod:`repro.runtime.executor` exercises separately).
 
 Arrays are numpy arrays supplied by the caller; programs written 1-based
 (paper convention) simply allocate ``N+1``-sized arrays and ignore index 0.

@@ -77,7 +77,7 @@ from repro.parallel.observe import (
     record_fallback,
 )
 from repro.parallel.plan import prewarm
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.runtime import resolve_claim_batch, run_parallel_procedure
 from repro.scheduling.policies import ChunkSelfScheduled
 
@@ -600,13 +600,12 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     backend = body.get("backend", program.backend)
     if backend not in BACKENDS:
         raise RequestError(400, f"unknown backend {backend!r}")
-    workers = body.get("workers", 4)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    try:
         # Checked before any pool is leased: a pool is keyed (and a
         # fleet of that size forked) by this value.
-        raise RequestError(
-            400, f"workers must be an integer >= 1 (got {workers!r})"
-        )
+        workers = resolve_workers(body.get("workers", 4))
+    except ValueError as exc:
+        raise RequestError(400, str(exc)) from None
     for retired in ("variants", "calibrate", "shm_arrays"):
         if retired in body:
             raise RequestError(400, f"{retired!r} is not a /run option")

@@ -1,10 +1,12 @@
 """Compiler transformations on the loop-nest IR.
 
 The headline pass is :func:`repro.transforms.coalesce.coalesce` — the loop
-coalescing transformation of the paper.  Supporting passes: loop
-normalization, loop collapsing (the recovery-free special case), interchange,
-strip-mining (chunking), and index-recovery strength reduction for block
-execution.
+coalescing transformation of the paper.  :func:`repro.api.lower_and_coalesce`
+is the one pipeline that runs them: normalization, then the opt-in
+fission and reduction passes, then distribution (which makes imperfect
+nests perfect), then coalescing, rectangular or triangular.  Beside it
+live loop collapsing (the recovery-free special case, read by
+``--analyze``) and index-recovery strength reduction for block execution.
 """
 
 from repro.transforms.base import TransformError, fresh_name, used_names
@@ -25,13 +27,11 @@ from repro.transforms.fission import (
     fission_loop,
     fission_procedure,
 )
-from repro.transforms.fuse import fuse, fuse_procedure, fusion_preventing
 from repro.transforms.reduction import (
     ReductionOutcome,
     ReductionResult,
     reduction_procedure,
 )
-from repro.transforms.interchange import interchange
 from repro.transforms.triangular import (
     TriangularResult,
     coalesce_triangular,
@@ -39,7 +39,6 @@ from repro.transforms.triangular import (
     coalesce_triangular_guarded,
     guarded_waste,
 )
-from repro.transforms.stripmine import strip_mine
 from repro.transforms.strength import block_recovered_loop
 
 __all__ = [
@@ -66,16 +65,11 @@ __all__ = [
     "fission_loop",
     "fission_procedure",
     "fresh_name",
-    "fuse",
     "reduction_procedure",
-    "fuse_procedure",
-    "fusion_preventing",
-    "interchange",
     "normalize_loop",
     "normalize_procedure",
     "pack_linear",
     "recovery_expressions",
-    "strip_mine",
     "unpack_linear",
     "used_names",
 ]

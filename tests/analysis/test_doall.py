@@ -7,7 +7,6 @@ from repro.analysis.dependence import (
 )
 from repro.analysis.doall import (
     classify_loop,
-    interchange_legal,
     loop_carried_dependences,
     mark_doall,
 )
@@ -174,52 +173,6 @@ class TestMarkDoall:
         )
         loops = collect_loops(mark_doall(st))
         assert all(lp.kind is LoopKind.DOALL for lp in loops)
-
-
-class TestInterchangeLegal:
-    def test_doall_pair_legal(self):
-        lp = serial("i", 1, 9)(
-            serial("j", 1, 9)(assign(ref("A", v("i"), v("j")), c(1.0)))
-        )
-        assert interchange_legal(lp)
-
-    def test_less_greater_dependence_illegal(self):
-        # A(i, j) = A(i-1, j+1): direction (<, >) — interchange reverses it.
-        lp = serial("i", 2, 9)(
-            serial("j", 1, 8)(
-                assign(
-                    ref("A", v("i"), v("j")),
-                    ref("A", v("i") - 1, v("j") + 1),
-                )
-            )
-        )
-        assert not interchange_legal(lp)
-
-    def test_anti_dependence_with_less_greater_illegal(self):
-        # A(i, j) = A(i+1, j-1): iteration (i, j) reads what (i+1, j-1)
-        # overwrites — an anti dependence with direction (<, >).
-        lp = serial("i", 1, 8)(
-            serial("j", 2, 9)(
-                assign(
-                    ref("A", v("i"), v("j")),
-                    ref("A", v("i") + 1, v("j") - 1),
-                )
-            )
-        )
-        assert not interchange_legal(lp)
-
-    def test_less_equal_dependence_legal(self):
-        # A(i, j) = A(i-1, j): direction (<, =) survives interchange.
-        lp = serial("i", 2, 9)(
-            serial("j", 1, 9)(
-                assign(ref("A", v("i"), v("j")), ref("A", v("i") - 1, v("j")))
-            )
-        )
-        assert interchange_legal(lp)
-
-    def test_imperfect_nest_not_legal(self):
-        lp = serial("i", 1, 9)(assign(ref("A", v("i"), c(1)), c(0.0)))
-        assert not interchange_legal(lp)
 
 
 class TestCollectAccesses:

@@ -81,6 +81,81 @@ class TestBuildPdg:
         )
 
 
+def edge_set(loop):
+    return {(e.src, e.dst, e.kind, e.directions) for e in build_pdg(loop).edges}
+
+
+def pair_nest(read):
+    """``A(i, j) := <read>`` under ``i = 2..8``, ``j = 2..8``."""
+    return loop_of(
+        f"""
+        procedure nest(A[2]; n)
+          for i = 2, 8
+            for j = 2, 8
+              A(i, j) := {read}
+            end
+          end
+        end
+        """
+    )
+
+
+def two_statements(read):
+    """``A(i) := 1.0`` then ``B(i) := <read>`` in one ``i`` loop."""
+    return loop_of(
+        f"""
+        procedure two(A[1], B[1]; n)
+          for i = 2, n - 1
+            A(i) := 1.0
+            B(i) := {read}
+          end
+        end
+        """
+    )
+
+
+class TestDirectionVectors:
+    """Edges carry their direction vector in execution order, over the
+    analyzed loop and the inner loop its statement shares (``(i, j)``)."""
+
+    def test_flow_with_less_greater(self):
+        # Iteration (i, j) writes what (i+1, j-1) reads.
+        assert edge_set(pair_nest("A(i - 1, j + 1)")) == {
+            (0, 0, "flow", ("<", ">"))
+        }
+
+    def test_anti_with_less_greater(self):
+        # Iteration (i, j) reads what (i+1, j-1) overwrites.
+        assert edge_set(pair_nest("A(i + 1, j - 1)")) == {
+            (0, 0, "anti", ("<", ">"))
+        }
+
+    def test_flow_with_less_equal(self):
+        assert edge_set(pair_nest("A(i - 1, j)")) == {
+            (0, 0, "flow", ("<", "="))
+        }
+
+    def test_independent_pair_has_no_edge(self):
+        assert edge_set(pair_nest("1.0")) == set()
+
+    def test_backward_read_runs_second_to_first(self):
+        # S1 reads A(i+1) one iteration before S0 writes it: an anti
+        # edge from the second statement back to the first.
+        assert edge_set(two_statements("A(i + 1)")) == {
+            (1, 0, "anti", ("<",))
+        }
+
+    def test_forward_read_runs_first_to_second(self):
+        assert edge_set(two_statements("A(i - 1)")) == {
+            (0, 1, "flow", ("<",))
+        }
+
+    def test_aligned_read_is_loop_independent(self):
+        pdg = build_pdg(two_statements("A(i)"))
+        assert [(e.src, e.dst, e.kind, e.directions, e.carried)
+                for e in pdg.edges] == [(0, 1, "flow", ("=",), False)]
+
+
 class TestSccs:
     def test_condensation_is_topological(self):
         pdg = build_pdg(loop_of(MIXED))

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from repro.cli import main, run_pipeline
+from repro.cache import ArtifactCache
+from repro.cli import DEFAULT_PASSES, main, run_pipeline
 
 MATMUL = """
 procedure matmul(A[2], B[2], C[2]; n)
@@ -44,13 +45,15 @@ class TestRunPipeline:
         )
 
     def test_pass_subset(self):
-        proc, results = run_pipeline(MATMUL, passes="normalize,analyze")
+        # Without analyze the source's serial loops stay serial, so there
+        # is no DOALL nest to coalesce.
+        proc, results = run_pipeline(MATMUL, passes="normalize,coalesce")
         assert results == []
         from repro.ir.visitor import collect_loops
         from repro.ir.stmt import LoopKind
 
         kinds = {lp.var: lp.kind for lp in collect_loops(proc)}
-        assert kinds["i"] is LoopKind.DOALL
+        assert kinds == dict.fromkeys("ijk", LoopKind.SERIAL)
 
     def test_divmod_style(self):
         proc, results = run_pipeline(MATMUL, style="divmod")
@@ -67,6 +70,47 @@ class TestRunPipeline:
     def test_unknown_pass(self):
         with pytest.raises(ValueError, match="unknown pass"):
             run_pipeline(MATMUL, passes="vectorize")
+
+    def test_custom_pass_list_is_served_from_the_cache(self, tmp_path):
+        store = ArtifactCache(tmp_path)
+        cold, _ = run_pipeline(MATMUL, passes="normalize,coalesce", cache=store)
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        warm, _ = run_pipeline(MATMUL, passes="normalize,coalesce", cache=store)
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+        assert warm == cold
+
+    def test_transforms_option_is_the_same_as_naming_the_passes(self):
+        from repro.ir import to_source
+        from repro.workloads import get_workload
+
+        source = to_source(get_workload("mixed_update").proc)
+        named = run_pipeline(
+            source, passes="normalize,analyze,fission,reduction,distribute,coalesce"
+        )
+        for passes in (DEFAULT_PASSES, "normalize,analyze,fission,distribute,coalesce"):
+            assert run_pipeline(
+                source, passes=passes, transforms="fission,reduction"
+            ) == named
+        fission, reduction = named[1]
+        assert fission.applied == 1 and hasattr(reduction, "recognized")
+
+    @pytest.mark.parametrize(
+        "passes, problem",
+        [
+            ("normalize,vectorize,coalesce", "unknown pass 'vectorize'"),
+            ("normalize,analyze,analyze,coalesce", "'analyze' is named more than once"),
+            ("normalize,distribute,analyze,coalesce", "out of order"),
+            ("coalesce,normalize", "out of order"),
+            ("analyze,coalesce", "must include 'normalize'"),
+            ("normalize,analyze", "must include 'coalesce'"),
+        ],
+    )
+    def test_bad_pass_list_exits_1_naming_the_problem(
+        self, mm_file, passes, problem, capsys
+    ):
+        assert main([mm_file, "--passes", passes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
 
 
 class TestMain:
@@ -283,6 +327,19 @@ class TestMPBackendCLI:
             main(["--workload", "saxpy2d", "--run", "--backend", "mp", *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2.7", "two"])
+    def test_workers_must_be_a_positive_integer(self, value, capsys):
+        # A count the run cannot honour is refused before anything runs,
+        # never floored to 1 and then reported as given.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--workload", "saxpy2d", "--run", "--backend", "mp",
+                f"--workers={value}",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "workers must be an integer >= 1" in err
 
     @pytest.mark.parametrize("value", ["0", "-5", "2.7", "true"])
     def test_claim_batch_must_be_auto_or_a_positive_integer(

@@ -15,7 +15,7 @@ from repro.ir.expr import BinOp, Const, Expr, Var
 from repro.ir.stmt import Block, Loop, LoopKind, Procedure
 from repro.ir.validate import validate
 from repro.runtime.equivalence import assert_equivalent
-from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, distribute_procedure, strip_mine
+from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, distribute_procedure
 from repro.transforms.normalize import normalize_procedure
 
 MAX_DEPTH = 3
@@ -108,19 +108,6 @@ def test_property_block_recovery_any_nest(data, block_size, seed):
     result = coalesce(loop, auto_normalize=True)
     sr = block_recovered_loop(result, block_size)
     p2 = p.with_body(block(sr))
-    validate(p2)
-    assert_equivalent(p, p2, sizes, seed=seed)
-
-
-@given(data=random_nests(), block_size=st.integers(1, 9),
-       seed=st.integers(0, 10**6))
-@settings(max_examples=30, deadline=None)
-def test_property_coalesce_then_stripmine(data, block_size, seed):
-    p, sizes = data
-    loop = p.body.stmts[0]
-    result = coalesce(loop, auto_normalize=True)
-    sm = strip_mine(result.loop, block_size)
-    p2 = p.with_body(block(sm))
     validate(p2)
     assert_equivalent(p, p2, sizes, seed=seed)
 

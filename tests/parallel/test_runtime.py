@@ -321,6 +321,23 @@ class TestOneDriver:
             compile_mp_procedure(proc, claim_batch=batch).run(arrays, sc)
         _assert_bit_for_bit(before, arrays)
 
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
+    def test_workers_is_a_positive_integer(self, workers):
+        """A worker count below 1 is refused, never floored to 1 and then
+        reported as the count that ran."""
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        before = {k: v.copy() for k, v in arrays.items()}
+        for run in (
+            lambda: run_parallel_procedure(proc, arrays, sc, workers=workers),
+            lambda: compile_mp_procedure(proc, workers=workers).run(arrays, sc),
+            lambda: WorkerPool(arrays, workers=workers),
+        ):
+            with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+                run()
+        _assert_bit_for_bit(before, arrays)
+        assert leaked_segments() == []
+
     @pytest.mark.parametrize(
         "name,safety,match",
         [

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.runtime.equivalence import assert_equivalent, copy_env, random_env
-from repro.runtime.executor import run_doall_serial, run_doall_shuffled
+from repro.runtime.executor import run_doall_shuffled
 from repro.runtime.interp import InterpreterError, run
 
 
@@ -25,12 +25,6 @@ def _env(n=16, seed=1):
 
 
 class TestDrivers:
-    def test_serial_driver_matches_interpreter(self, scale):
-        e1, e2 = _env(), _env()
-        run(scale, e1, {"n": 16})
-        run_doall_serial(scale, e2, {"n": 16})
-        assert np.array_equal(e1["B"], e2["B"])
-
     def test_shuffled_driver_matches(self, scale):
         e1, e2 = _env(), _env()
         run(scale, e1, {"n": 16})
@@ -44,7 +38,7 @@ class TestDrivers:
             arrays={"A": 1},
         )
         with pytest.raises(InterpreterError, match="not a DOALL"):
-            run_doall_serial(p, {"A": np.zeros(5)})
+            run_doall_shuffled(p, {"A": np.zeros(5)})
 
     def test_rejects_multi_statement_body(self):
         p = proc(
@@ -54,7 +48,7 @@ class TestDrivers:
             arrays={"A": 1},
         )
         with pytest.raises(InterpreterError, match="single loop"):
-            run_doall_serial(p, {"A": np.zeros(5)})
+            run_doall_shuffled(p, {"A": np.zeros(5)})
 
     def test_shuffled_detects_false_doall(self):
         # A loop with a genuine cross-iteration dependence, mis-tagged DOALL:

@@ -342,7 +342,7 @@ def test_bad_workers_is_a_400(service, transport, workers):
             backend="mp", workers=workers,
         )
     assert err.value.status == 400
-    assert "workers" in str(err.value)
+    assert f"workers must be an integer >= 1 (got {workers!r})" in str(err.value)
     assert len(server.pools) == 0
     out = client.run(key, inputs(64, 16), {"n": 64}, transport=transport,
                      backend="mp", workers=1)

@@ -825,7 +825,8 @@ REGION_SUFFIX = "__region"
 #: * ``rules`` holds ``kind, k, asked`` per loop (``asked`` 0 is
 #:   ``"auto"``); the batch of one instance is resolved here exactly as
 #:   ``repro.parallel.dispatch._resolve_claim_batch`` resolves it for the
-#:   lock-guarded loop, so both protocols hand out the same chunks.
+#:   lock-guarded loop, so both protocols hand out the same chunks and
+#:   report the same batch.
 #: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
 #:   iterations, claims, lock_ops, log rows, batch`` — and ``tim`` its
 #:   arrival and finish instants; the parent rebuilds one result per
@@ -907,13 +908,13 @@ static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
     const long active = n < r->workers ? (long)n : r->workers;
     long kind = rule[0], k = 1, batch = 1, asked = 1;
     if (n > 0) {
-        const int64_t chunks = (n + rule[1] - 1) / rule[1];
-        int64_t b = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
-        if (kind == 1 || b < 1) b = 1;
-        asked = rule[2] > 0 ? rule[2] : b;
         if (kind == 1) {
-            k = active;
+            k = active;  /* GSS never batches, whatever was asked */
         } else {
+            const int64_t chunks = (n + rule[1] - 1) / rule[1];
+            int64_t b = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
+            if (b < 1) b = 1;
+            asked = rule[2] > 0 ? rule[2] : b;
             k = rule[1] < n ? rule[1] : n;
             batch = asked < (n + k - 1) / k ? asked : (n + k - 1) / k;
         }

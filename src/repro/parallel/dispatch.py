@@ -5,8 +5,9 @@ Everything compile-time is already in the plan (or, on a plan's first
 run, goes into it the first time it is reached); what happens here per
 call is what the paper leaves dynamic: evaluate the bounds, fill the
 job's scalars, trip count, batch clamp and the pool's ``specs``,
-dispatch, fold the workers' messages into a
-:class:`~repro.parallel.runtime.ParallelRunResult`, and — for the
+dispatch, fold the workers' reports into a
+:class:`~repro.parallel.runtime.ParallelRunResult` (on either protocol,
+:func:`repro.parallel.region._assemble`), and — for the
 loops the plan says so — inspect, speculate or combine partials.
 
 Each dispatchable loop runs under the strategy the plan picked for it:
@@ -41,11 +42,7 @@ from repro.ir.expr import apply_binop
 from repro.ir.stmt import Block, If, Loop, Stmt
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
-from repro.parallel.errors import (
-    ParallelDispatchError,
-    ParallelError,
-    ParallelTimeoutError,
-)
+from repro.parallel.errors import ParallelDispatchError, ParallelTimeoutError
 from repro.parallel.observe import (
     record_chunk_fallback,
     record_reduction_dispatch,
@@ -61,7 +58,6 @@ from repro.parallel.plan import (
 from repro.parallel.region import _assemble, enter, try_region
 from repro.parallel.runtime import (
     ParallelRunResult,
-    _aggregate,
     _contains_dispatchable,
     _empty_result,
 )
@@ -130,74 +126,19 @@ def _resolve_claim_batch(requested, plan, n: int, active: int) -> int:
     """Resolve ``claim_batch`` (an int >= 1 or ``"auto"``) to the value
     the lock-guarded loop uses.
 
-    Explicit integers pass through.  ``"auto"`` is one fixed rule: at
+    GSS and static plans never batch: 1, whatever was asked.  Otherwise
+    explicit integers pass through, and ``"auto"`` is one fixed rule: at
     most 64 chunks per claim, and at least eight claim rounds per active
-    worker (DESIGN.md §4g).  GSS and static plans never batch.  The
-    region driver's ``phase_`` computes the same value in C
-    (:data:`repro.codegen.cgen._REGION_RUNTIME`).
+    worker (DESIGN.md §4g).  The region driver's ``phase_`` computes the
+    same value in C (:data:`repro.codegen.cgen._REGION_RUNTIME`).
     """
-    if requested != "auto":
-        return requested
     if plan.rule is None or plan.rule[0] == "gss":
         return 1
+    if requested != "auto":
+        return requested
     per_claim = 1 if plan.rule[0] == "unit" else max(1, plan.rule[1])
     chunks = max(1, -(-n // per_claim))
     return max(1, min(64, chunks // (8 * max(1, active))))
-
-
-def _finalize_result(
-    results: Mapping[int, tuple],
-    loop: Loop,
-    lo: int,
-    hi: int,
-    n: int,
-    active: int,
-    plan,
-    t_base: float,
-) -> ParallelRunResult:
-    """Fold per-worker result messages into one :class:`ParallelRunResult`."""
-    wall = time.monotonic() - t_base
-    per_worker = [0] * active
-    claims = 0
-    lock_ops = 0
-    langs: set[str] = set()
-    event_log: list = []
-    spec_logs: list = []
-    for wid, msg in results.items():
-        _, _, _, iters, wclaims, wlocks, wevents, wlang, wextra = msg
-        langs.add(wlang)
-        spec_logs.extend(wextra.get("spec_log", ()))
-        if wid < active:
-            per_worker[wid] = iters
-        elif iters:  # pragma: no cover - plan contract violated
-            raise ParallelError(
-                f"idle worker {wid} executed {iters} iterations"
-            )
-        claims += wclaims
-        lock_ops += wlocks
-        if len(wevents):
-            event_log.append((wid, wevents))
-    if sum(per_worker) != n:
-        raise ParallelError(
-            f"claim accounting violated: {sum(per_worker)} iterations "
-            f"executed for a range of {n}"
-        )
-    spec_logs.sort(key=lambda log: (log[0], log[1]))
-    return ParallelRunResult(
-        loop.var,
-        lo,
-        hi,
-        active,
-        plan.name,
-        wall,
-        per_worker,
-        claims,
-        event_log,
-        t_base,
-        lock_ops=lock_ops,
-        chunk_lang=_aggregate(langs),
-        spec_logs=spec_logs,
-    )
 
 
 def _dispatch_pool(
@@ -236,7 +177,8 @@ def _dispatch_pool(
     if prep.native is not None and not run.stale:
         results = enter(run, prep.native, [lo, hi], env, specs)
         if results is not None:
-            return _assemble(results, prep.native, run.policy)[0]
+            tpl = prep.native
+            return _assemble(results, tpl.loops, tpl.policy_name, run.policy)[0]
     active = max(1, min(wpool.workers, n))
     plan = run.policy_plan(n, active)
     batch = _resolve_claim_batch(run.claim_batch, plan, n, active)
@@ -246,6 +188,7 @@ def _dispatch_pool(
         scalars={name: env[name] for name in job["scalar_order"]},
         plan=plan,
         lo=lo,
+        hi=hi,
         batch=batch,
         log_events=run.log_events,
     )
@@ -256,10 +199,9 @@ def _dispatch_pool(
             "written": tuple(speculate["written"]),
             "aliases": dict(speculate["aliases"]),
         }
-    t_base, results = wpool.dispatch(job, lo, hi, run.deadline)
-    result = _finalize_result(results, loop, lo, hi, n, active, plan, t_base)
-    result.claim_loop = "static" if plan.rule is None else "py"
-    result.claim_batch = batch
+    results = wpool.dispatch(job, lo, hi, run.deadline)
+    claim_loop = "static" if plan.rule is None else "py"
+    (result,) = _assemble(results, [loop], plan.name, run.policy, claim_loop)
     if result.chunk_lang != job.get("chunk_lang", "py"):
         # A worker degraded from the build (dlopen/bind failure): a chunk
         # fallback, like a parent-side one, and the plan is stale.

@@ -442,10 +442,11 @@ class KernelBuilder:
         """The C kernel as the job keys of every job that runs it, or None.
 
         ``c_so``, ``c_thunk``, ``array_order``, ``scalar_order`` and
-        ``c_scalar_types`` are what a region driver binds; ``c_fname`` and
-        ``c_sig`` are the lock-guarded loop's direct call.  Keyed by loop
-        identity plus the C types of the live scalar values plus whether
-        the unit also carries the loop's native inspector.
+        ``c_scalar_types`` are what a worker binds, on either claim
+        protocol; ``c_fname`` and ``c_sig`` name and type the native
+        inspector's entry.  Keyed by loop identity plus the C types of the
+        live scalar values plus whether the unit also carries the loop's
+        native inspector.
         """
         widened = _widened(proc, extra)
         types = tuple(
@@ -509,14 +510,15 @@ class KernelBuilder:
 
 
 def prewarm(proc: Procedure, store) -> int:
-    """Build the C kernel and the numpy chunk of every loop shape of ``proc``.
+    """Build the chunk every loop shape of ``proc`` will run with.
 
-    What the server does at ``/compile``: the C kernel compiled (where a
-    compiler is on PATH) and the numpy chunk generated, with the
-    integer-scalar signature JSON scalars decode to — for a recognized
-    reduction, the derived strip-mined loop the run dispatches — so the
-    first ``/run``'s plan finds both in the store.  Returns the number of
-    builds warmed; a shape that fails warms nothing.
+    What the server does at ``/compile``: where a compiler is on PATH the
+    C kernel is compiled, else the numpy chunk generated — what
+    ``chunk_lang="auto"`` runs on this host — with the integer-scalar
+    signature JSON scalars decode to (for a recognized reduction, the
+    derived strip-mined loop the run dispatches), so the first ``/run``'s
+    plan finds it in the store.  Returns the number of builds warmed; a
+    shape that fails warms nothing.
     """
     kernels = KernelBuilder(store)
     native = runtime.have_compiler()
@@ -527,7 +529,8 @@ def prewarm(proc: Procedure, store) -> int:
         env = {name: 1 for name in kproc.scalars}
         if native:
             warmed += kernels.chunk_kernel(kproc, kloop, (), env) is not None
-        warmed += kernels.numpy_chunk(kproc, kloop, ()) is not None
+        else:
+            warmed += kernels.numpy_chunk(kproc, kloop, ()) is not None
     return warmed
 
 

@@ -190,7 +190,7 @@ class WorkerPool:
     Usage::
 
         with WorkerPool(arrays, workers=4) as pool:
-            t_base, results = pool.dispatch(job, lo, hi, deadline)
+            results = pool.dispatch(job, lo, hi, deadline)
             ...more dispatches, same processes...
             pool.copy_back(arrays)      # only on success
         # workers stopped, segments unlinked here — success or not
@@ -271,15 +271,16 @@ class WorkerPool:
         lo: int,
         hi: int,
         deadline: float | None = None,
-    ) -> tuple[float, dict[int, tuple]]:
+    ) -> dict[int, tuple]:
         """Run one DOALL dispatch on the resident fleet.
 
         Re-arms the shared counter for ``[lo, hi]`` (dynamic plans only),
         sends ``job`` to every worker, and gathers one result message per
-        worker.  Returns ``(t_base, results)`` where ``t_base`` is the
-        dispatch start on the shared monotonic clock and ``results`` maps
-        worker id to the worker's own ``("ok", wid, seq, iterations,
-        claims, lock_ops, events, chunk_lang, extra)`` message.  A crash
+        worker.  Returns ``results``, mapping worker id to the worker's own
+        ``("ok", wid, seq, report)`` message — ``report`` the same dict on
+        both claim protocols (:func:`repro.parallel.worker._report`: the
+        ``rec``/``tim`` tables, the packed claim log, the chunk language
+        run), which :func:`repro.parallel.region._assemble` folds.  A crash
         or timeout terminates the fleet, marks the pool broken, and raises.
         """
         if self._closed:
@@ -308,7 +309,6 @@ class WorkerPool:
                 return msg[1]
             return msg[1] if msg[2] == seq else None
 
-        t_base = time.monotonic()
         try:
             for q in self._jobs:
                 q.put(("job", seq, job))
@@ -325,7 +325,7 @@ class WorkerPool:
             self.counter.stop_barrier()
             terminate_procs(self._procs)
             raise
-        return t_base, results
+        return results
 
     # -- lifecycle --------------------------------------------------------
     @property

@@ -6,7 +6,8 @@ At each DOALL instance the workers meet at a native barrier whose last
 arriver arms the shared counter, then drain the instance with the native
 claim loop and the kernel's thunk.  One result message per worker comes
 back with per-instance tables, and :func:`_assemble` — the one fold of
-native results — turns them into one ``ParallelRunResult`` per instance.
+every job's results, native or not — turns them into one
+``ParallelRunResult`` per instance.
 A driver is one of two kinds:
 
 * a program with a DOALL under a serial loop gets its own, generated
@@ -62,6 +63,7 @@ from repro.parallel.errors import ParallelError
 from repro.parallel.observe import record_claim_fallback
 from repro.parallel.runtime import (
     ParallelRunResult,
+    _aggregate,
     _contains_dispatchable,
     _empty_result,
 )
@@ -270,32 +272,39 @@ def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
         "specs": specs,
         "log_events": run.log_events,
     }
-    _, results = wpool.dispatch(job, 0, -1, run.deadline)
-    for msg in results.values():
-        table = msg[8]["region"]
-        if table is None or table["status"]:
-            record_claim_fallback()
-            run.stale = True
-            return None
+    results = wpool.dispatch(job, 0, -1, run.deadline)
+    if any(msg[3]["status"] for msg in results.values()):
+        record_claim_fallback()
+        run.stale = True
+        return None
     return results
 
 
-def _assemble(results: Mapping[int, tuple], tpl: _Template, policy):
+def _assemble(
+    results: Mapping[int, tuple], loops: list[Loop], name: str, policy,
+    claim_loop: str = "native",
+) -> list[ParallelRunResult]:
     """One :class:`ParallelRunResult` per DOALL instance, in program order,
-    from the workers' per-instance tables — the one fold of native
-    results.  Checked on every run: the workers agree on the instances,
-    and per instance the iterations sum to the range with idle workers
-    reporting none."""
+    from the workers' reports (:func:`repro.parallel.worker._report`) —
+    the one fold of every job's messages, native or lock-guarded.
+
+    Checked on every run: the workers agree on the instances, and per
+    instance the iterations sum to the range with idle workers reporting
+    none.  An instance runs from its workers' earliest start (its
+    ``t_base``) to their latest finish; its ``chunk_lang`` aggregates
+    what the workers ran, and a speculative job's recordings are gathered
+    and sorted onto its one instance.
+    """
     wids = sorted(results)
-    tables = [results[w][8]["region"] for w in wids]
-    recs = [memoryview(t["rec"]).cast("q").tolist() for t in tables]
-    tims = [memoryview(t["tim"]).cast("d").tolist() for t in tables]
-    first = recs[0]
-    for col in (0, 1, 2, 7):  # loop, lo, hi, batch: SPMD-identical
-        if any(rec[col::8] != first[col::8] for rec in recs):
-            raise ParallelError("workers disagree on the region's instances")
-    workers = tpl.job["workers"]
-    los, his = first[1::8], first[2::8]
+    reports = [results[w][3] for w in wids]
+    recs = [memoryview(r["rec"]).cast("q").tolist() for r in reports]
+    tims = [memoryview(r["tim"]).cast("d").tolist() for r in reports]
+    # loop, lo, hi, batch: SPMD-identical
+    spmd = [(rec[0::8], rec[1::8], rec[2::8], rec[7::8]) for rec in recs]
+    if spmd.count(spmd[0]) != len(spmd):
+        raise ParallelError("workers disagree on the region's instances")
+    workers = len(wids)
+    lis, los, his, batches = spmd[0]
     sizes = [hi - lo + 1 if hi >= lo else 0 for lo, hi in zip(los, his)]
     iters = list(map(list, zip(*[rec[3::8] for rec in recs])))
     if list(map(sum, iters)) != sizes or min(sizes, default=0) < workers:
@@ -309,7 +318,7 @@ def _assemble(results: Mapping[int, tuple], tpl: _Template, policy):
     lock_ops = map(sum, zip(*[rec[5::8] for rec in recs]))
     t_base = list(map(min, zip(*[tim[0::2] for tim in tims])))
     t_end = map(max, zip(*[tim[1::2] for tim in tims]))
-    logs = [results[w][6] for w in wids]
+    logs = [r["log"] for r in reports]
     event_logs = [[] for _ in sizes]  # per instance: (worker, log rows)
     for wid, log, rec in zip(wids, logs, recs if any(logs) else ()):
         at = 0
@@ -317,11 +326,11 @@ def _assemble(results: Mapping[int, tuple], tpl: _Template, policy):
             if rows:  # 40 bytes per row
                 event_logs[ph].append((wid, log[at : at + 40 * rows]))
                 at += 40 * rows
-    loops, name = tpl.loops, tpl.policy_name
+    lang = _aggregate({r["lang"] for r in reports})
     out: list[ParallelRunResult] = []
     for li, lo, hi, batch, size, done, c, ops, t0, t1, log in zip(
-        first[0::8], los, his, first[7::8], sizes, iters, claims, lock_ops,
-        t_base, t_end, event_logs,
+        lis, los, his, batches, sizes, iters, claims, lock_ops, t_base,
+        t_end, event_logs,
     ):
         if not size:
             out.append(_empty_result(loops[li], lo, hi, workers, policy))
@@ -330,9 +339,13 @@ def _assemble(results: Mapping[int, tuple], tpl: _Template, policy):
         out.append(
             ParallelRunResult(
                 loops[li].var, lo, hi, active, name, t1 - t0, done[:active],
-                c, log, t0, ops, "c", batch, claim_loop="native",
+                c, log, t0, ops, lang, batch, claim_loop=claim_loop,
             )
         )
+    spec_logs = [entry for r in reports for entry in r["spec_log"]]
+    if spec_logs:
+        spec_logs.sort(key=lambda entry: (entry[0], entry[1]))
+        out[0].spec_logs = spec_logs
     return out
 
 
@@ -360,7 +373,9 @@ def try_region(run) -> bool:
     if results is None:
         out.region = "SPMD006: a worker could not enter the region"
         return False
-    out.dispatches.extend(_assemble(results, tpl, run.policy))
-    out.serial_stmts += results[0][8]["region"]["serial_stmts"]
+    out.dispatches.extend(
+        _assemble(results, tpl.loops, tpl.policy_name, run.policy)
+    )
+    out.serial_stmts += results[0][3]["serial_stmts"]
     out.region = "native"
     return True

@@ -116,6 +116,7 @@ __all__ = [
     "resolve_chunk_lang",
     "resolve_claim_batch",
     "resolve_safety",
+    "resolve_timeout",
     "run_parallel_procedure",
 ]
 
@@ -162,6 +163,25 @@ def resolve_claim_batch(requested) -> int | str:
             f"(got {requested!r})"
         )
     return int(requested)
+
+
+def resolve_timeout(requested) -> float | None:
+    """None (no deadline), or a per-run timeout in seconds: a number > 0.
+
+    A bool, a string, zero, a negative value or NaN raises
+    :class:`ValueError` before any pool exists — never a fleet forked
+    only to time out (which ``backend="mp"`` would turn into a silent
+    serial fallback on every call).
+    """
+    if requested is None:
+        return None
+    if (
+        isinstance(requested, bool)
+        or not isinstance(requested, (int, float, np.integer, np.floating))
+        or not requested > 0
+    ):
+        raise ValueError(f"timeout must be a number > 0 (got {requested!r})")
+    return float(requested)
 
 
 def resolve_safety(requested: str | None) -> str:
@@ -217,13 +237,15 @@ class ParallelRunResult:
     iterations_per_worker: list[int]
     claims: int
     #: The workers' claim logs as shipped: ``(worker, rows)`` pairs, rows
-    #: being 5-tuples ``lo, hi, t_claim, t_work, t_end`` on the monotonic
-    #: clock, or (native loop) the bytes of an ``(n, 5)`` float64 array of
-    #: the same.  Kept raw — :attr:`events` is the readable form, built
+    #: being the bytes of an ``(n, 5)`` float64 array of ``lo, hi,
+    #: t_claim, t_work, t_end`` on the monotonic clock — on both claim
+    #: protocols.  Kept raw — :attr:`events` is the readable form, built
     #: only if someone asks.
     event_log: list = field(default_factory=list, repr=False, compare=False)
-    #: The monotonic-clock instant the dispatch started (``event_log``
-    #: times are absolute; :attr:`events` reports them relative to this).
+    #: The monotonic-clock instant the dispatch started: its workers'
+    #: earliest start (``event_log`` times are absolute; :attr:`events`
+    #: reports them relative to this).  ``wall_time`` runs from here to
+    #: their latest finish.
     t_base: float = field(default=0.0, repr=False, compare=False)
     #: Counter critical sections (or, on the native protocol, atomic
     #: claims) that granted work; < ``claims`` when claims were batched,
@@ -269,8 +291,7 @@ class ParallelRunResult:
         t_base = self.t_base
         events = []
         for wid, rows in self.event_log:
-            if isinstance(rows, bytes):
-                rows = np.frombuffer(rows).reshape(-1, 5).tolist()
+            rows = np.frombuffer(rows).reshape(-1, 5).tolist()
             for lo, hi, t0, t1, t2 in rows:
                 events.append(
                     ClaimEvent(
@@ -512,6 +533,7 @@ def run_parallel_procedure(
     lang = resolve_chunk_lang(chunk_lang)
     claim_batch = resolve_claim_batch(claim_batch)
     workers = resolve_workers(workers)
+    timeout = resolve_timeout(timeout)
     owned = pool is None
     plan = prepare(
         proc, arrays if owned else pool.views, scalars or {}, mode, lang,

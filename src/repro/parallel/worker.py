@@ -14,8 +14,8 @@ Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
   (:func:`repro.codegen.pygen.compile_chunk_source`), always present in
   the job as the safety net;
 * ``"c"`` — a native kernel: the job carries a content-addressed ``.so``
-  path, symbol name, and argument signature; the worker dlopens it once
-  per shape and runs it directly on its shared-memory array views
+  path and the kernel's thunk name; the worker dlopens it once per shape
+  and runs it directly on its shared-memory array views
   (``ndarray.ctypes`` pointers — zero copies);
 * ``"numpy"`` — the whole-slice vectorized chunk
   (:func:`repro.codegen.npgen.compile_numpy_chunk`): the claimed flat
@@ -47,12 +47,17 @@ counter (:mod:`repro.parallel.counter` says why):
   chunk for the dispatch, reported back as ``lang="py"``.  Static plans
   skip the counter and walk a precomputed chunk list.
 
-Every claim is logged as ``(lo, hi, t_claim, t_work, t_end)`` on the shared
-monotonic clock so the parent can reconstruct the measured schedule
-(:mod:`repro.parallel.observe`); the native loop ships its rows as one
-raw float64 array per worker.  Failures are reported over the result queue
-*and* via a nonzero exit code, so the parent detects crashes even if the
-message is lost.
+Both protocols call a C chunk one way: the kernel's ``__v`` thunk with
+the job's arguments packed into 8-byte ``argv`` slots (:func:`_argv_slots`).
+Both report one way too (:func:`_report`): one ``rec`` row per DOALL
+instance (``loop, lo, hi, iterations, claims, lock_ops, log rows,
+batch``) and one ``tim`` row (the worker's start and finish on the
+shared monotonic clock), plus the claim log as packed float64 rows
+``(lo, hi, t_claim, t_work, t_end)`` — so the parent folds every job's
+messages in one place (:func:`repro.parallel.region._assemble`) and can
+reconstruct the measured schedule (:mod:`repro.parallel.observe`).
+Failures are reported over the result queue *and* via a nonzero exit
+code, so the parent detects crashes even if the message is lost.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import ctypes
 import struct
 import time
 import traceback
+from array import array
 from typing import Any, Callable
 
 import numpy as np
@@ -70,43 +76,47 @@ from repro.codegen.pygen import compile_chunk_source
 from repro.parallel.shm import attach_array
 
 
-def _c_arguments(job: dict[str, Any], arrays: dict):
-    """A native kernel's arguments after the two bounds, in order.
-
-    Yields ``(kind, value)`` with the kinds of the job's ``c_sig``:
-    ``("ptr", view)`` for an array — raising unless it qualifies for the
-    zero-copy convention — then ``("long", extent)`` per dimension, then
-    each scalar as ``("long", int)`` or ``("double", float)``.
-    """
+def _argv_slots(job: dict[str, Any], arrays: dict):
+    """A kernel's arguments after the two bounds, packed into its thunk's
+    8-byte ``argv`` slots (:func:`repro.codegen.cgen.generate_chunk_c`
+    documents the layout): per array its address — raising unless it
+    qualifies for the zero-copy convention — and extents, then each
+    scalar, a ``double`` as its bits."""
+    slots: list[int] = []
     for name in job["array_order"]:
         view = arrays[name]
         if view.dtype != np.float64 or not view.flags["C_CONTIGUOUS"]:
             raise TypeError(f"array {name!r} not C-contiguous float64")
-        yield "ptr", view
-        for d in view.shape:
-            yield "long", int(d)
+        slots += [view.ctypes.data, *view.shape]
     for name, ty in zip(job["scalar_order"], job["c_scalar_types"]):
         value = job["scalars"][name]
-        yield ty, float(value) if ty == "double" else int(value)
+        if ty == "double":  # same bits, read as the slot's integer
+            (value,) = struct.unpack("=q", struct.pack("=d", value))
+        slots.append(int(value))
+    return (ctypes.c_int64 * len(slots))(*slots)
+
+
+#: ``void <kernel>__v(long lo, long hi, void **argv)``: a kernel's thunk.
+_THUNK = ctypes.CFUNCTYPE(None, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
 
 
 def _make_invoker(
     job: dict[str, Any], arrays: dict
-) -> tuple[Callable[[int, int], None], str, dict[str, Any]]:
+) -> tuple[Callable[[int, int], None], str, list]:
     """Build the ``invoke(lo, hi)`` callable for one job.
 
-    Returns ``(invoke, lang, extra)`` where ``lang`` is the chunk
-    language actually bound — ``"c"`` only when the native kernel loaded
+    Returns ``(invoke, lang, spec_log)`` where ``lang`` is the chunk
+    language actually bound — ``"c"`` only when the kernel's thunk loaded
     and every array qualifies for the zero-copy call convention;
     otherwise the Python chunk (the job always carries its source) —
-    and ``extra`` is the per-job payload shipped back to the parent
-    alongside the claim accounting (empty for normal dispatches).
+    and ``spec_log`` is the list a speculative job records into (empty
+    for normal dispatches).
 
     A *speculative* job (``job["speculate"]``) binds neither chunk
     flavor: the worker executes the dispatched loop with the recording
     interpreter, written arrays remapped to their shadow segments, and
     every claimed chunk appends ``(lo, hi, writes, reads)`` to
-    ``extra["spec_log"]`` for the parent's conflict validation.
+    ``spec_log`` for the parent's conflict validation.
     """
     spec = job.get("speculate")
     if spec is not None:
@@ -130,50 +140,56 @@ def _make_invoker(
             )
             log.append((lo, hi, tuple(writes), tuple(reads)))
 
-        return invoke_spec, "py", {"spec_log": log}
-    if job.get("chunk_lang") == "c":
-        try:
-            from repro.codegen.cload import load_chunk_kernel
-
-            fn = load_chunk_kernel(
-                job["c_so"], job["c_fname"], tuple(job["c_sig"])
-            )
-            pointer = ctypes.POINTER(ctypes.c_double)
-            args = [
-                value.ctypes.data_as(pointer) if kind == "ptr" else value
-                for kind, value in _c_arguments(job, arrays)
-            ]
-
-            def invoke(lo: int, hi: int, _fn=fn, _args=tuple(args)) -> None:
-                _fn(lo, hi, *_args)
-
-            return invoke, "c", {}
-        except Exception:
-            pass  # degrade to the Python chunk; the parent sees lang="py"
-    if job.get("chunk_lang") == "numpy":
-        try:
+        return invoke_spec, "py", log
+    lang, fn = job.get("chunk_lang", "py"), None
+    try:
+        if lang == "c":
+            _, address = cload.load_chunk_thunk(job["c_so"], job["c_thunk"])
+            fn, args = _THUNK(address), (_argv_slots(job, arrays),)
+        elif lang == "numpy":
             from repro.codegen.npgen import compile_numpy_chunk
 
-            np_fn = compile_numpy_chunk(job["np_source"], job["np_fname"])
-            np_args = [arrays[n] for n in job["array_order"]]
-            np_args += [job["scalars"][n] for n in job["scalar_order"]]
+            fn = compile_numpy_chunk(job["np_source"], job["np_fname"])
+    except Exception:
+        fn = None  # degrade to the Python chunk; the parent sees lang="py"
+    if fn is None:
+        lang, fn = "py", compile_chunk_source(job["source"], job["fname"])
+    if lang != "c":
+        args = (
+            *[arrays[n] for n in job["array_order"]],
+            *[job["scalars"][n] for n in job["scalar_order"]],
+        )
 
-            def invoke_np(
-                lo: int, hi: int, _fn=np_fn, _args=tuple(np_args)
-            ) -> None:
-                _fn(lo, hi, *_args)
-
-            return invoke_np, "numpy", {}
-        except Exception:
-            pass  # degrade to the Python chunk; the parent sees lang="py"
-    func = compile_chunk_source(job["source"], job["fname"])
-    call_args = [arrays[n] for n in job["array_order"]]
-    call_args += [job["scalars"][n] for n in job["scalar_order"]]
-
-    def invoke(lo: int, hi: int, _fn=func, _args=tuple(call_args)) -> None:
+    def invoke(lo: int, hi: int, _fn=fn, _args=args) -> None:
         _fn(lo, hi, *_args)
 
-    return invoke, "py", {}
+    return invoke, lang, []
+
+
+def _report(
+    rec: bytes,
+    tim: bytes,
+    log: bytes,
+    lang: str,
+    status: int = 0,
+    serial_stmts: int = 0,
+    spec_log: list | tuple = (),
+) -> dict[str, Any]:
+    """A worker's report on one job — the same on both protocols.
+
+    ``rec`` holds one int64 row per DOALL instance (``loop, lo, hi,
+    iterations, claims, lock_ops, log rows, batch``) and ``tim`` one
+    float64 row per instance (start, finish); ``log`` is the claim log,
+    five float64 per row, instances in order.  ``status`` is nonzero when
+    a region driver could not run (this worker could not bind it, or a
+    peer stopped the barrier); ``serial_stmts`` counts the statements a
+    region driver ran around its DOALLs; ``spec_log`` is a speculative
+    job's recording.
+    """
+    return {
+        "status": status, "serial_stmts": serial_stmts, "rec": rec,
+        "tim": tim, "log": log, "lang": lang, "spec_log": spec_log,
+    }
 
 
 #: Rows of the per-worker claim-log ring the native loop writes (5 float64
@@ -192,22 +208,9 @@ def _claim_ring(rows: int) -> np.ndarray:
     return _ring
 
 
-def _argv_slots(job: dict[str, Any], arrays: dict):
-    """A kernel's arguments packed into the thunk's 8-byte ``argv`` slots
-    (:func:`repro.codegen.cgen.generate_chunk_c` documents the layout)."""
-    slots: list[int] = []
-    for kind, value in _c_arguments(job, arrays):
-        if kind == "ptr":
-            value = value.ctypes.data
-        elif kind == "double":  # same bits, read as the slot's integer
-            (value,) = struct.unpack("=q", struct.pack("=d", value))
-        slots.append(value)
-    return (ctypes.c_int64 * len(slots))(*slots)
-
-
 def _run_region(
     wid: int, job: dict[str, Any], counter, arrays: dict
-) -> tuple[int, int, int, Any, str, dict[str, Any]]:
+) -> dict[str, Any]:
     """One worker's share of a native job: a region of one DOALL instance,
     or a whole serial-outer run.
 
@@ -215,14 +218,13 @@ def _run_region(
     claim library's one-instance entry — and, per DOALL, the kernel to
     bind (:mod:`repro.parallel.region` builds it).  The worker binds
     everything, asks the driver how many DOALL instances the job has, and
-    enters it once; it comes back when the last instance is done.
-    ``extra["region"]`` carries the driver's status and the raw
-    per-instance ``rec``/``tim`` tables; the claim log of the whole job is
-    one byte string in instance order.
+    enters it once; it comes back when the last instance is done, with
+    the driver's status and its per-instance ``rec``/``tim`` tables; the
+    claim log of the whole job is one byte string in instance order.
 
     A worker that cannot bind sets the barrier's stop word instead of
     entering — its peers give up at their first barrier, before any
-    iteration has run — and reports ``extra["region"] = None``.
+    iteration has run — and reports status -1.
     """
     reg = job["region"]
     try:
@@ -235,7 +237,7 @@ def _run_region(
         ]
     except Exception:
         counter.stop_barrier()
-        return 0, 0, 0, b"", "py", {"region": None}
+        return _report(b"", b"", b"", "c", status=-1)
     count = len(argvs)
     fns = (ctypes.c_void_p * count)(*thunks)
     argv_table = (ctypes.c_void_p * count)(
@@ -266,94 +268,67 @@ def _run_region(
     status = enter(1, rec, tim, 0 if ring is None else len(ring))
     if info[2]:
         logged.append(ring[: info[2]].tobytes())
-    done = [sum(rec[col::8]) for col in (3, 4, 5)]
-    table = {
-        "status": status,
-        "serial_stmts": info[3],
-        "rec": bytes(rec),
-        "tim": bytes(tim),
-    }
-    return *done, b"".join(logged), "c", {"region": table}
+    return _report(
+        bytes(rec), bytes(tim), b"".join(logged), "c", status, info[3]
+    )
 
 
 def run_plan(
     wid: int, job: dict[str, Any], counter, arrays: dict
-) -> tuple[int, int, int, Any, str, dict[str, Any]]:
-    """Execute one worker's share of a job.
+) -> dict[str, Any]:
+    """Execute one worker's share of a job; returns its :func:`_report`.
 
-    Returns ``(iterations, claims, lock_ops, events, lang, extra)`` where
-    ``claims`` counts executed chunks, ``lock_ops`` counts counter critical
+    ``claims`` counts executed chunks and ``lock_ops`` counter critical
     sections — or, on the native protocol, atomic claims — that granted
-    work (``claims == lock_ops`` unless claims were batched), ``events``
-    is this worker's claim log (a list of 5-tuples, or from the native
-    loop the bytes of one ``(rows, 5)`` float64 array — they pickle in
-    a fraction of an ndarray's time), ``lang`` is the chunk language
-    actually executed (``"c"``/``"numpy"``/``"py"``), and ``extra`` carries
-    any per-job payload (the recorded ``spec_log`` of a speculative
-    dispatch; empty otherwise).
+    work (``claims == lock_ops`` unless claims were batched; 0 for a
+    static plan, which never touches the counter).  ``lang`` is the chunk
+    language actually executed (``"c"``/``"numpy"``/``"py"``).
 
     The protocol is picked by what the parent sent, not by a setting: a
     ``region`` job runs the native protocol (:func:`_run_region`) and
     nothing else; every other job runs the Python loop below — the
-    portable floor.
+    portable floor — and reports one instance of loop 0.
 
     ``job`` keys: ``source``/``fname`` (Python chunk function),
-    ``chunk_lang`` plus ``c_so``/``c_fname``/``c_sig``/``c_scalar_types``
-    (native kernel, optional), ``np_source``/``np_fname`` (numpy chunk, optional),
+    ``chunk_lang`` plus ``c_so``/``c_thunk``/``c_scalar_types`` (native
+    kernel, optional), ``np_source``/``np_fname`` (numpy chunk, optional),
     ``speculate`` (speculative dispatch descriptor, optional),
     ``array_order``/``scalar_order``/``scalars`` (call convention),
-    ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo`` (loop
-    lower bound), ``batch`` (chunks per claim), ``log_events``.
+    ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo``/``hi``
+    (loop bounds), ``batch`` (chunks per claim), ``log_events``.
     """
     if "region" in job:
         return _run_region(wid, job, counter, arrays)
-    func, lang, extra = _make_invoker(job, arrays)
-    plan = job["plan"]
-    log_events = job["log_events"]
-    events: list[tuple[int, int, float, float, float]] = []
-    iterations = 0
-    claims = 0
-    lock_ops = 0
-
+    func, lang, spec_log = _make_invoker(job, arrays)
+    plan, lo0, batch = job["plan"], job["lo"], job["batch"]
     if wid >= plan.workers:
         # Pool larger than the iteration space: the plan was built for
         # plan.workers processes, so this one idles.
-        return 0, 0, 0, events, lang, extra
-
-    if plan.static is not None:
-        lo0 = job["lo"]
-        t0 = time.monotonic()
-        for start, size in plan.static[wid]:
-            lo, hi = lo0 + start, lo0 + start + size - 1
-            t1 = time.monotonic()
+        grants = ()
+    elif plan.static is not None:  # a precomputed chunk list, no counter
+        grants = [[(lo0 + at, lo0 + at + n - 1)] for at, n in plan.static[wid]]
+    else:
+        grants = iter(lambda: counter.claim_batch(plan.rule, batch), [])
+    locked, keep_log, log = plan.static is None, job["log_events"], array("d")
+    iterations = claims = lock_ops = 0
+    t0 = t_start = time.monotonic()
+    for claimed in grants:
+        t1 = time.monotonic()
+        lock_ops += locked
+        for lo, hi in claimed:
             func(lo, hi)
             t2 = time.monotonic()
-            if log_events:
-                events.append((lo, hi, t0, t1, t2))
-            iterations += size
+            if keep_log:
+                log.extend((lo, hi, t0, t1, t2))
+            iterations += hi - lo + 1
             claims += 1
-            t0 = t2
-    else:
-        rule = plan.rule
-        batch = job.get("batch", 1)
-        while True:
-            t0 = time.monotonic()
-            claimed = counter.claim_batch(rule, batch)
-            t1 = time.monotonic()
-            if not claimed:
-                break
-            lock_ops += 1
-            for lo, hi in claimed:
-                func(lo, hi)
-                t2 = time.monotonic()
-                if log_events:
-                    events.append((lo, hi, t0, t1, t2))
-                iterations += hi - lo + 1
-                claims += 1
-                t0 = t1 = t2
-    if plan.static is not None:
-        lock_ops = 0  # static plans never touch the shared counter
-    return iterations, claims, lock_ops, events, lang, extra
+            t0 = t1 = t2
+    rec = struct.pack(
+        "=8q", 0, lo0, job["hi"], iterations, claims, lock_ops,
+        len(log) // 5, batch,
+    )
+    tim = struct.pack("=2d", t_start, time.monotonic())
+    return _report(rec, tim, log.tobytes(), lang, spec_log=spec_log)
 
 
 def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
@@ -361,8 +336,8 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
 
     ``jobs`` is this worker's private queue of ``("job", seq, job)`` /
     ``("stop",)`` messages; ``results`` is the shared result queue, fed
-    one ``("ok", wid, seq, iterations, claims, lock_ops, events, lang,
-    extra)`` or ``("err", wid, seq, traceback)`` message per job.
+    one ``("ok", wid, seq, report)`` (:func:`_report`) or ``("err", wid,
+    seq, traceback)`` message per job.
 
     The shared arrays are attached once, up front — each dispatch is then
     a message plus the claim loop, no fork, no re-attach.  Any specs a job
@@ -397,15 +372,7 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
                 break
             _, seq, job = msg
             attach(job.get("specs", ()))
-            iterations, claims, lock_ops, events, lang, extra = run_plan(
-                wid, job, counter, arrays
-            )
-            results.put(
-                (
-                    "ok", wid, seq, iterations, claims, lock_ops, events,
-                    lang, extra,
-                )
-            )
+            results.put(("ok", wid, seq, run_plan(wid, job, counter, arrays)))
     except BaseException:
         failed = True
         try:

@@ -78,7 +78,11 @@ from repro.parallel.observe import (
 )
 from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool, resolve_workers
-from repro.parallel.runtime import resolve_claim_batch, run_parallel_procedure
+from repro.parallel.runtime import (
+    resolve_claim_batch,
+    resolve_timeout,
+    run_parallel_procedure,
+)
 from repro.scheduling.policies import ChunkSelfScheduled
 
 DEFAULT_PORT = 8923
@@ -616,12 +620,8 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         resolve_policy(policy if isinstance(policy, str) else repr(policy))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
-    timeout = body.get("timeout")
-    if timeout is not None and not (
-        type(timeout) in (int, float) and timeout > 0
-    ):
-        raise RequestError(400, f"timeout must be a number > 0 (got {timeout!r})")
     try:
+        timeout = resolve_timeout(body.get("timeout"))
         claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc

@@ -64,6 +64,17 @@ class TestMPBackendThroughAPI:
         with pytest.raises(TypeError, match="takes no options"):
             transform_function(SWEEP, backend="python", workers=4)
 
+    @pytest.mark.parametrize("timeout", [0, -1, True, "1"])
+    def test_a_bad_timeout_raises_instead_of_falling_back(self, timeout):
+        A, B = _sweep_env()
+        parallel = transform_function(
+            SWEEP, backend="mp", workers=2, timeout=timeout
+        )
+        with pytest.raises(ValueError, match="timeout"):
+            parallel(A, B, 8, 12)
+        assert parallel.last_parallel is None
+        assert parallel._backend.fallback_reason is None
+
     def test_claim_batch_option_flows_through(self):
         A, B_mp = _sweep_env(seed=2)
         _, B_serial = _sweep_env(seed=2)

@@ -73,7 +73,8 @@ def replay(lo, hi, rule, batch) -> tuple[list[tuple[int, int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# (i) the native loop hands out exactly the chunks claim_batch would
+# (i) both protocols hand out exactly the chunks claim_batch would, and
+# report them alike
 # ---------------------------------------------------------------------------
 
 SPAN = 6000  # array length: lo <= 900 plus n <= 5000
@@ -90,41 +91,62 @@ def pools():
 
 
 @st.composite
-def dynamic_dispatches(draw):
+def dispatches(draw):
     lo = draw(st.integers(0, 900))
     n = draw(st.integers(1, 5000))
-    policy = draw(st.sampled_from(("unit", "fixed", "gss")))
+    policy = draw(
+        st.sampled_from(("unit", "fixed", "gss", "static", "static-cyclic"))
+    )
     chunk = draw(st.integers(1, 40)) if policy == "fixed" else None
     batch = draw(st.integers(1, 70))
     workers = draw(st.integers(1, 3))
     return lo, n, policy, chunk, batch, workers
 
 
+def reported(d):
+    """What both claim protocols report alike for the same dispatch."""
+    return (
+        d.claims, d.lock_ops, d.claim_batch, d.lo, d.hi, d.workers, d.policy,
+        chunks_of(d),
+    )
+
+
 @needs_gcc
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=dynamic_dispatches())
+@given(case=dispatches())
 def test_native_claims_equal_lock_guarded_replay(pools, case):
     lo, n, policy, chunk, batch, workers = case
     hi = lo + n - 1
-    arrays = {"A": np.zeros(SPAN)}
-    result = run_parallel_procedure(
-        INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
-        policy=policy, chunk=chunk, claim_batch=batch, safety="off",
-    )
-    (d,) = result.dispatches
-    assert d.claim_loop == "native" and d.chunk_lang == "c"
+    static = policy.startswith("static")
+    runs = {}
+    for lang in ("c", "py"):
+        arrays = {"A": np.zeros(SPAN)}
+        result = run_parallel_procedure(
+            INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
+            policy=policy, chunk=chunk, claim_batch=batch, safety="off",
+            chunk_lang=lang,
+        )
+        (d,) = result.dispatches
+        protocol = "static" if static else "native" if lang == "c" else "py"
+        assert (d.claim_loop, d.chunk_lang) == (protocol, lang)
+        assert np.all(arrays["A"][lo : hi + 1] == 1.0)
+        assert arrays["A"].sum() == n == sum(d.iterations_per_worker)
+        runs[lang] = d
+    d = runs["c"]
+    assert reported(d) == reported(runs["py"])
+    # GSS and static plans claim singly, whatever was asked.
+    assert d.claim_batch == (1 if static or policy == "gss" else batch)
 
     chunks = chunks_of(d)
     assert_partition(chunks, lo, hi)
+    if static:
+        assert d.lock_ops == 0 and d.claims == len(chunks)
+        return
     active = min(workers, n)
     rule = policy_plan(policy, n, active, chunk).rule
     want, want_locks = replay(lo, hi, rule, batch)
     assert chunks == want
     assert (d.claims, d.lock_ops) == (len(want), want_locks)
-    assert sum(d.iterations_per_worker) == n
-
-    assert np.all(arrays["A"][lo : hi + 1] == 1.0)
-    assert arrays["A"].sum() == n
     if policy == "gss":
         sizes = [c_hi - c_lo + 1 for c_lo, c_hi in chunks]
         assert sizes == sorted(sizes, reverse=True)
@@ -332,11 +354,14 @@ def plans_of(proc) -> list:
     return [p for p in plan_mod._PLANS.values() if p.proc is proc]
 
 
-def assert_sent_back(monkeypatch, proc, arrays, scalars, want, **options):
+def assert_sent_back(
+    monkeypatch, proc, arrays, scalars, want, lang="c", **options
+):
     """One native job, refused by a worker that could not bind: the
-    dispatch runs once on the lock-guarded protocol with the same result,
-    one fallback is counted, the plan is dropped, the pool stays healthy
-    and no later dispatch of the run tries the driver again."""
+    dispatch runs once on the lock-guarded protocol with the same result
+    (its chunks in ``lang``), one fallback is counted, the plan is
+    dropped, the pool stays healthy and no later dispatch of the run
+    tries the driver again."""
     sent = jobs_sent(monkeypatch)
     fallbacks = DISPATCH.claim_fallbacks
     with WorkerPool(arrays, workers=2) as pool:  # forked after the patch
@@ -345,7 +370,7 @@ def assert_sent_back(monkeypatch, proc, arrays, scalars, want, **options):
         )
         assert not pool.broken
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
-    assert result.claim_loop == "py" and result.chunk_lang == "c"
+    assert result.claim_loop == "py" and result.chunk_lang == lang
     assert sent == ["native"] + ["py"] * len(result.dispatches)
     assert DISPATCH.claim_fallbacks == fallbacks + 1
     assert not plans_of(proc)
@@ -377,9 +402,17 @@ def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
     arrays = {"A": np.arange(n + 1.0), "B": np.ones(n + 1)}
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(PAIR, want, {"n": n})
+    # Both protocols call a kernel through its thunk: without one, the
+    # lock-guarded loop runs the Python chunk (a chunk fallback per
+    # dispatch) instead of the kernel.
+    chunk_fallbacks = DISPATCH.chunk_fallbacks
     result = assert_sent_back(
-        monkeypatch, PAIR, arrays, {"n": n}, want, policy="unit",
+        monkeypatch, PAIR, arrays, {"n": n}, want,
+        lang="py" if broken == "thunk" else "c", policy="unit",
         claim_batch=4,
+    )
+    assert DISPATCH.chunk_fallbacks - chunk_fallbacks == (
+        2 if broken == "thunk" else 0
     )
     assert result.region is None and len(result.dispatches) == 2
     for d in result.dispatches:
@@ -392,17 +425,14 @@ def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
 
 
 def _eager_events(d):
-    """The list ``_finalize_result`` used to build for every dispatch."""
+    """The list every dispatch used to build whether or not it was read."""
+    assert all(isinstance(rows, bytes) for _, rows in d.event_log)
     events = [
         runtime.ClaimEvent(
-            wid, lo, hi, t0 - d.t_base, t1 - d.t_base, t2 - d.t_base
+            wid, int(lo), int(hi), t0 - d.t_base, t1 - d.t_base, t2 - d.t_base
         )
         for wid, rows in d.event_log
-        for lo, hi, t0, t1, t2 in (
-            np.frombuffer(rows).reshape(-1, 5)
-            if isinstance(rows, bytes)
-            else rows
-        )
+        for lo, hi, t0, t1, t2 in np.frombuffer(rows).reshape(-1, 5)
     ]
     events.sort(key=lambda e: (e.worker, e.t_claim))
     return events

@@ -416,9 +416,17 @@ def test_a_patched_plan_time_name_waits_for_the_plans_to_drop(monkeypatch):
 
 
 def test_the_server_prewarm_builds_through_the_plan_kernel_path(
-    tmp_path, calls
+    tmp_path, calls, monkeypatch
 ):
     proc, original, arrays, scalars, options = case("dot_product")
     store = ArtifactCache(tmp_path / "prewarmed")
-    assert plan_mod.prewarm(proc, store) >= 1
+    assert plan_mod.prewarm(proc, store) == 1
     assert calls["generate_chunk_c"] == 1  # one C build per loop shape
+    # One loop shape, one build: the kernel "auto" runs on this host, not
+    # also the numpy chunk it never would — and without a compiler, that.
+    saxpy = case("saxpy2d")[0]
+    assert plan_mod.prewarm(saxpy, ArtifactCache(tmp_path / "cc")) == 1
+    assert calls["generate_chunk_c"] == 2
+    monkeypatch.setattr(plan_mod.runtime, "have_compiler", lambda: False)
+    assert plan_mod.prewarm(saxpy, ArtifactCache(tmp_path / "no-cc")) == 1
+    assert calls["generate_chunk_c"] == 2

@@ -365,7 +365,7 @@ class TestGatherGraceWindow:
         next poll must be counted from the final queue drain, not marked
         dead on the strength of ``is_alive() == False``.
         """
-        msg = ("ok", 0, 100, 7, 7, [])
+        msg = ("ok", 0, 100, {"rec": b"", "tim": b"", "log": b""})
         q = _TimedQueue(msg, release_after=GATHER_GRACE)
         procs = [_ExitedProc(exitcode=0)]
         results = gather_results(procs, q, deadline=None, want={0})

@@ -472,21 +472,22 @@ def test_a_worker_that_cannot_bind_sends_the_run_back(monkeypatch, who):
     assert len(result.dispatches) == 9
 
 
-def _fold(rows_per_worker, workers=2):
-    """``region._assemble`` over hand-made per-instance tables (rows of
-    ``loop, lo, hi, iterations, claims, lock_ops, log rows, batch``)."""
+def _fold(rows_per_worker, claim_loop="native", **report):
+    """``region._assemble`` over hand-made worker reports: per worker a
+    table of instance rows (``loop, lo, hi, iterations, claims, lock_ops,
+    log rows, batch``); ``report`` overrides a report's other fields, per
+    worker (a list) or for all of them."""
     loop = _dispatchable_loops(LONG.body)[0]
-    tpl = region._Template({"workers": workers}, [loop], "self-sched")
     results = {}
     for wid, rows in enumerate(rows_per_worker):
-        table = {
-            "status": 0,
-            "serial_stmts": 0,
-            "rec": np.array(rows, dtype=np.int64).tobytes(),
-            "tim": np.ones((len(rows), 2)).tobytes(),
-        }
-        results[wid] = ("ok", wid, 1, 0, 0, 0, b"", "c", {"region": table})
-    return region._assemble(results, tpl, "unit")
+        fields = {"tim": np.ones((len(rows), 2)).tobytes(), "lang": "c"}
+        fields.update(
+            {k: v[wid] if isinstance(v, list) else v for k, v in report.items()}
+        )
+        rec = np.array(rows, dtype=np.int64).tobytes()
+        msg = worker._report(rec, fields.pop("tim"), b"", **fields)
+        results[wid] = ("ok", wid, 1, msg)
+    return region._assemble(results, [loop], "self-sched", "unit", claim_loop)
 
 
 def test_the_fold_checks_every_instance():
@@ -510,6 +511,35 @@ def test_the_fold_checks_every_instance():
     for tables in bad.values():
         with pytest.raises(ParallelError, match="disagree|accounting"):
             _fold(tables)
+
+
+def test_the_fold_checks_the_lock_guarded_loop_too():
+    """A Python-protocol job is one instance of loop 0 in the same report:
+    every check is the fold's — iterations sum to the range, an idle
+    worker reports none — and so is every aggregate: languages ("mixed"
+    when workers disagree), the span of start and finish instants, and
+    the speculative recordings, gathered and sorted."""
+    tims = [np.array(t).tobytes() for t in ([1.0, 3.0], [0.5, 2.0], [2.0, 2.0])]
+    rows = [[[0, 1, 2, 1, 1, 1, 0, 1]], [[0, 1, 2, 1, 1, 1, 0, 1]],
+            [[0, 1, 2, 0, 0, 0, 0, 1]]]
+    (d,) = _fold(
+        rows, "py", tim=tims, lang=["c", "py", "c"],
+        spec_log=[[(2, 2, (), ())], [(1, 1, (), ())], []],
+    )
+    assert (d.workers, d.iterations_per_worker, d.claims) == (2, [1, 1], 2)
+    assert (d.chunk_lang, d.claim_loop) == ("mixed", "py")
+    assert (d.t_base, d.wall_time) == (0.5, 2.5)
+    assert [entry[:2] for entry in d.spec_logs] == [(1, 1), (2, 2)]
+    (same_lang,) = _fold(rows, "static", lang="numpy")
+    assert (same_lang.chunk_lang, same_lang.claim_loop) == ("numpy", "static")
+    bad = {
+        "idle worked": [rows[0], [[0, 1, 2, 0, 0, 0, 0, 1]],
+                        [[0, 1, 2, 1, 1, 1, 0, 1]]],
+        "short": [rows[0], rows[2], rows[2]],
+    }
+    for tables in bad.values():
+        with pytest.raises(ParallelError, match="accounting"):
+            _fold(tables, "py", lang="py")
 
 
 def test_the_emitted_driver_never_spins_unbounded():

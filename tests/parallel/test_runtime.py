@@ -321,6 +321,27 @@ class TestOneDriver:
             compile_mp_procedure(proc, claim_batch=batch).run(arrays, sc)
         _assert_bit_for_bit(before, arrays)
 
+    @pytest.mark.parametrize("timeout", [0, -1, True, "1", float("nan")])
+    def test_timeout_is_none_or_a_positive_number(self, monkeypatch, timeout):
+        """Refused before any pool exists: no fleet forked only to time
+        out — under ``backend="mp"``, no silent serial fallback."""
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        before = {k: v.copy() for k, v in arrays.items()}
+        forked = []
+        monkeypatch.setattr(
+            WorkerPool, "__init__", lambda *a, **k: forked.append(a) or 1 / 0
+        )
+        mp = compile_mp_procedure(proc, timeout=timeout)
+        for run in (
+            lambda: run_parallel_procedure(proc, arrays, sc, timeout=timeout),
+            lambda: mp.run(arrays, sc),
+        ):
+            with pytest.raises(ValueError, match="timeout must be a number > 0"):
+                run()
+        assert not forked and mp.fallback_reason is None
+        _assert_bit_for_bit(before, arrays)
+
     @pytest.mark.parametrize("workers", [0, -1, True, 2.0, "2"])
     def test_workers_is_a_positive_integer(self, workers):
         """A worker count below 1 is refused, never floored to 1 and then

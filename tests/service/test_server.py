@@ -340,6 +340,7 @@ class TestErrors:
             ("timeout", "soon"), ("timeout", True), ("timeout", 0),
             ("timeout", -1.5),
             ("backend", "bogus"), ("backend", 3), ("backend", ["mp"]),
+            ("timeout", "1"),
         ],
     )
     def test_run_rejects_a_bad_scheduling_option(self, service, field, value):

@@ -29,6 +29,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro import wire
 from repro.cluster.quotas import QuotaExceeded, TenantQuotas
 from repro.parallel.observe import JobCounters
 
@@ -66,9 +67,9 @@ class Job:
     kind: str  # "compile" | "run" | "lint"
     body: dict
     tenant: str
-    #: Opaque binary request to forward verbatim (wire-transport runs).
-    #: ``body`` then holds only the peeked frame header — the router
-    #: never materializes the array payload.
+    #: A run's request bytes (JSON body or wire frame), forwarded
+    #: verbatim; ``body`` holds the request minus its arrays.  Both are
+    #: dropped when the job settles: only a retry reads them.
     raw_body: bytes | None = None
     state: str = "queued"
     submitted_at: float = 0.0  # time.time(), for clients
@@ -78,8 +79,8 @@ class Job:
     attempts: int = 0
     max_retries: int = DEFAULT_MAX_RETRIES
     result: dict | None = None
-    #: Opaque binary result to stream verbatim from ``/result`` (set
-    #: instead of ``result`` for wire-transport runs).
+    #: A run's reply bytes as the replica sent them (JSON or wire, per
+    #: ``result_content_type``); set instead of ``result``.
     result_raw: bytes | None = None
     result_content_type: str | None = None
     error: str | None = None
@@ -118,7 +119,7 @@ class Job:
             "error": self.error,
             "fallback_reason": self.fallback_reason,
         }
-        if self.result_raw is not None:
+        if self.result_content_type == wire.CONTENT_TYPE:
             doc["result_encoding"] = "wire"
             doc["result_nbytes"] = len(self.result_raw)
         if with_result:
@@ -165,9 +166,9 @@ class JobQueue:
     ) -> Job:
         """Admit a job or raise :class:`AdmissionError` (→ 429).
 
-        ``raw_body`` attaches an opaque binary request (wire transport)
-        that dispatchers forward verbatim; ``body`` then carries only the
-        peeked frame header used for admission and routing decisions.
+        ``raw_body`` attaches a run's request bytes (JSON or wire) that
+        dispatchers forward verbatim; ``body`` then carries only the
+        fields admission and routing read (the request minus arrays).
         """
         self.reap()
         hint = self.retry_after_hint()
@@ -271,9 +272,8 @@ class JobQueue:
         content_type: str | None = None,
     ) -> None:
         """Settle a job as done.  ``result`` is either the decoded dict
-        (JSON path) or the replica's verbatim binary response (wire
-        path), in which case ``content_type`` labels the blob for the
-        ``/result`` stream."""
+        (compile, lint) or a run's verbatim reply bytes, which
+        ``content_type`` labels (JSON or wire)."""
         with self._cond:
             if job.cancel_requested:
                 self._settle(job, "cancelled")
@@ -306,6 +306,7 @@ class JobQueue:
         job.state = state
         job.finished_at = time.time()
         job._settled_mono = time.monotonic()
+        job.body, job.raw_body = {}, None  # only a retry would read them
         if not was_settled:
             self.quotas.release(job.tenant)
             if job.started_at is not None:
@@ -338,6 +339,12 @@ class JobQueue:
             elif job.state == "running":
                 job.cancel_requested = True
             return job
+
+    def forget(self, job: Job) -> None:
+        """Drop a job from the table (a settled synchronous job, whose
+        id no client holds)."""
+        with self._cond:
+            self._jobs.pop(job.id, None)
 
     # -- gauges / maintenance ---------------------------------------------
     def depth(self) -> int:

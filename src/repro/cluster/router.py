@@ -20,14 +20,14 @@ supervisor to restart the dead process, and stamps the final result with
 responses are *client* errors: they fail the job immediately and relay
 the replica's status code.
 
-Binary (``repro.wire/v1``) run requests pass through *opaquely*: the
-router peeks the frame header for the program key and tenant, then
-forwards the original bytes verbatim — it never materializes an ndarray.
+Every run request, JSON or binary (``repro.wire/v1``), passes through
+*opaquely*: the router parses a JSON body once (or peeks a frame header)
+for the program key and tenant, then forwards the original bytes
+verbatim — it never re-encodes a request or materializes an ndarray.
 The request is held whole (a crashed replica's job is re-sent to
-another).  The replica's wire response is kept as a blob
-(``Job.result_raw``) and sent back out as a new header, with the
-``cluster`` block spliced in, followed by a view of the blob's payload —
-never a re-assembled copy.
+another).  The replica's reply is kept as it came (``Job.result_raw``)
+and sent back out with the ``cluster`` block spliced into its JSON, or
+into a new wire header followed by a view of the frame's payload.
 
 Every replica registers compiled programs in its own memory, so a ``run``
 landing on a replica that never saw the ``/compile`` (or was restarted
@@ -73,6 +73,10 @@ JOB_KINDS = ("compile", "run", "lint")
 
 #: Bound on the sticky program-key -> replica map (LRU beyond this).
 STICKY_CAPACITY = 1024
+
+#: Seconds a dispatcher waits, after a transport failure, for that
+#: replica's process to finish exiting before it reports the failure.
+DYING_GRACE_S = 2.0
 
 
 class ClusterRouter(AccountingHTTPServer):
@@ -201,11 +205,14 @@ class ClusterRouter(AccountingHTTPServer):
         if handle is None:
             self.queue.requeue(job, "no replica alive")
             return
-        generation = handle.generation
+        generation, proc = handle.generation, handle.proc
         job.replica = handle.index
         handle.begin()
         try:
-            result = self._forward(handle, job)
+            if job.kind == "run":
+                outcome = self._relay_run(handle, job)
+            else:
+                outcome = (self._forward(handle, job), None)
         except ServiceError as exc:
             if exc.status >= 500:
                 # The replica answered but is unwell — treat as transient.
@@ -217,7 +224,12 @@ class ClusterRouter(AccountingHTTPServer):
                 self.queue.fail(job, str(exc), status=exc.status)
         except TRANSIENT_ERRORS as exc:
             # Crash, connection reset, or timeout: nudge a restart and
-            # re-queue within the retry budget.
+            # re-queue within the retry budget.  A killed replica refuses
+            # connections before its process is reaped, and a retry is
+            # ready at once: without the wait the budget burns out in
+            # microseconds on a process that is still "alive", before
+            # any restart.
+            proc.join(DYING_GRACE_S)
             self.supervisor.report_failure(handle, generation)
             self.queue.requeue(
                 job,
@@ -227,20 +239,14 @@ class ClusterRouter(AccountingHTTPServer):
         except Exception as exc:  # pragma: no cover - router bug guard
             self.queue.fail(job, f"router error: {exc}")
         else:
-            if isinstance(result, (bytes, bytearray)):
-                # The replica's wire reply, verbatim: the handler splices
-                # the cluster block into its header as it sends it.
-                self.queue.finish(job, result, content_type=wire.CONTENT_TYPE)
-            else:
-                self.queue.finish(job, result)
+            self.queue.finish(job, *outcome)
         finally:
             handle.end()
 
-    def _forward(self, handle: ReplicaHandle, job: Job) -> dict | bytes:
+    def _forward(self, handle: ReplicaHandle, job: Job) -> dict:
+        """A compile or lint job's decoded reply, with the cluster block."""
         client = handle.client
         body = job.body
-        if job.kind == "run" and job.raw_body is not None:
-            return self._forward_wire(handle, job)
         if job.kind == "compile":
             result = client._request("POST", "/compile", body)
             key = result.get("key")
@@ -251,14 +257,6 @@ class ClusterRouter(AccountingHTTPServer):
                 # kernels warm: send this key's runs there.
                 self._record_sticky(key, handle.index)
             self.bump("routed_compile")
-        elif job.kind == "run":
-            result = self._with_repair(
-                client,
-                body.get("key"),
-                lambda: client._request("POST", "/run", body),
-            )
-            self._record_sticky(body.get("key"), handle.index)
-            self.bump("routed_run")
         elif job.kind == "lint":
             result = client._request("POST", "/lint", body)
             self.bump("routed_lint")
@@ -267,32 +265,27 @@ class ClusterRouter(AccountingHTTPServer):
         result["cluster"] = _cluster_block(job)
         return result
 
-    def _forward_wire(self, handle: ReplicaHandle, job: Job) -> dict | bytes:
-        """Forward a binary run verbatim (zero-copy pass-through).
-
-        The frame bytes go out unchanged and the replica's response blob
-        comes back unparsed (the handler rewrites only its header as it
-        sends it).  404-repair replays the remembered JSON compile body,
-        then re-sends the same bytes.
-        """
+    def _relay_run(self, handle: ReplicaHandle, job: Job) -> tuple[bytes, str]:
+        """Forward a run's request bytes (JSON or wire) verbatim; return
+        the replica's reply bytes, unparsed, and their content type.
+        404-repair replays the remembered compile, then the same bytes."""
         client = handle.client
-        headers = {
-            "Content-Type": wire.CONTENT_TYPE,
-            "Accept": wire.CONTENT_TYPE,
-        }
+        data = job.raw_body
+        ctype = (
+            wire.CONTENT_TYPE
+            if data.startswith(wire.MAGIC)  # never the start of a JSON body
+            else wire.JSON_CONTENT_TYPE
+        )
+        headers = {"Content-Type": ctype, "Accept": ctype}
+        key = job.body.get("key")
         rheaders, raw = self._with_repair(
             client,
-            job.body.get("key"),
-            lambda: client._request_raw("POST", "/run", job.raw_body, headers),
+            key,
+            lambda: client._request_raw("POST", "/run", data, headers),
         )
-        self._record_sticky(job.body.get("key"), handle.index)
+        self._record_sticky(key, handle.index)
         self.bump("routed_run")
-        ctype = (rheaders.get("Content-Type") or "").split(";")[0].strip()
-        if ctype == wire.CONTENT_TYPE:
-            return raw
-        result = json.loads(raw)  # replica chose JSON (no arrays to carry)
-        result["cluster"] = _cluster_block(job)
-        return result
+        return raw, (rheaders.get("Content-Type") or "").split(";")[0].strip()
 
     def _with_repair(self, client, key, send):
         """Return ``send()``.  On a 404 the replica lost the program
@@ -327,6 +320,10 @@ class ClusterRouter(AccountingHTTPServer):
         tenant = payload.get("tenant", "anon")
         if not isinstance(tenant, str) or not tenant:
             raise RequestError(400, "tenant must be a non-empty string")
+        if kind == "run":
+            if raw_body is None:  # an async JSON run: encoded once, here
+                raw_body = json.dumps(body).encode("utf-8")
+            body.pop("arrays", None)  # only the replica reads them
         try:
             return self.queue.submit(
                 kind, body, tenant=tenant, raw_body=raw_body
@@ -345,8 +342,10 @@ class ClusterRouter(AccountingHTTPServer):
         tenant: str = "anon",
         raw_body: bytes | None = None,
     ) -> Job:
-        """Submit + wait, returning the settled job (``result`` for JSON
-        responses, ``result_raw`` for wire blobs to stream verbatim)."""
+        """Submit + wait, returning the settled job (``result`` for
+        compile and lint, ``result_raw`` for a run's reply to relay).
+        A settled job leaves the table: no client holds its id.  One that
+        outlives the wait stays, pollable under the id the 504 names."""
         job = self.submit_job(
             {"kind": kind, "body": body, "tenant": tenant}, raw_body=raw_body
         )
@@ -357,6 +356,7 @@ class ClusterRouter(AccountingHTTPServer):
                 f"job {job.id} still {job.state} after "
                 f"{self.sync_timeout_s}s",
             )
+        self.queue.forget(job)
         if job.state == "done":
             return job
         if job.state == "cancelled":
@@ -420,14 +420,12 @@ class _RouterHandler(JsonRequestHandler):
         if method == "GET" and path == "/metrics":
             self._send(200, router.metrics())
             return
-        if method == "POST" and path in ("/compile", "/run", "/lint"):
-            if path == "/run" and self._wire_request():
-                self._sync_wire_run(router)
-                return
+        if method == "POST" and path == "/run":
+            self._sync_run(router)
+            return
+        if method == "POST" and path in ("/compile", "/lint"):
             body = self._body()
             tenant = body.pop("tenant", "anon")
-            if path == "/run":
-                router.bump_transport("json")
             self._send(200, router.run_sync(path[1:], body, tenant=tenant))
             return
         if method == "POST" and path == "/submit":
@@ -464,7 +462,7 @@ class _RouterHandler(JsonRequestHandler):
                         409, f"job {job_id} is still {job.state}"
                     )
                 if job.result_raw is not None:
-                    self._stream_wire_result(job)
+                    self._send_reply(job, job.describe())
                     return
                 self._send(200, job.describe(with_result=True))
                 return
@@ -478,22 +476,24 @@ class _RouterHandler(JsonRequestHandler):
             raise RequestError(400, f"bad wire frame: {exc}") from exc
         return body
 
-    def _sync_wire_run(self, router: ClusterRouter) -> None:
-        """Synchronous binary run: peek the header for routing metadata,
-        forward the bytes opaquely, stream the result blob back."""
+    def _sync_run(self, router: ClusterRouter) -> None:
+        """Synchronous run over either transport: parse a JSON body once
+        (or peek a frame's header) for the routing metadata, forward the
+        bytes verbatim, send the replica's reply back."""
         raw = self._read_body()
-        if not raw:
-            raise RequestError(400, "empty request body (wire frame expected)")
-        body = self._peek_frame(raw)
-        tenant = body.pop("tenant", "anon")
-        if not isinstance(tenant, str) or not tenant:
-            raise RequestError(400, "tenant must be a non-empty string")
-        router.bump_transport("wire")
-        job = router.run_sync_job("run", body, tenant=tenant, raw_body=raw)
-        if job.result_raw is not None:
-            self._send_wire_result(job)
+        if self._wire_request():
+            if not raw:
+                raise RequestError(
+                    400, "empty request body (wire frame expected)"
+                )
+            body, transport = self._peek_frame(raw), "wire"
         else:
-            self._send(200, job.result)
+            body, transport = self._parse_body(raw), "json"
+        tenant = body.pop("tenant", "anon")
+        router.bump_transport(transport)
+        self._send_reply(
+            router.run_sync_job("run", body, tenant=tenant, raw_body=raw)
+        )
 
     def _submit_wire(self, router: ClusterRouter) -> None:
         """Async binary submit.  The frame body is the submit envelope
@@ -526,25 +526,26 @@ class _RouterHandler(JsonRequestHandler):
         )
         self._send(202, job.describe())
 
-    def _stream_wire_result(self, job) -> None:
-        """Stream a wire result blob; the job doc rides in the frame
-        header (stats body nested under ``result``).  JSON-only clients
-        get a 406 pointing at the wire Accept they need."""
-        if not self._wants_wire(default=True):
+    def _send_reply(self, job: Job, doc: dict | None = None) -> None:
+        """Send a run's reply as the replica wrote it plus the ``cluster``
+        block (in a JSON reply before its closing brace, in a wire reply's
+        new header), nested as ``doc["result"]`` when a job ``doc`` is
+        given.  The reply's bytes go out as a view, never copied."""
+        reply = job.result_raw
+        if job.result_content_type != wire.CONTENT_TYPE:
+            parts = _splice(reply, "cluster", [_json(_cluster_block(job))])
+            if doc is not None:
+                parts = _splice(_json(doc), "result", parts)
+            self._send_parts(200, parts, wire.JSON_CONTENT_TYPE)
+            return
+        if doc is not None and not self._wants_wire(default=True):
             raise RequestError(
                 406,
                 f"job {job.id} result is wire-encoded; request it with "
                 f"'Accept: {wire.CONTENT_TYPE}'",
             )
-        self._send_wire_result(job, job.describe())
-
-    def _send_wire_result(self, job, doc: dict | None = None) -> None:
-        """Send a replica's wire reply under a header the router writes:
-        its stats body gains the ``cluster`` block, nested as
-        ``doc["result"]`` when a job ``doc`` is given.  The payload bytes
-        go out as a view of the reply, never copied."""
         try:
-            stats, _, _ = wire.peek_header(job.result_raw)
+            stats, _, _ = wire.peek_header(reply)
         except wire.WireFormatError:  # pragma: no cover - replica-built
             stats = {}
         stats["cluster"] = _cluster_block(job)
@@ -552,10 +553,22 @@ class _RouterHandler(JsonRequestHandler):
             doc["result"] = stats
             stats = doc
         self._send_parts(
-            200,
-            wire.rewrap_parts(job.result_raw, stats),
-            job.result_content_type or wire.CONTENT_TYPE,
+            200, wire.rewrap_parts(reply, stats), wire.CONTENT_TYPE
         )
+
+
+def _json(doc: object) -> bytes:
+    return json.dumps(doc, allow_nan=False).encode("utf-8")
+
+
+def _splice(obj: bytes, name: str, value: list) -> list:
+    """Parts that send the JSON object ``obj`` with a last member ``name``
+    whose encoding is the parts ``value``.  For ``obj`` as ``json.dumps``
+    writes it, they join to what ``json.dumps`` writes for the whole."""
+    end = obj.rindex(b"}")
+    sep = b"" if obj[end - 1 : end] == b"{" else b", "
+    member = b"%s%s: " % (sep, _json(name))
+    return [memoryview(obj)[:end], member, *value, b"}"]
 
 
 def _cluster_block(job: Job) -> dict:

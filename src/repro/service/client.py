@@ -252,9 +252,9 @@ class ServiceClient:
         Returns ``(response headers, body bytes)``; a 4xx/5xx raises
         :class:`ServiceError` with the decoded JSON error body.  This is
         the opaque-forwarding primitive the cluster router uses to pass
-        wire frames through without materializing arrays.  ``data`` may
-        be a list of parts (:func:`repro.wire.frame_parts`), sent one by
-        one.
+        run requests through (JSON or wire) without re-encoding them.
+        ``data`` may be a list of parts (:func:`repro.wire.frame_parts`),
+        sent one by one.
         """
         status, rheaders, raw = self._raw_once(
             method, path, data, dict(headers or {})

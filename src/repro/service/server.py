@@ -874,7 +874,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return self._request_body.read()
 
     def _body(self) -> dict:
-        raw = self._read_body()
+        return self._parse_body(self._read_body())
+
+    def _parse_body(self, raw: bytes) -> dict:
         if not raw:
             raise RequestError(400, "empty request body (JSON expected)")
         try:

@@ -468,8 +468,27 @@ def array_from_json(data: Any, dtype: np.dtype | str) -> np.ndarray:
 
     Only the three sentinel strings are accepted; anything else
     non-numeric raises ``ValueError`` (surfaced as a 400 by the server).
+
+    A list of plain numbers (the common, all-finite payload) is parsed
+    by numpy alone and widened to ``dtype``; only lists holding
+    strings, ``None``, ragged rows, integers numpy cannot type, or a
+    narrowing ``dtype`` take the per-element walk for the sentinels.
+    ``np.asarray(data, dtype)`` straight away would not do: it would
+    accept a numeric string such as ``"1.5"``, which is refused here.
     """
     dtype = np.dtype(dtype)
+    try:
+        arr = np.asarray(data)
+    except (TypeError, ValueError, OverflowError):
+        arr = None  # ragged rows: the walk raises what numpy raises
+    if (
+        arr is not None
+        and arr.dtype.kind in "biuf"
+        and np.can_cast(arr.dtype, dtype)
+    ):
+        # No strings inside, and a safe cast converts each element as
+        # ``np.asarray(data, dtype)`` would.
+        return arr.astype(dtype, copy=False)
 
     def convert(item):
         if isinstance(item, list):

@@ -8,9 +8,12 @@ must raise :class:`WireFormatError`, never crash or over-allocate).
 
 import json
 import struct
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import wire
 from repro.wire import WireFormatError
@@ -266,6 +269,78 @@ class TestMalformedFrames:
         assert descs[0].name == "A"
 
 
+def _walk_array_from_json(data, dtype):
+    """The reference decoder: map the sentinels element by element, then
+    let numpy convert (``array_from_json`` before its numpy-first path)."""
+    nonfinite = {"NaN": np.nan, "Infinity": np.inf, "-Infinity": -np.inf}
+
+    def convert(item):
+        if isinstance(item, list):
+            return [convert(x) for x in item]
+        if isinstance(item, str):
+            try:
+                return nonfinite[item]
+            except KeyError:
+                raise ValueError(
+                    f"bad array element {item!r} (only NaN/Infinity/-Infinity "
+                    "strings are accepted)"
+                ) from None
+        return item
+
+    return np.asarray(convert(data), dtype=np.dtype(dtype))
+
+
+def _outcome(decode, data, tag):
+    try:
+        return decode(data, tag), None
+    except Exception as exc:  # compared by type and message
+        return None, (type(exc), str(exc))
+
+
+# Every kind of dtype tag ``_decode_arrays`` lets through (any dtype
+# without objects), in both byte orders where that exists.
+_SERVABLE_TAGS = [
+    "<f8", ">f8", "<f4", "<f2", "<i8", ">i8", "<i4", "<i2", "|i1",
+    "<u8", "<u4", "|u1", "|b1", "<c16", "<c8", "<U8", "|S4",
+    "<M8[s]", "<m8[s]",
+]
+
+_json_elements = st.one_of(
+    st.floats(width=64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**64 - 1),
+    st.booleans(),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+    st.sampled_from(["nan", "1.5", "", "inf"]),
+    st.none(),
+)
+
+
+@st.composite
+def _rows(draw):
+    """A matrix of one element strategy, sometimes with a ragged row."""
+    elem = draw(st.sampled_from([
+        st.floats(width=64, allow_nan=False, allow_infinity=False),
+        st.integers(-(2**53), 2**53),
+        _json_elements,
+    ]))
+    cols = draw(st.integers(0, 4))
+    rows = draw(st.lists(
+        st.lists(elem, min_size=cols, max_size=cols), min_size=1, max_size=4
+    ))
+    if draw(st.booleans()):
+        rows.append(draw(st.lists(elem, max_size=5)))
+    return rows
+
+
+_json_payloads = st.one_of(
+    st.lists(_json_elements, max_size=6),
+    _rows(),
+    st.recursive(_json_elements, lambda kids: st.lists(kids, max_size=3),
+                 max_leaves=8),
+)
+
+
 class TestJsonCompat:
     def test_finite_arrays_stay_plain_lists(self):
         arr = np.array([[1.5, 2.5], [3.5, 4.5]])
@@ -297,6 +372,22 @@ class TestJsonCompat:
     def test_unknown_string_rejected(self):
         with pytest.raises(ValueError, match="NaN/Infinity"):
             wire.array_from_json(["nan"], "<f8")
+
+    @given(data=_json_payloads, tag=st.sampled_from(_SERVABLE_TAGS))
+    @settings(max_examples=400, deadline=None)
+    def test_decode_matches_the_element_walk(self, data, tag):
+        """The numpy-first decode answers exactly what the walk over
+        every element (the decoder before it) answers: the same bytes
+        and dtype, or the same exception type and message."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # casts of huge ints to f2
+            want, want_exc = _outcome(_walk_array_from_json, data, tag)
+            got, got_exc = _outcome(wire.array_from_json, data, tag)
+        assert got_exc == want_exc
+        if want_exc is None:
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_nonfinite_complex_has_no_json_encoding(self):
         arr = np.array([complex(np.nan, 1.0)])

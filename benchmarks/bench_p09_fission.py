@@ -37,6 +37,7 @@ from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.experiments.report import Table
 from repro.parallel import run_parallel_procedure
+from repro.transforms.fission import FissionResult
 from repro.workloads import get_workload, make_env
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -97,7 +98,7 @@ def _compare() -> dict:
         {
             f.rule
             for r in results
-            if hasattr(r, "outcomes")
+            if isinstance(r, FissionResult)
             for f in r.findings
         }
     )

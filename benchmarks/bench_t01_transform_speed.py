@@ -13,7 +13,7 @@ from repro.ir.builder import assign, ref, v
 from repro.ir.stmt import Block, Loop, LoopKind
 from repro.ir.expr import Const, Var
 from repro.transforms.coalesce import coalesce, coalesce_procedure
-from repro.transforms.distribute import distribute_procedure
+from repro.transforms.fission import fission_procedure
 
 MATMUL_SRC = """
 procedure matmul(A[2], B[2], C[2]; n)
@@ -64,7 +64,7 @@ def test_t01_coalesce_speed_depth8(benchmark, record_timing):
 def test_t01_full_pipeline_speed(benchmark, record_timing):
     def pipeline():
         p = mark_doall(parse(MATMUL_SRC))
-        p = distribute_procedure(p)
+        p = fission_procedure(p, fission=False, distribute=True).procedure
         return coalesce_procedure(p)
 
     proc_out, results = benchmark(pipeline)

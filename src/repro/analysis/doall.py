@@ -14,7 +14,8 @@ subscripts, symbolic coefficients, and scalar flow that cannot be proven
 private all demote the loop to serial.  Reductions (``s := s + …``) are
 likewise serial *here*; recognizing and re-tagging them for the
 partial-accumulator dispatch mode is the job of
-:mod:`repro.analysis.pdg` and :mod:`repro.transforms.reduction`.
+:mod:`repro.analysis.pdg` and the loop-splitting walk of
+:mod:`repro.transforms.fission`.
 """
 
 from __future__ import annotations

@@ -45,9 +45,8 @@ construction, a loop :func:`~repro.analysis.doall.classify_loop` accepts.
 
 On top of the graph: a self-contained iterative **Tarjan SCC** (the
 package takes no graph-library dependency) and a condensation in
-topological order — the legality skeleton for loop distribution and
-fission (:mod:`repro.transforms.distribute`,
-:mod:`repro.transforms.fission`).
+topological order — the legality skeleton of the one loop-splitting
+walk (:mod:`repro.transforms.fission`: fission and distribution).
 
 This module also hosts **reduction recognition** shared by the safety
 verifier, the transform layer, and the mp runtime: ``s := s ⊕ expr``

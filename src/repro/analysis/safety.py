@@ -20,8 +20,9 @@ itself back to the level the paper reasons at:
    ranged over those virtual levels: Banerjee/GCD, then the exact
    rational refutation under guards and bounds, both in
    :mod:`repro.analysis.dependence` — the same oracle that tags DOALL
-   loops and builds the PDG, so ``mark_doall``, ``--analyze``, fission
-   and this verifier cannot disagree about an edge.
+   loops and builds the PDG, so ``mark_doall``, ``--analyze``, the
+   loop-splitting walk (:mod:`repro.transforms.fission`) and this
+   verifier cannot disagree about an edge.
 3. Every **carried edge** over the virtual span is a cross-chunk race;
    its kind picks the rule code (``flow``/``output``/``anti`` →
    ``RACE001``/``RACE002``/``RACE003``) and the finding is that edge,
@@ -40,7 +41,8 @@ RACE003   carried anti dependence (read, then overwrite, across chunks)
 PRIV002   unproven-private scalar (live into an iteration that writes it)
 SPEC001   dynamically provable (informational: the runtime inspector of
           ``safety=speculate`` can decide this dispatch exactly)
-FISS001   fission applied (informational, emitted by the transform layer)
+FISS001   fission applied (informational, emitted by the loop-splitting
+          walk of :mod:`repro.transforms.fission`, like FISS002)
 FISS002   fission refused: one dependence SCC spans the body
 RED001    recognized reduction: the carried accumulator dispatches as
           per-chunk partials with a deterministic ordered combine

@@ -45,10 +45,8 @@ from repro.ir.printer import to_source
 from repro.ir.stmt import Procedure
 from repro.ir.validate import validate
 from repro.transforms.coalesce import CoalesceResult, coalesce_procedure
-from repro.transforms.distribute import distribute_procedure
-from repro.transforms.fission import fission_procedure
+from repro.transforms.fission import FissionResult, fission_procedure
 from repro.transforms.normalize import normalize_procedure
-from repro.transforms.reduction import reduction_procedure
 
 __all__ = [
     "CompiledProcedure",
@@ -154,8 +152,7 @@ class TransformedFunction:
 
     def report(self) -> str:
         """Human-readable summary of what the pipeline did."""
-        coalesced = [r for r in self.results if not hasattr(r, "outcomes")]
-        transformed = [r for r in self.results if hasattr(r, "outcomes")]
+        coalesced = [r for r in self.results if not isinstance(r, FissionResult)]
         lines = [f"{self.name}: {len(coalesced)} nest(s) coalesced"]
         for r in coalesced:
             bounds = " x ".join(to_source(b) for b in r.bounds)
@@ -163,10 +160,11 @@ class TransformedFunction:
                 f"  ({', '.join(r.index_vars)}) depth={r.depth} "
                 f"bounds=[{bounds}] -> flat index {r.flat_var}"
             )
-        for r in transformed:
-            lines.append(f"  {r.summary()}")
-            for f in r.findings:
-                lines.append(f"    {f.format()}")
+        for r in self.results:
+            if isinstance(r, FissionResult):
+                for summary, findings in r.sections():
+                    lines.append(f"  {summary}")
+                    lines.extend(f"    {f.format()}" for f in findings)
         safety = self.safety_report
         if not safety.loops:
             lines.append("  safety: no dispatchable DOALL loops")
@@ -185,21 +183,15 @@ class TransformedFunction:
 
 def _record_transform_metrics(results: list) -> None:
     """Fold transform outcomes into the process dispatch counters."""
-    applied = refused = reductions = 0
     for r in results:
-        if hasattr(r, "applied") and hasattr(r, "refused"):
-            applied += r.applied
-            refused += r.refused
-        elif hasattr(r, "recognized"):
-            reductions += r.recognized
-    if applied or refused or reductions:
-        from repro.parallel.observe import record_transforms
+        if isinstance(r, FissionResult) and (r.outcomes or r.reductions):
+            from repro.parallel.observe import record_transforms
 
-        record_transforms(
-            fission_applied=applied,
-            fission_refused=refused,
-            reductions=reductions,
-        )
+            record_transforms(
+                fission_applied=r.applied,
+                fission_refused=r.refused,
+                reductions=r.recognized,
+            )
 
 
 def lower_and_coalesce(
@@ -228,10 +220,11 @@ def lower_and_coalesce(
     serial bodies along their PDG's SCC condensation so clean statements
     become their own DOALL loops) and ``"reduction"`` (re-tag
     ``s := s ⊕ expr`` accumulator loops for the partial-accumulator
-    dispatch mode).  Pass a comma string or a sequence of names; their
-    :class:`~repro.transforms.fission.FissionResult` /
-    :class:`~repro.transforms.reduction.ReductionResult` records ride in
-    the returned ``results`` list after the coalesce entries.
+    dispatch mode).  Pass a comma string or a sequence of names; one
+    :class:`~repro.transforms.fission.FissionResult` holding their
+    outcomes rides in the returned ``results`` list after the coalesce
+    entries.  Both passes and distribution are one walk,
+    :func:`~repro.transforms.fission.fission_procedure`.
 
     ``cache`` is ``"default"`` (the process default store), an explicit
     :class:`repro.cache.ArtifactCache`, a directory path, or None/False to
@@ -274,23 +267,19 @@ def lower_and_coalesce(
     proc = normalize_procedure(original)
     if analyze:
         proc = mark_doall(proc)
-    transform_results: list = []
-    if "fission" in passes:
-        fres = fission_procedure(proc)
-        proc = fres.procedure
-        validate(proc)
-        transform_results.append(fres)
-    if "reduction" in passes:
-        rres = reduction_procedure(proc)
-        proc = rres.procedure
-        validate(proc)
-        transform_results.append(rres)
-    if distribute:
-        proc = distribute_procedure(proc)
+    split = None
+    if passes or distribute:
+        split = fission_procedure(
+            proc,
+            fission="fission" in passes,
+            reduction="reduction" in passes,
+            distribute=distribute,
+        )
+        proc = split.procedure
     proc, results = coalesce_procedure(
         proc, depth=depth, style=style, triangular=triangular
     )
-    results = list(results) + transform_results
+    results = list(results) + ([split] if passes else [])
     validate(proc)
     _record_transform_metrics(results)
     if store is not None:

@@ -12,7 +12,9 @@ Options:
     --passes LIST   comma-separated passes to run, a subset of
                     normalize,analyze,fission,reduction,distribute,coalesce
                     kept in that order and naming normalize and coalesce
-                    (default: normalize,analyze,distribute,coalesce)
+                    (default: normalize,analyze,distribute,coalesce);
+                    fission, reduction and distribute are one
+                    loop-splitting walk (repro.transforms.fission)
     --transforms T  opt-in parallelism-recovery passes, the same as
                     naming them in --passes: fission (split mixed serial
                     bodies along their dependence SCCs) and/or reduction
@@ -65,6 +67,7 @@ from repro.codegen.pygen import generate_source
 from repro.frontend.dsl import ParseError, parse
 from repro.ir.printer import to_source
 from repro.ir.validate import ValidationError, validate
+from repro.transforms.fission import FissionResult
 
 #: Every pass ``--passes`` may name, in the one order they run.
 PASS_ORDER = ("normalize", "analyze", *TRANSFORM_NAMES, "distribute", "coalesce")
@@ -433,13 +436,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.report:
         for r in results:
-            if hasattr(r, "outcomes"):  # FissionResult / ReductionResult
-                print(r.summary(), file=sys.stderr)
-                for f in r.findings:
-                    print(f"  {f.format()}", file=sys.stderr)
-                    edge = f.edge()
-                    if edge is not None:
-                        print(f"    edge: {edge}", file=sys.stderr)
+            if isinstance(r, FissionResult):
+                for summary, findings in r.sections():
+                    print(summary, file=sys.stderr)
+                    for f in findings:
+                        print(f"  {f.format()}", file=sys.stderr)
+                        edge = f.edge()
+                        if edge is not None:
+                            print(f"    edge: {edge}", file=sys.stderr)
             elif hasattr(r, "bounds"):  # rectangular CoalesceResult
                 nest = " x ".join(to_source(b) for b in r.bounds)
                 print(

@@ -9,14 +9,17 @@ status is ``ok``.
 
 from __future__ import annotations
 
+import random
+from typing import Mapping
+
 import numpy as np
 
 from repro.codegen import compile_procedure
 from repro.experiments.report import Table
-from repro.ir.stmt import Block
+from repro.ir.stmt import Block, Loop, Procedure
 from repro.ir.validate import validate
 from repro.runtime.equivalence import copy_env
-from repro.runtime.executor import run_doall_shuffled
+from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 from repro.runtime.interp import run as interp_run
 from repro.transforms import (
     TransformError,
@@ -24,6 +27,38 @@ from repro.transforms import (
     coalesce_procedure,
 )
 from repro.workloads import WORKLOADS, get_workload, make_env
+
+
+def run_doall_shuffled(
+    proc: Procedure,
+    arrays: Mapping[str, np.ndarray],
+    scalars: Mapping[str, int | float] | None = None,
+    seed: int = 0,
+) -> None:
+    """Run the procedure's one outermost DOALL in a seeded random order.
+
+    A DOALL tag claims its iterations are independent; this sequential
+    driver makes the claim testable.  Any order-dependence in the body
+    (an incorrect tag or a transformation bug) shows up as a result
+    difference against the serial interpreter.
+    """
+    body = proc.body
+    if len(body) != 1 or not isinstance(body.stmts[0], Loop):
+        raise InterpreterError(
+            "procedure body must be a single loop to drive it as a DOALL"
+        )
+    loop = body.stmts[0]
+    if not loop.is_doall:
+        raise InterpreterError(f"outermost loop {loop.var!r} is not a DOALL")
+    env: dict[str, int | float] = dict(scalars or {})
+    lo = eval_bound(loop.lower, env, arrays, "lower bound")
+    hi = eval_bound(loop.upper, env, arrays, "upper bound")
+    st = eval_bound(loop.step, env, arrays, "step")
+    values = list(range(lo, hi + 1, st))
+    random.Random(seed).shuffle(values)
+    interp = Interpreter()
+    for value in values:
+        interp._exec(loop.body, {**env, loop.var: value}, arrays)
 
 
 def _agrees(baseline, arrays, names) -> bool:

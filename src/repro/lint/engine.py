@@ -2,10 +2,12 @@
 
 Lint answers one question about a program: *if the mp backend ran this,
 would every dispatch be race-free?*  To answer it faithfully the engine
-compiles exactly the way the backend does — normalize, distribute,
-coalesce — but with dependence re-analysis **off**, so the claimed DOALL
-tags reach the verifier unlaundered (a ``mark_doall`` pass would demote
-the very loops whose claims lint exists to audit).
+compiles exactly the way the backend does — normalize, the
+loop-splitting walk of :mod:`repro.transforms.fission` (distribution,
+plus fission/reduction when asked), coalesce — but with dependence
+re-analysis **off**, so the claimed DOALL tags reach the verifier
+unlaundered (a ``mark_doall`` pass would demote the very loops whose
+claims lint exists to audit).
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ def lint_source(
     render those as usage errors, not findings.
     """
     from repro.api import lower_and_coalesce
+    from repro.transforms.fission import FissionResult
 
     _, proc, results, _ = lower_and_coalesce(
         source,
@@ -133,7 +136,7 @@ def lint_source(
     # keep one copy per (rule, loop, scalar).
     seen = {(f.rule, f.loop_var, f.scalar) for f in report.findings}
     for r in results:
-        if hasattr(r, "outcomes"):
+        if isinstance(r, FissionResult):
             for f in r.findings:
                 if (f.rule, f.loop_var, f.scalar) not in seen:
                     seen.add((f.rule, f.loop_var, f.scalar))

@@ -3,9 +3,6 @@
 * :mod:`repro.runtime.interp` — sequential reference interpreter over numpy
   arrays, with optional operation counting (used by the recovery-cost
   experiment E2).
-* :mod:`repro.runtime.executor` — the shuffled DOALL iteration driver
-  used to demonstrate that coalesced iterations can run in any order
-  (concurrent execution lives in :mod:`repro.parallel`).
 * :mod:`repro.runtime.equivalence` — harness asserting transformed programs
   compute the same arrays as the original.
 * :mod:`repro.runtime.inspector` — the dynamic half of ``safety=speculate``:
@@ -25,7 +22,6 @@ from repro.runtime.interp import (
     eval_bound,
     run,
 )
-from repro.runtime.executor import run_doall_shuffled
 from repro.runtime.equivalence import assert_equivalent, random_env
 
 __all__ = [
@@ -39,5 +35,4 @@ __all__ = [
     "random_env",
     "record_chunk",
     "run",
-    "run_doall_shuffled",
 ]

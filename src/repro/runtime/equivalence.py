@@ -62,8 +62,9 @@ def assert_equivalent(
     """Assert both procedures leave identical array stores.
 
     ``runner`` / ``runner_transformed`` default to the sequential
-    interpreter; pass e.g. :func:`repro.runtime.executor.run_doall_shuffled`
-    for the transformed side to additionally exercise order independence.
+    interpreter; pass e.g. E10's shuffled driver
+    (:func:`repro.experiments.e10_end_to_end.run_doall_shuffled`) for the
+    transformed side to additionally exercise order independence.
     With the default zero tolerances the comparison is exact, which is
     correct whenever the transformation preserves the per-element operation
     order (coalescing does).

@@ -2,8 +2,8 @@
 
 The interpreter defines the *semantics* every transformation must preserve:
 loops run in lexicographic order (DOALL loops included — a valid DOALL must
-give the same result in any order, which the shuffled driver in
-:mod:`repro.runtime.executor` exercises separately).
+give the same result in any order, which the shuffled driver of
+:mod:`repro.experiments.e10_end_to_end` exercises separately).
 
 Arrays are numpy arrays supplied by the caller; programs written 1-based
 (paper convention) simply allocate ``N+1``-sized arrays and ignore index 0.
@@ -241,7 +241,7 @@ def eval_bound(
     """Evaluate a loop-bound (or any integer) expression to a plain int.
 
     The public face of the interpreter's integer-expression evaluation:
-    runtime drivers (:mod:`repro.runtime.executor`,
+    runtime drivers (E10's shuffled driver,
     :mod:`repro.parallel.runtime`) all need
     concrete loop bounds from IR expressions before they can partition an
     iteration space.  Raises :class:`InterpreterError` if the expression

@@ -84,6 +84,7 @@ from repro.parallel.runtime import (
     run_parallel_procedure,
 )
 from repro.scheduling.policies import ChunkSelfScheduled
+from repro.transforms.fission import FissionResult
 
 DEFAULT_PORT = 8923
 
@@ -136,7 +137,7 @@ class CompiledProgram:
     warm_kernels: int = 0
 
     def describe(self) -> dict:
-        transforms = [r for r in self.results if hasattr(r, "outcomes")]
+        transforms = [r for r in self.results if isinstance(r, FissionResult)]
         out = {
             "key": self.key,
             "name": self.proc.name,
@@ -151,7 +152,9 @@ class CompiledProgram:
         }
         if transforms:
             out["transforms"] = {
-                "summary": [r.summary() for r in transforms],
+                "summary": [
+                    line for r in transforms for line, _ in r.sections()
+                ],
                 "findings": [
                     f.to_dict() for r in transforms for f in r.findings
                 ],

@@ -2,9 +2,10 @@
 
 The headline pass is :func:`repro.transforms.coalesce.coalesce` — the loop
 coalescing transformation of the paper.  :func:`repro.api.lower_and_coalesce`
-is the one pipeline that runs them: normalization, then the opt-in
-fission and reduction passes, then distribution (which makes imperfect
-nests perfect), then coalescing, rectangular or triangular.  Beside it
+is the one pipeline that runs them: normalization, then the one
+loop-splitting walk of :mod:`repro.transforms.fission` (the opt-in
+fission and reduction recovery passes and distribution, which makes
+imperfect nests perfect), then coalescing, rectangular or triangular.  Beside it
 live loop collapsing (the recovery-free special case, read by
 ``--analyze``) and index-recovery strength reduction for block execution.
 """
@@ -19,18 +20,13 @@ from repro.transforms.coalesce import (
     recovery_expressions,
 )
 from repro.transforms.collapse import CollapseResult, collapse, pack_linear, unpack_linear
-from repro.transforms.distribute import distribute, distribute_procedure
 from repro.transforms.fission import (
     FissionOutcome,
     FissionPiece,
     FissionResult,
+    ReductionOutcome,
     fission_loop,
     fission_procedure,
-)
-from repro.transforms.reduction import (
-    ReductionOutcome,
-    ReductionResult,
-    reduction_procedure,
 )
 from repro.transforms.triangular import (
     TriangularResult,
@@ -48,7 +44,6 @@ __all__ = [
     "FissionPiece",
     "FissionResult",
     "ReductionOutcome",
-    "ReductionResult",
     "TransformError",
     "TriangularResult",
     "block_recovered_loop",
@@ -59,13 +54,10 @@ __all__ = [
     "coalesce_triangular_guarded",
     "guarded_waste",
     "collapse",
-    "distribute",
-    "distribute_procedure",
     "extract_perfect_nest",
     "fission_loop",
     "fission_procedure",
     "fresh_name",
-    "reduction_procedure",
     "normalize_loop",
     "normalize_procedure",
     "pack_linear",

@@ -1,37 +1,60 @@
-"""PDG-driven loop fission: split mixed bodies into serial and DOALL parts.
+"""The one loop-splitting walk: fission, reduction re-tagging, distribution.
 
-:mod:`repro.transforms.distribute` splits loops to expose perfect nests
-but leaves every piece with the original loop's kind — a mixed serial
-loop (one racy statement next to a clean one) distributes into serial
-pieces that the mp runtime never dispatches.  Fission closes that gap:
+Coalescing needs *perfect* nests, and the mp runtime dispatches only
+DOALL loops.  Both are served by one operation — split a loop over its
+top-level body statements along the SCC condensation of its statement
+PDG (:mod:`repro.analysis.pdg`)::
 
-1. build the statement-level PDG (:mod:`repro.analysis.pdg`) over the
-   loop body;
-2. condense to SCCs and emit them in topological order, one sub-loop
-   per component (the classic legality argument: statements in a
-   dependence cycle must stay in one loop; acyclic components may be
-   separated and the topological order preserves every cross-component
-   dependence);
-3. tag each piece from the same graph: an acyclic component has no
-   carried array edge and no unprivate scalar — exactly
+    for i: { S1; S2 }   ⇒   for i: { S1 } ; for i: { S2 }
+
+Legality (classic): statements in a dependence cycle must stay in one
+loop, and the condensation is emitted in topological order, which
+preserves every cross-component dependence.  The PDG's edges are
+conservative in the ways that matter here: array accesses use the full
+direction-vector tester, any two statements sharing a scalar with at
+least one write are fused (scalars are one memory cell), and non-affine
+subscripts fall back to "assume dependence".
+
+:func:`fission_procedure` walks the tree once and, per loop:
+
+1. **recovers parallelism top-down, outside DOALL bodies.**  With
+   ``fission`` a multi-statement serial loop is split and each piece is
+   tagged from the same graph: an acyclic component has no carried
+   array edge and no unprivate scalar — exactly
    :func:`repro.analysis.doall.classify_loop`'s criterion, read off the
    edge set it shares with the PDG — so it becomes a dispatchable DOALL
-   loop; cyclic residues stay serial.
+   loop; cyclic residues stay serial.  With ``reduction`` each serial
+   piece matching :func:`repro.analysis.pdg.recognize_reduction`
+   (``s := s ⊕ expr``) is re-tagged DOALL: the mp runtime runs it as
+   per-chunk partial accumulators with a deterministic ordered combine,
+   and the verifier turns the otherwise-fatal ``PRIV002`` into an
+   informational ``RED001``.  Loops inside a DOALL body execute inside
+   chunk iterations and are left as they are.
+2. **distributes bottom-up**, everywhere: a loop is split only after its
+   children are done, every piece keeping its kind.  A piece is one SCC
+   of its parent's PDG, so it never splits again and one walk reaches
+   the fixed point.
 
-The verifier remains the oracle: every fissioned procedure re-enters
-the normal coalesce→verify→dispatch pipeline and
+The verifier remains the oracle: every split procedure re-enters the
+normal coalesce→verify→dispatch pipeline and
 :func:`repro.analysis.safety.verify_procedure` re-proves each piece
-before anything is dispatched.  Outcomes surface as lint findings —
-``FISS001`` (info: fission applied, pieces listed) and ``FISS002``
-(info: fission refused, the blocking SCC and one of its dependence
-edges named).
+before anything is dispatched.  Recovery outcomes surface as lint
+findings — ``FISS001`` (fission applied, pieces listed), ``FISS002``
+(fission refused, the blocking SCC and one of its dependence edges
+named) and ``RED001`` (reduction recognized).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.pdg import PDG, PDGEdge, build_pdg
+from repro.analysis.pdg import (
+    PDG,
+    PDGEdge,
+    Reduction,
+    build_pdg,
+    recognize_reduction,
+)
 from repro.analysis.safety import SafetyFinding
 from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure, Stmt
 
@@ -39,6 +62,7 @@ __all__ = [
     "FissionOutcome",
     "FissionPiece",
     "FissionResult",
+    "ReductionOutcome",
     "fission_loop",
     "fission_procedure",
 ]
@@ -112,11 +136,49 @@ class FissionOutcome:
 
 
 @dataclass(frozen=True)
+class ReductionOutcome:
+    """One recognized accumulation loop."""
+
+    loop_var: str
+    reduction: Reduction
+
+    def finding(self) -> SafetyFinding:
+        red = self.reduction
+        guarded = " (guarded)" if red.guard is not None else ""
+        return SafetyFinding(
+            rule="RED001",
+            severity="info",
+            loop_var=self.loop_var,
+            message=(
+                f"recognized reduction{guarded}: '{red.scalar}' "
+                f"accumulates with '{red.op}'; dispatching as per-chunk "
+                "partials with a deterministic ordered combine"
+            ),
+            hint=(
+                "partials start from the operator identity and fold in "
+                "ascending chunk order seeded with the incoming scalar — "
+                "deterministic for a fixed trip count, bit-identical to "
+                "serial when the operator is exact on the data"
+            ),
+            scalar=red.scalar,
+            src_stmt=0,
+            dst_stmt=0,
+        )
+
+
+@dataclass(frozen=True)
 class FissionResult:
-    """A fissioned procedure plus one outcome per attempted loop."""
+    """The split procedure plus what the recovery passes did.
+
+    ``outcomes`` holds one record per loop fission attempted,
+    ``reductions`` one per loop re-tagged; ``passes`` names the recovery
+    passes that ran, one :meth:`sections` entry each.
+    """
 
     procedure: Procedure
     outcomes: tuple[FissionOutcome, ...]
+    reductions: tuple[ReductionOutcome, ...]
+    passes: tuple[str, ...]
 
     @property
     def applied(self) -> int:
@@ -127,14 +189,29 @@ class FissionResult:
         return sum(1 for o in self.outcomes if not o.applied)
 
     @property
-    def findings(self) -> list[SafetyFinding]:
-        return [o.finding() for o in self.outcomes]
+    def recognized(self) -> int:
+        return len(self.reductions)
 
-    def summary(self) -> str:
-        return (
-            f"fission: {self.applied} loop(s) split, "
-            f"{self.refused} refused"
-        )
+    @property
+    def findings(self) -> list[SafetyFinding]:
+        return [o.finding() for o in self.outcomes] + [
+            o.finding() for o in self.reductions
+        ]
+
+    def sections(self) -> list[tuple[str, list[SafetyFinding]]]:
+        """One ``(summary line, findings)`` pair per pass that ran."""
+        out: list[tuple[str, list[SafetyFinding]]] = []
+        if "fission" in self.passes:
+            out.append((
+                f"fission: {self.applied} loop(s) split, {self.refused} refused",
+                [o.finding() for o in self.outcomes],
+            ))
+        if "reduction" in self.passes:
+            out.append((
+                f"reduction: {self.recognized} loop(s) recognized",
+                [o.finding() for o in self.reductions],
+            ))
+        return out
 
 
 def _pick_blocking_edge(pdg: PDG, component: tuple[int, ...]) -> PDGEdge | None:
@@ -147,13 +224,15 @@ def _pick_blocking_edge(pdg: PDG, component: tuple[int, ...]) -> PDGEdge | None:
 
 
 def fission_loop(
-    loop: Loop, outer: tuple[Loop, ...] = ()
+    loop: Loop, outer: tuple[Loop, ...] = (), retag: bool = True
 ) -> tuple[list[Loop], FissionOutcome]:
-    """Split one serial loop along its PDG's SCC condensation.
+    """Split one loop along its PDG's SCC condensation.
 
     Returns the replacement loops (in legal topological order) and the
     outcome record.  A body that is one big SCC comes back unchanged
-    with a refusal outcome naming the blocking component.
+    with a refusal outcome naming the blocking component.  With
+    ``retag`` each piece is tagged DOALL or serial from the graph;
+    without it (distribution) every piece keeps ``loop``'s kind.
     """
     pdg = build_pdg(loop, outer)
     components = pdg.sccs()
@@ -170,11 +249,11 @@ def fission_loop(
     out: list[Loop] = []
     pieces: list[FissionPiece] = []
     for comp in components:
-        body = Block(tuple(stmts[k] for k in comp))
-        piece = loop.with_body(body)
+        piece = loop.with_body(Block(tuple(stmts[k] for k in comp)))
         doall = not pdg.cyclic(comp)
-        kind = LoopKind.DOALL if doall else LoopKind.SERIAL
-        out.append(piece.with_kind(kind))
+        if retag:
+            piece = piece.with_kind(LoopKind.DOALL if doall else LoopKind.SERIAL)
+        out.append(piece)
         pieces.append(FissionPiece(comp, "doall" if doall else "serial"))
     return out, FissionOutcome(
         loop_var=loop.var,
@@ -185,43 +264,67 @@ def fission_loop(
     )
 
 
-def fission_procedure(proc: Procedure) -> FissionResult:
-    """Apply fission to every multi-statement serial loop in ``proc``.
+def fission_procedure(
+    proc: Procedure,
+    *,
+    fission: bool = True,
+    reduction: bool = False,
+    distribute: bool = False,
+) -> FissionResult:
+    """Run the selected splitting passes over ``proc`` in one walk.
 
-    DOALL loops are left alone (they are already fully parallel and are
-    dispatched whole); loops nested inside a DOALL body execute inside
-    chunk iterations and are likewise untouched.  Pieces are revisited
-    recursively, so a split residue can split again at inner levels.
+    ``fission`` and ``reduction`` recover parallelism top-down in serial
+    loops outside DOALL bodies; ``distribute`` then splits every loop,
+    bottom-up, to expose perfect nests for
+    :func:`repro.transforms.coalesce.coalesce_procedure`.
     """
-    outcomes: list[FissionOutcome] = []
+    fissions: list[FissionOutcome] = []
+    reductions: list[ReductionOutcome] = []
 
-    def go(s: Stmt, outer: tuple[Loop, ...]) -> list[Stmt]:
-        if isinstance(s, Loop):
-            if s.is_doall:
-                return [s]
-            candidates = [s]
-            if len(s.body.stmts) >= 2:
-                candidates, outcome = fission_loop(s, outer)
-                outcomes.append(outcome)
-            result: list[Stmt] = []
-            for piece in candidates:
-                if piece.is_doall:
-                    result.append(piece)
-                    continue
-                inner: list[Stmt] = []
-                for child in piece.body.stmts:
-                    inner.extend(go(child, outer + (piece,)))
-                result.append(piece.with_body(Block(tuple(inner))))
-            return result
+    def walk(
+        stmts: tuple[Stmt, ...], outer: tuple[Loop, ...], recover: bool
+    ) -> Block:
+        return Block(tuple(x for s in stmts for x in go(s, outer, recover)))
+
+    def go(s: Stmt, outer: tuple[Loop, ...], recover: bool) -> list[Stmt]:
         if isinstance(s, If):
-            then = Block(
-                tuple(x for c in s.then.stmts for x in go(c, outer))
-            )
-            orelse = Block(
-                tuple(x for c in s.orelse.stmts for x in go(c, outer))
-            )
-            return [If(s.cond, then, orelse)]
-        return [s]
+            return [If(
+                s.cond,
+                walk(s.then.stmts, outer, recover),
+                walk(s.orelse.stmts, outer, recover),
+            )]
+        if not isinstance(s, Loop):
+            return [s]
+        recover = recover and not s.is_doall
+        if not (recover or distribute):
+            return [s]
+        pieces = [s]
+        tested = recover and fission and len(s.body) >= 2
+        if tested:
+            pieces, outcome = fission_loop(s, outer)
+            fissions.append(outcome)
+        out: list[Stmt] = []
+        for piece in pieces:
+            if recover and reduction and not piece.is_doall:
+                red = recognize_reduction(piece)
+                if red is not None:
+                    reductions.append(ReductionOutcome(piece.var, red))
+                    piece = piece.with_kind(LoopKind.DOALL)
+            inner = recover and not piece.is_doall
+            body = walk(piece.body.stmts, outer + (piece,), inner)
+            # A piece fission just cut out is one SCC: unless its
+            # children split, distribution would find the same graph.
+            split = distribute and len(body) >= 2
+            if split and not (tested and body == piece.body):
+                out.extend(fission_loop(piece.with_body(body), outer, retag=False)[0])
+            else:
+                out.append(piece.with_body(body))
+        return out
 
-    body = Block(tuple(x for s in proc.body.stmts for x in go(s, ())))
-    return FissionResult(proc.with_body(body), tuple(outcomes))
+    body = walk(proc.body.stmts, (), True)
+    passes = tuple(
+        name for name, on in (("fission", fission), ("reduction", reduction)) if on
+    )
+    return FissionResult(
+        proc.with_body(body), tuple(fissions), tuple(reductions), passes
+    )

@@ -27,7 +27,7 @@ from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure
 from repro.ir.validate import validate
 from repro.ir.visitor import collect_loops
 from repro.parallel import run_parallel_procedure
-from repro.runtime.executor import run_doall_shuffled
+from repro.experiments.e10_end_to_end import run_doall_shuffled
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import gauss_reference, get_workload, make_env

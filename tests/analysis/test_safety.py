@@ -25,10 +25,10 @@ from repro.workloads import RACY_WORKLOADS, WORKLOADS
 
 def compile_like_backend(p, style="ceiling", triangular=False):
     """Normalize + coalesce with the claimed DOALL tags kept (analyze off)."""
-    from repro.transforms.distribute import distribute_procedure
+    from repro.transforms.fission import fission_procedure
 
     q = normalize_procedure(p)
-    q = distribute_procedure(q)
+    q = fission_procedure(q, fission=False, distribute=True).procedure
     q, _ = coalesce_procedure(q, style=style, triangular=triangular)
     return q
 

@@ -15,7 +15,7 @@ from repro.ir.expr import BinOp, Const, Expr, Var
 from repro.ir.stmt import Block, Loop, LoopKind, Procedure
 from repro.ir.validate import validate
 from repro.runtime.equivalence import assert_equivalent
-from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, distribute_procedure
+from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, fission_procedure
 from repro.transforms.normalize import normalize_procedure
 
 MAX_DEPTH = 3
@@ -117,8 +117,11 @@ def test_property_block_recovery_any_nest(data, block_size, seed):
 def test_property_distribute_then_coalesce(data, seed):
     p, sizes = data
     p_norm = normalize_procedure(p)
-    distributed = distribute_procedure(p_norm)
+    distributed = fission_procedure(p_norm, fission=False, distribute=True).procedure
     validate(distributed)
+    # One walk reaches the fixed point: walking its output is the identity.
+    again = fission_procedure(distributed, reduction=True, distribute=True)
+    assert again.procedure == distributed
     assert_equivalent(p, distributed, sizes, seed=seed)
     coalesced, _ = coalesce_procedure(distributed)
     validate(coalesced)

@@ -30,7 +30,7 @@ from repro.parallel.counter import SharedClaimCounter, policy_plan
 from repro.parallel.observe import DISPATCH
 from repro.parallel.shm import leaked_segments
 from repro.runtime.interp import Interpreter
-from repro.transforms import coalesce_procedure, reduction_procedure
+from repro.transforms import coalesce_procedure, fission_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import dot_product, get_workload, make_env
 from repro.workloads.shapes import IRREGULAR_WORKLOADS
@@ -198,7 +198,7 @@ POLICIES = (("unit", None), ("fixed", 5), ("gss", None))
 def _program(name):
     if name == "dot_product":
         w = dot_product()
-        return w, reduction_procedure(w.proc).procedure
+        return w, fission_procedure(w.proc, fission=False, reduction=True).procedure
     w = get_workload(name)
     return w, coalesce_procedure(w.proc)[0]
 

@@ -33,7 +33,6 @@ from repro.parallel import region  # noqa: F401  (the shims patch it)
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.transforms.fission import fission_procedure
-from repro.transforms.reduction import reduction_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import get_workload, make_env
 
@@ -102,7 +101,7 @@ def case(name):
     if name in ("scatter_perm", "ragged_update"):
         proc = w.proc
     elif name == "dot_product":
-        proc = reduction_procedure(w.proc).procedure
+        proc = fission_procedure(w.proc, fission=False, reduction=True).procedure
     elif name == "mixed_update":
         proc = fission_procedure(w.proc).procedure
     else:

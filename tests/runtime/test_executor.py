@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.runtime.equivalence import assert_equivalent, copy_env, random_env
-from repro.runtime.executor import run_doall_shuffled
+from repro.experiments.e10_end_to_end import run_doall_shuffled
 from repro.runtime.interp import InterpreterError, run
 
 

@@ -12,7 +12,7 @@ from repro.ir.expr import Const, Var
 from repro.ir.stmt import LoopKind
 from repro.ir.validate import validate
 from repro.runtime.equivalence import assert_equivalent
-from repro.runtime.executor import run_doall_shuffled
+from repro.experiments.e10_end_to_end import run_doall_shuffled
 from repro.transforms.base import TransformError
 from repro.transforms.coalesce import (
     coalesce,

@@ -1,5 +1,7 @@
-"""Unit tests for loop distribution (fission)."""
+"""Loop distribution: the ``distribute`` pass of the loop-splitting walk
+(:mod:`repro.transforms.fission`)."""
 
+import pytest
 
 from repro.analysis.pdg import build_pdg
 from repro.frontend.dsl import parse
@@ -8,7 +10,17 @@ from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.ir.visitor import collect_loops
 from repro.runtime.equivalence import assert_equivalent
 from repro.transforms.coalesce import coalesce_procedure
-from repro.transforms.distribute import distribute, distribute_procedure
+from repro.transforms.fission import fission_loop, fission_procedure
+
+
+def distribute(loop):
+    """Split one loop along its SCCs, every piece keeping its kind."""
+    return fission_loop(loop, retag=False)[0]
+
+
+def distribute_all(proc):
+    """The loop-splitting walk with only distribution selected."""
+    return fission_procedure(proc, fission=False, distribute=True).procedure
 
 
 class TestDependenceGraph:
@@ -87,7 +99,7 @@ class TestDistribute:
             ),
             arrays={"A": 1, "B": 1},
         )
-        out = distribute_procedure(p)
+        out = distribute_all(p)
         validate(out)
         assert len(collect_loops(out)) == 2
         assert_equivalent(p, out, {"A": (10,), "B": (10,)})
@@ -109,7 +121,7 @@ class TestDistributeProcedure:
 
     def test_matmul_split_makes_nests_perfect(self):
         mm = parse(self.MATMUL)
-        out = distribute_procedure(mm)
+        out = distribute_all(mm)
         validate(out)
         # Top level now has two (i, j) nests.
         assert len(out.body) == 2
@@ -117,7 +129,7 @@ class TestDistributeProcedure:
 
     def test_matmul_distribute_then_coalesce_both_nests(self):
         mm = parse(self.MATMUL)
-        out = distribute_procedure(mm)
+        out = distribute_all(mm)
         coalesced, results = coalesce_procedure(out)
         assert len(results) == 2
         validate(coalesced)
@@ -134,14 +146,14 @@ class TestDistributeProcedure:
             end
             """
         )
-        out = distribute_procedure(p)
+        out = distribute_all(p)
         validate(out)
         assert_equivalent(p, out, {"A": (20,), "B": (20,)}, {"n": 19})
 
     def test_fixed_point_is_stable(self):
         mm = parse(self.MATMUL)
-        once = distribute_procedure(mm)
-        twice = distribute_procedure(once)
+        once = distribute_all(mm)
+        twice = distribute_all(once)
         assert once == twice
 
     def test_statements_inside_if(self):
@@ -156,7 +168,7 @@ class TestDistributeProcedure:
             ),
             arrays={"A": 1, "B": 1},
         )
-        out = distribute_procedure(p)
+        out = distribute_all(p)
         validate(out)
         assert_equivalent(p, out, {"A": (8,), "B": (8,)})
 
@@ -171,6 +183,45 @@ class TestDistributeProcedure:
             ),
             arrays={"A": 1, "B": 1},
         )
-        out = distribute_procedure(p)
+        out = distribute_all(p)
         validate(out)
         assert_equivalent(p, out, {"A": (10,), "B": (10,)})
+
+
+class TestOneWalk:
+    DEEP = """
+        procedure deep(A[5], B[5]; n)
+          doall a = 1, n
+            doall b = 1, n
+              doall c = 1, n
+                doall d = 1, n
+                  doall e = 1, n
+                    A(a, b, c, d, e) := 1.0
+                    B(a, b, c, d, e) := 2.0
+                  end
+                end
+              end
+            end
+          end
+        end
+        """
+
+    @pytest.mark.parametrize("analyze", [True, False])
+    def test_five_deep_nest_coalesces_as_two_depth_five_nests(self, analyze):
+        # Splitting bottom-up reaches every level in one walk, so the
+        # outermost loop splits too and both nests are perfect.
+        from repro.api import lower_and_coalesce
+
+        _, out, results, _ = lower_and_coalesce(
+            self.DEEP, frontend="dsl", analyze=analyze, cache=None
+        )
+        assert [r.depth for r in results] == [5, 5]
+        assert len(out.body) == 2
+        assert_equivalent(
+            parse(self.DEEP), out, {"A": (4,) * 5, "B": (4,) * 5}, {"n": 3}
+        )
+
+    def test_one_walk_is_the_fixed_point(self):
+        once = distribute_all(parse(self.DEEP))
+        assert len(once.body) == 2
+        assert distribute_all(once) == once

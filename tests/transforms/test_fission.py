@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.frontend.dsl import parse
+from repro.runtime.equivalence import assert_equivalent
 from repro.runtime.interp import run
 from repro.transforms.fission import fission_loop, fission_procedure
 from repro.workloads import make_env, mixed_antidep, mixed_update
@@ -152,3 +153,47 @@ class TestFissionEndToEnd:
         run(res.procedure, arrays, dict(sc))
         for name in arrays:
             np.testing.assert_array_equal(arrays[name], expect[name])
+
+
+class TestOneWalk:
+    SOURCE = """
+        procedure inside(A[2], B[2], C[2]; n)
+          doall i = 1, n
+            for j = 2, n
+              B(i, j) := A(i, j) + 1.0
+              C(i, j) := C(i, j - 1) + 1.0
+            end
+          end
+        end
+        """
+
+    def test_recovery_stays_out_of_doall_bodies(self):
+        p = parse(self.SOURCE)
+        res = fission_procedure(p, reduction=True)
+        assert not res.outcomes and not res.reductions
+        assert res.procedure == p
+
+    def test_distribution_splits_inside_doall_bodies_bottom_up(self):
+        p = parse(self.SOURCE)
+        res = fission_procedure(p, reduction=True, distribute=True)
+        assert not res.outcomes and not res.reductions
+        loops = res.procedure.body.stmts
+        assert [lp.is_doall for lp in loops] == [True, True]
+        assert all(not lp.body.stmts[0].is_doall for lp in loops)
+        sizes = {name: (9, 9) for name in "ABC"}
+        assert_equivalent(p, res.procedure, sizes, {"n": 8})
+
+    def test_sections_follow_the_selected_passes(self):
+        w = mixed_update()
+        assert [s for s, _ in fission_procedure(w.proc).sections()] == [
+            "fission: 1 loop(s) split, 0 refused"
+        ]
+        both = fission_procedure(w.proc, reduction=True)
+        assert [s for s, _ in both.sections()] == [
+            "fission: 1 loop(s) split, 0 refused",
+            "reduction: 0 loop(s) recognized",
+        ]
+        only = fission_procedure(w.proc, fission=False, reduction=True)
+        assert [s for s, _ in only.sections()] == [
+            "reduction: 0 loop(s) recognized"
+        ]

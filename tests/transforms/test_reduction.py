@@ -1,5 +1,5 @@
-"""Reduction recognition and parallel dispatch
-(:mod:`repro.transforms.reduction` + the runtime combine)."""
+"""Reduction recognition and parallel dispatch (the ``reduction`` pass
+of :mod:`repro.transforms.fission` + the runtime combine)."""
 
 import numpy as np
 import pytest
@@ -8,27 +8,32 @@ from repro.analysis.safety import verify_procedure
 from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
 from repro.runtime.interp import run
-from repro.transforms.reduction import reduction_procedure
+from repro.transforms.fission import fission_procedure
 from repro.workloads import dot_product, guarded_sum, make_env
+
+
+def retag_reductions(proc):
+    """The loop-splitting walk with only the reduction pass selected."""
+    return fission_procedure(proc, fission=False, reduction=True)
 
 
 class TestRetagging:
     def test_dot_product_loop_retagged_doall(self):
         w = dot_product()
-        res = reduction_procedure(w.proc)
+        res = retag_reductions(w.proc)
         assert res.recognized == 1
         assert res.procedure.body.stmts[0].is_doall
 
     def test_guarded_accumulator_recognized(self):
         w = guarded_sum()
-        res = reduction_procedure(w.proc)
+        res = retag_reductions(w.proc)
         assert res.recognized == 1
-        out = res.outcomes[0]
+        out = res.reductions[0]
         assert out.reduction.guard is not None
         assert out.reduction.scalar == "s"
 
     def test_red001_finding_names_the_scalar(self):
-        res = reduction_procedure(dot_product().proc)
+        res = retag_reductions(dot_product().proc)
         (f,) = res.findings
         assert f.rule == "RED001" and f.severity == "info"
         assert f.scalar == "s"
@@ -43,7 +48,7 @@ class TestRetagging:
             end
             """
         )
-        res = reduction_procedure(p)
+        res = retag_reductions(p)
         assert res.recognized == 0
         assert res.procedure == p
 
@@ -57,13 +62,13 @@ class TestRetagging:
             end
             """
         )
-        res = reduction_procedure(p)
+        res = retag_reductions(p)
         assert res.recognized == 0 and res.procedure == p
 
 
 class TestVerifierAgreement:
     def test_retagged_loop_verifies_with_red001(self):
-        res = reduction_procedure(dot_product().proc)
+        res = retag_reductions(dot_product().proc)
         report = verify_procedure(res.procedure)
         assert report.ok
         rules = {f.rule for f in report.findings}
@@ -100,7 +105,7 @@ class TestParallelDispatch:
     def test_bit_identical_to_serial(self, factory):
         w = factory()
         expect, sc = _serial_result(w)
-        res = reduction_procedure(w.proc)
+        res = retag_reductions(w.proc)
         arrays, _ = make_env(w)
         out = run_parallel_procedure(
             res.procedure, arrays, sc, workers=3
@@ -111,7 +116,7 @@ class TestParallelDispatch:
 
     def test_deterministic_across_worker_counts(self):
         w = dot_product()
-        res = reduction_procedure(w.proc)
+        res = retag_reductions(w.proc)
         values = []
         for workers in (1, 2, 5):
             arrays, sc = make_env(w)
@@ -126,7 +131,7 @@ class TestParallelDispatch:
         arrays, sc = make_env(w)
         expect = {k: v.copy() for k, v in arrays.items()}
         w.reference(expect, sc)
-        res = reduction_procedure(w.proc)
+        res = retag_reductions(w.proc)
         run_parallel_procedure(
             res.procedure, arrays, sc, workers=4
         )

@@ -68,7 +68,7 @@ from repro.analysis.dependence import (
     upward_exposed_scalars,
     written_scalars,
 )
-from repro.analysis.pdg import dependences, recognize_reduction
+from repro.analysis.pdg import Reduction, dependences, recognize_reduction
 from repro.analysis.recovery import RecoveredNest, recognize_recovered_nest
 from repro.ir.expr import Const, Var
 from repro.ir.printer import expr_to_source
@@ -84,6 +84,7 @@ __all__ = [
     "collect_guarded_accesses",
     "dispatchable",
     "inspector_eligible",
+    "reduction_finding",
     "verify_procedure",
 ]
 
@@ -199,6 +200,26 @@ class SafetyFinding:
 
     def format(self) -> str:
         return f"{self.severity}[{self.rule}] loop {self.loop_var}: {self.message}"
+
+
+def reduction_finding(loop_var: str, red: Reduction) -> SafetyFinding:
+    """The one ``RED001`` finding, for the reduction ``red`` recognized
+    in the loop over ``loop_var``.  The verifier and the reduction pass
+    (:mod:`repro.transforms.fission`) both report it from here."""
+    return SafetyFinding(
+        rule="RED001",
+        severity="info",
+        loop_var=loop_var,
+        message=(
+            f"recognized reduction: '{red.scalar}' accumulates with "
+            f"'{red.op}'; the runtime dispatches per-chunk partials and "
+            "combines them in a fixed order"
+        ),
+        hint=_HINTS["RED001"],
+        scalar=red.scalar,
+        src_stmt=0,
+        dst_stmt=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -447,22 +468,7 @@ def _verify_dispatch(
             f.rule == "PRIV002" and f.scalar == red.scalar for f in errors
         ):
             findings = [f for f in findings if f not in errors]
-            findings.append(
-                SafetyFinding(
-                    rule="RED001",
-                    severity="info",
-                    loop_var=loop.var,
-                    message=(
-                        f"recognized reduction: '{red.scalar}' accumulates "
-                        f"with '{red.op}'; the runtime dispatches per-chunk "
-                        "partials and combines them in a fixed order"
-                    ),
-                    hint=_HINTS["RED001"],
-                    scalar=red.scalar,
-                    src_stmt=0,
-                    dst_stmt=0,
-                )
-            )
+            findings.append(reduction_finding(loop.var, red))
             reduction_scalar = red.scalar
     if any(f.severity == "error" for f in findings) and not any(
         f.rule == "PRIV002" for f in findings

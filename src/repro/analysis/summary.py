@@ -6,8 +6,8 @@ formatted text report) of
 
 * each loop's verdict (DOALL / serial) and *why* it is serial — the carried
   dependences or the offending scalars,
-* which maximal nests the coalescer would transform and at what depth,
-* which of those additionally qualify for recovery-free collapsing.
+* which maximal nests the coalescer would transform, at what depth and
+  with what flat trip count.
 
 The CLI exposes this as ``python -m repro file.loop --analyze``.
 """
@@ -25,7 +25,6 @@ from repro.ir.printer import to_source
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.transforms.base import TransformError, used_names
 from repro.transforms.coalesce import coalesce
-from repro.transforms.collapse import collapse
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class NestPlan:
     index_vars: tuple[str, ...]
     depth: int
     total: str  # flat trip count, printed
-    collapse_eligible: bool
 
 
 @dataclass
@@ -85,10 +83,9 @@ class ProcedureSummary:
         if self.plans:
             lines.append("coalescing plan:")
             for plan in self.plans:
-                extra = ", collapse-eligible" if plan.collapse_eligible else ""
                 lines.append(
                     f"  ({', '.join(plan.index_vars)}) depth={plan.depth} "
-                    f"-> one loop of {plan.total} iterations{extra}"
+                    f"-> one loop of {plan.total} iterations"
                 )
         else:
             lines.append("coalescing plan: nothing to coalesce (no DOALL "
@@ -145,17 +142,11 @@ def analyze_procedure(proc: Procedure) -> ProcedureSummary:
                 except TransformError:
                     result = None
                 if result is not None and result.depth >= 2:
-                    eligible = True
-                    try:
-                        collapse(s, used=set(pool))
-                    except TransformError:
-                        eligible = False
                     summary.plans.append(
                         NestPlan(
                             index_vars=result.index_vars,
                             depth=result.depth,
                             total=to_source(result.loop.upper),
-                            collapse_eligible=eligible,
                         )
                     )
                     planned = True

@@ -101,6 +101,8 @@ def _workers(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.parallel.runtime import CHUNK_LANGS, SAFETY_MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Loop coalescing compiler (ICPP'87 reproduction)",
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chunk-lang",
-        choices=("auto", "py", "c", "numpy"),
+        choices=CHUNK_LANGS,
         default="auto",
         help="with --backend mp: language workers execute claimed blocks "
         "in — c (native ctypes kernel, the default when a C compiler is "
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--safety",
-        choices=("off", "warn", "enforce", "speculate"),
+        choices=SAFETY_MODES,
         default=None,
         help="chunk-safety mode for --backend mp --run: warn (default) "
         "verifies every dispatch and reports findings on stderr, enforce "

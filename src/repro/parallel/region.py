@@ -68,6 +68,7 @@ from repro.parallel.runtime import (
     _empty_result,
 )
 from repro.parallel.shm import native_layout
+from repro.parallel.speculate import merge_chunk_logs
 
 #: Barrier spins before the futex sleep when every worker has a CPU of its
 #: own (DESIGN §4b has the measurements); 0 when workers outnumber CPUs —
@@ -342,9 +343,8 @@ def _assemble(
                 c, log, t0, ops, lang, batch, claim_loop=claim_loop,
             )
         )
-    spec_logs = [entry for r in reports for entry in r["spec_log"]]
+    spec_logs = merge_chunk_logs(r["spec_log"] for r in reports)
     if spec_logs:
-        spec_logs.sort(key=lambda entry: (entry[0], entry[1]))
         out[0].spec_logs = spec_logs
     return out
 

@@ -105,6 +105,8 @@ from repro.runtime import inspector
 from repro.scheduling.policies import SchedulingPolicy
 
 __all__ = [
+    "CHUNK_LANGS",
+    "SAFETY_MODES",
     "ClaimEvent",
     "ParallelDispatchError",
     "ParallelError",
@@ -113,12 +115,28 @@ __all__ = [
     "ParallelTimeoutError",
     "SafetyVerificationError",
     "WorkerCrashError",
+    "check_choice",
     "resolve_chunk_lang",
     "resolve_claim_batch",
     "resolve_safety",
     "resolve_timeout",
     "run_parallel_procedure",
 ]
+
+
+#: The chunk languages a run may request; ``"auto"`` picks one per host.
+CHUNK_LANGS = ("auto", "py", "c", "numpy")
+#: The chunk-safety modes a run may request; none means ``"warn"``.
+SAFETY_MODES = ("off", "warn", "enforce", "speculate")
+
+
+def check_choice(name: str, value, domain: tuple[str, ...]) -> None:
+    """The one :class:`ValueError` for option ``name`` outside ``domain``."""
+    if value not in domain:
+        spelled = ", ".join(map(repr, domain[:-1]))
+        raise ValueError(
+            f"{name} must be {spelled}, or {domain[-1]!r} (got {value!r})"
+        )
 
 
 def resolve_chunk_lang(requested: str | None) -> str:
@@ -132,13 +150,11 @@ def resolve_chunk_lang(requested: str | None) -> str:
     run still succeeds — native chunks are an optimization, never a
     requirement).  Anything else raises :class:`ValueError`.
     """
-    if requested in (None, "auto"):
+    if requested is None:
+        requested = "auto"
+    check_choice("chunk_lang", requested, CHUNK_LANGS)
+    if requested == "auto":
         return "c" if have_compiler() else "numpy"
-    if requested not in ("py", "c", "numpy"):
-        raise ValueError(
-            "chunk_lang must be 'py', 'c', 'numpy', or 'auto' "
-            f"(got {requested!r})"
-        )
     if requested == "c" and not have_compiler():
         record_chunk_fallback()
         return "numpy"
@@ -200,11 +216,7 @@ def resolve_safety(requested: str | None) -> str:
     """
     if requested is None:
         return "warn"
-    if requested not in ("off", "warn", "enforce", "speculate"):
-        raise ValueError(
-            "safety must be 'off', 'warn', 'enforce', or 'speculate' "
-            f"(got {requested!r})"
-        )
+    check_choice("safety", requested, SAFETY_MODES)
     return requested
 
 

@@ -3,8 +3,8 @@
 * :mod:`repro.runtime.interp` — sequential reference interpreter over numpy
   arrays, with optional operation counting (used by the recovery-cost
   experiment E2).
-* :mod:`repro.runtime.equivalence` — harness asserting transformed programs
-  compute the same arrays as the original.
+* :mod:`repro.runtime.equivalence` — the random array environments that
+  equivalence checks run the original and the transformed program from.
 * :mod:`repro.runtime.inspector` — the dynamic half of ``safety=speculate``:
   subscript-only inspection proving statically-unproven dispatches disjoint
   at runtime, plus the chunk-recording executor speculation uses.
@@ -22,14 +22,13 @@ from repro.runtime.interp import (
     eval_bound,
     run,
 )
-from repro.runtime.equivalence import assert_equivalent, random_env
+from repro.runtime.equivalence import random_env
 
 __all__ = [
     "InspectionResult",
     "Interpreter",
     "InterpreterError",
     "OpCounts",
-    "assert_equivalent",
     "eval_bound",
     "inspect_dispatch",
     "random_env",

@@ -79,7 +79,10 @@ from repro.parallel.observe import (
 from repro.parallel.plan import prewarm
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.runtime import (
+    CHUNK_LANGS,
+    check_choice,
     resolve_claim_batch,
+    resolve_safety,
     resolve_timeout,
     run_parallel_procedure,
 )
@@ -97,6 +100,14 @@ PIPELINE_OPTIONS = {
     "depth": None,
     "distribute": True,
     "analyze": True,
+    "triangular": False,
+    "transforms": None,
+}
+
+#: /lint options forwarded to :func:`repro.lint.engine.lint_source`.
+LINT_OPTIONS = {
+    "style": "ceiling",
+    "depth": None,
     "triangular": False,
     "transforms": None,
 }
@@ -359,24 +370,10 @@ class ReproServer(AccountingHTTPServer):
 
     # -- request logic (handler methods delegate here) --------------------
     def handle_compile(self, body: dict) -> dict:
-        source = body.get("source")
-        if not isinstance(source, str) or not source.strip():
-            raise RequestError(400, "body must carry a non-empty 'source'")
-        frontend = body.get("frontend", "auto")
-        if frontend == "auto":
-            frontend = (
-                "dsl" if source.lstrip().startswith("procedure") else "python"
-            )
-        if frontend not in ("python", "dsl"):
-            raise RequestError(400, f"unknown frontend {frontend!r}")
+        source, frontend, options = _source_request(body, PIPELINE_OPTIONS)
         backend = body.get("backend", "python")
         if backend not in BACKENDS:
             raise RequestError(400, f"unknown backend {backend!r}")
-        options = dict(PIPELINE_OPTIONS)
-        for name, value in (body.get("options") or {}).items():
-            if name not in options:
-                raise RequestError(400, f"unknown option {name!r}")
-            options[name] = value
 
         t0 = time.perf_counter()
         try:
@@ -433,26 +430,7 @@ class ReproServer(AccountingHTTPServer):
         return program.describe()
 
     def handle_lint(self, body: dict) -> dict:
-        source = body.get("source")
-        if not isinstance(source, str) or not source.strip():
-            raise RequestError(400, "body must carry a non-empty 'source'")
-        frontend = body.get("frontend", "auto")
-        if frontend == "auto":
-            frontend = (
-                "dsl" if source.lstrip().startswith("procedure") else "python"
-            )
-        if frontend not in ("python", "dsl"):
-            raise RequestError(400, f"unknown frontend {frontend!r}")
-        options = {
-            "style": "ceiling",
-            "depth": None,
-            "triangular": False,
-            "transforms": None,
-        }
-        for name, value in (body.get("options") or {}).items():
-            if name not in options:
-                raise RequestError(400, f"unknown option {name!r}")
-            options[name] = value
+        source, frontend, options = _source_request(body, LINT_OPTIONS)
         from repro.lint.engine import lint_source
 
         try:
@@ -602,6 +580,27 @@ class ReproServer(AccountingHTTPServer):
         return "mp-pool", stats
 
 
+def _source_request(body, defaults) -> tuple[str, str, dict]:
+    """``(source, frontend, options)`` of a /compile or /lint body, the
+    options being ``defaults`` overridden by the body's ``options``."""
+    source = body.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise RequestError(400, "body must carry a non-empty 'source'")
+    frontend = body.get("frontend", "auto")
+    if frontend == "auto":
+        frontend = (
+            "dsl" if source.lstrip().startswith("procedure") else "python"
+        )
+    if frontend not in ("python", "dsl"):
+        raise RequestError(400, f"unknown frontend {frontend!r}")
+    options = dict(defaults)
+    for name, value in (body.get("options") or {}).items():
+        if name not in options:
+            raise RequestError(400, f"unknown option {name!r}")
+        options[name] = value
+    return source, frontend, options
+
+
 def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     """``(backend, workers, run_parallel_procedure keywords)`` of a run."""
     backend = body.get("backend", program.backend)
@@ -623,28 +622,15 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         resolve_policy(policy if isinstance(policy, str) else repr(policy))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
+    chunk_lang = body.get("chunk_lang", "auto")
     try:
         timeout = resolve_timeout(body.get("timeout"))
         claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
+        check_choice("chunk_lang", chunk_lang, CHUNK_LANGS)
+        safety = resolve_safety(body.get("safety"))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
-    chunk_lang = body.get("chunk_lang", "auto")
-    if chunk_lang not in ("auto", "py", "c", "numpy"):
-        raise RequestError(
-            400,
-            "chunk_lang must be 'auto', 'py', 'c', or 'numpy' "
-            f"(got {chunk_lang!r})",
-        )
-    safety = body.get("safety")
-    if safety is not None and safety not in (
-        "off", "warn", "enforce", "speculate",
-    ):
-        raise RequestError(
-            400,
-            "safety must be 'off', 'warn', 'enforce', or 'speculate' "
-            f"(got {safety!r})",
-        )
-    if chunk_lang in ("auto", "c", "numpy") and any(
+    if chunk_lang != "py" and any(
         a.dtype != np.float64 for a in arrays.values()
     ):
         # The compiled chunks (C kernels, numpy slice chunks)

@@ -6,8 +6,7 @@ is the one pipeline that runs them: normalization, then the one
 loop-splitting walk of :mod:`repro.transforms.fission` (the opt-in
 fission and reduction recovery passes and distribution, which makes
 imperfect nests perfect), then coalescing, rectangular or triangular.  Beside it
-live loop collapsing (the recovery-free special case, read by
-``--analyze``) and index-recovery strength reduction for block execution.
+lives index-recovery strength reduction for block execution.
 """
 
 from repro.transforms.base import TransformError, fresh_name, used_names
@@ -19,7 +18,6 @@ from repro.transforms.coalesce import (
     extract_perfect_nest,
     recovery_expressions,
 )
-from repro.transforms.collapse import CollapseResult, collapse, pack_linear, unpack_linear
 from repro.transforms.fission import (
     FissionOutcome,
     FissionPiece,
@@ -39,7 +37,6 @@ from repro.transforms.strength import block_recovered_loop
 
 __all__ = [
     "CoalesceResult",
-    "CollapseResult",
     "FissionOutcome",
     "FissionPiece",
     "FissionResult",
@@ -53,15 +50,12 @@ __all__ = [
     "coalesce_triangular_exact",
     "coalesce_triangular_guarded",
     "guarded_waste",
-    "collapse",
     "extract_perfect_nest",
     "fission_loop",
     "fission_procedure",
     "fresh_name",
     "normalize_loop",
     "normalize_procedure",
-    "pack_linear",
     "recovery_expressions",
-    "unpack_linear",
     "used_names",
 ]

@@ -55,7 +55,7 @@ from repro.analysis.pdg import (
     build_pdg,
     recognize_reduction,
 )
-from repro.analysis.safety import SafetyFinding
+from repro.analysis.safety import SafetyFinding, reduction_finding
 from repro.ir.stmt import Block, If, Loop, LoopKind, Procedure, Stmt
 
 __all__ = [
@@ -143,27 +143,7 @@ class ReductionOutcome:
     reduction: Reduction
 
     def finding(self) -> SafetyFinding:
-        red = self.reduction
-        guarded = " (guarded)" if red.guard is not None else ""
-        return SafetyFinding(
-            rule="RED001",
-            severity="info",
-            loop_var=self.loop_var,
-            message=(
-                f"recognized reduction{guarded}: '{red.scalar}' "
-                f"accumulates with '{red.op}'; dispatching as per-chunk "
-                "partials with a deterministic ordered combine"
-            ),
-            hint=(
-                "partials start from the operator identity and fold in "
-                "ascending chunk order seeded with the incoming scalar — "
-                "deterministic for a fixed trip count, bit-identical to "
-                "serial when the operator is exact on the data"
-            ),
-            scalar=red.scalar,
-            src_stmt=0,
-            dst_stmt=0,
-        )
+        return reduction_finding(self.loop_var, self.reduction)
 
 
 @dataclass(frozen=True)

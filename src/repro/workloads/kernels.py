@@ -88,7 +88,7 @@ def matmul() -> Workload:
 
 
 def saxpy2d() -> Workload:
-    """Element-wise update: the collapse-eligible pattern (exact subscripts)."""
+    """Element-wise update: every subscript is exactly the nest indices."""
     p = parse(
         """
         procedure saxpy2d(X[2], Y[2]; n, m)

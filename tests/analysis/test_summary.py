@@ -84,22 +84,6 @@ class TestPlans:
         assert plan.index_vars == ("i", "j")
         assert plan.depth == 2
         assert plan.total == "n * n"
-        assert not plan.collapse_eligible  # subscripts also used in k loop
-
-    def test_collapse_eligibility_detected(self):
-        p = parse(
-            """
-            procedure sc(A[2], B[2]; n, m)
-              for i = 1, n
-                for j = 1, m
-                  B(i, j) := A(i, j) * 3.0
-                end
-              end
-            end
-            """
-        )
-        summary = analyze_procedure(p)
-        assert summary.plans[0].collapse_eligible
 
     def test_no_plan_for_fully_serial(self):
         summary = analyze_procedure(parse(WAVEFRONT))

@@ -36,7 +36,7 @@ class TestRunPipeline:
 
     def test_pipeline_equivalence(self):
         from repro.frontend.dsl import parse
-        from repro.runtime.equivalence import assert_equivalent
+        from tests.equivalence import assert_equivalent
 
         original = parse(MATMUL)
         transformed, _ = run_pipeline(MATMUL)

@@ -14,9 +14,10 @@ from repro.ir.builder import assign, block, ref
 from repro.ir.expr import BinOp, Const, Expr, Var
 from repro.ir.stmt import Block, Loop, LoopKind, Procedure
 from repro.ir.validate import validate
-from repro.runtime.equivalence import assert_equivalent
 from repro.transforms import block_recovered_loop, coalesce, coalesce_procedure, fission_procedure
 from repro.transforms.normalize import normalize_procedure
+
+from tests.equivalence import assert_equivalent
 
 MAX_DEPTH = 3
 MAX_EXTENT = 4

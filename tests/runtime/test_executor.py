@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
-from repro.runtime.equivalence import assert_equivalent, copy_env, random_env
+from repro.runtime.equivalence import copy_env, random_env
 from repro.experiments.e10_end_to_end import run_doall_shuffled
 from repro.runtime.interp import InterpreterError, run
+
+from tests.equivalence import assert_equivalent
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ import pytest
 
 from repro.api import transform_function
 from repro.cache import ArtifactCache
+from repro.frontend.dsl import parse
+from repro.parallel import run_parallel_procedure
 from repro.service import ServiceClient, ServiceError, serve_background
 
 PY_KERNEL = """
@@ -437,6 +439,26 @@ class TestErrors:
         assert err.value.status == 400
         assert "run failed" in str(err.value)
         assert_saxpy_served(client, key, "python", transport)
+
+    def test_bad_run_option_is_the_runtimes_400(self, service):
+        """A served run refuses a bad ``chunk_lang`` or ``safety`` with the
+        very text the in-process driver raises for it."""
+        client, _ = service
+        key = client.compile(DSL_KERNEL, backend="mp")["key"]
+        X, Y = saxpy_env()
+        for option in ("chunk_lang", "safety"):
+            with pytest.raises(ValueError) as local:
+                run_parallel_procedure(
+                    parse(DSL_KERNEL), {"X": X, "Y": Y}, {"n": SAXPY_N},
+                    workers=2, **{option: "bogus"},
+                )
+            with pytest.raises(ServiceError) as err:
+                client.run(
+                    key, {"X": X, "Y": Y}, {"n": SAXPY_N}, backend="mp",
+                    workers=2, **{option: "bogus"},
+                )
+            assert err.value.status == 400
+            assert err.value.payload["error"] == str(local.value)
 
     def test_lint_requires_source(self, service):
         client, _ = service

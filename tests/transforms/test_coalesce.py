@@ -11,7 +11,6 @@ from repro.ir.builder import assign, block, c, doall, proc, ref, serial, v
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import LoopKind
 from repro.ir.validate import validate
-from repro.runtime.equivalence import assert_equivalent
 from repro.experiments.e10_end_to_end import run_doall_shuffled
 from repro.transforms.base import TransformError
 from repro.transforms.coalesce import (
@@ -21,6 +20,8 @@ from repro.transforms.coalesce import (
     products_from_inside,
     recovery_expressions,
 )
+
+from tests.equivalence import assert_equivalent
 
 
 def _mark_nest(shape):

@@ -8,9 +8,10 @@ from repro.frontend.dsl import parse
 from repro.ir import validate
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.ir.visitor import collect_loops
-from repro.runtime.equivalence import assert_equivalent
 from repro.transforms.coalesce import coalesce_procedure
 from repro.transforms.fission import fission_loop, fission_procedure
+
+from tests.equivalence import assert_equivalent
 
 
 def distribute(loop):

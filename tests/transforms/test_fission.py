@@ -3,10 +3,11 @@
 import numpy as np
 
 from repro.frontend.dsl import parse
-from repro.runtime.equivalence import assert_equivalent
 from repro.runtime.interp import run
 from repro.transforms.fission import fission_loop, fission_procedure
 from repro.workloads import make_env, mixed_antidep, mixed_update
+
+from tests.equivalence import assert_equivalent
 
 
 def interp_env(proc, n=24, seed=3):

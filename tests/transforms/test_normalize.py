@@ -4,13 +4,14 @@ import pytest
 
 from repro.ir.builder import assign, c, doall, proc, ref, serial, v
 from repro.ir.expr import Const, Var
-from repro.runtime.equivalence import assert_equivalent
 from repro.transforms.base import TransformError
 from repro.transforms.normalize import (
     normalize_loop,
     normalize_procedure,
     trip_count_expr,
 )
+
+from tests.equivalence import assert_equivalent
 
 
 class TestTripCount:

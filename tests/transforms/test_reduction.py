@@ -38,6 +38,22 @@ class TestRetagging:
         assert f.rule == "RED001" and f.severity == "info"
         assert f.scalar == "s"
 
+    @pytest.mark.parametrize("workload", [dot_product, guarded_sum])
+    def test_red001_is_the_verifiers_finding(self, workload):
+        """The pass and the verifier report one RED001, word for word."""
+        res = fission_procedure(workload().proc, reduction=True)
+        (ours,) = [f for f in res.findings if f.rule == "RED001"]
+        (theirs,) = [
+            f
+            for loop in verify_procedure(res.procedure).loops
+            for f in loop.findings
+            if f.rule == "RED001"
+        ]
+        fields = ("rule", "message", "hint", "scalar")
+        assert [getattr(ours, k) for k in fields] == [
+            getattr(theirs, k) for k in fields
+        ]
+
     def test_non_reduction_serial_loop_untouched(self):
         p = parse(
             """

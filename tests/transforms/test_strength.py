@@ -7,11 +7,12 @@ from repro.ir.builder import assign, block, c, doall, proc, ref, v
 from repro.ir.expr import BinOp, Const
 from repro.ir.validate import validate
 from repro.ir.visitor import walk_exprs
-from repro.runtime.equivalence import assert_equivalent
 from repro.runtime.interp import run
 from repro.transforms.base import TransformError
 from repro.transforms.coalesce import coalesce
 from repro.transforms.strength import block_recovered_loop, odometer_advance
+
+from tests.equivalence import assert_equivalent
 
 
 def _mark(shape):

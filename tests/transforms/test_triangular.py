@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from repro.ir.builder import assign, block, c, doall, proc, ref, serial, v
 from repro.ir.validate import validate
-from repro.runtime.equivalence import assert_equivalent
 from repro.runtime.interp import Interpreter
 from repro.transforms.base import TransformError
 from repro.transforms.triangular import (
@@ -16,6 +15,8 @@ from repro.transforms.triangular import (
     coalesce_triangular_guarded,
     guarded_waste,
 )
+
+from tests.equivalence import assert_equivalent
 
 
 def lower_triangle(bound=None):

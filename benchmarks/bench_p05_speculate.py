@@ -1,4 +1,4 @@
-"""P5 bench — speculation: what safety=speculate buys over enforce.
+"""P5 bench — the inspector: what safety=speculate buys over enforce.
 
 Enforce-mode is sound but blind: a scatter through a permutation array is
 race-free for the data actually supplied, yet its subscripts are not
@@ -16,10 +16,12 @@ Measurements, both sides through ``compile_mp_procedure``:
   ``safety="enforce"`` (which refuses and reruns serially);
 * acceptance: on a host with >= 4 CPUs (full mode, compiler present) the
   speculate run is >= 2x faster than the enforce-mode serial fallback;
-* misspeculation: the seeded duplicate-key histogram speculates, detects
-  the cross-chunk conflict, rolls back, and the retried serial result is
-  bit-identical to a plain serial run — asserted unconditionally, every
+  both results are asserted bit-identical to the serial build in every
   environment.
+
+(A loop the inspector cannot decide — an array both written and read,
+like the duplicate-key histogram — is refused under ``speculate`` as
+under ``enforce``; DESIGN.md §4f says why no speculative tier follows.)
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the scatter size for CI; the timing
 assertion is full-mode only.
@@ -33,7 +35,6 @@ import numpy as np
 from repro.codegen.cload import have_compiler
 from repro.codegen.pygen import compile_procedure
 from repro.experiments.report import Table
-from repro.parallel import run_parallel_procedure
 from repro.parallel.backend import compile_mp_procedure
 from repro.workloads import get_workload, make_env
 
@@ -75,11 +76,7 @@ def _proven_speedup() -> dict:
                 compiled.fallback_reason
             )
             assert compiled.last is not None
-            assert compiled.last.proven_dynamic == 1, (
-                compiled.last.speculation_summary
-                if hasattr(compiled.last, "speculation_summary")
-                else compiled.last
-            )
+            assert compiled.last.proven_dynamic == 1, compiled.last
             entry["certificates"] = [
                 c.to_dict() for c in compiled.last.certificates
             ]
@@ -93,55 +90,18 @@ def _proven_speedup() -> dict:
     return case
 
 
-def _rollback_exactness() -> dict:
-    """Duplicate-key histogram: forced misspeculation, exact recovery."""
-    w = get_workload("histogram")
-    arrays, sc = make_env(w, seed=0)
-    expected = {k: v.copy() for k, v in arrays.items()}
-    compile_procedure(w.proc).run(expected, sc)
-
-    t0 = time.perf_counter()
-    (result,) = run_parallel_procedure(
-        w.proc, arrays, sc, workers=2, policy="static",
-        safety="speculate",
-    ).dispatches
-    wall = time.perf_counter() - t0
-    assert result.speculation == "rolled-back", result.speculation
-    bit_identical = bool(np.array_equal(arrays["H"], expected["H"]))
-    assert bit_identical, "rollback diverged from serial semantics"
-
-    t0 = time.perf_counter()
-    serial = {k: v.copy() for k, v in make_env(w, seed=0)[0].items()}
-    compile_procedure(w.proc).run(serial, sc)
-    serial_s = time.perf_counter() - t0
-    return {
-        "workload": "histogram",
-        "n": sc["n"],
-        "speculation": result.speculation,
-        "bit_identical": bit_identical,
-        "wall_s": round(wall, 4),
-        "serial_s": round(serial_s, 4),
-        # What a wrong guess costs: wasted parallel attempt + serial retry.
-        "misspeculation_overhead": (
-            round(wall / serial_s, 2) if serial_s > 0 else None
-        ),
-    }
-
-
 def run() -> tuple[Table, dict]:
     table = Table(
-        "P5: speculation — inspector-proven dispatch vs enforce fallback",
+        "P5: inspector-proven dispatch vs enforce fallback",
         ["workload", "mode", "wall_s", "outcome", "speedup"],
         notes=(
             f"host has {CPUS} CPU(s); {WORKERS} workers; "
             f"scatter n={SCATTER_N}; enforce refuses the non-affine "
             "subscript and reruns serially, speculate proves it at "
-            "runtime and dispatches; rollback exactness asserted "
-            "bit-for-bit."
+            "runtime and dispatches; both asserted bit-for-bit."
         ),
     )
     proven = _proven_speedup()
-    rollback = _rollback_exactness()
     table.add(
         proven["workload"], "enforce",
         proven["modes"]["enforce"]["wall_s"], "serial fallback", "",
@@ -151,17 +111,12 @@ def run() -> tuple[Table, dict]:
         proven["modes"]["speculate"]["wall_s"], "proven-dynamic",
         proven["speedup"],
     )
-    table.add(
-        rollback["workload"], "speculate", rollback["wall_s"],
-        "rolled-back (exact)", "",
-    )
     payload = {
         "smoke": SMOKE,
         "cpus": CPUS,
         "workers": WORKERS,
         "have_compiler": have_compiler(),
         "proven": proven,
-        "rollback": rollback,
     }
     return table, payload
 
@@ -174,7 +129,7 @@ def test_p05_speculate(benchmark, save_table, save_json):
     # Acceptance: with real parallelism available, runtime proof beats
     # refuse-and-serialize by >= 2x on the indirect-subscript workload.
     # Timing claims need >= 4 CPUs, real sizes, and native chunks; every
-    # environment still asserted correctness + exact rollback above.
+    # environment still asserted correctness above.
     if CPUS >= 4 and not SMOKE and payload["have_compiler"]:
         assert payload["proven"]["speedup"] >= 2.0, payload["proven"]
 
@@ -182,7 +137,4 @@ def test_p05_speculate(benchmark, save_table, save_json):
 if __name__ == "__main__":
     t, p = run()
     print(t.format())
-    print(
-        f"\nspeedup={p['proven']['speedup']}x, rollback "
-        f"bit_identical={p['rollback']['bit_identical']}"
-    )
+    print(f"\nspeedup={p['proven']['speedup']}x")

@@ -252,7 +252,7 @@ class SafetyReport:
     procedure object verified* to its verdict, so the runtime can gate a
     dispatch without re-walking the tree.  ``dynamic`` collects the
     runtime certificates (:class:`repro.parallel.speculate.SpecCertificate`)
-    a ``safety=speculate`` run appends after inspecting or speculating a
+    a ``safety=speculate`` run appends after inspecting a
     statically-unproven dispatch.
     """
 

@@ -339,9 +339,9 @@ def transform_function(
             ``safety`` (``"off"``/``"warn"``/``"enforce"``/``"speculate"``,
             default warn: every run is verified by the chunk-safety
             analyser and the report attached to ``.last.safety``; enforce
-            refuses unproven dispatches; speculate decides them at
-            runtime via inspection or shadow-buffered speculation with
-            commit/rollback — see :mod:`repro.analysis.safety` and
+            refuses unproven dispatches; speculate decides the ones the
+            runtime inspector can address at runtime and refuses the
+            rest — see :mod:`repro.analysis.safety` and
             :mod:`repro.parallel.speculate`).
     """
     source = fn if isinstance(fn, str) else textwrap.dedent(inspect.getsource(fn))

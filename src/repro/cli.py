@@ -184,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunk-safety mode for --backend mp --run: warn (default) "
         "verifies every dispatch and reports findings on stderr, enforce "
         "refuses unproven dispatches (they run serially; a fully-refused "
-        "run is an error), speculate decides unproven dispatches at "
-        "runtime (inspector proof or shadow-buffered speculation with "
-        "commit/rollback), off skips verification",
+        "run is an error), speculate also dispatches the unproven loops "
+        "a runtime inspector proves disjoint, off skips verification",
     )
     parser.add_argument(
         "--gantt",
@@ -326,10 +325,7 @@ def _run_transformed(args, workload, proc) -> int:
         if result.safety_mode == "speculate":
             print(
                 f"speculate: inspected={result.inspected} "
-                f"proven_dynamic={result.proven_dynamic} "
-                f"speculated={result.speculated} "
-                f"committed={result.committed} "
-                f"rolled_back={result.rolled_back}"
+                f"proven_dynamic={result.proven_dynamic}"
             )
             for cert in result.certificates:
                 print(f"speculate: {cert}")

@@ -126,18 +126,20 @@ RULE_DOCS: dict[str, RuleDoc] = {
         "SPMD002",
         RULES["SPMD002"],
         "info",
-        "The region was not used because safety=enforce blocks one of the "
-        "program's DOALLs: it runs serially in the parent, between the "
-        "dispatches of the others, which a region has no place for.",
+        "The region was not used because safety=enforce (or "
+        "safety=speculate, for a loop the runtime inspector cannot "
+        "decide) blocks one of the program's DOALLs: it runs serially in "
+        "the parent, between the dispatches of the others, which a region "
+        "has no place for.",
     ),
     "SPMD003": RuleDoc(
         "SPMD003",
         RULES["SPMD003"],
         "info",
         "The region was not used because safety=speculate must decide one "
-        "of the program's DOALLs at run time, per instance — by the "
-        "inspector or by speculative execution with commit/rollback — "
-        "and both run in the parent between dispatches.",
+        "of the program's DOALLs at run time, per instance, with the "
+        "subscript inspector, which runs in the parent between "
+        "dispatches.",
     ),
     "SPMD004": RuleDoc(
         "SPMD004",

@@ -30,8 +30,8 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
 * :mod:`repro.parallel.backend` — the ``backend="mp"`` adapter used by
   :func:`repro.api.coalesce_jit`, with graceful serial fallback.
 * :mod:`repro.parallel.speculate` — the ``safety="speculate"`` logic:
-  inspector/executor planning, shadow-array chunk-log validation, and the
-  runtime certificates recorded for dynamically-decided dispatches.
+  which unproven dispatches the runtime inspector decides (the rest are
+  refused, as under ``"enforce"``) and the certificates it records.
 """
 
 from repro.parallel.counter import SharedClaimCounter, policy_plan
@@ -53,13 +53,7 @@ from repro.parallel.runtime import (
     run_parallel_procedure,
 )
 from repro.parallel.shm import SharedArrayPool
-from repro.parallel.speculate import (
-    SpecCertificate,
-    SpecPlan,
-    SpecValidation,
-    speculation_plan,
-    validate_chunk_logs,
-)
+from repro.parallel.speculate import SpecCertificate, SpecPlan, speculation_plan
 
 __all__ = [
     "ClaimEvent",
@@ -74,7 +68,6 @@ __all__ = [
     "SharedClaimCounter",
     "SpecCertificate",
     "SpecPlan",
-    "SpecValidation",
     "WorkerCrashError",
     "WorkerPool",
     "compile_mp_procedure",
@@ -83,5 +76,4 @@ __all__ = [
     "run_parallel_procedure",
     "speculation_plan",
     "to_sim_result",
-    "validate_chunk_logs",
 ]

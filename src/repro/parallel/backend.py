@@ -13,10 +13,11 @@ Degradation policy — always on, observable via
   :class:`repro.parallel.errors.SafetyVerificationError` (a
   ``ParallelDispatchError``) → serial pygen rerun, refusal reason (with
   rule codes) recorded in ``fallback_reason``;
-* ``safety="speculate"`` and every dispatch refused (scalar hazards) →
-  same graceful serial rerun; an inspector-refuted or *rolled-back*
-  dispatch is not a fallback — the runtime already ran that loop
-  serially and the result is exact;
+* ``safety="speculate"`` and every dispatch refused (the inspector
+  cannot decide it: an array both written and read, or a scalar
+  hazard) → same graceful serial rerun; an inspector-refuted dispatch
+  is not a fallback — the runtime already ran that loop serially and
+  the result is exact;
 * timeout → workers killed, shared memory unlinked, serial pygen rerun on
   the untouched caller arrays — the graceful-fallback path;
 * worker crash → :class:`repro.parallel.runtime.WorkerCrashError` is
@@ -67,11 +68,11 @@ class MPCompiledProcedure:
     the chunk-safety mode (``None`` → ``"warn"``): ``"enforce"`` refuses
     unproven dispatches — they run serially, and a fully-refused run
     falls back to the serial backend with the rule codes recorded in
-    ``fallback_reason``; ``"speculate"`` gives unproven dispatches a
-    dynamic chance (inspection / shadow-buffered speculation) and only
-    falls back when every dispatch is beyond dynamic help
-    (``last.inspected`` / ``speculated`` / ``committed`` /
-    ``rolled_back`` account for what happened).
+    ``fallback_reason``; ``"speculate"`` gives the unproven dispatches
+    the runtime inspector can decide a dynamic chance, refuses the rest
+    as ``"enforce"`` does, and falls back the same way when nothing is
+    left to dispatch (``last.inspected`` / ``proven_dynamic`` account
+    for what happened).
     """
 
     proc: Procedure

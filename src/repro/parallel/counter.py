@@ -14,8 +14,8 @@ value, inclusive stop), and two protocols can claim from them:
 * the **lock-guarded** protocol — :meth:`SharedClaimCounter.claim_batch`,
   a read-modify-write under the array's built-in lock.  Faithful but
   microseconds per claim; it is the portable floor for everything the
-  native loop cannot run (``py``/``numpy`` chunks, the speculative
-  recorder, hosts without a compiler).
+  native loop cannot run (``py``/``numpy`` chunks, hosts without a
+  compiler).
 
 The two never share a job.  An atomic add does not take the lock, so a
 lock holder's read-then-write could interleave with it and hand the same

@@ -8,7 +8,7 @@ job's scalars, trip count, batch clamp and the pool's ``specs``,
 dispatch, fold the workers' reports into a
 :class:`~repro.parallel.runtime.ParallelRunResult` (on either protocol,
 :func:`repro.parallel.region._assemble`), and — for the
-loops the plan says so — inspect, speculate or combine partials.
+loops the plan says so — inspect or combine partials.
 
 Each dispatchable loop runs under the strategy the plan picked for it:
 
@@ -16,11 +16,11 @@ Each dispatchable loop runs under the strategy the plan picked for it:
               one instance when the chunks are C kernels and the policy
               is dynamic, else the lock-guarded or static Python loop;
 ``reduce``    partial accumulators in a side segment, folded in order;
-``serial``    refused by the verdict: the parent interprets it;
+``serial``    refused by the verdict: the parent runs it through the
+              plan's compiled residue, like any dispatch-free serial loop;
 ``inspect``   the runtime inspector (native when the plan has a C
               kernel), then a normal dispatch if it proves
-              the loop, else serial;
-``speculate`` a dispatch into shadow segments, committed or rolled back.
+              the loop, else serial.
 
 A program with a DOALL under a serial loop first tries its SPMD region
 (:mod:`repro.parallel.region`); the rest of the statement tree is walked
@@ -31,7 +31,6 @@ residues.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Mapping
 
@@ -44,7 +43,7 @@ from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, ParallelTimeoutError
 from repro.parallel.observe import (
-    record_chunk_fallback,
+    record_lang_fallback,
     record_reduction_dispatch,
     record_safety_block,
     record_speculate,
@@ -62,11 +61,7 @@ from repro.parallel.runtime import (
     _empty_result,
 )
 from repro.parallel.shm import SharedArrayPool
-from repro.parallel.speculate import (
-    SpecCertificate,
-    shadow_alias,
-    validate_chunk_logs,
-)
+from repro.parallel.speculate import SpecCertificate
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
 class Run:
@@ -146,7 +141,6 @@ def _dispatch_pool(
     proc,
     loop: Loop,
     env: Mapping[str, int | float],
-    speculate: dict | None = None,
     extra_specs: list | None = None,
     extra_views: Mapping[str, np.ndarray] | None = None,
 ) -> ParallelRunResult:
@@ -156,9 +150,7 @@ def _dispatch_pool(
     dispatch fills in: its one-instance region when it has one and the
     run's workers have bound everything so far, else the lock-guarded
     loop's job.  ``extra_specs``/``extra_views`` ship side-channel
-    arrays outside the main pool (the reduction engine's partials); a
-    ``speculate`` descriptor ships the shadow segments and the
-    written→shadow alias map, and workers run the recording interpreter.
+    arrays outside the main pool (the reduction engine's partials).
     """
     wpool = run.pool
     lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
@@ -168,11 +160,9 @@ def _dispatch_pool(
         # Nothing to do — and nothing sent: the pool idles through empty
         # ranges and stays usable for the next dispatch.
         return _empty_result(loop, lo, hi, wpool.workers, run.policy)
-    prep = run.plan.prep(
-        run, proc, loop, env, extra_views, speculate is not None
-    )
+    prep = run.plan.prep(run, proc, loop, env, extra_views)
     if prep.fallback:
-        record_chunk_fallback()
+        record_lang_fallback()
     specs = wpool.shared.specs() + list(extra_specs or ())
     if prep.native is not None and not run.stale:
         results = enter(run, prep.native, [lo, hi], env, specs)
@@ -192,20 +182,13 @@ def _dispatch_pool(
         batch=batch,
         log_events=run.log_events,
     )
-    if speculate is not None:
-        job["specs"] += speculate["specs"]
-        job["speculate"] = {
-            "loop": speculate["loop"],
-            "written": tuple(speculate["written"]),
-            "aliases": dict(speculate["aliases"]),
-        }
     results = wpool.dispatch(job, lo, hi, run.deadline)
     claim_loop = "static" if plan.rule is None else "py"
     (result,) = _assemble(results, [loop], plan.name, run.policy, claim_loop)
     if result.chunk_lang != job.get("chunk_lang", "py"):
         # A worker degraded from the build (dlopen/bind failure): a chunk
         # fallback, like a parent-side one, and the plan is stale.
-        record_chunk_fallback()
+        record_lang_fallback()
         run.stale = True
     return result
 
@@ -251,8 +234,8 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
         env2[red_plan.stride] = -(-n // n_chunks)
         with SharedArrayPool({red_plan.partial: seed}) as ppool:
             result = _dispatch_pool(
-                run, red_plan.proc, red_plan.loop, env2, None,
-                ppool.specs(), ppool.views,
+                run, red_plan.proc, red_plan.loop, env2, ppool.specs(),
+                ppool.views,
             )
             parts = ppool.views[red_plan.partial][:n_chunks].tolist()
         acc = env[red.scalar]
@@ -267,10 +250,11 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
 
 
 def _serial(run: Run, loop: Loop, env: dict) -> None:
-    """A loop the verdict refuses to dispatch: serial, in the parent."""
+    """A loop the verdict refuses to dispatch (or the inspector refutes):
+    serial, in the parent, through the compiled residue."""
     record_safety_block()
     run.out.blocked_dispatches += 1
-    run.interp._exec(loop, env, run.views)
+    _residue(run, loop, env)
     run.out.serial_stmts += 1
 
 
@@ -305,77 +289,11 @@ def _inspected(run: Run, loop: Loop, env: dict) -> None:
     out.dispatches.append(result)
 
 
-#: Process-global counter making shadow alias names unique per dispatch
-#: occurrence, so a persistent worker never mistakes a stale shadow
-#: attachment for the current one.
-_SPEC_TOKEN = itertools.count()
-
-
-def _speculated(run: Run, loop: Loop, env: dict) -> None:
-    """Dispatch into shadow copies of the written arrays, then validate.
-
-    Workers run the recording interpreter against the shadows; the
-    gathered chunk logs are checked for cross-chunk conflicts.  Conflict
-    free: the shadows are committed into the views.  Otherwise the views
-    are exactly as before the dispatch and the loop re-runs serially.
-    Either way a certificate lands on the run's report, and the shadow
-    segments are unlinked on every exit path.
-    """
-    out, views = run.out, run.views
-    written = run.plan.spec_plans[id(loop)].written
-    record_speculate(speculated=1)
-    out.speculated += 1
-    t0 = time.monotonic()
-    token = next(_SPEC_TOKEN)
-    aliases = {name: shadow_alias(name, token) for name in written}
-    with SharedArrayPool(
-        {aliases[name]: views[name] for name in written}
-    ) as shadow:
-        info = {
-            "loop": loop,
-            "written": tuple(written),
-            "aliases": aliases,
-            "specs": shadow.specs(),
-        }
-        result = _dispatch_pool(run, run.plan.proc, loop, env, info)
-        validation = validate_chunk_logs(result.spec_logs)
-        if validation.ok:
-            for name in written:
-                np.copyto(views[name], shadow.views[aliases[name]])
-    status = "committed" if validation.ok else "rolled-back"
-    result.speculation = status
-    out.dispatches.append(result)
-    if out.safety is not None:
-        out.safety.dynamic.append(
-            SpecCertificate(
-                loop_var=loop.var,
-                mode="speculative",
-                status=status,
-                iterations=result.total_iterations,
-                chunks=validation.chunks,
-                conflicts=len(validation.conflicts),
-                wall_s=time.monotonic() - t0,
-                detail=validation.describe(),
-            )
-        )
-    if validation.ok:
-        record_speculate(committed=1)
-        out.committed += 1
-    else:
-        # Misspeculation: the shadows are gone, the primaries untouched —
-        # retry serially for the exact serial result.
-        record_speculate(rolled_back=1)
-        out.rolled_back += 1
-        run.interp._exec(loop, env, views)
-        out.serial_stmts += 1
-
-
 _STRATEGIES = {
     "dispatch": _dispatched,
     "reduce": _reduced,
     "serial": _serial,
     "inspect": _inspected,
-    "speculate": _speculated,
 }
 
 
@@ -388,11 +306,11 @@ _MISSING = object()
 
 
 def _residue(run: Run, stmt: Loop, env: dict) -> None:
-    """A dispatch-free serial loop, through the plan's compiled residue.
+    """A loop the parent runs serially, through the plan's compiled residue.
 
     The serial residue of a fissioned program (the cyclic-SCC sub-loops)
-    runs in the parent; the tree interpreter would dominate the wall
-    clock.  Each residue compiles once per plan (generated Python, the
+    and every DOALL the plan runs serially (blocked or refuted) run in
+    the parent; the tree interpreter would dominate the wall clock.  Each residue compiles once per plan (generated Python, the
     backend the suite holds bit-identical to the interpreter) and falls
     back to the interpreter on any failure — compile or call.  (Two runs
     racing here compile the same residue twice, harmlessly.)

@@ -80,15 +80,10 @@ class DispatchCounters:
     safety_blocked: int = 0
     safety_findings: dict[str, int] | None = None
     #: ``safety="speculate"`` activity: dispatches routed through the
-    #: runtime inspector, dispatches the inspector proved disjoint (then
-    #: executed normally), dispatches executed speculatively against
-    #: shadow arrays, and how those speculations resolved (committed vs
-    #: rolled back to serial).
+    #: runtime inspector, and those it proved disjoint (then executed
+    #: normally; the rest ran serially).
     spec_inspected: int = 0
     spec_proven_dynamic: int = 0
-    spec_speculated: int = 0
-    spec_committed: int = 0
-    spec_rolled_back: int = 0
     #: Transform activity: pipeline fission outcomes (loops split /
     #: refused with every statement in one dependence cycle), reductions
     #: recognized by the verifier or the transform pass, and dispatches
@@ -133,9 +128,6 @@ class DispatchCounters:
             "speculate": {
                 "inspected": self.spec_inspected,
                 "proven_dynamic": self.spec_proven_dynamic,
-                "speculated": self.spec_speculated,
-                "committed": self.spec_committed,
-                "rolled_back": self.spec_rolled_back,
             },
             "transforms": {
                 "fission_applied": self.fission_applied,
@@ -242,7 +234,7 @@ def record_fallback() -> None:
         DISPATCH.fallbacks += 1
 
 
-def record_chunk_fallback(count: int = 1) -> None:
+def record_lang_fallback(count: int = 1) -> None:
     """Count dispatches that wanted C chunks but degraded to Python."""
     with _DISPATCH_LOCK:
         DISPATCH.chunk_fallbacks += count
@@ -297,20 +289,11 @@ def record_transforms(
         DISPATCH.reductions_recognized += reductions
 
 
-def record_speculate(
-    inspected: int = 0,
-    proven_dynamic: int = 0,
-    speculated: int = 0,
-    committed: int = 0,
-    rolled_back: int = 0,
-) -> None:
-    """Fold one ``safety="speculate"`` event into :data:`DISPATCH`."""
+def record_speculate(inspected: int = 0, proven_dynamic: int = 0) -> None:
+    """Fold one ``safety="speculate"`` inspection into :data:`DISPATCH`."""
     with _DISPATCH_LOCK:
         DISPATCH.spec_inspected += inspected
         DISPATCH.spec_proven_dynamic += proven_dynamic
-        DISPATCH.spec_speculated += speculated
-        DISPATCH.spec_committed += committed
-        DISPATCH.spec_rolled_back += rolled_back
 
 
 def metrics_snapshot(

@@ -19,7 +19,7 @@ without a new argument.  The key (:func:`prepare`):
 What a plan holds: the procedure, validated and checked for something
 dispatchable; the safety verdict, its blocked set, the speculation plans
 and the strategy each dispatchable loop runs under (``dispatch``,
-``reduce``, ``serial``, ``inspect``, ``speculate``); the reduction plans;
+``reduce``, ``serial``, ``inspect``); the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
 template (chunk source, built kernel) with its one-instance region, each
@@ -226,10 +226,9 @@ class Plan:
         self.strategies: dict[int, str] = {}
         for lp in loops:
             if id(lp) in self.blocked:
-                action = self.spec_plans.get(id(lp))
-                action = "refuse" if action is None else action.action
+                spec = self.spec_plans.get(id(lp))
                 self.strategies[id(lp)] = (
-                    "serial" if action == "refuse" else action
+                    "inspect" if spec and spec.action == "inspect" else "serial"
                 )
                 continue
             red = _reduction_plan(proc, lp)
@@ -334,28 +333,23 @@ class Plan:
 
         return native
 
-    def prep(self, run, proc, loop, env, extra_views, speculative):
+    def prep(self, run, proc, loop, env, extra_views):
         """The :class:`_Prep` of one dispatch of ``loop`` under ``env``.
 
-        Keyed by loop identity, the env-local scalar names, every scalar's
-        C type (a hybrid program can feed one loop integers on one
-        dispatch and serially computed floats on the next) and whether
-        the dispatch is speculative.
+        Keyed by loop identity, the env-local scalar names and every
+        scalar's C type (a hybrid program can feed one loop integers on
+        one dispatch and serially computed floats on the next).
         """
         extra, types = _shape(proc, loop, env)
         return self.once(
-            (id(loop), extra, types, speculative),
-            lambda: self._prep(
-                run, proc, loop, extra, env, extra_views, speculative
-            ),
+            (id(loop), extra, types),
+            lambda: self._prep(run, proc, loop, extra, env, extra_views),
         )
 
-    def _prep(self, run, proc, loop, extra, env, extra_views,
-              speculative) -> _Prep:
+    def _prep(self, run, proc, loop, extra, env, extra_views) -> _Prep:
         """The job template: the Python chunk always (the net every
         fallback lands on); the native kernel — with its one-instance
-        region — or the numpy chunk when the plan's language builds.  A
-        speculative dispatch runs the recording interpreter: no build."""
+        region — or the numpy chunk when the plan's language builds."""
         source, fname, order = self.kernels.chunk_source(proc, loop, extra)
         job = {
             "source": source,
@@ -363,8 +357,6 @@ class Plan:
             "array_order": list(proc.arrays),
             "scalar_order": order,
         }
-        if speculative:
-            return _Prep(job)
         if self.lang == "c":
             inspect = self.strategies.get(id(loop)) == "inspect"
             kernel = (

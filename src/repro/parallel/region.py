@@ -26,8 +26,11 @@ policy — never of a setting.  :func:`try_region` either runs it
 and the caller falls through to the per-dispatch path:
 
 ``SPMD001`` a DOALL of the program is a recognized reduction;
-``SPMD002`` a DOALL is blocked under ``safety="enforce"``;
-``SPMD003`` a DOALL needs the inspector or speculation (``"speculate"``);
+``SPMD002`` a DOALL is blocked (runs serially: refused under
+``safety="enforce"``, or under ``"speculate"`` where the inspector
+cannot decide it);
+``SPMD003`` a DOALL is decided at run time by the inspector
+(``"speculate"``);
 ``SPMD004`` the skeleton is not pure control over parameters and serial
 induction variables;
 ``SPMD005`` the policy is static (no claim rule);
@@ -68,7 +71,6 @@ from repro.parallel.runtime import (
     _empty_result,
 )
 from repro.parallel.shm import native_layout
-from repro.parallel.speculate import merge_chunk_logs
 
 #: Barrier spins before the futex sleep when every worker has a CPU of its
 #: own (DESIGN §4b has the measurements); 0 when workers outnumber CPUs —
@@ -191,11 +193,10 @@ def _build(run) -> _Template:
     doalls = [lp for lp, _ in loops]
     for loop in doalls:
         if id(loop) in plan.blocked:
-            if plan.mode == "speculate":
+            if plan.strategies[id(loop)] == "inspect":
                 raise _Refused(
                     "SPMD003",
-                    f"DOALL {loop.var!r} is decided at run time "
-                    "(inspector / speculation)",
+                    f"DOALL {loop.var!r} is decided at run time (inspector)",
                 )
             raise _Refused(
                 "SPMD002", f"DOALL {loop.var!r} is blocked (runs serially)"
@@ -293,8 +294,7 @@ def _assemble(
     instance the iterations sum to the range with idle workers reporting
     none.  An instance runs from its workers' earliest start (its
     ``t_base``) to their latest finish; its ``chunk_lang`` aggregates
-    what the workers ran, and a speculative job's recordings are gathered
-    and sorted onto its one instance.
+    what the workers ran.
     """
     wids = sorted(results)
     reports = [results[w][3] for w in wids]
@@ -343,9 +343,6 @@ def _assemble(
                 c, log, t0, ops, lang, batch, claim_loop=claim_loop,
             )
         )
-    spec_logs = merge_chunk_logs(r["spec_log"] for r in reports)
-    if spec_logs:
-        out[0].spec_logs = spec_logs
     return out
 
 

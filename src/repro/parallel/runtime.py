@@ -96,7 +96,7 @@ from repro.parallel.errors import (
     WorkerCrashError,
 )
 from repro.parallel.observe import (
-    record_chunk_fallback,
+    record_lang_fallback,
     record_run,
     record_safety_block,
 )
@@ -156,7 +156,7 @@ def resolve_chunk_lang(requested: str | None) -> str:
     if requested == "auto":
         return "c" if have_compiler() else "numpy"
     if requested == "c" and not have_compiler():
-        record_chunk_fallback()
+        record_lang_fallback()
         return "numpy"
     return requested
 
@@ -208,11 +208,11 @@ def resolve_safety(requested: str | None) -> str:
     additionally refuses to dispatch any loop the verifier cannot prove
     race-free (it runs serially instead, or — when *nothing* is provable —
     the whole run raises :class:`SafetyVerificationError` before any
-    worker is created).  ``"speculate"`` gives those unproven loops a
-    dynamic chance instead: a runtime inspector proves disjointness where
-    it can, speculation with commit/rollback covers the rest, and only
-    loops neither can handle (scalar hazards) drop to serial.  ``"off"``
-    skips verification entirely.
+    worker is created).  ``"speculate"`` gives those unproven loops the
+    inspector can decide (no array both written and read, no scalar
+    hazard) a dynamic chance: it proves disjointness at run time where
+    the data allows, and every other unproven loop is refused as under
+    ``"enforce"``.  ``"off"`` skips verification entirely.
     """
     if requested is None:
         return "warn"
@@ -270,13 +270,9 @@ class ParallelRunResult:
     #: Chunks claimed per counter critical section, as actually resolved
     #: (for ``claim_batch="auto"``, the value of its fixed rule).
     claim_batch: int = 1
-    #: How ``safety=speculate`` handled this dispatch: ``"proven-dynamic"``
-    #: (inspector certified, normal execution), ``"committed"`` /
-    #: ``"rolled-back"`` (speculative execution), or None (not speculated).
+    #: ``"proven-dynamic"`` when ``safety=speculate``'s inspector
+    #: certified this dispatch, else None.
     speculation: str | None = None
-    #: The workers' recorded chunk access logs (speculative dispatches
-    #: only): ``(lo, hi, writes, reads)`` per executed chunk.
-    spec_logs: list = field(default_factory=list, repr=False)
     #: Set when this dispatch ran through the partial-accumulator
     #: reduction engine: the accumulator's name and its folded final
     #: value (also written back into the caller's scalar environment).
@@ -348,13 +344,10 @@ class ParallelProcedureResult:
     #: Dispatches refused under enforce and executed serially instead.
     blocked_dispatches: int = 0
     #: ``safety=speculate`` accounting: dispatches the inspector addressed,
-    #: the subset it proved (dispatched normally with a certificate),
-    #: dispatches run speculatively, and how those resolved.
+    #: and the subset it proved (dispatched normally with a certificate;
+    #: the rest ran serially and count as blocked).
     inspected: int = 0
     proven_dynamic: int = 0
-    speculated: int = 0
-    committed: int = 0
-    rolled_back: int = 0
     #: Dispatches executed through the partial-accumulator reduction
     #: engine (recognized ``s := s ⊕ expr`` loops).
     reductions: int = 0
@@ -529,14 +522,12 @@ def run_parallel_procedure(
     loop is proven, the run raises :class:`SafetyVerificationError`
     before any worker or shared segment is created — a run that could
     only ever execute serially should not pay for a pool.  Under
-    ``"speculate"``, unproven loops are inspected (dispatching with a
-    certificate when proven, else running serially) or run speculatively
-    into shadow segments, committed or — on a cross-chunk conflict —
-    rolled back and re-run serially; per-dispatch outcomes land in
-    ``result.inspected`` / ``proven_dynamic`` / ``speculated`` /
-    ``committed`` / ``rolled_back`` and certificates on the run's copy of
-    the safety report.  The refuse-everything raise then only fires when
-    every dispatchable loop has a scalar hazard no dynamic mode can fix.
+    ``"speculate"``, unproven loops the inspector can decide are inspected
+    (dispatching with a certificate when proven, else running serially);
+    the rest are refused as under ``"enforce"``, and so is the run when
+    nothing is left to dispatch.  Per-dispatch outcomes land in
+    ``result.inspected`` / ``proven_dynamic`` and certificates on the
+    run's copy of the safety report.
     """
     from repro.parallel.dispatch import Run, execute
     from repro.parallel.plan import prepare

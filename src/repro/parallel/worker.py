@@ -40,8 +40,8 @@ counter (:mod:`repro.parallel.counter` says why):
   worker that cannot bind stops the barrier instead of entering, before
   anything has run;
 * **Python** (everything else: ``py``/``numpy`` chunks, static plans,
-  the speculative recorder, compiler-less hosts, and a job the native
-  protocol sent back): a ``while`` loop around the lock-guarded
+  compiler-less hosts, and a job the native protocol sent back): a
+  ``while`` loop around the lock-guarded
   :meth:`~repro.parallel.counter.SharedClaimCounter.claim_batch`.  Here a
   failure to load the C or numpy chunk degrades this worker to the Python
   chunk for the dispatch, reported back as ``lang="py"``.  Static plans
@@ -102,45 +102,14 @@ _THUNK = ctypes.CFUNCTYPE(None, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
 
 def _make_invoker(
     job: dict[str, Any], arrays: dict
-) -> tuple[Callable[[int, int], None], str, list]:
+) -> tuple[Callable[[int, int], None], str]:
     """Build the ``invoke(lo, hi)`` callable for one job.
 
-    Returns ``(invoke, lang, spec_log)`` where ``lang`` is the chunk
-    language actually bound — ``"c"`` only when the kernel's thunk loaded
-    and every array qualifies for the zero-copy call convention;
-    otherwise the Python chunk (the job always carries its source) —
-    and ``spec_log`` is the list a speculative job records into (empty
-    for normal dispatches).
-
-    A *speculative* job (``job["speculate"]``) binds neither chunk
-    flavor: the worker executes the dispatched loop with the recording
-    interpreter, written arrays remapped to their shadow segments, and
-    every claimed chunk appends ``(lo, hi, writes, reads)`` to
-    ``spec_log`` for the parent's conflict validation.
+    Returns ``(invoke, lang)`` where ``lang`` is the chunk language
+    actually bound — ``"c"`` only when the kernel's thunk loaded and
+    every array qualifies for the zero-copy call convention; otherwise
+    the Python chunk (the job always carries its source).
     """
-    spec = job.get("speculate")
-    if spec is not None:
-        from repro.runtime.inspector import record_chunk
-
-        aliases = spec["aliases"]
-        watch = frozenset(spec["written"])
-        exec_arrays = {
-            name: arrays[aliases.get(name, name)]
-            for name in job["array_order"]
-        }
-        env = {
-            name: job["scalars"][name] for name in job["scalar_order"]
-        }
-        loop = spec["loop"]
-        log: list = []
-
-        def invoke_spec(lo: int, hi: int) -> None:
-            reads, writes = record_chunk(
-                loop, env, exec_arrays, lo, hi, watch
-            )
-            log.append((lo, hi, tuple(writes), tuple(reads)))
-
-        return invoke_spec, "py", log
     lang, fn = job.get("chunk_lang", "py"), None
     try:
         if lang == "c":
@@ -163,7 +132,7 @@ def _make_invoker(
     def invoke(lo: int, hi: int, _fn=fn, _args=args) -> None:
         _fn(lo, hi, *_args)
 
-    return invoke, lang, []
+    return invoke, lang
 
 
 def _report(
@@ -173,7 +142,6 @@ def _report(
     lang: str,
     status: int = 0,
     serial_stmts: int = 0,
-    spec_log: list | tuple = (),
 ) -> dict[str, Any]:
     """A worker's report on one job — the same on both protocols.
 
@@ -183,12 +151,11 @@ def _report(
     five float64 per row, instances in order.  ``status`` is nonzero when
     a region driver could not run (this worker could not bind it, or a
     peer stopped the barrier); ``serial_stmts`` counts the statements a
-    region driver ran around its DOALLs; ``spec_log`` is a speculative
-    job's recording.
+    region driver ran around its DOALLs.
     """
     return {
         "status": status, "serial_stmts": serial_stmts, "rec": rec,
-        "tim": tim, "log": log, "lang": lang, "spec_log": spec_log,
+        "tim": tim, "log": log, "lang": lang,
     }
 
 
@@ -292,14 +259,13 @@ def run_plan(
     ``job`` keys: ``source``/``fname`` (Python chunk function),
     ``chunk_lang`` plus ``c_so``/``c_thunk``/``c_scalar_types`` (native
     kernel, optional), ``np_source``/``np_fname`` (numpy chunk, optional),
-    ``speculate`` (speculative dispatch descriptor, optional),
     ``array_order``/``scalar_order``/``scalars`` (call convention),
     ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo``/``hi``
     (loop bounds), ``batch`` (chunks per claim), ``log_events``.
     """
     if "region" in job:
         return _run_region(wid, job, counter, arrays)
-    func, lang, spec_log = _make_invoker(job, arrays)
+    func, lang = _make_invoker(job, arrays)
     plan, lo0, batch = job["plan"], job["lo"], job["batch"]
     if wid >= plan.workers:
         # Pool larger than the iteration space: the plan was built for
@@ -328,7 +294,7 @@ def run_plan(
         len(log) // 5, batch,
     )
     tim = struct.pack("=2d", t_start, time.monotonic())
-    return _report(rec, tim, log.tobytes(), lang, spec_log=spec_log)
+    return _report(rec, tim, log.tobytes(), lang)
 
 
 def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
@@ -343,7 +309,7 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
     a message plus the claim loop, no fork, no re-attach.  Any specs a job
     carries beyond the initial set are attached on demand and cached by
     name *and* backing segment — a name reused over a fresh segment (each
-    speculative dispatch ships newly-created shadow segments) is
+    reduction dispatch ships a newly-created partials segment) is
     re-attached, never served stale.  Native chunk kernels are likewise
     cached for the worker's lifetime (dlopened once per shape).  A failed
     job poisons the pool: the worker reports the traceback and exits

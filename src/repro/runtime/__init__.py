@@ -7,13 +7,12 @@
   equivalence checks run the original and the transformed program from.
 * :mod:`repro.runtime.inspector` — the dynamic half of ``safety=speculate``:
   subscript-only inspection proving statically-unproven dispatches disjoint
-  at runtime, plus the chunk-recording executor speculation uses.
+  at runtime.
 """
 
 from repro.runtime.inspector import (
     InspectionResult,
     inspect_dispatch,
-    record_chunk,
 )
 from repro.runtime.interp import (
     Interpreter,
@@ -32,6 +31,5 @@ __all__ = [
     "eval_bound",
     "inspect_dispatch",
     "random_env",
-    "record_chunk",
     "run",
 ]

@@ -18,23 +18,19 @@ That is exactly the name-level eligibility test
 and read — plus scalar privacy (no upward-exposed written scalar).  When a
 written array is also read (histogram's ``H(k) := H(k) + 1``), addresses
 are still loop-invariant here, but *values* flow between iterations, so
-disjointness of writes is no longer the whole story; those loops go to the
-speculative path (:mod:`repro.parallel.speculate`) instead.
+disjointness of writes is no longer the whole story; the plan refuses
+those loops (:mod:`repro.parallel.speculate`) and they run serially.
 
 With C kernels a plan first runs the same pass natively, beside the
 kernel, and takes only its proofs: refutations and errors are this
 module's alone.
-
-This module also carries :func:`record_chunk`, the worker-side recording
-executor for speculation: it executes a chunk for real (against shadow
-array views) while logging the element read/write sets the validator needs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -48,7 +44,6 @@ __all__ = [
     "Element",
     "InspectionResult",
     "inspect_dispatch",
-    "record_chunk",
     "scalar_hazards",
 ]
 
@@ -60,8 +55,8 @@ def scalar_hazards(loop: Loop) -> set[str]:
     """Scalars read-before-write *and* written in the dispatched body.
 
     The dynamic twin of the static PRIV002 scan: such a scalar carries a
-    value across iterations, which neither inspection nor speculation can
-    recover (workers never ship scalar state back).
+    value across iterations, which inspection cannot recover (workers
+    never ship scalar state back).
     """
     return exposed_written_scalars(loop.body, {loop.var})
 
@@ -336,9 +331,9 @@ def inspect_dispatch(
                 if prev != value:
                     conflicts.append((elem, prev, value))
                     if len(conflicts) >= max_conflicts:
-                        raise _Enough
-    except _Enough:
-        pass
+                        break
+            if len(conflicts) >= max_conflicts:
+                break  # the conflict sample is full
     except InterpreterError as exc:
         return InspectionResult(
             True,
@@ -357,63 +352,3 @@ def inspect_dispatch(
         wall_s=time.perf_counter() - t0,
         conflicts=tuple(conflicts),
     )
-
-
-class _Enough(Exception):
-    """Internal: conflict sample full, stop inspecting early."""
-
-
-@dataclass
-class _ChunkRecorder(Interpreter):
-    """A real executor that logs element accesses of *watched* arrays.
-
-    ``watch`` is the dispatched loop's written-array name set: only those
-    arrays change during speculation, so only their elements can conflict
-    across chunks — reads of read-only arrays are irrelevant and skipped
-    to keep logs small.
-    """
-
-    watch: frozenset[str]
-    reads: set[Element] = field(default_factory=set)
-    writes: set[Element] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        super().__init__()
-
-    def _eval(self, e, env, arrays):
-        if isinstance(e, ArrayRef) and e.name in self.watch:
-            self.reads.add((e.name, self._index_tuple(e, env, arrays)))
-        return super()._eval(e, env, arrays)
-
-    def _exec(self, s, env, arrays):
-        super()._exec(s, env, arrays)
-        if (
-            isinstance(s, Assign)
-            and isinstance(s.target, ArrayRef)
-            and s.target.name in self.watch
-        ):
-            self.writes.add(
-                (s.target.name, self._index_tuple(s.target, env, arrays))
-            )
-
-
-def record_chunk(
-    loop: Loop,
-    env: Mapping[str, int | float],
-    arrays: Mapping[str, np.ndarray],
-    lo: int,
-    hi: int,
-    watch: Iterable[str],
-) -> tuple[set[Element], set[Element]]:
-    """Execute flat iterations ``[lo, hi]`` of ``loop``, logging accesses.
-
-    Returns ``(reads, writes)`` over the watched arrays.  ``arrays`` is
-    mutated — in speculation the written names are mapped to shadow views,
-    so the caller's primary data stays untouched.  ``env`` is copied.
-    """
-    rec = _ChunkRecorder(watch=frozenset(watch))
-    scratch: dict[str, int | float] = dict(env)
-    for value in range(lo, hi + 1):
-        scratch[loop.var] = value
-        rec._exec(loop.body, scratch, arrays)
-    return rec.reads, rec.writes

@@ -22,10 +22,10 @@ passes first and adds their FISS001/FISS002/RED001 findings.
 ``POST /compile`` accepts the same ``transforms`` option, and mp runs
 of such programs report a ``reductions`` dispatch count.  ``POST /run`` accepts a
 ``safety`` option (``"off"``/``"warn"``/``"enforce"``/``"speculate"``);
-an enforce run whose every dispatch is refused degrades to the serial
-build with the refusal reason in the response, and a speculate run
-reports its per-dispatch dynamic outcomes (inspected / proven_dynamic /
-speculated / committed / rolled_back) in a ``speculate`` block.
+an enforce or speculate run whose every dispatch is refused degrades to
+the serial build with the refusal reason in the response, and a
+speculate run reports its inspector outcomes (inspected /
+proven_dynamic / certificates) in a ``speculate`` block.
 
 ``POST /compile`` with ``backend="mp"`` also *pre-warms* the native chunk
 kernels for every dispatchable loop of the program — gcc runs at compile
@@ -572,9 +572,6 @@ class ReproServer(AccountingHTTPServer):
             stats["speculate"] = {
                 "inspected": result.inspected,
                 "proven_dynamic": result.proven_dynamic,
-                "speculated": result.speculated,
-                "committed": result.committed,
-                "rolled_back": result.rolled_back,
                 "certificates": [c.to_dict() for c in result.certificates],
             }
         return "mp-pool", stats

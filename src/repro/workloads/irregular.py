@@ -2,14 +2,16 @@
 
 Each procedure claims DOALL on a loop the static verifier cannot prove —
 subscripts flow through data, so legality depends on the *values* at
-runtime.  They exist to exercise the inspector/speculation machinery:
+runtime.  They exist to exercise the inspector and its refusals:
 
 =================== ============ ======================================
-histogram           speculative  accumulate through duplicate keys —
-                                 cross-chunk conflicts are certain, so a
-                                 speculative run must roll back
-histogram_disjoint  speculative  same shape, injective keys — the shadow
-                                 run validates clean and commits
+histogram           refused      accumulate through duplicate keys —
+                                 ``H`` is both written and read, so the
+                                 inspector cannot decide it; the plan
+                                 refuses it and the run is serial
+histogram_disjoint  refused      same shape, injective keys — refused
+                                 all the same: the refusal is by name,
+                                 before the data is looked at
 scatter_perm        inspector    write through a permutation array — no
                                  array is both written and read, so the
                                  subscript-only inspector proves each
@@ -23,8 +25,8 @@ Registered in :data:`repro.workloads.shapes.IRREGULAR_WORKLOADS` (kept
 out of ``WORKLOADS`` so benches and round-trip tests never dispatch them
 without a dynamic check); resolvable by name everywhere via
 :func:`repro.workloads.shapes.get_workload`.  The ``reference`` oracles
-implement the serial semantics — what a committed speculation and a
-rolled-back retry must both reproduce bit-for-bit.
+implement the serial semantics — what every run, dispatched or
+refused, must reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from repro.workloads.kernels import Workload
 
 
 def histogram() -> Workload:
-    """Accumulate through duplicate keys: the canonical misspeculation.
+    """Accumulate through duplicate keys: a loop no chunking can run.
 
     ``b`` is deliberately tiny relative to ``n``, so every chunking of
-    the range collides across chunks and a speculative run rolls back
-    deterministically.  The inspector cannot help: ``H`` is both written
-    and read, so values (not just addresses) flow between iterations.
+    the range collides across chunks.  The inspector cannot help: ``H``
+    is both written and read, so values (not just addresses) flow
+    between iterations, and ``safety=speculate`` refuses the loop.
     """
     p = parse(
         """
@@ -70,11 +72,11 @@ def histogram() -> Workload:
 
 
 def histogram_disjoint() -> Workload:
-    """The same accumulate, but every key is distinct: speculation commits.
+    """The same accumulate, but every key is distinct.
 
     Statically indistinguishable from :func:`histogram` — the verifier
-    refuses both — but the injective key array makes every chunk's write
-    and read sets disjoint, so the shadow run validates clean.
+    and ``safety=speculate`` refuse both — although the injective key
+    array makes every chunk's write and read sets disjoint.
     """
     p = parse(
         """

@@ -28,13 +28,12 @@ from repro.parallel import plan as plan_mod
 from repro.parallel import runtime, worker
 from repro.parallel.counter import SharedClaimCounter, policy_plan
 from repro.parallel.observe import DISPATCH
-from repro.parallel.shm import leaked_segments
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure, fission_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import dot_product, get_workload, make_env
 from repro.workloads.shapes import IRREGULAR_WORKLOADS
-from tests.parallel import run_one
+from tests.parallel import own_segments, run_one
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -217,7 +216,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
     arrays, sc = make_env(w, seed=4)
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(w.proc, want, sc)
-    before = leaked_segments()
+    before = own_segments()
     ctx = multiprocessing.get_context(method)
     with WorkerPool(arrays, workers=2, ctx=ctx) as pool:
         for policy, chunk in POLICIES:
@@ -241,7 +240,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
                 d.lock_ops for d in py.dispatches
             ]
             assert native.reductions == py.reductions
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 @needs_gcc
@@ -273,13 +272,6 @@ def test_other_paths_keep_the_python_loop():
     static = run(policy="static")
     assert (static.claim_loop, static.chunk_lang) == ("static", "c")
     assert static.lock_ops == 0
-
-    hist = IRREGULAR_WORKLOADS["histogram_disjoint"]()
-    arrays, sc = make_env(hist)
-    spec = run_one(
-        hist.proc, arrays, sc, workers=2, safety="speculate"
-    )
-    assert spec.speculation == "committed" and spec.claim_loop == "py"
 
 
 # ---------------------------------------------------------------------------

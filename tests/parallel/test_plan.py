@@ -231,7 +231,7 @@ def test_a_plan_is_reused_across_scalar_values_and_array_shapes(calls):
 @pytest.mark.parametrize(
     "kernel,policy,status",
     [("scatter_perm", "gss", "proven-dynamic"),
-     ("histogram", "static", "rolled-back")],
+     ("ragged_update", "static", "proven-dynamic")],
 )
 def test_each_run_carries_only_its_own_certificates(kernel, policy, status):
     w = get_workload(kernel)

@@ -30,10 +30,9 @@ from repro.parallel import (
 )
 from repro.parallel.counter import policy_plan
 from repro.parallel.pool import GATHER_GRACE, gather_results, raise_worker_crashes
-from repro.parallel.shm import leaked_segments
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import run_one
+from tests.parallel import own_segments, run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
 
@@ -220,7 +219,7 @@ class TestPoolRobustness:
         healthy twin: same kernel on the native claim loop, no crash)."""
         proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
-        before = leaked_segments()
+        before = own_segments()
         pool = WorkerPool(arrays, workers=3)
         try:
             healthy = run_parallel_procedure(
@@ -238,7 +237,7 @@ class TestPoolRobustness:
         finally:
             pool.close()
         assert np.array_equal(arrays["A"], snapshot)
-        assert leaked_segments() == before
+        assert own_segments() == before
 
     def test_failed_start_leaves_no_worker_and_no_segment(self, monkeypatch):
         """If the second worker cannot start, the first must not survive
@@ -255,13 +254,13 @@ class TestPoolRobustness:
 
         monkeypatch.setattr(ctx.Process, "start", start)
         children = multiprocessing.active_children()
-        before = leaked_segments()
+        before = own_segments()
         with pytest.raises(OSError, match="injected"):
             WorkerPool({"A": np.zeros(8)}, workers=3, ctx=ctx)
         assert len(starts) == 2
         assert multiprocessing.active_children() == children
         assert not starts[0].is_alive()
-        assert leaked_segments() == before
+        assert own_segments() == before
 
     def test_timeout_on_pool_path_is_clean(self):
         w = get_workload("matmul")
@@ -276,18 +275,18 @@ class TestPoolRobustness:
                 chunk_lang="py",
             )
         assert np.array_equal(arrays["C"], snapshot)
-        assert leaked_segments() == []
+        assert own_segments() == []
 
     def test_close_unlinks_segments_and_is_idempotent(self):
         arrays = {"A": np.arange(12.0), "B": np.ones((3, 4))}
-        before = leaked_segments()
+        before = own_segments()
         pool = WorkerPool(arrays, workers=2)
         assert set(pool.views) == {"A", "B"}
-        assert len(leaked_segments()) == len(before) + 2
+        assert len(own_segments()) == len(before) + 2
         pool.close()
-        assert leaked_segments() == before
+        assert own_segments() == before
         pool.close()  # idempotent
-        assert leaked_segments() == before
+        assert own_segments() == before
 
     def test_dispatch_after_close_raises(self):
         with WorkerPool({"A": np.zeros(4)}, workers=1) as pool:
@@ -298,7 +297,7 @@ class TestPoolRobustness:
     def test_failed_dispatch_breaks_the_pool(self):
         """A job the workers cannot run crashes the fleet; the pool then
         refuses further dispatches and still unlinks its segments."""
-        before = leaked_segments()
+        before = own_segments()
         pool = WorkerPool({"A": np.zeros(8)}, workers=2)
         bad_job = {
             "source": "def broken(:",  # unparsable chunk source
@@ -319,7 +318,7 @@ class TestPoolRobustness:
                 pool.dispatch(bad_job, 1, 8)
         finally:
             pool.close()
-        assert leaked_segments() == before
+        assert own_segments() == before
 
 
 class _TimedQueue:

@@ -38,10 +38,10 @@ from repro.parallel.counter import policy_plan
 from repro.parallel.dispatch import _resolve_claim_batch
 from repro.parallel.observe import DISPATCH
 from repro.parallel.runtime import _dispatchable_loops
-from repro.parallel.shm import leaked_segments
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
+from tests.parallel import own_segments
 from tests.parallel.test_claim_loop import assert_sent_back
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -409,6 +409,17 @@ def test_refused_blocked_loop_under_enforce():
     assert same(got, interpreted(HALF_RACY, arrays, {"n": 9}))
 
 
+def test_refused_uninspectable_loop_under_speculate():
+    # A reads what it writes: the inspector cannot decide loop i, so
+    # speculate blocks it exactly as enforce does, under the same code.
+    arrays = {"A": np.zeros(10), "B": np.zeros(10)}
+    result = refused(
+        HALF_RACY, arrays, {"n": 9}, "SPMD002", safety="speculate"
+    )
+    assert result.blocked_dispatches == 3 and len(result.dispatches) == 3
+    assert result.inspected == 0
+
+
 def test_refused_inspected_loop_under_speculate():
     n = 12
     rng = np.random.default_rng(5)
@@ -517,19 +528,14 @@ def test_the_fold_checks_the_lock_guarded_loop_too():
     """A Python-protocol job is one instance of loop 0 in the same report:
     every check is the fold's — iterations sum to the range, an idle
     worker reports none — and so is every aggregate: languages ("mixed"
-    when workers disagree), the span of start and finish instants, and
-    the speculative recordings, gathered and sorted."""
+    when workers disagree) and the span of start and finish instants."""
     tims = [np.array(t).tobytes() for t in ([1.0, 3.0], [0.5, 2.0], [2.0, 2.0])]
     rows = [[[0, 1, 2, 1, 1, 1, 0, 1]], [[0, 1, 2, 1, 1, 1, 0, 1]],
             [[0, 1, 2, 0, 0, 0, 0, 1]]]
-    (d,) = _fold(
-        rows, "py", tim=tims, lang=["c", "py", "c"],
-        spec_log=[[(2, 2, (), ())], [(1, 1, (), ())], []],
-    )
+    (d,) = _fold(rows, "py", tim=tims, lang=["c", "py", "c"])
     assert (d.workers, d.iterations_per_worker, d.claims) == (2, [1, 1], 2)
     assert (d.chunk_lang, d.claim_loop) == ("mixed", "py")
     assert (d.t_base, d.wall_time) == (0.5, 2.5)
-    assert [entry[:2] for entry in d.spec_logs] == [(1, 1), (2, 2)]
     (same_lang,) = _fold(rows, "static", lang="numpy")
     assert (same_lang.chunk_lang, same_lang.claim_loop) == ("numpy", "static")
     bad = {
@@ -623,7 +629,7 @@ def saxpy_case(n=40):
 
 def assert_clean_crash(proc, arrays, scalars):
     snapshot = copies(arrays)
-    before = leaked_segments()
+    before = own_segments()
     pool = WorkerPool(arrays, workers=2)
     try:
         t0 = time.monotonic()
@@ -636,7 +642,7 @@ def assert_clean_crash(proc, arrays, scalars):
     finally:
         pool.close()
     assert same(arrays, snapshot)
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 def test_sigfpe_in_one_worker_mid_region_is_a_clean_crash():
@@ -673,7 +679,7 @@ def _kill_once_inside(pool, wid):
 def test_killed_worker_does_not_strand_its_peer_at_the_barrier():
     arrays = {"A": np.zeros(65)}
     scalars = {"n": 64, "rounds": 400_000}
-    before = leaked_segments()
+    before = own_segments()
     pool = WorkerPool(arrays, workers=2)
     try:
         killer = _kill_once_inside(pool, 1)
@@ -691,7 +697,7 @@ def test_killed_worker_does_not_strand_its_peer_at_the_barrier():
     finally:
         pool.close()
     assert not arrays["A"].any()
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 def slow_to_bind(monkeypatch):
@@ -716,7 +722,7 @@ def test_killed_worker_of_a_single_doall_does_not_strand_its_peer(
     slow_to_bind(monkeypatch)
     proc, arrays, scalars = saxpy_case()
     snapshot = copies(arrays)
-    before = leaked_segments()
+    before = own_segments()
     pool = WorkerPool(arrays, workers=2)
     words = pool.counter._state.get_obj()
 
@@ -742,12 +748,12 @@ def test_killed_worker_of_a_single_doall_does_not_strand_its_peer(
     finally:
         pool.close()
     assert same(arrays, snapshot)
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 def test_deadline_shorter_than_the_region_is_a_timeout_not_a_hang():
     arrays = {"A": np.zeros(65)}
-    before = leaked_segments()
+    before = own_segments()
     t0 = time.monotonic()
     with pytest.raises(ParallelTimeoutError):
         run_parallel_procedure(
@@ -756,7 +762,7 @@ def test_deadline_shorter_than_the_region_is_a_timeout_not_a_hang():
         )
     assert time.monotonic() - t0 < 15.0
     assert not arrays["A"].any()
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 def test_deadline_shorter_than_a_single_doall_is_a_timeout_not_a_hang(
@@ -767,7 +773,7 @@ def test_deadline_shorter_than_a_single_doall_is_a_timeout_not_a_hang(
     slow_to_bind(monkeypatch)
     proc, arrays, scalars = saxpy_case()
     snapshot = copies(arrays)
-    before = leaked_segments()
+    before = own_segments()
     t0 = time.monotonic()
     with pytest.raises(ParallelTimeoutError):
         run_parallel_procedure(
@@ -775,7 +781,7 @@ def test_deadline_shorter_than_a_single_doall_is_a_timeout_not_a_hang(
         )
     assert time.monotonic() - t0 < 15.0
     assert same(arrays, snapshot)
-    assert leaked_segments() == before
+    assert own_segments() == before
 
 
 LONG_PY = """

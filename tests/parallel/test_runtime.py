@@ -27,10 +27,9 @@ from repro.parallel import (
     compile_mp_procedure,
     run_parallel_procedure,
 )
-from repro.parallel.shm import leaked_segments
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import run_one
+from tests.parallel import own_segments, run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
 
@@ -169,14 +168,14 @@ class TestRobustness:
         proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
         snapshot = arrays["A"].copy()
-        before = leaked_segments()
+        before = own_segments()
         with pytest.raises(WorkerCrashError, match="worker"):
             run_parallel_procedure(
                 proc, arrays, {"n": 39, "d": 39}, workers=3
             )
         # clean shutdown: caller arrays untouched, no orphaned shared memory
         assert np.array_equal(arrays["A"], snapshot)
-        assert leaked_segments() == before
+        assert own_segments() == before
 
     @pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
     def test_crash_injection_runs_on_the_native_claim_loop(self):
@@ -184,13 +183,13 @@ class TestRobustness:
         it is the native claim loop whose death the test above survives."""
         proc = mark_doall(parse(BOOM))
         arrays = {"A": np.zeros(40)}
-        before = leaked_segments()
+        before = own_segments()
         stats = run_one(
             proc, arrays, {"n": 39, "d": 38}, workers=3
         )
         assert (stats.claim_loop, stats.chunk_lang) == ("native", "c")
         assert np.array_equal(arrays["A"][1:], np.arange(1.0, 40.0))
-        assert leaked_segments() == before
+        assert own_segments() == before
 
     def test_timeout_kills_workers_and_preserves_arrays(self):
         w = get_workload("matmul")
@@ -205,7 +204,7 @@ class TestRobustness:
                 chunk_lang="py",
             )
         assert np.array_equal(arrays["C"], snapshot)
-        assert leaked_segments() == []
+        assert own_segments() == []
 
     def test_procedure_without_doall_is_rejected(self):
         proc = parse(
@@ -306,7 +305,7 @@ class TestOneDriver:
         ):
             with pytest.raises(TypeError, match=name):
                 run()
-        assert leaked_segments() == []
+        assert own_segments() == []
 
     @pytest.mark.parametrize("batch", [True, 2.7, 0, -5, "8", None])
     def test_claim_batch_is_auto_or_a_positive_integer(self, batch):
@@ -357,7 +356,7 @@ class TestOneDriver:
             with pytest.raises(ValueError, match="workers must be an integer >= 1"):
                 run()
         _assert_bit_for_bit(before, arrays)
-        assert leaked_segments() == []
+        assert own_segments() == []
 
     @pytest.mark.parametrize(
         "name,safety,match",
@@ -380,7 +379,7 @@ class TestOneDriver:
             run_parallel_procedure(
                 proc, arrays, sc, workers=2, safety=safety
             )
-        assert leaked_segments() == []
+        assert own_segments() == []
         assert multiprocessing.active_children() == children
 
 

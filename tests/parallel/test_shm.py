@@ -11,6 +11,8 @@ from repro.parallel.shm import (
     leaked_segments,
 )
 
+from tests.parallel import own_segments
+
 
 def _arrays():
     rng = np.random.default_rng(7)
@@ -83,4 +85,4 @@ class TestSharedArrayPool:
         for _ in range(3):
             with SharedArrayPool(_arrays()):
                 pass
-        assert leaked_segments() == []
+        assert own_segments() == []

@@ -1,30 +1,30 @@
-"""``safety=speculate`` end-to-end: inspect, speculate, commit, roll back.
+"""``safety=speculate`` end-to-end: inspect, or refuse as enforce does.
 
-Every dynamic outcome must leave the caller's arrays exactly equal to the
-serial semantics: a proven-dynamic dispatch and a committed speculation
-because the parallel run was conflict-free, a rolled-back speculation
-because the primaries were never touched and the serial retry is the
-serial run.  The irregular workloads are constructed so each path fires
+Every outcome must leave the caller's arrays exactly equal to the serial
+semantics: a proven-dynamic dispatch because the parallel run was
+conflict-free, a refuted or refused loop because it ran serially in the
+parent (through the plan's compiled residue), and a run with nothing
+left to dispatch because ``backend="mp"`` falls back to the serial
+build.  The irregular workloads are constructed so each path fires
 deterministically under seed 0.
 """
 
 import numpy as np
 import pytest
 
+from repro.codegen.pygen import compile_procedure
+from repro.frontend.dsl import parse
 from repro.parallel import (
     SafetyVerificationError,
+    SharedArrayPool,
     SpecPlan,
+    WorkerPool,
     resolve_safety,
     run_parallel_procedure,
     speculation_plan,
-    validate_chunk_logs,
 )
 from repro.parallel.backend import compile_mp_procedure
-from repro.parallel.speculate import (
-    merge_chunk_logs,
-    shadow_alias,
-    written_arrays,
-)
+from repro.parallel.plan import verdict
 from repro.runtime.interp import Interpreter
 from repro.workloads import (
     IRREGULAR_WORKLOADS,
@@ -59,51 +59,12 @@ class TestRegistry:
         assert resolve_safety("speculate") == "speculate"
 
 
-class TestValidateChunkLogs:
-    def test_disjoint_passes(self):
-        logs = [
-            (1, 2, (("H", (1,)), ("H", (2,))), ()),
-            (3, 4, (("H", (3,)),), (("H", (3,)),)),
-        ]
-        v = validate_chunk_logs(logs)
-        assert v.ok and v.chunks == 2 and v.elements == 3
-
-    def test_cross_chunk_write_write_fails(self):
-        logs = [
-            (1, 2, (("H", (5,)),), ()),
-            (3, 4, (("H", (5,)),), ()),
-        ]
-        v = validate_chunk_logs(logs)
-        assert not v.ok
-        assert v.conflicts[0][0] == "write/write"
-
-    def test_cross_chunk_write_read_fails_both_orders(self):
-        # Reader chunk before writer chunk in log order: still a conflict
-        # (chunks execute unordered, so either serial order is violated).
-        logs = [
-            (1, 2, (), (("H", (7,)),)),
-            (3, 4, (("H", (7,)),), ()),
-        ]
-        v = validate_chunk_logs(logs)
-        assert not v.ok
-        assert v.conflicts[0][0] == "write/read"
-
-    def test_same_chunk_overlap_allowed(self):
-        # Conflicts *within* one chunk execute in serial order already.
-        logs = [(1, 4, (("H", (1,)),), (("H", (1,)),))]
-        assert validate_chunk_logs(logs).ok
-
-    def test_merge_orders_by_range(self):
-        merged = merge_chunk_logs([[(5, 8, (), ())], [(1, 4, (), ())]])
-        assert [log[0] for log in merged] == [1, 5]
-
-
 class TestSpeculationPlan:
-    def test_histogram_routes_to_speculation(self):
+    def test_histogram_routes_to_refusal(self):
         w = IRREGULAR_WORKLOADS["histogram"]()
         plan = speculation_plan(w.proc.body.stmts[0], None)
-        assert plan.action == "speculate"
-        assert plan.written == ("H",)
+        assert plan.action == "refuse"
+        assert "both written and read" in plan.reason
 
     def test_scatter_routes_to_inspector(self):
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
@@ -122,15 +83,11 @@ class TestSpeculationPlan:
     def test_plan_is_frozen(self):
         plan = SpecPlan("inspect", "because")
         with pytest.raises(AttributeError):
-            plan.action = "speculate"
+            plan.action = "refuse"
 
-    def test_shadow_alias_never_collides_with_dsl_names(self):
-        assert shadow_alias("H", 3) == "H.spec3"
-        assert shadow_alias("H", 3) != shadow_alias("H", 4)
 
-    def test_written_arrays(self):
-        w = IRREGULAR_WORKLOADS["ragged_update"]()
-        assert written_arrays(w.proc.body.stmts[0]) == ("B",)
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a refused run created a pool or a segment")
 
 
 class TestDoallSpeculate:
@@ -170,26 +127,35 @@ class TestDoallSpeculate:
             assert np.array_equal(arrays[k], serial[k]), k
             assert np.array_equal(via_backend[k], serial[k]), k
 
-    def test_disjoint_histogram_commits(self):
-        w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
-        arrays, sc = make_env(w)
-        expected = serial_reference(w)
-        result = run_one(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
-        )
-        assert result.speculation == "committed"
-        assert np.array_equal(arrays["H"], expected["H"])
+    def test_conflicting_histogram_falls_back_to_serial(self, monkeypatch):
+        self._assert_serial_fallback("histogram", monkeypatch)
 
-    def test_conflicting_histogram_rolls_back_bit_identical(self):
-        w = IRREGULAR_WORKLOADS["histogram"]()
+    def test_disjoint_histogram_falls_back_to_serial(self, monkeypatch):
+        self._assert_serial_fallback("histogram_disjoint", monkeypatch)
+
+    def _assert_serial_fallback(self, name, monkeypatch):
+        # H is both written and read: the inspector cannot decide the
+        # loop, so the plan refuses it before any pool or segment exists,
+        # whatever the keys — and the backend runs the serial build.
+        w = IRREGULAR_WORKLOADS[name]()
         arrays, sc = make_env(w)
-        expected = serial_reference(w)
-        result = run_one(
-            w.proc, arrays, sc, workers=WORKERS, policy="static",
-            safety="speculate",
+        want = {k: v.copy() for k, v in arrays.items()}
+        compile_procedure(w.proc).run(want, sc)
+        compiled = compile_mp_procedure(
+            w.proc, workers=WORKERS, safety="speculate"
         )
-        assert result.speculation == "rolled-back"
-        assert np.array_equal(arrays["H"], expected["H"])
+        monkeypatch.setattr(WorkerPool, "__init__", _no_pool)
+        monkeypatch.setattr(SharedArrayPool, "__init__", _no_pool)
+        compiled.run(arrays, sc)
+        (loop,) = verdict(w.proc).loops
+        codes = ", ".join(sorted({f.rule for f in loop.findings}))
+        assert codes.startswith("RACE")
+        reason = compiled.fallback_reason
+        assert reason.startswith("SafetyVerificationError: safety=speculate")
+        assert f"loop i ({codes})" in reason
+        assert compiled.last is None
+        for k in want:
+            assert np.array_equal(arrays[k], want[k]), k
 
     def test_scalar_hazard_refused(self):
         w = RACY_WORKLOADS["racy_scalar"]()
@@ -200,17 +166,36 @@ class TestDoallSpeculate:
             )
 
     def test_enforce_still_refuses_what_speculate_runs(self):
-        w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError):
             run_parallel_procedure(
                 w.proc, arrays, sc, workers=WORKERS, safety="enforce"
             )
+        result = run_parallel_procedure(
+            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+        )
+        assert result.proven_dynamic == 1
+
+
+#: A provable saxpy and the histogram loop: one dispatch, one refusal.
+SAXPY_HISTOGRAM = parse(
+    """
+    procedure saxpy_histogram(H[1], K[1], X[1], Y[1]; n)
+      doall i = 1, n
+        Y(i) := Y(i) + 2.5 * X(i)
+      end
+      doall j = 1, n
+        H(int(K(j))) := H(int(K(j))) + 1.0
+      end
+    end
+    """
+)
 
 
 class TestProcedureSpeculate:
     def test_counters_and_certificates(self):
-        w = IRREGULAR_WORKLOADS["histogram"]()
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         result = run_parallel_procedure(
@@ -218,15 +203,12 @@ class TestProcedureSpeculate:
             safety="speculate",
         )
         assert result.safety_mode == "speculate"
-        assert result.speculated == 1
-        assert result.rolled_back == 1
-        assert result.committed == 0
-        certs = result.certificates
-        assert len(certs) == 1
-        assert certs[0].mode == "speculative"
-        assert certs[0].status == "rolled-back"
-        assert certs[0].conflicts > 0
-        assert np.array_equal(arrays["H"], expected["H"])
+        assert (result.inspected, result.proven_dynamic) == (1, 1)
+        assert result.blocked_dispatches == 0
+        (cert,) = result.certificates
+        assert (cert.mode, cert.status) == ("inspector", "proven-dynamic")
+        assert cert.conflicts == 0
+        assert np.array_equal(arrays["B"], expected["B"])
 
     def test_inspector_fallback_to_serial_inside_program(self):
         # Refuted inspection inside a procedure degrades that dispatch to
@@ -245,8 +227,36 @@ class TestProcedureSpeculate:
         assert not result.dispatches
         assert np.array_equal(arrays["B"], serial["B"])
 
+    @pytest.mark.parametrize("safety", ["speculate", "enforce"])
+    def test_refused_loop_runs_through_the_compiled_residue(
+        self, safety, monkeypatch
+    ):
+        n, rng = 500, np.random.default_rng(0)
+        arrays = {
+            "H": np.zeros(9),
+            "K": np.concatenate(([0.0], rng.integers(1, 9, n).astype(float))),
+            "X": rng.random(n + 1),
+            "Y": rng.random(n + 1),
+        }
+        want = {k: v.copy() for k, v in arrays.items()}
+        Interpreter().run(SAXPY_HISTOGRAM, want, {"n": n})
+
+        def interpreted(*args, **kwargs):
+            raise AssertionError("the tree interpreter ran a refused loop")
+
+        monkeypatch.setattr(Interpreter, "_exec", interpreted)
+        result = run_parallel_procedure(
+            SAXPY_HISTOGRAM, arrays, {"n": n}, workers=WORKERS,
+            safety=safety, timeout=60.0,
+        )
+        assert result.blocked_dispatches == 1
+        assert [d.loop_var for d in result.dispatches] == ["i"]
+        assert result.inspected == 0
+        for k in want:
+            assert np.array_equal(arrays[k], want[k]), k
+
     def test_backend_accounts_speculation(self):
-        w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         compiled = compile_mp_procedure(
@@ -255,8 +265,8 @@ class TestProcedureSpeculate:
         compiled.run(arrays, sc)
         assert compiled.fallback_reason is None
         assert compiled.last is not None
-        assert compiled.last.committed == 1
-        assert np.array_equal(arrays["H"], expected["H"])
+        assert (compiled.last.inspected, compiled.last.proven_dynamic) == (1, 1)
+        assert np.array_equal(arrays["B"], expected["B"])
 
     def test_backend_serial_fallback_on_refusal(self):
         w = RACY_WORKLOADS["racy_scalar"]()
@@ -278,11 +288,12 @@ class TestSpeculateMetrics:
         from repro.parallel.observe import DISPATCH
 
         before = DISPATCH.as_dict()["speculate"]
-        w = IRREGULAR_WORKLOADS["histogram_disjoint"]()
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         run_parallel_procedure(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
         after = DISPATCH.as_dict()["speculate"]
-        assert after["speculated"] == before["speculated"] + 1
-        assert after["committed"] == before["committed"] + 1
+        assert set(after) == {"inspected", "proven_dynamic"}
+        assert after["inspected"] == before["inspected"] + 1
+        assert after["proven_dynamic"] == before["proven_dynamic"] + 1

@@ -15,12 +15,7 @@ import pytest
 
 from repro.analysis.safety import array_access_sets, inspector_eligible
 from repro.frontend.dsl import parse
-from repro.runtime.inspector import (
-    inspect_dispatch,
-    record_chunk,
-    scalar_hazards,
-)
-from repro.runtime.interp import Interpreter
+from repro.runtime.inspector import inspect_dispatch, scalar_hazards
 from repro.workloads import IRREGULAR_WORKLOADS, RACY_WORKLOADS, make_env
 
 from tests.safety.shadow import _Recorder, record_dispatch
@@ -158,35 +153,3 @@ class TestShadowCrossCheck:
             name,
             result.describe(),
         )
-
-
-class TestRecordChunk:
-    def test_log_matches_shadow_union(self):
-        w = IRREGULAR_WORKLOADS["histogram"]()
-        logs, _, _ = shadow_logs(w)
-        arrays, sc = make_env(w)
-        loop = outer_loop(w.proc)
-        lo, hi = 1, sc["n"]
-        reads, writes = record_chunk(
-            loop, sc, arrays, lo, hi, watch={"H"}
-        )
-        want_writes = set().union(*(log.writes for log in logs))
-        assert writes == want_writes
-        # Reads over the watched (written) array only.
-        want_reads = {
-            e
-            for log in logs
-            for e in log.reads
-            if e[0] == "H"
-        }
-        assert reads == want_reads
-
-    def test_executes_for_real(self):
-        w = IRREGULAR_WORKLOADS["histogram"]()
-        arrays, sc = make_env(w)
-        ref = {k: v.copy() for k, v in arrays.items()}
-        Interpreter()._exec(w.proc.body, dict(sc), ref)
-        record_chunk(
-            outer_loop(w.proc), sc, arrays, 1, sc["n"], watch={"H"}
-        )
-        assert np.array_equal(arrays["H"], ref["H"])

@@ -22,11 +22,11 @@ from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
 from repro.parallel import plan as plan_mod
 from repro.parallel import runtime
-from repro.parallel.shm import leaked_segments
 from repro.runtime import inspector
 from repro.runtime.interp import Interpreter, InterpreterError
 from repro.workloads import IRREGULAR_WORKLOADS, RACY_WORKLOADS, make_env
 
+from tests.parallel import own_segments
 from tests.safety.shadow import _Recorder, record_dispatch
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -70,7 +70,7 @@ def test_native_verdict_is_the_python_verdict_on_every_workload(name):
     (loop,) = plan.loops
     native = plan.inspector(loop, sc)
     if plan.strategies[id(loop)] != "inspect":
-        # Values flow through the loop: speculation's, never inspected.
+        # Values flow through the loop: refused, never inspected.
         assert native is None
         return
     got = runtime.inspect_dispatch(loop, sc, arrays, native)
@@ -308,7 +308,7 @@ def test_a_non_finite_or_huge_subscript_is_an_error_not_a_crash(host, bad):
         run_parallel_procedure(
             w.proc, arrays, sc, workers=2, safety="speculate", timeout=60.0
         )
-    assert leaked_segments() == []
+    assert own_segments() == []
     # The serial fallback stopped at iteration 5; the caller's arrays were
     # never copied back.
     assert all(

@@ -22,8 +22,9 @@ import pytest
 
 from repro import wire
 from repro.cache import ArtifactCache
-from repro.parallel.shm import SharedArrayPool, leaked_segments
+from repro.parallel.shm import SharedArrayPool
 from repro.service import ServiceClient, ServiceError, serve_background
+from tests.parallel import own_segments
 
 SAXPY1D = """
 procedure saxpy1d(X[1], Y[1]; n)
@@ -40,7 +41,7 @@ BULK_N = 1 << 20
 
 @pytest.fixture()
 def service(tmp_path):
-    before = set(leaked_segments())
+    before = set(own_segments())
     server, thread = serve_background(cache=ArtifactCache(tmp_path / "cache"))
     client = ServiceClient(port=server.port, transport="wire", timeout=60.0)
     try:
@@ -51,7 +52,7 @@ def service(tmp_path):
         server.shutdown()
         server.close()
         thread.join(timeout=10)
-    assert set(leaked_segments()) <= before
+    assert set(own_segments()) <= before
 
 
 def inputs(n, seed):

@@ -40,7 +40,9 @@ Routes::
     POST /compile | /run | /lint      synchronous (queued + balanced)
     POST /submit                      {kind, body, tenant?} -> job_id
     GET  /poll/<job_id>               state + timings
-    GET  /result/<job_id>             full result (409 until terminal)
+    GET  /result/<job_id>[?wait=<s>]  full result (409 until terminal;
+                                      ``wait`` blocks up to <s> seconds,
+                                      capped, for the job to settle)
     POST /cancel/<job_id>             cancel queued / best-effort running
     GET  /healthz                     router + fleet health
     GET  /metrics                     repro.metrics/v1 + jobs.* + cluster.*
@@ -49,12 +51,14 @@ Routes::
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
+import urllib.parse
 from collections import OrderedDict
 
 from repro import wire
-from repro.cluster.jobs import AdmissionError, Job, JobQueue
+from repro.cluster.jobs import TERMINAL_STATES, AdmissionError, Job, JobQueue
 from repro.cluster.quotas import TenantQuotas
 from repro.cluster.replica import ReplicaHandle, ReplicaSupervisor
 from repro.parallel.observe import metrics_snapshot
@@ -73,6 +77,10 @@ JOB_KINDS = ("compile", "run", "lint")
 
 #: Bound on the sticky program-key -> replica map (LRU beyond this).
 STICKY_CAPACITY = 1024
+
+#: Longest ``GET /result/<id>?wait=<s>`` blocks for the job to settle;
+#: a longer ``wait`` is cut to this.
+RESULT_WAIT_CAP_S = 30.0
 
 #: Seconds a dispatcher waits, after a transport failure, for that
 #: replica's process to finish exiting before it reports the failure.
@@ -109,6 +117,9 @@ class ClusterRouter(AccountingHTTPServer):
         #: key -> replica index that last served it (sticky routing, LRU).
         self._sticky: OrderedDict[str, int] = OrderedDict()
         self._stopping = threading.Event()
+        #: Set by :meth:`shutdown`: a waiting ``/result`` answers at once,
+        #: so it does not hold up the drain.
+        self._shutting_down = threading.Event()
         self._paused = threading.Event()
         n_dispatchers = (
             dispatchers
@@ -133,6 +144,23 @@ class ClusterRouter(AccountingHTTPServer):
 
     def resume(self) -> None:
         self._paused.clear()
+
+    def shutdown(self) -> None:
+        """Stop serving (the dispatchers run on until :meth:`close`)."""
+        self._shutting_down.set()
+        super().shutdown()
+
+    def await_settle(self, job: Job, wait: float) -> None:
+        """Block until ``job`` settles, ``wait`` seconds pass or the router
+        shuts down.  Every settle (done, failed, cancelled: a queued job's
+        cancel settles it at once) sets the job's event; the reaper evicts
+        only settled jobs, and the caller holds its own reference."""
+        deadline = time.monotonic() + wait
+        while not self._shutting_down.is_set():
+            left = deadline - time.monotonic()
+            # Sliced only so that a shutdown is seen within a tick.
+            if left <= 0 or job.wait(min(left, 0.1)):
+                return
 
     def close(self) -> None:
         """Stop dispatchers and the listener (the supervisor is stopped by
@@ -413,7 +441,8 @@ class _RouterHandler(JsonRequestHandler):
 
     def _route(self, method: str) -> None:
         router: ClusterRouter = self.server  # type: ignore[assignment]
-        path = self.path.rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
             self._send(200, router.health())
             return
@@ -457,7 +486,8 @@ class _RouterHandler(JsonRequestHandler):
                 self._send(200, job.describe())
                 return
             if verb == "result" and method == "GET":
-                if job.state not in ("done", "failed", "cancelled"):
+                router.await_settle(job, _result_wait(query))
+                if job.state not in TERMINAL_STATES:
                     raise RequestError(
                         409, f"job {job_id} is still {job.state}"
                     )
@@ -555,6 +585,27 @@ class _RouterHandler(JsonRequestHandler):
         self._send_parts(
             200, wire.rewrap_parts(reply, stats), wire.CONTENT_TYPE
         )
+
+
+def _result_wait(query: str) -> float:
+    """Seconds a ``GET /result`` may block: its ``wait`` parameter (a
+    finite number >= 0, cut to :data:`RESULT_WAIT_CAP_S`), else 0."""
+    params = urllib.parse.parse_qs(query, keep_blank_values=True)
+    unknown = sorted(set(params) - {"wait"})
+    if unknown:
+        raise RequestError(400, f"unknown /result parameters: {unknown}")
+    raw = params.get("wait", ["0"])
+    try:
+        (wait,) = map(float, raw)
+    except ValueError:
+        raise RequestError(
+            400, f"wait must be one number of seconds (got {raw!r})"
+        ) from None
+    if not 0.0 <= wait < math.inf:
+        raise RequestError(
+            400, f"wait must be a finite number >= 0 (got {wait!r})"
+        )
+    return min(wait, RESULT_WAIT_CAP_S)
 
 
 def _json(doc: object) -> bytes:

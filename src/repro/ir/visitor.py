@@ -70,6 +70,20 @@ def collect_array_refs(node: Expr | Stmt) -> list[ArrayRef]:
     return [e for e in walk_exprs(node) if isinstance(e, ArrayRef)]
 
 
+def stored_arrays(node: Stmt) -> tuple[str, ...]:
+    """Sorted names of the arrays stored to anywhere under ``node``.
+
+    Every store counts, including one under a guard that is false on a
+    given run, so this over-approximates what a run writes: an array
+    outside it is never written.  A run copies back, and a served run
+    returns, only these.
+    """
+    return tuple(sorted({
+        s.target.name for s in walk_stmts(node)
+        if isinstance(s, Assign) and isinstance(s.target, ArrayRef)
+    }))
+
+
 def free_vars(node: Expr | Stmt) -> set[str]:
     """Names of scalar variables read anywhere under ``node``.
 

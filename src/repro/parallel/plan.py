@@ -56,7 +56,7 @@ from repro.ir.expr import INTRINSICS, ArrayRef, BinOp, Const, Var, min_
 from repro.ir.printer import to_source
 from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
 from repro.ir.validate import validate
-from repro.ir.visitor import walk_exprs, walk_stmts
+from repro.ir.visitor import stored_arrays, walk_exprs, walk_stmts
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
@@ -153,16 +153,17 @@ def prepare(
 
     Building validates the procedure, checks it has something to
     dispatch and runs the safety verdict — any of which raises here.
-    Records the verdict in the metrics once per call, as every run did.
+    Only dtypes and ranks of ``arrays`` are read, in any order, so a
+    caller may ask with placeholders before it has a pool or the data;
+    the run records the verdict in the metrics.
     """
     from repro.cache import resolve_cache
-    from repro.parallel.observe import record_safety
 
     store = resolve_cache("default")
     key = (
         id(proc), mode, lang,
         tuple(sorted((k, _kind(v)) for k, v in scalars.items())),
-        tuple((k, a.dtype.str, a.ndim) for k, a in arrays.items()),
+        tuple(sorted((k, a.dtype.str, a.ndim) for k, a in arrays.items())),
         policy if isinstance(policy, str) else (
             type(policy).__name__, policy.name,
             policy_plan(policy, 1, 1, chunk).rule,
@@ -172,8 +173,6 @@ def prepare(
     plan = _recall(_PLANS, key)
     if plan is None:
         plan = _remember(_PLANS, key, Plan(key, proc, mode, lang, store))
-    if plan.report is not None:
-        record_safety(plan.report)
     return plan
 
 
@@ -244,9 +243,7 @@ class Plan:
                 f"{_unproven_summary(self.report)}"
             )
         #: The arrays the procedure stores to: all a run copies back.
-        self.written = tuple(sorted({
-            s.target.name for s in walk_stmts(proc.body)
-            if isinstance(s, Assign) and isinstance(s.target, ArrayRef)}))
+        self.written = stored_arrays(proc.body)
         self.kernels = KernelBuilder(store)
         #: Compiled serial residues by ``id(stmt)`` (False: interpret).
         self.residues: dict[int, object] = {}

@@ -98,6 +98,7 @@ from repro.parallel.errors import (
 from repro.parallel.observe import (
     record_lang_fallback,
     record_run,
+    record_safety,
     record_safety_block,
 )
 from repro.parallel.pool import WorkerPool, resolve_workers
@@ -542,6 +543,8 @@ def run_parallel_procedure(
         proc, arrays if owned else pool.views, scalars or {}, mode, lang,
         policy, chunk, workers if owned else pool.workers, claim_batch,
     )
+    if plan.report is not None:
+        record_safety(plan.report)
     if plan.refusal is not None:
         record_safety_block(len(plan.loops))
         raise SafetyVerificationError(plan.refusal)

@@ -10,6 +10,7 @@ cluster`` without hand-rolling HTTP::
     program = client.compile(SOURCE, backend="mp")
     out = client.run(program["key"], {"A": A, "B": B}, {"n": 64, "m": 64})
     out["arrays"]["B"]          # numpy array, computed by the server
+    out["arrays"]["A"] is A     # True: the server returns only what it wrote
 
 Every client keeps one pooled keep-alive ``http.client`` connection per
 calling thread (HTTP/1.1 persistent connections — no per-request TCP
@@ -34,6 +35,7 @@ protocol::
     job = client.submit("run", key=program["key"], arrays=..., scalars=...)
     state = client.poll(job["job_id"])
     out = client.result(job["job_id"])       # once state is "done"
+    out = client.wait(job["job_id"])         # one request that blocks
 
 Transient connection failures (replica restarting, listener backlog full,
 connection reset mid-crash) are retried with exponential backoff + full
@@ -390,16 +392,25 @@ class ServiceClient:
         transport: str | None = None,
         **options,
     ) -> dict:
-        """POST /run over the selected transport; ``arrays`` come back as
+        """POST /run over the selected transport.
+
+        The reply carries only the arrays the program stores to, as
         ndarrays in the dtype the server computed (wire-transport results
-        are zero-copy read-only views; copy before mutating)."""
+        are zero-copy read-only views; copy before mutating).  Every
+        other name of ``arrays`` is filled in with the caller's own
+        object — not a copy, not a view — so the returned ``arrays`` has
+        the caller's names.
+        """
         transport = self.transport if transport is None else transport
         if transport == "wire":
-            return self._run_wire(key, arrays, scalars, **options)
-        if transport != "json":
+            out = self._run_wire(key, arrays, scalars, **options)
+        elif transport == "json":
+            body = self.run_body(key, arrays, scalars, **options)
+            out = decode_run_result(self._request("POST", "/run", body))
+        else:
             raise ValueError(f"unknown transport {transport!r}")
-        body = self.run_body(key, arrays, scalars, **options)
-        return decode_run_result(self._request("POST", "/run", body))
+        out["arrays"] = {**arrays, **out["arrays"]}
+        return out
 
     def _run_wire(
         self,
@@ -503,17 +514,20 @@ class ServiceClient:
         """GET /poll/<id> — job state + timings, without the result body."""
         return self._request("GET", f"/poll/{job_id}")
 
-    def result(self, job_id: str) -> dict:
+    def result(self, job_id: str, wait: float = 0.0) -> dict:
         """GET /result/<id> — the completed job's full result.
 
-        409 while the job is still queued/running.  Run-job results get
-        their ``arrays`` decoded to ndarrays like :meth:`run`; a job that
-        ran over the wire transport streams back as a binary frame
-        (this client always ``Accept``s one).
+        409 while the job is still queued/running, after blocking up to
+        ``wait`` seconds (the router caps it) for the job to settle.
+        Run-job results get their ``arrays`` decoded to ndarrays like
+        :meth:`run`, but only the arrays the program wrote: nothing is
+        filled in.  A job that ran over the wire transport streams back
+        as a binary frame (this client always ``Accept``s one).
         """
+        query = f"?wait={wait:g}" if wait else ""
         rheaders, raw = self._request_raw(
             "GET",
-            f"/result/{job_id}",
+            f"/result/{job_id}{query}",
             None,
             {"Accept": f"{wire.CONTENT_TYPE}, application/json"},
         )
@@ -534,24 +548,27 @@ class ServiceClient:
         """POST /cancel/<id> — cancel a queued (or best-effort running) job."""
         return self._request("POST", f"/cancel/{job_id}", {})
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        interval: float = 0.02,
-    ) -> dict:
-        """Poll until the job reaches a terminal state; returns the result
-        document (:meth:`result`).  Raises TimeoutError past ``timeout``."""
-        t0 = time.monotonic()
+    def wait(self, job_id: str, timeout: float = 60.0) -> dict:
+        """The result document (:meth:`result`) once the job reaches a
+        terminal state: one ``/result`` request that blocks until it
+        settles (more only past the router's cap on one wait, or half
+        this client's socket timeout).  Raises TimeoutError past
+        ``timeout``."""
+        deadline = time.monotonic() + timeout
         while True:
-            state = self.poll(job_id)
-            if state["state"] in ("done", "failed", "cancelled"):
-                return self.result(job_id)
-            if time.monotonic() - t0 > timeout:
-                raise TimeoutError(
-                    f"job {job_id} still {state['state']} after {timeout}s"
+            left = deadline - time.monotonic()
+            try:
+                return self.result(
+                    job_id, wait=max(0.0, min(left, self.timeout / 2))
                 )
-            time.sleep(interval)
+            except ServiceError as exc:
+                if exc.status != 409:
+                    raise
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"job {job_id} not settled after {timeout}s: "
+                        f"{exc.payload.get('error')}"
+                    ) from None
 
 
 def decode_run_result(out: dict) -> dict:

@@ -11,8 +11,10 @@ bit-for-bit against a local serial run, round-trip ``POST /lint``
 on a clean kernel and a seeded-race program (asserting the RACE001
 verdict comes back), and round-trip a ``safety="speculate"`` run on a
 histogram (the inspector cannot decide it, so the run must fall back to
-the serial build and the served arrays match the serial semantics
-exactly).
+the serial build, leasing no pool, and the served arrays match the
+serial semantics exactly).  A raw JSON ``/run`` must carry only the
+array the kernel writes, while the client's return still holds the
+caller's read-only input.
 
 It then stands up a two-replica *cluster* over one shared artifact
 store and drives the front door: a synchronous routed run (verified
@@ -26,6 +28,7 @@ Exits nonzero on any failure, so CI can gate on it directly.
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 
@@ -91,6 +94,21 @@ def main() -> int:
                 {"n": N, "m": M}, workers=2, backend="mp",
             )
             assert out["engine"] == "mp-pool", out["engine"]
+            # The reply carries only the array the run writes; the client
+            # fills the read-only A back in with the caller's own object.
+            assert out["arrays"]["A"] is A, "client fill-in lost A"
+            body = ServiceClient.run_body(
+                first["key"], {"A": A, "B": np.zeros_like(A)},
+                {"n": N, "m": M}, workers=2, backend="mp",
+            )
+            _, raw = client.request_bytes(
+                "POST", "/run", json.dumps(body).encode(),
+                {"Content-Type": "application/json"},
+            )
+            reply = json.loads(raw)
+            assert reply["engine"] == "mp-pool", reply["engine"]
+            assert set(reply["arrays"]) == {"B"}, sorted(reply["arrays"])
+            assert set(reply["array_dtypes"]) == {"B"}, reply["array_dtypes"]
 
             expected_B = np.zeros_like(A)
             local = transform_function(KERNEL, cache=None)
@@ -118,6 +136,7 @@ def main() -> int:
             # the inspector cannot decide the loop, the plan refuses it,
             # and the served result is the serial build's, exactly.
             hist = client.compile(HISTOGRAM, backend="mp", analyze=False)
+            pools = server.server_metrics()["warm_pools"]
             hn = 48
             H = np.zeros(9)
             K = np.zeros(hn + 1)
@@ -129,6 +148,8 @@ def main() -> int:
             )
             assert spec["engine"] == "serial-fallback", spec["engine"]
             assert "refused every dispatch" in spec["fallback_reason"], spec
+            # Refused before any pool was leased: no fleet for its shape.
+            assert server.server_metrics()["warm_pools"] == pools, pools
             expected_H = H.copy()
             for i in range(1, hn + 1):
                 expected_H[int(K[i])] += 1.0

@@ -23,7 +23,8 @@ passes first and adds their FISS001/FISS002/RED001 findings.
 of such programs report a ``reductions`` dispatch count.  ``POST /run`` accepts a
 ``safety`` option (``"off"``/``"warn"``/``"enforce"``/``"speculate"``);
 an enforce or speculate run whose every dispatch is refused degrades to
-the serial build with the refusal reason in the response, and a
+the serial build with the refusal reason in the response — decided
+before any worker pool is leased, so it forks no fleet — and a
 speculate run reports its inspector outcomes (inspected /
 proven_dynamic / certificates) in a ``speculate`` block.
 
@@ -44,6 +45,14 @@ the compatibility default):
   pool's shm segment directly from the socket, and the response frame
   (when the client accepts one) is written from those segments
   with one ``sendall`` per payload.
+
+Either way a ``/run`` reply carries only the arrays the compiled
+procedure stores to — every array that is the target of a store
+anywhere in it, guarded or not, fixed at ``/compile`` — with their
+``array_dtypes``; an array it only reads is not sent back.  A client
+that wants every name back fills the others in from its own request
+(``ServiceClient.run`` does).  The cluster router relays the reply as
+it is, synchronous or through ``/result``.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ from repro.api import lower_and_coalesce
 from repro.cache import artifact_key, resolve_cache
 from repro.codegen.pygen import CompiledProcedure, compile_procedure
 from repro.ir.printer import to_source
+from repro.ir.visitor import stored_arrays
 from repro.parallel.counter import resolve_policy
 from repro.parallel.errors import ParallelDispatchError, ParallelError
 from repro.parallel.observe import (
@@ -76,11 +86,12 @@ from repro.parallel.observe import (
     metrics_snapshot,
     record_fallback,
 )
-from repro.parallel.plan import prewarm
+from repro.parallel.plan import prepare, prewarm
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.runtime import (
     CHUNK_LANGS,
     check_choice,
+    resolve_chunk_lang,
     resolve_claim_batch,
     resolve_safety,
     resolve_timeout,
@@ -142,6 +153,9 @@ class CompiledProgram:
     from_cache: bool
     compile_s: float
     serial: CompiledProcedure
+    #: The arrays the procedure stores to (:func:`stored_arrays`), all a
+    #: /run reply carries.
+    written: tuple[str, ...]
     cbackend: object | None = None  # CProcedure when backend == "c"
     #: Native chunk kernels compiled (or cache-hit) at /compile time for
     #: the mp backend, so the first /run never pays gcc latency.
@@ -419,6 +433,7 @@ class ReproServer(AccountingHTTPServer):
             from_cache=from_cache,
             compile_s=time.perf_counter() - t0,
             serial=compile_procedure(proc),
+            written=stored_arrays(proc),
             cbackend=cbackend,
             warm_kernels=warm_kernels,
         )
@@ -449,14 +464,15 @@ class ReproServer(AccountingHTTPServer):
         """Serve one run over either transport.
 
         Yields ``(stats, arrays)``: the response body without its arrays,
-        and the result arrays, for the caller to encode in the transport
-        the client negotiated.  ``frame`` is a wire request whose header
-        has been read and whose payloads are still on the socket: on the
-        mp backend they are read straight into the leased pool's shm
-        segments, the run executes there, and the yield happens with the
-        lease still held, so the response is written from those same
-        segments — no request or response frame ever exists as one
-        buffer.
+        and the arrays the program writes (``program.written``), for the
+        caller to encode in the transport the client negotiated.
+        ``frame`` is a wire request whose header has been read and whose
+        payloads are still on the socket: on the mp backend they are read
+        straight into the leased pool's shm segments, the run executes
+        there, and the yield happens with the lease still held, so the
+        response is written from those same segments — no request or
+        response frame ever exists as one buffer.  A run its plan refuses
+        leases no pool: it runs the serial build.
         """
         key = body.get("key")
         program = self.programs.get(key) if isinstance(key, str) else None
@@ -486,7 +502,10 @@ class ReproServer(AccountingHTTPServer):
             backend, workers, run_kwargs = _run_options(body, program, arrays)
             pool = None
             try:
-                if backend == "mp" and frame is not None:
+                leases = backend == "mp" and not _refused(
+                    proc, arrays, scalars, run_kwargs
+                )
+                if leases and frame is not None:
                     pool = stack.enter_context(
                         self.pools.lease(workers, arrays)
                     )
@@ -500,12 +519,18 @@ class ReproServer(AccountingHTTPServer):
                         program, arrays, scalars, run_kwargs, pool,
                         preloaded=True,
                     )
-                elif backend == "mp":
+                elif leases:
                     with self.pools.lease(workers, arrays) as pool:
                         engine, stats = self._exec_mp(
                             program, arrays, scalars, run_kwargs, pool,
                             preloaded=False,
                         )
+                elif backend == "mp":
+                    # Refused: the driver raises before it makes a pool.
+                    engine, stats = self._exec_mp(
+                        program, arrays, scalars, run_kwargs, None,
+                        preloaded=False,
+                    )
                 else:
                     if backend == "c" and program.cbackend is not None:
                         program.cbackend.run(arrays, scalars)
@@ -530,12 +555,13 @@ class ReproServer(AccountingHTTPServer):
                 "wall_s": round(time.perf_counter() - t0, 6),
                 **stats,
             }
-            yield stats, arrays
+            yield stats, {name: arrays[name] for name in program.written}
 
     def _exec_mp(
         self, program, arrays, scalars, run_kwargs, pool, preloaded
     ) -> tuple[str, dict]:
-        """One mp-backend run on a leased pool, with the serial fallback."""
+        """One mp-backend run on a leased pool (None: a run its plan
+        refuses), with the serial fallback."""
         try:
             result = run_parallel_procedure(
                 program.proc,
@@ -598,6 +624,22 @@ def _source_request(body, defaults) -> tuple[str, str, dict]:
     return source, frontend, options
 
 
+def _refused(proc, arrays, scalars, run_kwargs) -> bool:
+    """Whether the plan of this mp run refuses it: nothing dispatchable,
+    or a safety mode that blocks every loop.  The plan keys on dtypes
+    and ranks, so a wire frame's placeholders answer before any payload
+    is read or any pool leased; the run itself then meets the same plan."""
+    kw = run_kwargs
+    try:
+        plan = prepare(
+            proc, arrays, scalars, kw["safety"], kw["chunk_lang"],
+            kw["policy"], kw["chunk"], kw["workers"], kw["claim_batch"],
+        )
+    except ParallelDispatchError:
+        return True
+    return plan.refusal is not None
+
+
 def _run_options(body, program, arrays) -> tuple[str, int, dict]:
     """``(backend, workers, run_parallel_procedure keywords)`` of a run."""
     backend = body.get("backend", program.backend)
@@ -634,6 +676,10 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         # are built for float64; any other served dtype takes the
         # interpreted chunk floor, which is dtype-generic.
         chunk_lang = "py"
+    if backend == "mp":
+        # What the run will use, so a plan asked for before the run
+        # (:func:`_refused`) is the one the run meets.
+        chunk_lang = resolve_chunk_lang(chunk_lang)
     return backend, workers, dict(
         workers=workers,
         policy=policy,

@@ -10,6 +10,7 @@ settled synchronous job.
 """
 
 import json
+import threading
 import time
 
 import hypothesis.strategies as st
@@ -186,9 +187,8 @@ class TestSyncJsonRun:
         arrays = {"A": A, "B": np.zeros_like(A)}
         got = client.run(key, arrays, {"n": 8})
         want = supervisor.handles[0].client.run(key, arrays, {"n": 8})
-        assert got["array_dtypes"] == want["array_dtypes"] == {
-            "A": "<i8", "B": "<i8",
-        }
+        # Only the written array comes back (and keeps its dtype tag).
+        assert got["array_dtypes"] == want["array_dtypes"] == {"B": "<i8"}
         same_arrays(got["arrays"], want["arrays"])
         assert got["arrays"]["B"].tolist() == (2 * A).tolist()
 
@@ -275,6 +275,198 @@ class TestAsyncJsonRun:
         settled = router.queue.get(job["job_id"])
         assert settled.result_raw == reply
         assert settled.raw_body is None and settled.body == {}
+
+
+def wire_run_frame(key, A) -> bytes:
+    return wire.encode_frame(
+        {"key": key, "scalars": {"n": N, "m": M}},
+        {"A": A, "B": np.zeros_like(A)},
+    )
+
+
+class TestReplySet:
+    """Router replies are the replica's: only the arrays the run wrote."""
+
+    def test_sync_json(self, cluster):
+        client, _, _, key = cluster
+        _, raw = client.request_bytes(
+            "POST", "/run", run_bytes(key, env()), JSON_HEADERS
+        )
+        doc = json.loads(raw)
+        assert set(doc["arrays"]) == {"B"}
+        assert doc["array_dtypes"] == {"B": "<f8"}
+
+    def test_sync_wire(self, cluster):
+        client, _, _, key = cluster
+        _, raw = client.request_bytes(
+            "POST", "/run", wire_run_frame(key, env()),
+            {"Content-Type": wire.CONTENT_TYPE},
+        )
+        doc, views = wire.decode_frame(raw)
+        assert set(views) == {"B"} and views["B"].dtype == np.float64
+        assert "cluster" in doc
+
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    def test_async_result(self, cluster, transport):
+        client, _, _, key = cluster
+        A = env(seed=21)
+        job = client.submit_run(
+            key, {"A": A, "B": np.zeros_like(A)}, {"n": N, "m": M},
+            transport=transport,
+        )
+        doc = client.wait(job["job_id"], timeout=60)
+        assert doc["state"] == "done"
+        result = doc["result"]
+        assert set(result["arrays"]) == {"B"}  # result() fills nothing in
+        if transport == "json":
+            assert result["array_dtypes"] == {"B": "<f8"}
+        assert np.array_equal(
+            result["arrays"]["B"], expected_from(A), equal_nan=True
+        )
+
+
+class TestResultWait:
+    """``GET /result/<id>?wait=<s>`` blocks until the job settles."""
+
+    @staticmethod
+    def parked(cluster):
+        """A lint job the paused router holds queued."""
+        client, router, _, _ = cluster
+        router.pause()
+        return client.submit("lint", source=LINT_SOURCE)["job_id"]
+
+    @staticmethod
+    def later(action, delay=0.3):
+        timer = threading.Timer(delay, action)
+        timer.start()
+        return timer
+
+    def test_wakes_when_the_job_settles(self, cluster):
+        client, router, _, _ = cluster
+        job_id = self.parked(cluster)
+        timer = self.later(router.resume)
+        try:
+            t0 = time.monotonic()
+            doc = client.result(job_id, wait=30)
+            waited = time.monotonic() - t0
+        finally:
+            timer.join()
+            router.resume()
+        assert doc["state"] == "done" and doc["result"]["ok"]
+        assert 0.25 <= waited < 20
+
+    def test_cancel_wakes_a_waiter(self, cluster):
+        client, router, _, _ = cluster
+        job_id = self.parked(cluster)
+        timer = self.later(lambda: client.cancel(job_id))
+        try:
+            t0 = time.monotonic()
+            doc = client.result(job_id, wait=30)
+            waited = time.monotonic() - t0
+        finally:
+            timer.join()
+            router.resume()
+        assert doc["state"] == "cancelled"
+        assert 0.25 <= waited < 20
+
+    def test_the_reaper_leaves_a_waiter_its_job(self, cluster):
+        """A job settled and at once past its TTL: the waiter still gets
+        its document, and the next request finds the job reaped."""
+        client, router, _, _ = cluster
+        ttl, router.queue.result_ttl_s = router.queue.result_ttl_s, 0.0
+        job_id = self.parked(cluster)
+        timer = self.later(router.resume)
+        try:
+            doc = client.result(job_id, wait=30)
+            time.sleep(0.01)
+            with pytest.raises(ServiceError) as err:
+                client.result(job_id)
+        finally:
+            timer.join()
+            router.resume()
+            router.queue.result_ttl_s = ttl
+        assert doc["state"] == "done"
+        assert err.value.status == 404
+
+    def test_an_unsettled_job_is_a_409_after_the_wait(self, cluster):
+        client, router, _, _ = cluster
+        job_id = self.parked(cluster)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                client.result(job_id, wait=0.3)
+            assert err.value.status == 409
+            assert time.monotonic() - t0 >= 0.25
+            with pytest.raises(TimeoutError):
+                client.wait(job_id, timeout=0.3)
+        finally:
+            client.cancel(job_id)
+            router.resume()
+
+    def test_wait_is_one_request(self, cluster):
+        client, _, _, key = cluster
+        A = env(seed=8)
+        job = client.submit(
+            "run", **ServiceClient.run_body(
+                key, {"A": A, "B": np.zeros_like(A)}, {"n": N, "m": M}
+            ),
+        )
+        paths = []
+        send = client.request_bytes
+
+        def spy(method, path, data=None, headers=None):
+            paths.append(path)
+            return send(method, path, data, headers)
+
+        client.request_bytes = spy
+        try:
+            doc = client.wait(job["job_id"], timeout=60)
+        finally:
+            del client.request_bytes
+        assert doc["state"] == "done"
+        assert len(paths) == 1 and paths[0].startswith(
+            f"/result/{job['job_id']}?wait="
+        )
+
+    @pytest.mark.parametrize("query", [
+        "wait=-1", "wait=soon", "wait=nan", "wait=inf", "wait=1&wait=2",
+        "timeout=5",
+    ])
+    def test_a_bad_wait_is_a_400(self, cluster, query):
+        client, _, _, _ = cluster
+        job_id = client.submit("lint", source=LINT_SOURCE)["job_id"]
+        with pytest.raises(ServiceError) as err:
+            client.request_bytes("GET", f"/result/{job_id}?{query}")
+        assert err.value.status == 400
+
+
+def test_a_shutdown_wakes_a_waiter_and_the_drain_completes(tmp_path):
+    router, supervisor, thread = start_cluster(
+        replicas=1, cache_dir=str(tmp_path / "cache"), drain_s=1.0
+    )
+    client = ServiceClient(port=router.port)
+    try:
+        router.pause()
+        job_id = client.submit("lint", source=LINT_SOURCE)["job_id"]
+        got = []
+
+        def waiter():
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(port=router.port).result(job_id, wait=30)
+            got.append(err.value.status)
+
+        waiting = threading.Thread(target=waiter)
+        waiting.start()
+        time.sleep(0.3)
+        router.shutdown()
+        assert router.drain(10.0)
+        waiting.join(timeout=10)
+        assert not waiting.is_alive() and got == [409]
+    finally:
+        client.close()
+        router.close()
+        supervisor.stop()
+        thread.join(timeout=10)
 
 
 class TestNoSettledSyncJobs:

@@ -331,11 +331,6 @@ def transform_function(
             policies — GSS always claims singly; the default ``"auto"``
             takes ``min(64, chunks // (8·active))``
             chunks per claim, at least 1),
-            ``chunk_lang`` (``"c"``/``"numpy"``/``"py"``/``"auto"``:
-            workers execute claimed blocks through a native ctypes kernel
-            when a compiler is available — whole-slice numpy on
-            compiler-less hosts — degrading automatically;
-            ``.last.chunk_lang`` reports what ran),
             ``safety`` (``"off"``/``"warn"``/``"enforce"``/``"speculate"``,
             default warn: every run is verified by the chunk-safety
             analyser and the report attached to ``.last.safety``; enforce

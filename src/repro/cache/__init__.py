@@ -3,8 +3,8 @@
 The paper's whole argument is that coalescing moves scheduling work out of
 the hot loop and into a one-time compile step.  This package makes that
 step *actually* one-time across processes and runs: every expensive
-artifact the pipeline produces — the lowered+transformed IR, generated
-Python chunk sources, compiled C shared libraries — is stored on disk
+artifact the pipeline produces — the lowered+transformed IR, compiled
+C shared libraries — is stored on disk
 under a canonical content hash of everything that determines it (source
 text, transform options, backend flags, repro version).
 

@@ -34,7 +34,7 @@ import string
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 #: Default size budget for LRU eviction (256 MiB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -229,20 +229,6 @@ class ArtifactCache:
         """Remove every entry (counters are kept — they are monotonic)."""
         shutil.rmtree(self.objects_dir, ignore_errors=True)
         shutil.rmtree(self.tmp_dir, ignore_errors=True)
-
-    # -- convenience ------------------------------------------------------
-    def memo_text(self, key: str, name: str, producer: Callable[[], str]) -> str:
-        """Return blob ``name`` under ``key``, producing+publishing on miss."""
-        hit = self.get_text(key, name)
-        if hit is not None:
-            return hit
-        text = producer()
-        try:
-            self.put(key, {name: text})
-        except OSError:  # disk trouble must not fail the compile
-            with self._lock:
-                self.stats.errors += 1
-        return text
 
     # -- accounting / eviction -------------------------------------------
     def _scan(self) -> list[tuple[float, int, Path]]:

@@ -101,7 +101,7 @@ def _workers(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.parallel.runtime import CHUNK_LANGS, SAFETY_MODES
+    from repro.parallel.runtime import SAFETY_MODES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -166,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "unit/fixed policies, an integer >= 1 (GSS always claims singly); "
         "the default 'auto' takes min(64, chunks // (8 * active workers)) "
         "chunks per claim, at least 1",
-    )
-    parser.add_argument(
-        "--chunk-lang",
-        choices=CHUNK_LANGS,
-        default="auto",
-        help="with --backend mp: language workers execute claimed blocks "
-        "in — c (native ctypes kernel, the default when a C compiler is "
-        "on PATH), numpy (whole-slice vectorized, the compiler-less "
-        "default), or py (generated Python); faster paths fall back "
-        "automatically",
     )
     parser.add_argument(
         "--safety",
@@ -294,7 +284,6 @@ def _run_transformed(args, workload, proc) -> int:
                 policy=args.policy,
                 chunk=args.chunk,
                 claim_batch=args.claim_batch,
-                chunk_lang=args.chunk_lang,
                 safety=args.safety,
             )
         except (ParallelError, ValueError) as exc:

@@ -1,14 +1,16 @@
-"""Whole-slice numpy chunk codegen (``chunk_lang="numpy"``).
+"""Whole-slice numpy chunk codegen (the ``"numpy"`` chunk language).
 
-The third chunk language: instead of iterating the
+The middle rung of the chunk ladder: instead of iterating the
 claimed flat range ``[__lo, __hi]`` one index at a time (the interpreted
 ``py`` chunk) or compiling it (the native ``c`` chunk), the numpy chunk
 evaluates the *whole slice at once* — the flat loop variable becomes
 ``np.arange(__lo, __hi + 1)`` and every statement that depends on it is
-executed as a vectorized array expression.  On compiler-less hosts this
-recovers most of the native kernel's advantage without invoking a compiler
-at all; ``resolve_chunk_lang("auto")`` falls back to it before the
-interpreted chunk.
+executed as a vectorized array expression.  A plan runs it wherever the C
+kernel is out of reach — no compiler, or a kernel that failed to build —
+and every array is float64; it recovers much of the native kernel's
+advantage without invoking a compiler at all.  The emitted text is a
+plain Python function that :func:`repro.codegen.pygen.compile_chunk_source`
+compiles like any other chunk.
 
 Vectorizing a loop body reorders execution from iteration-major to
 statement-major, so the translation refuses (``NumpyGenError``) any shape
@@ -32,17 +34,11 @@ could change results:
 
 Scalar locals assigned from lane-dependent values become lane vectors
 transparently (the emitted text is identical; numpy broadcasting does the
-rest).  Ineligible shapes simply fall back to the interpreted chunk — the
-runtime treats ``NumpyGenError`` exactly like a missing compiler.
+rest).  Ineligible shapes raise ``NumpyGenError`` and the plan steps down
+to the interpreted chunk.
 """
 
 from __future__ import annotations
-
-import functools
-import math
-from typing import Callable
-
-import numpy as np
 
 from repro.analysis.recovery import recovery_prefix, verified_rectangular_recovery
 from repro.ir.expr import ArrayRef, BinOp, Call, Const, Expr, Unary, Var
@@ -62,18 +58,6 @@ _NP_FUNCS = {
     "exp": "np.exp",
     "log": "np.log",
     "abs": "np.abs",
-}
-
-#: Names injected into the compiled chunk's globals.
-_NP_NAMESPACE = {
-    "np": np,
-    "range": range,
-    "float": float,
-    "int": int,
-    "isqrt": math.isqrt,
-    "abs": abs,
-    "min": min,
-    "max": max,
 }
 
 
@@ -351,17 +335,3 @@ def generate_chunk_numpy(
     ]
     _emit_block(loop.body, lines, 1, em)
     return "\n".join(lines) + "\n"
-
-
-@functools.lru_cache(maxsize=256)
-def compile_numpy_chunk(source: str, fname: str) -> Callable:
-    """Compile a numpy chunk's source into a callable (worker-side memo).
-
-    Mirrors :func:`repro.codegen.pygen.compile_chunk_source`: the source
-    text is what crosses the process boundary, and a persistent pool
-    worker compiles each shape exactly once.
-    """
-    namespace = dict(_NP_NAMESPACE)
-    code = compile(source, filename=f"<chunk-np:{fname}>", mode="exec")
-    exec(code, namespace)
-    return namespace[fname]

@@ -41,6 +41,8 @@ _NAMESPACE = {
     "min": min,
     "max": max,
     "range": range,
+    # The whole-slice chunk's lane vectors (:mod:`repro.codegen.npgen`).
+    "np": np,
 }
 
 
@@ -142,7 +144,8 @@ def compile_chunk_source(source: str, fname: str) -> Callable:
     """Compile a chunk function's source text into a callable.
 
     Used on the worker side of :mod:`repro.parallel` (the source string is
-    what crosses the process boundary — always picklable, spawn-safe).
+    what crosses the process boundary — always picklable, spawn-safe), for
+    the scalar chunks above and npgen's whole-slice ones alike.
     Memoized on the source text: a persistent pool worker receiving the
     same loop shape across many dispatches (one per pivot row in a hybrid
     program) compiles it exactly once.

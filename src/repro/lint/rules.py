@@ -165,9 +165,9 @@ RULE_DOCS: dict[str, RuleDoc] = {
         RULES["SPMD006"],
         "info",
         "The region calls every DOALL's C kernel through the native claim "
-        "loop.  One of them could not be bound that way — chunk_lang is "
-        "py or numpy, there is no compiler, an array is not C-contiguous "
-        "float64 — or the region unit itself failed to build or load, so "
+        "loop.  One of them could not be bound that way — there is no "
+        "compiler, an array is not C-contiguous float64, its kernel failed "
+        "to build — or the region unit itself failed to build or load, so "
         "the run keeps one dispatch per instance.",
     ),
 }

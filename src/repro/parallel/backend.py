@@ -60,10 +60,8 @@ class MPCompiledProcedure:
     always claims singly), or — the default ``"auto"`` — takes
     ``min(64, chunks // (8·active))`` chunks per claim,
     at least 1.
-    ``chunk_lang`` selects how workers execute claimed blocks — ``"c"``
-    (native ctypes kernel), ``"numpy"`` (whole-slice vectorized), ``"py"``,
-    or ``None``/``"auto"`` (C when a compiler is available, numpy
-    otherwise); faster paths degrade automatically and
+    How workers execute claimed blocks is derived by the run's plan (C
+    kernel, whole-slice numpy or Python chunk);
     ``last.chunk_lang`` reports what actually ran.  ``safety`` selects
     the chunk-safety mode (``None`` → ``"warn"``): ``"enforce"`` refuses
     unproven dispatches — they run serially, and a fully-refused run
@@ -82,7 +80,6 @@ class MPCompiledProcedure:
     timeout: float | None = None
     log_events: bool = True
     claim_batch: int | str = "auto"
-    chunk_lang: str | None = None
     safety: str | None = None
     _serial: CompiledProcedure = field(init=False, repr=False)
     last: ParallelProcedureResult | None = field(init=False, default=None)
@@ -133,7 +130,6 @@ class MPCompiledProcedure:
                 timeout=self.timeout,
                 log_events=self.log_events,
                 claim_batch=self.claim_batch,
-                chunk_lang=self.chunk_lang,
                 safety=self.safety,
             )
         except (ParallelDispatchError, ParallelTimeoutError) as exc:

@@ -185,7 +185,7 @@ def _dispatch_pool(
     results = wpool.dispatch(job, lo, hi, run.deadline)
     claim_loop = "static" if plan.rule is None else "py"
     (result,) = _assemble(results, [loop], plan.name, run.policy, claim_loop)
-    if result.chunk_lang != job.get("chunk_lang", "py"):
+    if result.chunk_lang != job["chunk_lang"]:
         # A worker degraded from the build (dlopen/bind failure): a chunk
         # fallback, like a parent-side one, and the plan is stale.
         record_lang_fallback()

@@ -49,7 +49,7 @@ class DispatchCounters:
     iterations: int = 0
     wall_s: float = 0.0
     fallbacks: int = 0
-    #: Per-chunk-language dispatch counts: "c" (native kernel), "numpy"
+    #: Dispatch counts per chunk language: "c" (native kernel), "numpy"
     #: (whole-slice vectorized chunk), "py" (interpreted chunk), "mixed"
     #: (workers of one dispatch disagreed — some dlopened the kernel,
     #: some degraded).
@@ -57,9 +57,10 @@ class DispatchCounters:
     chunk_numpy: int = 0
     chunk_py: int = 0
     chunk_mixed: int = 0
-    #: Dispatches that *wanted* the C chunk language but degraded to
-    #: Python (no compiler, codegen failure, compile failure, or a
-    #: worker-side dlopen failure).
+    #: Dispatches whose plan wanted the C kernel but ran a lower rung:
+    #: the kernel failed to build (codegen or compile), or a worker
+    #: failed to bind it.  A rung the plan derived from the host or the
+    #: dtypes — no compiler, non-float64 arrays — is not a fallback.
     chunk_fallbacks: int = 0
     #: Per-claim-protocol dispatch counts: "native" (the C fetch&add
     #: loop), "py" (the Python loop over the lock-guarded counter),
@@ -235,7 +236,7 @@ def record_fallback() -> None:
 
 
 def record_lang_fallback(count: int = 1) -> None:
-    """Count dispatches that wanted C chunks but degraded to Python."""
+    """Count dispatches whose C kernel failed to build or to bind."""
     with _DISPATCH_LOCK:
         DISPATCH.chunk_fallbacks += count
 

@@ -10,19 +10,23 @@ without a new argument.  The key (:func:`prepare`):
 
 * the procedure, by identity (IR nodes are frozen; the memo entry holds
   the procedure, so its ``id`` cannot be reused while the plan lives);
-* the safety mode, the resolved chunk language, the scalar C types and
-  the array dtypes and ranks;
+* the safety mode, the chunk language derived from the host and the
+  array dtypes (:func:`chunk_lang`), the scalar C types and the array
+  dtypes and ranks;
 * the policy (name, or name and rule), ``chunk``, the worker count and
   the requested ``claim_batch``;
 * the identity of the resolved artifact store.
 
 What a plan holds: the procedure, validated and checked for something
-dispatchable; the safety verdict, its blocked set, the speculation plans
+dispatchable; the chunk language its loops start from
+(:func:`chunk_lang`, derived from the host and the dtypes — no caller
+picks it); the safety verdict, its blocked set, the speculation plans
 and the strategy each dispatchable loop runs under (``dispatch``,
 ``reduce``, ``serial``, ``inspect``); the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
-template (chunk source, built kernel) with its one-instance region, each
+template (its rung of the chunk ladder: the built kernel, else the
+numpy or the scalar Python chunk) with its one-instance region, each
 inspected loop's native inspector, the compiled serial residues, and the
 region verdict with its job template.  Never in a plan: the report's
 certificates (each run works on its own copy), counters, results, scalar
@@ -47,13 +51,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.analysis.pdg import Reduction, recognize_reduction
-from repro.cache import artifact_key
 from repro.codegen.cgen import INSPECT_SUFFIX
 from repro.codegen.cload import _CTYPES, prefetch_claim_loop_library
 from repro.codegen.npgen import generate_chunk_numpy
 from repro.codegen.pygen import generate_chunk_source, generate_source
 from repro.ir.expr import INTRINSICS, ArrayRef, BinOp, Const, Var, min_
-from repro.ir.printer import to_source
 from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
 from repro.ir.validate import validate
 from repro.ir.visitor import stored_arrays, walk_exprs, walk_stmts
@@ -138,12 +140,22 @@ def _unproven_summary(report) -> str:
     return "; ".join(parts)
 
 
+def chunk_lang(arrays: Mapping[str, np.ndarray]) -> str:
+    """The chunk language a plan over ``arrays`` starts from: ``"c"``
+    where a compiler is on PATH, else ``"numpy"`` — both only when every
+    array is float64, what the compiled and vectorized chunks are built
+    for — else ``"py"``, the dtype-generic floor.  Each loop shape then
+    steps down from it as far as it must (:meth:`Plan._prep`)."""
+    if any(a.dtype != np.float64 for a in arrays.values()):
+        return "py"
+    return "c" if runtime.have_compiler() else "numpy"
+
+
 def prepare(
     proc: Procedure,
     arrays: Mapping[str, np.ndarray],
     scalars: Mapping[str, int | float],
     mode: str,
-    lang: str,
     policy,
     chunk: int | None,
     workers: int,
@@ -151,8 +163,9 @@ def prepare(
 ) -> "Plan":
     """The plan for this call: a memo hit, or built now (before any pool).
 
-    Building validates the procedure, checks it has something to
-    dispatch and runs the safety verdict — any of which raises here.
+    The chunk language (:func:`chunk_lang`) is part of the key; building
+    validates the procedure, checks it has something to dispatch and runs
+    the safety verdict — any of which raises here.
     Only dtypes and ranks of ``arrays`` are read, in any order, so a
     caller may ask with placeholders before it has a pool or the data;
     the run records the verdict in the metrics.
@@ -160,6 +173,7 @@ def prepare(
     from repro.cache import resolve_cache
 
     store = resolve_cache("default")
+    lang = chunk_lang(arrays)
     key = (
         id(proc), mode, lang,
         tuple(sorted((k, _kind(v)) for k, v in scalars.items())),
@@ -189,8 +203,8 @@ class _Prep:
 
     #: The lock-guarded loop's job.
     job: dict
-    #: The wanted chunk language could not be built: a chunk fallback,
-    #: counted per dispatch.
+    #: The C kernel could not be built: a chunk fallback, counted per
+    #: dispatch.
     fallback: bool = False
     #: The one-instance region (:func:`repro.parallel.region.instance_template`)
     #: a dynamic dispatch with a C kernel runs on, or None.
@@ -344,16 +358,18 @@ class Plan:
         )
 
     def _prep(self, run, proc, loop, extra, env, extra_views) -> _Prep:
-        """The job template: the Python chunk always (the net every
-        fallback lands on); the native kernel — with its one-instance
-        region — or the numpy chunk when the plan's language builds."""
-        source, fname, order = self.kernels.chunk_source(proc, loop, extra)
+        """The job template, down the ladder from the plan's language: the
+        C kernel with its one-instance region; else, or when the kernel
+        does not build, the whole-slice numpy chunk where npgen accepts
+        the body; else the scalar Python chunk.  A job carries one Python
+        chunk — for a C job the scalar one, where a worker that cannot
+        bind the kernel lands."""
+        widened = _widened(proc, extra)
         job = {
-            "source": source,
-            "fname": fname,
             "array_order": list(proc.arrays),
-            "scalar_order": order,
+            "scalar_order": list(widened.scalars),
         }
+        fallback = False
         if self.lang == "c":
             inspect = self.strategies.get(id(loop)) == "inspect"
             kernel = (
@@ -361,16 +377,22 @@ class Plan:
                 if native_layout({**run.views, **(extra_views or {})}, proc.arrays)
                 else None
             )
-            if kernel is None:
-                return _Prep(job, fallback=True)
-            job.update(kernel, chunk_lang="c")
-            return _Prep(job, native=instance_template(run, loop, kernel))
-        elif self.lang == "numpy":
-            npk = self.kernels.numpy_chunk(proc, loop, extra)
-            if npk is None:
-                return _Prep(job, fallback=True)
-            job.update(chunk_lang="numpy", np_source=npk[0], np_fname=npk[1])
-        return _Prep(job)
+            if kernel is not None:
+                job.update(kernel, chunk_lang="c")
+                job.update(_chunk(widened, loop, generate_chunk_source))
+                return _Prep(job, native=instance_template(run, loop, kernel))
+            fallback = True
+        if self.lang != "py":
+            try:
+                job.update(
+                    _chunk(widened, loop, generate_chunk_numpy, "_np"),
+                    chunk_lang="numpy",
+                )
+                return _Prep(job, fallback)
+            except Exception:  # a body npgen refuses (NumpyGenError)
+                pass
+        job.update(_chunk(widened, loop, generate_chunk_source), chunk_lang="py")
+        return _Prep(job, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -385,47 +407,28 @@ def _widened(proc: Procedure, extra: tuple[str, ...]) -> Procedure:
     )
 
 
+def _chunk(widened: Procedure, loop: Loop, generate, suffix: str = "") -> dict:
+    """The ``source``/``fname`` job keys of one Python chunk of ``loop``
+    (scalar or whole-slice: one calling convention, one chunk compiler).
+    Generated afresh per plan slot — cheaper than any cache lookup."""
+    fname = f"{widened.name}__chunk{suffix}"
+    return {"source": generate(widened, loop=loop, name=fname), "fname": fname}
+
+
 class KernelBuilder:
-    """The plan builder's kernel path: chunk sources and builds per shape.
+    """The plan builder's kernel path: C kernel builds per loop shape.
 
     Memoized by loop identity for the builder's lifetime (a plan's, or one
     server ``/compile``'s) and content-addressed in the artifact store
-    behind that — kinds ``chunk`` and ``chunk_numpy`` keyed by the printed
-    loop (variable, bounds *and* body) plus the calling convention, and
-    :func:`~repro.codegen.cload.compile_chunk_library`'s ``chunk_clib`` —
-    so a shape is generated and compiled once across runs, processes and
-    the server.  A codegen or compile failure is memoized as None: a shape
-    that cannot go native costs one attempt.
+    behind that (:func:`~repro.codegen.cload.compile_chunk_library`'s
+    ``chunk_clib``), so a shape is compiled once across runs, processes
+    and the server.  A codegen or compile failure is memoized as None: a
+    shape that cannot go native costs one attempt.
     """
 
     def __init__(self, store) -> None:
         self.store = store
         self._memo: dict = {}
-
-    def _text(self, kind, blob, proc, loop, fname, scalars, generate) -> str:
-        if self.store is None:
-            return generate()
-        key = artifact_key(
-            kind, loop=to_source(loop), name=fname, arrays=list(proc.arrays),
-            scalars=list(scalars),
-        )
-        return self.store.memo_text(key, blob, generate)
-
-    def chunk_source(
-        self, proc: Procedure, loop: Loop, extra: tuple[str, ...]
-    ) -> tuple[str, str, list[str]]:
-        """``(source, fname, scalar order)`` of the Python chunk."""
-        key = ("py", id(loop), extra)
-        hit = self._memo.get(key)
-        if hit is None:
-            widened = _widened(proc, extra)
-            fname = f"{proc.name}__chunk"
-            source = self._text(
-                "chunk", "chunk.py", proc, loop, fname, widened.scalars,
-                lambda: generate_chunk_source(widened, loop=loop),
-            )
-            hit = self._memo[key] = (source, fname, list(widened.scalars))
-        return hit
 
     def chunk_kernel(self, proc, loop, extra, env, inspect=False):
         """The C kernel as the job keys of every job that runs it, or None.
@@ -480,46 +483,26 @@ class KernelBuilder:
             "scalar_order": list(widened.scalars), "c_scalar_types": types,
         }
 
-    def numpy_chunk(self, proc, loop, extra) -> tuple[str, str] | None:
-        """``(np_source, np_fname)`` of the whole-slice numpy chunk, or
-        None (a shape :mod:`repro.codegen.npgen` refuses)."""
-        key = ("numpy", id(loop), extra)
-        if key not in self._memo:
-            widened = _widened(proc, extra)
-            fname = f"{proc.name}__chunk_np"
-            try:
-                self._memo[key] = self._text(
-                    "chunk_numpy", "chunk_np.py", proc, loop, fname,
-                    widened.scalars,
-                    lambda: generate_chunk_numpy(widened, loop=loop, name=fname),
-                ), fname
-            except Exception:
-                self._memo[key] = None
-        return self._memo[key]
-
 
 def prewarm(proc: Procedure, store) -> int:
-    """Build the chunk every loop shape of ``proc`` will run with.
+    """Build the C kernel every loop shape of ``proc`` will run with.
 
-    What the server does at ``/compile``: where a compiler is on PATH the
-    C kernel is compiled, else the numpy chunk generated — what
-    ``chunk_lang="auto"`` runs on this host — with the integer-scalar
-    signature JSON scalars decode to (for a recognized reduction, the
-    derived strip-mined loop the run dispatches), so the first ``/run``'s
-    plan finds it in the store.  Returns the number of builds warmed; a
-    shape that fails warms nothing.
+    What the server does at ``/compile``: each kernel is compiled with
+    the integer-scalar signature JSON scalars decode to (for a recognized
+    reduction, the derived strip-mined loop the run dispatches), so the
+    first ``/run``'s plan finds it in the store.  Returns the number of
+    kernels warmed — 0 without a compiler, where nothing is worth
+    keeping; a shape that fails warms nothing.
     """
+    if not runtime.have_compiler():
+        return 0
     kernels = KernelBuilder(store)
-    native = runtime.have_compiler()
     warmed = 0
     for lp in runtime._dispatchable_loops(proc.body):
         red = _reduction_plan(proc, lp)
         kproc, kloop = (proc, lp) if red is None else (red.proc, red.loop)
         env = {name: 1 for name in kproc.scalars}
-        if native:
-            warmed += kernels.chunk_kernel(kproc, kloop, (), env) is not None
-        else:
-            warmed += kernels.numpy_chunk(kproc, kloop, ()) is not None
+        warmed += kernels.chunk_kernel(kproc, kloop, (), env) is not None
     return warmed
 
 

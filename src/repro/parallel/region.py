@@ -223,8 +223,9 @@ def _build(run) -> _Template:
             else None
         )
         if kernel is None:
+            why = "its build failed" if plan.lang == "c" else f"{plan.lang} chunks"
             raise _Refused(
-                "SPMD006", f"DOALL {loop.var!r} has no C kernel ({plan.lang})"
+                "SPMD006", f"DOALL {loop.var!r} has no C kernel ({why})"
             )
         kernels.append(kernel)
     claim_so = runtime.claim_loop_library(plan.store)

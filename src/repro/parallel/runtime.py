@@ -95,18 +95,12 @@ from repro.parallel.errors import (
     SafetyVerificationError,
     WorkerCrashError,
 )
-from repro.parallel.observe import (
-    record_lang_fallback,
-    record_run,
-    record_safety,
-    record_safety_block,
-)
+from repro.parallel.observe import record_run, record_safety, record_safety_block
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.runtime import inspector
 from repro.scheduling.policies import SchedulingPolicy
 
 __all__ = [
-    "CHUNK_LANGS",
     "SAFETY_MODES",
     "ClaimEvent",
     "ParallelDispatchError",
@@ -116,8 +110,6 @@ __all__ = [
     "ParallelTimeoutError",
     "SafetyVerificationError",
     "WorkerCrashError",
-    "check_choice",
-    "resolve_chunk_lang",
     "resolve_claim_batch",
     "resolve_safety",
     "resolve_timeout",
@@ -125,41 +117,8 @@ __all__ = [
 ]
 
 
-#: The chunk languages a run may request; ``"auto"`` picks one per host.
-CHUNK_LANGS = ("auto", "py", "c", "numpy")
 #: The chunk-safety modes a run may request; none means ``"warn"``.
 SAFETY_MODES = ("off", "warn", "enforce", "speculate")
-
-
-def check_choice(name: str, value, domain: tuple[str, ...]) -> None:
-    """The one :class:`ValueError` for option ``name`` outside ``domain``."""
-    if value not in domain:
-        spelled = ", ".join(map(repr, domain[:-1]))
-        raise ValueError(
-            f"{name} must be {spelled}, or {domain[-1]!r} (got {value!r})"
-        )
-
-
-def resolve_chunk_lang(requested: str | None) -> str:
-    """Resolve a requested chunk language to what this host can run.
-
-    ``None``/``"auto"`` pick ``"c"`` when a compiler is on PATH, else
-    ``"numpy"`` — a compiler-less host runs whole-slice vectorized chunks
-    rather than the interpreted ones (shapes the numpy generator refuses
-    still degrade per-dispatch to ``"py"``).  An explicit ``"c"`` without
-    a compiler degrades to ``"numpy"`` and records a chunk fallback (the
-    run still succeeds — native chunks are an optimization, never a
-    requirement).  Anything else raises :class:`ValueError`.
-    """
-    if requested is None:
-        requested = "auto"
-    check_choice("chunk_lang", requested, CHUNK_LANGS)
-    if requested == "auto":
-        return "c" if have_compiler() else "numpy"
-    if requested == "c" and not have_compiler():
-        record_lang_fallback()
-        return "numpy"
-    return requested
 
 
 def resolve_claim_batch(requested) -> int | str:
@@ -217,7 +176,11 @@ def resolve_safety(requested: str | None) -> str:
     """
     if requested is None:
         return "warn"
-    check_choice("safety", requested, SAFETY_MODES)
+    if requested not in SAFETY_MODES:
+        raise ValueError(
+            "safety must be 'off', 'warn', 'enforce', or 'speculate' "
+            f"(got {requested!r})"
+        )
     return requested
 
 
@@ -473,7 +436,6 @@ def run_parallel_procedure(
     log_events: bool = True,
     claim_batch: int | str = "auto",
     pool: WorkerPool | None = None,
-    chunk_lang: str | None = None,
     safety: str | None = None,
     preloaded: bool = False,
 ) -> ParallelProcedureResult:
@@ -502,12 +464,12 @@ def run_parallel_procedure(
     callers that stage data into ``pool.views`` themselves and read
     results straight out of them (the binary wire transport).
 
-    ``chunk_lang`` selects how workers execute claimed blocks: ``"c"``
-    (native kernel via ctypes — the default when a compiler is available),
-    ``"numpy"`` (whole-slice vectorized — the compiler-less default),
-    ``"py"`` (generated Python), or ``None``/``"auto"``.  Faster paths
-    degrade automatically on any codegen, compile, or load failure; each
-    dispatch reports the language that actually ran in ``chunk_lang``.
+    How workers execute claimed blocks is the plan's to derive, not the
+    caller's to choose (:class:`~repro.parallel.plan.Plan`): the native C
+    kernel where a compiler is on PATH and every array is float64, else
+    the whole-slice numpy chunk where the body vectorizes, else the
+    generated Python chunk.  Each dispatch reports the language that
+    actually ran in ``chunk_lang``.
 
     ``claim_batch`` is an explicit chunks-per-critical-section count (an
     integer >= 1) or ``"auto"`` (default): unit/fixed dispatches take
@@ -534,14 +496,13 @@ def run_parallel_procedure(
     from repro.parallel.plan import prepare
 
     mode = resolve_safety(safety)
-    lang = resolve_chunk_lang(chunk_lang)
     claim_batch = resolve_claim_batch(claim_batch)
     workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
     owned = pool is None
     plan = prepare(
-        proc, arrays if owned else pool.views, scalars or {}, mode, lang,
-        policy, chunk, workers if owned else pool.workers, claim_batch,
+        proc, arrays if owned else pool.views, scalars or {}, mode, policy,
+        chunk, workers if owned else pool.workers, claim_batch,
     )
     if plan.report is not None:
         record_safety(plan.report)

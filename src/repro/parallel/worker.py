@@ -8,19 +8,23 @@ source text (strings cross process boundaries under both fork and spawn)
 and cached by source, so a loop shape dispatched many times — one
 dispatch per pivot row in a hybrid program — is compiled once.
 
-Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``):
+Chunk bodies execute in one of three *languages* (``job["chunk_lang"]``,
+derived by the parent's plan, never chosen by a caller):
 
-* ``"py"`` — the generated Python chunk function
-  (:func:`repro.codegen.pygen.compile_chunk_source`), always present in
-  the job as the safety net;
 * ``"c"`` — a native kernel: the job carries a content-addressed ``.so``
   path and the kernel's thunk name; the worker dlopens it once per shape
   and runs it directly on its shared-memory array views
   (``ndarray.ctypes`` pointers — zero copies);
 * ``"numpy"`` — the whole-slice vectorized chunk
-  (:func:`repro.codegen.npgen.compile_numpy_chunk`): the claimed flat
-  range executes as one ``np.arange`` evaluation — the compiler-less
-  fast path.
+  (:func:`repro.codegen.npgen.generate_chunk_numpy`): the claimed flat
+  range executes as one ``np.arange`` evaluation;
+* ``"py"`` — the scalar Python chunk
+  (:func:`repro.codegen.pygen.generate_chunk_source`).
+
+Every job carries exactly one Python chunk, ``source``/``fname`` — the
+numpy one on a numpy job, the scalar one otherwise (on a C job, the net
+for a worker that cannot bind the kernel) — and one chunk compiler,
+:func:`repro.codegen.pygen.compile_chunk_source`, handles both kinds.
 
 Every language runs the paper's protocol — fetch&add a chunk (or a
 *batch* of chunks) from the shared counter, execute the claimed flat
@@ -43,7 +47,7 @@ counter (:mod:`repro.parallel.counter` says why):
   compiler-less hosts, and a job the native protocol sent back): a
   ``while`` loop around the lock-guarded
   :meth:`~repro.parallel.counter.SharedClaimCounter.claim_batch`.  Here a
-  failure to load the C or numpy chunk degrades this worker to the Python
+  failure to bind the C kernel degrades this worker to the job's Python
   chunk for the dispatch, reported back as ``lang="py"``.  Static plans
   skip the counter and walk a precomputed chunk list.
 
@@ -108,22 +112,18 @@ def _make_invoker(
     Returns ``(invoke, lang)`` where ``lang`` is the chunk language
     actually bound — ``"c"`` only when the kernel's thunk loaded and
     every array qualifies for the zero-copy call convention; otherwise
-    the Python chunk (the job always carries its source).
+    the job's Python chunk, reported as the job's language — ``"py"``
+    for a C job a worker could not bind.
     """
-    lang, fn = job.get("chunk_lang", "py"), None
-    try:
-        if lang == "c":
+    lang = job["chunk_lang"]
+    if lang == "c":
+        try:
             _, address = cload.load_chunk_thunk(job["c_so"], job["c_thunk"])
             fn, args = _THUNK(address), (_argv_slots(job, arrays),)
-        elif lang == "numpy":
-            from repro.codegen.npgen import compile_numpy_chunk
-
-            fn = compile_numpy_chunk(job["np_source"], job["np_fname"])
-    except Exception:
-        fn = None  # degrade to the Python chunk; the parent sees lang="py"
-    if fn is None:
-        lang, fn = "py", compile_chunk_source(job["source"], job["fname"])
+        except Exception:
+            lang = "py"  # degrade to the Python chunk; the parent sees it
     if lang != "c":
+        fn = compile_chunk_source(job["source"], job["fname"])
         args = (
             *[arrays[n] for n in job["array_order"]],
             *[job["scalars"][n] for n in job["scalar_order"]],
@@ -256,9 +256,9 @@ def run_plan(
     nothing else; every other job runs the Python loop below — the
     portable floor — and reports one instance of loop 0.
 
-    ``job`` keys: ``source``/``fname`` (Python chunk function),
-    ``chunk_lang`` plus ``c_so``/``c_thunk``/``c_scalar_types`` (native
-    kernel, optional), ``np_source``/``np_fname`` (numpy chunk, optional),
+    ``job`` keys: ``chunk_lang``, ``source``/``fname`` (the Python chunk
+    function, scalar or whole-slice), ``c_so``/``c_thunk``/
+    ``c_scalar_types`` (native kernel, C jobs only),
     ``array_order``/``scalar_order``/``scalars`` (call convention),
     ``plan`` (:class:`repro.parallel.counter.PolicyPlan`), ``lo``/``hi``
     (loop bounds), ``batch`` (chunks per claim), ``log_events``.

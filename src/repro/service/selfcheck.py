@@ -4,9 +4,9 @@
 with a throwaway cache, then drives it through the client exactly like a
 real deployment: health check, compile a kernel twice (the second must be
 served from the artifact cache and, with a compiler on PATH, must report
-pre-warmed native chunk kernels), run it on the mp backend — once with
-``chunk_lang="c"`` when a compiler is available (asserting the native
-kernel path actually engaged) — verify every served result
+pre-warmed native chunk kernels), run it on the mp backend — asserting,
+when a compiler is available, that the plan derived the native kernel
+and claim loop — verify every served result
 bit-for-bit against a local serial run, round-trip ``POST /lint``
 on a clean kernel and a seeded-race program (asserting the RACE001
 verdict comes back), and round-trip a ``safety="speculate"`` run on a
@@ -117,20 +117,11 @@ def main() -> int:
                 "served mp result diverged from local serial"
             )
 
-            lang = "py"
+            lang = out["chunk_lang"]
             if have_compiler():
-                B2 = np.zeros_like(A)
-                native = client.run(
-                    first["key"], {"A": A, "B": B2},
-                    {"n": N, "m": M}, workers=2, backend="mp",
-                    chunk_lang="c",
-                )
-                assert native["chunk_lang"] == "c", native
-                assert native["claim_loop"] == "native", native
-                assert np.array_equal(native["arrays"]["B"], expected_B), (
-                    "served native-chunk result diverged from local serial"
-                )
-                lang = native["chunk_lang"]
+                # float64 arrays on a host with gcc: the native rung.
+                assert lang == "c", out
+                assert out["claim_loop"] == "native", out
 
             # safety=speculate round trip: H is both written and read, so
             # the inspector cannot decide the loop, the plan refuses it,

@@ -89,9 +89,6 @@ from repro.parallel.observe import (
 from repro.parallel.plan import prepare, prewarm
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.runtime import (
-    CHUNK_LANGS,
-    check_choice,
-    resolve_chunk_lang,
     resolve_claim_batch,
     resolve_safety,
     resolve_timeout,
@@ -499,7 +496,7 @@ class ReproServer(AccountingHTTPServer):
                     f"Content-Type: {wire.CONTENT_TYPE}",
                 )
             scalars = _decode_scalars(body.get("scalars"), proc)
-            backend, workers, run_kwargs = _run_options(body, program, arrays)
+            backend, workers, run_kwargs = _run_options(body, program)
             pool = None
             try:
                 leases = backend == "mp" and not _refused(
@@ -632,15 +629,15 @@ def _refused(proc, arrays, scalars, run_kwargs) -> bool:
     kw = run_kwargs
     try:
         plan = prepare(
-            proc, arrays, scalars, kw["safety"], kw["chunk_lang"],
-            kw["policy"], kw["chunk"], kw["workers"], kw["claim_batch"],
+            proc, arrays, scalars, kw["safety"], kw["policy"], kw["chunk"],
+            kw["workers"], kw["claim_batch"],
         )
     except ParallelDispatchError:
         return True
     return plan.refusal is not None
 
 
-def _run_options(body, program, arrays) -> tuple[str, int, dict]:
+def _run_options(body, program) -> tuple[str, int, dict]:
     """``(backend, workers, run_parallel_procedure keywords)`` of a run."""
     backend = body.get("backend", program.backend)
     if backend not in BACKENDS:
@@ -651,7 +648,7 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         workers = resolve_workers(body.get("workers", 4))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from None
-    for retired in ("variants", "calibrate", "shm_arrays"):
+    for retired in ("variants", "calibrate", "shm_arrays", "chunk_lang"):
         if retired in body:
             raise RequestError(400, f"{retired!r} is not a /run option")
     policy, chunk = body.get("policy", "gss"), body.get("chunk")
@@ -661,31 +658,17 @@ def _run_options(body, program, arrays) -> tuple[str, int, dict]:
         resolve_policy(policy if isinstance(policy, str) else repr(policy))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
-    chunk_lang = body.get("chunk_lang", "auto")
     try:
         timeout = resolve_timeout(body.get("timeout"))
         claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
-        check_choice("chunk_lang", chunk_lang, CHUNK_LANGS)
         safety = resolve_safety(body.get("safety"))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
-    if chunk_lang != "py" and any(
-        a.dtype != np.float64 for a in arrays.values()
-    ):
-        # The compiled chunks (C kernels, numpy slice chunks)
-        # are built for float64; any other served dtype takes the
-        # interpreted chunk floor, which is dtype-generic.
-        chunk_lang = "py"
-    if backend == "mp":
-        # What the run will use, so a plan asked for before the run
-        # (:func:`_refused`) is the one the run meets.
-        chunk_lang = resolve_chunk_lang(chunk_lang)
     return backend, workers, dict(
         workers=workers,
         policy=policy,
         chunk=chunk,
         claim_batch=claim_batch,
-        chunk_lang=chunk_lang,
         timeout=timeout,
         log_events=bool(body.get("log_events", False)),
         safety=safety,

@@ -64,19 +64,6 @@ class TestRoundTrip:
         assert entry.meta["kind"] == "test"
         assert entry.files == {"x": 4}
 
-    def test_memo_text(self, tmp_path):
-        store = ArtifactCache(tmp_path)
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return "made"
-
-        k = key_of(2)
-        assert store.memo_text(k, "f.txt", produce) == "made"
-        assert store.memo_text(k, "f.txt", produce) == "made"
-        assert len(calls) == 1
-
     def test_put_is_idempotent_and_race_safe(self, tmp_path):
         store = ArtifactCache(tmp_path)
         k = key_of(3)

@@ -29,7 +29,7 @@ STICKY_KERNEL = KERNEL.replace("0.5", "0.25")
 
 BIG = 1_048_576
 
-RUN = dict(workers=2, backend="mp", chunk_lang="numpy")
+RUN = dict(workers=2, backend="mp")
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +255,19 @@ class TestFrontDoorSafety:
         assert repr(field) in str(err.value)
         assert len(supervisor.alive_handles()) == 2
         assert client.healthz()["status"] == "ok"
+
+    def test_chunk_lang_is_a_400_through_the_router(self, cluster):
+        # The chunk language is derived by each replica's plan, never
+        # requested: the retired field is refused, as a lone server does.
+        client, _, supervisor = cluster
+        key = client.compile(KERNEL, backend="mp")["key"]
+        rng = np.random.default_rng(23)
+        body = ServiceClient.run_body(
+            key, {"X": rng.random(17), "Y": rng.random(17)}, {"n": 16},
+            chunk_lang="c", **RUN,
+        )
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/run", body)
+        assert err.value.status == 400
+        assert "'chunk_lang' is not a /run option" in str(err.value)
+        assert len(supervisor.alive_handles()) == 2

@@ -32,3 +32,13 @@ def _fresh_plans():
     from repro.parallel.plan import drop_plans
 
     drop_plans()
+
+
+@pytest.fixture
+def compilerless(monkeypatch):
+    """A host without a C compiler, as the runtime sees it: plans run the
+    whole-slice numpy chunk where npgen accepts the body, else the
+    scalar Python chunk."""
+    from tests.parallel import pin_chunk_lang
+
+    pin_chunk_lang(monkeypatch, "numpy")

@@ -328,6 +328,16 @@ class TestMPBackendCLI:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_chunk_lang_flag_is_gone(self, capsys):
+        # The chunk language is derived from the host and the dtypes.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--workload", "saxpy2d", "--run", "--backend", "mp",
+                "--chunk-lang", "py",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-1", "2.7", "two"])
     def test_workers_must_be_a_positive_integer(self, value, capsys):
         # A count the run cannot honour is refused before anything runs,

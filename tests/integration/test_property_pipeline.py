@@ -209,6 +209,7 @@ def test_property_hybrid_nest_every_path_agrees(data, seed):
     from repro.parallel import run_parallel_procedure
     from repro.runtime.equivalence import copy_env, random_env
     from repro.runtime.interp import run
+    from tests.parallel import pin_chunk_lang
 
     if not have_compiler():
         pytest.skip("no gcc on PATH")
@@ -229,10 +230,12 @@ def test_property_hybrid_nest_every_path_agrees(data, seed):
             counts = {}
             for lang in ("py", "c"):
                 got = copy_env(env)
-                result = run_parallel_procedure(
-                    p, got, scalars, workers=workers, chunk_lang=lang,
-                    safety=safety, timeout=60.0,
-                )
+                with pytest.MonkeyPatch.context() as patch:
+                    pin_chunk_lang(patch, lang)
+                    result = run_parallel_procedure(
+                        p, got, scalars, workers=workers, safety=safety,
+                        timeout=60.0,
+                    )
                 assert agrees(got), (safety, workers, lang)
                 counts[lang] = [
                     (d.loop_var, d.lo, d.hi, d.claims, d.lock_ops)

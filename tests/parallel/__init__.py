@@ -19,3 +19,16 @@ def own_segments() -> list[str]:
     """
     tag = f"-{os.getpid()}-"
     return [name for name in leaked_segments() if tag in name]
+
+
+def pin_chunk_lang(monkeypatch, lang: str) -> None:
+    """Make every plan made from here on start from chunk language
+    ``lang`` on float64 arrays: ``"c"`` as the host stands, ``"numpy"``
+    with the compiler hidden (the ``compilerless`` fixture), ``"py"`` as
+    the plan derives for any other dtype."""
+    if lang == "numpy":
+        monkeypatch.setattr(
+            "repro.parallel.runtime.have_compiler", lambda cc="gcc": False
+        )
+    elif lang == "py":
+        monkeypatch.setattr("repro.parallel.plan.chunk_lang", lambda arrays: "py")

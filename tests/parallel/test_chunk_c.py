@@ -1,16 +1,17 @@
 """Native C chunk kernels: equivalence, fallback ladder, and caching.
 
-The mp runtime's workers can execute claimed blocks through a compiled C
-kernel (``chunk_lang="c"``) instead of the generated Python chunk.  These
-tests pin the contract:
+Where gcc is on PATH and every array is float64, a plan runs claimed
+blocks through a compiled C kernel (``chunk_lang == "c"``) instead of a
+generated Python chunk.  These tests pin the contract:
 
 * bit-for-bit equivalence: mp-with-C == mp-with-Python == serial pygen on
   rectangular (matmul, saxpy2d), hybrid (Gauss–Jordan), and triangular
   nests;
-* the fallback ladder: no compiler, codegen failure, or compile failure
-  all degrade to Python chunks — the run still succeeds and the
-  degradation is visible in ``result.chunk_lang`` and the metrics
-  counters;
+* the ladder: no compiler, a codegen failure or a compile failure lands
+  on the whole-slice numpy chunk where npgen accepts the body, else on
+  the scalar Python chunk; non-float64 arrays run the Python chunk.  The
+  run still succeeds, ``result.chunk_lang`` shows the rung, and only a
+  failed build or bind counts as a chunk fallback;
 * caching: one gcc invocation per kernel shape (content-addressed
   library), one dlopen per shape per process (``load_chunk_kernel``);
 * codegen: coalesced rectangular recovery strength-reduces (odometer
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.doall import mark_doall
+from repro.api import transform_function
 from repro.codegen.cgen import (
     CGenError,
     NAIVE_MARKER,
@@ -39,11 +41,13 @@ from repro.codegen.cload import (
 from repro.codegen.pygen import compile_procedure
 from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
+from repro.parallel.backend import MPCompiledProcedure
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import resolve_chunk_lang
+from repro.parallel.plan import chunk_lang
+from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import run_one
+from tests.parallel import pin_chunk_lang, run_one
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -59,6 +63,16 @@ def _assert_bit_for_bit(baseline, arrays):
     for name in baseline:
         np.testing.assert_array_equal(baseline[name], arrays[name])
 
+
+FILL_SOURCE = """
+procedure fill(A[2]; n, m)
+  doall i = 1, n
+    doall j = 1, m
+      A(i, j) := i * 1000 + j
+    end
+  end
+end
+"""
 
 TRI_SOURCE = """
 procedure tri(A[2]; n)
@@ -76,7 +90,7 @@ class TestEquivalence:
 
     @needs_gcc
     @pytest.mark.parametrize("name", ("matmul", "saxpy2d"))
-    def test_rectangular_workloads(self, name):
+    def test_rectangular_workloads(self, name, monkeypatch):
         w = get_workload(name)
         proc, _ = coalesce_procedure(w.proc)
         arrays_c, sc, baseline = _serial_baseline(w, seed=11)
@@ -85,12 +99,9 @@ class TestEquivalence:
         for k in arrays_c:
             np.testing.assert_array_equal(arrays_c[k], arrays_py[k])
 
-        r_c = run_one(
-            proc, arrays_c, sc, workers=3, chunk_lang="c"
-        )
-        r_py = run_one(
-            proc, arrays_py, sc, workers=3, chunk_lang="py"
-        )
+        r_c = run_one(proc, arrays_c, sc, workers=3)
+        pin_chunk_lang(monkeypatch, "py")
+        r_py = run_one(proc, arrays_py, sc, workers=3)
         assert r_c.chunk_lang == "c"
         assert r_py.chunk_lang == "py"
         _assert_bit_for_bit(baseline, arrays_c)
@@ -101,9 +112,7 @@ class TestEquivalence:
         w = get_workload("gauss_jordan")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=5)
-        result = run_parallel_procedure(
-            proc, arrays, sc, workers=3, chunk_lang="c"
-        )
+        result = run_parallel_procedure(proc, arrays, sc, workers=3)
         assert result.chunk_lang == "c"
         assert len(result.dispatches) > 1  # one per pivot row
         _assert_bit_for_bit(baseline, arrays)
@@ -117,9 +126,7 @@ class TestEquivalence:
         arrays = {"A": np.zeros((n + 1, n + 1))}
         baseline = {"A": np.zeros((n + 1, n + 1))}
         compile_procedure(proc).run(baseline, {"n": n})
-        result = run_one(
-            coalesced, arrays, {"n": n}, workers=3, chunk_lang="c"
-        )
+        result = run_one(coalesced, arrays, {"n": n}, workers=3)
         assert result.chunk_lang == "c"
         _assert_bit_for_bit(baseline, arrays)
 
@@ -130,7 +137,6 @@ class TestEquivalence:
         arrays, sc, baseline = _serial_baseline(w, seed=2)
         result = run_one(
             proc, arrays, sc, workers=3, policy="unit", claim_batch=4,
-            chunk_lang="c",
         )
         assert result.chunk_lang == "c"
         assert result.lock_ops < result.claims
@@ -140,34 +146,73 @@ class TestEquivalence:
 class TestFallbackLadder:
     """Every failure mode lands on a slower chunk language, run succeeding."""
 
-    def test_no_compiler_resolves_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.runtime.have_compiler", lambda cc="gcc": False
-        )
-        assert resolve_chunk_lang(None) == "numpy"
-        assert resolve_chunk_lang("auto") == "numpy"
-        before = DISPATCH.chunk_fallbacks
-        assert resolve_chunk_lang("c") == "numpy"
-        assert DISPATCH.chunk_fallbacks == before + 1
+    def test_no_compiler_resolves_to_numpy(self, compilerless):
+        assert chunk_lang({"A": np.zeros(4)}) == "numpy"
 
     def test_invalid_lang_rejected(self):
-        with pytest.raises(ValueError, match="chunk_lang"):
-            resolve_chunk_lang("fortran")
+        # The chunk language is derived, never requested: any value of
+        # the retired option is an unknown keyword.
+        proc = mark_doall(parse(TRI_SOURCE))
+        with pytest.raises(TypeError, match="chunk_lang"):
+            run_parallel_procedure(
+                proc, {"A": np.zeros((4, 4))}, {"n": 3}, chunk_lang="fortran"
+            )
+        with pytest.raises(TypeError, match="chunk_lang"):
+            MPCompiledProcedure(proc, chunk_lang="c")
+        with pytest.raises(TypeError, match="chunk_lang"):
+            transform_function(
+                "def f(A, n):\n    for i in range(1, n + 1):\n"
+                "        A[i] = 1.0\n",
+                backend="mp", chunk_lang="py",
+            )
 
-    def test_no_compiler_run_degrades(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.runtime.have_compiler", lambda cc="gcc": False
-        )
+    def test_no_compiler_run_degrades(self, compilerless):
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
-        result = run_one(
-            proc, arrays, sc, workers=2, chunk_lang="c"
-        )
-        # No compiler: the run degrades to the vectorized numpy chunk
-        # (saxpy2d passes the vectorization rules), never fails.
+        before = DISPATCH.chunk_fallbacks
+        result = run_one(proc, arrays, sc, workers=2)
+        # No compiler: the plan derives the vectorized numpy chunk
+        # (saxpy2d passes the vectorization rules) — a rung, not a
+        # fallback — and the run never fails.
         assert result.chunk_lang == "numpy"
+        assert DISPATCH.chunk_fallbacks == before
         _assert_bit_for_bit(baseline, arrays)
+
+    def test_int64_arrays_run_py_chunks_without_a_fallback(self):
+        # The compiled and vectorized chunks are built for float64; any
+        # other dtype derives the dtype-generic Python chunk, which is the
+        # plan's choice, not a failure.
+        proc, _ = coalesce_procedure(mark_doall(parse(FILL_SOURCE)))
+        n, m = 9, 7
+        arrays = {"A": np.zeros((n + 1, m + 1), dtype=np.int64)}
+        want = {"A": arrays["A"].copy()}
+        Interpreter().run(proc, want, {"n": n, "m": m})
+        before = DISPATCH.chunk_fallbacks
+        result = run_one(proc, arrays, {"n": n, "m": m}, workers=2)
+        assert result.chunk_lang == "py"
+        assert DISPATCH.chunk_fallbacks == before
+        assert arrays["A"].dtype == np.int64
+        np.testing.assert_array_equal(arrays["A"], want["A"])
+
+    @needs_gcc
+    def test_failed_kernel_build_runs_numpy(self, monkeypatch):
+        # A gcc host whose kernel build fails steps down one rung, to the
+        # whole-slice numpy chunk — not to the scalar Python chunk.
+        def boom(*args, **kwargs):
+            raise OSError("injected: the kernel does not build")
+
+        monkeypatch.setattr("repro.parallel.runtime.compile_chunk_library", boom)
+        w = get_workload("saxpy2d")
+        proc, _ = coalesce_procedure(w.proc)
+        arrays, sc = make_env(w, seed=6)
+        want = {k: v.copy() for k, v in arrays.items()}
+        Interpreter().run(w.proc, want, sc)
+        before = DISPATCH.chunk_fallbacks
+        result = run_one(proc, arrays, sc, workers=2)
+        assert result.chunk_lang == "numpy"
+        assert DISPATCH.chunk_fallbacks == before + 1
+        _assert_bit_for_bit(want, arrays)
 
     @needs_gcc
     def test_codegen_failure_degrades(self, monkeypatch):
@@ -179,10 +224,8 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
         before = DISPATCH.chunk_fallbacks
-        result = run_one(
-            proc, arrays, sc, workers=2, chunk_lang="c"
-        )
-        assert result.chunk_lang == "py"
+        result = run_one(proc, arrays, sc, workers=2)
+        assert result.chunk_lang == "numpy"  # the rung below the kernel
         assert DISPATCH.chunk_fallbacks > before
         _assert_bit_for_bit(baseline, arrays)
 
@@ -196,10 +239,8 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=4)
         before = DISPATCH.chunk_fallbacks
-        result = run_one(
-            proc, arrays, sc, workers=2, chunk_lang="c"
-        )
-        assert result.chunk_lang == "py"
+        result = run_one(proc, arrays, sc, workers=2)
+        assert result.chunk_lang == "numpy"  # the rung below the kernel
         assert DISPATCH.chunk_fallbacks > before
         _assert_bit_for_bit(baseline, arrays)
 
@@ -215,10 +256,8 @@ class TestFallbackLadder:
         w = get_workload("gauss_jordan")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, _ = _serial_baseline(w, seed=0)
-        result = run_parallel_procedure(
-            proc, arrays, sc, workers=2, chunk_lang="c"
-        )
-        assert result.chunk_lang == "py"
+        result = run_parallel_procedure(proc, arrays, sc, workers=2)
+        assert "c" not in {d.chunk_lang for d in result.dispatches}
         # Hybrid Gauss–Jordan dispatches once per pivot row, but the
         # failed shape is memoized: one codegen attempt per distinct
         # (loop, scalar-types) key, not one per dispatch.
@@ -230,7 +269,7 @@ class TestFallbackLadder:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, _ = _serial_baseline(w, seed=9)
         before = DISPATCH.chunk_c
-        run_one(proc, arrays, sc, workers=2, chunk_lang="c")
+        run_one(proc, arrays, sc, workers=2)
         assert DISPATCH.chunk_c > before
         assert "chunk_lang" in DISPATCH.as_dict()
 
@@ -267,7 +306,7 @@ class TestKernelCaching:
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=3)
         source = generate_chunk_c(proc)
-        run_one(proc, arrays, sc, workers=2, chunk_lang="c")
+        run_one(proc, arrays, sc, workers=2)
         # The runtime's compile of the same shape must hit the artifact
         # cache entry the dispatch above published.
         _, hit = compile_chunk_library(source, f"{proc.name}__chunk")

@@ -1,11 +1,12 @@
 """Every chunk language is bit-identical to serial, on every nest shape.
 
-``chunk_lang`` picks what workers run for a claimed block: the C kernel
+A plan derives what workers run for a claimed block: the C kernel
 (``-O2``), the whole-slice numpy chunk or the generated Python chunk.
-Each is forced here on rectangular nests (matmul, saxpy2d), the hybrid
-Gauss–Jordan program and a triangular nest, and must leave the caller's
-arrays exactly as the serial build does.  A compiler-less host runs the
-``c`` cases too: they degrade to numpy, and bit-identity still holds.
+Each rung is pinned here (:func:`tests.parallel.pin_chunk_lang`) on
+rectangular nests (matmul, saxpy2d), the hybrid Gauss–Jordan program and
+a triangular nest, and must leave the caller's arrays exactly as the
+serial build does.  A compiler-less host runs the ``c`` cases too: they
+start from numpy, and bit-identity still holds.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import run_one
+from tests.parallel import pin_chunk_lang, run_one
 
 LANGS = ("c", "numpy", "py")
 
@@ -45,46 +46,43 @@ def _assert_bit_for_bit(baseline, arrays):
 
 
 def _ran(lang: str) -> str:
-    """The language a forced ``lang`` runs in on this host."""
+    """The language a pinned ``lang`` runs in on this host."""
     return "numpy" if lang == "c" and not have_compiler() else lang
 
 
 @pytest.mark.parametrize("lang", LANGS)
 @pytest.mark.parametrize("workload", ("matmul", "saxpy2d"))
-def test_rectangular(workload, lang):
+def test_rectangular(workload, lang, monkeypatch):
+    pin_chunk_lang(monkeypatch, lang)
     w = get_workload(workload)
     proc, _ = coalesce_procedure(w.proc)
     arrays, sc, baseline = _serial_baseline(w, seed=11)
-    result = run_one(
-        proc, arrays, sc, workers=2, policy="unit", chunk_lang=lang,
-    )
+    result = run_one(proc, arrays, sc, workers=2, policy="unit")
     _assert_bit_for_bit(baseline, arrays)
-    assert result.chunk_lang == _ran(lang)  # the forced language ran
+    assert result.chunk_lang == _ran(lang)  # the pinned language ran
 
 
 @pytest.mark.parametrize("lang", LANGS)
-def test_hybrid_gauss_jordan(lang):
+def test_hybrid_gauss_jordan(lang, monkeypatch):
+    pin_chunk_lang(monkeypatch, lang)
     w = get_workload("gauss_jordan")
     proc, _ = coalesce_procedure(w.proc)
     arrays, sc, baseline = _serial_baseline(w, seed=2)
-    result = run_parallel_procedure(
-        proc, arrays, sc, workers=2, policy="unit", chunk_lang=lang,
-    )
+    result = run_parallel_procedure(proc, arrays, sc, workers=2, policy="unit")
     assert result.dispatches
     _assert_bit_for_bit(baseline, arrays)
 
 
 @pytest.mark.parametrize("lang", LANGS)
-def test_triangular(lang):
+def test_triangular(lang, monkeypatch):
+    pin_chunk_lang(monkeypatch, lang)
     proc0 = parse(TRI_SOURCE)
     proc, _ = coalesce_procedure(proc0, triangular=True)
     n = 13
     baseline = {"A": np.zeros((n + 1, n + 1))}
     compile_procedure(proc0).run(baseline, {"n": n})
     arrays = {"A": np.zeros((n + 1, n + 1))}
-    result = run_one(
-        proc, arrays, {"n": n}, workers=2, policy="unit", chunk_lang=lang,
-    )
+    result = run_one(proc, arrays, {"n": n}, workers=2, policy="unit")
     _assert_bit_for_bit(baseline, arrays)
-    # npgen refuses the triangular recovery: numpy degrades to py.
+    # npgen refuses the triangular recovery: numpy steps down to py.
     assert result.chunk_lang in (_ran(lang), "py")

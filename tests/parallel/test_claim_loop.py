@@ -33,7 +33,7 @@ from repro.transforms import coalesce_procedure, fission_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import dot_product, get_workload, make_env
 from repro.workloads.shapes import IRREGULAR_WORKLOADS
-from tests.parallel import own_segments, run_one
+from tests.parallel import own_segments, pin_chunk_lang, run_one
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -120,11 +120,12 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
     runs = {}
     for lang in ("c", "py"):
         arrays = {"A": np.zeros(SPAN)}
-        result = run_parallel_procedure(
-            INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
-            policy=policy, chunk=chunk, claim_batch=batch, safety="off",
-            chunk_lang=lang,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            pin_chunk_lang(patch, lang)
+            result = run_parallel_procedure(
+                INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
+                policy=policy, chunk=chunk, claim_batch=batch, safety="off",
+            )
         (d,) = result.dispatches
         protocol = "static" if static else "native" if lang == "c" else "py"
         assert (d.claim_loop, d.chunk_lang) == (protocol, lang)
@@ -223,10 +224,12 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
             runs = {}
             for lang in ("c", "py"):
                 got = {k: v.copy() for k, v in arrays.items()}
-                runs[lang] = run_parallel_procedure(
-                    proc, got, sc, pool=pool, policy=policy, chunk=chunk,
-                    claim_batch=4, chunk_lang=lang,
-                )
+                with pytest.MonkeyPatch.context() as patch:
+                    pin_chunk_lang(patch, lang)
+                    runs[lang] = run_parallel_procedure(
+                        proc, got, sc, pool=pool, policy=policy, chunk=chunk,
+                        claim_batch=4,
+                    )
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (lang, policy, k)
             native, py = runs["c"], runs["py"]
@@ -255,20 +258,23 @@ def test_proven_dynamic_dispatch_is_native():
 
 
 @needs_gcc
-def test_other_paths_keep_the_python_loop():
+def test_other_paths_keep_the_python_loop(monkeypatch):
     w = get_workload("saxpy2d")
     proc, _ = coalesce_procedure(w.proc)
     want = make_env(w, seed=1)[0]
     Interpreter().run(w.proc, want, make_env(w, seed=1)[1])
 
-    def run(**kwargs):
+    def run(lang="c", **kwargs):
         arrays, sc = make_env(w, seed=1)
-        result = run_one(proc, arrays, sc, workers=2, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            pin_chunk_lang(patch, lang)
+            result = run_one(proc, arrays, sc, workers=2, **kwargs)
         assert all(np.array_equal(arrays[k], want[k]) for k in want)
+        assert result.chunk_lang == lang
         return result
 
-    assert run(chunk_lang="numpy").claim_loop == "py"
-    assert run(chunk_lang="py").claim_loop == "py"
+    assert run("numpy").claim_loop == "py"
+    assert run("py").claim_loop == "py"
     static = run(policy="static")
     assert (static.claim_loop, static.chunk_lang) == ("static", "c")
     assert static.lock_ops == 0
@@ -441,10 +447,10 @@ def test_lazy_events(monkeypatch, lang):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(runtime, "ClaimEvent", CountingEvent)
+    pin_chunk_lang(monkeypatch, lang)
     proc, arrays, sc, _ = _saxpy_case()
     d = run_one(
         proc, arrays, sc, workers=2, policy="fixed", chunk=7, claim_batch=3,
-        chunk_lang=lang,
     )
     assert d.claim_loop == ("native" if lang == "c" else "py")
     assert not built, "ClaimEvents were built before anyone read them"
@@ -460,9 +466,7 @@ def test_lazy_events(monkeypatch, lang):
     )
     for e in events:
         assert 0.0 <= e.t_claim <= e.t_work <= e.t_end <= d.wall_time
-    no_log = run_one(
-        proc, arrays, sc, workers=2, chunk_lang=lang, log_events=False
-    )
+    no_log = run_one(proc, arrays, sc, workers=2, log_events=False)
     assert no_log.events == [] and no_log.claims > 0
 
 
@@ -471,9 +475,8 @@ def test_lazy_events(monkeypatch, lang):
 # ---------------------------------------------------------------------------
 
 
-def test_no_compiler_means_python_loop(monkeypatch):
+def test_no_compiler_means_python_loop(monkeypatch, compilerless):
     calls = []
-    monkeypatch.setattr(runtime, "have_compiler", lambda cc="gcc": False)
     monkeypatch.setattr(
         cload, "_compile_into", lambda *a, **k: calls.append(a) or 1 / 0
     )

@@ -1,20 +1,21 @@
-"""Whole-slice numpy chunk kernels (``chunk_lang="numpy"``).
+"""Whole-slice numpy chunks (the ``"numpy"`` chunk language).
 
-The compiler-less-host chunk language: workers execute claimed flat-index blocks
+The rung below the C kernel: workers execute claimed flat-index blocks
 as vectorized numpy slice assignments instead of interpreted per-iteration
-chunks.  These tests pin the contract:
+chunks.  These tests pin the contract (on a host the ``compilerless``
+fixture hides gcc from):
 
 * bit-for-bit equivalence with the serial interpreter on every shape the
   generator accepts (rectangular recoveries, stencils with nested affine
   subscripts), with ``result.chunk_lang == "numpy"`` proving the vectorized
   path actually ran;
-* hybrid programs degrade per-dispatch: Gauss–Jordan's pivot-row shapes
-  refuse vectorization (loop-carried reads), fall back to ``py``, count a
-  fallback — and the run still matches serial exactly;
+* hybrid programs step down per dispatch: Gauss–Jordan's pivot-row shapes
+  refuse vectorization (loop-carried reads) and run ``py`` — the ladder,
+  not a fallback — and the run still matches serial exactly;
 * refusals are loud at the codegen layer (``NumpyGenError`` for gather /
   scatter subscripts) and quiet at the dispatch layer;
-* ``chunk_lang`` auto-resolution prefers numpy over py when no C compiler
-  is on PATH.
+* the derived language prefers numpy over py when no C compiler is on
+  PATH.
 """
 
 import numpy as np
@@ -24,10 +25,25 @@ from repro.codegen.npgen import NumpyGenError, generate_chunk_numpy
 from repro.codegen.pygen import compile_procedure
 from repro.parallel import run_parallel_procedure
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import resolve_chunk_lang
+from repro.parallel.plan import chunk_lang
+from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
-from repro.workloads import get_workload, make_env
+from repro.workloads import WORKLOADS, get_workload, make_env
 from tests.parallel import run_one
+
+
+#: What each registry workload's dispatches run without a compiler: numpy
+#: where npgen accepts the dispatched loop, py elsewhere (calc_pi's
+#: derived reduction loop, floyd's relaxation, gauss_jordan's pivot row).
+COMPILERLESS_LANGS = {
+    "matmul": {"numpy"},
+    "saxpy2d": {"numpy"},
+    "jacobi2d": {"numpy"},
+    "stencil3d": {"numpy"},
+    "calc_pi": {"py"},
+    "floyd": {"py"},
+    "gauss_jordan": {"numpy", "py"},
+}
 
 
 def _serial_baseline(workload, seed=0):
@@ -46,30 +62,43 @@ class TestEquivalence:
     @pytest.mark.parametrize(
         "name", ("matmul", "saxpy2d", "jacobi2d", "stencil3d")
     )
-    def test_doall_workloads(self, name):
+    def test_doall_workloads(self, name, compilerless):
         w = get_workload(name)
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=5)
-        result = run_one(
-            proc, arrays, sc, workers=2, policy="unit", chunk_lang="numpy",
-        )
+        result = run_one(proc, arrays, sc, workers=2, policy="unit")
         _assert_bit_for_bit(baseline, arrays)
         assert result.chunk_lang == "numpy"
 
-    def test_hybrid_gauss_degrades_per_dispatch(self):
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_registry_workload(self, name, compilerless):
+        assert set(COMPILERLESS_LANGS) == set(WORKLOADS)
+        w = get_workload(name)
+        proc, _ = coalesce_procedure(w.proc)
+        arrays, sc = make_env(w, seed=3)
+        want = {k: v.copy() for k, v in arrays.items()}
+        Interpreter().run(w.proc, want, dict(sc))
+        before = DISPATCH.chunk_fallbacks
+        result = run_parallel_procedure(proc, arrays, sc, workers=2)
+        assert {d.chunk_lang for d in result.dispatches} == COMPILERLESS_LANGS[name]
+        assert DISPATCH.chunk_fallbacks == before
+        _assert_bit_for_bit(want, arrays)
+
+    def test_hybrid_gauss_degrades_per_dispatch(self, compilerless):
         # Pivot-row elimination reads the pivot row while writing others:
-        # npgen refuses the shape, the dispatch falls back to interpreted
-        # chunks, and the arithmetic still matches serial bit for bit.
+        # npgen refuses the shape, the dispatch runs interpreted chunks,
+        # and the arithmetic still matches serial bit for bit.  Stepping
+        # down the ladder is not a fallback: nothing failed.
         w = get_workload("gauss_jordan")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
         before = DISPATCH.chunk_fallbacks
         result = run_parallel_procedure(
-            proc, arrays, sc, workers=2, policy="unit", chunk_lang="numpy",
+            proc, arrays, sc, workers=2, policy="unit"
         )
-        assert result.dispatches
+        assert "py" in {d.chunk_lang for d in result.dispatches}
         _assert_bit_for_bit(baseline, arrays)
-        assert DISPATCH.chunk_fallbacks > before
+        assert DISPATCH.chunk_fallbacks == before
 
 
 class TestRefusals:
@@ -82,12 +111,6 @@ class TestRefusals:
 
 
 class TestResolution:
-    def test_explicit_numpy_resolves(self):
-        assert resolve_chunk_lang("numpy") == "numpy"
-
-    def test_auto_prefers_numpy_without_compiler(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.runtime.have_compiler", lambda: False
-        )
-        assert resolve_chunk_lang(None) == "numpy"
-        assert resolve_chunk_lang("auto") == "numpy"
+    def test_auto_prefers_numpy_without_compiler(self, compilerless):
+        assert chunk_lang({"A": np.zeros(3), "B": np.zeros((2, 2))}) == "numpy"
+        assert chunk_lang({"A": np.zeros(3, dtype=np.int64)}) == "py"

@@ -35,6 +35,7 @@ from repro.transforms import coalesce_procedure
 from repro.transforms.fission import fission_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import get_workload, make_env
+from tests.parallel import pin_chunk_lang
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -388,7 +389,7 @@ def test_a_thousand_procedures_leave_the_memo_at_its_bound():
             f"    A(i) := A(i) + {k}.0\n  end\nend\n"
         )
         plan_mod.prepare(
-            proc, arrays, {"n": 4}, "warn", "py", "gss", None, 2, "auto",
+            proc, arrays, {"n": 4}, "warn", "gss", None, 2, "auto",
         )
         assert len(plan_mod._PLANS) <= plan_mod.MEMO_BOUND
         assert len(plan_mod._VERDICTS) <= plan_mod.MEMO_BOUND
@@ -410,7 +411,7 @@ def test_a_patched_plan_time_name_waits_for_the_plans_to_drop(monkeypatch):
     plan_mod.drop_plans()
     got = copies(arrays)
     cold = run_parallel_procedure(proc, got, scalars, workers=2)
-    assert cold.chunk_lang == "py"
+    assert cold.chunk_lang == "numpy"  # the rung below a failed kernel
     assert same(got, interpreted(original, arrays, scalars))
 
 
@@ -421,11 +422,11 @@ def test_the_server_prewarm_builds_through_the_plan_kernel_path(
     store = ArtifactCache(tmp_path / "prewarmed")
     assert plan_mod.prewarm(proc, store) == 1
     assert calls["generate_chunk_c"] == 1  # one C build per loop shape
-    # One loop shape, one build: the kernel "auto" runs on this host, not
-    # also the numpy chunk it never would — and without a compiler, that.
+    # One loop shape, one build: the kernel the plan runs on this host —
+    # and without a compiler nothing, as no generated text is kept.
     saxpy = case("saxpy2d")[0]
     assert plan_mod.prewarm(saxpy, ArtifactCache(tmp_path / "cc")) == 1
     assert calls["generate_chunk_c"] == 2
-    monkeypatch.setattr(plan_mod.runtime, "have_compiler", lambda: False)
-    assert plan_mod.prewarm(saxpy, ArtifactCache(tmp_path / "no-cc")) == 1
+    pin_chunk_lang(monkeypatch, "numpy")
+    assert plan_mod.prewarm(saxpy, ArtifactCache(tmp_path / "no-cc")) == 0
     assert calls["generate_chunk_c"] == 2

@@ -32,7 +32,7 @@ from repro.parallel.counter import policy_plan
 from repro.parallel.pool import GATHER_GRACE, gather_results, raise_worker_crashes
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import own_segments, run_one
+from tests.parallel import own_segments, pin_chunk_lang, run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
 
@@ -262,17 +262,17 @@ class TestPoolRobustness:
         assert not starts[0].is_alive()
         assert own_segments() == before
 
-    def test_timeout_on_pool_path_is_clean(self):
+    def test_timeout_on_pool_path_is_clean(self, monkeypatch):
         w = get_workload("matmul")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, scalars={"n": 96}, seed=0)
         snapshot = arrays["C"].copy()
         # Pin the interpreted chunk language: native kernels finish this
         # workload inside the 0.1s budget, which would defeat the test.
+        pin_chunk_lang(monkeypatch, "py")
         with pytest.raises(ParallelTimeoutError):
             run_parallel_procedure(
                 proc, arrays, sc, workers=2, policy="gss", timeout=0.1,
-                chunk_lang="py",
             )
         assert np.array_equal(arrays["C"], snapshot)
         assert own_segments() == []

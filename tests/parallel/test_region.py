@@ -41,7 +41,7 @@ from repro.parallel.runtime import _dispatchable_loops
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import own_segments
+from tests.parallel import own_segments, pin_chunk_lang
 from tests.parallel.test_claim_loop import assert_sent_back
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -124,9 +124,11 @@ def test_region_is_the_per_dispatch_run_in_one_fork_join(name, workers, policy):
                 )
 
             other = copies(arrays)
-            per_dispatch = run_parallel_procedure(
-                proc, other, scalars, chunk_lang="py", **options
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                pin_chunk_lang(patch, "py")
+                per_dispatch = run_parallel_procedure(
+                    proc, other, scalars, **options
+                )
             assert per_dispatch.region.startswith("SPMD006")
             assert per_dispatch.fork_joins == len(per_dispatch.dispatches) > 1
             assert same(other, want)
@@ -198,10 +200,11 @@ def test_same_pool_serves_region_then_dispatch_then_region():
         seen = []
         for lang in ("c", "py", "c"):
             got = copies(arrays)
-            result = run_parallel_procedure(
-                proc, got, scalars, workers=2, pool=pool, chunk_lang=lang,
-                timeout=60.0,
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                pin_chunk_lang(patch, lang)
+                result = run_parallel_procedure(
+                    proc, got, scalars, workers=2, pool=pool, timeout=60.0,
+                )
             assert same(got, want)
             seen.append(result.region.partition(":")[0])
         assert seen == ["native", "SPMD006", "native"]
@@ -288,9 +291,11 @@ def test_empty_instances_guards_and_fleets_wider_than_the_range():
     results = {}
     for lang in ("c", "py"):
         got = copies(arrays)
-        results[lang] = run_parallel_procedure(
-            TRIANGLE, got, {"n": 6}, workers=3, chunk_lang=lang, timeout=60.0,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            pin_chunk_lang(patch, lang)
+            results[lang] = run_parallel_procedure(
+                TRIANGLE, got, {"n": 6}, workers=3, timeout=60.0,
+            )
         assert same(got, want)
     assert results["c"].region == "native"
     assert accounting(results["c"]) == accounting(results["py"])
@@ -450,11 +455,8 @@ def test_refused_static_policy():
     assert result.claim_loop == "static"
 
 
-def test_refused_numpy_chunks():
-    result = refused(
-        LONG, {"A": np.zeros(9)}, {"n": 8, "rounds": 3}, "SPMD006",
-        chunk_lang="numpy",
-    )
+def test_refused_numpy_chunks(compilerless):
+    result = refused(LONG, {"A": np.zeros(9)}, {"n": 8, "rounds": 3}, "SPMD006")
     assert result.chunk_lang == "numpy"
 
 

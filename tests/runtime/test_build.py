@@ -54,7 +54,7 @@ def test_every_intrinsic_resolves_on_every_engine(engine):
     want = copy_env(env)
     run(p, want, sc)
     if engine == "mp-c-chunks":
-        assert run_one(p, env, sc, workers=2, chunk_lang="c").chunk_lang == "c"
+        assert run_one(p, env, sc, workers=2).chunk_lang == "c"
     else:
         compile_c_procedure(p, omp=engine == "c-openmp", cache=None).run(env, sc)
     for name in p.arrays:

@@ -26,15 +26,15 @@ from repro.runtime import inspector
 from repro.runtime.interp import Interpreter, InterpreterError
 from repro.workloads import IRREGULAR_WORKLOADS, RACY_WORKLOADS, make_env
 
-from tests.parallel import own_segments
+from tests.parallel import own_segments, pin_chunk_lang
 from tests.safety.shadow import _Recorder, record_dispatch
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
 
-def plan_for(proc, arrays, scalars, lang="c"):
+def plan_for(proc, arrays, scalars):
     return plan_mod.prepare(
-        proc, arrays, scalars, "speculate", lang, "gss", None, 2, "auto",
+        proc, arrays, scalars, "speculate", "gss", None, 2, "auto",
     )
 
 
@@ -288,8 +288,7 @@ def host(request, monkeypatch):
     if request.param == "native" and not have_compiler():
         pytest.skip("no gcc on PATH")
     if request.param == "numpy":
-        monkeypatch.setattr(runtime, "have_compiler", lambda cc="gcc": False)
-        plan_mod.drop_plans()
+        pin_chunk_lang(monkeypatch, "numpy")
     return request.param
 
 
@@ -297,7 +296,7 @@ def host(request, monkeypatch):
 def test_a_non_finite_or_huge_subscript_is_an_error_not_a_crash(host, bad):
     w, arrays, sc = scatter(p5=bad)
     loop = w.proc.body.stmts[0]
-    plan = plan_for(w.proc, arrays, sc, runtime.resolve_chunk_lang(None))
+    plan = plan_for(w.proc, arrays, sc)
     with np.errstate(invalid="ignore"):
         insp = runtime.inspect_dispatch(
             loop, sc, arrays, plan.inspector(loop, sc)

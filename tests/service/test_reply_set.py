@@ -206,6 +206,6 @@ def test_the_plan_and_the_server_share_one_write_set():
     proc = parse(GUARDED)
     arrays = {"A": np.zeros(4), "B": np.zeros(4), "C": np.zeros(4)}
     plan = prepare(
-        proc, arrays, {"n": 3, "k": 0}, "warn", "py", "gss", None, 2, "auto"
+        proc, arrays, {"n": 3, "k": 0}, "warn", "gss", None, 2, "auto"
     )
     assert plan.written == stored_arrays(proc) == ("B", "C")

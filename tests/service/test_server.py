@@ -375,6 +375,7 @@ class TestErrors:
             ("calibrate", True),
             ("shm_arrays", [{"name": "A", "segment": "repro-par-1-x-0"}]),
             ("transport", "shm"),
+            ("chunk_lang", "c"),
         ],
     )
     def test_run_rejects_retired_fields(self, service, field, value):
@@ -441,24 +442,23 @@ class TestErrors:
         assert_saxpy_served(client, key, "python", transport)
 
     def test_bad_run_option_is_the_runtimes_400(self, service):
-        """A served run refuses a bad ``chunk_lang`` or ``safety`` with the
-        very text the in-process driver raises for it."""
+        """A served run refuses a bad ``safety`` with the very text the
+        in-process driver raises for it."""
         client, _ = service
         key = client.compile(DSL_KERNEL, backend="mp")["key"]
         X, Y = saxpy_env()
-        for option in ("chunk_lang", "safety"):
-            with pytest.raises(ValueError) as local:
-                run_parallel_procedure(
-                    parse(DSL_KERNEL), {"X": X, "Y": Y}, {"n": SAXPY_N},
-                    workers=2, **{option: "bogus"},
-                )
-            with pytest.raises(ServiceError) as err:
-                client.run(
-                    key, {"X": X, "Y": Y}, {"n": SAXPY_N}, backend="mp",
-                    workers=2, **{option: "bogus"},
-                )
-            assert err.value.status == 400
-            assert err.value.payload["error"] == str(local.value)
+        with pytest.raises(ValueError) as local:
+            run_parallel_procedure(
+                parse(DSL_KERNEL), {"X": X, "Y": Y}, {"n": SAXPY_N},
+                workers=2, safety="bogus",
+            )
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"X": X, "Y": Y}, {"n": SAXPY_N}, backend="mp",
+                workers=2, safety="bogus",
+            )
+        assert err.value.status == 400
+        assert err.value.payload["error"] == str(local.value)
 
     def test_lint_requires_source(self, service):
         client, _ = service

@@ -250,16 +250,14 @@ class SafetyReport:
 
     ``by_id`` maps ``id(loop)`` of each dispatchable loop *in the exact
     procedure object verified* to its verdict, so the runtime can gate a
-    dispatch without re-walking the tree.  ``dynamic`` collects the
-    runtime certificates (:class:`repro.parallel.speculate.SpecCertificate`)
-    a ``safety=speculate`` run appends after inspecting a
-    statically-unproven dispatch.
+    dispatch without re-walking the tree.  A report is static: the
+    runtime certificates of a ``safety=speculate`` run are that run's
+    (``ParallelProcedureResult.certificates``).
     """
 
     procedure: str
     loops: tuple[LoopSafety, ...]
     by_id: dict[int, LoopSafety] = field(default_factory=dict, repr=False)
-    dynamic: list[object] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -289,8 +287,6 @@ class SafetyReport:
             for f in v.findings:
                 lines.append(f"    {f.format()}")
                 lines.append(f"      hint: {f.hint}")
-        for cert in self.dynamic:
-            lines.append(f"  {cert}")
         return "\n".join(lines)
 
 

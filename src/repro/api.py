@@ -336,8 +336,9 @@ def transform_function(
             analyser and the report attached to ``.last.safety``; enforce
             refuses unproven dispatches; speculate decides the ones the
             runtime inspector can address at runtime and refuses the
-            rest — see :mod:`repro.analysis.safety` and
-            :mod:`repro.parallel.speculate`).
+            rest, keeping each inspection's certificate in
+            ``.last.certificates`` — see :mod:`repro.analysis.safety` and
+            :mod:`repro.runtime.inspector`).
     """
     source = fn if isinstance(fn, str) else textwrap.dedent(inspect.getsource(fn))
     original, proc, results, from_cache = lower_and_coalesce(

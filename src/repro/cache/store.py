@@ -169,10 +169,6 @@ class ArtifactCache:
                 self.stats.errors += 1
             return None
 
-    def get_text(self, key: str, name: str) -> str | None:
-        blob = self.get_bytes(key, name)
-        return None if blob is None else blob.decode("utf-8")
-
     # -- writes -----------------------------------------------------------
     def put(
         self,

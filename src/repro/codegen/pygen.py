@@ -16,34 +16,20 @@ starting point a parallel runtime would carve tasks from.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.ir.expr import Const
+from repro.ir.expr import INTRINSICS, Const
 from repro.ir.printer import expr_to_source
 from repro.ir.stmt import Assign, Block, If, Loop, Procedure, Stmt
 from repro.ir.validate import validate
 
-#: Names injected into the generated function's globals.
-_NAMESPACE = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "isqrt": math.isqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "float": float,
-    "int": int,
-    "min": min,
-    "max": max,
-    "range": range,
-    # The whole-slice chunk's lane vectors (:mod:`repro.codegen.npgen`).
-    "np": np,
-}
+#: Names injected into the generated function's globals: the IR
+#: intrinsics, the builtins codegen emits, and numpy for the whole-slice
+#: chunk's lane vectors (:mod:`repro.codegen.npgen`).
+_NAMESPACE = {**INTRINSICS, "min": min, "max": max, "range": range, "np": np}
 
 
 def generate_source(proc: Procedure, name: str | None = None) -> str:
@@ -150,9 +136,14 @@ def compile_chunk_source(source: str, fname: str) -> Callable:
     same loop shape across many dispatches (one per pivot row in a hybrid
     program) compiles it exactly once.
     """
+    return compile_function(source, fname)
+
+
+def compile_function(source: str, fname: str) -> Callable:
+    """The function ``fname`` defined by generated ``source`` — the one
+    ``exec`` of generated Python (procedures, chunks, serial residues)."""
     namespace = dict(_NAMESPACE)
-    code = compile(source, filename=f"<chunk:{fname}>", mode="exec")
-    exec(code, namespace)
+    exec(compile(source, filename=f"<generated:{fname}>", mode="exec"), namespace)
     return namespace[fname]
 
 
@@ -185,7 +176,4 @@ def compile_procedure(proc: Procedure, check: bool = True) -> CompiledProcedure:
     if check:
         validate(proc)
     source = generate_source(proc)
-    namespace = dict(_NAMESPACE)
-    code = compile(source, filename=f"<generated:{proc.name}>", mode="exec")
-    exec(code, namespace)
-    return CompiledProcedure(proc=proc, source=source, raw=namespace[proc.name])
+    return CompiledProcedure(proc, source, compile_function(source, proc.name))

@@ -23,15 +23,16 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
   just a run with one dispatch.  A call is plan → dispatch → combine:
   :mod:`repro.parallel.plan` holds what a procedure and run shape decide
   once (verdict, strategies, kernels, the region), built by the
-  first call and reused; :mod:`repro.parallel.dispatch` runs it.
+  first call and reused; :mod:`repro.parallel.dispatch` runs it.  Under
+  ``safety="speculate"`` the plan routes each unproven loop the runtime
+  inspector can decide (:mod:`repro.runtime.inspector`) to it and
+  refuses the rest, as under ``"enforce"``; each inspection's result is
+  the run's certificate.
 * :mod:`repro.parallel.observe` — measured claim logs rendered as
   :class:`repro.machine.trace.SimResult` / Gantt charts, so real schedules
   can be plotted against simulator predictions.
 * :mod:`repro.parallel.backend` — the ``backend="mp"`` adapter used by
   :func:`repro.api.coalesce_jit`, with graceful serial fallback.
-* :mod:`repro.parallel.speculate` — the ``safety="speculate"`` logic:
-  which unproven dispatches the runtime inspector decides (the rest are
-  refused, as under ``"enforce"``) and the certificates it records.
 """
 
 from repro.parallel.counter import SharedClaimCounter, policy_plan
@@ -53,7 +54,6 @@ from repro.parallel.runtime import (
     run_parallel_procedure,
 )
 from repro.parallel.shm import SharedArrayPool
-from repro.parallel.speculate import SpecCertificate, SpecPlan, speculation_plan
 
 __all__ = [
     "ClaimEvent",
@@ -66,14 +66,11 @@ __all__ = [
     "SafetyVerificationError",
     "SharedArrayPool",
     "SharedClaimCounter",
-    "SpecCertificate",
-    "SpecPlan",
     "WorkerCrashError",
     "WorkerPool",
     "compile_mp_procedure",
     "policy_plan",
     "resolve_safety",
     "run_parallel_procedure",
-    "speculation_plan",
     "to_sim_result",
 ]

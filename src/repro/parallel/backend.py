@@ -69,8 +69,8 @@ class MPCompiledProcedure:
     ``fallback_reason``; ``"speculate"`` gives the unproven dispatches
     the runtime inspector can decide a dynamic chance, refuses the rest
     as ``"enforce"`` does, and falls back the same way when nothing is
-    left to dispatch (``last.inspected`` / ``proven_dynamic`` account
-    for what happened).
+    left to dispatch (``last.certificates`` holds each inspection's
+    result; ``last.inspected`` / ``proven_dynamic`` count them).
     """
 
     proc: Procedure

@@ -46,7 +46,6 @@ from repro.parallel.observe import (
     record_lang_fallback,
     record_reduction_dispatch,
     record_safety_block,
-    record_speculate,
 )
 from repro.parallel.plan import (
     RED_IDENTITY,
@@ -61,7 +60,6 @@ from repro.parallel.runtime import (
     _empty_result,
 )
 from repro.parallel.shm import SharedArrayPool
-from repro.parallel.speculate import SpecCertificate
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
 class Run:
@@ -259,34 +257,16 @@ def _serial(run: Run, loop: Loop, env: dict) -> None:
 
 
 def _inspected(run: Run, loop: Loop, env: dict) -> None:
-    """Inspect one blocked dispatch and certify the verdict: a proven
-    loop dispatches normally, a refuted one runs serially."""
-    out = run.out
-    out.inspected += 1
-    record_speculate(inspected=1)
+    """Inspect one blocked dispatch and keep the result as the run's
+    certificate: a proven loop dispatches normally, a refuted one runs
+    serially."""
     native = run.plan.inspector(loop, env)
     insp = runtime.inspect_dispatch(loop, env, run.views, native)
-    if out.safety is not None:
-        out.safety.dynamic.append(
-            SpecCertificate(
-                loop_var=loop.var,
-                mode="inspector",
-                status="proven-dynamic" if insp.proven else "refuted",
-                iterations=insp.iterations,
-                conflicts=len(insp.conflicts),
-                wall_s=insp.wall_s,
-                detail=insp.describe(),
-                inspector=insp.inspector,
-            )
-        )
-    if not insp.proven:
+    run.out.certificates.append(insp)
+    if insp.proven:
+        _dispatched(run, loop, env)
+    else:
         _serial(run, loop, env)
-        return
-    record_speculate(proven_dynamic=1)
-    out.proven_dynamic += 1
-    result = _dispatch_pool(run, run.plan.proc, loop, env)
-    result.speculation = "proven-dynamic"
-    out.dispatches.append(result)
 
 
 _STRATEGIES = {
@@ -310,29 +290,31 @@ def _residue(run: Run, stmt: Loop, env: dict) -> None:
 
     The serial residue of a fissioned program (the cyclic-SCC sub-loops)
     and every DOALL the plan runs serially (blocked or refuted) run in
-    the parent; the tree interpreter would dominate the wall clock.  Each residue compiles once per plan (generated Python, the
-    backend the suite holds bit-identical to the interpreter) and falls
-    back to the interpreter on any failure — compile or call.  (Two runs
-    racing here compile the same residue twice, harmlessly.)
+    the parent; the tree interpreter would dominate the wall clock.  Each
+    residue compiles once per plan (generated Python, the backend the
+    suite holds bit-identical to the interpreter); only a residue that
+    does not compile is interpreted.  A raise from a compiled residue is
+    the run's error, as the interpreter would report it: rerunning the
+    loop over arrays the failed call already wrote is no recovery, and
+    the residue stays compiled for the next run.  (Two runs racing here
+    compile the same residue twice, harmlessly.)
     """
     residues = run.plan.residues
     entry = residues.get(id(stmt))
     if entry is None:
         entry = residues[id(stmt)] = compile_residue(stmt, env)
-    if entry is not False:
-        fn, array_order, params, returns = entry
-        try:
-            out_vals = fn(
-                *[run.views[a] for a in array_order],
-                *[env[p] for p in params],
-            )
-        except Exception:
-            residues[id(stmt)] = False
-        else:
-            for name, val in zip(returns, out_vals):
-                env[name] = val
-            return
-    run.interp._exec(stmt, env, run.views)
+    if entry is False:
+        run.interp._exec(stmt, env, run.views)
+        return
+    fn, array_order, params, returns = entry
+    try:
+        out_vals = fn(
+            *[run.views[a] for a in array_order], *[env[p] for p in params]
+        )
+    except Exception as exc:
+        raise InterpreterError(f"serial loop {stmt.var!r}: {exc}") from exc
+    for name, val in zip(returns, out_vals):
+        env[name] = val
 
 
 def _exec(run: Run, stmt: Stmt, env: dict[str, int | float]) -> None:

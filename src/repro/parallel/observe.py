@@ -80,9 +80,9 @@ class DispatchCounters:
     safety_unproven: int = 0
     safety_blocked: int = 0
     safety_findings: dict[str, int] | None = None
-    #: ``safety="speculate"`` activity: dispatches routed through the
-    #: runtime inspector, and those it proved disjoint (then executed
-    #: normally; the rest ran serially).
+    #: ``safety="speculate"`` activity, from each run's certificates:
+    #: dispatches routed through the runtime inspector, and those it
+    #: proved disjoint (then executed normally; the rest ran serially).
     spec_inspected: int = 0
     spec_proven_dynamic: int = 0
     #: Transform activity: pipeline fission outcomes (loops split /
@@ -212,6 +212,8 @@ def record_run(result) -> None:
         DISPATCH.lock_ops += result.lock_ops
         DISPATCH.iterations += result.total_iterations
         DISPATCH.wall_s += result.wall_time
+        DISPATCH.spec_inspected += result.inspected
+        DISPATCH.spec_proven_dynamic += result.proven_dynamic
         for d in result.dispatches:
             if d.chunk_lang == "c":
                 DISPATCH.chunk_c += 1
@@ -288,13 +290,6 @@ def record_transforms(
         DISPATCH.fission_applied += fission_applied
         DISPATCH.fission_refused += fission_refused
         DISPATCH.reductions_recognized += reductions
-
-
-def record_speculate(inspected: int = 0, proven_dynamic: int = 0) -> None:
-    """Fold one ``safety="speculate"`` inspection into :data:`DISPATCH`."""
-    with _DISPATCH_LOCK:
-        DISPATCH.spec_inspected += inspected
-        DISPATCH.spec_proven_dynamic += proven_dynamic
 
 
 def metrics_snapshot(

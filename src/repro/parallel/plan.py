@@ -20,18 +20,18 @@ without a new argument.  The key (:func:`prepare`):
 What a plan holds: the procedure, validated and checked for something
 dispatchable; the chunk language its loops start from
 (:func:`chunk_lang`, derived from the host and the dtypes — no caller
-picks it); the safety verdict, its blocked set, the speculation plans
-and the strategy each dispatchable loop runs under (``dispatch``,
-``reduce``, ``serial``, ``inspect``); the reduction plans;
+picks it); the safety verdict, its blocked set, the strategy each
+dispatchable loop runs under (``dispatch``, ``reduce``, ``serial``,
+``inspect``) and, for a blocked loop under ``safety="speculate"``, why
+the inspector may or may not decide it; the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
 template (its rung of the chunk ladder: the built kernel, else the
 numpy or the scalar Python chunk) with its one-instance region, each
 inspected loop's native inspector, the compiled serial residues, and the
-region verdict with its job template.  Never in a plan: the report's
-certificates (each run works on its own copy), counters, results, scalar
-values, trip counts, batch clamps, ``params`` of a region and the pool's
-``specs``.
+region verdict with its job template.  Never in a plan: certificates
+(each run keeps its own), counters, results, scalar values, trip counts,
+batch clamps, ``params`` of a region and the pool's ``specs``.
 
 Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
 it (:func:`repro.tuning.reset_tuning_memo` calls it), and a run whose
@@ -45,17 +45,22 @@ import ctypes
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.analysis.pdg import Reduction, recognize_reduction
+from repro.analysis.safety import inspector_eligible
 from repro.codegen.cgen import INSPECT_SUFFIX
 from repro.codegen.cload import _CTYPES, prefetch_claim_loop_library
 from repro.codegen.npgen import generate_chunk_numpy
-from repro.codegen.pygen import generate_chunk_source, generate_source
-from repro.ir.expr import INTRINSICS, ArrayRef, BinOp, Const, Var, min_
+from repro.codegen.pygen import (
+    compile_function,
+    generate_chunk_source,
+    generate_source,
+)
+from repro.ir.expr import ArrayRef, BinOp, Const, Var, min_
 from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
 from repro.ir.validate import validate
 from repro.ir.visitor import stored_arrays, walk_exprs, walk_stmts
@@ -64,7 +69,6 @@ from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
 from repro.parallel.region import instance_template
 from repro.parallel.shm import native_layout
-from repro.parallel.speculate import speculation_plan
 from repro.runtime.inspector import InspectionResult
 from repro.runtime.interp import InterpreterError, eval_bound
 
@@ -230,19 +234,14 @@ class Plan:
         self.loops = loops
         self.serial_outer = runtime._serial_outer(proc.body)
         self.report, self.blocked = self._safety(proc, mode)
-        self.spec_plans = {
-            id(lp): speculation_plan(lp, self.report.by_id.get(id(lp)))
-            for lp in loops
-            if mode == "speculate" and id(lp) in self.blocked
-        }
         self.reductions: dict[int, _ReductionPlan] = {}
         self.strategies: dict[int, str] = {}
+        #: Why the inspector may (``inspect``) or may not (``serial``)
+        #: decide each blocked loop, under ``safety="speculate"`` only.
+        self.reasons: dict[int, str] = {}
         for lp in loops:
             if id(lp) in self.blocked:
-                spec = self.spec_plans.get(id(lp))
-                self.strategies[id(lp)] = (
-                    "inspect" if spec and spec.action == "inspect" else "serial"
-                )
+                self.strategies[id(lp)] = self._route(lp)
                 continue
             red = _reduction_plan(proc, lp)
             if red is not None:
@@ -259,7 +258,8 @@ class Plan:
         #: The arrays the procedure stores to: all a run copies back.
         self.written = stored_arrays(proc.body)
         self.kernels = KernelBuilder(store)
-        #: Compiled serial residues by ``id(stmt)`` (False: interpret).
+        #: Compiled serial residues by ``id(stmt)`` (False: did not
+        #: compile, so interpreted).
         self.residues: dict[int, object] = {}
         self._slots: dict = {}
         self._lock = threading.Lock()
@@ -285,9 +285,25 @@ class Plan:
             loop_id for loop_id, v in report.by_id.items() if not v.proven
         )
 
-    def run_report(self):
-        """This run's own copy of the verdict (certificates are per run)."""
-        return None if self.report is None else replace(self.report, dynamic=[])
+    def _route(self, loop: Loop) -> str:
+        """``inspect`` or ``serial`` for a loop the verdict blocks.  Only
+        under speculate does the inspector decide one, and only when no
+        scalar carries a value across iterations (PRIV002) and no array is
+        both written and read (:func:`inspector_eligible`)."""
+        if self.mode != "speculate":
+            return "serial"
+        findings = self.report.by_id[id(loop)].findings
+        hazards = sorted(
+            {f.scalar for f in findings if f.rule == "PRIV002" and f.scalar}
+        )
+        if hazards:
+            self.reasons[id(loop)] = (
+                "scalar(s) %s carry values across iterations; the inspector "
+                "cannot recover them" % ", ".join(hazards)
+            )
+            return "serial"
+        eligible, self.reasons[id(loop)] = inspector_eligible(loop)
+        return "inspect" if eligible else "serial"
 
     def once(self, key, build: Callable[[], object]):
         """Slot ``key``, built by ``build()`` on first use and then fixed."""
@@ -318,7 +334,7 @@ class Plan:
         fn.argtypes = [ctypes.c_long, ctypes.c_long] + [
             ctypes.c_void_p if t == "ptr" else _CTYPES[t] for t in kernel["c_sig"]
         ] + [ctypes.c_void_p]
-        ranks, reason = self.proc.arrays, self.spec_plans[id(loop)].reason
+        ranks, reason = self.proc.arrays, self.reasons[id(loop)]
         order = tuple(self.proc.scalars) + extra
 
         def native(loop, env, arrays) -> InspectionResult | None:
@@ -337,9 +353,9 @@ class Plan:
             if fn(lo, hi, *args, *scalars, ctypes.byref(out)):
                 return None
             return InspectionResult(
-                True, reason, proven=True, iterations=max(hi - lo + 1, 0),
-                elements=out.value, wall_s=time.perf_counter() - t0,
-                inspector="native",
+                loop.var, True, reason, proven=True,
+                iterations=max(hi - lo + 1, 0), elements=out.value,
+                wall_s=time.perf_counter() - t0, inspector="native",
             )
 
         return native
@@ -629,10 +645,6 @@ def _reduction_plan(proc: Procedure, loop: Loop) -> _ReductionPlan | None:
 # Serial residues (dispatch-free serial loops the parent runs)
 # ---------------------------------------------------------------------------
 
-#: Namespace for compiled serial-residue functions (mirrors the chunk
-#: compiler's: the IR intrinsics plus the builtins codegen emits).
-_RESIDUE_NAMESPACE = {**INTRINSICS, "min": min, "max": max, "range": range}
-
 
 def compile_residue(stmt: Loop, env: Mapping[str, int | float]):
     """Compile one dispatch-free serial loop into a callable, or ``False``.
@@ -662,8 +674,6 @@ def compile_residue(stmt: Loop, env: Mapping[str, int | float]):
         wrapper = Procedure("__residue", Block((stmt,)), refs, params)
         source = generate_source(wrapper, name="__residue")
         source += "    return (" + "".join(f"{r}, " for r in returns) + ")\n"
-        namespace = dict(_RESIDUE_NAMESPACE)
-        exec(compile(source, filename="<residue>", mode="exec"), namespace)
-        return namespace["__residue"], tuple(refs), params, returns
+        return compile_function(source, "__residue"), tuple(refs), params, returns
     except Exception:
         return False

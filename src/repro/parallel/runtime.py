@@ -234,9 +234,6 @@ class ParallelRunResult:
     #: Chunks claimed per counter critical section, as actually resolved
     #: (for ``claim_batch="auto"``, the value of its fixed rule).
     claim_batch: int = 1
-    #: ``"proven-dynamic"`` when ``safety=speculate``'s inspector
-    #: certified this dispatch, else None.
-    speculation: str | None = None
     #: Set when this dispatch ran through the partial-accumulator
     #: reduction engine: the accumulator's name and its folded final
     #: value (also written back into the caller's scalar environment).
@@ -299,19 +296,20 @@ class ParallelProcedureResult:
     wall_time: float
     dispatches: list[ParallelRunResult] = field(default_factory=list)
     serial_stmts: int = 0
-    #: Chunk-safety mode the run executed under ("off", "warn", "enforce").
+    #: Chunk-safety mode the run executed under ("off", "warn",
+    #: "enforce", "speculate").
     safety_mode: str = "off"
-    #: The verifier's :class:`~repro.analysis.safety.SafetyReport`
-    #: (None when ``safety_mode == "off"`` or verification crashed under
-    #: "warn").
+    #: The plan's :class:`~repro.analysis.safety.SafetyReport`, shared by
+    #: every run of the procedure and never changed by one (None when
+    #: ``safety_mode == "off"`` or verification crashed under "warn").
     safety: object | None = field(default=None, repr=False)
     #: Dispatches refused under enforce and executed serially instead.
     blocked_dispatches: int = 0
-    #: ``safety=speculate`` accounting: dispatches the inspector addressed,
-    #: and the subset it proved (dispatched normally with a certificate;
-    #: the rest ran serially and count as blocked).
-    inspected: int = 0
-    proven_dynamic: int = 0
+    #: ``safety=speculate``: this run's certificate of each dispatch the
+    #: inspector addressed, in run order — a
+    #: :class:`~repro.runtime.inspector.InspectionResult`.  Proven ones
+    #: dispatched normally; the rest ran serially and count as blocked.
+    certificates: list = field(default_factory=list, repr=False)
     #: Dispatches executed through the partial-accumulator reduction
     #: engine (recognized ``s := s ⊕ expr`` loops).
     reductions: int = 0
@@ -326,10 +324,14 @@ class ParallelProcedureResult:
         return 1 if self.region == "native" else len(self.dispatches)
 
     @property
-    def certificates(self) -> list:
-        """Runtime certificates recorded on the safety report (may be [])."""
-        report = self.safety
-        return list(getattr(report, "dynamic", ()) or ())
+    def inspected(self) -> int:
+        """Dispatches the inspector addressed."""
+        return len(self.certificates)
+
+    @property
+    def proven_dynamic(self) -> int:
+        """Inspected dispatches it proved (and that then dispatched)."""
+        return sum(c.proven for c in self.certificates)
 
     @property
     def claims(self) -> int:
@@ -488,9 +490,9 @@ def run_parallel_procedure(
     ``"speculate"``, unproven loops the inspector can decide are inspected
     (dispatching with a certificate when proven, else running serially);
     the rest are refused as under ``"enforce"``, and so is the run when
-    nothing is left to dispatch.  Per-dispatch outcomes land in
-    ``result.inspected`` / ``proven_dynamic`` and certificates on the
-    run's copy of the safety report.
+    nothing is left to dispatch.  Each inspection's result is the run's
+    certificate for that dispatch, in ``result.certificates``
+    (``inspected`` / ``proven_dynamic`` count them).
     """
     from repro.parallel.dispatch import Run, execute
     from repro.parallel.plan import prepare
@@ -512,9 +514,7 @@ def run_parallel_procedure(
     env: dict[str, int | float] = dict(scalars or {})
     deadline = None if timeout is None else time.monotonic() + timeout
     t_start = time.monotonic()
-    out = ParallelProcedureResult(
-        0.0, safety_mode=plan.mode, safety=plan.run_report()
-    )
+    out = ParallelProcedureResult(0.0, safety_mode=plan.mode, safety=plan.report)
     # A pool made here is copied back on success only and always closed;
     # a borrowed one is loaded, copied back and left running.
     # ``preloaded=True`` is the zero-copy serving path: the caller has

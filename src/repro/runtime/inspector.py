@@ -19,18 +19,20 @@ and read — plus scalar privacy (no upward-exposed written scalar).  When a
 written array is also read (histogram's ``H(k) := H(k) + 1``), addresses
 are still loop-invariant here, but *values* flow between iterations, so
 disjointness of writes is no longer the whole story; the plan refuses
-those loops (:mod:`repro.parallel.speculate`) and they run serially.
+those loops (:class:`repro.parallel.plan.Plan`) and they run serially.
 
 With C kernels a plan first runs the same pass natively, beside the
 kernel, and takes only its proofs: refutations and errors are this
-module's alone.
+module's alone.  An :class:`InspectionResult` is the run's certificate
+for that dispatch: ``safety=speculate`` runs keep one per inspection in
+``ParallelProcedureResult.certificates``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -63,8 +65,13 @@ def scalar_hazards(loop: Loop) -> set[str]:
 
 @dataclass
 class InspectionResult:
-    """What the inspector concluded about one dispatch occurrence."""
+    """What the inspector concluded about one dispatch occurrence — the
+    certificate a ``safety=speculate`` run records for it."""
 
+    #: Always the inspector: no other pass certifies a dispatch at run time.
+    mode: ClassVar[str] = "inspector"
+
+    loop_var: str
     eligible: bool
     reason: str
     proven: bool = False
@@ -88,6 +95,29 @@ class InspectionResult:
             f"{verdict}: {self.iterations} iterations, "
             f"{self.elements} distinct elements, "
             f"{len(self.conflicts)} conflict(s) sampled"
+        )
+
+    @property
+    def status(self) -> str:
+        return "proven-dynamic" if self.proven else "refuted"
+
+    def to_dict(self) -> dict:
+        return {
+            "loop": self.loop_var,
+            "mode": self.mode,
+            "status": self.status,
+            "iterations": self.iterations,
+            "conflicts": len(self.conflicts),
+            "wall_s": self.wall_s,
+            "detail": self.describe(),
+            "inspector": self.inspector,
+        }
+
+    def __str__(self) -> str:
+        return (
+            f"dynamic[{self.mode}/{self.inspector}] loop {self.loop_var}: "
+            f"{self.status} ({self.iterations} iterations, "
+            f"{len(self.conflicts)} conflict(s)): {self.describe()}"
         )
 
 
@@ -294,10 +324,11 @@ def inspect_dispatch(
     t0 = time.perf_counter()
     eligible, reason = inspector_eligible(loop)
     if not eligible:
-        return InspectionResult(False, reason)
+        return InspectionResult(loop.var, False, reason)
     hazards = scalar_hazards(loop)
     if hazards:
         return InspectionResult(
+            loop.var,
             False,
             "scalar(s) %s carry values across iterations"
             % ", ".join(sorted(hazards)),
@@ -313,6 +344,7 @@ def inspect_dispatch(
         elements = _vectorized_inspect(loop, scratch, arrays, lo, hi)
         if elements is not None:
             return InspectionResult(
+                loop.var,
                 True,
                 reason,
                 proven=True,
@@ -336,6 +368,7 @@ def inspect_dispatch(
                 break  # the conflict sample is full
     except InterpreterError as exc:
         return InspectionResult(
+            loop.var,
             True,
             reason,
             iterations=iterations,
@@ -344,6 +377,7 @@ def inspect_dispatch(
             error=str(exc),
         )
     return InspectionResult(
+        loop.var,
         True,
         reason,
         proven=not conflicts,

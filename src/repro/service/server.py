@@ -26,7 +26,9 @@ an enforce or speculate run whose every dispatch is refused degrades to
 the serial build with the refusal reason in the response — decided
 before any worker pool is leased, so it forks no fleet — and a
 speculate run reports its inspector outcomes (inspected /
-proven_dynamic / certificates) in a ``speculate`` block.
+proven_dynamic / certificates, each certificate an
+:class:`~repro.runtime.inspector.InspectionResult` as a dict) in a
+``speculate`` block.
 
 ``POST /compile`` with ``backend="mp"`` also *pre-warms* the native chunk
 kernels for every dispatchable loop of the program — gcc runs at compile
@@ -94,6 +96,7 @@ from repro.parallel.runtime import (
     resolve_timeout,
     run_parallel_procedure,
 )
+from repro.runtime.interp import InterpreterError
 from repro.scheduling.policies import ChunkSelfScheduled
 from repro.transforms.fission import FissionResult
 
@@ -540,8 +543,9 @@ class ReproServer(AccountingHTTPServer):
                 raise
             except wire.WireFormatError as exc:
                 raise RequestError(400, f"bad wire frame: {exc}") from exc
-            except (ParallelError, ValueError, IndexError) as exc:
-                # IndexError: the serial engine's subscript past an extent.
+            except (ParallelError, ValueError, IndexError, InterpreterError) as exc:
+                # IndexError: the serial engine's subscript past an extent;
+                # InterpreterError: an mp run's serial loop on the data.
                 raise RequestError(400, f"run failed: {exc}") from exc
             self.bump("runs")
             self.bump_transport(transport)

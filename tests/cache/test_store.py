@@ -51,7 +51,7 @@ class TestRoundTrip:
         k = key_of(0)
         assert store.get(k) is None
         store.put(k, {"a.txt": "alpha", "b.bin": b"\x00\xff"})
-        assert store.get_text(k, "a.txt") == "alpha"
+        assert store.get_bytes(k, "a.txt").decode() == "alpha"
         assert store.get_bytes(k, "b.bin") == b"\x00\xff"
         assert store.stats.hits == 2 and store.stats.misses == 1
         assert store.stats.stores == 1
@@ -71,7 +71,7 @@ class TestRoundTrip:
         # Second writer of the same content-addressed key: first wins,
         # nothing breaks, the entry stays readable.
         store.put(k, {"f": "one"})
-        assert store.get_text(k, "f") == "one"
+        assert store.get_bytes(k, "f").decode() == "one"
         assert store.entry_count() == 1
 
     def test_no_partial_entries_left_in_tmp(self, tmp_path):
@@ -94,7 +94,7 @@ class TestCorruption:
         assert not entry.path.exists()  # dropped, will be recompiled
         # And the slot is reusable:
         store.put(k, {"f": "data"})
-        assert store.get_text(k, "f") == "data"
+        assert store.get_bytes(k, "f").decode() == "data"
 
     def test_truncated_blob(self, tmp_path):
         store = ArtifactCache(tmp_path)
@@ -159,8 +159,8 @@ def _hammer(root: str, worker: int, rounds: int) -> None:
             k = key_of(i)
             payload = f"content-{i}" * 20  # same content per key everywhere
             store.put(k, {"f.txt": payload})
-            got = store.get_text(k, "f.txt")
-            assert got is None or got == payload, (worker, r, i, got)
+            got = store.get_bytes(k, "f.txt")
+            assert got is None or got.decode() == payload, (worker, r, i, got)
 
 
 class TestConcurrentWriters:
@@ -179,7 +179,7 @@ class TestConcurrentWriters:
         store = ArtifactCache(tmp_path)
         assert store.entry_count() == 4
         for i in range(4):
-            assert store.get_text(key_of(i), "f.txt") == f"content-{i}" * 20
+            assert store.get_bytes(key_of(i), "f.txt").decode() == f"content-{i}" * 20
         assert store.stats.errors == 0
 
 

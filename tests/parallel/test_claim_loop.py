@@ -250,11 +250,13 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
 def test_proven_dynamic_dispatch_is_native():
     w = IRREGULAR_WORKLOADS["scatter_perm"]()
     arrays, sc = make_env(w)
-    result = run_one(
+    result = run_parallel_procedure(
         w.proc, arrays, sc, workers=2, safety="speculate"
     )
-    assert result.speculation == "proven-dynamic"
-    assert (result.claim_loop, result.chunk_lang) == ("native", "c")
+    (cert,) = result.certificates
+    assert cert.status == "proven-dynamic"
+    (dispatch,) = result.dispatches
+    assert (dispatch.claim_loop, dispatch.chunk_lang) == ("native", "c")
 
 
 @needs_gcc

@@ -27,11 +27,27 @@ from repro.parallel import (
     compile_mp_procedure,
     run_parallel_procedure,
 )
+from repro.runtime.interp import Interpreter, InterpreterError
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
 from tests.parallel import own_segments, pin_chunk_lang, run_one
 
 POLICIES = ("unit", "fixed", "gss", "static")
+
+#: A dispatch, then a serial loop the parent runs as a compiled residue;
+#: ``m`` past ``B``'s last index makes the residue raise.
+BUMP_THEN_CHAIN = parse(
+    """
+    procedure bump_then_chain(A[1], B[1]; n, m)
+      doall i = 1, n
+        A(i) := A(i) + 1.0
+      end
+      for j = 1, m
+        B(j) := B(j - 1) + 1.0
+      end
+    end
+    """
+)
 
 
 def _serial_baseline(workload, seed=0, scalars=None):
@@ -190,6 +206,28 @@ class TestRobustness:
         assert (stats.claim_loop, stats.chunk_lang) == ("native", "c")
         assert np.array_equal(arrays["A"][1:], np.arange(1.0, 40.0))
         assert own_segments() == before
+
+    def test_a_raising_serial_residue_is_final(self, monkeypatch):
+        """A compiled residue's raise is the run's error: the loop is not
+        rerun on the tree interpreter, then or on any later run."""
+
+        def interpreted(*args, **kwargs):
+            raise AssertionError("the tree interpreter ran a compiled residue")
+
+        monkeypatch.setattr(Interpreter, "_exec", interpreted)
+        arrays = {"A": np.zeros(9), "B": np.zeros(5)}
+        with pytest.raises(InterpreterError, match="serial loop 'j'"):
+            run_parallel_procedure(
+                BUMP_THEN_CHAIN, arrays, {"n": 8, "m": 9}, workers=2,
+                timeout=60.0,
+            )
+        assert not arrays["A"].any() and own_segments() == []
+        arrays = {"A": np.zeros(9), "B": np.zeros(10)}
+        run_parallel_procedure(
+            BUMP_THEN_CHAIN, arrays, {"n": 8, "m": 9}, workers=2, timeout=60.0
+        )
+        assert np.array_equal(arrays["A"][1:], np.ones(8))
+        assert np.array_equal(arrays["B"], np.arange(10.0))
 
     def test_timeout_kills_workers_and_preserves_arrays(self, monkeypatch):
         w = get_workload("matmul")

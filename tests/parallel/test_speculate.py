@@ -17,14 +17,12 @@ from repro.frontend.dsl import parse
 from repro.parallel import (
     SafetyVerificationError,
     SharedArrayPool,
-    SpecPlan,
     WorkerPool,
     resolve_safety,
     run_parallel_procedure,
-    speculation_plan,
 )
 from repro.parallel.backend import compile_mp_procedure
-from repro.parallel.plan import verdict
+from repro.parallel.plan import prepare, verdict
 from repro.runtime.interp import Interpreter
 from repro.workloads import (
     IRREGULAR_WORKLOADS,
@@ -32,7 +30,6 @@ from repro.workloads import (
     WORKLOADS,
     make_env,
 )
-from tests.parallel import run_one
 
 WORKERS = 2
 
@@ -60,30 +57,30 @@ class TestRegistry:
 
 
 class TestSpeculationPlan:
+    """How a plan routes the one loop of a workload its verdict blocks."""
+
+    @staticmethod
+    def route(w, mode="speculate"):
+        arrays, sc = make_env(w)
+        plan = prepare(w.proc, arrays, sc, mode, "gss", None, WORKERS, "auto")
+        (loop,) = plan.loops
+        return plan.strategies[id(loop)], plan.reasons.get(id(loop))
+
     def test_histogram_routes_to_refusal(self):
-        w = IRREGULAR_WORKLOADS["histogram"]()
-        plan = speculation_plan(w.proc.body.stmts[0], None)
-        assert plan.action == "refuse"
-        assert "both written and read" in plan.reason
+        strategy, reason = self.route(IRREGULAR_WORKLOADS["histogram"]())
+        assert strategy == "serial"
+        assert "both written and read" in reason
 
     def test_scatter_routes_to_inspector(self):
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
-        plan = speculation_plan(w.proc.body.stmts[0], None)
-        assert plan.action == "inspect"
+        strategy, reason = self.route(w)
+        assert strategy == "inspect" and reason
+        assert self.route(w, "enforce") == ("serial", None)
 
     def test_scalar_hazard_refused(self):
-        from repro.analysis.safety import verify_procedure
-
-        w = RACY_WORKLOADS["racy_scalar"]()
-        loop = w.proc.body.stmts[0]
-        verdict = verify_procedure(w.proc).loops[0]
-        plan = speculation_plan(loop, verdict)
-        assert plan.action == "refuse"
-
-    def test_plan_is_frozen(self):
-        plan = SpecPlan("inspect", "because")
-        with pytest.raises(AttributeError):
-            plan.action = "refuse"
+        strategy, reason = self.route(RACY_WORKLOADS["racy_scalar"]())
+        assert strategy == "serial"
+        assert "carry values across iterations" in reason
 
 
 def _no_pool(*args, **kwargs):
@@ -95,10 +92,11 @@ class TestDoallSpeculate:
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
-        result = run_one(
+        result = run_parallel_procedure(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
-        assert result.speculation == "proven-dynamic"
+        (cert,) = result.certificates
+        assert cert.status == "proven-dynamic" and len(result.dispatches) == 1
         assert np.array_equal(arrays["B"], expected["B"])
 
     def test_inspector_refuted_runs_serially(self):
@@ -207,7 +205,7 @@ class TestProcedureSpeculate:
         assert result.blocked_dispatches == 0
         (cert,) = result.certificates
         assert (cert.mode, cert.status) == ("inspector", "proven-dynamic")
-        assert cert.conflicts == 0
+        assert cert.to_dict()["conflicts"] == 0
         assert np.array_equal(arrays["B"], expected["B"])
 
     def test_inspector_fallback_to_serial_inside_program(self):

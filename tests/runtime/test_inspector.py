@@ -117,6 +117,44 @@ class TestVerdicts:
         assert result.error is not None
 
 
+class TestCertificate:
+    """An inspection's result is the run's certificate: its keys and its
+    text are what ``/run`` and the CLI print."""
+
+    def test_refuted_keys_and_text(self):
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
+        arrays, sc = make_env(w)
+        arrays["P"][1 : sc["n"] + 1] = 2.0
+        cert = inspect_dispatch(outer_loop(w.proc), sc, arrays)
+        detail = "refuted: 9 iterations, 1 distinct elements, 8 conflict(s) sampled"
+        doc = cert.to_dict()
+        assert doc.pop("wall_s") == cert.wall_s
+        assert doc == {
+            "loop": "i", "mode": "inspector", "status": "refuted",
+            "iterations": 9, "conflicts": 8, "detail": detail,
+            "inspector": "walk",
+        }
+        assert str(cert) == (
+            "dynamic[inspector/walk] loop i: refuted "
+            f"(9 iterations, 8 conflict(s)): {detail}"
+        )
+
+    def test_proven_keys_and_text(self):
+        w = IRREGULAR_WORKLOADS["scatter_perm"]()
+        arrays, sc = make_env(w)
+        cert = inspect_dispatch(outer_loop(w.proc), sc, arrays)
+        n = sc["n"]
+        detail = (
+            f"proven disjoint: {n} iterations, {n} distinct elements, "
+            "0 conflict(s) sampled"
+        )
+        assert (cert.status, cert.to_dict()["conflicts"]) == ("proven-dynamic", 0)
+        assert str(cert) == (
+            f"dynamic[inspector/numpy] loop i: proven-dynamic "
+            f"({n} iterations, 0 conflict(s)): {detail}"
+        )
+
+
 class TestShadowCrossCheck:
     """Inspector verdicts must agree with the executing shadow recorder."""
 

@@ -37,6 +37,18 @@ procedure chase(A[1]; n)
 end
 """
 
+#: A dispatch, then a serial loop that ``m`` can run off ``B``'s end.
+BUMP_THEN_CHAIN = """
+procedure bump_then_chain(A[1], B[1]; n, m)
+  doall i = 1, n
+    A(i) := A(i) + 1.0
+  end
+  for j = 1, m
+    B(j) := B(j - 1) + 1.0
+  end
+end
+"""
+
 N = M = 12
 SAXPY_N = 8
 
@@ -391,6 +403,27 @@ class TestErrors:
         assert err.value.status == 400
         assert repr(field) in str(err.value)
         assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("backend", ["python", "mp"])
+    def test_a_serial_loop_past_an_extent_is_a_400(self, service, backend):
+        """The caller's data runs a serial loop off ``B``'s end: a 400 on
+        every engine (on mp, the raise of the parent's compiled residue),
+        and an in-range run of the same program is served after it."""
+        client, _ = service
+        key = client.compile(BUMP_THEN_CHAIN, backend=backend)["key"]
+        opts = {"backend": backend, "workers": 2}
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"A": np.zeros(9), "B": np.zeros(5)}, {"n": 8, "m": 9},
+                **opts,
+            )
+        assert err.value.status == 400
+        out = client.run(
+            key, {"A": np.zeros(9), "B": np.zeros(10)}, {"n": 8, "m": 9},
+            **opts,
+        )
+        assert out["engine"] == ("mp-pool" if backend == "mp" else "serial")
+        assert np.array_equal(out["arrays"]["B"], np.arange(10.0))
 
     @pytest.mark.parametrize("transport", ["json", "wire"])
     @pytest.mark.parametrize("backend", ["python", "mp"])

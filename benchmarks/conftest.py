@@ -7,6 +7,9 @@ paper's qualitative claim on it, and writes the rendered table to
 re-produced with one command::
 
     pytest benchmarks/ --benchmark-only
+
+A smoke run (``REPRO_BENCH_SMOKE=1``, the CI steps) writes its tables to a
+temporary directory instead, leaving ``results/`` as committed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,11 @@ def _write_json(path: pathlib.Path, payload) -> None:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
+def results_dir(tmp_path_factory) -> pathlib.Path:
+    """``results/`` — or, under ``REPRO_BENCH_SMOKE``, a temporary
+    directory: smoke-sized numbers never overwrite the committed ones."""
+    if os.environ.get("REPRO_BENCH_SMOKE"):
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

@@ -27,7 +27,7 @@ import secrets
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro import wire
 from repro.cluster.quotas import QuotaExceeded, TenantQuotas
@@ -381,7 +381,7 @@ class JobQueue:
     def stats(self) -> dict:
         """The ``jobs`` metrics block: monotonic counters + live gauges."""
         return {
-            **self.counters.as_dict(),
+            **asdict(self.counters),
             "depth": self.depth(),
             "states": self.states(),
             "service_ewma_s": round(self._service_ewma_s, 6),

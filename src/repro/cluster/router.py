@@ -56,6 +56,7 @@ import threading
 import time
 import urllib.parse
 from collections import OrderedDict
+from dataclasses import asdict
 
 from repro import wire
 from repro.cluster.jobs import TERMINAL_STATES, AdmissionError, Job, JobQueue
@@ -420,7 +421,7 @@ class ClusterRouter(AccountingHTTPServer):
         fleet["paused"] = self._paused.is_set()
         fleet["tenants"] = self.queue.quotas.snapshot()
         with self._state_lock:
-            fleet["transport"] = self.transport.as_dict()
+            fleet["transport"] = asdict(self.transport)
             fleet["sticky_keys"] = len(self._sticky)
         return fleet
 

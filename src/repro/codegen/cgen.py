@@ -864,7 +864,7 @@ struct region_ {
     double *ring;
     long cap, used;
     drain_fn drain;
-    long phases, max_batch, serial;
+    long phases, max_batch;
 };
 
 static double rnow_(void) {
@@ -965,13 +965,12 @@ long {fname}(int64_t *__ctr, int64_t *__bar, long __wid, long __workers,
         const int64_t *__params, int64_t *__info) {{
     struct region_ __r = {{__ctr, __bar, __wid, __workers, __spin, __run,
         __claim, __fns, __argvs, __rules, __rec, __tim, __ring, __cap, 0,
-        __drain, 0, 1, 0}};
+        __drain, 0, 1}};
     long __status = -1;
 {body}
     __status = 0;
 __out:
-    __info[0] = __r.phases, __info[1] = __r.max_batch;
-    __info[2] = __r.used, __info[3] = __r.serial;
+    __info[0] = __r.phases, __info[1] = __r.max_batch, __info[2] = __r.used;
     return __status;
 }}
 """
@@ -1013,9 +1012,7 @@ def generate_region_c(
     ``long <name>(ctr, bar, wid, workers, spin, run, claim, fns, argvs,
     rules, rec, tim, ring, cap, drain, params, info)`` returns 0, or -1
     when a barrier was stopped; ``info`` receives the instance count, the
-    largest resolved batch, the rows left in the ring and the number of
-    serial statements executed (counted as the per-dispatch executor
-    counts them: a loop once it completes, an ``if`` once evaluated).
+    largest resolved batch and the rows left in the ring.
     """
     index = {id(lp): i for i, lp in enumerate(loops)}
     base = sum(1 + rank for rank in proc.arrays.values())
@@ -1054,9 +1051,7 @@ def generate_region_c(
             )
             emit(s.body, depth + 1, ivs + (s.var,))
             lines.append(f"{pad}}}")
-            lines.append(f"{pad}__r.serial += 1;")
         elif isinstance(s, If):
-            lines.append(f"{pad}__r.serial += 1;")
             lines.append(f"{pad}if ({emitter.emit(s.cond)}) {{")
             emit(s.then, depth + 1, ivs)
             if len(s.orelse):

@@ -8,7 +8,10 @@ job's scalars, trip count, batch clamp and the pool's ``specs``,
 dispatch, fold the workers' reports into a
 :class:`~repro.parallel.runtime.ParallelRunResult` (on either protocol,
 :func:`repro.parallel.region._assemble`), and — for the
-loops the plan says so — inspect or combine partials.
+loops the plan says so — inspect or combine partials.  Nothing here
+bumps a counter: what ``/metrics`` counts of a dispatch (a chunk
+fallback, a blocked loop, a reduction) goes on the run's result, which
+:func:`repro.parallel.observe.record_run` folds once the run is over.
 
 Each dispatchable loop runs under the strategy the plan picked for it:
 
@@ -42,11 +45,6 @@ from repro.ir.stmt import Block, If, Loop, Stmt
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelDispatchError, ParallelTimeoutError
-from repro.parallel.observe import (
-    record_lang_fallback,
-    record_reduction_dispatch,
-    record_safety_block,
-)
 from repro.parallel.plan import (
     RED_IDENTITY,
     RED_MAX_CHUNKS,
@@ -159,8 +157,6 @@ def _dispatch_pool(
         # ranges and stays usable for the next dispatch.
         return _empty_result(loop, lo, hi, wpool.workers, run.policy)
     prep = run.plan.prep(run, proc, loop, env, extra_views)
-    if prep.fallback:
-        record_lang_fallback()
     specs = wpool.shared.specs() + list(extra_specs or ())
     if prep.native is not None and not run.stale:
         results = enter(run, prep.native, [lo, hi], env, specs)
@@ -183,11 +179,11 @@ def _dispatch_pool(
     results = wpool.dispatch(job, lo, hi, run.deadline)
     claim_loop = "static" if plan.rule is None else "py"
     (result,) = _assemble(results, [loop], plan.name, run.policy, claim_loop)
+    result.chunk_fallback = prep.fallback
     if result.chunk_lang != job["chunk_lang"]:
         # A worker degraded from the build (dlopen/bind failure): a chunk
         # fallback, like a parent-side one, and the plan is stale.
-        record_lang_fallback()
-        run.stale = True
+        run.stale = result.chunk_fallback = True
     return result
 
 
@@ -242,7 +238,6 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
         env[red.scalar] = acc
     result.reduction_scalar = red.scalar
     result.reduction_value = float(env[red.scalar])
-    record_reduction_dispatch()
     run.out.reductions += 1
     run.out.dispatches.append(result)
 
@@ -250,10 +245,8 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
 def _serial(run: Run, loop: Loop, env: dict) -> None:
     """A loop the verdict refuses to dispatch (or the inspector refutes):
     serial, in the parent, through the compiled residue."""
-    record_safety_block()
     run.out.blocked_dispatches += 1
     _residue(run, loop, env)
-    run.out.serial_stmts += 1
 
 
 def _inspected(run: Run, loop: Loop, env: dict) -> None:
@@ -327,7 +320,7 @@ def _exec(run: Run, stmt: Stmt, env: dict[str, int | float]) -> None:
     compiled residue; everything else falls through to the interpreter
     over the shared views.
     """
-    out, views = run.out, run.views
+    views = run.views
     if isinstance(stmt, Block):
         for s in stmt.stmts:
             _exec(run, s, env)
@@ -362,4 +355,3 @@ def _exec(run: Run, stmt: Stmt, env: dict[str, int | float]) -> None:
         _residue(run, stmt, env)
     else:
         run.interp._exec(stmt, env, views)
-    out.serial_stmts += 1

@@ -11,10 +11,16 @@ loop on the paper's claims.
 Times are seconds (optionally rescaled); chunk first-iterations are
 converted to the simulator's 0-based flat convention.
 
-This module also owns the *observability schema*: every parallel run
-records into the process-wide :data:`DISPATCH` counters, and
-:func:`metrics_snapshot` folds those together with the artifact cache's
-counters (and, when serving, the server's request counters) into one JSON
+This module also owns the *observability schema*.  The process-wide
+:data:`DISPATCH` counters are the ``/metrics`` ``dispatch`` block itself,
+one name per count; every per-run count in it is folded by
+:func:`record_run` from the run's
+:class:`~repro.parallel.runtime.ParallelProcedureResult`, once, when the
+run is over — the dispatch path bumps no counter.  Only a serial fallback
+(:func:`record_fallback`, which has no run result) and a transform
+pipeline (:func:`record_transforms`) count anything else.
+:func:`metrics_snapshot` folds the counters together with the artifact
+cache's (and, when serving, the server's request counters) into one JSON
 document.  The server's ``GET /metrics`` endpoint returns exactly this
 structure, so in-process runs and served runs are observed through one
 schema.
@@ -22,121 +28,15 @@ schema.
 
 from __future__ import annotations
 
+import copy
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.machine.trace import ChunkEvent, ProcessorTrace, SimResult
 
 #: Version tag of the metrics document layout.
 METRICS_SCHEMA = "repro.metrics/v1"
-
-
-@dataclass
-class DispatchCounters:
-    """Monotonic process-wide counters over every parallel run."""
-
-    runs: int = 0
-    dispatches: int = 0
-    #: Times a fleet was forked and joined: ``dispatches`` counts DOALL
-    #: instances, and a run inside the native SPMD region
-    #: (:mod:`repro.parallel.region`) serves all of its instances with one.
-    fork_joins: int = 0
-    #: Runs with a DOALL under a serial loop, by how they ran: ``"native"``
-    #: (the region) or the rule code that kept them on the per-dispatch path.
-    regions: dict[str, int] | None = None
-    claims: int = 0
-    lock_ops: int = 0
-    iterations: int = 0
-    wall_s: float = 0.0
-    fallbacks: int = 0
-    #: Dispatch counts per chunk language: "c" (native kernel), "numpy"
-    #: (whole-slice vectorized chunk), "py" (interpreted chunk), "mixed"
-    #: (workers of one dispatch disagreed — some dlopened the kernel,
-    #: some degraded).
-    chunk_c: int = 0
-    chunk_numpy: int = 0
-    chunk_py: int = 0
-    chunk_mixed: int = 0
-    #: Dispatches whose plan wanted the C kernel but ran a lower rung:
-    #: the kernel failed to build (codegen or compile), or a worker
-    #: failed to bind it.  A rung the plan derived from the host or the
-    #: dtypes — no compiler, non-float64 arrays — is not a fallback.
-    chunk_fallbacks: int = 0
-    #: Per-claim-protocol dispatch counts: "native" (the C fetch&add
-    #: loop), "py" (the Python loop over the lock-guarded counter),
-    #: "static" (no counter) — and how often the native protocol was
-    #: chosen but not followed: once per dispatch or region run that a
-    #: worker could not bind, and that went out again on the Python
-    #: protocol.
-    claim_native: int = 0
-    claim_py: int = 0
-    claim_static: int = 0
-    claim_fallbacks: int = 0
-    #: Chunk-safety verifier activity: procedures checked, per-loop
-    #: verdicts, dispatches refused under ``safety="enforce"`` (executed
-    #: serially instead), and finding counts keyed by stable rule code.
-    safety_checked: int = 0
-    safety_proven: int = 0
-    safety_unproven: int = 0
-    safety_blocked: int = 0
-    safety_findings: dict[str, int] | None = None
-    #: ``safety="speculate"`` activity, from each run's certificates:
-    #: dispatches routed through the runtime inspector, and those it
-    #: proved disjoint (then executed normally; the rest ran serially).
-    spec_inspected: int = 0
-    spec_proven_dynamic: int = 0
-    #: Transform activity: pipeline fission outcomes (loops split /
-    #: refused with every statement in one dependence cycle), reductions
-    #: recognized by the verifier or the transform pass, and dispatches
-    #: executed through the runtime's partial-accumulator reduction
-    #: engine.
-    fission_applied: int = 0
-    fission_refused: int = 0
-    reductions_recognized: int = 0
-    reduction_dispatches: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "dispatches": self.dispatches,
-            "fork_joins": self.fork_joins,
-            "regions": dict(self.regions or {}),
-            "claims": self.claims,
-            "lock_ops": self.lock_ops,
-            "iterations": self.iterations,
-            "wall_s": round(self.wall_s, 6),
-            "fallbacks": self.fallbacks,
-            "chunk_lang": {
-                "c": self.chunk_c,
-                "numpy": self.chunk_numpy,
-                "py": self.chunk_py,
-                "mixed": self.chunk_mixed,
-                "fallbacks": self.chunk_fallbacks,
-            },
-            "claim_loop": {
-                "native": self.claim_native,
-                "py": self.claim_py,
-                "static": self.claim_static,
-                "fallbacks": self.claim_fallbacks,
-            },
-            "safety": {
-                "checked": self.safety_checked,
-                "proven": self.safety_proven,
-                "unproven": self.safety_unproven,
-                "blocked": self.safety_blocked,
-                "findings": dict(self.safety_findings or {}),
-            },
-            "speculate": {
-                "inspected": self.spec_inspected,
-                "proven_dynamic": self.spec_proven_dynamic,
-            },
-            "transforms": {
-                "fission_applied": self.fission_applied,
-                "fission_refused": self.fission_refused,
-                "reductions_recognized": self.reductions_recognized,
-                "reduction_dispatches": self.reduction_dispatches,
-            },
-        }
 
 
 @dataclass
@@ -155,17 +55,6 @@ class JobCounters:
     rejected: int = 0
     cancelled: int = 0
     expired: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-        }
 
 
 @dataclass
@@ -187,97 +76,97 @@ class TransportCounters:
             raise ValueError(f"unknown transport {transport!r}")
         setattr(self, transport, getattr(self, transport) + 1)
 
-    def as_dict(self) -> dict:
-        return {"json": self.json, "wire": self.wire}
 
-
-#: The counters :func:`record_run` / :func:`record_fallback` feed.
-DISPATCH = DispatchCounters()
+#: Monotonic process-wide counters over every parallel run, in the shape
+#: ``/metrics`` serves them (``wall_s`` is rounded on the way out):
+#:
+#: * ``dispatches`` counts DOALL instances, ``fork_joins`` the times a
+#:   fleet was forked and joined — a run inside the native SPMD region
+#:   (:mod:`repro.parallel.region`) serves all its instances with one;
+#: * ``regions``: runs with a DOALL under a serial loop, by how they ran —
+#:   ``native`` (the region) or the rule code that kept them per dispatch;
+#: * ``fallbacks``: graceful serial fallbacks of ``backend="mp"``;
+#: * ``chunk_lang``: dispatches per chunk language actually run (``mixed``:
+#:   the workers of one dispatch disagreed), and ``fallbacks`` — those
+#:   whose plan wanted the C kernel but ran a lower rung because the
+#:   kernel did not build or a worker could not bind it (a rung derived
+#:   from the host or the dtypes is not a fallback);
+#: * ``claim_loop``: dispatches per claim protocol, and ``fallbacks`` —
+#:   native jobs a worker could not enter, each re-sent on the
+#:   lock-guarded protocol;
+#: * ``safety``: verdicts (procedures checked, loops proven or not,
+#:   findings by rule code) and dispatches ``blocked`` (run serially);
+#: * ``speculate``: dispatches the runtime inspector addressed, and those
+#:   it proved (they then dispatched normally);
+#: * ``transforms``: pipeline outcomes (:func:`record_transforms`) and
+#:   dispatches run through the partial-accumulator reduction engine.
+DISPATCH: dict = {
+    "runs": 0,
+    "dispatches": 0,
+    "fork_joins": 0,
+    "regions": Counter(),
+    "claims": 0,
+    "lock_ops": 0,
+    "iterations": 0,
+    "wall_s": 0.0,
+    "fallbacks": 0,
+    "chunk_lang": {"c": 0, "numpy": 0, "py": 0, "mixed": 0, "fallbacks": 0},
+    "claim_loop": {"native": 0, "py": 0, "static": 0, "fallbacks": 0},
+    "safety": {
+        "checked": 0, "proven": 0, "unproven": 0, "blocked": 0,
+        "findings": Counter(),
+    },
+    "speculate": {"inspected": 0, "proven_dynamic": 0},
+    "transforms": {
+        "fission_applied": 0,
+        "fission_refused": 0,
+        "reductions_recognized": 0,
+        "reduction_dispatches": 0,
+    },
+}
 _DISPATCH_LOCK = threading.Lock()
 
 
-def record_run(result) -> None:
+def record_run(result, ran: bool = True) -> None:
     """Fold one :class:`~repro.parallel.runtime.ParallelProcedureResult`
-    into :data:`DISPATCH`."""
+    into :data:`DISPATCH`: the only writer of its per-run counts.
+
+    ``ran=False`` is a run its plan refused before any dispatch: only
+    its verdict and its blocked loops count.
+    """
+    d = DISPATCH
+    langs, protocols, safety = d["chunk_lang"], d["claim_loop"], d["safety"]
     with _DISPATCH_LOCK:
-        DISPATCH.runs += 1
-        DISPATCH.dispatches += len(result.dispatches)
-        DISPATCH.fork_joins += result.fork_joins
+        d["runs"] += ran
+        d["dispatches"] += len(result.dispatches)
+        d["fork_joins"] += result.fork_joins
         if result.region is not None:
-            if DISPATCH.regions is None:
-                DISPATCH.regions = {}
-            code = result.region.partition(":")[0]
-            DISPATCH.regions[code] = DISPATCH.regions.get(code, 0) + 1
-        DISPATCH.claims += result.claims
-        DISPATCH.lock_ops += result.lock_ops
-        DISPATCH.iterations += result.total_iterations
-        DISPATCH.wall_s += result.wall_time
-        DISPATCH.spec_inspected += result.inspected
-        DISPATCH.spec_proven_dynamic += result.proven_dynamic
-        for d in result.dispatches:
-            if d.chunk_lang == "c":
-                DISPATCH.chunk_c += 1
-            elif d.chunk_lang == "numpy":
-                DISPATCH.chunk_numpy += 1
-            elif d.chunk_lang == "mixed":
-                DISPATCH.chunk_mixed += 1
-            else:
-                DISPATCH.chunk_py += 1
-            if d.claim_loop == "native":
-                DISPATCH.claim_native += 1
-            elif d.claim_loop == "static":
-                DISPATCH.claim_static += 1
-            else:
-                DISPATCH.claim_py += 1
+            d["regions"][result.region.partition(":")[0]] += 1
+        d["claims"] += result.claims
+        d["lock_ops"] += result.lock_ops
+        d["iterations"] += result.total_iterations
+        d["wall_s"] += result.wall_time
+        for disp in result.dispatches:
+            langs[disp.chunk_lang] += 1
+            langs["fallbacks"] += disp.chunk_fallback
+            protocols[disp.claim_loop] += 1
+        protocols["fallbacks"] += result.claim_fallbacks
+        if result.safety is not None:
+            safety["checked"] += 1
+            for verdict in result.safety.loops:
+                safety["proven" if verdict.proven else "unproven"] += 1
+            for finding in result.safety.findings:
+                safety["findings"][finding.rule] += 1
+        safety["blocked"] += result.blocked_dispatches
+        d["speculate"]["inspected"] += result.inspected
+        d["speculate"]["proven_dynamic"] += result.proven_dynamic
+        d["transforms"]["reduction_dispatches"] += result.reductions
 
 
 def record_fallback() -> None:
     """Count one graceful serial fallback (``backend="mp"`` degradation)."""
     with _DISPATCH_LOCK:
-        DISPATCH.fallbacks += 1
-
-
-def record_lang_fallback(count: int = 1) -> None:
-    """Count dispatches whose C kernel failed to build or to bind."""
-    with _DISPATCH_LOCK:
-        DISPATCH.chunk_fallbacks += count
-
-
-def record_claim_fallback(count: int = 1) -> None:
-    """Count native jobs a worker could not bind, each then re-sent on the
-    lock-guarded protocol."""
-    with _DISPATCH_LOCK:
-        DISPATCH.claim_fallbacks += count
-
-
-def record_safety(report) -> None:
-    """Fold one :class:`~repro.analysis.safety.SafetyReport` into counters."""
-    with _DISPATCH_LOCK:
-        DISPATCH.safety_checked += 1
-        for verdict in report.loops:
-            if verdict.proven:
-                DISPATCH.safety_proven += 1
-            else:
-                DISPATCH.safety_unproven += 1
-        if report.findings:
-            if DISPATCH.safety_findings is None:
-                DISPATCH.safety_findings = {}
-            for f in report.findings:
-                DISPATCH.safety_findings[f.rule] = (
-                    DISPATCH.safety_findings.get(f.rule, 0) + 1
-                )
-
-
-def record_safety_block(count: int = 1) -> None:
-    """Count dispatches refused under ``safety="enforce"`` (ran serially)."""
-    with _DISPATCH_LOCK:
-        DISPATCH.safety_blocked += count
-
-
-def record_reduction_dispatch(count: int = 1) -> None:
-    """Count dispatches run through the partial-accumulator engine."""
-    with _DISPATCH_LOCK:
-        DISPATCH.reduction_dispatches += count
+        DISPATCH["fallbacks"] += 1
 
 
 def record_transforms(
@@ -286,10 +175,11 @@ def record_transforms(
     reductions: int = 0,
 ) -> None:
     """Fold one pipeline's transform outcomes into :data:`DISPATCH`."""
+    counts = DISPATCH["transforms"]
     with _DISPATCH_LOCK:
-        DISPATCH.fission_applied += fission_applied
-        DISPATCH.fission_refused += fission_refused
-        DISPATCH.reductions_recognized += reductions
+        counts["fission_applied"] += fission_applied
+        counts["fission_refused"] += fission_refused
+        counts["reductions_recognized"] += reductions
 
 
 def metrics_snapshot(
@@ -311,9 +201,12 @@ def metrics_snapshot(
     from repro.cache import resolve_cache
 
     store = resolve_cache(cache)
+    with _DISPATCH_LOCK:
+        dispatch = copy.deepcopy(DISPATCH)
+    dispatch["wall_s"] = round(dispatch["wall_s"], 6)
     doc = {
         "schema": METRICS_SCHEMA,
-        "dispatch": DISPATCH.as_dict(),
+        "dispatch": dispatch,
         "cache": store.stats_dict() if store is not None else None,
     }
     if server is not None:

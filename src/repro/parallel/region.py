@@ -63,7 +63,6 @@ from repro.ir.visitor import walk_exprs
 from repro.parallel import runtime
 from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelError
-from repro.parallel.observe import record_claim_fallback
 from repro.parallel.runtime import (
     ParallelRunResult,
     _aggregate,
@@ -260,8 +259,9 @@ def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
 
     Returns the workers' result messages — or None when a worker could
     not bind: it stopped the barrier before anything ran, so the pool is
-    intact.  The fallback is counted and the run marked stale, which
-    drops the plan after it and keeps the rest of the run lock-guarded.
+    intact.  The fallback is counted in the run's ``claim_fallbacks``
+    and the run marked stale, which drops the plan after it and keeps
+    the rest of the run lock-guarded.
     Crashes and timeouts surface as the pool's own errors.
     """
     wpool = run.pool
@@ -277,7 +277,7 @@ def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
     }
     results = wpool.dispatch(job, 0, -1, run.deadline)
     if any(msg[3]["status"] for msg in results.values()):
-        record_claim_fallback()
+        run.out.claim_fallbacks += 1
         run.stale = True
         return None
     return results
@@ -374,6 +374,5 @@ def try_region(run) -> bool:
     out.dispatches.extend(
         _assemble(results, tpl.loops, tpl.policy_name, run.policy)
     )
-    out.serial_stmts += results[0][3]["serial_stmts"]
     out.region = "native"
     return True

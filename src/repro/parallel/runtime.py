@@ -65,6 +65,11 @@ Robustness contract:
 * shared-memory segments are unlinked on **every** exit path — success,
   crash, or timeout — on pool close / context-manager exit, so
   ``/dev/shm`` never accumulates garbage.
+
+Accounting: a run's result carries every fact ``/metrics`` counts of it,
+and :func:`repro.parallel.observe.record_run` folds it once, when the run
+returns (or is refused: then only its verdict and blocked loops count).
+A run that raises after its plan is built records nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ from repro.parallel.errors import (
     SafetyVerificationError,
     WorkerCrashError,
 )
-from repro.parallel.observe import record_run, record_safety, record_safety_block
+from repro.parallel.observe import record_run
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.runtime import inspector
 from repro.scheduling.policies import SchedulingPolicy
@@ -239,6 +244,9 @@ class ParallelRunResult:
     #: value (also written back into the caller's scalar environment).
     reduction_scalar: str | None = None
     reduction_value: float | None = None
+    #: The plan wanted the C kernel and this dispatch ran a lower rung:
+    #: the kernel did not build, or a worker could not bind it.
+    chunk_fallback: bool = False
     #: Which claim protocol drove the shared counter: ``"native"`` (the C
     #: claim loop under a region driver — hardware atomics, one crossing
     #: into C per worker per job),
@@ -291,11 +299,15 @@ class ParallelRunResult:
 
 @dataclass
 class ParallelProcedureResult:
-    """Outcome of a whole-procedure run: one entry per dispatched DOALL."""
+    """Outcome of a whole-procedure run: one entry per dispatched DOALL.
+
+    The one record of a run: ``/metrics`` folds it
+    (:func:`repro.parallel.observe.record_run`) and ``/run`` reports it
+    (:meth:`to_dict`).
+    """
 
     wall_time: float
     dispatches: list[ParallelRunResult] = field(default_factory=list)
-    serial_stmts: int = 0
     #: Chunk-safety mode the run executed under ("off", "warn",
     #: "enforce", "speculate").
     safety_mode: str = "off"
@@ -317,6 +329,9 @@ class ParallelProcedureResult:
     #: (one SPMD region, :mod:`repro.parallel.region`) or the rule-coded
     #: reason it ran per dispatch; None for programs with no such nest.
     region: str | None = None
+    #: Native jobs a worker could not enter: each went out again on the
+    #: lock-guarded protocol (:func:`repro.parallel.region.enter`).
+    claim_fallbacks: int = 0
 
     @property
     def fork_joins(self) -> int:
@@ -356,6 +371,30 @@ class ParallelProcedureResult:
         """Aggregate claim protocol across dispatches
         (``native``/``py``/``static``/``mixed``)."""
         return _aggregate({d.claim_loop for d in self.dispatches})
+
+    def to_dict(self) -> dict:
+        """The run's ``/run`` statistics: the same record
+        :func:`~repro.parallel.observe.record_run` folds into ``/metrics``."""
+        stats = {
+            "dispatches": len(self.dispatches),
+            "fork_joins": self.fork_joins,
+            "region": self.region,
+            "claims": self.claims,
+            "lock_ops": self.lock_ops,
+            "iterations": self.total_iterations,
+            "chunk_lang": self.chunk_lang,
+            "claim_loop": self.claim_loop,
+            "safety": self.safety_mode,
+            "blocked_dispatches": self.blocked_dispatches,
+            "reductions": self.reductions,
+        }
+        if self.safety_mode == "speculate":
+            stats["speculate"] = {
+                "inspected": self.inspected,
+                "proven_dynamic": self.proven_dynamic,
+                "certificates": [c.to_dict() for c in self.certificates],
+            }
+        return stats
 
 
 def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
@@ -506,15 +545,14 @@ def run_parallel_procedure(
         proc, arrays if owned else pool.views, scalars or {}, mode, policy,
         chunk, workers if owned else pool.workers, claim_batch,
     )
-    if plan.report is not None:
-        record_safety(plan.report)
+    out = ParallelProcedureResult(0.0, safety_mode=plan.mode, safety=plan.report)
     if plan.refusal is not None:
-        record_safety_block(len(plan.loops))
+        out.blocked_dispatches = len(plan.loops)
+        record_run(out, ran=False)
         raise SafetyVerificationError(plan.refusal)
     env: dict[str, int | float] = dict(scalars or {})
     deadline = None if timeout is None else time.monotonic() + timeout
     t_start = time.monotonic()
-    out = ParallelProcedureResult(0.0, safety_mode=plan.mode, safety=plan.report)
     # A pool made here is copied back on success only and always closed;
     # a borrowed one is loaded, copied back and left running.
     # ``preloaded=True`` is the zero-copy serving path: the caller has

@@ -141,7 +141,6 @@ def _report(
     log: bytes,
     lang: str,
     status: int = 0,
-    serial_stmts: int = 0,
 ) -> dict[str, Any]:
     """A worker's report on one job — the same on both protocols.
 
@@ -150,13 +149,9 @@ def _report(
     float64 row per instance (start, finish); ``log`` is the claim log,
     five float64 per row, instances in order.  ``status`` is nonzero when
     a region driver could not run (this worker could not bind it, or a
-    peer stopped the barrier); ``serial_stmts`` counts the statements a
-    region driver ran around its DOALLs.
+    peer stopped the barrier).
     """
-    return {
-        "status": status, "serial_stmts": serial_stmts, "rec": rec,
-        "tim": tim, "log": log, "lang": lang,
-    }
+    return {"status": status, "rec": rec, "tim": tim, "log": log, "lang": lang}
 
 
 #: Rows of the per-worker claim-log ring the native loop writes (5 float64
@@ -212,7 +207,7 @@ def _run_region(
     )
     rules = (ctypes.c_int64 * len(reg["rules"]))(*reg["rules"])
     params = (ctypes.c_int64 * max(1, len(reg["params"])))(*reg["params"])
-    info = (ctypes.c_int64 * 4)()
+    info = (ctypes.c_int64 * 3)()
     logged: list[bytes] = []
     ring: np.ndarray | None = None
     drain = cload.REGION_DRAIN(
@@ -235,9 +230,7 @@ def _run_region(
     status = enter(1, rec, tim, 0 if ring is None else len(ring))
     if info[2]:
         logged.append(ring[: info[2]].tobytes())
-    return _report(
-        bytes(rec), bytes(tim), b"".join(logged), "c", status, info[3]
-    )
+    return _report(bytes(rec), bytes(tim), b"".join(logged), "c", status)
 
 
 def run_plan(

@@ -69,7 +69,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
@@ -367,7 +367,7 @@ class ReproServer(AccountingHTTPServer):
     def server_metrics(self) -> dict:
         with self._state_lock:
             counters = dict(self.counters)
-            transport = self.transport.as_dict()
+            transport = asdict(self.transport)
             inflight = self._inflight
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -533,7 +533,14 @@ class ReproServer(AccountingHTTPServer):
                     )
                 else:
                     if backend == "c" and program.cbackend is not None:
-                        program.cbackend.run(arrays, scalars)
+                        try:
+                            program.cbackend.run(arrays, scalars)
+                        except TypeError as exc:
+                            # The C engine's typed arguments: the message
+                            # names the array or scalar it cannot take.
+                            raise RequestError(
+                                400, f"run failed: {exc}"
+                            ) from exc
                         engine = "c"
                     else:
                         program.serial.run(arrays, scalars)
@@ -582,26 +589,7 @@ class ReproServer(AccountingHTTPServer):
                 "serial-fallback",
                 {"fallback_reason": f"{type(exc).__name__}: {exc}"},
             )
-        stats = {
-            "dispatches": len(result.dispatches),
-            "fork_joins": result.fork_joins,
-            "region": result.region,
-            "claims": result.claims,
-            "lock_ops": result.lock_ops,
-            "iterations": result.total_iterations,
-            "chunk_lang": result.chunk_lang,
-            "claim_loop": result.claim_loop,
-            "safety": result.safety_mode,
-            "blocked_dispatches": result.blocked_dispatches,
-            "reductions": result.reductions,
-        }
-        if result.safety_mode == "speculate":
-            stats["speculate"] = {
-                "inspected": result.inspected,
-                "proven_dynamic": result.proven_dynamic,
-                "certificates": [c.to_dict() for c in result.certificates],
-            }
-        return "mp-pool", stats
+        return "mp-pool", result.to_dict()
 
 
 def _source_request(body, defaults) -> tuple[str, str, dict]:
@@ -652,7 +640,9 @@ def _run_options(body, program) -> tuple[str, int, dict]:
         workers = resolve_workers(body.get("workers", 4))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from None
-    for retired in ("variants", "calibrate", "shm_arrays", "chunk_lang"):
+    for retired in (
+        "variants", "calibrate", "shm_arrays", "chunk_lang", "log_events",
+    ):
         if retired in body:
             raise RequestError(400, f"{retired!r} is not a /run option")
     policy, chunk = body.get("policy", "gss"), body.get("chunk")
@@ -674,7 +664,7 @@ def _run_options(body, program) -> tuple[str, int, dict]:
         chunk=chunk,
         claim_batch=claim_batch,
         timeout=timeout,
-        log_events=bool(body.get("log_events", False)),
+        log_events=False,  # no /run reply carries claim events
         safety=safety,
     )
 

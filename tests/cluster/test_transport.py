@@ -240,6 +240,7 @@ class TestFrontDoorSafety:
     @pytest.mark.parametrize("field,extra", [
         ("transport", {"transport": "shm"}),
         ("shm_arrays", {"shm_arrays": [{"name": "X", "segment": "repro-x"}]}),
+        ("log_events", {"log_events": True}),
     ])
     def test_retired_shm_fields_are_a_400(self, cluster, field, extra):
         client, _, supervisor = cluster

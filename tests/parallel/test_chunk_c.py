@@ -170,13 +170,13 @@ class TestFallbackLadder:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_one(proc, arrays, sc, workers=2)
         # No compiler: the plan derives the vectorized numpy chunk
         # (saxpy2d passes the vectorization rules) — a rung, not a
         # fallback — and the run never fails.
         assert result.chunk_lang == "numpy"
-        assert DISPATCH.chunk_fallbacks == before
+        assert DISPATCH["chunk_lang"]["fallbacks"] == before
         _assert_bit_for_bit(baseline, arrays)
 
     def test_int64_arrays_run_py_chunks_without_a_fallback(self):
@@ -188,10 +188,10 @@ class TestFallbackLadder:
         arrays = {"A": np.zeros((n + 1, m + 1), dtype=np.int64)}
         want = {"A": arrays["A"].copy()}
         Interpreter().run(proc, want, {"n": n, "m": m})
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_one(proc, arrays, {"n": n, "m": m}, workers=2)
         assert result.chunk_lang == "py"
-        assert DISPATCH.chunk_fallbacks == before
+        assert DISPATCH["chunk_lang"]["fallbacks"] == before
         assert arrays["A"].dtype == np.int64
         np.testing.assert_array_equal(arrays["A"], want["A"])
 
@@ -208,10 +208,10 @@ class TestFallbackLadder:
         arrays, sc = make_env(w, seed=6)
         want = {k: v.copy() for k, v in arrays.items()}
         Interpreter().run(w.proc, want, sc)
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_one(proc, arrays, sc, workers=2)
         assert result.chunk_lang == "numpy"
-        assert DISPATCH.chunk_fallbacks == before + 1
+        assert DISPATCH["chunk_lang"]["fallbacks"] == before + 1
         _assert_bit_for_bit(want, arrays)
 
     @needs_gcc
@@ -223,10 +223,10 @@ class TestFallbackLadder:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_one(proc, arrays, sc, workers=2)
         assert result.chunk_lang == "numpy"  # the rung below the kernel
-        assert DISPATCH.chunk_fallbacks > before
+        assert DISPATCH["chunk_lang"]["fallbacks"] > before
         _assert_bit_for_bit(baseline, arrays)
 
     @needs_gcc
@@ -238,10 +238,10 @@ class TestFallbackLadder:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=4)
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_one(proc, arrays, sc, workers=2)
         assert result.chunk_lang == "numpy"  # the rung below the kernel
-        assert DISPATCH.chunk_fallbacks > before
+        assert DISPATCH["chunk_lang"]["fallbacks"] > before
         _assert_bit_for_bit(baseline, arrays)
 
     @needs_gcc
@@ -268,10 +268,10 @@ class TestFallbackLadder:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, _ = _serial_baseline(w, seed=9)
-        before = DISPATCH.chunk_c
+        before = DISPATCH["chunk_lang"]["c"]
         run_one(proc, arrays, sc, workers=2)
-        assert DISPATCH.chunk_c > before
-        assert "chunk_lang" in DISPATCH.as_dict()
+        assert DISPATCH["chunk_lang"]["c"] > before
+        assert "chunk_lang" in DISPATCH
 
 
 class TestKernelCaching:

@@ -363,7 +363,7 @@ def assert_sent_back(
     dropped, the pool stays healthy and no later dispatch of the run
     tries the driver again."""
     sent = jobs_sent(monkeypatch)
-    fallbacks = DISPATCH.claim_fallbacks
+    fallbacks = DISPATCH["claim_loop"]["fallbacks"]
     with WorkerPool(arrays, workers=2) as pool:  # forked after the patch
         result = run_parallel_procedure(
             proc, arrays, scalars, pool=pool, timeout=60.0, **options
@@ -372,7 +372,7 @@ def assert_sent_back(
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
     assert result.claim_loop == "py" and result.chunk_lang == lang
     assert sent == ["native"] + ["py"] * len(result.dispatches)
-    assert DISPATCH.claim_fallbacks == fallbacks + 1
+    assert DISPATCH["claim_loop"]["fallbacks"] == fallbacks + 1
     assert not plans_of(proc)
     return result
 
@@ -405,13 +405,13 @@ def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
     # Both protocols call a kernel through its thunk: without one, the
     # lock-guarded loop runs the Python chunk (a chunk fallback per
     # dispatch) instead of the kernel.
-    chunk_fallbacks = DISPATCH.chunk_fallbacks
+    chunk_fallbacks = DISPATCH["chunk_lang"]["fallbacks"]
     result = assert_sent_back(
         monkeypatch, PAIR, arrays, {"n": n}, want,
         lang="py" if broken == "thunk" else "c", policy="unit",
         claim_batch=4,
     )
-    assert DISPATCH.chunk_fallbacks - chunk_fallbacks == (
+    assert DISPATCH["chunk_lang"]["fallbacks"] - chunk_fallbacks == (
         2 if broken == "thunk" else 0
     )
     assert result.region is None and len(result.dispatches) == 2

@@ -78,10 +78,10 @@ class TestEquivalence:
         arrays, sc = make_env(w, seed=3)
         want = {k: v.copy() for k, v in arrays.items()}
         Interpreter().run(w.proc, want, dict(sc))
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_parallel_procedure(proc, arrays, sc, workers=2)
         assert {d.chunk_lang for d in result.dispatches} == COMPILERLESS_LANGS[name]
-        assert DISPATCH.chunk_fallbacks == before
+        assert DISPATCH["chunk_lang"]["fallbacks"] == before
         _assert_bit_for_bit(want, arrays)
 
     def test_hybrid_gauss_degrades_per_dispatch(self, compilerless):
@@ -92,13 +92,13 @@ class TestEquivalence:
         w = get_workload("gauss_jordan")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=1)
-        before = DISPATCH.chunk_fallbacks
+        before = DISPATCH["chunk_lang"]["fallbacks"]
         result = run_parallel_procedure(
             proc, arrays, sc, workers=2, policy="unit"
         )
         assert "py" in {d.chunk_lang for d in result.dispatches}
         _assert_bit_for_bit(baseline, arrays)
-        assert DISPATCH.chunk_fallbacks == before
+        assert DISPATCH["chunk_lang"]["fallbacks"] == before
 
 
 class TestRefusals:

@@ -84,9 +84,6 @@ class TestEquivalence:
             proc, arrays, sc, workers=2, policy=policy
         )
         _assert_bit_for_bit(baseline, arrays)
-        # the serial pivot loop ran in the parent, the extraction nest in
-        # workers
-        assert result.serial_stmts >= 1
         assert len(result.dispatches) >= 1
 
     @pytest.mark.parametrize("policy", POLICIES)

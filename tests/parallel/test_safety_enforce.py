@@ -8,6 +8,8 @@ turns into a recorded serial fallback).  Every refused racy workload
 must still produce the exact serial-semantics result.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -165,14 +167,14 @@ class TestObservability:
     def test_counters_move(self):
         from repro.parallel.observe import DISPATCH
 
-        before = DISPATCH.as_dict()["safety"]
+        before = copy.deepcopy(DISPATCH["safety"])
         w = RACY_WORKLOADS["racy_flow"]()
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError):
             run_parallel_procedure(
                 coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
             )
-        after = DISPATCH.as_dict()["safety"]
+        after = DISPATCH["safety"]
         assert after["checked"] > before["checked"]
         assert after["unproven"] > before["unproven"]
         assert after["blocked"] > before["blocked"]

@@ -285,13 +285,13 @@ class TestSpeculateMetrics:
     def test_counters_accumulate(self):
         from repro.parallel.observe import DISPATCH
 
-        before = DISPATCH.as_dict()["speculate"]
+        before = dict(DISPATCH["speculate"])
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         run_parallel_procedure(
             w.proc, arrays, sc, workers=WORKERS, safety="speculate"
         )
-        after = DISPATCH.as_dict()["speculate"]
+        after = DISPATCH["speculate"]
         assert set(after) == {"inspected", "proven_dynamic"}
         assert after["inspected"] == before["inspected"] + 1
         assert after["proven_dynamic"] == before["proven_dynamic"] + 1

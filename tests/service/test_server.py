@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import transform_function
 from repro.cache import ArtifactCache
+from repro.codegen.cload import have_compiler
 from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
 from repro.service import ServiceClient, ServiceError, serve_background
@@ -45,6 +46,15 @@ procedure bump_then_chain(A[1], B[1]; n, m)
   end
   for j = 1, m
     B(j) := B(j - 1) + 1.0
+  end
+end
+"""
+
+#: A float scalar the C engine cannot take (it passes scalars as longs).
+SCALE_BY = """
+procedure scale_by(A[1], B[1]; n, a)
+  doall i = 1, n
+    B(i) := a * A(i)
   end
 end
 """
@@ -388,6 +398,7 @@ class TestErrors:
             ("shm_arrays", [{"name": "A", "segment": "repro-par-1-x-0"}]),
             ("transport", "shm"),
             ("chunk_lang", "c"),
+            ("log_events", True),
         ],
     )
     def test_run_rejects_retired_fields(self, service, field, value):
@@ -424,6 +435,34 @@ class TestErrors:
         )
         assert out["engine"] == ("mp-pool" if backend == "mp" else "serial")
         assert np.array_equal(out["arrays"]["B"], np.arange(10.0))
+
+    @pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    @pytest.mark.parametrize("bad", ["float scalar", "int64 arrays"])
+    def test_the_c_engines_argument_types_are_a_400(
+        self, service, transport, bad
+    ):
+        """The C engine takes float64 arrays and integer scalars: anything
+        else is a 400 naming the argument, and the next good run is
+        served."""
+        client, _ = service
+        key = client.compile(SCALE_BY, backend="c")["key"]
+        A, B, scalars = np.arange(9.0), np.zeros(9), {"n": 8, "a": 2}
+        if bad == "float scalar":
+            args, named = ({"A": A, "B": B}, {**scalars, "a": 2.5}), "'a'"
+        else:
+            ints = {"A": A.astype(np.int64), "B": B.astype(np.int64)}
+            args, named = (ints, scalars), "'A'"
+        with pytest.raises(ServiceError) as err:
+            client.run(key, *args, transport=transport, backend="c")
+        assert err.value.status == 400
+        assert named in str(err.value) and "C backend" in str(err.value)
+        assert "Traceback" not in str(err.value)
+        out = client.run(
+            key, {"A": A, "B": B}, scalars, transport=transport, backend="c"
+        )
+        assert out["engine"] == "c"
+        assert np.array_equal(out["arrays"]["B"], 2.0 * A)
 
     @pytest.mark.parametrize("transport", ["json", "wire"])
     @pytest.mark.parametrize("backend", ["python", "mp"])

@@ -31,7 +31,9 @@ On the lock-guarded protocol only the parent touches the words between
 jobs (:meth:`SharedClaimCounter.reset`, at the dispatch barrier).  The
 barrier's three words (arrived, generation, stop) live in the same
 shared block, one cache line away
-(:attr:`SharedClaimCounter.barrier_address`).  Both protocols hand out
+(:attr:`SharedClaimCounter.barrier_address`), and a reduction's
+partials one line further (:attr:`SharedClaimCounter.partials`): every
+worker inherits them at spawn, with the counter.  Both protocols hand out
 identical chunks for identical rules — ``claims``, ``lock_ops`` and
 chunk boundaries do not depend on which ran.
 
@@ -49,6 +51,8 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.scheduling.policies import (
     ChunkSelfScheduled,
@@ -140,6 +144,13 @@ def chunk_size(rule: ChunkRule, remaining: int) -> int:
 #: Word offset of the region barrier inside the counter's shared block.
 _BARRIER = 8
 
+#: Word offset of the reduction partials in the same block, and their
+#: number: the most chunks a reduction dispatch has.
+_PARTIALS, RED_MAX_CHUNKS = 16, 64
+
+#: The partials' key in a worker's arrays: no IR name can take it.
+PARTIALS_KEY = "#partials"
+
 
 class SharedClaimCounter:
     """Shared iteration counter over the inclusive loop range [start, stop].
@@ -169,8 +180,11 @@ class SharedClaimCounter:
     ) -> None:
         # state[0] = next unclaimed value, state[1] = inclusive stop;
         # state[8:11] = the region barrier (arrived, generation, stop), a
-        # cache line away from the words every claim hits.
-        self._state = ctx.Array("q", [start, stop] + [0] * (_BARRIER + 1))
+        # cache line away from the words every claim hits; state[16:80] =
+        # the reduction partials, as float64.
+        self._state = ctx.Array(
+            "q", [start, stop] + [0] * (_PARTIALS - 2 + RED_MAX_CHUNKS)
+        )
         self.start = start
 
     @property
@@ -191,6 +205,14 @@ class SharedClaimCounter:
     def barrier_address(self) -> int:
         """Where the region barrier's three words live (this process)."""
         return self.address + 8 * _BARRIER
+
+    @property
+    def partials(self) -> np.ndarray:
+        """The reduction partial slots, as float64 (this process).  Each
+        chunk seeds its own slot, and the parent reads only those."""
+        return np.frombuffer(
+            self._state.get_obj(), np.float64, RED_MAX_CHUNKS, 8 * _PARTIALS
+        )
 
     def reset_barrier(self) -> None:
         """Zero the barrier's arrived and stop words (parent, fleet idle)."""

@@ -4,10 +4,9 @@
 Everything compile-time is already in the plan (or, on a plan's first
 run, goes into it the first time it is reached); what happens here per
 call is what the paper leaves dynamic: evaluate the bounds, fill the
-job's scalars, trip count, batch clamp and the pool's ``specs``,
-dispatch, fold the workers' reports into a
-:class:`~repro.parallel.runtime.ParallelRunResult` (on either protocol,
-:func:`repro.parallel.region._assemble`), and — for the
+job's scalars, trip count and batch clamp, dispatch, fold the workers'
+reports into a :class:`~repro.parallel.runtime.ParallelRunResult` (on
+either protocol, :func:`repro.parallel.region._assemble`), and — for the
 loops the plan says so — inspect or combine partials.  Nothing here
 bumps a counter: what ``/metrics`` counts of a dispatch (a chunk
 fallback, a blocked loop, a reduction) goes on the run's result, which
@@ -18,7 +17,8 @@ Each dispatchable loop runs under the strategy the plan picked for it:
 ``dispatch``  one job on the pool (:func:`_dispatch_pool`): a region of
               one instance when the chunks are C kernels and the policy
               is dynamic, else the lock-guarded or static Python loop;
-``reduce``    partial accumulators in a side segment, folded in order;
+``reduce``    partial accumulators in the counter block's slots, folded
+              in order;
 ``serial``    refused by the verdict: the parent runs it through the
               plan's compiled residue, like any dispatch-free serial loop;
 ``inspect``   the runtime inspector (native when the plan has a C
@@ -35,6 +35,7 @@ residues.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -43,21 +44,15 @@ from repro.analysis.safety import dispatchable
 from repro.ir.expr import apply_binop
 from repro.ir.stmt import Block, If, Loop, Stmt
 from repro.parallel import runtime
-from repro.parallel.counter import policy_plan
+from repro.parallel.counter import RED_MAX_CHUNKS, policy_plan
 from repro.parallel.errors import ParallelDispatchError, ParallelTimeoutError
-from repro.parallel.plan import (
-    RED_IDENTITY,
-    RED_MAX_CHUNKS,
-    compile_residue,
-    drop,
-)
+from repro.parallel.plan import compile_residue, drop
 from repro.parallel.region import _assemble, enter, try_region
 from repro.parallel.runtime import (
     ParallelRunResult,
     _contains_dispatchable,
     _empty_result,
 )
-from repro.parallel.shm import SharedArrayPool
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
 class Run:
@@ -137,16 +132,14 @@ def _dispatch_pool(
     proc,
     loop: Loop,
     env: Mapping[str, int | float],
-    extra_specs: list | None = None,
-    extra_views: Mapping[str, np.ndarray] | None = None,
+    log_events: bool,
 ) -> ParallelRunResult:
     """Run one DOALL on the persistent pool: a message, not a fork.
 
     The job is the plan's template for this loop shape plus what this
     dispatch fills in: its one-instance region when it has one and the
     run's workers have bound everything so far, else the lock-guarded
-    loop's job.  ``extra_specs``/``extra_views`` ship side-channel
-    arrays outside the main pool (the reduction engine's partials).
+    loop's job.
     """
     wpool = run.pool
     lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
@@ -156,10 +149,9 @@ def _dispatch_pool(
         # Nothing to do — and nothing sent: the pool idles through empty
         # ranges and stays usable for the next dispatch.
         return _empty_result(loop, lo, hi, wpool.workers, run.policy)
-    prep = run.plan.prep(run, proc, loop, env, extra_views)
-    specs = wpool.shared.specs() + list(extra_specs or ())
+    prep = run.plan.prep(run, proc, loop, env)
     if prep.native is not None and not run.stale:
-        results = enter(run, prep.native, [lo, hi], env, specs)
+        results = enter(run, prep.native, [lo, hi], env, log_events)
         if results is not None:
             tpl = prep.native
             return _assemble(results, tpl.loops, tpl.policy_name, run.policy)[0]
@@ -168,13 +160,12 @@ def _dispatch_pool(
     batch = _resolve_claim_batch(run.claim_batch, plan, n, active)
     job = dict(prep.job)
     job.update(
-        specs=specs,
         scalars={name: env[name] for name in job["scalar_order"]},
         plan=plan,
         lo=lo,
         hi=hi,
         batch=batch,
-        log_events=run.log_events,
+        log_events=log_events,
     )
     results = wpool.dispatch(job, lo, hi, run.deadline)
     claim_loop = "static" if plan.rule is None else "py"
@@ -193,22 +184,25 @@ def _dispatch_pool(
 
 
 def _dispatched(run: Run, loop: Loop, env: dict) -> None:
-    run.out.dispatches.append(_dispatch_pool(run, run.plan.proc, loop, env))
+    result = _dispatch_pool(run, run.plan.proc, loop, env, run.log_events)
+    run.out.dispatches.append(result)
 
 
 def _reduced(run: Run, loop: Loop, env: dict) -> None:
     """A recognized reduction, through partial accumulators + ordered fold.
 
-    The derived strip-mined loop dispatches with the partial array
-    attached as a side-channel segment; the parent then folds the
-    partials in ascending chunk order, seeded with the incoming
-    accumulator value, and writes the result back into ``env`` — exactly
-    the serial association ``((s ⊕ p₁) ⊕ p₂) …`` with ``p_c = ((id ⊕
-    u_{c,1}) ⊕ …)``, bit-identical to serial execution whenever ⊕ is
-    exact on the data (min/max always; float +/* on integer-valued data).
+    The derived strip-mined loop dispatches with its partial array bound
+    to the counter block's slots (each chunk seeds its own with the
+    identity); the parent then folds the partials in ascending chunk
+    order, seeded with the incoming accumulator value, and writes the
+    result back into ``env`` — exactly the serial association ``((s ⊕
+    p₁) ⊕ p₂) …`` with ``p_c = ((id ⊕ u_{c,1}) ⊕ …)``, bit-identical to
+    serial execution whenever ⊕ is exact on the data (min/max always;
+    float +/* on integer-valued data).
     A correctness matter, not an optimization: dispatched plainly, each
     worker would hold a private copy of the accumulator.  The chunk grid
-    is a pure function of the trip count, never the worker count.
+    is a pure function of the trip count, never the worker count: at most
+    :data:`RED_MAX_CHUNKS` chunks of one stride, none empty.
     """
     red_plan = run.plan.reductions[id(loop)]
     red = red_plan.reduction
@@ -221,25 +215,37 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
     n = max(0, hi - lo + 1)
     result = _empty_result(loop, lo, hi, run.pool.workers, run.policy)
     if n > 0:
-        n_chunks = max(1, min(RED_MAX_CHUNKS, n))
-        seed = np.full(n_chunks, RED_IDENTITY[red.op], dtype=np.float64)
-        env2 = dict(env)
-        env2[red_plan.chunks] = n_chunks
-        env2[red_plan.stride] = -(-n // n_chunks)
-        with SharedArrayPool({red_plan.partial: seed}) as ppool:
-            result = _dispatch_pool(
-                run, red_plan.proc, red_plan.loop, env2, ppool.specs(),
-                ppool.views,
-            )
-            parts = ppool.views[red_plan.partial][:n_chunks].tolist()
+        stride = -(-n // min(RED_MAX_CHUNKS, n))
+        n_chunks = -(-n // stride)
+        env2 = {**env, red_plan.chunks: n_chunks, red_plan.stride: stride}
+        strip = _dispatch_pool(run, red_plan.proc, red_plan.loop, env2, True)
         acc = env[red.scalar]
-        for part in parts:
+        for part in run.pool.counter.partials[:n_chunks].tolist():
             acc = apply_binop(red.op, acc, part)
         env[red.scalar] = acc
+        result = _as_written(strip, loop, lo, hi, stride, run.log_events)
     result.reduction_scalar = red.scalar
     result.reduction_value = float(env[red.scalar])
     run.out.reductions += 1
     run.out.dispatches.append(result)
+
+
+def _as_written(strip, loop, lo, hi, stride, keep_log) -> ParallelRunResult:
+    """The strip-mined dispatch's result in the terms of the loop as
+    written: its variable and bounds, and per worker the iterations of
+    the chunks its claim log shows (chunk ``c`` runs from ``lo + c·stride``
+    to the next chunk or ``hi``).  The log's rows become those ranges."""
+    done, event_log = [0] * len(strip.iterations_per_worker), []
+    for wid, rows in strip.event_log:
+        rows = np.frombuffer(rows).reshape(-1, 5).copy()
+        rows[:, :2] = lo + rows[:, :2] * stride + [0, stride - 1]
+        rows[:, 1] = np.minimum(rows[:, 1], hi)
+        done[wid] += int((rows[:, 1] - rows[:, 0] + 1).sum())
+        event_log.append((wid, rows.tobytes()))
+    return replace(
+        strip, loop_var=loop.var, lo=lo, hi=hi, iterations_per_worker=done,
+        event_log=event_log if keep_log else [],
+    )
 
 
 def _serial(run: Run, loop: Loop, env: dict) -> None:

@@ -31,7 +31,8 @@ numpy or the scalar Python chunk) with its one-instance region, each
 inspected loop's native inspector, the compiled serial residues, and the
 region verdict with its job template.  Never in a plan: certificates
 (each run keeps its own), counters, results, scalar values, trip counts,
-batch clamps, ``params`` of a region and the pool's ``specs``.
+batch clamps and ``params`` of a region; nor arrays, which a pool's
+workers attach once, at spawn.
 
 Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
 it (:func:`repro.tuning.reset_tuning_memo` calls it), and a run whose
@@ -65,7 +66,7 @@ from repro.ir.stmt import Assign, Block, If, Loop, LoopKind, Procedure, Stmt
 from repro.ir.validate import validate
 from repro.ir.visitor import stored_arrays, walk_exprs, walk_stmts
 from repro.parallel import runtime
-from repro.parallel.counter import policy_plan
+from repro.parallel.counter import PARTIALS_KEY, policy_plan
 from repro.parallel.errors import ParallelDispatchError, SafetyVerificationError
 from repro.parallel.region import instance_template
 from repro.parallel.shm import native_layout
@@ -360,7 +361,7 @@ class Plan:
 
         return native
 
-    def prep(self, run, proc, loop, env, extra_views):
+    def prep(self, run, proc, loop, env):
         """The :class:`_Prep` of one dispatch of ``loop`` under ``env``.
 
         Keyed by loop identity, the env-local scalar names and every
@@ -370,30 +371,36 @@ class Plan:
         extra, types = _shape(proc, loop, env)
         return self.once(
             (id(loop), extra, types),
-            lambda: self._prep(run, proc, loop, extra, env, extra_views),
+            lambda: self._prep(run, proc, loop, extra, env),
         )
 
-    def _prep(self, run, proc, loop, extra, env, extra_views) -> _Prep:
+    def _prep(self, run, proc, loop, extra, env) -> _Prep:
         """The job template, down the ladder from the plan's language: the
         C kernel with its one-instance region; else, or when the kernel
         does not build, the whole-slice numpy chunk where npgen accepts
         the body; else the scalar Python chunk.  A job carries one Python
         chunk — for a C job the scalar one, where a worker that cannot
-        bind the kernel lands."""
+        bind the kernel lands.
+
+        The one array a derived reduction adds to the program's is its
+        partials, bound to the counter block's slots
+        (:data:`~repro.parallel.counter.PARTIALS_KEY`); the workers
+        attached every other at spawn."""
         widened = _widened(proc, extra)
-        job = {
-            "array_order": list(proc.arrays),
-            "scalar_order": list(widened.scalars),
-        }
+        order = [
+            a if a in self.proc.arrays else PARTIALS_KEY for a in proc.arrays
+        ]
+        job = {"array_order": order, "scalar_order": list(widened.scalars)}
         fallback = False
         if self.lang == "c":
             inspect = self.strategies.get(id(loop)) == "inspect"
             kernel = (
                 self.kernels.chunk_kernel(proc, loop, extra, env, inspect)
-                if native_layout({**run.views, **(extra_views or {})}, proc.arrays)
+                if native_layout(run.views, self.proc.arrays)
                 else None
             )
             if kernel is not None:
+                kernel = {**kernel, "array_order": order}
                 job.update(kernel, chunk_lang="c")
                 job.update(_chunk(widened, loop, generate_chunk_source))
                 return _Prep(job, native=instance_template(run, loop, kernel))
@@ -526,11 +533,6 @@ def prewarm(proc: Procedure, store) -> int:
 # Reduction plans (recognized ``s := s ⊕ expr`` loops)
 # ---------------------------------------------------------------------------
 
-#: Upper bound on partial accumulators per reduction dispatch.  The chunk
-#: grid is a pure function of the trip count (never the worker count), so
-#: the folded result is deterministic across fleet sizes.
-RED_MAX_CHUNKS = 64
-
 #: Finite identity constants for the derived init statement.  ``min`` and
 #: ``max`` use ±float-max instead of ±inf — generated Python and C sources
 #: cannot spell infinity as a literal — which folds exactly like the true
@@ -547,18 +549,15 @@ RED_IDENTITY: dict[str, float] = {
 class _ReductionPlan:
     """Everything one recognized reduction loop needs to dispatch.
 
-    ``origin`` is the loop as written (``s := s ⊕ expr``); ``proc`` /
-    ``loop`` are the derived strip-mined form the workers actually
-    execute; ``partial``/``chunks``/``stride`` name the partial array and
-    the two symbolic grid scalars, so one cached chunk kernel serves
-    every trip count.
+    ``proc``/``loop`` are the derived strip-mined form the workers
+    execute (its one array beyond the program's is the partials);
+    ``chunks``/``stride`` name the two symbolic grid scalars, so one
+    cached chunk kernel serves every trip count.
     """
 
     reduction: Reduction
-    origin: Loop
     proc: Procedure
     loop: Loop
-    partial: str
     chunks: str
     stride: str
 
@@ -627,7 +626,7 @@ def derive_reduction_dispatch(
         tuple(proc.scalars) + (chunks, stride),
     )
     validate(derived)
-    return _ReductionPlan(red, loop, derived, outer, partial, chunks, stride)
+    return _ReductionPlan(red, derived, outer, chunks, stride)
 
 
 def _reduction_plan(proc: Procedure, loop: Loop) -> _ReductionPlan | None:

@@ -11,10 +11,12 @@ created for a run or borrowed warm from its caller — moves all of that
 to setup time:
 
 * worker processes are spawned **once**, with the shared-memory array
-  views and the (resettable) shared claim counter already attached;
+  views and the (resettable) shared claim counter, whose block also
+  holds a reduction's partials, already attached — the only time an
+  array reaches a worker;
 * each dispatch is then one lightweight job descriptor per worker over a
   private queue, plus the implicit barrier of gathering one result
-  message per worker — no fork, no re-attach, no new segments;
+  message per worker — no fork, no attach, no new segments;
 * chunk functions are cached by source text on both sides
   (:func:`repro.codegen.pygen.compile_chunk_source` is memoized), so a
   loop shape dispatched N times is generated and compiled once.

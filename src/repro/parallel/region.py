@@ -253,9 +253,10 @@ def _build(run) -> _Template:
     return _Template(job, doalls, name)
 
 
-def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
+def enter(run, tpl: _Template, params, env, log_events) -> dict | None:
     """Run ``tpl`` once on ``run.pool``, filling in only ``params``, the
-    kernels' scalars, the barrier's spin and ``specs``.
+    kernels' scalars, the barrier's spin and whether to log claims.
+    Nothing about the arrays: the workers attached them at spawn.
 
     Returns the workers' result messages — or None when a worker could
     not bind: it stopped the barrier before anything ran, so the pool is
@@ -272,8 +273,7 @@ def enter(run, tpl: _Template, params: list[int], env, specs) -> dict | None:
     spin = BARRIER_SPIN if wpool.workers <= len(os.sched_getaffinity(0)) else 0
     job = {
         "region": {**tpl.job, "loops": loops, "params": params, "spin": spin},
-        "specs": specs,
-        "log_events": run.log_events,
+        "log_events": log_events,
     }
     results = wpool.dispatch(job, 0, -1, run.deadline)
     if any(msg[3]["status"] for msg in results.values()):
@@ -367,7 +367,7 @@ def try_region(run) -> bool:
         int(env[s]) if isinstance(env.get(s), (int, np.integer)) else 0
         for s in run.plan.proc.scalars
     ]
-    results = enter(run, tpl, params, env, run.pool.shared.specs())
+    results = enter(run, tpl, params, env, run.log_events)
     if results is None:
         out.region = "SPMD006: a worker could not enter the region"
         return False

@@ -18,8 +18,8 @@ data arrives — validation, the safety verdict, each loop's strategy,
 chunk sources, kernel builds, the region — lives in a
 prepared :class:`~repro.parallel.plan.Plan`, built by the first call of
 a procedure and run shape and reused by every later one; a warm call only
-fills in scalars, trip counts, batch clamps and the pool's specs,
-dispatches, combines and copies back (:mod:`repro.parallel.dispatch`).
+fills in scalars, trip counts and batch clamps, dispatches, combines and
+copies back (:mod:`repro.parallel.dispatch`).
 This module keeps the public driver, the ``resolve_*`` helpers and the
 result types.
 

@@ -77,6 +77,7 @@ import numpy as np
 
 from repro.codegen import cload
 from repro.codegen.pygen import compile_chunk_source
+from repro.parallel.counter import PARTIALS_KEY
 from repro.parallel.shm import attach_array
 
 
@@ -298,39 +299,29 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
     one ``("ok", wid, seq, report)`` (:func:`_report`) or ``("err", wid,
     seq, traceback)`` message per job.
 
-    The shared arrays are attached once, up front — each dispatch is then
-    a message plus the claim loop, no fork, no re-attach.  Any specs a job
-    carries beyond the initial set are attached on demand and cached by
-    name *and* backing segment — a name reused over a fresh segment (each
-    reduction dispatch ships a newly-created partials segment) is
-    re-attached, never served stale.  Native chunk kernels are likewise
-    cached for the worker's lifetime (dlopened once per shape).  A failed
-    job poisons the pool: the worker reports the traceback and exits
-    nonzero, and the parent tears the fleet down.
+    The shared arrays are attached once, up front, from the ``specs`` the
+    worker is spawned with — the only segments it ever maps — and a
+    reduction's partial slots are the counter block's
+    (:attr:`~repro.parallel.counter.SharedClaimCounter.partials`), bound
+    under :data:`~repro.parallel.counter.PARTIALS_KEY`.  Each dispatch is
+    then a message plus the claim loop: no fork, no attach.  Native chunk
+    kernels are likewise cached for the worker's lifetime (dlopened once
+    per shape).  A failed job poisons the pool: the worker reports the
+    traceback and exits nonzero, and the parent tears the fleet down.
     """
     segments = []
     failed = False
     seq = None
     try:
-        arrays: dict = {}
-        attached: dict[str, str] = {}  # spec name -> backing segment
-
-        def attach(spec_list) -> None:
-            for spec in spec_list:
-                if attached.get(spec.name) == spec.segment:
-                    continue
-                view, shm = attach_array(spec)
-                arrays[spec.name] = view
-                attached[spec.name] = spec.segment
-                segments.append(shm)
-
-        attach(specs)
+        arrays: dict = {PARTIALS_KEY: counter.partials}
+        for spec in specs:
+            arrays[spec.name], shm = attach_array(spec)
+            segments.append(shm)
         while True:
             msg = jobs.get()
             if msg[0] == "stop":
                 break
             _, seq, job = msg
-            attach(job.get("specs", ()))
             results.put(("ok", wid, seq, run_plan(wid, job, counter, arrays)))
     except BaseException:
         failed = True
@@ -339,7 +330,7 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
         except Exception:  # pragma: no cover - queue already broken
             pass
     finally:
-        del arrays
+        arrays = None
         for shm in segments:
             try:
                 shm.close()

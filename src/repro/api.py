@@ -326,11 +326,10 @@ def transform_function(
         **backend_options: forwarded to the ``"mp"`` backend — ``workers``,
             ``policy`` (``"unit"``/``"fixed"``/``"gss"``/``"static"`` or a
             :class:`repro.scheduling.policies.SchedulingPolicy`), ``chunk``,
-            ``timeout``, ``claim_batch`` (chunks
-            handed out per fetch&add critical section for unit/fixed
-            policies — GSS always claims singly; the default ``"auto"``
-            takes ``min(64, chunks // (8·active))``
-            chunks per claim, at least 1),
+            ``timeout`` (the claim batch is derived: unit/fixed policies
+            take ``min(64, chunks // (8·active))`` chunks per fetch&add,
+            at least 1, GSS always claims singly, and ``claim_batch``
+            accepts only ``"auto"``),
             ``safety`` (``"off"``/``"warn"``/``"enforce"``/``"speculate"``,
             default warn: every run is verified by the chunk-safety
             analyser and the report attached to ``.last.safety``; enforce

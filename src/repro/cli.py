@@ -74,20 +74,6 @@ PASS_ORDER = ("normalize", "analyze", *TRANSFORM_NAMES, "distribute", "coalesce"
 DEFAULT_PASSES = "normalize,analyze,distribute,coalesce"
 
 
-def _claim_batch(text: str) -> int | str:
-    """``--claim-batch``: ``auto`` or an integer >= 1."""
-    from repro.parallel.runtime import resolve_claim_batch
-
-    try:
-        value: int | str = int(text)
-    except ValueError:
-        value = text
-    try:
-        return resolve_claim_batch(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _workers(text: str) -> int:
     """``--workers``: an integer >= 1."""
     from repro.parallel.pool import resolve_workers
@@ -157,16 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(or any repro.scheduling.policies name)",
     )
     parser.add_argument("--chunk", type=int, default=None)
-    parser.add_argument(
-        "--claim-batch",
-        type=_claim_batch,
-        default="auto",
-        metavar="K",
-        help="chunks handed out per fetch&add critical section for the "
-        "unit/fixed policies, an integer >= 1 (GSS always claims singly); "
-        "the default 'auto' takes min(64, chunks // (8 * active workers)) "
-        "chunks per claim, at least 1",
-    )
     parser.add_argument(
         "--safety",
         choices=SAFETY_MODES,
@@ -283,7 +259,6 @@ def _run_transformed(args, workload, proc) -> int:
                 workers=args.workers,
                 policy=args.policy,
                 chunk=args.chunk,
-                claim_batch=args.claim_batch,
                 safety=args.safety,
             )
         except (ParallelError, ValueError) as exc:

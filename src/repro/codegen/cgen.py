@@ -822,9 +822,9 @@ REGION_SUFFIX = "__region"
 #:   futex, waking every 50 ms to poll the stop word — set by the parent
 #:   when a peer died, or by a peer that could not enter the region.  A
 #:   stopped barrier returns -1 and the driver unwinds.
-#: * ``rules`` holds ``kind, k, asked`` per loop (``asked`` 0 is
-#:   ``"auto"``); the batch of one instance is resolved here exactly as
-#:   ``repro.parallel.dispatch._resolve_claim_batch`` resolves it for the
+#: * ``rules`` holds ``kind, k`` per loop; the batch of one instance is
+#:   derived here by the one batch rule, exactly as
+#:   ``repro.parallel.dispatch._resolve_claim_batch`` derives it for the
 #:   lock-guarded loop, so both protocols hand out the same chunks and
 #:   report the same batch.
 #: * ``rec`` gets one row per instance and worker — ``loop, lo, hi,
@@ -904,19 +904,17 @@ static long barrier_(struct region_ *r, int64_t lo, int64_t hi) {
 static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
     const long ph = r->phases++;
     const int64_t n = hi >= lo ? hi - lo + 1 : 0;
-    const int64_t *rule = r->rules + 3 * loop;
+    const int64_t *rule = r->rules + 2 * loop;
     const long active = n < r->workers ? (long)n : r->workers;
-    long kind = rule[0], k = 1, batch = 1, asked = 1;
+    long kind = rule[0], k = 1, batch = 1;
     if (n > 0) {
         if (kind == 1) {
-            k = active;  /* GSS never batches, whatever was asked */
+            k = active;  /* GSS never batches */
         } else {
             const int64_t chunks = (n + rule[1] - 1) / rule[1];
-            int64_t b = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
-            if (b < 1) b = 1;
-            asked = rule[2] > 0 ? rule[2] : b;
+            batch = chunks / (active * 8) < 64 ? chunks / (active * 8) : 64;
+            if (batch < 1) batch = 1;
             k = rule[1] < n ? rule[1] : n;
-            batch = asked < (n + k - 1) / k ? asked : (n + k - 1) / k;
         }
     }
     if (!r->run) {
@@ -928,7 +926,7 @@ static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
     rec[0] = loop;
     rec[1] = lo;
     rec[2] = hi;
-    rec[7] = asked;
+    rec[7] = batch;
     if (n == 0) return 0;
     tim[0] = rnow_();
     if (barrier_(r, lo, hi)) return -1;

@@ -42,6 +42,7 @@ from repro.parallel.runtime import (
     ParallelDispatchError,
     ParallelProcedureResult,
     ParallelTimeoutError,
+    _claim_batch_is_derived,
     _dispatchable_loops,
     run_parallel_procedure,
 )
@@ -55,11 +56,9 @@ class MPCompiledProcedure:
     execute (the chunk function per dispatchable DOALL).  ``last`` holds
     the most recent run's measured result, or the fallback reason when the
     serial path was taken.  Each run's dispatches are all served by one
-    persistent worker fleet.  ``claim_batch`` hands workers that many
-    chunks per counter critical section (unit and fixed policies — GSS
-    always claims singly), or — the default ``"auto"`` — takes
-    ``min(64, chunks // (8·active))`` chunks per claim,
-    at least 1.
+    persistent worker fleet.  The claim batch is derived, not an option:
+    unit and fixed policies take ``min(64, chunks // (8·active))`` chunks
+    per claim, at least 1, and GSS always claims singly.
     How workers execute claimed blocks is derived by the run's plan (C
     kernel, whole-slice numpy or Python chunk);
     ``last.chunk_lang`` reports what actually ran.  ``safety`` selects
@@ -79,7 +78,6 @@ class MPCompiledProcedure:
     chunk: int | None = None
     timeout: float | None = None
     log_events: bool = True
-    claim_batch: int | str = "auto"
     safety: str | None = None
     _serial: CompiledProcedure = field(init=False, repr=False)
     last: ParallelProcedureResult | None = field(init=False, default=None)
@@ -129,7 +127,6 @@ class MPCompiledProcedure:
                 chunk=self.chunk,
                 timeout=self.timeout,
                 log_events=self.log_events,
-                claim_batch=self.claim_batch,
                 safety=self.safety,
             )
         except (ParallelDispatchError, ParallelTimeoutError) as exc:
@@ -142,6 +139,14 @@ class MPCompiledProcedure:
             self._serial.run(arrays, scalars)
 
 
-def compile_mp_procedure(proc: Procedure, **options) -> MPCompiledProcedure:
-    """Factory matching the other backends' ``compile_*_procedure`` shape."""
+def compile_mp_procedure(
+    proc: Procedure, claim_batch: str = "auto", **options
+) -> MPCompiledProcedure:
+    """Factory matching the other backends' ``compile_*_procedure`` shape.
+
+    ``claim_batch`` accepts only ``"auto"``, as
+    :func:`~repro.parallel.runtime.run_parallel_procedure` does: any other
+    value raises :class:`ValueError` here, before any run.
+    """
+    _claim_batch_is_derived(claim_batch)
     return MPCompiledProcedure(proc, **options)

@@ -155,24 +155,24 @@ PARTIALS_KEY = "#partials"
 class SharedClaimCounter:
     """Shared iteration counter over the inclusive loop range [start, stop].
 
-    ``claim(rule)`` atomically computes the chunk size from the rule and the
-    live remaining count, advances the index (the fetch&add), and returns
-    the claimed inclusive ``(lo, hi)`` — or None once the range is drained.
-    Picklable into worker processes via the normal ``multiprocessing``
-    inheritance machinery (fork and spawn both work).
+    ``claim_batch(rule, batch)`` atomically computes each chunk size from
+    the rule and the live remaining count, advances the index (the
+    fetch&add), and returns the claimed inclusive ``(lo, hi)`` ranges —
+    an empty list once the range is drained.  It hands out up to
+    ``batch`` chunks per critical section for the unit/fixed rules,
+    cutting lock round-trips for fine-grained loops.  GSS always claims
+    exactly one chunk per lock acquisition: its chunk size must be
+    computed from the remaining count *at claim time* (Polychronopoulos &
+    Kuck's atomic read-of-remaining), and pre-claiming future chunks
+    would distort that schedule.
 
-    The range itself lives in shared memory too, so a persistent worker
-    pool (:mod:`repro.parallel.pool`) can ``reset`` one counter between
+    Picklable into worker processes via the normal ``multiprocessing``
+    inheritance machinery (fork and spawn both work).  The range itself
+    lives in shared memory too, so a persistent worker pool
+    (:mod:`repro.parallel.pool`) can ``reset`` one counter between
     dispatches instead of creating a fresh ``Value`` per DOALL —
     synchronized objects can only cross the process boundary at spawn
     time, never through a queue.
-
-    ``claim_batch(rule, batch)`` hands out up to ``batch`` chunks per
-    critical section for the unit/fixed rules, cutting lock round-trips
-    for fine-grained loops.  GSS always claims exactly one chunk per lock
-    acquisition: its chunk size must be computed from the remaining count
-    *at claim time* (Polychronopoulos & Kuck's atomic read-of-remaining),
-    and pre-claiming future chunks would distort that schedule.
     """
 
     def __init__(
@@ -238,10 +238,6 @@ class SharedClaimCounter:
             self._state[0] = start
             self._state[1] = stop
 
-    def claim(self, rule: ChunkRule) -> tuple[int, int] | None:
-        batch = self.claim_batch(rule, 1)
-        return batch[0] if batch else None
-
     def claim_batch(
         self, rule: ChunkRule, batch: int = 1
     ) -> list[tuple[int, int]]:
@@ -265,8 +261,3 @@ class SharedClaimCounter:
                 self._state[0] = hi + 1
                 out.append((lo, hi))
         return out
-
-    @property
-    def drained(self) -> bool:
-        with self._state.get_lock():
-            return self._state[0] > self._state[1]

@@ -4,7 +4,7 @@
 Everything compile-time is already in the plan (or, on a plan's first
 run, goes into it the first time it is reached); what happens here per
 call is what the paper leaves dynamic: evaluate the bounds, fill the
-job's scalars, trip count and batch clamp, dispatch, fold the workers'
+job's scalars, trip count and claim batch, dispatch, fold the workers'
 reports into a :class:`~repro.parallel.runtime.ParallelRunResult` (on
 either protocol, :func:`repro.parallel.region._assemble`), and — for the
 loops the plan says so — inspect or combine partials.  Nothing here
@@ -64,8 +64,7 @@ class Run:
     """
 
     def __init__(
-        self, plan, pool, env, out, policy, chunk, claim_batch, deadline,
-        log_events,
+        self, plan, pool, env, out, policy, chunk, deadline, log_events,
     ) -> None:
         self.plan = plan
         self.pool = pool
@@ -74,7 +73,6 @@ class Run:
         self.out = out
         self.policy = policy
         self.chunk = chunk
-        self.claim_batch = claim_batch
         self.deadline = deadline
         self.log_events = log_events
         self.interp = Interpreter()
@@ -108,20 +106,17 @@ def execute(run: Run) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_claim_batch(requested, plan, n: int, active: int) -> int:
-    """Resolve ``claim_batch`` (an int >= 1 or ``"auto"``) to the value
-    the lock-guarded loop uses.
+def _resolve_claim_batch(plan, n: int, active: int) -> int:
+    """The chunks per claim of a dispatch of ``n`` iterations on
+    ``active`` workers under ``plan`` — the one batch rule.
 
-    GSS and static plans never batch: 1, whatever was asked.  Otherwise
-    explicit integers pass through, and ``"auto"`` is one fixed rule: at
-    most 64 chunks per claim, and at least eight claim rounds per active
-    worker (DESIGN.md §4g).  The region driver's ``phase_`` computes the
-    same value in C (:data:`repro.codegen.cgen._REGION_RUNTIME`).
+    GSS and static plans never batch: 1.  Otherwise at most 64 chunks per
+    claim, and at least eight claim rounds per active worker (DESIGN.md
+    §4g).  The region driver's ``phase_`` computes the same value in C
+    (:data:`repro.codegen.cgen._REGION_RUNTIME`).
     """
     if plan.rule is None or plan.rule[0] == "gss":
         return 1
-    if requested != "auto":
-        return requested
     per_claim = 1 if plan.rule[0] == "unit" else max(1, plan.rule[1])
     chunks = max(1, -(-n // per_claim))
     return max(1, min(64, chunks // (8 * max(1, active))))
@@ -157,7 +152,7 @@ def _dispatch_pool(
             return _assemble(results, tpl.loops, tpl.policy_name, run.policy)[0]
     active = max(1, min(wpool.workers, n))
     plan = run.policy_plan(n, active)
-    batch = _resolve_claim_batch(run.claim_batch, plan, n, active)
+    batch = _resolve_claim_batch(plan, n, active)
     job = dict(prep.job)
     job.update(
         scalars={name: env[name] for name in job["scalar_order"]},

@@ -13,17 +13,18 @@ without a new argument.  The key (:func:`prepare`):
 * the safety mode, the chunk language derived from the host and the
   array dtypes (:func:`chunk_lang`), the scalar C types and the array
   dtypes and ranks;
-* the policy (name, or name and rule), ``chunk``, the worker count and
-  the requested ``claim_batch``;
+* the policy (its name, or its type and name) with its chunk rule,
+  ``chunk`` and the worker count;
 * the identity of the resolved artifact store.
 
 What a plan holds: the procedure, validated and checked for something
-dispatchable; the chunk language its loops start from
-(:func:`chunk_lang`, derived from the host and the dtypes — no caller
-picks it); the safety verdict, its blocked set, the strategy each
-dispatchable loop runs under (``dispatch``, ``reduce``, ``serial``,
-``inspect``) and, for a blocked loop under ``safety="speculate"``, why
-the inspector may or may not decide it; the reduction plans;
+dispatchable; the policy, resolved once (:attr:`Plan.policy_shape`); the
+chunk language its loops start from (:func:`chunk_lang`, derived from
+the host and the dtypes — no caller picks it); the safety verdict, its
+blocked set, the strategy each dispatchable loop runs under
+(``dispatch``, ``reduce``, ``serial``, ``inspect``) and, for a blocked
+loop under ``safety="speculate"``, why the inspector may or may not
+decide it; the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
 template (its rung of the chunk ladder: the built kernel, else the
@@ -31,7 +32,7 @@ numpy or the scalar Python chunk) with its one-instance region, each
 inspected loop's native inspector, the compiled serial residues, and the
 region verdict with its job template.  Never in a plan: certificates
 (each run keeps its own), counters, results, scalar values, trip counts,
-batch clamps and ``params`` of a region; nor arrays, which a pool's
+claim batches and ``params`` of a region; nor arrays, which a pool's
 workers attach once, at spawn.
 
 Plans live in a bounded, lock-guarded memo.  :func:`drop_plans` empties
@@ -164,13 +165,14 @@ def prepare(
     policy,
     chunk: int | None,
     workers: int,
-    claim_batch: int | str,
 ) -> "Plan":
     """The plan for this call: a memo hit, or built now (before any pool).
 
-    The chunk language (:func:`chunk_lang`) is part of the key; building
-    validates the procedure, checks it has something to dispatch and runs
-    the safety verdict — any of which raises here.
+    The chunk language (:func:`chunk_lang`) and the resolved policy are
+    part of the key; resolving a bad policy (an unknown name, a chunk
+    below 1) raises here, before any pool and before anything is
+    memoized.  Building validates the procedure, checks it has something
+    to dispatch and runs the safety verdict — any of which raises here.
     Only dtypes and ranks of ``arrays`` are read, in any order, so a
     caller may ask with placeholders before it has a pool or the data;
     the run records the verdict in the metrics.
@@ -179,19 +181,21 @@ def prepare(
 
     store = resolve_cache("default")
     lang = chunk_lang(arrays)
+    shape = policy_plan(policy, 1, 1, chunk)
     key = (
         id(proc), mode, lang,
         tuple(sorted((k, _kind(v)) for k, v in scalars.items())),
         tuple(sorted((k, a.dtype.str, a.ndim) for k, a in arrays.items())),
         policy if isinstance(policy, str) else (
             type(policy).__name__, policy.name,
-            policy_plan(policy, 1, 1, chunk).rule,
         ),
-        chunk, workers, claim_batch, id(store),
+        shape.rule, chunk, workers, id(store),
     )
     plan = _recall(_PLANS, key)
     if plan is None:
-        plan = _remember(_PLANS, key, Plan(key, proc, mode, lang, store))
+        plan = _remember(
+            _PLANS, key, Plan(key, proc, mode, lang, store, shape)
+        )
     return plan
 
 
@@ -219,7 +223,7 @@ class _Prep:
 class Plan:
     """One procedure prepared for one run shape (see the module docstring)."""
 
-    def __init__(self, key, proc, mode, lang, store) -> None:
+    def __init__(self, key, proc, mode, lang, store, shape) -> None:
         validate(proc)
         loops = runtime._dispatchable_loops(proc.body)
         if not loops:
@@ -229,6 +233,9 @@ class Plan:
             )
         self.key = key
         self.proc = proc
+        #: The policy as one worker would run a one-iteration loop: its
+        #: name and its chunk rule (None for a static policy).
+        self.policy_shape = shape
         self.mode = mode
         self.lang = lang
         self.store = store

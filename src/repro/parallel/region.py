@@ -61,7 +61,6 @@ from repro.ir.expr import ArrayRef, Const, Var
 from repro.ir.stmt import Block, If, Loop, Procedure, Stmt
 from repro.ir.visitor import walk_exprs
 from repro.parallel import runtime
-from repro.parallel.counter import policy_plan
 from repro.parallel.errors import ParallelError
 from repro.parallel.runtime import (
     ParallelRunResult,
@@ -147,22 +146,21 @@ class _Template:
     policy_name: str
 
 
-def _claim_rule(run) -> tuple[str, list[int] | None]:
-    """``(policy name, [kind, k, asked])`` — the second item one loop's
-    row of the driver's ``rules`` table, None under a static policy."""
-    shape = policy_plan(run.policy, 1, 1, run.chunk)
+def _claim_rule(plan) -> tuple[str, list[int] | None]:
+    """``(policy name, [kind, k])`` — the second item one loop's row of
+    the driver's ``rules`` table, None under a static policy."""
+    shape = plan.policy_shape
     if shape.rule is None:
         return shape.name, None
     per_claim = shape.rule[1] if shape.rule[0] == "fixed" else 1
-    asked = 0 if run.claim_batch == "auto" else run.claim_batch
-    return shape.name, [int(shape.rule[0] == "gss"), max(1, per_claim), asked]
+    return shape.name, [int(shape.rule[0] == "gss"), max(1, per_claim)]
 
 
 def instance_template(run, loop: Loop, kernel: dict) -> _Template | None:
     """A dispatch of ``loop`` as a region of one instance: the claim
     library's fixed entry driving ``kernel``.  None under a static policy
     or without the claim library (the dispatch is then lock-guarded)."""
-    name, rule = _claim_rule(run)
+    name, rule = _claim_rule(run.plan)
     lib = runtime.claim_loop_library(run.plan.store)
     if rule is None or lib is None:
         return None
@@ -202,7 +200,7 @@ def _build(run) -> _Template:
             )
         if id(loop) in plan.reductions:
             raise _Refused("SPMD001", f"DOALL {loop.var!r} is a reduction")
-    name, rule = _claim_rule(run)
+    name, rule = _claim_rule(plan)
     if rule is None:
         raise _Refused("SPMD005", f"policy {name!r} is static")
     if not native_layout(run.views, proc.arrays):

@@ -18,7 +18,7 @@ data arrives — validation, the safety verdict, each loop's strategy,
 chunk sources, kernel builds, the region — lives in a
 prepared :class:`~repro.parallel.plan.Plan`, built by the first call of
 a procedure and run shape and reused by every later one; a warm call only
-fills in scalars, trip counts and batch clamps, dispatches, combines and
+fills in scalars, trip counts and claim batches, dispatches, combines and
 copies back (:mod:`repro.parallel.dispatch`).
 This module keeps the public driver, the ``resolve_*`` helpers and the
 result types.
@@ -31,12 +31,12 @@ and the shared claim counter is reset between loops instead of
 recreated.  (A spawn-per-dispatch engine preceded it; DESIGN.md keeps
 the reason it is gone.)
 
-``claim_batch=k`` lets unit/fixed self-scheduling take ``k`` chunks per
-claim (GSS keeps its one-chunk atomic read-of-remaining semantics — see
-:meth:`repro.parallel.counter.SharedClaimCounter.claim_batch`).  The
-default ``claim_batch="auto"`` is one fixed rule: ``min(64, chunks //
+The claim batch — chunks handed out per claim — is derived, never
+requested: unit/fixed self-scheduling takes ``min(64, chunks //
 (8·active))`` chunks per claim, at least 1
-(:func:`repro.parallel.dispatch._resolve_claim_batch`).
+(:func:`repro.parallel.dispatch._resolve_claim_batch`); GSS keeps its
+one-chunk atomic read-of-remaining semantics (see
+:meth:`repro.parallel.counter.SharedClaimCounter.claim_batch`).
 
 Each dispatch drives the shared counter through exactly one claim
 protocol, reported as ``ParallelRunResult.claim_loop``: ``"native"`` —
@@ -115,7 +115,6 @@ __all__ = [
     "ParallelTimeoutError",
     "SafetyVerificationError",
     "WorkerCrashError",
-    "resolve_claim_batch",
     "resolve_safety",
     "resolve_timeout",
     "run_parallel_procedure",
@@ -126,24 +125,14 @@ __all__ = [
 SAFETY_MODES = ("off", "warn", "enforce", "speculate")
 
 
-def resolve_claim_batch(requested) -> int | str:
-    """``"auto"``, or an explicit claim batch: an integer >= 1.
-
-    A bool, a float, a string other than ``"auto"`` or a value below 1
-    raises :class:`ValueError` — never a silent floor to 1.
-    """
-    if requested == "auto":
-        return requested
-    if (
-        isinstance(requested, bool)
-        or not isinstance(requested, (int, np.integer))
-        or requested < 1
-    ):
+def _claim_batch_is_derived(claim_batch) -> None:
+    """Refuse every claim batch but ``"auto"``, the rule itself: the batch
+    is derived per dispatch, never requested (:class:`ValueError`)."""
+    if claim_batch != "auto":
         raise ValueError(
-            "claim_batch must be 'auto' or an integer >= 1 "
-            f"(got {requested!r})"
+            f"'claim_batch' must be 'auto' (got {claim_batch!r}): the "
+            "claim batch is derived, never requested"
         )
-    return int(requested)
 
 
 def resolve_timeout(requested) -> float | None:
@@ -236,8 +225,8 @@ class ParallelRunResult:
     #: ran the native kernel), ``"numpy"`` (whole-slice vectorized),
     #: ``"py"``, or ``"mixed"`` (some workers degraded mid-fleet).
     chunk_lang: str = "py"
-    #: Chunks claimed per counter critical section, as actually resolved
-    #: (for ``claim_batch="auto"``, the value of its fixed rule).
+    #: Chunks claimed per counter critical section: the value of the
+    #: batch rule for this dispatch (1 under GSS and static plans).
     claim_batch: int = 1
     #: Set when this dispatch ran through the partial-accumulator
     #: reduction engine: the accumulator's name and its folded final
@@ -475,7 +464,7 @@ def run_parallel_procedure(
     chunk: int | None = None,
     timeout: float | None = None,
     log_events: bool = True,
-    claim_batch: int | str = "auto",
+    claim_batch: str = "auto",
     pool: WorkerPool | None = None,
     safety: str | None = None,
     preloaded: bool = False,
@@ -512,12 +501,13 @@ def run_parallel_procedure(
     generated Python chunk.  Each dispatch reports the language that
     actually ran in ``chunk_lang``.
 
-    ``claim_batch`` is an explicit chunks-per-critical-section count (an
-    integer >= 1) or ``"auto"`` (default): unit/fixed dispatches take
+    The claim batch is derived, not chosen: unit/fixed dispatches take
     ``min(64, chunks // (8·active))`` chunks per claim, at least 1, where
     ``active`` is the number of workers with work — resolved per
     dispatch, from that dispatch's own trip count.  GSS and static plans
-    never batch; each dispatch reports its resolved ``claim_batch``.
+    never batch; each dispatch reports its batch in ``claim_batch``.
+    The ``claim_batch`` keyword accepts only ``"auto"``, the rule itself;
+    any other value raises :class:`ValueError` before any pool exists.
 
     ``safety`` selects the chunk-safety mode (default ``"warn"``: verify
     and report, dispatch everything).  Under ``"enforce"``, unproven
@@ -536,14 +526,14 @@ def run_parallel_procedure(
     from repro.parallel.dispatch import Run, execute
     from repro.parallel.plan import prepare
 
+    _claim_batch_is_derived(claim_batch)
     mode = resolve_safety(safety)
-    claim_batch = resolve_claim_batch(claim_batch)
     workers = resolve_workers(workers)
     timeout = resolve_timeout(timeout)
     owned = pool is None
     plan = prepare(
         proc, arrays if owned else pool.views, scalars or {}, mode, policy,
-        chunk, workers if owned else pool.workers, claim_batch,
+        chunk, workers if owned else pool.workers,
     )
     out = ParallelProcedureResult(0.0, safety_mode=plan.mode, safety=plan.report)
     if plan.refusal is not None:
@@ -566,10 +556,7 @@ def run_parallel_procedure(
     elif copies:
         pool.load(arrays)
     try:
-        run = Run(
-            plan, pool, env, out, policy, chunk, claim_batch, deadline,
-            log_events,
-        )
+        run = Run(plan, pool, env, out, policy, chunk, deadline, log_events)
         execute(run)
         if copies:
             pool.copy_back({name: arrays[name] for name in plan.written})

@@ -91,7 +91,7 @@ from repro.parallel.observe import (
 from repro.parallel.plan import prepare, prewarm
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.parallel.runtime import (
-    resolve_claim_batch,
+    _claim_batch_is_derived,
     resolve_safety,
     resolve_timeout,
     run_parallel_procedure,
@@ -104,6 +104,10 @@ DEFAULT_PORT = 8923
 
 #: The engines a /compile or /run may name.
 BACKENDS = ("python", "mp", "c")
+
+#: The most workers one /run may ask for: a warm pool forks that many
+#: processes, and the count comes from outside.
+MAX_RUN_WORKERS = 64
 
 #: /compile options forwarded to the pipeline, with their defaults.
 PIPELINE_OPTIONS = {
@@ -622,7 +626,7 @@ def _refused(proc, arrays, scalars, run_kwargs) -> bool:
     try:
         plan = prepare(
             proc, arrays, scalars, kw["safety"], kw["policy"], kw["chunk"],
-            kw["workers"], kw["claim_batch"],
+            kw["workers"],
         )
     except ParallelDispatchError:
         return True
@@ -640,6 +644,10 @@ def _run_options(body, program) -> tuple[str, int, dict]:
         workers = resolve_workers(body.get("workers", 4))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from None
+    if workers > MAX_RUN_WORKERS:
+        raise RequestError(
+            400, f"workers must be <= {MAX_RUN_WORKERS} (got {workers})"
+        )
     for retired in (
         "variants", "calibrate", "shm_arrays", "chunk_lang", "log_events",
     ):
@@ -654,7 +662,7 @@ def _run_options(body, program) -> tuple[str, int, dict]:
         raise RequestError(400, str(exc)) from exc
     try:
         timeout = resolve_timeout(body.get("timeout"))
-        claim_batch = resolve_claim_batch(body.get("claim_batch", "auto"))
+        _claim_batch_is_derived(body.get("claim_batch", "auto"))
         safety = resolve_safety(body.get("safety"))
     except ValueError as exc:
         raise RequestError(400, str(exc)) from exc
@@ -662,7 +670,6 @@ def _run_options(body, program) -> tuple[str, int, dict]:
         workers=workers,
         policy=policy,
         chunk=chunk,
-        claim_batch=claim_batch,
         timeout=timeout,
         log_events=False,  # no /run reply carries claim events
         safety=safety,

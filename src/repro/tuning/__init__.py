@@ -1,9 +1,9 @@
 """What is left of dispatch tuning: one host probe and the plan reset.
 
-``claim_batch="auto"`` is a fixed rule
-(:func:`repro.parallel.dispatch._resolve_claim_batch`), and every C
-kernel builds with gcc ``-O2``; DESIGN.md §4g has the measurements behind
-both.
+The claim batch is one fixed rule, derived per dispatch and never
+requested (:func:`repro.parallel.dispatch._resolve_claim_batch`), and
+every C kernel builds with gcc ``-O2``; DESIGN.md §4g has the
+measurements behind both.
 """
 
 from __future__ import annotations

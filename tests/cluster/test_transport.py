@@ -17,6 +17,7 @@ from repro import wire
 from repro.api import transform_function
 from repro.cluster import start_cluster
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import MAX_RUN_WORKERS
 
 KERNEL = """
 def p9axpy(X, Y, n):
@@ -241,6 +242,7 @@ class TestFrontDoorSafety:
         ("transport", {"transport": "shm"}),
         ("shm_arrays", {"shm_arrays": [{"name": "X", "segment": "repro-x"}]}),
         ("log_events", {"log_events": True}),
+        ("claim_batch", {"claim_batch": 4}),
     ])
     def test_retired_shm_fields_are_a_400(self, cluster, field, extra):
         client, _, supervisor = cluster
@@ -254,6 +256,24 @@ class TestFrontDoorSafety:
             client._request("POST", "/run", body)
         assert err.value.status == 400
         assert repr(field) in str(err.value)
+        assert len(supervisor.alive_handles()) == 2
+        assert client.healthz()["status"] == "ok"
+
+    def test_oversized_workers_are_a_400_through_the_router(self, cluster):
+        # A replica's pool forks as many workers as a /run asks for, and
+        # the router forwards the body unchanged: above the bound the
+        # replica refuses it before leasing any pool.
+        client, _, supervisor = cluster
+        key = client.compile(KERNEL, backend="mp")["key"]
+        rng = np.random.default_rng(29)
+        body = ServiceClient.run_body(
+            key, {"X": rng.random(17), "Y": rng.random(17)}, {"n": 16},
+            backend="mp", workers=MAX_RUN_WORKERS + 1,
+        )
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/run", body)
+        assert err.value.status == 400
+        assert "workers" in str(err.value)
         assert len(supervisor.alive_handles()) == 2
         assert client.healthz()["status"] == "ok"
 

@@ -351,10 +351,12 @@ class TestMPBackendCLI:
         err = capsys.readouterr().err
         assert "--workers" in err and "workers must be an integer >= 1" in err
 
-    @pytest.mark.parametrize("value", ["0", "-5", "2.7", "true"])
+    @pytest.mark.parametrize("value", ["0", "-5", "2.7", "true", "4", "auto"])
     def test_claim_batch_must_be_auto_or_a_positive_integer(
         self, value, capsys
     ):
+        # The claim batch is derived, never requested: there is no such
+        # flag, so any value of it is an argparse error.
         with pytest.raises(SystemExit) as exc:
             main([
                 "--workload", "saxpy2d", "--run", "--backend", "mp",

@@ -76,11 +76,13 @@ class TestMPBackendThroughAPI:
         assert parallel._backend.fallback_reason is None
 
     def test_claim_batch_option_flows_through(self):
+        # The batch is derived, not chosen: a default unit run at this
+        # size batches by the rule, and naming a batch is a ValueError.
         A, B_mp = _sweep_env(seed=2)
         _, B_serial = _sweep_env(seed=2)
         serial = transform_function(SWEEP)
         parallel = transform_function(
-            SWEEP, backend="mp", workers=2, policy="unit", claim_batch=4,
+            SWEEP, backend="mp", workers=2, policy="unit",
         )
         serial(A, B_serial, 8, 12)
         parallel(A, B_mp, 8, 12)
@@ -88,6 +90,8 @@ class TestMPBackendThroughAPI:
         last = parallel.last_parallel
         # batched unit claims: fewer critical sections than chunks
         assert 0 < last.lock_ops < last.claims
+        with pytest.raises(ValueError, match="claim_batch"):
+            transform_function(SWEEP, backend="mp", claim_batch=4)
 
 
 class TestFallbackPaths:

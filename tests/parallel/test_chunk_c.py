@@ -135,10 +135,9 @@ class TestEquivalence:
         w = get_workload("matmul")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc, baseline = _serial_baseline(w, seed=2)
-        result = run_one(
-            proc, arrays, sc, workers=3, policy="unit", claim_batch=4,
-        )
+        result = run_one(proc, arrays, sc, workers=3, policy="unit")
         assert result.chunk_lang == "c"
+        assert result.claim_batch > 1  # the rule batches at this size
         assert result.lock_ops < result.claims
         _assert_bit_for_bit(baseline, arrays)
 

@@ -72,8 +72,8 @@ def replay(lo, hi, rule, batch) -> tuple[list[tuple[int, int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# (i) both protocols hand out exactly the chunks claim_batch would, and
-# report them alike
+# (i) both protocols hand out exactly the chunks claim_batch would, at the
+# batch the rule derives, and report them alike
 # ---------------------------------------------------------------------------
 
 SPAN = 6000  # array length: lo <= 900 plus n <= 5000
@@ -97,9 +97,17 @@ def dispatches(draw):
         st.sampled_from(("unit", "fixed", "gss", "static", "static-cyclic"))
     )
     chunk = draw(st.integers(1, 40)) if policy == "fixed" else None
-    batch = draw(st.integers(1, 70))
     workers = draw(st.integers(1, 3))
-    return lo, n, policy, chunk, batch, workers
+    return lo, n, policy, chunk, workers
+
+
+def rule_batch(policy, chunk, n, active) -> int:
+    """The batch rule, restated: unit/fixed take ``min(64, chunks //
+    (8·active))`` chunks per claim, at least 1; GSS and static take 1."""
+    if policy not in ("unit", "fixed"):
+        return 1
+    chunks = -(-n // (chunk or 1))
+    return max(1, min(64, chunks // (8 * active)))
 
 
 def reported(d):
@@ -114,9 +122,11 @@ def reported(d):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=dispatches())
 def test_native_claims_equal_lock_guarded_replay(pools, case):
-    lo, n, policy, chunk, batch, workers = case
+    lo, n, policy, chunk, workers = case
     hi = lo + n - 1
     static = policy.startswith("static")
+    active = min(workers, n)
+    batch = rule_batch(policy, chunk, n, active)
     runs = {}
     for lang in ("c", "py"):
         arrays = {"A": np.zeros(SPAN)}
@@ -124,7 +134,7 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
             pin_chunk_lang(patch, lang)
             result = run_parallel_procedure(
                 INCREMENT, arrays, {"lo": lo, "hi": hi}, pool=pools[workers],
-                policy=policy, chunk=chunk, claim_batch=batch, safety="off",
+                policy=policy, chunk=chunk, safety="off",
             )
         (d,) = result.dispatches
         protocol = "static" if static else "native" if lang == "c" else "py"
@@ -134,15 +144,13 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
         runs[lang] = d
     d = runs["c"]
     assert reported(d) == reported(runs["py"])
-    # GSS and static plans claim singly, whatever was asked.
-    assert d.claim_batch == (1 if static or policy == "gss" else batch)
+    assert d.claim_batch == batch  # the rule's: 1 under GSS and static
 
     chunks = chunks_of(d)
     assert_partition(chunks, lo, hi)
     if static:
         assert d.lock_ops == 0 and d.claims == len(chunks)
         return
-    active = min(workers, n)
     rule = policy_plan(policy, n, active, chunk).rule
     want, want_locks = replay(lo, hi, rule, batch)
     assert chunks == want
@@ -155,7 +163,7 @@ def test_native_claims_equal_lock_guarded_replay(pools, case):
 
 
 # ---------------------------------------------------------------------------
-# (ii) two real workers racing for single chunks: nothing lost, nothing twice
+# (ii) two real workers racing for the counter: nothing lost, nothing twice
 # ---------------------------------------------------------------------------
 
 
@@ -175,12 +183,12 @@ def test_contended_increment_is_exact(policy, chunk):
             arrays = {"A": np.zeros(n + 1)}
             result = run_parallel_procedure(
                 INCREMENT, arrays, {"lo": 1, "hi": n}, pool=pool,
-                policy=policy, chunk=chunk, claim_batch=1, log_events=False,
-                safety="off",
+                policy=policy, chunk=chunk, log_events=False, safety="off",
             )
             (d,) = result.dispatches
-            assert d.claim_loop == "native"
-            assert d.claims == d.lock_ops == claims
+            assert d.claim_loop == "native" and d.claim_batch == 64
+            assert d.claims == claims
+            assert d.lock_ops == -(-claims // d.claim_batch)
             assert np.all(arrays["A"][1:] == 1.0) and arrays["A"][0] == 0.0
             both_worked |= all(d.iterations_per_worker)
             if both_worked and attempt >= 4:
@@ -228,7 +236,6 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
                     pin_chunk_lang(patch, lang)
                     runs[lang] = run_parallel_procedure(
                         proc, got, sc, pool=pool, policy=policy, chunk=chunk,
-                        claim_batch=4,
                     )
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (lang, policy, k)
@@ -288,20 +295,18 @@ def test_other_paths_keep_the_python_loop(monkeypatch):
 
 
 @needs_gcc
-@pytest.mark.parametrize("batch", (48, 100))  # below and above the ring
-def test_ring_overflow_keeps_every_event(monkeypatch, batch):
-    monkeypatch.setattr(worker, "RING_ROWS", 64)  # forked workers inherit it
+@pytest.mark.parametrize("rows", (100, 48))  # longer, shorter than the batch of 64
+def test_ring_overflow_keeps_every_event(monkeypatch, rows):
+    monkeypatch.setattr(worker, "RING_ROWS", rows)  # forked workers inherit it
     monkeypatch.setattr(worker, "_ring", None)
     w = get_workload("saxpy2d")
     proc, _ = coalesce_procedure(w.proc)
     arrays, sc = make_env(w, scalars={"n": 150, "m": 150}, seed=0)
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(w.proc, want, sc)
-    d = run_one(
-        proc, arrays, sc, workers=2, policy="unit", claim_batch=batch
-    )
-    assert d.claim_loop == "native"
-    assert d.lock_ops == -(-22_500 // batch)
+    d = run_one(proc, arrays, sc, workers=2, policy="unit")
+    assert d.claim_loop == "native" and d.claim_batch == 64
+    assert d.lock_ops == -(-22_500 // 64)
     assert d.claims == 22_500 == len(d.events)
     assert_partition(chunks_of(d), 1, 22_500)
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
@@ -409,7 +414,6 @@ def test_fleet_that_cannot_bind_redispatches_on_python_protocol(
     result = assert_sent_back(
         monkeypatch, PAIR, arrays, {"n": n}, want,
         lang="py" if broken == "thunk" else "c", policy="unit",
-        claim_batch=4,
     )
     assert DISPATCH["chunk_lang"]["fallbacks"] - chunk_fallbacks == (
         2 if broken == "thunk" else 0
@@ -452,7 +456,7 @@ def test_lazy_events(monkeypatch, lang):
     pin_chunk_lang(monkeypatch, lang)
     proc, arrays, sc, _ = _saxpy_case()
     d = run_one(
-        proc, arrays, sc, workers=2, policy="fixed", chunk=7, claim_batch=3,
+        proc, arrays, sc, workers=2, policy="fixed", chunk=7,
     )
     assert d.claim_loop == ("native" if lang == "c" else "py")
     assert not built, "ClaimEvents were built before anyone read them"

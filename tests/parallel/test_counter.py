@@ -82,35 +82,33 @@ class TestSharedClaimCounter:
     def test_claims_partition_range_exactly(self):
         counter = SharedClaimCounter(1, 10, _ctx())
         seen = []
-        while True:
-            claimed = counter.claim(("fixed", 3))
-            if claimed is None:
-                break
-            seen.extend(range(claimed[0], claimed[1] + 1))
+        while claimed := counter.claim_batch(("fixed", 3), 1):
+            ((lo, hi),) = claimed
+            seen.extend(range(lo, hi + 1))
         assert seen == list(range(1, 11))
-        assert counter.drained
+        assert counter.claim_batch(("fixed", 3)) == []  # drained
 
     def test_tail_chunk_is_short(self):
         counter = SharedClaimCounter(1, 10, _ctx())
-        counter.claim(("fixed", 8))
-        assert counter.claim(("fixed", 8)) == (9, 10)
+        counter.claim_batch(("fixed", 8), 1)
+        assert counter.claim_batch(("fixed", 8), 1) == [(9, 10)]
 
     def test_gss_shrinks_with_remaining(self):
         counter = SharedClaimCounter(1, 16, _ctx())
         sizes = []
-        while (c := counter.claim(("gss", 2))) is not None:
-            sizes.append(c[1] - c[0] + 1)
+        while claimed := counter.claim_batch(("gss", 2), 1):
+            ((lo, hi),) = claimed
+            sizes.append(hi - lo + 1)
         assert sizes == [8, 4, 2, 1, 1]
         assert sum(sizes) == 16
 
     def test_reset_rearms_a_drained_counter(self):
         counter = SharedClaimCounter(0, -1, _ctx())
-        assert counter.drained
-        assert counter.claim(("unit",)) is None
+        assert counter.claim_batch(("unit",)) == []  # drained
         counter.reset(1, 5)
         assert counter.start == 1 and counter.stop == 5
-        assert counter.claim(("fixed", 5)) == (1, 5)
-        assert counter.drained
+        assert counter.claim_batch(("fixed", 5), 1) == [(1, 5)]
+        assert counter.claim_batch(("fixed", 5)) == []  # drained
 
 
 class TestBatchedClaims:
@@ -133,7 +131,7 @@ class TestBatchedClaims:
         counter = SharedClaimCounter(1, 5, _ctx())
         chunks = counter.claim_batch(("fixed", 2), batch=4)
         assert chunks == [(1, 2), (3, 4), (5, 5)]
-        assert counter.drained
+        assert counter.claim_batch(("fixed", 2)) == []  # drained
 
     def test_gss_ignores_batch(self):
         # GSS keeps the paper's atomic read-of-remaining semantics: each
@@ -147,8 +145,9 @@ class TestBatchedClaims:
         assert sizes == [8, 4, 2, 1, 1]
 
     def test_claim_is_batch_of_one(self):
+        # A claim with no batch named is a batch of one.
         counter = SharedClaimCounter(1, 10, _ctx())
-        assert counter.claim(("unit",)) == (1, 1)
+        assert counter.claim_batch(("unit",)) == [(1, 1)]
         assert counter.claim_batch(("unit",), batch=1) == [(2, 2)]
 
 

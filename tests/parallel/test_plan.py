@@ -86,10 +86,7 @@ def case(name):
         "gauss_jordan": ("gauss_jordan", {"n": 11, "m": 2}, {"policy": "gss"}),
         "floyd": ("floyd", {"n": 9}, {"policy": "gss"}),
         "matmul": ("matmul", {"n": 8}, {"policy": "gss"}),
-        "saxpy2d": (
-            "saxpy2d", {"n": 20, "m": 20},
-            {"policy": "unit", "claim_batch": "auto"},
-        ),
+        "saxpy2d": ("saxpy2d", {"n": 20, "m": 20}, {"policy": "unit"}),
         "scatter_perm": ("scatter_perm", {"n": 300}, {"safety": "speculate"}),
         "ragged_update": (
             "ragged_update", {"n": 40, "m": 6}, {"safety": "speculate"},
@@ -390,7 +387,7 @@ def test_a_thousand_procedures_leave_the_memo_at_its_bound():
             f"    A(i) := A(i) + {k}.0\n  end\nend\n"
         )
         plan_mod.prepare(
-            proc, arrays, {"n": 4}, "warn", "gss", None, 2, "auto",
+            proc, arrays, {"n": 4}, "warn", "gss", None, 2,
         )
         assert len(plan_mod._PLANS) <= plan_mod.MEMO_BOUND
         assert len(plan_mod._VERDICTS) <= plan_mod.MEMO_BOUND

@@ -155,16 +155,18 @@ class TestPoolReuse:
 
 
 class TestBatchedClaimAccounting:
+    """The claim batch is derived: at these trip counts the rule gives
+    unit and fixed dispatches more than one chunk per claim."""
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_iteration_claimed_exactly_once(self, policy):
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
-        arrays, sc = make_env(w, seed=1)
-        stats = run_one(
-            proc, arrays, sc, workers=3, policy=policy, chunk=6,
-            claim_batch=4,
-        )
+        arrays, sc = make_env(w, scalars={"n": 24, "m": 24}, seed=1)
+        stats = run_one(proc, arrays, sc, workers=3, policy=policy, chunk=6)
         n = sc["n"] * sc["m"]
+        if policy in ("unit", "fixed"):
+            assert stats.claim_batch > 1
         claimed = sorted(
             v for e in stats.events for v in range(e.lo, e.hi + 1)
         )
@@ -176,31 +178,28 @@ class TestBatchedClaimAccounting:
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_one(
-            proc, arrays, sc, workers=2, policy="unit", claim_batch=8
-        )
+        stats = run_one(proc, arrays, sc, workers=2, policy="unit")
         assert stats.claims == sc["n"] * sc["m"]
-        # every lock round-trip hands out up to 8 chunks
+        # every lock round-trip hands out up to claim_batch chunks
+        assert stats.claim_batch > 1
         assert stats.lock_ops < stats.claims
-        assert stats.lock_ops >= -(-stats.claims // 8)
+        assert stats.lock_ops >= -(-stats.claims // stats.claim_batch)
 
     def test_gss_claims_stay_single_under_batching(self):
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=2)
-        stats = run_one(
-            proc, arrays, sc, workers=2, policy="gss", claim_batch=16
-        )
-        # GSS ignores the batch: one chunk per critical section
+        stats = run_one(proc, arrays, sc, workers=2, policy="gss")
+        # GSS never batches, at a trip count where unit claims would:
+        # one chunk per critical section
+        assert stats.claim_batch == 1
         assert stats.lock_ops == stats.claims
 
     def test_static_plan_has_zero_lock_ops(self):
         w = get_workload("saxpy2d")
         proc, _ = coalesce_procedure(w.proc)
         arrays, sc = make_env(w, seed=1)
-        stats = run_one(
-            proc, arrays, sc, workers=3, policy="static", claim_batch=4
-        )
+        stats = run_one(proc, arrays, sc, workers=3, policy="static")
         assert stats.lock_ops == 0
 
 

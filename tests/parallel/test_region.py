@@ -102,12 +102,10 @@ def test_region_is_the_per_dispatch_run_in_one_fork_join(name, workers, policy):
     chunk = 3 if policy == "fixed" else None
     t0 = time.monotonic()
     with WorkerPool(arrays, workers=workers) as pool:
-        for batch, log_events, borrowed in (
-            (2, True, True), ("auto", False, True), ("auto", True, False),
-        ):
+        for log_events, borrowed in ((True, True), (False, True), (True, False)):
             options = dict(
                 workers=workers, policy=policy, chunk=chunk,
-                claim_batch=batch, log_events=log_events, timeout=60.0,
+                log_events=log_events, timeout=60.0,
             )
             got = copies(arrays)
             result = run_parallel_procedure(
@@ -165,7 +163,8 @@ def test_region_batch_column_equals_the_python_rule(workers):
     """The batch rule lives in Python (``_resolve_claim_batch``, per
     dispatch) and in C (the driver's ``phase_``, per instance).  The
     region's ``rec`` batch column — what ``d.claim_batch`` reports — must
-    equal the Python value on every cell of the table."""
+    equal the Python value on every cell of the table (policy × trip
+    count)."""
     scalars = {f"n{k}": n for k, n in enumerate(PARITY_N, 1)}
     arrays = {"A": np.zeros(max(PARITY_N) + 1)}
     want_arrays = interpreted(PARITY, arrays, scalars)
@@ -173,23 +172,21 @@ def test_region_batch_column_equals_the_python_rule(workers):
              ("gss", None)]
     with WorkerPool(arrays, workers=workers) as pool:
         for policy, chunk in rules:
-            for asked in ("auto", 1, 5):
-                got = copies(arrays)
-                result = run_parallel_procedure(
-                    PARITY, got, scalars, workers=workers, pool=pool,
-                    policy=policy, chunk=chunk, claim_batch=asked,
-                    log_events=False, timeout=60.0,
-                )
-                assert result.region == "native" and same(got, want_arrays)
-                want = []
-                for n in PARITY_N:
-                    active = min(workers, n)
-                    rule = policy_plan(policy, n, active, chunk)
-                    want.append(_resolve_claim_batch(asked, rule, n, active))
-                cell = (policy, chunk, asked)
-                assert [d.claim_batch for d in result.dispatches] == want, cell
+            got = copies(arrays)
+            result = run_parallel_procedure(
+                PARITY, got, scalars, workers=workers, pool=pool,
+                policy=policy, chunk=chunk, log_events=False, timeout=60.0,
+            )
+            assert result.region == "native" and same(got, want_arrays)
+            want = []
+            for n in PARITY_N:
+                active = min(workers, n)
+                rule = policy_plan(policy, n, active, chunk)
+                want.append(_resolve_claim_batch(rule, n, active))
+            cell = (policy, chunk)
+            assert [d.claim_batch for d in result.dispatches] == want, cell
     # nest_claims' shape: saxpy2d 150x150 under unit, two workers.
-    assert _resolve_claim_batch("auto", policy_plan("unit", 22500, 2), 22500, 2) == 64
+    assert _resolve_claim_batch(policy_plan("unit", 22500, 2), 22500, 2) == 64
 
 
 def test_same_pool_serves_region_then_dispatch_then_region():
@@ -253,10 +250,11 @@ def test_a_full_ring_is_drained_not_dropped(monkeypatch):
     proc, original, arrays, scalars = program("floyd")
     want = interpreted(original, arrays, scalars)
     result = run_parallel_procedure(
-        proc, arrays, scalars, workers=2, policy="unit", claim_batch=4,
-        timeout=60.0,
+        proc, arrays, scalars, workers=2, policy="unit", timeout=60.0,
     )
     assert result.region == "native" and same(arrays, want)
+    # 81 chunks per instance: batches of 5, two of which overflow the ring
+    assert {d.claim_batch for d in result.dispatches} == {5}
     assert result.claims == 9 * 81 > 8
     for d in result.dispatches:
         assert sorted((e.lo, e.hi) for e in d.events) == [

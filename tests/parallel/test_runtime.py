@@ -19,6 +19,7 @@ from repro.ir.expr import ArrayRef
 from repro.ir.stmt import Assign
 from repro.ir.visitor import walk_stmts
 from repro.parallel import (
+    MPCompiledProcedure,
     ParallelDispatchError,
     ParallelTimeoutError,
     SafetyVerificationError,
@@ -342,17 +343,74 @@ class TestOneDriver:
                 run()
         assert own_segments() == []
 
-    @pytest.mark.parametrize("batch", [True, 2.7, 0, -5, "8", None])
-    def test_claim_batch_is_auto_or_a_positive_integer(self, batch):
+    @pytest.mark.parametrize("batch", [True, 2.7, 0, -5, "8", None, 4, 1])
+    def test_claim_batch_is_auto_or_a_positive_integer(
+        self, monkeypatch, batch
+    ):
+        """The claim batch is derived, never requested: the driver's and
+        the backend factory's keyword takes only ``"auto"`` — the rule
+        itself — and any other value, a positive integer included, is
+        refused before any pool exists."""
         w, proc = _single_loop("saxpy2d")
         arrays, sc = make_env(w)
         before = {k: v.copy() for k, v in arrays.items()}
+        forked = []
+        monkeypatch.setattr(
+            WorkerPool, "__init__", lambda *a, **k: forked.append(a) or 1 / 0
+        )
         with pytest.raises(ValueError, match="claim_batch"):
             run_parallel_procedure(
                 proc, arrays, sc, workers=2, claim_batch=batch
             )
         with pytest.raises(ValueError, match="claim_batch"):
-            compile_mp_procedure(proc, claim_batch=batch).run(arrays, sc)
+            compile_mp_procedure(proc, claim_batch=batch)
+        assert not forked
+        _assert_bit_for_bit(before, arrays)
+
+    def test_auto_claim_batch_is_the_omitted_one(self):
+        w, proc = _single_loop("saxpy2d")
+        runs = []
+        for options in ({}, {"claim_batch": "auto"}):
+            arrays, sc = make_env(w, seed=3)
+            d = run_one(proc, arrays, sc, workers=2, policy="unit", **options)
+            runs.append((d.claims, d.lock_ops, d.claim_batch, arrays))
+        (claims, lock_ops, batch, want), got = runs
+        assert batch > 1 and lock_ops < claims
+        assert got[:3] == (claims, lock_ops, batch)
+        _assert_bit_for_bit(want, got[3])
+        assert repr(compile_mp_procedure(proc, claim_batch="auto")) == repr(
+            MPCompiledProcedure(proc)
+        )
+        with pytest.raises(TypeError, match="claim_batch"):
+            MPCompiledProcedure(proc, claim_batch="auto")
+
+    @pytest.mark.parametrize("policy,chunk", [("nope", None), ("fixed", 0)])
+    def test_a_bad_policy_is_refused_before_any_pool(
+        self, monkeypatch, policy, chunk
+    ):
+        """The plan resolves the policy when it is built: a bad one raises
+        there, before any fleet is forked, and leaves no plan behind."""
+        from repro.parallel import plan as plan_mod
+
+        w, proc = _single_loop("saxpy2d")
+        arrays, sc = make_env(w)
+        before = {k: v.copy() for k, v in arrays.items()}
+        forked = []
+        monkeypatch.setattr(
+            WorkerPool, "__init__", lambda *a, **k: forked.append(a) or 1 / 0
+        )
+        plans = len(plan_mod._PLANS)
+        mp = compile_mp_procedure(proc, workers=2, policy=policy, chunk=chunk)
+        for run in (
+            lambda: run_parallel_procedure(
+                proc, arrays, sc, workers=2, policy=policy, chunk=chunk
+            ),
+            lambda: mp.run(arrays, sc),
+        ):
+            with pytest.raises(ValueError, match="policy|chunk"):
+                run()
+        assert not forked and mp.fallback_reason is None
+        assert len(plan_mod._PLANS) == plans
         _assert_bit_for_bit(before, arrays)
 
     @pytest.mark.parametrize("timeout", [0, -1, True, "1", float("nan")])

@@ -62,7 +62,7 @@ class TestSpeculationPlan:
     @staticmethod
     def route(w, mode="speculate"):
         arrays, sc = make_env(w)
-        plan = prepare(w.proc, arrays, sc, mode, "gss", None, WORKERS, "auto")
+        plan = prepare(w.proc, arrays, sc, mode, "gss", None, WORKERS)
         (loop,) = plan.loops
         return plan.strategies[id(loop)], plan.reasons.get(id(loop))
 

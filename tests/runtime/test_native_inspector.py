@@ -34,7 +34,7 @@ needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
 def plan_for(proc, arrays, scalars):
     return plan_mod.prepare(
-        proc, arrays, scalars, "speculate", "gss", None, 2, "auto",
+        proc, arrays, scalars, "speculate", "gss", None, 2,
     )
 
 

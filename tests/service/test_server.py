@@ -14,6 +14,7 @@ from repro.codegen.cload import have_compiler
 from repro.frontend.dsl import parse
 from repro.parallel import run_parallel_procedure
 from repro.service import ServiceClient, ServiceError, serve_background
+from repro.service.server import MAX_RUN_WORKERS
 
 PY_KERNEL = """
 def scale2d(A, B, n, m):
@@ -343,7 +344,30 @@ class TestErrors:
             )
         assert err.value.status == 400
 
-    @pytest.mark.parametrize("batch", [True, 2.7, -5, 0, "8"])
+    @pytest.mark.parametrize("transport", ["json", "wire"])
+    def test_run_bounds_workers(self, service, monkeypatch, transport):
+        """The worker count comes from outside and a pool forks that many
+        processes: above the bound it is a 400 naming ``workers``, before
+        any pool is leased."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an oversized /run must not lease a pool")
+
+        monkeypatch.setattr("repro.service.server.WorkerPool", no_pool)
+        client, server = service
+        key = client.compile(PY_KERNEL, backend="mp")["key"]
+        A, B = env()
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                key, {"A": A, "B": B}, {"n": N, "m": M}, transport=transport,
+                backend="mp", workers=MAX_RUN_WORKERS + 1,
+            )
+        assert err.value.status == 400
+        assert "workers" in str(err.value)
+        assert server.server_metrics()["warm_pools"] == 0
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("batch", [True, 2.7, -5, 0, "8", 1, None])
     def test_run_rejects_a_bad_claim_batch(self, service, batch):
         client, _ = service
         key = client.compile(PY_KERNEL)["key"]
@@ -355,6 +379,17 @@ class TestErrors:
             )
         assert err.value.status == 400
         assert "claim_batch" in str(err.value)
+
+    def test_run_takes_the_auto_claim_batch(self, service):
+        # "auto" names the batch rule itself: the one value /run accepts.
+        client, _ = service
+        key = client.compile(PY_KERNEL)["key"]
+        A, B = env()
+        out = client.run(
+            key, {"A": A, "B": B}, {"n": N, "m": M}, backend="mp", workers=2,
+            claim_batch="auto",
+        )
+        assert out["engine"] == "mp-pool"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -399,6 +434,7 @@ class TestErrors:
             ("transport", "shm"),
             ("chunk_lang", "c"),
             ("log_events", True),
+            ("claim_batch", 4),
         ],
     )
     def test_run_rejects_retired_fields(self, service, field, value):

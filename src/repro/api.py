@@ -381,12 +381,11 @@ def coalesce_jit(fn: Callable | None = None, **options):
     """Decorator form of :func:`transform_function`.
 
     Use bare (``@coalesce_jit``) or with options
-    (``@coalesce_jit(style="divmod", backend="c")``).
+    (``@coalesce_jit(style="divmod", backend="c")``), or call it on a
+    function with the same options (``coalesce_jit(f, backend="mp")``).
     """
-    if fn is not None:
-        return functools.wraps(fn)(transform_function(fn))
 
     def wrap(f: Callable) -> TransformedFunction:
         return functools.wraps(f)(transform_function(f, **options))
 
-    return wrap
+    return wrap if fn is None else wrap(fn)

@@ -471,8 +471,8 @@ def loadtest_main(argv: list[str] | None = None) -> int:
         "--transport",
         choices=("json", "wire"),
         default="json",
-        help="array transport for run ops: json lists or repro.wire/v1 "
-        "binary frames",
+        help="array transport for run ops: json (typed base64 buffers) "
+        "or repro.wire/v1 binary frames",
     )
     parser.add_argument("--tenant", default="loadtest")
     parser.add_argument("--seed", type=int, default=7)

@@ -21,8 +21,12 @@ Two array transports are supported, selected per client
 (``ServiceClient(..., transport="wire")``) or per call
 (``client.run(..., transport="json")``):
 
-- ``"json"`` (default) — nested lists with ``array_dtypes`` tags, so the
-  caller's dtype survives the round trip; NaN/Inf are sentinel-encoded.
+- ``"json"`` (default) — every array is a typed buffer
+  (:func:`repro.wire.jsonable_buffer`: dtype, shape and the raw bytes in
+  base64), so dtypes, NaN payloads and signed zeros survive exactly and
+  no float is written as text; the server answers in the same form.
+  :func:`decode_run_result` also reads the float-list form (``tolist()``
+  numbers plus ``array_dtypes`` tags) that hand-written bodies get back.
 - ``"wire"`` — the :mod:`repro.wire` binary frame
   (``application/x-repro-wire``): no text encode/parse, bit-exact arrays.
   The request is sent straight from the caller's arrays (no frame is
@@ -445,17 +449,15 @@ class ServiceClient:
     ) -> dict:
         """The JSON body of a run request (shared by /run and /submit).
 
-        Arrays carry ``array_dtypes`` tags so the caller's dtype survives
-        the round trip, and non-finite floats are sentinel-encoded (the
-        payload is strictly RFC JSON).
+        Arrays travel as typed buffers (:func:`repro.wire.jsonable_buffer`),
+        so the caller's dtype and every bit survive the round trip.
         """
-        arrs = _coerce_arrays(arrays)
         return {
             "key": key,
             "arrays": {
-                name: wire.jsonable_array(a) for name, a in arrs.items()
+                name: wire.jsonable_buffer(a)
+                for name, a in _coerce_arrays(arrays).items()
             },
-            "array_dtypes": wire.dtype_tags(arrs),
             "scalars": dict(scalars or {}),
             **options,
         }
@@ -572,15 +574,20 @@ class ServiceClient:
 
 
 def decode_run_result(out: dict) -> dict:
-    """Decode served JSON ``arrays`` back into ndarrays.
+    """Decode served JSON ``arrays`` back into (writable) ndarrays.
 
-    ``array_dtypes`` tags (when the server sent them) restore the
-    computed dtype; untagged responses keep the historical float64.
+    A typed buffer carries its dtype; for float lists, ``array_dtypes``
+    tags (when the server sent them) restore the computed dtype, and
+    untagged ones keep the historical float64.
     """
     if isinstance(out.get("arrays"), dict):
         tags = out.get("array_dtypes") or {}
         out["arrays"] = {
-            name: wire.array_from_json(data, tags.get(name, "<f8"))
+            name: (
+                wire.array_from_buffer(name, data)
+                if isinstance(data, dict)
+                else wire.array_from_json(data, tags.get(name, "<f8"))
+            )
             for name, data in out["arrays"].items()
         }
     return out

@@ -14,7 +14,9 @@ histogram (the inspector cannot decide it, so the run must fall back to
 the serial build, leasing no pool, and the served arrays match the
 serial semantics exactly).  A raw JSON ``/run`` must carry only the
 array the kernel writes, while the client's return still holds the
-caller's read-only input.
+caller's read-only input; a float-list body gets lists back, and a
+typed-buffer body gets buffers back, bit-exact for a NaN payload and
+-0.0.
 
 It then stands up a two-replica *cluster* over one shared artifact
 store and drives the front door: a synchronous routed run (verified
@@ -63,7 +65,7 @@ N = M = 24
 def main() -> int:
     from repro.api import transform_function
     from repro.cache import ArtifactCache
-    from repro.service.client import ServiceClient
+    from repro.service.client import ServiceClient, decode_run_result
     from repro.service.server import serve_background
 
     with tempfile.TemporaryDirectory(prefix="repro_selfcheck_") as tmp:
@@ -97,24 +99,44 @@ def main() -> int:
             # The reply carries only the array the run writes; the client
             # fills the read-only A back in with the caller's own object.
             assert out["arrays"]["A"] is A, "client fill-in lost A"
-            body = ServiceClient.run_body(
-                first["key"], {"A": A, "B": np.zeros_like(A)},
-                {"n": N, "m": M}, workers=2, backend="mp",
-            )
-            _, raw = client.request_bytes(
-                "POST", "/run", json.dumps(body).encode(),
-                {"Content-Type": "application/json"},
-            )
-            reply = json.loads(raw)
+            # A hand-written body: float lists, answered with lists.
+            body = {
+                "key": first["key"],
+                "arrays": {"A": A.tolist(), "B": np.zeros_like(A).tolist()},
+                "array_dtypes": {"A": "<f8", "B": "<f8"},
+                "scalars": {"n": N, "m": M}, "workers": 2, "backend": "mp",
+            }
+            reply = _post_run(client, body)
             assert reply["engine"] == "mp-pool", reply["engine"]
             assert set(reply["arrays"]) == {"B"}, sorted(reply["arrays"])
             assert set(reply["array_dtypes"]) == {"B"}, reply["array_dtypes"]
+            assert isinstance(reply["arrays"]["B"], list), "list form lost"
 
             expected_B = np.zeros_like(A)
             local = transform_function(KERNEL, cache=None)
             local(A, expected_B, N, M)
             assert np.array_equal(out["arrays"]["B"], expected_B), (
                 "served mp result diverged from local serial"
+            )
+
+            # The client's own form, typed buffers, answered with buffers:
+            # a NaN with a payload and a -0.0 in B's untouched border
+            # come back bit for bit.
+            B = np.zeros_like(A)
+            B[0, :2] = np.array(
+                [0x7FF8_0000_DEAD_BEEF, 1 << 63], dtype=np.uint64
+            ).view(np.float64)
+            body = ServiceClient.run_body(
+                first["key"], {"A": A, "B": B},
+                {"n": N, "m": M}, workers=2, backend="mp",
+            )
+            reply = _post_run(client, body)
+            assert isinstance(reply["arrays"]["B"], dict), "buffer form lost"
+            got = decode_run_result(reply)["arrays"]["B"]
+            want = expected_B.copy()
+            want[0, :2] = B[0, :2]
+            assert got.tobytes() == want.tobytes(), (
+                "buffer-form round trip is not bit-exact"
             )
 
             lang = out["chunk_lang"]
@@ -203,6 +225,15 @@ def main() -> int:
             server.close()
 
     return _cluster_check()
+
+
+def _post_run(client, body: dict) -> dict:
+    """A raw JSON ``/run``: the reply as the server wrote it."""
+    _, raw = client.request_bytes(
+        "POST", "/run", json.dumps(body).encode(),
+        {"Content-Type": "application/json"},
+    )
+    return json.loads(raw)
 
 
 def _cluster_check() -> int:

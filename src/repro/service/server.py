@@ -38,9 +38,15 @@ resolves each kernel as a cache hit instead of paying compile latency.
 ``POST /run`` speaks two transports, negotiated per request (JSON stays
 the compatibility default):
 
-- **json** — arrays as nested lists, now with ``array_dtypes`` tags (the
-  caller's dtype survives the round trip) and RFC-safe non-finite
-  encoding (NaN/Inf travel as sentinel strings, never as bare tokens).
+- **json** — each array is a typed buffer
+  (``{"dtype": "<f8", "shape": [...], "base64": "..."}``, the raw bytes;
+  :func:`repro.wire.array_from_buffer` checks it as a wire frame's header
+  is checked, and anything else is a 400) or a nested list with
+  ``array_dtypes`` tags (the caller's dtype survives the round trip) and
+  RFC-safe non-finite encoding (NaN/Inf travel as sentinel strings,
+  never as bare tokens).  One request uses one form — mixing them is a
+  400 — and the reply's arrays come back in that form.
+  ``ServiceClient`` sends buffers; lists are for hand-written bodies.
 - **wire** — ``Content-Type: application/x-repro-wire`` request bodies
   carry a :mod:`repro.wire` binary frame.  Nothing buffers the frame:
   the header is read first, each payload is ``readinto`` the leased warm
@@ -51,7 +57,8 @@ the compatibility default):
 Either way a ``/run`` reply carries only the arrays the compiled
 procedure stores to — every array that is the target of a store
 anywhere in it, guarded or not, fixed at ``/compile`` — with their
-``array_dtypes``; an array it only reads is not sent back.  A client
+``array_dtypes`` (a JSON reply has them in either form); an array it
+only reads is not sent back.  A client
 that wants every name back fills the others in from its own request
 (``ServiceClient.run`` does).  The cluster router relays the reply as
 it is, synchronous or through ``/result``.
@@ -467,9 +474,10 @@ class ReproServer(AccountingHTTPServer):
     def serve_run(self, body: dict, frame: wire.FrameReader | None = None):
         """Serve one run over either transport.
 
-        Yields ``(stats, arrays)``: the response body without its arrays,
-        and the arrays the program writes (``program.written``), for the
-        caller to encode in the transport the client negotiated.
+        Yields ``(stats, arrays, buffered)``: the response body without
+        its arrays, the arrays the program writes (``program.written``),
+        and whether a JSON request sent typed buffers, for the caller to
+        encode in the transport and form the client used.
         ``frame`` is a wire request whose header has been read and whose
         payloads are still on the socket: on the mp backend they are read
         straight into the leased pool's shm segments, the run executes
@@ -487,12 +495,12 @@ class ReproServer(AccountingHTTPServer):
         proc = program.proc
         with contextlib.ExitStack() as stack:
             if frame is not None:
-                transport = "wire"
+                transport, buffered = "wire", False
                 # Shapes and dtypes only: the payload bytes are unread.
                 arrays = _check_wire_arrays(frame.placeholders(), proc)
             elif body.get("transport") in (None, "json"):
                 transport = "json"
-                arrays = _decode_arrays(
+                arrays, buffered = _decode_arrays(
                     body.get("arrays"), proc, body.get("array_dtypes")
                 )
             else:
@@ -567,7 +575,8 @@ class ReproServer(AccountingHTTPServer):
                 "wall_s": round(time.perf_counter() - t0, 6),
                 **stats,
             }
-            yield stats, {name: arrays[name] for name in program.written}
+            written = {name: arrays[name] for name in program.written}
+            yield stats, written, buffered
 
     def _exec_mp(
         self, program, arrays, scalars, run_kwargs, pool, preloaded
@@ -676,9 +685,15 @@ def _run_options(body, program) -> tuple[str, int, dict]:
     )
 
 
-def _decode_arrays(raw, proc, dtypes=None) -> dict[str, np.ndarray]:
-    """JSON array payload → ndarrays matching the procedure.
+def _decode_arrays(
+    raw, proc, dtypes=None
+) -> tuple[dict[str, np.ndarray], bool]:
+    """JSON array payload → ``(ndarrays matching the procedure, buffered)``.
 
+    Every array of one request takes one form, and ``buffered`` says
+    which; a request that mixes them is a 400.  A typed buffer
+    (:func:`repro.wire.array_from_buffer`) carries its own dtype, so
+    ``array_dtypes`` with buffers is a 400 too.  For float lists,
     ``dtypes`` is the optional ``array_dtypes`` tag block
     (``{name: numpy dtype string}``) that lets a caller's dtype survive
     the JSON round trip; untagged arrays keep the historical float64
@@ -688,6 +703,18 @@ def _decode_arrays(raw, proc, dtypes=None) -> dict[str, np.ndarray]:
     raw = raw or {}
     if not isinstance(raw, dict):
         raise RequestError(400, "'arrays' must be an object of name -> data")
+    forms = {isinstance(value, dict) for value in raw.values()}
+    if len(forms) > 1:
+        raise RequestError(
+            400, "'arrays' mixes typed buffers and lists: use one form"
+        )
+    buffered = forms == {True}
+    if buffered and dtypes is not None:
+        raise RequestError(
+            400,
+            "'array_dtypes' tags float lists only: a typed buffer carries "
+            "its own dtype",
+        )
     if dtypes is None:
         dtypes = {}
     if not isinstance(dtypes, dict):
@@ -698,30 +725,41 @@ def _decode_arrays(raw, proc, dtypes=None) -> dict[str, np.ndarray]:
     for name, rank in proc.arrays.items():
         if name not in raw:
             raise RequestError(400, f"missing array {name!r}")
-        tag = dtypes.get(name, "<f8")
-        try:
-            dtype = np.dtype(tag)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(
-                400, f"array {name!r}: bad dtype tag {tag!r}"
-            ) from exc
-        if dtype.hasobject:
-            raise RequestError(
-                400, f"array {name!r}: object dtypes are not servable"
-            )
-        try:
-            arr = wire.array_from_json(raw[name], dtype)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(400, f"array {name!r}: {exc}") from exc
+        if buffered:
+            try:
+                arr = wire.array_from_buffer(name, raw[name])
+            except wire.WireFormatError as exc:
+                raise RequestError(400, f"bad typed buffer: {exc}") from exc
+        else:
+            arr = _list_array(name, raw[name], dtypes.get(name, "<f8"))
         if arr.ndim != rank:
             raise RequestError(
                 400, f"array {name!r}: rank {rank} expected, got {arr.ndim}"
             )
-        out[name] = np.ascontiguousarray(arr)
+        out[name] = arr
     extra = set(raw) - set(out)
     if extra:
         raise RequestError(400, f"unknown arrays: {sorted(extra)}")
-    return out
+    return out, buffered
+
+
+def _list_array(name: str, data, tag) -> np.ndarray:
+    """One float-list array, in the dtype its ``array_dtypes`` tag names."""
+    try:
+        dtype = np.dtype(tag)
+    except (TypeError, ValueError) as exc:
+        raise RequestError(
+            400, f"array {name!r}: bad dtype tag {tag!r}"
+        ) from exc
+    if dtype.hasobject:
+        raise RequestError(
+            400, f"array {name!r}: object dtypes are not servable"
+        )
+    try:
+        arr = wire.array_from_json(data, dtype)
+    except (TypeError, ValueError) as exc:
+        raise RequestError(400, f"array {name!r}: {exc}") from exc
+    return np.ascontiguousarray(arr)
 
 
 def _check_wire_arrays(views, proc) -> dict[str, np.ndarray]:
@@ -1009,23 +1047,25 @@ class _Handler(JsonRequestHandler):
             else:
                 run = server.serve_run(self._body())
                 want_wire = self._wants_wire(default=False)
-            with run as (stats, arrays):
-                self._send_run(stats, arrays, want_wire)
+            with run as (stats, arrays, buffered):
+                self._send_run(stats, arrays, want_wire, buffered)
         elif method == "POST" and self.path == "/lint":
             self._send(200, server.handle_lint(self._body()))
         else:
             raise RequestError(404, f"no route {method} {self.path}")
 
-    def _send_run(self, stats: dict, arrays: dict, want_wire: bool) -> None:
-        """Encode a run result for the transport the client negotiated."""
+    def _send_run(
+        self, stats: dict, arrays: dict, want_wire: bool, buffered: bool
+    ) -> None:
+        """Encode a run result for the transport the client negotiated,
+        and a JSON one in the array form its request used."""
         if want_wire:
             self._send_parts(
                 200, wire.frame_parts(stats, arrays), wire.CONTENT_TYPE
             )
         else:
-            stats["arrays"] = {
-                name: wire.jsonable_array(a) for name, a in arrays.items()
-            }
+            encode = wire.jsonable_buffer if buffered else wire.jsonable_array
+            stats["arrays"] = {name: encode(a) for name, a in arrays.items()}
             stats["array_dtypes"] = wire.dtype_tags(arrays)
             self._send(200, stats)
 

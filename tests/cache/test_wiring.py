@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,9 +129,11 @@ class TestChunkCache:
             configure()  # restore the test-session default store
 
 
+#: The checkout these tests belong to: its ``src/`` is what the CLI runs.
+REPO_ROOT = Path(__file__).resolve().parents[2]
 CLI_ENV = {
     **os.environ,
-    "PYTHONPATH": "src",
+    "PYTHONPATH": str(REPO_ROOT / "src"),
 }
 CLI_ENV.pop("REPRO_CACHE_DIR", None)
 
@@ -143,14 +146,14 @@ class TestCLI:
             "--workload", "saxpy2d", "--cache-dir", str(cachedir),
         ]
         out = subprocess.run(
-            cmd, capture_output=True, text=True, env=CLI_ENV, cwd="/root/repo"
+            cmd, capture_output=True, text=True, env=CLI_ENV, cwd=REPO_ROOT
         )
         assert out.returncode == 0, out.stderr
         assert (cachedir / "objects").exists()
         # Second run of the same pipeline is served from that directory.
         again = subprocess.run(
             cmd + ["--report"], capture_output=True, text=True,
-            env=CLI_ENV, cwd="/root/repo",
+            env=CLI_ENV, cwd=REPO_ROOT,
         )
         assert again.returncode == 0, again.stderr
 
@@ -162,7 +165,7 @@ class TestCLI:
                 "--workload", "saxpy2d",
                 "--cache-dir", str(cachedir), "--no-cache",
             ],
-            capture_output=True, text=True, env=CLI_ENV, cwd="/root/repo",
+            capture_output=True, text=True, env=CLI_ENV, cwd=REPO_ROOT,
         )
         assert out.returncode == 0, out.stderr
         assert not (cachedir / "objects").exists()

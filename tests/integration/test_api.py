@@ -1,5 +1,7 @@
 """Tests for the high-level decorator API."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,36 @@ class TestDecorator:
         c_arr = np.zeros((n + 1, n + 1))
         matmul(a, b, c_arr, n)
         np.testing.assert_allclose(c_arr[1:, 1:], a[1:, 1:] @ b[1:, 1:])
+
+    def test_called_form_keeps_its_options(self):
+        from repro.parallel.backend import MPCompiledProcedure
+
+        def sweep(A, B, n, m):
+            for i in range(1, n + 1):
+                for j in range(1, m + 1):
+                    B[i, j] = 2.0 * A[i, j]
+
+        tf = coalesce_jit(sweep, backend="mp", workers=2)
+        assert isinstance(tf._backend, MPCompiledProcedure)
+        assert tf._backend.workers == 2
+        assert tf.__name__ == "sweep"
+        a, b = _env()
+        tf(a, b, 6, 9)
+        np.testing.assert_array_equal(b[1:, 1:], 2.0 * a[1:, 1:])
+
+    @pytest.mark.parametrize("options, error", [
+        ({"backend": "mp", "claim_batch": 4}, ValueError),
+        ({"claim_batch": 4}, TypeError),  # the python backend takes none
+    ])
+    def test_called_form_refuses_what_the_decorator_refuses(
+        self, options, error
+    ):
+        def sweep(A, B, n, m):
+            for i in range(1, n + 1):
+                for j in range(1, m + 1):
+                    B[i, j] = 2.0 * A[i, j]
+
+        with pytest.raises(error) as decorated:
+            coalesce_jit(**options)(sweep)
+        with pytest.raises(error, match=re.escape(str(decorated.value))):
+            coalesce_jit(sweep, **options)

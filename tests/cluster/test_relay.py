@@ -23,6 +23,7 @@ from repro.api import transform_function
 from repro.cluster import start_cluster
 from repro.cluster.router import _splice
 from repro.service.client import ServiceClient, ServiceError, decode_run_result
+from tests.service import post_list_run
 
 KERNEL = """
 def relay2d(A, B, n, m):
@@ -185,12 +186,20 @@ class TestSyncJsonRun:
         key = client.compile(INT_KERNEL)["key"]
         A = np.arange(9, dtype=np.int64) * 2**40
         arrays = {"A": A, "B": np.zeros_like(A)}
-        got = client.run(key, arrays, {"n": 8})
-        want = supervisor.handles[0].client.run(key, arrays, {"n": 8})
-        # Only the written array comes back (and keeps its dtype tag).
-        assert got["array_dtypes"] == want["array_dtypes"] == {"B": "<i8"}
-        same_arrays(got["arrays"], want["arrays"])
-        assert got["arrays"]["B"].tolist() == (2 * A).tolist()
+        replica = supervisor.handles[0].client
+
+        def lists(c):
+            return decode_run_result(post_list_run(c, key, arrays, {"n": 8}))
+
+        # Typed buffers (the client's form), then tagged float lists.
+        for got, want in [
+            (client.run(key, arrays, {"n": 8}), replica.run(key, arrays, {"n": 8})),
+            (lists(client), lists(replica)),
+        ]:
+            # Only the written array comes back (and keeps its dtype tag).
+            assert got["array_dtypes"] == want["array_dtypes"] == {"B": "<i8"}
+            same_arrays(got["arrays"], want["arrays"])
+            assert got["arrays"]["B"].tolist() == (2 * A).tolist()
 
     @pytest.mark.parametrize("tenant", ["", 5, None])
     @pytest.mark.parametrize("transport", ["json", "wire"])

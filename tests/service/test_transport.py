@@ -16,6 +16,8 @@ from repro.api import transform_function
 from repro.cache import ArtifactCache
 from repro.cluster.loadtest import LoadTest, loadtest_main
 from repro.service import ServiceClient, ServiceError, serve_background
+from repro.service.client import decode_run_result
+from tests.service import post_list_run
 
 PY_KERNEL = """
 def scale2d(A, B, n, m):
@@ -52,6 +54,16 @@ def env():
     return A, np.zeros_like(A)
 
 
+def run_as(client, transport, key, arrays, scalars):
+    """The run's arrays over ``transport``: ``json`` (typed buffers) and
+    ``wire`` through the client, ``json-lists`` as a hand-written body."""
+    if transport == "json-lists":
+        reply = post_list_run(client, key, arrays, scalars)
+        assert all(isinstance(v, list) for v in reply["arrays"].values())
+        return decode_run_result(reply)["arrays"]
+    return client.run(key, arrays, scalars, transport=transport)["arrays"]
+
+
 def expected_from(A):
     B = np.zeros_like(A)
     transform_function(PY_KERNEL, cache=None)(A, B, N, M)
@@ -82,11 +94,8 @@ class TestWireTransport:
         key = client.compile(INT_KERNEL)["key"]
         A = np.arange(N + 1, dtype=np.int64) * 3
         B = np.zeros(N + 1, dtype=np.int64)
-        for transport in ("json", "wire"):
-            out = client.run(
-                key, {"A": A, "B": B}, {"n": N}, transport=transport
-            )
-            got = out["arrays"]["B"]
+        for transport in ("json", "json-lists", "wire"):
+            got = run_as(client, transport, key, {"A": A, "B": B}, {"n": N})["B"]
             assert got.dtype == np.int64, transport
             assert np.array_equal(got[1:], A[1:] + 1), transport
 
@@ -99,11 +108,10 @@ class TestWireTransport:
         A, B = env()
         B[0, 0] = np.nan
         B[0, 1] = np.inf
-        for transport in ("json", "wire"):
-            out = client.run(
-                key, {"A": A, "B": B}, {"n": N, "m": M}, transport=transport
-            )
-            got = out["arrays"]["B"]
+        for transport in ("json", "json-lists", "wire"):
+            got = run_as(
+                client, transport, key, {"A": A, "B": B}, {"n": N, "m": M}
+            )["B"]
             assert np.isnan(got[0, 0]), transport
             assert got[0, 1] == np.inf, transport
             assert np.array_equal(got[1:], expected_from(A)[1:]), transport

@@ -32,15 +32,15 @@ itself back to the level the paper reasons at:
    any use on every path).
 
 Failures become structured findings with stable rule codes (rendered by
-:mod:`repro.lint`, enforced by the mp runtime under ``safety=enforce``):
+:mod:`repro.lint`, enforced by the mp runtime unless ``safety="off"``):
 
 ========  ============================================================
 RACE001   carried flow dependence (write, then read, across chunks)
 RACE002   cross-chunk write overlap (two iterations write one element)
 RACE003   carried anti dependence (read, then overwrite, across chunks)
 PRIV002   unproven-private scalar (live into an iteration that writes it)
-SPEC001   dynamically provable (informational: the runtime inspector of
-          ``safety=speculate`` can decide this dispatch exactly)
+SPEC001   dynamically provable (informational: the runtime inspector
+          decides this dispatch exactly)
 FISS001   fission applied (informational, emitted by the loop-splitting
           walk of :mod:`repro.transforms.fission`, like FISS002)
 FISS002   fission refused: one dependence SCC spans the body
@@ -127,7 +127,7 @@ _HINTS: dict[str, str] = {
     "SPEC001": (
         "no array is both written and read and every scalar is provably "
         "private, so a subscript-only runtime inspector decides this "
-        "dispatch exactly; run with safety=speculate"
+        "dispatch exactly at run time, as the default safety mode does"
     ),
     "RED001": (
         "the accumulator loop dispatches as per-chunk partials combined "
@@ -251,7 +251,7 @@ class SafetyReport:
     ``by_id`` maps ``id(loop)`` of each dispatchable loop *in the exact
     procedure object verified* to its verdict, so the runtime can gate a
     dispatch without re-walking the tree.  A report is static: the
-    runtime certificates of a ``safety=speculate`` run are that run's
+    runtime certificates of a run are that run's
     (``ParallelProcedureResult.certificates``).
     """
 
@@ -478,8 +478,8 @@ def _verify_dispatch(
                     loop_var=loop.var,
                     message=(
                         "statically unproven, but dynamically provable: "
-                        f"{reason}, so safety=speculate can certify this "
-                        "dispatch at runtime"
+                        f"{reason}, so the runtime inspector can certify "
+                        "this dispatch"
                     ),
                     hint=_HINTS["SPEC001"],
                 )

@@ -141,8 +141,8 @@ class TransformedFunction:
         """Static chunk-safety verdicts for the transformed program.
 
         A :class:`repro.analysis.safety.SafetyReport` over every loop the
-        mp runtime would dispatch — the same verdicts ``safety="warn"``
-        attaches to each run and ``safety="enforce"`` gates dispatch on.
+        mp runtime would dispatch — the same verdicts each run under the
+        default safety mode gates dispatch on (``safety="off"`` skips it).
         Verified once per procedure, and the same verdict the mp runtime's
         plans are built on.
         """
@@ -330,13 +330,14 @@ def transform_function(
             take ``min(64, chunks // (8·active))`` chunks per fetch&add,
             at least 1, GSS always claims singly, and ``claim_batch``
             accepts only ``"auto"``),
-            ``safety`` (``"off"``/``"warn"``/``"enforce"``/``"speculate"``,
-            default warn: every run is verified by the chunk-safety
-            analyser and the report attached to ``.last.safety``; enforce
-            refuses unproven dispatches; speculate decides the ones the
-            runtime inspector can address at runtime and refuses the
-            rest, keeping each inspection's certificate in
-            ``.last.certificates`` — see :mod:`repro.analysis.safety` and
+            ``safety`` (``"inspect"``, the default, or ``"off"``: by
+            default every run is verified by the chunk-safety analyser,
+            the report is attached to ``.last.safety``, and an unproven
+            loop dispatches only where the runtime inspector proves it,
+            else runs serially, keeping each inspection's certificate in
+            ``.last.certificates``; ``"off"`` dispatches every loop as
+            tagged, for loops parallel by an argument the verifier
+            cannot make — see :mod:`repro.analysis.safety` and
             :mod:`repro.runtime.inspector`).
     """
     source = fn if isinstance(fn, str) else textwrap.dedent(inspect.getsource(fn))

@@ -147,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--safety",
         choices=SAFETY_MODES,
         default=None,
-        help="chunk-safety mode for --backend mp --run: warn (default) "
-        "verifies every dispatch and reports findings on stderr, enforce "
-        "refuses unproven dispatches (they run serially; a fully-refused "
-        "run is an error), speculate also dispatches the unproven loops "
-        "a runtime inspector proves disjoint, off skips verification",
+        help="chunk-safety mode for --backend mp --run: inspect (default) "
+        "dispatches proven loops and the unproven ones a runtime inspector "
+        "proves disjoint, runs the rest serially and reports findings on "
+        "stderr (a fully-refused run is an error); off skips verification "
+        "and dispatches as tagged",
     )
     parser.add_argument(
         "--gantt",
@@ -286,13 +286,13 @@ def _run_transformed(args, workload, proc) -> int:
         )
         if result.region not in (None, "native"):
             print(f"region: not used ({result.region})")
-        if result.safety_mode == "speculate":
+        if result.safety_mode == "inspect":
             print(
-                f"speculate: inspected={result.inspected} "
+                f"inspect: inspected={result.inspected} "
                 f"proven_dynamic={result.proven_dynamic}"
             )
             for cert in result.certificates:
-                print(f"speculate: {cert}")
+                print(f"inspect: {cert}")
         if args.gantt:
             for d in result.dispatches:
                 print(f"-- measured schedule of DOALL {d.loop_var} (µs) --")

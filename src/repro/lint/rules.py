@@ -69,9 +69,9 @@ RULE_DOCS: dict[str, RuleDoc] = {
         "The loop could not be proven race-free statically, but no array "
         "is both written and read and every scalar is provably private — "
         "so a subscript-only runtime inspector can decide each dispatch "
-        "exactly.  Run with safety=speculate to dispatch it when the "
-        "inspector proves the write sets disjoint (falling back to "
-        "serial otherwise).",
+        "exactly.  The default safety mode dispatches it when the "
+        "inspector proves the write sets disjoint (running it serially "
+        "otherwise).",
     ),
     "FISS001": RuleDoc(
         "FISS001",
@@ -126,20 +126,19 @@ RULE_DOCS: dict[str, RuleDoc] = {
         "SPMD002",
         RULES["SPMD002"],
         "info",
-        "The region was not used because safety=enforce (or "
-        "safety=speculate, for a loop the runtime inspector cannot "
-        "decide) blocks one of the program's DOALLs: it runs serially in "
-        "the parent, between the dispatches of the others, which a region "
-        "has no place for.",
+        "The region was not used because the safety verdict blocks one "
+        "of the program's DOALLs (unproven, and the runtime inspector "
+        "cannot decide it): it runs serially in the parent, between the "
+        "dispatches of the others, which a region has no place for.  "
+        "safety=\"off\" dispatches it as tagged.",
     ),
     "SPMD003": RuleDoc(
         "SPMD003",
         RULES["SPMD003"],
         "info",
-        "The region was not used because safety=speculate must decide one "
-        "of the program's DOALLs at run time, per instance, with the "
-        "subscript inspector, which runs in the parent between "
-        "dispatches.",
+        "The region was not used because one of the program's DOALLs is "
+        "decided at run time, per instance, by the subscript inspector, "
+        "which runs in the parent between dispatches.",
     ),
     "SPMD004": RuleDoc(
         "SPMD004",

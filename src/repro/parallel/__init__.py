@@ -23,11 +23,11 @@ flat iterations from a shared fetch&add counter over numpy arrays backed by
   just a run with one dispatch.  A call is plan → dispatch → combine:
   :mod:`repro.parallel.plan` holds what a procedure and run shape decide
   once (verdict, strategies, kernels, the region), built by the
-  first call and reused; :mod:`repro.parallel.dispatch` runs it.  Under
-  ``safety="speculate"`` the plan routes each unproven loop the runtime
-  inspector can decide (:mod:`repro.runtime.inspector`) to it and
-  refuses the rest, as under ``"enforce"``; each inspection's result is
-  the run's certificate.
+  first call and reused; :mod:`repro.parallel.dispatch` runs it.  By
+  default the plan routes each unproven loop the runtime inspector can
+  decide (:mod:`repro.runtime.inspector`) to it and runs the rest
+  serially; each inspection's result is the run's certificate.
+  ``safety="off"`` dispatches every loop as tagged.
 * :mod:`repro.parallel.observe` — measured claim logs rendered as
   :class:`repro.machine.trace.SimResult` / Gantt charts, so real schedules
   can be plotted against simulator predictions.

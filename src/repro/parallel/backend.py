@@ -9,15 +9,14 @@ Degradation policy — always on, observable via
 :attr:`MPCompiledProcedure.last` and ``fallback_reason``:
 
 * nothing dispatchable (no unit-step DOALL) → serial pygen, recorded;
-* ``safety="enforce"`` and no dispatchable loop proven race-free →
+* under the default safety mode, every dispatch refused (no loop proven
+  race-free, and the inspector cannot decide the rest: an array both
+  written and read, or a scalar hazard) →
   :class:`repro.parallel.errors.SafetyVerificationError` (a
   ``ParallelDispatchError``) → serial pygen rerun, refusal reason (with
-  rule codes) recorded in ``fallback_reason``;
-* ``safety="speculate"`` and every dispatch refused (the inspector
-  cannot decide it: an array both written and read, or a scalar
-  hazard) → same graceful serial rerun; an inspector-refuted dispatch
-  is not a fallback — the runtime already ran that loop serially and
-  the result is exact;
+  rule codes) recorded in ``fallback_reason``; an inspector-refuted
+  dispatch is not a fallback — the runtime already ran that loop
+  serially and the result is exact;
 * timeout → workers killed, shared memory unlinked, serial pygen rerun on
   the untouched caller arrays — the graceful-fallback path;
 * worker crash → :class:`repro.parallel.runtime.WorkerCrashError` is
@@ -44,6 +43,7 @@ from repro.parallel.runtime import (
     ParallelTimeoutError,
     _claim_batch_is_derived,
     _dispatchable_loops,
+    resolve_safety,
     run_parallel_procedure,
 )
 
@@ -61,15 +61,15 @@ class MPCompiledProcedure:
     per claim, at least 1, and GSS always claims singly.
     How workers execute claimed blocks is derived by the run's plan (C
     kernel, whole-slice numpy or Python chunk);
-    ``last.chunk_lang`` reports what actually ran.  ``safety`` selects
-    the chunk-safety mode (``None`` → ``"warn"``): ``"enforce"`` refuses
-    unproven dispatches — they run serially, and a fully-refused run
-    falls back to the serial backend with the rule codes recorded in
-    ``fallback_reason``; ``"speculate"`` gives the unproven dispatches
-    the runtime inspector can decide a dynamic chance, refuses the rest
-    as ``"enforce"`` does, and falls back the same way when nothing is
-    left to dispatch (``last.certificates`` holds each inspection's
-    result; ``last.inspected`` / ``proven_dynamic`` count them).
+    ``last.chunk_lang`` reports what actually ran.  ``safety`` is
+    ``"inspect"`` (``None``, the default) or ``"off"``: by default an
+    unproven dispatch runs only where the runtime inspector proves it,
+    else serially, and a fully-refused run falls back to the serial
+    backend with the rule codes recorded in ``fallback_reason``
+    (``last.certificates`` holds each inspection's result;
+    ``last.inspected`` / ``proven_dynamic`` count them); ``"off"``
+    dispatches every loop as tagged, unverified.  ``safety_report`` is
+    the verdict either way.
     """
 
     proc: Procedure
@@ -84,6 +84,7 @@ class MPCompiledProcedure:
     fallback_reason: str | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        resolve_safety(self.safety)  # an unknown mode raises here
         self._serial = compile_procedure(self.proc)
 
     @property

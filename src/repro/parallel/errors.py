@@ -19,7 +19,7 @@ class ParallelDispatchError(ParallelError):
 
 
 class SafetyVerificationError(ParallelDispatchError):
-    """``safety=enforce`` refused the dispatch: a loop is not proven race-free.
+    """The safety verdict refused every dispatch: no loop is proven race-free.
 
     Raised *before* any worker process is created, so the caller (e.g. the
     mp backend's serial-fallback path) can rerun the procedure serially and

@@ -96,7 +96,7 @@ class TransportCounters:
 #:   lock-guarded protocol;
 #: * ``safety``: verdicts (procedures checked, loops proven or not,
 #:   findings by rule code) and dispatches ``blocked`` (run serially);
-#: * ``speculate``: dispatches the runtime inspector addressed, and those
+#: * ``inspect``: dispatches the runtime inspector addressed, and those
 #:   it proved (they then dispatched normally);
 #: * ``transforms``: pipeline outcomes (:func:`record_transforms`) and
 #:   dispatches run through the partial-accumulator reduction engine.
@@ -116,7 +116,7 @@ DISPATCH: dict = {
         "checked": 0, "proven": 0, "unproven": 0, "blocked": 0,
         "findings": Counter(),
     },
-    "speculate": {"inspected": 0, "proven_dynamic": 0},
+    "inspect": {"inspected": 0, "proven_dynamic": 0},
     "transforms": {
         "fission_applied": 0,
         "fission_refused": 0,
@@ -158,8 +158,8 @@ def record_run(result, ran: bool = True) -> None:
             for finding in result.safety.findings:
                 safety["findings"][finding.rule] += 1
         safety["blocked"] += result.blocked_dispatches
-        d["speculate"]["inspected"] += result.inspected
-        d["speculate"]["proven_dynamic"] += result.proven_dynamic
+        d["inspect"]["inspected"] += result.inspected
+        d["inspect"]["proven_dynamic"] += result.proven_dynamic
         d["transforms"]["reduction_dispatches"] += result.reductions
 
 

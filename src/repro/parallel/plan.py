@@ -22,9 +22,8 @@ dispatchable; the policy, resolved once (:attr:`Plan.policy_shape`); the
 chunk language its loops start from (:func:`chunk_lang`, derived from
 the host and the dtypes — no caller picks it); the safety verdict, its
 blocked set, the strategy each dispatchable loop runs under
-(``dispatch``, ``reduce``, ``serial``, ``inspect``) and, for a blocked
-loop under ``safety="speculate"``, why the inspector may or may not
-decide it; the reduction plans;
+(``dispatch``, ``reduce``, ``serial``, ``inspect``) and, for each blocked
+loop, why the inspector may or may not decide it; the reduction plans;
 the arrays it writes (all a run copies back); and — filled by the first
 run that reaches them, then never changed — each loop shape's job
 template (its rung of the chunk ladder: the built kernel, else the
@@ -245,7 +244,7 @@ class Plan:
         self.reductions: dict[int, _ReductionPlan] = {}
         self.strategies: dict[int, str] = {}
         #: Why the inspector may (``inspect``) or may not (``serial``)
-        #: decide each blocked loop, under ``safety="speculate"`` only.
+        #: decide each blocked loop.
         self.reasons: dict[int, str] = {}
         for lp in loops:
             if id(lp) in self.blocked:
@@ -274,32 +273,26 @@ class Plan:
 
     @staticmethod
     def _safety(proc: Procedure, mode: str):
-        """``(report, blocked-loop ids)``.  Under enforce and speculate a
-        verifier crash fails closed; under warn it is an unchecked run."""
+        """``(report, blocked-loop ids)``: nothing under off; otherwise
+        every unproven loop is blocked, and a verifier crash fails closed."""
         if mode == "off":
             return None, frozenset()
         try:
             report = verdict(proc)
         except Exception as exc:
-            if mode in ("enforce", "speculate"):
-                raise SafetyVerificationError(
-                    f"safety={mode}: chunk-safety verification of "
-                    f"{proc.name!r} failed: {exc}"
-                ) from exc
-            return None, frozenset()
-        if mode not in ("enforce", "speculate"):
-            return report, frozenset()
+            raise SafetyVerificationError(
+                f"safety={mode}: chunk-safety verification of "
+                f"{proc.name!r} failed: {exc}"
+            ) from exc
         return report, frozenset(
             loop_id for loop_id, v in report.by_id.items() if not v.proven
         )
 
     def _route(self, loop: Loop) -> str:
-        """``inspect`` or ``serial`` for a loop the verdict blocks.  Only
-        under speculate does the inspector decide one, and only when no
-        scalar carries a value across iterations (PRIV002) and no array is
-        both written and read (:func:`inspector_eligible`)."""
-        if self.mode != "speculate":
-            return "serial"
+        """``inspect`` or ``serial`` for a loop the verdict blocks.  The
+        inspector decides one only when no scalar carries a value across
+        iterations (PRIV002) and no array is both written and read
+        (:func:`inspector_eligible`)."""
         findings = self.report.by_id[id(loop)].findings
         hazards = sorted(
             {f.scalar for f in findings if f.rule == "PRIV002" and f.scalar}

@@ -26,11 +26,9 @@ policy — never of a setting.  :func:`try_region` either runs it
 and the caller falls through to the per-dispatch path:
 
 ``SPMD001`` a DOALL of the program is a recognized reduction;
-``SPMD002`` a DOALL is blocked (runs serially: refused under
-``safety="enforce"``, or under ``"speculate"`` where the inspector
-cannot decide it);
-``SPMD003`` a DOALL is decided at run time by the inspector
-(``"speculate"``);
+``SPMD002`` a DOALL is blocked (unproven, and the inspector cannot
+decide it: it runs serially);
+``SPMD003`` a DOALL is decided at run time by the inspector;
 ``SPMD004`` the skeleton is not pure control over parameters and serial
 induction variables;
 ``SPMD005`` the policy is static (no claim rule);

@@ -121,8 +121,8 @@ __all__ = [
 ]
 
 
-#: The chunk-safety modes a run may request; none means ``"warn"``.
-SAFETY_MODES = ("off", "warn", "enforce", "speculate")
+#: The chunk-safety modes a run may request; None means ``"inspect"``.
+SAFETY_MODES = ("inspect", "off")
 
 
 def _claim_batch_is_derived(claim_batch) -> None:
@@ -155,24 +155,24 @@ def resolve_timeout(requested) -> float | None:
 
 
 def resolve_safety(requested: str | None) -> str:
-    """Resolve a requested chunk-safety mode.
+    """``"inspect"`` (also for None) or ``"off"``; anything else, the
+    retired ``"warn"`` and ``"enforce"`` included, raises
+    :class:`ValueError` before any pool exists.
 
-    ``None`` defaults to ``"warn"``: every run is verified and the report
-    is attached to the result, but nothing is refused.  ``"enforce"``
-    additionally refuses to dispatch any loop the verifier cannot prove
-    race-free (it runs serially instead, or — when *nothing* is provable —
-    the whole run raises :class:`SafetyVerificationError` before any
-    worker is created).  ``"speculate"`` gives those unproven loops the
-    inspector can decide (no array both written and read, no scalar
-    hazard) a dynamic chance: it proves disjointness at run time where
-    the data allows, and every other unproven loop is refused as under
-    ``"enforce"``.  ``"off"`` skips verification entirely.
+    ``"inspect"`` never dispatches a loop the verifier cannot prove
+    race-free: the runtime inspector decides the unproven loops it can,
+    the rest run serially with their rule codes, and a run left with
+    nothing to dispatch raises :class:`SafetyVerificationError`.
+    ``"off"`` skips verification and dispatches every loop as tagged, for
+    loops parallel by an argument the verifier cannot make.
     """
-    if requested is None:
-        return "warn"
+    # "speculate", the old name of "inspect", stays only while the
+    # end-to-end benchmark (benchmarks/e2e/workloads.py) still passes it.
+    if requested is None or requested == "speculate":
+        return "inspect"
     if requested not in SAFETY_MODES:
         raise ValueError(
-            "safety must be 'off', 'warn', 'enforce', or 'speculate' "
+            "safety must be 'inspect' (the default) or 'off' "
             f"(got {requested!r})"
         )
     return requested
@@ -297,17 +297,17 @@ class ParallelProcedureResult:
 
     wall_time: float
     dispatches: list[ParallelRunResult] = field(default_factory=list)
-    #: Chunk-safety mode the run executed under ("off", "warn",
-    #: "enforce", "speculate").
+    #: Chunk-safety mode the run executed under ("inspect" or "off").
     safety_mode: str = "off"
     #: The plan's :class:`~repro.analysis.safety.SafetyReport`, shared by
     #: every run of the procedure and never changed by one (None when
-    #: ``safety_mode == "off"`` or verification crashed under "warn").
+    #: ``safety_mode == "off"``).
     safety: object | None = field(default=None, repr=False)
-    #: Dispatches refused under enforce and executed serially instead.
+    #: Dispatches of unproven loops executed serially instead: refused
+    #: by the verdict, or refuted by the inspector.
     blocked_dispatches: int = 0
-    #: ``safety=speculate``: this run's certificate of each dispatch the
-    #: inspector addressed, in run order — a
+    #: This run's certificate of each dispatch the inspector addressed,
+    #: in run order — a
     #: :class:`~repro.runtime.inspector.InspectionResult`.  Proven ones
     #: dispatched normally; the rest ran serially and count as blocked.
     certificates: list = field(default_factory=list, repr=False)
@@ -377,8 +377,8 @@ class ParallelProcedureResult:
             "blocked_dispatches": self.blocked_dispatches,
             "reductions": self.reductions,
         }
-        if self.safety_mode == "speculate":
-            stats["speculate"] = {
+        if self.safety_mode == "inspect":
+            stats["inspect"] = {
                 "inspected": self.inspected,
                 "proven_dynamic": self.proven_dynamic,
                 "certificates": [c.to_dict() for c in self.certificates],
@@ -509,19 +509,19 @@ def run_parallel_procedure(
     The ``claim_batch`` keyword accepts only ``"auto"``, the rule itself;
     any other value raises :class:`ValueError` before any pool exists.
 
-    ``safety`` selects the chunk-safety mode (default ``"warn"``: verify
-    and report, dispatch everything).  Under ``"enforce"``, unproven
-    loops execute serially in the parent instead of being dispatched
-    (counted in ``result.blocked_dispatches``); when *no* dispatchable
-    loop is proven, the run raises :class:`SafetyVerificationError`
-    before any worker or shared segment is created — a run that could
-    only ever execute serially should not pay for a pool.  Under
-    ``"speculate"``, unproven loops the inspector can decide are inspected
-    (dispatching with a certificate when proven, else running serially);
-    the rest are refused as under ``"enforce"``, and so is the run when
-    nothing is left to dispatch.  Each inspection's result is the run's
-    certificate for that dispatch, in ``result.certificates``
-    (``inspected`` / ``proven_dynamic`` count them).
+    ``safety`` is ``"inspect"`` (the default) or ``"off"``
+    (:func:`resolve_safety`).  By default, a loop the verifier cannot
+    prove race-free is never dispatched on trust: the inspector decides
+    the unproven loops it can (dispatching with a certificate when
+    proven), every other one executes serially in the parent with its
+    rule code (counted in ``result.blocked_dispatches``), and when
+    nothing is left to dispatch the run raises
+    :class:`SafetyVerificationError` before any worker or shared segment
+    is created — a run that could only ever execute serially should not
+    pay for a pool.  Each inspection's result is the run's certificate
+    for that dispatch, in ``result.certificates``
+    (``inspected`` / ``proven_dynamic`` count them).  ``"off"``
+    verifies nothing and dispatches every loop as tagged.
     """
     from repro.parallel.dispatch import Run, execute
     from repro.parallel.plan import prepare

@@ -5,8 +5,8 @@
   experiment E2).
 * :mod:`repro.runtime.equivalence` — the random array environments that
   equivalence checks run the original and the transformed program from.
-* :mod:`repro.runtime.inspector` — the dynamic half of ``safety=speculate``:
-  subscript-only inspection proving statically-unproven dispatches disjoint
+* :mod:`repro.runtime.inspector` — the dynamic half of the default safety
+  mode: subscript-only inspection proving statically-unproven dispatches disjoint
   at runtime.
 """
 

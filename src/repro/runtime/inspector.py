@@ -24,7 +24,7 @@ those loops (:class:`repro.parallel.plan.Plan`) and they run serially.
 With C kernels a plan first runs the same pass natively, beside the
 kernel, and takes only its proofs: refutations and errors are this
 module's alone.  An :class:`InspectionResult` is the run's certificate
-for that dispatch: ``safety=speculate`` runs keep one per inspection in
+for that dispatch: a run keeps one per inspection in
 ``ParallelProcedureResult.certificates``.
 """
 
@@ -66,7 +66,7 @@ def scalar_hazards(loop: Loop) -> set[str]:
 @dataclass
 class InspectionResult:
     """What the inspector concluded about one dispatch occurrence — the
-    certificate a ``safety=speculate`` run records for it."""
+    certificate a run records for it."""
 
     #: Always the inspector: no other pass certifies a dispatch at run time.
     mode: ClassVar[str] = "inspector"

@@ -18,7 +18,7 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` only):
 * ``POST /compile`` — source (restricted Python or the mini-language) +
   options → program key (+ whether the artifact cache served it);
 * ``POST /run`` — program key + arrays/scalars → result arrays + measured
-  dispatch statistics (accepts a ``safety`` mode; an enforce run whose
+  dispatch statistics (accepts ``safety="off"``; a default run whose
   every dispatch is refused degrades to the serial build with the reason).
   Arrays travel over one of two transports: JSON lists (default,
   dtype-tagged) or the :mod:`repro.wire` binary frame;

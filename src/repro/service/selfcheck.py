@@ -9,7 +9,7 @@ when a compiler is available, that the plan derived the native kernel
 and claim loop — verify every served result
 bit-for-bit against a local serial run, round-trip ``POST /lint``
 on a clean kernel and a seeded-race program (asserting the RACE001
-verdict comes back), and round-trip a ``safety="speculate"`` run on a
+verdict comes back), and round-trip a default-safety run on a
 histogram (the inspector cannot decide it, so the run must fall back to
 the serial build, leasing no pool, and the served arrays match the
 serial semantics exactly).  A raw JSON ``/run`` must carry only the
@@ -145,7 +145,7 @@ def main() -> int:
                 assert lang == "c", out
                 assert out["claim_loop"] == "native", out
 
-            # safety=speculate round trip: H is both written and read, so
+            # Default-safety round trip: H is both written and read, so
             # the inspector cannot decide the loop, the plan refuses it,
             # and the served result is the serial build's, exactly.
             hist = client.compile(HISTOGRAM, backend="mp", analyze=False)
@@ -157,7 +157,6 @@ def main() -> int:
             spec = client.run(
                 hist["key"], {"H": H, "K": K}, {"n": hn},
                 workers=2, backend="mp", policy="static",
-                safety="speculate",
             )
             assert spec["engine"] == "serial-fallback", spec["engine"]
             assert "refused every dispatch" in spec["fallback_reason"], spec
@@ -167,7 +166,7 @@ def main() -> int:
             for i in range(1, hn + 1):
                 expected_H[int(K[i])] += 1.0
             assert np.array_equal(spec["arrays"]["H"], expected_H), (
-                "served speculate result diverged from serial semantics"
+                "served refused result diverged from serial semantics"
             )
 
             # Wire transport round trip: binary frames both directions,
@@ -215,7 +214,7 @@ def main() -> int:
                 f"warm_kernels={first['warm_kernels']}, "
                 f"run engine={out['engine']} wall_s={out['wall_s']:.4f}, "
                 f"chunk_lang={lang}, "
-                f"speculate engine={spec['engine']}, "
+                f"refused engine={spec['engine']}, "
                 f"lint verdicts ok={clean['ok']}/dirty={not dirty['ok']}, "
                 f"transports json={tcounts['json']} wire={tcounts['wire']}, "
                 f"cache hits={metrics['cache']['hits']}"

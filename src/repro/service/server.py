@@ -21,14 +21,14 @@ and returns the chunk-safety verifier's structured findings
 passes first and adds their FISS001/FISS002/RED001 findings.
 ``POST /compile`` accepts the same ``transforms`` option, and mp runs
 of such programs report a ``reductions`` dispatch count.  ``POST /run`` accepts a
-``safety`` option (``"off"``/``"warn"``/``"enforce"``/``"speculate"``);
-an enforce or speculate run whose every dispatch is refused degrades to
-the serial build with the refusal reason in the response — decided
-before any worker pool is leased, so it forks no fleet — and a
-speculate run reports its inspector outcomes (inspected /
-proven_dynamic / certificates, each certificate an
-:class:`~repro.runtime.inspector.InspectionResult` as a dict) in a
-``speculate`` block.
+``safety`` option, ``"inspect"`` (the default) or ``"off"``
+(:func:`~repro.parallel.runtime.resolve_safety`); a default run whose
+every dispatch is refused degrades to the serial build with the refusal
+reason in the response — decided before any worker pool is leased, so
+it forks no fleet — and one that dispatches reports its inspector
+outcomes (inspected / proven_dynamic / certificates, each certificate an
+:class:`~repro.runtime.inspector.InspectionResult` as a dict) in an
+``inspect`` block.
 
 ``POST /compile`` with ``backend="mp"`` also *pre-warms* the native chunk
 kernels for every dispatchable loop of the program — gcc runs at compile
@@ -593,7 +593,7 @@ class ReproServer(AccountingHTTPServer):
                 **run_kwargs,
             )
         except ParallelDispatchError as exc:
-            # Nothing dispatchable (or safety=enforce refused every
+            # Nothing dispatchable (or the safety verdict refused every
             # dispatch): degrade exactly like backend="mp" in-process —
             # run the serial build, say why.
             record_fallback()

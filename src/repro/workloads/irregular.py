@@ -1,4 +1,4 @@
-"""Irregular workloads: statically-unprovable loops for ``safety=speculate``.
+"""Irregular workloads: statically-unprovable loops for the runtime inspector.
 
 Each procedure claims DOALL on a loop the static verifier cannot prove —
 subscripts flow through data, so legality depends on the *values* at
@@ -41,7 +41,7 @@ def histogram() -> Workload:
     ``b`` is deliberately tiny relative to ``n``, so every chunking of
     the range collides across chunks.  The inspector cannot help: ``H``
     is both written and read, so values (not just addresses) flow
-    between iterations, and ``safety=speculate`` refuses the loop.
+    between iterations, and the default safety mode refuses the loop.
     """
     p = parse(
         """
@@ -75,7 +75,7 @@ def histogram_disjoint() -> Workload:
     """The same accumulate, but every key is distinct.
 
     Statically indistinguishable from :func:`histogram` — the verifier
-    and ``safety=speculate`` refuse both — although the injective key
+    and the inspector refuse both — although the injective key
     array makes every chunk's write and read sets disjoint.
     """
     p = parse(

@@ -50,7 +50,7 @@ RACY_WORKLOADS: dict[str, Callable[[], Workload]] = {
 
 #: Statically-unprovable loops whose legality depends on runtime data
 #: (see :mod:`repro.workloads.irregular`).  Kept out of ``WORKLOADS`` so
-#: nothing dispatches them without a dynamic check (``safety=speculate``);
+#: nothing dispatches them without a dynamic check (the runtime inspector);
 #: resolvable by name everywhere via :func:`get_workload`.
 IRREGULAR_WORKLOADS: dict[str, Callable[[], Workload]] = {
     "histogram": histogram,

@@ -246,7 +246,7 @@ class TestMPBackendCLI:
             main(
                 [
                     "--workload", "saxpy2d", "--run", "--backend", "mp",
-                    "--workers", "2", "--safety", "enforce",
+                    "--workers", "2",
                 ]
             )
             == 0
@@ -255,38 +255,39 @@ class TestMPBackendCLI:
 
     def test_run_enforce_racy_workload_fails(self, capsys):
         # Skip the analyze pass so the lying DOALL claim survives to the
-        # runtime: the safety gate must refuse it with the rule code.
+        # runtime: the default safety gate must refuse it with the rule code.
         assert (
             main(
                 [
                     "--workload", "racy_flow", "--run", "--backend", "mp",
-                    "--workers", "2", "--safety", "enforce",
+                    "--workers", "2",
                     "--passes", "normalize,distribute,coalesce",
                 ]
             )
             == 1
         )
         err = capsys.readouterr().err
-        assert "safety=enforce refused" in err and "RACE001" in err
+        assert "safety=inspect refused" in err and "RACE001" in err
 
-    def test_run_warn_racy_workload_reports_but_runs(self, capsys):
-        """warn *reports* the race and does *not* refuse the run.  One
-        worker, so the genuinely racy loop still computes the serial
-        answer: with two, exit code 0 held only while worker 0 finished
-        its chunk before worker 1 woke."""
+    def test_run_off_racy_workload_runs_as_tagged(self, capsys):
+        """off neither verifies nor refuses: the racy DOALL dispatches as
+        tagged.  One worker, so the genuinely racy loop still computes
+        the serial answer: with two, exit code 0 would hold only while
+        worker 0 finished its chunk before worker 1 woke."""
         assert (
             main(
                 [
                     "--workload", "racy_flow", "--run", "--backend", "mp",
-                    "--workers", "1", "--safety", "warn",
+                    "--workers", "1", "--safety", "off",
                     "--passes", "normalize,distribute,coalesce",
                 ]
             )
             == 0
         )
         captured = capsys.readouterr()
-        assert "safety: " in captured.err and "RACE001" in captured.err
+        assert "safety: " not in captured.err
         assert "mp[gss, 1 workers" in captured.out
+        assert "1 dispatches in 1 fork/join" in captured.out
         assert "results match serial: True" in captured.out
 
     def test_workload_without_run_emits_transform(self, capsys):

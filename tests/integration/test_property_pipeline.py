@@ -225,7 +225,7 @@ def test_property_hybrid_nest_every_path_agrees(data, seed):
     compiled = copy_env(env)
     compile_c_procedure(p, omp=False).run(compiled, scalars)
     assert agrees(compiled)
-    for safety in ("warn", "enforce"):
+    for safety in ("off", None):
         for workers in (2, 3):
             counts = {}
             for lang in ("py", "c"):

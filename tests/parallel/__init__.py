@@ -10,6 +10,14 @@ def run_one(proc, arrays, scalars=None, **options):
     return result
 
 
+def safety_for(name: str) -> str | None:
+    """The safety mode a registry workload dispatches under: the default,
+    except ``floyd``, whose relaxation is parallel by a value argument the
+    verifier cannot make (row and column ``k`` do not change in step
+    ``k``), so it runs under the opt-out, dispatched as tagged."""
+    return "off" if name == "floyd" else None
+
+
 def own_segments() -> list[str]:
     """:func:`leaked_segments` that this process created.
 

@@ -33,7 +33,7 @@ from repro.transforms import coalesce_procedure, fission_procedure
 from repro.tuning import reset_tuning_memo
 from repro.workloads import dot_product, get_workload, make_env
 from repro.workloads.shapes import IRREGULAR_WORKLOADS
-from tests.parallel import own_segments, pin_chunk_lang, run_one
+from tests.parallel import own_segments, pin_chunk_lang, run_one, safety_for
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -236,6 +236,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
                     pin_chunk_lang(patch, lang)
                     runs[lang] = run_parallel_procedure(
                         proc, got, sc, pool=pool, policy=policy, chunk=chunk,
+                        safety=safety_for(name),
                     )
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (lang, policy, k)
@@ -257,9 +258,7 @@ def test_native_equals_python_protocol_equals_interpreter(name, method):
 def test_proven_dynamic_dispatch_is_native():
     w = IRREGULAR_WORKLOADS["scatter_perm"]()
     arrays, sc = make_env(w)
-    result = run_parallel_procedure(
-        w.proc, arrays, sc, workers=2, safety="speculate"
-    )
+    result = run_parallel_procedure(w.proc, arrays, sc, workers=2)
     (cert,) = result.certificates
     assert cert.status == "proven-dynamic"
     (dispatch,) = result.dispatches

@@ -29,7 +29,7 @@ from repro.parallel.plan import chunk_lang
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import WORKLOADS, get_workload, make_env
-from tests.parallel import run_one
+from tests.parallel import run_one, safety_for
 
 
 #: What each registry workload's dispatches run without a compiler: numpy
@@ -79,7 +79,9 @@ class TestEquivalence:
         want = {k: v.copy() for k, v in arrays.items()}
         Interpreter().run(w.proc, want, dict(sc))
         before = DISPATCH["chunk_lang"]["fallbacks"]
-        result = run_parallel_procedure(proc, arrays, sc, workers=2)
+        result = run_parallel_procedure(
+            proc, arrays, sc, workers=2, safety=safety_for(name)
+        )
         assert {d.chunk_lang for d in result.dispatches} == COMPILERLESS_LANGS[name]
         assert DISPATCH["chunk_lang"]["fallbacks"] == before
         _assert_bit_for_bit(want, arrays)

@@ -111,7 +111,7 @@ def blocked(monkeypatch):
         "X": rng.random(n + 1), "Y": rng.random(n + 1),
     }
     result = run_parallel_procedure(
-        SAXPY_HISTOGRAM, arrays, {"n": n}, workers=2, safety="enforce"
+        SAXPY_HISTOGRAM, arrays, {"n": n}, workers=2
     )
     assert result.blocked_dispatches == 1 and len(result.dispatches) == 1
 

@@ -81,16 +81,16 @@ def case(name):
         proc = parse(HALF_RACY)
         rng = np.random.default_rng(1)
         arrays = {"A": rng.random(10), "B": rng.random(10)}
-        return proc, proc, arrays, {"n": 9}, {"safety": "enforce"}
+        return proc, proc, arrays, {"n": 9}, {}
     kernel, sizes, options = {
         "gauss_jordan": ("gauss_jordan", {"n": 11, "m": 2}, {"policy": "gss"}),
-        "floyd": ("floyd", {"n": 9}, {"policy": "gss"}),
+        # Parallel by a value argument the verifier cannot make: the
+        # opt-out dispatches it as tagged.
+        "floyd": ("floyd", {"n": 9}, {"policy": "gss", "safety": "off"}),
         "matmul": ("matmul", {"n": 8}, {"policy": "gss"}),
         "saxpy2d": ("saxpy2d", {"n": 20, "m": 20}, {"policy": "unit"}),
-        "scatter_perm": ("scatter_perm", {"n": 300}, {"safety": "speculate"}),
-        "ragged_update": (
-            "ragged_update", {"n": 40, "m": 6}, {"safety": "speculate"},
-        ),
+        "scatter_perm": ("scatter_perm", {"n": 300}, {}),
+        "ragged_update": ("ragged_update", {"n": 40, "m": 6}, {}),
         "dot_product": ("dot_product", {"n": 500}, {}),
         "mixed_update": ("mixed_update", {"n": 60}, {}),
     }[name]
@@ -241,7 +241,7 @@ def test_each_run_carries_only_its_own_certificates(kernel, policy, status):
         results.append(
             run_parallel_procedure(
                 w.proc, got, scalars, workers=2, policy=policy,
-                safety="speculate", timeout=60.0,
+                timeout=60.0,
             )
         )
         assert same(got, want)
@@ -355,6 +355,7 @@ def test_four_threads_with_their_own_pools_share_one_plan():
                 got = copies(arrays)
                 result = run_parallel_procedure(
                     proc, got, scalars, workers=2, pool=pool, timeout=60.0,
+                    **options,
                 )
                 assert result.region == "native" and same(got, want)
         except BaseException as exc:  # surfaced below
@@ -387,7 +388,7 @@ def test_a_thousand_procedures_leave_the_memo_at_its_bound():
             f"    A(i) := A(i) + {k}.0\n  end\nend\n"
         )
         plan_mod.prepare(
-            proc, arrays, {"n": 4}, "warn", "gss", None, 2,
+            proc, arrays, {"n": 4}, "inspect", "gss", None, 2,
         )
         assert len(plan_mod._PLANS) <= plan_mod.MEMO_BOUND
         assert len(plan_mod._VERDICTS) <= plan_mod.MEMO_BOUND

@@ -41,7 +41,7 @@ from repro.parallel.runtime import _dispatchable_loops
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import own_segments, pin_chunk_lang
+from tests.parallel import own_segments, pin_chunk_lang, safety_for
 from tests.parallel.test_claim_loop import assert_sent_back
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -105,7 +105,7 @@ def test_region_is_the_per_dispatch_run_in_one_fork_join(name, workers, policy):
         for log_events, borrowed in ((True, True), (False, True), (True, False)):
             options = dict(
                 workers=workers, policy=policy, chunk=chunk,
-                log_events=log_events, timeout=60.0,
+                log_events=log_events, timeout=60.0, safety=safety_for(name),
             )
             got = copies(arrays)
             result = run_parallel_procedure(
@@ -213,7 +213,7 @@ def test_spawned_workers_meet_at_the_same_barrier():
     spawn = multiprocessing.get_context("spawn")
     with WorkerPool(arrays, workers=2, ctx=spawn) as pool:
         result = run_parallel_procedure(
-            proc, arrays, scalars, pool=pool, timeout=120.0
+            proc, arrays, scalars, pool=pool, timeout=120.0, safety="off"
         )
     assert result.region == "native" and same(arrays, want)
 
@@ -251,6 +251,7 @@ def test_a_full_ring_is_drained_not_dropped(monkeypatch):
     want = interpreted(original, arrays, scalars)
     result = run_parallel_procedure(
         proc, arrays, scalars, workers=2, policy="unit", timeout=60.0,
+        safety="off",
     )
     assert result.region == "native" and same(arrays, want)
     # 81 chunks per instance: batches of 5, two of which overflow the ring
@@ -396,27 +397,23 @@ def test_refused_reduction_under_a_serial_loop():
 
 def test_refused_blocked_loop_under_enforce():
     arrays = {"A": np.zeros(10), "B": np.zeros(10)}
-    result = refused(
-        HALF_RACY, arrays, {"n": 9}, "SPMD002", safety="enforce"
-    )
+    result = refused(HALF_RACY, arrays, {"n": 9}, "SPMD002")
     assert result.blocked_dispatches == 3 and len(result.dispatches) == 3
-    # warn dispatches both loops (the race is the caller's to own), and
+    # off dispatches both loops (the race is the caller's to own), and
     # then nothing stands in the region's way
     got = copies(arrays)
-    warned = run_parallel_procedure(
-        HALF_RACY, got, {"n": 9}, workers=1, timeout=60.0
+    tagged = run_parallel_procedure(
+        HALF_RACY, got, {"n": 9}, workers=1, timeout=60.0, safety="off"
     )
-    assert warned.region == "native"
+    assert tagged.region == "native"
     assert same(got, interpreted(HALF_RACY, arrays, {"n": 9}))
 
 
 def test_refused_uninspectable_loop_under_speculate():
     # A reads what it writes: the inspector cannot decide loop i, so
-    # speculate blocks it exactly as enforce does, under the same code.
+    # the default blocks it, under SPMD002.
     arrays = {"A": np.zeros(10), "B": np.zeros(10)}
-    result = refused(
-        HALF_RACY, arrays, {"n": 9}, "SPMD002", safety="speculate"
-    )
+    result = refused(HALF_RACY, arrays, {"n": 9}, "SPMD002")
     assert result.blocked_dispatches == 3 and len(result.dispatches) == 3
     assert result.inspected == 0
 
@@ -429,9 +426,7 @@ def test_refused_inspected_loop_under_speculate():
         "P": np.concatenate(([0.0], rng.permutation(n) + 1.0)),
         "X": rng.random(n + 1),
     }
-    result = refused(
-        SCATTER, arrays, {"n": n}, "SPMD003", safety="speculate"
-    )
+    result = refused(SCATTER, arrays, {"n": n}, "SPMD003")
     assert result.inspected == 3 and result.proven_dynamic == 3
 
 
@@ -475,7 +470,7 @@ def test_a_worker_that_cannot_bind_sends_the_run_back(monkeypatch, who):
     proc, original, arrays, scalars = program("floyd")
     want = interpreted(original, arrays, scalars)
     result = assert_sent_back(
-        monkeypatch, proc, arrays, scalars, want, workers=2
+        monkeypatch, proc, arrays, scalars, want, workers=2, safety="off"
     )
     assert result.region.startswith("SPMD006: a worker could not enter")
     assert len(result.dispatches) == 9

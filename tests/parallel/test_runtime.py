@@ -452,14 +452,10 @@ class TestOneDriver:
         assert own_segments() == []
 
     @pytest.mark.parametrize(
-        "name,safety,match",
-        [
-            ("racy_flow", "enforce", "enforce refused"),
-            ("racy_scalar", "speculate", "speculate refused"),
-        ],
+        "name,rule", [("racy_flow", "RACE001"), ("racy_scalar", "PRIV002")]
     )
     def test_refused_doall_creates_no_process_and_no_segment(
-        self, monkeypatch, name, safety, match
+        self, monkeypatch, name, rule
     ):
         def no_pool(*args, **kwargs):
             raise AssertionError("a refused run must not lease a pool")
@@ -468,10 +464,10 @@ class TestOneDriver:
         w, proc = _single_loop(name)
         arrays, sc = make_env(w)
         children = multiprocessing.active_children()
-        with pytest.raises(SafetyVerificationError, match=match):
-            run_parallel_procedure(
-                proc, arrays, sc, workers=2, safety=safety
-            )
+        with pytest.raises(
+            SafetyVerificationError, match=f"safety=inspect refused.*{rule}"
+        ):
+            run_parallel_procedure(proc, arrays, sc, workers=2)
         assert own_segments() == []
         assert multiprocessing.active_children() == children
 
@@ -481,12 +477,12 @@ class TestCopyBack:
 
     @pytest.mark.parametrize(
         "name,safety",
-        [("scatter_perm", "speculate"), ("saxpy2d", None),
-         ("matmul", None)],
+        [("scatter_perm", None), ("saxpy2d", None), ("matmul", None)],
     )
     def test_read_only_inputs_may_be_read_only_arrays(self, name, safety):
         w = get_workload(name)
-        proc = w.proc if safety else coalesce_procedure(w.proc)[0]
+        inspected = name == "scatter_perm"  # its own loop, not coalesced
+        proc = w.proc if inspected else coalesce_procedure(w.proc)[0]
         arrays, sc, baseline = _serial_baseline(w, seed=2)
         written = {
             s.target.name for s in walk_stmts(proc.body)

@@ -1,11 +1,12 @@
-"""Safety enforcement in the mp runtime: off / warn / enforce end-to-end.
+"""Safety enforcement in the mp runtime: the default and ``off`` end-to-end.
 
-``warn`` (the default) verifies and reports but dispatches everything;
-``enforce`` refuses unproven loops — serially executing a blocked loop
-inside a mixed program, and raising :class:`SafetyVerificationError`
-before any worker exists when *nothing* is provable (which the backend
-turns into a recorded serial fallback).  Every refused racy workload
-must still produce the exact serial-semantics result.
+The default (``"inspect"``) refuses unproven loops the inspector cannot
+decide — serially executing a blocked loop inside a mixed program, and
+raising :class:`SafetyVerificationError` before any worker exists when
+*nothing* is provable (which the backend turns into a recorded serial
+fallback).  Every refused racy workload must still produce the exact
+serial-semantics result.  ``"off"`` verifies nothing and dispatches as
+tagged.
 """
 
 import copy
@@ -35,12 +36,18 @@ def coalesced(workload):
 
 
 class TestResolveSafety:
-    def test_default_is_warn(self):
-        assert resolve_safety(None) == "warn"
+    def test_default_is_inspect(self):
+        assert resolve_safety(None) == "inspect"
 
-    @pytest.mark.parametrize("mode", ["off", "warn", "enforce"])
+    @pytest.mark.parametrize("mode", ["off", "inspect", "warn", "enforce"])
     def test_explicit_modes(self, mode):
-        assert resolve_safety(mode) == mode
+        """Each explicit mode resolves to itself; the retired ``warn``
+        and ``enforce`` are refused."""
+        if mode in ("warn", "enforce"):
+            with pytest.raises(ValueError, match="'inspect'.*'off'"):
+                resolve_safety(mode)
+        else:
+            assert resolve_safety(mode) == mode
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="safety"):
@@ -54,13 +61,26 @@ class TestEnforceRefusesRacy:
         "racy_scalar": "PRIV002",
     }
 
+    #: No array both written and read: the inspector decides the loop,
+    #: refutes it, and the run executes it serially instead of refusing.
+    INSPECTED = {"racy_overlap"}
+
     @pytest.mark.parametrize("name", sorted(RACY_WORKLOADS))
     def test_procedure_run_refused_with_rule(self, name):
         w = RACY_WORKLOADS[name]()
         arrays, sc = make_env(w)
+        if name in self.INSPECTED:
+            result = run_parallel_procedure(
+                coalesced(w), arrays, sc, workers=WORKERS
+            )
+            (cert,) = result.certificates
+            assert cert.status == "refuted" and not result.dispatches
+            rules = {f.rule for f in result.safety.findings}
+            assert self.EXPECTED[name] in rules
+            return
         with pytest.raises(SafetyVerificationError) as exc:
             run_parallel_procedure(
-                coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
+                coalesced(w), arrays, sc, workers=WORKERS
             )
         assert self.EXPECTED[name] in str(exc.value)
 
@@ -70,7 +90,7 @@ class TestEnforceRefusesRacy:
         before = {k: a.copy() for k, a in arrays.items()}
         with pytest.raises(SafetyVerificationError):
             run_parallel_procedure(
-                coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
+                coalesced(w), arrays, sc, workers=WORKERS
             )
         # Refused before dispatch: caller arrays untouched.
         assert all(np.array_equal(arrays[k], before[k]) for k in arrays)
@@ -81,14 +101,15 @@ class TestEnforceRefusesRacy:
         arrays, sc = make_env(w)
         expected = {k: a.copy() for k, a in arrays.items()}
         w.reference(expected, sc)
-        compiled = compile_mp_procedure(
-            w.proc, workers=WORKERS, safety="enforce"
-        )
+        compiled = compile_mp_procedure(w.proc, workers=WORKERS)
         compiled.run(arrays, sc)
-        assert compiled.fallback_reason is not None
-        assert "SafetyVerificationError" in compiled.fallback_reason
-        assert self.EXPECTED[name] in compiled.fallback_reason
-        assert all(np.allclose(arrays[k], expected[k]) for k in arrays)
+        if name in self.INSPECTED:  # ran serially inside the run
+            assert compiled.fallback_reason is None
+            assert compiled.last.blocked_dispatches == 1
+        else:
+            assert "SafetyVerificationError" in compiled.fallback_reason
+            assert self.EXPECTED[name] in compiled.fallback_reason
+        assert all(np.array_equal(arrays[k], expected[k]) for k in arrays)
 
 
 class TestEnforceDispatchesProven:
@@ -101,9 +122,9 @@ class TestEnforceDispatchesProven:
 
         compile_procedure(w.proc).run(expected, sc)
         result = run_parallel_procedure(
-            coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
+            coalesced(w), arrays, sc, workers=WORKERS
         )
-        assert result.safety_mode == "enforce"
+        assert result.safety_mode == "inspect"
         assert result.safety is not None and result.safety.ok
         assert result.blocked_dispatches == 0
         assert result.dispatches
@@ -124,7 +145,7 @@ class TestEnforceDispatchesProven:
         )
         arrays = {"A": np.zeros(n + 1), "B": np.zeros(n + 1)}
         result = run_parallel_procedure(
-            p, arrays, {"n": n}, workers=WORKERS, safety="enforce"
+            p, arrays, {"n": n}, workers=WORKERS
         )
         assert len(result.dispatches) == 1  # the proven loop went parallel
         assert result.blocked_dispatches == 1  # the racy one ran serially
@@ -135,23 +156,25 @@ class TestEnforceDispatchesProven:
 
 class TestWarnAndOff:
     def test_warn_attaches_report_and_dispatches(self):
+        """The default attaches the report and dispatches a proven loop."""
         w = WORKLOADS["saxpy2d"]()
         arrays, sc = make_env(w)
         result = run_parallel_procedure(
             coalesced(w), arrays, sc, workers=WORKERS
         )
-        assert result.safety_mode == "warn"
+        assert result.safety_mode == "inspect"
         assert result.safety is not None and result.safety.ok
+        assert result.dispatches and result.blocked_dispatches == 0
 
-    def test_warn_dispatches_even_racy(self):
-        # warn is observability, not a gate: the dispatch happens.
+    def test_off_dispatches_even_racy(self):
+        # off is the opt-out, not a gate: the dispatch happens, unverified.
         w = RACY_WORKLOADS["racy_overlap"]()
         arrays, sc = make_env(w)
         result = run_parallel_procedure(
-            coalesced(w), arrays, sc, workers=WORKERS, safety="warn"
+            coalesced(w), arrays, sc, workers=WORKERS, safety="off"
         )
-        assert result.dispatches
-        assert result.safety is not None and not result.safety.ok
+        assert result.dispatches and result.blocked_dispatches == 0
+        assert result.safety is None
 
     def test_off_skips_verification(self):
         w = WORKLOADS["saxpy2d"]()
@@ -172,7 +195,7 @@ class TestObservability:
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError):
             run_parallel_procedure(
-                coalesced(w), arrays, sc, workers=WORKERS, safety="enforce"
+                coalesced(w), arrays, sc, workers=WORKERS
             )
         after = DISPATCH["safety"]
         assert after["checked"] > before["checked"]

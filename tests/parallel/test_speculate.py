@@ -1,4 +1,4 @@
-"""``safety=speculate`` end-to-end: inspect, or refuse as enforce does.
+"""The default safety mode end-to-end: inspect, or refuse.
 
 Every outcome must leave the caller's arrays exactly equal to the serial
 semantics: a proven-dynamic dispatch because the parallel run was
@@ -53,14 +53,16 @@ class TestRegistry:
             assert get_workload(name).name == name
 
     def test_speculate_mode_resolves(self):
-        assert resolve_safety("speculate") == "speculate"
+        # The one compatibility spelling: "speculate" is the old name of
+        # the default, accepted by resolve_safety alone.
+        assert resolve_safety("speculate") == "inspect"
 
 
 class TestSpeculationPlan:
     """How a plan routes the one loop of a workload its verdict blocks."""
 
     @staticmethod
-    def route(w, mode="speculate"):
+    def route(w, mode="inspect"):
         arrays, sc = make_env(w)
         plan = prepare(w.proc, arrays, sc, mode, "gss", None, WORKERS)
         (loop,) = plan.loops
@@ -75,7 +77,7 @@ class TestSpeculationPlan:
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         strategy, reason = self.route(w)
         assert strategy == "inspect" and reason
-        assert self.route(w, "enforce") == ("serial", None)
+        assert self.route(w, "off") == ("dispatch", None)
 
     def test_scalar_hazard_refused(self):
         strategy, reason = self.route(RACY_WORKLOADS["racy_scalar"]())
@@ -93,7 +95,7 @@ class TestDoallSpeculate:
         arrays, sc = make_env(w)
         expected = serial_reference(w)
         result = run_parallel_procedure(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+            w.proc, arrays, sc, workers=WORKERS
         )
         (cert,) = result.certificates
         assert cert.status == "proven-dynamic" and len(result.dispatches) == 1
@@ -109,15 +111,13 @@ class TestDoallSpeculate:
         Interpreter()._exec(w.proc.body, dict(sc), serial)
         via_backend = {k: v.copy() for k, v in arrays.items()}
         result = run_parallel_procedure(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+            w.proc, arrays, sc, workers=WORKERS
         )
         assert result.blocked_dispatches == 1
         assert result.dispatches == []
         (cert,) = result.certificates
         assert (cert.mode, cert.status) == ("inspector", "refuted")
-        compiled = compile_mp_procedure(
-            w.proc, workers=WORKERS, safety="speculate"
-        )
+        compiled = compile_mp_procedure(w.proc, workers=WORKERS)
         compiled.run(via_backend, sc)
         assert compiled.fallback_reason is None
         assert compiled.last.blocked_dispatches == 1
@@ -139,9 +139,7 @@ class TestDoallSpeculate:
         arrays, sc = make_env(w)
         want = {k: v.copy() for k, v in arrays.items()}
         compile_procedure(w.proc).run(want, sc)
-        compiled = compile_mp_procedure(
-            w.proc, workers=WORKERS, safety="speculate"
-        )
+        compiled = compile_mp_procedure(w.proc, workers=WORKERS)
         monkeypatch.setattr(WorkerPool, "__init__", _no_pool)
         monkeypatch.setattr(SharedArrayPool, "__init__", _no_pool)
         compiled.run(arrays, sc)
@@ -149,7 +147,7 @@ class TestDoallSpeculate:
         codes = ", ".join(sorted({f.rule for f in loop.findings}))
         assert codes.startswith("RACE")
         reason = compiled.fallback_reason
-        assert reason.startswith("SafetyVerificationError: safety=speculate")
+        assert reason.startswith("SafetyVerificationError: safety=inspect")
         assert f"loop i ({codes})" in reason
         assert compiled.last is None
         for k in want:
@@ -160,20 +158,8 @@ class TestDoallSpeculate:
         arrays, sc = make_env(w)
         with pytest.raises(SafetyVerificationError, match="refused"):
             run_parallel_procedure(
-                w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+                w.proc, arrays, sc, workers=WORKERS
             )
-
-    def test_enforce_still_refuses_what_speculate_runs(self):
-        w = IRREGULAR_WORKLOADS["scatter_perm"]()
-        arrays, sc = make_env(w)
-        with pytest.raises(SafetyVerificationError):
-            run_parallel_procedure(
-                w.proc, arrays, sc, workers=WORKERS, safety="enforce"
-            )
-        result = run_parallel_procedure(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
-        )
-        assert result.proven_dynamic == 1
 
 
 #: A provable saxpy and the histogram loop: one dispatch, one refusal.
@@ -198,9 +184,8 @@ class TestProcedureSpeculate:
         expected = serial_reference(w)
         result = run_parallel_procedure(
             w.proc, arrays, sc, workers=WORKERS, policy="static",
-            safety="speculate",
         )
-        assert result.safety_mode == "speculate"
+        assert result.safety_mode == "inspect"
         assert (result.inspected, result.proven_dynamic) == (1, 1)
         assert result.blocked_dispatches == 0
         (cert,) = result.certificates
@@ -217,7 +202,7 @@ class TestProcedureSpeculate:
         serial = {k: v.copy() for k, v in arrays.items()}
         Interpreter()._exec(w.proc.body, dict(sc), serial)
         result = run_parallel_procedure(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+            w.proc, arrays, sc, workers=WORKERS
         )
         assert result.inspected == 1
         assert result.proven_dynamic == 0
@@ -225,9 +210,8 @@ class TestProcedureSpeculate:
         assert not result.dispatches
         assert np.array_equal(arrays["B"], serial["B"])
 
-    @pytest.mark.parametrize("safety", ["speculate", "enforce"])
     def test_refused_loop_runs_through_the_compiled_residue(
-        self, safety, monkeypatch
+        self, monkeypatch
     ):
         n, rng = 500, np.random.default_rng(0)
         arrays = {
@@ -245,7 +229,7 @@ class TestProcedureSpeculate:
         monkeypatch.setattr(Interpreter, "_exec", interpreted)
         result = run_parallel_procedure(
             SAXPY_HISTOGRAM, arrays, {"n": n}, workers=WORKERS,
-            safety=safety, timeout=60.0,
+            timeout=60.0,
         )
         assert result.blocked_dispatches == 1
         assert [d.loop_var for d in result.dispatches] == ["i"]
@@ -257,9 +241,7 @@ class TestProcedureSpeculate:
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         expected = serial_reference(w)
-        compiled = compile_mp_procedure(
-            w.proc, workers=WORKERS, safety="speculate"
-        )
+        compiled = compile_mp_procedure(w.proc, workers=WORKERS)
         compiled.run(arrays, sc)
         assert compiled.fallback_reason is None
         assert compiled.last is not None
@@ -271,9 +253,7 @@ class TestProcedureSpeculate:
         arrays, sc = make_env(w)
         expected = {k: v.copy() for k, v in arrays.items()}
         w.reference(expected, sc)
-        compiled = compile_mp_procedure(
-            w.proc, workers=WORKERS, safety="speculate"
-        )
+        compiled = compile_mp_procedure(w.proc, workers=WORKERS)
         compiled.run(arrays, sc)
         assert compiled.fallback_reason is not None
         assert "refused" in compiled.fallback_reason
@@ -285,13 +265,13 @@ class TestSpeculateMetrics:
     def test_counters_accumulate(self):
         from repro.parallel.observe import DISPATCH
 
-        before = dict(DISPATCH["speculate"])
+        before = dict(DISPATCH["inspect"])
         w = IRREGULAR_WORKLOADS["scatter_perm"]()
         arrays, sc = make_env(w)
         run_parallel_procedure(
-            w.proc, arrays, sc, workers=WORKERS, safety="speculate"
+            w.proc, arrays, sc, workers=WORKERS
         )
-        after = DISPATCH["speculate"]
+        after = DISPATCH["inspect"]
         assert set(after) == {"inspected", "proven_dynamic"}
         assert after["inspected"] == before["inspected"] + 1
         assert after["proven_dynamic"] == before["proven_dynamic"] + 1

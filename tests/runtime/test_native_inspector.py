@@ -1,6 +1,6 @@
 """The native inspector: the kernel unit's C pass, held to the Python one.
 
-A loop ``safety="speculate"`` inspects gets ``<kernel>__inspect`` in its
+A loop the default safety mode inspects gets ``<kernel>__inspect`` in its
 kernel's translation unit; the parent runs it first and takes only its
 proof — everything else goes to :func:`repro.runtime.inspector.
 inspect_dispatch`.  So on every registered workload and on generated
@@ -34,7 +34,7 @@ needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
 def plan_for(proc, arrays, scalars):
     return plan_mod.prepare(
-        proc, arrays, scalars, "speculate", "gss", None, 2,
+        proc, arrays, scalars, "inspect", "gss", None, 2,
     )
 
 
@@ -260,7 +260,7 @@ def test_a_refuted_run_is_bit_identical_to_serial():
     w, arrays, sc = scatter(p7=3.0)  # B(3) written by iterations 3 and 7
     want = serial(w, arrays, sc)
     result = run_parallel_procedure(
-        w.proc, arrays, sc, workers=2, safety="speculate", timeout=60.0
+        w.proc, arrays, sc, workers=2, timeout=60.0
     )
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
     (cert,) = result.certificates
@@ -273,7 +273,7 @@ def test_a_proven_run_says_native_everywhere():
     w, arrays, sc = scatter()
     want = serial(w, arrays, sc)
     result = run_parallel_procedure(
-        w.proc, arrays, sc, workers=2, safety="speculate", timeout=60.0
+        w.proc, arrays, sc, workers=2, timeout=60.0
     )
     assert all(np.array_equal(arrays[k], want[k]) for k in want)
     (cert,) = result.certificates
@@ -305,7 +305,7 @@ def test_a_non_finite_or_huge_subscript_is_an_error_not_a_crash(host, bad):
     before = {k: v.copy() for k, v in arrays.items()}
     with np.errstate(invalid="ignore"), pytest.raises(InterpreterError):
         run_parallel_procedure(
-            w.proc, arrays, sc, workers=2, safety="speculate", timeout=60.0
+            w.proc, arrays, sc, workers=2, timeout=60.0
         )
     assert own_segments() == []
     # The serial fallback stopped at iteration 5; the caller's arrays were
@@ -320,7 +320,7 @@ def test_a_compiler_less_host_gives_the_same_verdicts(host, poison):
     w, arrays, sc = scatter(**poison)
     want = inspector.inspect_dispatch(w.proc.body.stmts[0], sc, arrays)
     result = run_parallel_procedure(
-        w.proc, arrays, sc, workers=2, safety="speculate", timeout=60.0
+        w.proc, arrays, sc, workers=2, timeout=60.0
     )
     (cert,) = result.certificates
     assert cert.status == ("proven-dynamic" if want.proven else "refuted")

@@ -178,7 +178,7 @@ class TestRefusedBeforeLease:
         env = histogram_env()
         doc, arrays, dtypes = raw_reply(
             client, key, env, {"n": 24}, transport, backend="mp",
-            workers=2, safety="speculate",
+            workers=2,
         )
         assert doc["engine"] == "serial-fallback"
         assert "refused every dispatch" in doc["fallback_reason"]
@@ -215,6 +215,6 @@ def test_the_plan_and_the_server_share_one_write_set():
     proc = parse(GUARDED)
     arrays = {"A": np.zeros(4), "B": np.zeros(4), "C": np.zeros(4)}
     plan = prepare(
-        proc, arrays, {"n": 3, "k": 0}, "warn", "gss", None, 2
+        proc, arrays, {"n": 3, "k": 0}, "inspect", "gss", None, 2
     )
     assert plan.written == stored_arrays(proc) == ("B", "C")

@@ -216,11 +216,10 @@ class TestEndpoints:
             {"n": N, "m": M},
             workers=2,
             backend="mp",
-            safety="enforce",
         )
         assert np.array_equal(out["arrays"]["B"], expected_from(A))
         if out["engine"] == "mp-pool":
-            assert out["safety"] == "enforce"
+            assert out["safety"] == "inspect"
             assert out["blocked_dispatches"] == 0
 
     def test_run_mp_enforce_racy_kernel_falls_back_serial(self, service):
@@ -231,7 +230,7 @@ class TestEndpoints:
         n = 32
         A = np.zeros(n + 1)
         out = client.run(
-            key, {"A": A}, {"n": n}, workers=2, backend="mp", safety="enforce"
+            key, {"A": A}, {"n": n}, workers=2, backend="mp"
         )
         # Refused dispatch, serial rerun: exact recurrence semantics.
         assert out["engine"] == "serial-fallback"

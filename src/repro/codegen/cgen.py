@@ -831,10 +831,14 @@ REGION_SUFFIX = "__region"
 #:   iterations, claims, lock_ops, log rows, batch`` — and ``tim`` its
 #:   arrival and finish instants; the parent rebuilds one result per
 #:   instance from them.  With ``run`` 0 the skeleton only counts
-#:   instances (and the largest batch, which sizes the log ring).
-#: * claim-log rows of successive instances share one ring; when the claim
-#:   loop reports it full, ``drain(rows)`` hands the rows to the caller
-#:   and the ring starts over — no row is ever dropped.
+#:   instances.
+#: * claim-log rows of successive instances share one ring: the worker's
+#:   slice of a block the pool shares with every worker, so the rows the
+#:   driver leaves there (``info[1]``) never cross the result pipe.  It
+#:   must hold a batch (at most 64 rows; the pool makes it no shorter).
+#:   When the claim loop reports it full, ``drain(rows)`` hands the rows
+#:   to the caller, which spills them through the pipe, and the ring
+#:   starts over — no row is ever dropped.
 _REGION_RUNTIME = """\
 #include <limits.h>
 #include <stdint.h>
@@ -864,7 +868,7 @@ struct region_ {
     double *ring;
     long cap, used;
     drain_fn drain;
-    long phases, max_batch;
+    long phases;
 };
 
 static double rnow_(void) {
@@ -917,10 +921,7 @@ static long phase_(struct region_ *r, long loop, int64_t lo, int64_t hi) {
             k = rule[1] < n ? rule[1] : n;
         }
     }
-    if (!r->run) {
-        if (batch > r->max_batch) r->max_batch = batch;
-        return 0;
-    }
+    if (!r->run) return 0;
     int64_t *rec = r->rec + 8 * ph;
     double *tim = r->tim + 2 * ph;
     rec[0] = loop;
@@ -963,12 +964,12 @@ long {fname}(int64_t *__ctr, int64_t *__bar, long __wid, long __workers,
         const int64_t *__params, int64_t *__info) {{
     struct region_ __r = {{__ctr, __bar, __wid, __workers, __spin, __run,
         __claim, __fns, __argvs, __rules, __rec, __tim, __ring, __cap, 0,
-        __drain, 0, 1}};
+        __drain, 0}};
     long __status = -1;
 {body}
     __status = 0;
 __out:
-    __info[0] = __r.phases, __info[1] = __r.max_batch, __info[2] = __r.used;
+    __info[0] = __r.phases, __info[1] = __r.used;
     return __status;
 }}
 """
@@ -1009,8 +1010,8 @@ def generate_region_c(
 
     ``long <name>(ctr, bar, wid, workers, spin, run, claim, fns, argvs,
     rules, rec, tim, ring, cap, drain, params, info)`` returns 0, or -1
-    when a barrier was stopped; ``info`` receives the instance count, the
-    largest resolved batch and the rows left in the ring.
+    when a barrier was stopped; ``info`` receives the instance count and
+    the rows left in the ring.
     """
     index = {id(lp): i for i, lp in enumerate(loops)}
     base = sum(1 + rank for rank in proc.arrays.values())

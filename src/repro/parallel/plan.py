@@ -226,9 +226,17 @@ class Plan:
         validate(proc)
         loops = runtime._dispatchable_loops(proc.body)
         if not loops:
+            tagged = any(
+                isinstance(s, Loop) and s.is_doall for s in walk_stmts(proc.body)
+            )
             raise ParallelDispatchError(
                 f"procedure {proc.name!r} has no dispatchable unit-step DOALL "
-                "(coalesce it first, or run the serial backend)"
+                + (
+                    "(coalesce it first, or run the serial backend)"
+                    if tagged
+                    else "(no loop is tagged DOALL: none was, or the analysis "
+                    "could not prove one parallel; run the serial backend)"
+                )
             )
         self.key = key
         self.proc = proc

@@ -11,9 +11,9 @@ created for a run or borrowed warm from its caller — moves all of that
 to setup time:
 
 * worker processes are spawned **once**, with the shared-memory array
-  views and the (resettable) shared claim counter, whose block also
-  holds a reduction's partials, already attached — the only time an
-  array reaches a worker;
+  views, the claim-log ring and the (resettable) shared claim counter,
+  whose block also holds a reduction's partials, already attached — the
+  only time an array reaches a worker;
 * each dispatch is then one lightweight job descriptor per worker over a
   private queue, plus the implicit barrier of gathering one result
   message per worker — no fork, no attach, no new segments;
@@ -50,8 +50,8 @@ from repro.parallel.errors import (
     ParallelTimeoutError,
     WorkerCrashError,
 )
+from repro.parallel import worker
 from repro.parallel.shm import SharedArrayPool
-from repro.parallel.worker import pool_worker_main
 
 #: Seconds allowed for result-queue feeders to flush after every pending
 #: worker has exited, before the survivors are declared crashed.
@@ -231,10 +231,15 @@ class WorkerPool:
             self.counter = SharedClaimCounter(0, -1, self.ctx)
             self._jobs = [self.ctx.SimpleQueue() for _ in range(self.workers)]
             self._results = self.ctx.Queue()
-            specs = self.shared.specs()
+            # Each worker's claim-log ring holds at least the largest
+            # batch: a claim loop stops *before* a claim that might not
+            # fit, so a shorter ring would be drained empty forever.
+            shape = (self.workers, max(worker.RING_ROWS, 64), 5)
+            self._ring, ring = self.shared.blank(worker.RING_KEY, shape)
+            specs = [*self.shared.specs(), ring]
             self._procs = [
                 self.ctx.Process(
-                    target=pool_worker_main,
+                    target=worker.pool_worker_main,
                     args=(wid, specs, self.counter, self._jobs[wid], self._results),
                     name=f"repro-pool-{wid}",
                     daemon=True,
@@ -284,6 +289,12 @@ class WorkerPool:
         ``rec``/``tim`` tables, the packed claim log, the chunk language
         run), which :func:`repro.parallel.region._assemble` folds.  A crash
         or timeout terminates the fleet, marks the pool broken, and raises.
+
+        A worker leaves its claim log in its slice of the pool's ring and
+        reports only the row count (plus any rows it spilled through the
+        pipe while the ring was full); the rows are copied out here,
+        after the spilled ones, so ``report["log"]`` is the whole log and
+        no result views memory the next dispatch overwrites.
         """
         if self._closed:
             raise ParallelError("worker pool is closed")
@@ -322,6 +333,9 @@ class WorkerPool:
                 key=key,
             )
             raise_worker_crashes(results, self._procs)
+            for wid, (_, _, _, report) in results.items():
+                if report["rows"]:
+                    report["log"] += self._ring[wid, : report["rows"]].tobytes()
         except BaseException:
             self._broken = True
             self.counter.stop_barrier()
@@ -355,6 +369,7 @@ class WorkerPool:
             self._results.join_thread()
         except Exception:  # pragma: no cover - defensive
             pass
+        self._ring = None  # a live view would keep the segment mapped
         self.shared.close()
 
     def __enter__(self) -> "WorkerPool":

@@ -79,30 +79,35 @@ class SharedArrayPool:
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        token = secrets.token_hex(4)
+        self._token = secrets.token_hex(4)
         self._segments: list[shared_memory.SharedMemory] = []
         self.views: dict[str, np.ndarray] = {}
         self._specs: dict[str, ArraySpec] = {}
         self._closed = False
         try:
-            for idx, (name, arr) in enumerate(arrays.items()):
+            for name, arr in arrays.items():
                 # Any layout (a zero-stride placeholder included): the
                 # segment is C-contiguous and the copy below fills it.
                 arr = np.asarray(arr)
-                segment = f"{SEGMENT_PREFIX}-{os.getpid()}-{token}-{idx}"
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, arr.nbytes), name=segment
-                )
-                self._segments.append(shm)
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+                view, spec = self.blank(name, arr.shape, arr.dtype)
                 view[...] = arr
-                self.views[name] = view
-                self._specs[name] = ArraySpec(
-                    name, segment, arr.shape, arr.dtype.str
-                )
+                self.views[name], self._specs[name] = view, spec
         except BaseException:
             self.close()
             raise
+
+    def blank(self, name: str, shape, dtype=np.float64):
+        """A new segment, its view and its attachment recipe.  The kernel
+        fills a page with zeros on first touch, so a page nobody writes
+        costs no memory.  ``close`` unlinks it; only the constructor's
+        arrays are in :attr:`views` and :meth:`specs`."""
+        dtype, idx = np.dtype(dtype), len(self._segments)
+        segment = f"{SEGMENT_PREFIX}-{os.getpid()}-{self._token}-{idx}"
+        size = max(1, dtype.itemsize * int(np.prod(shape)))
+        shm = shared_memory.SharedMemory(create=True, size=size, name=segment)
+        self._segments.append(shm)
+        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        return view, ArraySpec(name, segment, tuple(shape), dtype.str)
 
     def specs(self) -> list[ArraySpec]:
         """Attachment recipes in declaration order (picklable)."""

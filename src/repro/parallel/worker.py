@@ -39,10 +39,10 @@ counter (:mod:`repro.parallel.counter` says why):
   DOALL instance and drains it with
   :data:`repro.codegen.cgen.CLAIM_LOOP_C`: hardware atomics on the
   counter words, chunks through the kernel's uniform-entry thunk, the
-  claim log written natively into a reusable per-worker ring.  It comes
-  back to Python only when the job is over, or when the ring is full.  A
-  worker that cannot bind stops the barrier instead of entering, before
-  anything has run;
+  claim log written natively into the worker's slice of a ring block the
+  pool shares with every worker.  It comes back to Python only when the
+  job is over, or when the ring is full.  A worker that cannot bind
+  stops the barrier instead of entering, before anything has run;
 * **Python** (everything else: ``py``/``numpy`` chunks, static plans,
   compiler-less hosts, and a job the native protocol sent back): a
   ``while`` loop around the lock-guarded
@@ -57,7 +57,8 @@ Both report one way too (:func:`_report`): one ``rec`` row per DOALL
 instance (``loop, lo, hi, iterations, claims, lock_ops, log rows,
 batch``) and one ``tim`` row (the worker's start and finish on the
 shared monotonic clock), plus the claim log as packed float64 rows
-``(lo, hi, t_claim, t_work, t_end)`` — so the parent folds every job's
+``(lo, hi, t_claim, t_work, t_end)``, left in the worker's ring slice
+(only the row count crosses the pipe) — so the parent folds every job's
 messages in one place (:func:`repro.parallel.region._assemble`) and can
 reconstruct the measured schedule (:mod:`repro.parallel.observe`).
 Failures are reported over the result queue *and* via a nonzero exit
@@ -142,33 +143,32 @@ def _report(
     log: bytes,
     lang: str,
     status: int = 0,
+    rows: int = 0,
 ) -> dict[str, Any]:
     """A worker's report on one job — the same on both protocols.
 
     ``rec`` holds one int64 row per DOALL instance (``loop, lo, hi,
     iterations, claims, lock_ops, log rows, batch``) and ``tim`` one
-    float64 row per instance (start, finish); ``log`` is the claim log,
-    five float64 per row, instances in order.  ``status`` is nonzero when
-    a region driver could not run (this worker could not bind it, or a
-    peer stopped the barrier).
+    float64 row per instance (start, finish).  The claim log, five
+    float64 per row, instances in order, is ``log`` (the rows spilled
+    while the ring was full) followed by the first ``rows`` rows of this
+    worker's ring, which the parent appends to ``log``.  ``status`` is
+    nonzero when a region driver could not run (this worker could not
+    bind it, or a peer stopped the barrier).
     """
-    return {"status": status, "rec": rec, "tim": tim, "log": log, "lang": lang}
+    return dict(status=status, rec=rec, tim=tim, log=log, lang=lang, rows=rows)
 
 
-#: Rows of the per-worker claim-log ring the native loop writes (5 float64
-#: each, 640 KiB).  A dispatch that logs more rows than fit is not an
-#: error: the loop returns "full", the rows are copied out, it re-enters.
-RING_ROWS = 1 << 14
+#: Rows of each worker's claim-log ring (5 float64 each, 1.25 MiB): one
+#: shared block the pool creates at spawn, worker ``w``'s slice bound in
+#: its arrays under :data:`RING_KEY`.  Sized to hold a whole
+#: ``nest_claims`` dispatch (22 500 unit chunks) for one worker, which
+#: may claim them all.  A log longer than the ring is not an error: the
+#: rows that do not fit spill through the result pipe.
+RING_ROWS = 1 << 15
 
-_ring: np.ndarray | None = None
-
-
-def _claim_ring(rows: int) -> np.ndarray:
-    """This worker's reusable ring, at least ``rows`` rows long."""
-    global _ring
-    if _ring is None or len(_ring) < rows:
-        _ring = np.empty((rows, 5), dtype=np.float64)
-    return _ring
+#: The ring's key in a worker's arrays: no IR name can take it.
+RING_KEY = "#ring"
 
 
 def _run_region(
@@ -182,8 +182,12 @@ def _run_region(
     bind (:mod:`repro.parallel.region` builds it).  The worker binds
     everything, asks the driver how many DOALL instances the job has, and
     enters it once; it comes back when the last instance is done, with
-    the driver's status and its per-instance ``rec``/``tim`` tables; the
-    claim log of the whole job is one byte string in instance order.
+    the driver's status and its per-instance ``rec``/``tim`` tables.  The
+    driver writes the claim log of the whole job, in instance order, into
+    this worker's slice of the pool's ring (:data:`RING_KEY`) and reports
+    the rows it left there; only when the ring fills does it hand the
+    rows back (``drain``), to be spilled through the result pipe, and
+    start over at the ring's head.
 
     A worker that cannot bind sets the barrier's stop word instead of
     entering — its peers give up at their first barrier, before any
@@ -208,30 +212,26 @@ def _run_region(
     )
     rules = (ctypes.c_int64 * len(reg["rules"]))(*reg["rules"])
     params = (ctypes.c_int64 * max(1, len(reg["params"])))(*reg["params"])
-    info = (ctypes.c_int64 * 3)()
-    logged: list[bytes] = []
-    ring: np.ndarray | None = None
+    info = (ctypes.c_int64 * 2)()
+    spilled: list[bytes] = []
+    ring = arrays[RING_KEY] if job["log_events"] else None
     drain = cload.REGION_DRAIN(
-        lambda rows: logged.append(ring[:rows].tobytes())
+        lambda rows: spilled.append(ring[:rows].tobytes())
     )
 
-    def enter(run: int, rec=None, tim=None, cap: int = 0):
+    def enter(run: int, rec=None, tim=None, log=None):
         return driver(
             counter.address, counter.barrier_address, wid, reg["workers"],
             reg["spin"], run, claim, fns, argv_table, rules, rec, tim,
-            ring.ctypes.data if ring is not None else None, cap, drain,
-            params, info,
+            None if log is None else log.ctypes.data,
+            0 if log is None else len(log), drain, params, info,
         )
 
     enter(0)  # count the instances; nothing runs, nobody waits
     rec = (ctypes.c_int64 * (8 * info[0]))()
     tim = (ctypes.c_double * (2 * info[0]))()
-    if job["log_events"]:
-        ring = _claim_ring(max(RING_ROWS, info[1]))
-    status = enter(1, rec, tim, 0 if ring is None else len(ring))
-    if info[2]:
-        logged.append(ring[: info[2]].tobytes())
-    return _report(bytes(rec), bytes(tim), b"".join(logged), "c", status)
+    status = enter(1, rec, tim, ring)
+    return _report(bytes(rec), bytes(tim), b"".join(spilled), "c", status, info[1])
 
 
 def run_plan(
@@ -288,7 +288,11 @@ def run_plan(
         len(log) // 5, batch,
     )
     tim = struct.pack("=2d", t_start, time.monotonic())
-    return _report(rec, tim, log.tobytes(), lang)
+    ring = arrays[RING_KEY].reshape(-1)
+    keep = min(len(log), len(ring))  # floats; the head of a longer log spills
+    ring[:keep] = memoryview(log)[len(log) - keep :]
+    spill = log[: len(log) - keep].tobytes()
+    return _report(rec, tim, spill, lang, rows=keep // 5)
 
 
 def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
@@ -300,8 +304,10 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
     seq, traceback)`` message per job.
 
     The shared arrays are attached once, up front, from the ``specs`` the
-    worker is spawned with — the only segments it ever maps — and a
-    reduction's partial slots are the counter block's
+    worker is spawned with — the only segments it ever maps.  The last is
+    the pool's claim-log ring block, of which this worker binds its own
+    slice under :data:`RING_KEY`.  A reduction's partial slots are the
+    counter block's
     (:attr:`~repro.parallel.counter.SharedClaimCounter.partials`), bound
     under :data:`~repro.parallel.counter.PARTIALS_KEY`.  Each dispatch is
     then a message plus the claim loop: no fork, no attach.  Native chunk
@@ -317,6 +323,7 @@ def pool_worker_main(wid: int, specs: list, counter, jobs, results) -> None:
         for spec in specs:
             arrays[spec.name], shm = attach_array(spec)
             segments.append(shm)
+        arrays[RING_KEY] = arrays[RING_KEY][wid]
         while True:
             msg = jobs.get()
             if msg[0] == "stop":

@@ -290,6 +290,15 @@ class TestMPBackendCLI:
         assert "1 dispatches in 1 fork/join" in captured.out
         assert "results match serial: True" in captured.out
 
+    def test_run_floyd_is_not_told_to_coalesce(self, capsys):
+        """The default passes analyse before they coalesce, so floyd's
+        DOALL tags are demoted and nothing is left to coalesce: the
+        refusal names the analysis, not a pass that already ran."""
+        assert main(["--workload", "floyd", "--run", "--backend", "mp"]) == 1
+        err = capsys.readouterr().err
+        assert "no loop is tagged DOALL" in err
+        assert "coalesce it first" not in err
+
     def test_workload_without_run_emits_transform(self, capsys):
         assert main(["--workload", "saxpy2d"]) == 0
         assert "doall i_flat" in capsys.readouterr().out

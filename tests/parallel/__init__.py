@@ -1,7 +1,7 @@
 import os
 
 from repro.parallel import run_parallel_procedure
-from repro.parallel.shm import leaked_segments
+from repro.parallel.shm import SEGMENT_PREFIX, leaked_segments
 
 
 def run_one(proc, arrays, scalars=None, **options):
@@ -40,3 +40,13 @@ def pin_chunk_lang(monkeypatch, lang: str) -> None:
         )
     elif lang == "py":
         monkeypatch.setattr("repro.parallel.plan.chunk_lang", lambda arrays: "py")
+
+
+def handles(procs) -> list[tuple[int, int]]:
+    """Per worker: (open fds, mapped ``repro-par`` segments)."""
+    out = []
+    for p in procs:
+        with open(f"/proc/{p.pid}/maps") as maps:
+            mapped = sum(SEGMENT_PREFIX in line for line in maps)
+        out.append((len(os.listdir(f"/proc/{p.pid}/fd")), mapped))
+    return out

@@ -2,7 +2,8 @@
 
 For dispatches with C chunks the worker's whole claim loop runs in C:
 hardware atomics on the shared counter words, chunks through the kernel's
-uniform-entry thunk, claim logs written natively into a per-worker ring.
+uniform-entry thunk, claim logs written natively into each worker's slice
+of the pool's shared ring.
 These tests pin what must not change with the protocol — chunk boundaries,
 ``claims``/``lock_ops``, one event per chunk, bit-identical arrays — and
 the one rule the protocol adds: a counter is driven by the lock *or* by
@@ -296,14 +297,17 @@ def test_other_paths_keep_the_python_loop(monkeypatch):
 @needs_gcc
 @pytest.mark.parametrize("rows", (100, 48))  # longer, shorter than the batch of 64
 def test_ring_overflow_keeps_every_event(monkeypatch, rows):
-    monkeypatch.setattr(worker, "RING_ROWS", rows)  # forked workers inherit it
-    monkeypatch.setattr(worker, "_ring", None)
+    """A ring shorter than a batch is made 64 rows long: a claim loop that
+    stops before its first claim would otherwise drain an empty ring and
+    re-enter forever.  The deadline turns such a regression into a
+    failure instead of a hang."""
+    monkeypatch.setattr(worker, "RING_ROWS", rows)  # the pool sizes its ring
     w = get_workload("saxpy2d")
     proc, _ = coalesce_procedure(w.proc)
     arrays, sc = make_env(w, scalars={"n": 150, "m": 150}, seed=0)
     want = {k: v.copy() for k, v in arrays.items()}
     Interpreter().run(w.proc, want, sc)
-    d = run_one(proc, arrays, sc, workers=2, policy="unit")
+    d = run_one(proc, arrays, sc, workers=2, policy="unit", timeout=60.0)
     assert d.claim_loop == "native" and d.claim_batch == 64
     assert d.lock_ops == -(-22_500 // 64)
     assert d.claims == 22_500 == len(d.events)

@@ -17,11 +17,10 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.codegen.pygen import compile_procedure
 from repro.parallel import WorkerPool, run_parallel_procedure
-from repro.parallel.shm import SEGMENT_PREFIX
 from repro.service import ServiceClient, serve_background
 from repro.transforms.fission import fission_procedure
 from repro.workloads import dot_product, make_env
-from tests.parallel import own_segments, pin_chunk_lang
+from tests.parallel import handles, own_segments, pin_chunk_lang
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc"
@@ -51,16 +50,6 @@ def inputs(w, n, seed=1):
     want = {k: v.copy() for k, v in arrays.items()}
     compile_procedure(w.proc).run(want, dict(scalars))
     return arrays, scalars, want
-
-
-def handles(procs) -> list[tuple[int, int]]:
-    """Per worker: (open fds, mapped ``repro-par`` segments)."""
-    out = []
-    for p in procs:
-        with open(f"/proc/{p.pid}/maps") as maps:
-            mapped = sum(SEGMENT_PREFIX in line for line in maps)
-        out.append((len(os.listdir(f"/proc/{p.pid}/fd")), mapped))
-    return out
 
 
 def test_warm_pool_reductions_attach_nothing():

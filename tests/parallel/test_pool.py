@@ -281,7 +281,8 @@ class TestPoolRobustness:
         before = own_segments()
         pool = WorkerPool(arrays, workers=2)
         assert set(pool.views) == {"A", "B"}
-        assert len(own_segments()) == len(before) + 2
+        # one per array, and the workers' claim-log ring block
+        assert len(own_segments()) == len(before) + 3
         pool.close()
         assert own_segments() == before
         pool.close()  # idempotent

@@ -245,8 +245,7 @@ def test_programs_without_a_serial_outer_nest_never_see_the_region():
 
 
 def test_a_full_ring_is_drained_not_dropped(monkeypatch):
-    monkeypatch.setattr(worker, "RING_ROWS", 8)
-    monkeypatch.setattr(worker, "_ring", None)
+    monkeypatch.setattr(worker, "RING_ROWS", 8)  # made 64 rows long
     proc, original, arrays, scalars = program("floyd")
     want = interpreted(original, arrays, scalars)
     result = run_parallel_procedure(
@@ -254,7 +253,7 @@ def test_a_full_ring_is_drained_not_dropped(monkeypatch):
         safety="off",
     )
     assert result.region == "native" and same(arrays, want)
-    # 81 chunks per instance: batches of 5, two of which overflow the ring
+    # 81 chunks per instance, batches of 5: 729 rows overflow the ring
     assert {d.claim_batch for d in result.dispatches} == {5}
     assert result.claims == 9 * 81 > 8
     for d in result.dispatches:

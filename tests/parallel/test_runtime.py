@@ -255,6 +255,34 @@ class TestRobustness:
         with pytest.raises(ParallelDispatchError, match="no dispatchable"):
             run_parallel_procedure(proc, {"A": np.zeros(5)}, {"n": 4})
 
+    def test_refusals_tell_an_untagged_nest_from_an_uncoalesced_one(self):
+        """Coalescing helps a strided DOALL; it cannot help a procedure
+        with no DOALL tag left (none written, or all demoted)."""
+        serial = parse(
+            """
+            procedure s(A[1]; n)
+              for i = 1, n
+                A(i) := float(i)
+              end
+            end
+            """
+        )
+        strided = parse(
+            """
+            procedure s(A[1]; n)
+              doall i = 1, n, 2
+                A(i) := float(i)
+              end
+            end
+            """
+        )
+        with pytest.raises(ParallelDispatchError) as untagged:
+            run_parallel_procedure(serial, {"A": np.zeros(5)}, {"n": 4})
+        assert "no loop is tagged DOALL" in str(untagged.value)
+        assert "coalesce" not in str(untagged.value)
+        with pytest.raises(ParallelDispatchError, match="coalesce it first"):
+            run_parallel_procedure(strided, {"A": np.zeros(6)}, {"n": 5})
+
     def test_empty_iteration_space(self):
         proc = mark_doall(
             parse(

@@ -278,7 +278,7 @@ def _run_transformed(args, workload, proc) -> int:
         label = (
             f"mp[{args.policy}, {args.workers} workers, "
             f"{result.chunk_lang} chunks, "
-            f"{len(result.dispatches)} dispatches in "
+            f"{len(result.table)} dispatches in "
             f"{result.fork_joins} fork/join"
             f"{'' if result.fork_joins == 1 else 's'}{blocked}, "
             f"{result.claims} claims, {result.lock_ops} lock ops, "

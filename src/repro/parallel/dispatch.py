@@ -4,11 +4,13 @@
 Everything compile-time is already in the plan (or, on a plan's first
 run, goes into it the first time it is reached); what happens here per
 call is what the paper leaves dynamic: evaluate the bounds, fill the
-job's scalars, trip count and claim batch, dispatch, fold the workers'
-reports into a :class:`~repro.parallel.runtime.ParallelRunResult` (on
-either protocol, :func:`repro.parallel.region._assemble`), and — for the
-loops the plan says so — inspect or combine partials.  Nothing here
-bumps a counter: what ``/metrics`` counts of a dispatch (a chunk
+job's scalars, trip count and claim batch, dispatch, append the workers'
+reports to the run's :class:`~repro.parallel.runtime.RunTable` (on
+either protocol, :func:`repro.parallel.region._assemble`; an empty range
+is :meth:`~repro.parallel.runtime.RunTable.add_empty`, a reduction
+rewrites the row it added), and — for the loops the plan says so —
+inspect or combine partials.  No ``ParallelRunResult`` is built here,
+and nothing here bumps a counter: what ``/metrics`` counts of a dispatch (a chunk
 fallback, a blocked loop, a reduction) goes on the run's result, which
 :func:`repro.parallel.observe.record_run` folds once the run is over.
 
@@ -35,7 +37,6 @@ residues.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -48,11 +49,7 @@ from repro.parallel.counter import RED_MAX_CHUNKS, policy_plan
 from repro.parallel.errors import ParallelDispatchError, ParallelTimeoutError
 from repro.parallel.plan import compile_residue, drop
 from repro.parallel.region import _assemble, enter, try_region
-from repro.parallel.runtime import (
-    ParallelRunResult,
-    _contains_dispatchable,
-    _empty_result,
-)
+from repro.parallel.runtime import _aggregate, _contains_dispatchable
 from repro.runtime.interp import Interpreter, InterpreterError, eval_bound
 
 class Run:
@@ -128,28 +125,28 @@ def _dispatch_pool(
     loop: Loop,
     env: Mapping[str, int | float],
     log_events: bool,
-) -> ParallelRunResult:
+) -> int:
     """Run one DOALL on the persistent pool: a message, not a fork.
 
     The job is the plan's template for this loop shape plus what this
     dispatch fills in: its one-instance region when it has one and the
     run's workers have bound everything so far, else the lock-guarded
-    loop's job.
+    loop's job.  Returns the row the dispatch added to the run's table.
     """
-    wpool = run.pool
+    wpool, table = run.pool, run.out.table
     lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
     hi = eval_bound(loop.upper, env, run.views, "loop upper bound")
     n = max(0, hi - lo + 1)
     if n == 0:
         # Nothing to do — and nothing sent: the pool idles through empty
         # ranges and stays usable for the next dispatch.
-        return _empty_result(loop, lo, hi, wpool.workers, run.policy)
+        return table.add_empty(loop.var, lo, hi, wpool.workers, run.policy)
     prep = run.plan.prep(run, proc, loop, env)
     if prep.native is not None and not run.stale:
         results = enter(run, prep.native, [lo, hi], env, log_events)
         if results is not None:
             tpl = prep.native
-            return _assemble(results, tpl.loops, tpl.policy_name, run.policy)[0]
+            return _assemble(table, results, tpl.loops, tpl.policy_name, run.policy)
     active = max(1, min(wpool.workers, n))
     plan = run.policy_plan(n, active)
     batch = _resolve_claim_batch(plan, n, active)
@@ -164,13 +161,15 @@ def _dispatch_pool(
     )
     results = wpool.dispatch(job, lo, hi, run.deadline)
     claim_loop = "static" if plan.rule is None else "py"
-    (result,) = _assemble(results, [loop], plan.name, run.policy, claim_loop)
-    result.chunk_fallback = prep.fallback
-    if result.chunk_lang != job["chunk_lang"]:
-        # A worker degraded from the build (dlopen/bind failure): a chunk
-        # fallback, like a parent-side one, and the plan is stale.
-        run.stale = result.chunk_fallback = True
-    return result
+    # A worker that degraded from the build (dlopen/bind failure) is a
+    # chunk fallback, like a parent-side one, and the plan is stale.
+    langs = {msg[3]["lang"] for msg in results.values()}
+    degraded = _aggregate(langs) != job["chunk_lang"]
+    run.stale |= degraded
+    return _assemble(
+        table, results, [loop], plan.name, run.policy, claim_loop,
+        prep.fallback or degraded,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +178,7 @@ def _dispatch_pool(
 
 
 def _dispatched(run: Run, loop: Loop, env: dict) -> None:
-    result = _dispatch_pool(run, run.plan.proc, loop, env, run.log_events)
-    run.out.dispatches.append(result)
+    _dispatch_pool(run, run.plan.proc, loop, env, run.log_events)
 
 
 def _reduced(run: Run, loop: Loop, env: dict) -> None:
@@ -205,42 +203,42 @@ def _reduced(run: Run, loop: Loop, env: dict) -> None:
         raise ParallelDispatchError(
             f"reduction scalar {red.scalar!r} has no incoming value"
         )
+    table = run.out.table
     lo = eval_bound(loop.lower, env, run.views, "loop lower bound")
     hi = eval_bound(loop.upper, env, run.views, "loop upper bound")
     n = max(0, hi - lo + 1)
-    result = _empty_result(loop, lo, hi, run.pool.workers, run.policy)
     if n > 0:
         stride = -(-n // min(RED_MAX_CHUNKS, n))
         n_chunks = -(-n // stride)
         env2 = {**env, red_plan.chunks: n_chunks, red_plan.stride: stride}
-        strip = _dispatch_pool(run, red_plan.proc, red_plan.loop, env2, True)
+        row = _dispatch_pool(run, red_plan.proc, red_plan.loop, env2, True)
         acc = env[red.scalar]
         for part in run.pool.counter.partials[:n_chunks].tolist():
             acc = apply_binop(red.op, acc, part)
         env[red.scalar] = acc
-        result = _as_written(strip, loop, lo, hi, stride, run.log_events)
-    result.reduction_scalar = red.scalar
-    result.reduction_value = float(env[red.scalar])
+        _as_written(table, row, loop, lo, hi, stride, run.log_events)
+    else:
+        row = table.add_empty(loop.var, lo, hi, run.pool.workers, run.policy)
+    table.reduced[row] = (red.scalar, float(env[red.scalar]))
     run.out.reductions += 1
-    run.out.dispatches.append(result)
 
 
-def _as_written(strip, loop, lo, hi, stride, keep_log) -> ParallelRunResult:
-    """The strip-mined dispatch's result in the terms of the loop as
-    written: its variable and bounds, and per worker the iterations of
-    the chunks its claim log shows (chunk ``c`` runs from ``lo + c·stride``
-    to the next chunk or ``hi``).  The log's rows become those ranges."""
-    done, event_log = [0] * len(strip.iterations_per_worker), []
-    for wid, rows in strip.event_log:
+def _as_written(table, row, loop, lo, hi, stride, keep_log) -> None:
+    """Rewrite the strip-mined dispatch's ``row`` in the terms of the
+    loop as written: its variable and bounds, and per worker the
+    iterations of the chunks its claim log shows (chunk ``c`` runs from
+    ``lo + c·stride`` to the next chunk or ``hi``).  The log's rows
+    become those ranges."""
+    done, logs = [0] * table.workers[row], []
+    for first, wid, _, rows in table.logs:
+        if first != row:
+            continue
         rows = np.frombuffer(rows).reshape(-1, 5).copy()
         rows[:, :2] = lo + rows[:, :2] * stride + [0, stride - 1]
         rows[:, 1] = np.minimum(rows[:, 1], hi)
         done[wid] += int((rows[:, 1] - rows[:, 0] + 1).sum())
-        event_log.append((wid, rows.tobytes()))
-    return replace(
-        strip, loop_var=loop.var, lo=lo, hi=hi, iterations_per_worker=done,
-        event_log=event_log if keep_log else [],
-    )
+        logs.append((wid, rows.tobytes()))
+    table.rewrite(row, loop.var, lo, hi, done, logs if keep_log else [])
 
 
 def _serial(run: Run, loop: Loop, env: dict) -> None:

@@ -131,14 +131,18 @@ def record_run(result, ran: bool = True) -> None:
     """Fold one :class:`~repro.parallel.runtime.ParallelProcedureResult`
     into :data:`DISPATCH`: the only writer of its per-run counts.
 
+    Every count comes from the sums its
+    :class:`~repro.parallel.runtime.RunTable` keeps, so the fold costs
+    the same at 1 DOALL instance as at 257 and builds no result object.
+
     ``ran=False`` is a run its plan refused before any dispatch: only
     its verdict and its blocked loops count.
     """
-    d = DISPATCH
+    d, table = DISPATCH, result.table
     langs, protocols, safety = d["chunk_lang"], d["claim_loop"], d["safety"]
     with _DISPATCH_LOCK:
         d["runs"] += ran
-        d["dispatches"] += len(result.dispatches)
+        d["dispatches"] += len(table)
         d["fork_joins"] += result.fork_joins
         if result.region is not None:
             d["regions"][result.region.partition(":")[0]] += 1
@@ -146,10 +150,11 @@ def record_run(result, ran: bool = True) -> None:
         d["lock_ops"] += result.lock_ops
         d["iterations"] += result.total_iterations
         d["wall_s"] += result.wall_time
-        for disp in result.dispatches:
-            langs[disp.chunk_lang] += 1
-            langs["fallbacks"] += disp.chunk_fallback
-            protocols[disp.claim_loop] += 1
+        for lang, n in table.langs.items():
+            langs[lang] += n
+        langs["fallbacks"] += table.n_fallbacks
+        for protocol, n in table.protocols.items():
+            protocols[protocol] += n
         protocols["fallbacks"] += result.claim_fallbacks
         if result.safety is not None:
             safety["checked"] += 1

@@ -6,8 +6,9 @@ At each DOALL instance the workers meet at a native barrier whose last
 arriver arms the shared counter, then drain the instance with the native
 claim loop and the kernel's thunk.  One result message per worker comes
 back with per-instance tables, and :func:`_assemble` — the one fold of
-every job's results, native or not — turns them into one
-``ParallelRunResult`` per instance.
+every job's results, native or not — checks them and appends them to the
+run's :class:`~repro.parallel.runtime.RunTable`; no result object is
+built until someone reads ``result.dispatches``.
 A driver is one of two kinds:
 
 * a program with a DOALL under a serial loop gets its own, generated
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping
 
 import numpy as np
@@ -61,10 +63,10 @@ from repro.ir.visitor import walk_exprs
 from repro.parallel import runtime
 from repro.parallel.errors import ParallelError
 from repro.parallel.runtime import (
-    ParallelRunResult,
+    REC,
+    RunTable,
     _aggregate,
     _contains_dispatchable,
-    _empty_result,
 )
 from repro.parallel.shm import native_layout
 
@@ -280,74 +282,79 @@ def enter(run, tpl: _Template, params, env, log_events) -> dict | None:
 
 
 def _assemble(
-    results: Mapping[int, tuple], loops: list[Loop], name: str, policy,
-    claim_loop: str = "native",
-) -> list[ParallelRunResult]:
-    """One :class:`ParallelRunResult` per DOALL instance, in program order,
+    table: RunTable, results: Mapping[int, tuple], loops: list[Loop],
+    name: str, policy, claim_loop: str = "native", fallback: bool = False,
+) -> int:
+    """Append one row per DOALL instance, in program order, to ``table``
     from the workers' reports (:func:`repro.parallel.worker._report`) —
-    the one fold of every job's messages, native or lock-guarded.
+    the one fold of every job's messages, native or lock-guarded — and
+    return the first row.  No result object is built: the table keeps
+    the reports' own ``rec``/``tim`` tables (:meth:`RunTable.results`
+    builds objects when asked).
 
-    Checked on every run: the workers agree on the instances, and per
-    instance the iterations sum to the range with idle workers reporting
-    none.  An instance runs from its workers' earliest start (its
-    ``t_base``) to their latest finish; its ``chunk_lang`` aggregates
-    what the workers ran.
+    Checked on every run, over every instance: the workers agree on the
+    instances, and per instance the iterations sum to the range with idle
+    workers reporting none.  An instance runs from its workers' earliest
+    start (its ``t_base``) to their latest finish; its ``chunk_lang``
+    aggregates what the workers ran; an empty one is what
+    :meth:`RunTable.add_empty` appends.
     """
     wids = sorted(results)
     reports = [results[w][3] for w in wids]
     recs = [memoryview(r["rec"]).cast("q").tolist() for r in reports]
     tims = [memoryview(r["tim"]).cast("d").tolist() for r in reports]
-    # loop, lo, hi, batch: SPMD-identical
-    spmd = [(rec[0::8], rec[1::8], rec[2::8], rec[7::8]) for rec in recs]
-    if spmd.count(spmd[0]) != len(spmd):
-        raise ParallelError("workers disagree on the region's instances")
+    rec = recs[0]
+    lis, los, his, batches = rec[0::REC], rec[1::REC], rec[2::REC], rec[7::REC]
+    for other in recs[1:]:  # loop, lo, hi, batch: SPMD-identical
+        if (other[0::REC], other[1::REC], other[2::REC], other[7::REC]) != (
+            lis, los, his, batches
+        ):
+            raise ParallelError("workers disagree on the region's instances")
     workers = len(wids)
-    lis, los, his, batches = spmd[0]
-    sizes = [hi - lo + 1 if hi >= lo else 0 for lo, hi in zip(los, his)]
-    iters = list(map(list, zip(*[rec[3::8] for rec in recs])))
-    if list(map(sum, iters)) != sizes or min(sizes, default=0) < workers:
-        for size, done in zip(sizes, iters):
+    iters = [rec[3::REC] for rec in recs]
+    spans = list(map(sub, his, los))  # a range's size less one
+    narrow = min(spans, default=0) + 1 < workers  # some worker idles
+    if narrow or list(map(sub, _summed(iters), spans)).count(1) != len(spans):
+        for lo, hi, done in zip(los, his, zip(*iters)):
+            size = max(0, hi - lo + 1)
             if sum(done) != size or any(done[size:]):  # idle workers: none
                 raise ParallelError(
-                    f"claim accounting violated: {done} iterations "
+                    f"claim accounting violated: {list(done)} iterations "
                     f"executed for a range of {size}"
                 )
-    claims = map(sum, zip(*[rec[4::8] for rec in recs]))
-    lock_ops = map(sum, zip(*[rec[5::8] for rec in recs]))
-    t_base = list(map(min, zip(*[tim[0::2] for tim in tims])))
-    t_end = map(max, zip(*[tim[1::2] for tim in tims]))
-    logs = [r["log"] for r in reports]
-    event_logs = [[] for _ in sizes]  # per instance: (worker, log rows)
-    for wid, log, rec in zip(wids, logs, recs if any(logs) else ()):
-        at = 0
-        for ph, rows in enumerate(rec[6::8]):
-            if rows:  # 40 bytes per row
-                event_logs[ph].append((wid, log[at : at + 40 * rows]))
-                at += 40 * rows
-    lang = _aggregate({r["lang"] for r in reports})
-    out: list[ParallelRunResult] = []
-    for li, lo, hi, batch, size, done, c, ops, t0, t1, log in zip(
-        lis, los, his, batches, sizes, iters, claims, lock_ops, t_base,
-        t_end, event_logs,
-    ):
-        if not size:
-            out.append(_empty_result(loops[li], lo, hi, workers, policy))
-            continue
-        active = size if size < workers else workers
-        out.append(
-            ParallelRunResult(
-                loops[li].var, lo, hi, active, name, t1 - t0, done[:active],
-                c, log, t0, ops, lang, batch, claim_loop=claim_loop,
-            )
-        )
-    return out
+    var = [loop.var for loop in loops]
+    logs = [
+        (wid, rec[6::REC], r["log"])
+        for wid, rec, r in zip(wids, recs, reports)
+        if r["log"]
+    ]
+    first = table.add(
+        list(map(var.__getitem__, lis)),
+        [max(0, min(span + 1, workers)) or workers for span in spans]
+        if narrow else [workers] * len(spans),
+        recs, tims, _aggregate({r["lang"] for r in reports}), claim_loop,
+        name, fallback, logs,
+    )
+    if narrow:
+        for row, span in enumerate(spans, first):
+            if span < 0:  # an empty range
+                table.blank(row, policy)
+    return first
+
+
+def _summed(columns: list[list]) -> list:
+    """Per instance, the sum across workers' columns."""
+    total, *rest = columns
+    for column in rest:
+        total = list(map(add, total, column))
+    return total
 
 
 def try_region(run) -> bool:
     """Run ``run.plan``'s procedure as one SPMD region if it qualifies.
 
-    Returns True when the region ran — ``out.dispatches`` then holds one
-    result per DOALL instance and ``out.region == "native"``.  Otherwise
+    Returns True when the region ran — ``out.table`` then holds one
+    row per DOALL instance and ``out.region == "native"``.  Otherwise
     nothing has run, ``out.region`` says why (``"SPMD00x: reason"``) and
     the caller proceeds per dispatch.
     """
@@ -367,8 +374,6 @@ def try_region(run) -> bool:
     if results is None:
         out.region = "SPMD006: a worker could not enter the region"
         return False
-    out.dispatches.extend(
-        _assemble(results, tpl.loops, tpl.policy_name, run.policy)
-    )
+    _assemble(out.table, results, tpl.loops, tpl.policy_name, run.policy)
     out.region = "native"
     return True

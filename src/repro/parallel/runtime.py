@@ -286,17 +286,171 @@ class ParallelRunResult:
         return render_gantt(to_sim_result(self, time_scale), width=width)
 
 
+#: A report's ``rec`` row: ``loop, lo, hi, iterations, claims, lock_ops,
+#: log rows, batch`` (:func:`repro.parallel.worker._report`).
+REC = 8
+
+
+class RunTable:
+    """Every DOALL instance of a run, one row each, kept as tables.
+
+    Every fold appends rows here (:func:`repro.parallel.region._assemble`
+    for a job's worker reports, :meth:`add_empty` for a range with no
+    job).  Per worker ``w``, ``rec[w]`` and ``tim[w]`` are its reports'
+    own tables, concatenated: :data:`REC` int64 per row (the ``loop``
+    field is the job's own index; ``loop_var`` names it) and two float64
+    (start, finish).  Per row, ``loop_var``, ``workers`` (those with
+    work), ``policy``, ``lang``, ``protocol`` and ``fallback``.  A claim
+    log stays each worker's bytes: ``logs`` holds ``(first row, worker,
+    log rows per row, bytes)`` per job and worker.  What ``/metrics``
+    counts of a run is summed as rows arrive (``n_claims``,
+    ``n_lock_ops``, ``n_iterations``, ``n_fallbacks``, ``langs``,
+    ``protocols``), so reading it costs the same at 1 instance as at 257.
+    :meth:`results` builds the :class:`ParallelRunResult` objects.
+    """
+
+    def __init__(self) -> None:
+        self.rec: list[list[int]] = []
+        self.tim: list[list[float]] = []
+        self.loop_var: list[str] = []
+        self.workers: list[int] = []
+        self.policy: list[str] = []
+        self.lang: list[str] = []
+        self.protocol: list[str] = []
+        self.fallback: list[bool] = []
+        self.logs: list[tuple[int, int, list[int], bytes]] = []
+        #: ``row -> (accumulator, folded value)`` of each reduction.
+        self.reduced: dict[int, tuple[str, float]] = {}
+        self.n_claims = self.n_lock_ops = self.n_iterations = 0
+        self.n_fallbacks = 0
+        self.langs: dict[str, int] = {}
+        self.protocols: dict[str, int] = {}
+        self._built: list[ParallelRunResult] | None = None
+
+    def __len__(self) -> int:
+        return len(self.loop_var)
+
+    def add(
+        self, loop_var: list[str], workers: list[int], recs, tims,
+        lang: str, protocol: str, policy: str, fallback: bool = False,
+        logs=(),
+    ) -> int:
+        """Append one job's rows — ``recs``/``tims`` per worker, the other
+        lists one entry per row — and return the first."""
+        first, n = len(self.loop_var), len(loop_var)
+        if not self.rec:
+            self.rec, self.tim = [[] for _ in recs], [[] for _ in tims]
+        for mine, theirs in zip(self.rec, recs):
+            mine += theirs
+            self.n_iterations += sum(theirs[3::REC])
+            self.n_claims += sum(theirs[4::REC])
+            self.n_lock_ops += sum(theirs[5::REC])
+        for mine, theirs in zip(self.tim, tims):
+            mine += theirs
+        self.loop_var += loop_var
+        self.workers += workers
+        self.lang += [lang] * n
+        self.protocol += [protocol] * n
+        self.policy += [policy] * n
+        self.fallback += [fallback] * n
+        self.logs += [(first, wid, rows, log) for wid, rows, log in logs]
+        self.n_fallbacks += fallback * n
+        self.langs[lang] = self.langs.get(lang, 0) + n
+        self.protocols[protocol] = self.protocols.get(protocol, 0) + n
+        self._built = None
+        return first
+
+    def add_empty(self, loop_var: str, lo: int, hi: int, workers: int, policy):
+        """An instance whose range is empty: nothing was sent."""
+        name = policy if isinstance(policy, str) else policy.name
+        return self.add(
+            [loop_var], [workers], [[0, lo, hi, 0, 0, 0, 0, 1]] * workers,
+            [[0.0, 0.0]] * workers, "py", "py", name,
+        )
+
+    def blank(self, row: int, policy) -> None:
+        """Make ``row`` (an instance of a job whose range is empty) what
+        :meth:`add_empty` appends: no claims, times, language or batch."""
+        at = row * REC
+        for rec, tim in zip(self.rec, self.tim):
+            self.n_claims -= rec[at + 4]
+            self.n_lock_ops -= rec[at + 5]
+            rec[at + 4] = rec[at + 5] = 0
+            rec[at + 7] = 1
+            tim[2 * row] = tim[2 * row + 1] = 0.0
+        self.n_fallbacks -= self.fallback[row]
+        self.langs[self.lang[row]] -= 1
+        self.protocols[self.protocol[row]] -= 1
+        self.langs["py"] = self.langs.get("py", 0) + 1
+        self.protocols["py"] = self.protocols.get("py", 0) + 1
+        self.policy[row] = policy if isinstance(policy, str) else policy.name
+        self.workers[row] = len(self.rec)
+        self.lang[row] = self.protocol[row] = "py"
+        self.fallback[row] = False
+        self._built = None
+
+    def rewrite(self, row: int, loop_var: str, lo: int, hi: int, done, logs):
+        """Report ``row`` as ``loop_var`` over ``lo..hi`` with ``done``
+        iterations per active worker and ``logs`` (``(worker, bytes)``)
+        in place of its claim log."""
+        at = row * REC
+        self.loop_var[row] = loop_var
+        for wid, rec in enumerate(self.rec):
+            rec[at + 1], rec[at + 2] = lo, hi
+            if wid < self.workers[row]:
+                self.n_iterations += done[wid] - rec[at + 3]
+                rec[at + 3] = done[wid]
+        counts = {wid: rows for first, wid, rows, _ in self.logs if first == row}
+        self.logs = [entry for entry in self.logs if entry[0] != row]
+        self.logs += [(row, wid, counts[wid], log) for wid, log in logs]
+        self._built = None
+
+    def results(self) -> list[ParallelRunResult]:
+        """One :class:`ParallelRunResult` per row, built on first call
+        and kept until a row is added or changed."""
+        if self._built is not None:
+            return self._built
+        event_logs: list[list] = [[] for _ in self.loop_var]
+        for first, wid, rows, log in self.logs:
+            at = 0
+            for row, count in enumerate(rows, first):
+                if count:  # 40 bytes per row
+                    event_logs[row].append((wid, log[at : at + 40 * count]))
+                    at += 40 * count
+        rec = self.rec[0] if self.rec else []
+        iters = list(zip(*[r[3::REC] for r in self.rec]))
+        claims = list(map(sum, zip(*[r[4::REC] for r in self.rec])))
+        lock_ops = list(map(sum, zip(*[r[5::REC] for r in self.rec])))
+        t_base = list(map(min, zip(*[t[0::2] for t in self.tim])))
+        t_end = list(map(max, zip(*[t[1::2] for t in self.tim])))
+        self._built = [
+            ParallelRunResult(
+                self.loop_var[r], rec[REC * r + 1], rec[REC * r + 2],
+                self.workers[r], self.policy[r], t_end[r] - t_base[r],
+                list(iters[r][: self.workers[r]]), claims[r], event_logs[r],
+                t_base[r], lock_ops[r], self.lang[r], rec[REC * r + 7],
+                *self.reduced.get(r, (None, None)), self.fallback[r],
+                self.protocol[r],
+            )
+            for r in range(len(self.loop_var))
+        ]
+        return self._built
+
+
 @dataclass
 class ParallelProcedureResult:
-    """Outcome of a whole-procedure run: one entry per dispatched DOALL.
+    """Outcome of a whole-procedure run: one row per dispatched DOALL
+    instance in :attr:`table`.
 
     The one record of a run: ``/metrics`` folds it
     (:func:`repro.parallel.observe.record_run`) and ``/run`` reports it
-    (:meth:`to_dict`).
+    (:meth:`to_dict`), both from the table's sums; :attr:`dispatches`
+    builds a :class:`ParallelRunResult` per instance only when read.
     """
 
     wall_time: float
-    dispatches: list[ParallelRunResult] = field(default_factory=list)
+    #: Every dispatched DOALL instance, one row each (:class:`RunTable`).
+    table: RunTable = field(default_factory=RunTable, repr=False)
     #: Chunk-safety mode the run executed under ("inspect" or "off").
     safety_mode: str = "off"
     #: The plan's :class:`~repro.analysis.safety.SafetyReport`, shared by
@@ -323,9 +477,15 @@ class ParallelProcedureResult:
     claim_fallbacks: int = 0
 
     @property
+    def dispatches(self) -> list[ParallelRunResult]:
+        """One :class:`ParallelRunResult` per DOALL instance, in run
+        order — built from :attr:`table` on first read, then kept."""
+        return self.table.results()
+
+    @property
     def fork_joins(self) -> int:
         """Fork/joins of the fleet: one for a region, else one per dispatch."""
-        return 1 if self.region == "native" else len(self.dispatches)
+        return 1 if self.region == "native" else len(self.table)
 
     @property
     def inspected(self) -> int:
@@ -339,33 +499,33 @@ class ParallelProcedureResult:
 
     @property
     def claims(self) -> int:
-        return sum(d.claims for d in self.dispatches)
+        return self.table.n_claims
 
     @property
     def lock_ops(self) -> int:
-        return sum(d.lock_ops for d in self.dispatches)
+        return self.table.n_lock_ops
 
     @property
     def total_iterations(self) -> int:
-        return sum(d.total_iterations for d in self.dispatches)
+        return self.table.n_iterations
 
     @property
     def chunk_lang(self) -> str:
         """Aggregate chunk language across dispatches
         (``c``/``numpy``/``py``/``mixed``)."""
-        return _aggregate({d.chunk_lang for d in self.dispatches})
+        return _aggregate({k for k, n in self.table.langs.items() if n})
 
     @property
     def claim_loop(self) -> str:
         """Aggregate claim protocol across dispatches
         (``native``/``py``/``static``/``mixed``)."""
-        return _aggregate({d.claim_loop for d in self.dispatches})
+        return _aggregate({k for k, n in self.table.protocols.items() if n})
 
     def to_dict(self) -> dict:
         """The run's ``/run`` statistics: the same record
         :func:`~repro.parallel.observe.record_run` folds into ``/metrics``."""
         stats = {
-            "dispatches": len(self.dispatches),
+            "dispatches": len(self.table),
             "fork_joins": self.fork_joins,
             "region": self.region,
             "claims": self.claims,
@@ -384,14 +544,6 @@ class ParallelProcedureResult:
                 "certificates": [c.to_dict() for c in self.certificates],
             }
         return stats
-
-
-def _empty_result(loop: Loop, lo: int, hi: int, workers: int, policy):
-    """The result of a DOALL whose range is empty: nothing was sent."""
-    name = policy if isinstance(policy, str) else policy.name
-    return ParallelRunResult(
-        loop.var, lo, hi, workers, name, 0.0, [0] * workers, 0
-    )
 
 
 def _aggregate(values: set[str]) -> str:

@@ -1,6 +1,8 @@
 import os
 
-from repro.parallel import run_parallel_procedure
+import pytest
+
+from repro.parallel import ParallelTimeoutError, run_parallel_procedure
 from repro.parallel.shm import SEGMENT_PREFIX, leaked_segments
 
 
@@ -8,6 +10,21 @@ def run_one(proc, arrays, scalars=None, **options):
     """The one dispatch of a single-DOALL procedure's run."""
     (result,) = run_parallel_procedure(proc, arrays, scalars, **options).dispatches
     return result
+
+
+def must_time_out(proc, arrays, scalars, **options) -> None:
+    """Run, expecting :class:`ParallelTimeoutError`; a run that returns
+    instead fails the test with what it was, so the cause is named."""
+    try:
+        result = run_parallel_procedure(proc, arrays, scalars, **options)
+    except ParallelTimeoutError:
+        return
+    pytest.fail(
+        "the run returned instead of timing out: "
+        f"region={result.region!r} fork_joins={result.fork_joins} "
+        f"claim_fallbacks={result.claim_fallbacks} "
+        f"chunk_lang={result.chunk_lang!r} wall_time={result.wall_time:.3f}s"
+    )
 
 
 def safety_for(name: str) -> str | None:

@@ -13,15 +13,11 @@ import pytest
 
 from repro.codegen.cload import have_compiler
 from repro.frontend.dsl import parse
-from repro.parallel import (
-    ParallelTimeoutError,
-    WorkerCrashError,
-    run_parallel_procedure,
-    runtime,
-)
-from repro.parallel.observe import DISPATCH
+from repro.parallel import WorkerCrashError, run_parallel_procedure, runtime
+from repro.parallel.observe import DISPATCH, metrics_snapshot
 from repro.transforms import coalesce_procedure, fission_procedure
 from repro.workloads import dot_product, get_workload, make_env
+from tests.parallel import must_time_out
 
 needs_gcc = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
 
@@ -150,9 +146,31 @@ def test_a_crashed_run_records_nothing():
 def test_a_timed_out_run_records_nothing():
     arrays = {"A": np.zeros(65)}
     before = counters()
-    with pytest.raises(ParallelTimeoutError):
-        run_parallel_procedure(
-            LONG, arrays, {"n": 64, "rounds": 400_000}, workers=2,
-            timeout=0.5, log_events=False,
-        )
+    must_time_out(
+        LONG, arrays, {"n": 64, "rounds": 400_000}, workers=2,
+        timeout=0.5, log_events=False,
+    )
     assert counters() == before
+
+
+@needs_gcc
+def test_a_region_run_moves_the_totals_by_its_instances():
+    """The fold reads the run's table, not a list of results: one
+    gauss_jordan region still counts each instance once per language and
+    protocol in ``/metrics``, and one fork/join."""
+    proc, arrays, scalars = workload("gauss_jordan", n=64, m=1)
+    before = metrics_snapshot(cache=None)["dispatch"]
+    result = run_parallel_procedure(proc, arrays, scalars, workers=2)
+    after = metrics_snapshot(cache=None)["dispatch"]
+    assert result.region == "native" and result.to_dict()["dispatches"] == 65
+    moved = {
+        "chunk_lang.c": after["chunk_lang"]["c"] - before["chunk_lang"]["c"],
+        "claim_loop.native": after["claim_loop"]["native"]
+        - before["claim_loop"]["native"],
+        "fork_joins": after["fork_joins"] - before["fork_joins"],
+        "dispatches": after["dispatches"] - before["dispatches"],
+    }
+    assert moved == {
+        "chunk_lang.c": 65, "claim_loop.native": 65, "fork_joins": 1,
+        "dispatches": 65,
+    }

@@ -37,11 +37,11 @@ from repro.parallel import region, worker
 from repro.parallel.counter import policy_plan
 from repro.parallel.dispatch import _resolve_claim_batch
 from repro.parallel.observe import DISPATCH
-from repro.parallel.runtime import _dispatchable_loops
+from repro.parallel.runtime import RunTable, _dispatchable_loops
 from repro.runtime.interp import Interpreter
 from repro.transforms import coalesce_procedure
 from repro.workloads import get_workload, make_env
-from tests.parallel import own_segments, pin_chunk_lang, safety_for
+from tests.parallel import must_time_out, own_segments, pin_chunk_lang, safety_for
 from tests.parallel.test_claim_loop import assert_sent_back
 
 pytestmark = pytest.mark.skipif(not have_compiler(), reason="no gcc on PATH")
@@ -476,9 +476,10 @@ def test_a_worker_that_cannot_bind_sends_the_run_back(monkeypatch, who):
 
 
 def _fold(rows_per_worker, claim_loop="native", **report):
-    """``region._assemble`` over hand-made worker reports: per worker a
-    table of instance rows (``loop, lo, hi, iterations, claims, lock_ops,
-    log rows, batch``); ``report`` overrides a report's other fields, per
+    """``region._assemble`` over hand-made worker reports, into a fresh
+    run table, read back as the results it builds: per worker a table of
+    instance rows (``loop, lo, hi, iterations, claims, lock_ops, log
+    rows, batch``); ``report`` overrides a report's other fields, per
     worker (a list) or for all of them."""
     loop = _dispatchable_loops(LONG.body)[0]
     results = {}
@@ -490,7 +491,9 @@ def _fold(rows_per_worker, claim_loop="native", **report):
         rec = np.array(rows, dtype=np.int64).tobytes()
         msg = worker._report(rec, fields.pop("tim"), b"", **fields)
         results[wid] = ("ok", wid, 1, msg)
-    return region._assemble(results, [loop], "self-sched", "unit", claim_loop)
+    table = RunTable()
+    region._assemble(table, results, [loop], "self-sched", "unit", claim_loop)
+    return table.results()
 
 
 def test_the_fold_checks_every_instance():
@@ -512,6 +515,18 @@ def test_the_fold_checks_every_instance():
         ],
     }
     for tables in bad.values():
+        with pytest.raises(ParallelError, match="disagree|accounting"):
+            _fold(tables)
+
+
+def test_the_fold_checks_the_whole_table():
+    """257 instances of a wide range, every row good but instance 200's:
+    a check that reads only the first rows would pass it."""
+    good = [[[0, i, i + 9, 5, 1, 1, 0, 1]] * 2 for i in range(257)]
+    for bad in ([0, 200, 209, 4, 1, 1, 0, 1], [0, 201, 209, 5, 1, 1, 0, 1]):
+        tables = [[row[0] for row in good], [row[1] for row in good]]
+        assert len(_fold(tables)) == 257
+        tables[1][200] = bad
         with pytest.raises(ParallelError, match="disagree|accounting"):
             _fold(tables)
 
@@ -747,11 +762,10 @@ def test_deadline_shorter_than_the_region_is_a_timeout_not_a_hang():
     arrays = {"A": np.zeros(65)}
     before = own_segments()
     t0 = time.monotonic()
-    with pytest.raises(ParallelTimeoutError):
-        run_parallel_procedure(
-            LONG, arrays, {"n": 64, "rounds": 400_000}, workers=2,
-            timeout=0.5, log_events=False,  # the region needs seconds
-        )
+    must_time_out(
+        LONG, arrays, {"n": 64, "rounds": 400_000}, workers=2,
+        timeout=0.5, log_events=False,  # the region needs seconds
+    )
     assert time.monotonic() - t0 < 15.0
     assert not arrays["A"].any()
     assert own_segments() == before
